@@ -19,11 +19,12 @@ import numpy as np
 
 from . import dataio, stl
 from .dataio import Checkpoint, Dataset, config_digest, dataset_digest
-from .envs import ExpertFailure, NonFiniteState, make_env
+from .envs import ExpertFailure, NonFiniteState, make_env, rollout
 from .inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
+    exact_satisfaction,
     extract_formula,
     simplify,
 )
@@ -33,8 +34,8 @@ from .train import (
     GanConfig,
     InferenceTrainConfig,
     PolicyTrainConfig,
+    _draw_samples,
     gan_loop,
-    mcr,
     original_env_pool,
     train_policy,
 )
@@ -188,7 +189,8 @@ def _checkpoint_from_result(run: Run, result, dataset_path: str, rule_text=None)
 
 def _load_ckpt_parts(path: str):
     ck = dataio.load_checkpoint(path)
-    env = make_env(ck.env["name"], **{})
+    run = Run(ck.config)
+    env = run.env
     shape = NetworkShape(**ck.shape)
     inf = InferenceParams.from_pv(ParamVector.from_jsonable(ck.inference_groups))
     pol = PolicyParams.from_pv(ParamVector.from_jsonable(ck.policy_groups))
@@ -196,7 +198,7 @@ def _load_ckpt_parts(path: str):
     rule = (
         stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
     )
-    return ck, env, shape, inf, pol, norm, rule
+    return ck, run, env, shape, inf, pol, norm, rule
 
 
 # --- commands -------------------------------------------------------------------
@@ -230,6 +232,10 @@ def cmd_train(args) -> int:
     if env_meta is not None and env_meta != run.env.name:
         raise dataio.ParseError(
             f"dataset was generated for env {env_meta!r}, config says {run.env.name!r}"
+        )
+    if ds.horizon != run.env.T:
+        raise dataio.InconsistentHorizon(
+            f"{args.data}: dataset horizon {ds.horizon} != environment horizon {run.env.T}"
         )
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -295,7 +301,7 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     if not (0.0 < args.threshold < 1.0):
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
-    ck, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
+    ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
     formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
     data_path = args.data or ck.extra.get("augmented_dataset")
     if data_path and os.path.exists(data_path):
@@ -323,12 +329,9 @@ def cmd_eval(args) -> int:
         raise dataio.InconsistentHorizon(
             f"formula horizon {stl.horizon(f)} exceeds dataset horizon {ds.horizon}"
         )
-    value = mcr(f, ds)
     labels = ds.labels()
-    names = ds.dim_names
-    sat = np.array(
-        [stl.robustness(stl.Signal(t.full(), names), f, 0) >= 0 for t in ds]
-    )
+    sat = exact_satisfaction(f, [stl.Signal(t.full(), ds.dim_names) for t in ds])
+    value = int(np.count_nonzero(sat != (labels > 0))) / len(ds)
     n_pos = int((labels > 0).sum())
     n_neg = int((labels < 0).sum())
     print(f"MCR {value:.6f}")
@@ -339,9 +342,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    from .envs import rollout_np
-
-    ck, env, shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
+    ck, _run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else int(ck.config.get("seed", 0)) + 10_000
     rng = np.random.default_rng(seed)
     env_pool = []
@@ -351,11 +352,7 @@ def cmd_rollout(args) -> int:
             raise dataio.ParseError("driving rollouts need --data for environment trajectories")
         ds = dataio.load_dataset(data_path)
         env_pool = original_env_pool(ds, env)
-    rows = []
-    for _ in range(args.n):
-        x0 = env.sample_initial(rng)
-        env_traj = env_pool[int(rng.integers(len(env_pool)))] if env_pool else None
-        rows.append(rollout_np(env, pol, x0, env_traj))
+    rows = rollout(env, pol, *_draw_samples(env, env_pool, args.n, rng))
     dim_names = tuple(env.agent_names) + tuple(env.env_names)
     dataio.export_rollouts(
         rows, dim_names, args.out, tags=["policy"] * len(rows),
@@ -366,7 +363,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_adjust(args) -> int:
-    ck, env, shape, inf, pol, norm, existing_rule = _load_ckpt_parts(args.ckpt)
+    ck, run, env, shape, inf, pol, norm, existing_rule = _load_ckpt_parts(args.ckpt)
     new_rule = stl.parse(args.conjoin, env.inference_names)
     if stl.horizon(new_rule) > env.T:
         raise dataio.InconsistentHorizon(
@@ -377,7 +374,6 @@ def cmd_adjust(args) -> int:
     inf_before = inf.to_pv().flatten().copy()
 
     if args.retrain:
-        run = Run(ck.config)
         data_path = args.data or ck.extra.get("augmented_dataset")
         if not data_path or not os.path.exists(data_path):
             raise dataio.ParseError("adjust --retrain needs the training dataset (--data)")
@@ -396,7 +392,8 @@ def cmd_adjust(args) -> int:
             rule=rule,
         )
 
-    assert np.array_equal(inf.to_pv().flatten(), inf_before), "classifier must stay frozen"
+    if not np.array_equal(inf.to_pv().flatten(), inf_before):
+        raise RuntimeError("the classifier changed while the policy retrained")
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     ck2 = Checkpoint(
@@ -415,19 +412,13 @@ def cmd_adjust(args) -> int:
     )
     dataio.save_checkpoint(ck2, args.out)
 
-    from .envs import rollout_np
-
     rng = np.random.default_rng([int(ck.config.get("seed", 0)), 778])
     env_pool = []
     if env.n_env > 0:
         data_path = args.data or ck.extra.get("augmented_dataset")
         ds = dataio.load_dataset(data_path)
         env_pool = original_env_pool(ds, env)
-    rollouts = []
-    for _ in range(args.rollouts):
-        x0 = env.sample_initial(rng)
-        env_traj = env_pool[int(rng.integers(len(env_pool)))] if env_pool else None
-        rollouts.append(rollout_np(env, pol, x0, env_traj))
+    rollouts = rollout(env, pol, *_draw_samples(env, env_pool, args.rollouts, rng))
     roll_path = os.path.join(out_dir, "rollouts_adjusted.csv")
     dim_names = tuple(env.agent_names) + tuple(env.env_names)
     dataio.export_rollouts(

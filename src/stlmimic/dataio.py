@@ -153,6 +153,8 @@ def load_dataset(path: str) -> Dataset:
                     env_names=tuple(obj.get("env_dims") or ()),
                     meta=obj.get("meta") or {},
                 )
+                if not (np.isfinite(traj.agent).all() and np.isfinite(traj.env).all()):
+                    raise ValueError("non-finite value in agent_states or env_states")
             except InconsistentHorizon:
                 raise
             except (KeyError, TypeError, ValueError) as exc:

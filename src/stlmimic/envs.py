@@ -1,9 +1,11 @@
 """Case-study environments: known agent dynamics, initial-state sampling,
 scripted behaviors standing in for the unknown environment distribution,
-rollout machinery, and expert dataset generation.
+the batched closed-loop rollout, and expert dataset generation.
 
 Instances are stateless after construction; stepping and sampling are pure
-given their inputs, so batched rollouts can fan out freely.
+given their inputs. The dynamics, the inference maps and the rollout are
+written once over batches and run on plain arrays or on tape nodes, so
+training differentiates through the same code that generates data.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl, tape
-from .dataio import Dataset, LabeledTrajectory
+from .dataio import Dataset, InconsistentHorizon, LabeledTrajectory
 from .inference import SignalNorm
-from .policy import ControlBox, PolicyCell, PolicyParams, policy_step_np, zero_hidden
+from .policy import ControlBox, PolicyParams, policy_step, zero_hidden
 
 
 class ExpertFailure(RuntimeError):
@@ -47,26 +49,29 @@ def _wrap_angle(a: float) -> float:
 
 
 def unicycle_step(x, u):
-    """(px, py, heading) advanced by controls (speed, turn rate)."""
-    px, py, th = float(x[0]), float(x[1]), float(x[2])
-    v, w = float(u[0]), float(u[1])
-    return np.array([px + v * math.cos(th), py + v * math.sin(th), th + w])
+    """(px, py, heading) advanced by controls (speed, turn rate); x is
+    (..., 3) and u is (..., 2)."""
+    x, u = tape.asarray(x), tape.asarray(u)
+    th, v = x[..., 2], u[..., 0]
+    return x + tape.stack([v * tape.cos(th), v * tape.sin(th), u[..., 1]], axis=-1)
 
 
 def ego_step(x, a):
-    """Double integrator: position += velocity; velocity += acceleration."""
-    p, v = float(x[0]), float(x[1])
-    return np.array([p + v, v + float(a)])
+    """Double integrator: position += velocity; velocity += acceleration.
+    x is (..., 2) and a broadcasts against x[..., 0]."""
+    x = tape.asarray(x)
+    return x + tape.stack([x[..., 1], a], axis=-1)
 
 
-def preprocess_distances(raw: np.ndarray, regions) -> np.ndarray:
-    """Euclidean distances from (px, py) rows to each region center."""
-    raw = np.asarray(raw, dtype=float)
-    pos = raw[:, :2]
-    cols = [
-        np.sqrt(((pos - [r.cx, r.cy]) ** 2).sum(axis=1)) for r in regions
-    ]
-    return np.stack(cols, axis=1)
+def preprocess_distances(raw, regions):
+    """Euclidean distances from the (px, py) columns of raw (..., >=2) to
+    each region center; returns (..., len(regions))."""
+    pos = tape.asarray(raw)[..., :2]
+    cols = []
+    for r in regions:
+        d = pos - np.array([r.cx, r.cy])
+        cols.append(tape.sqrt(tape.sum(d * d, axis=-1)))
+    return tape.stack(cols, axis=-1)
 
 
 class UnicycleEnv:
@@ -117,34 +122,14 @@ class UnicycleEnv:
             "init_box": [self.init_lo.tolist(), self.init_hi.tolist()],
         }
 
-    def step_np(self, x, u):
+    def step(self, x, u):
         return unicycle_step(x, u)
-
-    def step_rows(self, x_row, u):
-        px, py, th = x_row[0], x_row[1], x_row[2]
-        v, w = u[0], u[1]
-        return [px + v * tape.cos(th), py + v * tape.sin(th), th + w]
 
     def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.init_lo, self.init_hi)
 
-    def empty_env_traj(self) -> np.ndarray:
-        return np.zeros((self.T + 1, 0))
-
-    def inference_map_np(self, raw: np.ndarray) -> np.ndarray:
+    def inference_map(self, raw):
         return preprocess_distances(raw, self.regions)
-
-    def inference_rows(self, rows):
-        out = []
-        for row in rows:
-            px, py = row[0], row[1]
-            drow = []
-            for r in self.regions:
-                dx = px - r.cx
-                dy = py - r.cy
-                drow.append(tape.sqrt(dx * dx + dy * dy + 1e-12))
-            out.append(drow)
-        return out
 
     def task_formula(self) -> stl.Formula:
         """Lenient exact-semantics description of the scripted task; used
@@ -162,7 +147,7 @@ class UnicycleEnv:
         return LabeledTrajectory(
             id=id_,
             label=label,
-            agent=self.inference_map_np(raw),
+            agent=self.inference_map(raw),
             env=np.zeros((raw.shape[0], 0)),
             agent_names=self.inference_names,
             env_names=(),
@@ -209,7 +194,7 @@ class UnicycleEnv:
             if not reached_first and first.distance(x[0], x[1]) <= 0.7 * first.radius:
                 reached_first = True
             u = self._steer(x, tgt2 if reached_first else tgt1, rng)
-            x = self.step_np(x, u)
+            x = self.step(x, u)
             states.append(x.copy())
         return np.array(states)
 
@@ -220,7 +205,7 @@ class UnicycleEnv:
         for i in range(n):
             for attempt in range(10):
                 raw = self._expert_rollout(rng)
-                sig = stl.Signal(self.inference_map_np(raw), self.inference_names)
+                sig = stl.Signal(self.inference_map(raw), self.inference_names)
                 if stl.robustness(sig, task, 0) >= 0.0:
                     break
             else:
@@ -278,21 +263,14 @@ class DrivingEnv:
             "control_box": [list(self.control_box.lo), list(self.control_box.hi)],
         }
 
-    def step_np(self, x, u):
-        return ego_step(x, u[0])
-
-    def step_rows(self, x_row, u):
-        p, v = x_row[0], x_row[1]
-        return [p + v, v + u[0]]
+    def step(self, x, u):
+        return ego_step(x, u[..., 0])
 
     def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([rng.uniform(*self.init_pos), 0.0])
 
-    def inference_map_np(self, raw: np.ndarray) -> np.ndarray:
-        return np.asarray(raw, dtype=float)
-
-    def inference_rows(self, rows):
-        return rows
+    def inference_map(self, raw):
+        return tape.asarray(raw)
 
     def raw_to_traj(self, raw, label, id_, meta=None) -> LabeledTrajectory:
         raw = np.asarray(raw, dtype=float)
@@ -385,40 +363,25 @@ def make_env(name: str, **overrides):
 # --- closed-loop rollouts ------------------------------------------------------
 
 
-def rollout_np(env, params: PolicyParams, x0, env_traj=None) -> np.ndarray:
-    """Raw (T+1, n_a + n_e) closed-loop trajectory on plain numpy."""
-    if env_traj is None:
-        env_traj = np.zeros((env.T + 1, env.n_env))
-    env_traj = np.asarray(env_traj, dtype=float)
-    if env_traj.shape[0] != env.T + 1:
-        raise ValueError(f"environment trajectory must have {env.T + 1} rows")
+def rollout(env, params: PolicyParams, x0s, env_trajs):
+    """Closed-loop raw trajectories (N, T+1, n_a + n_e) from N initial
+    agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
+    one batched policy step per time step. The policy parameters may be
+    tape nodes."""
+    x = np.asarray(x0s, dtype=float)
+    env_trajs = np.asarray(env_trajs, dtype=float)
+    if env_trajs.shape[1] != env.T + 1:
+        raise InconsistentHorizon(
+            f"environment trajectories have {env_trajs.shape[1]} rows, need {env.T + 1}"
+        )
     h = zero_hidden(params)
-    x = np.asarray(x0, dtype=float)
-    rows = [np.concatenate([x, env_traj[0]])]
+    rows = [np.concatenate([x, env_trajs[:, 0]], axis=1)]
     for t in range(env.T):
-        u, h = policy_step_np(params, env.state_norm.apply(rows[t]), h, env.control_box)
-        x = env.step_np(x, u)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"state diverged at step {t + 1}: {x}")
-        rows.append(np.concatenate([x, env_traj[t + 1]]))
-    return np.array(rows)
-
-
-def rollout_graph(env, cell: PolicyCell, x0, env_traj=None):
-    """Same closed loop on the expression graph; returns T+1 rows whose
-    entries are Values wherever the policy influences them."""
-    if env_traj is None:
-        env_traj = np.zeros((env.T + 1, env.n_env))
-    env_traj = np.asarray(env_traj, dtype=float)
-    h = [0.0] * len(cell.rows)
-    agent = [float(v) for v in x0]
-    rows = [agent + list(env_traj[0])]
-    mid, hr = env.state_norm.mid, env.state_norm.halfrange
-    for t in range(env.T):
-        x_in = [
-            (s - m) * (1.0 / r) for s, m, r in zip(rows[t], mid, hr)
-        ]
-        u, h = cell.step(x_in, h)
-        agent = env.step_rows(agent, u)
-        rows.append(list(agent) + list(env_traj[t + 1]))
-    return rows
+        u, h = policy_step(params, env.state_norm.apply(rows[t]), h, env.control_box)
+        x = env.step(x, u)
+        finite = np.isfinite(tape.value(x)).all(axis=1)
+        if not finite.all():
+            bad = tape.value(x)[np.argmin(finite)]
+            raise NonFiniteState(f"state diverged at step {t + 1}: {bad}")
+        rows.append(tape.concatenate([x, env_trajs[:, t + 1]], axis=1))
+    return tape.stack(rows, axis=1)

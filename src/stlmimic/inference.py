@@ -9,6 +9,9 @@ can be read back out of the gates and windows at any time.
 Signals are affinely normalized per dimension to [-1, 1] before entering
 the network; extraction maps predicates back to original units (an exact
 change of variables, so robustness values are unchanged).
+
+Each layer is written once over batches: it runs on plain arrays for
+value-only calls and on tape nodes when a gradient is needed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .stl import (
     TimeInterval,
     TrueFormula,
 )
-from .tape import ParamVector, Value, affine, affine_sigmoid, smooth_max, smooth_min
+from .tape import ParamVector
 
 log = logging.getLogger(__name__)
 
@@ -186,20 +189,9 @@ class SignalNorm:
     def identity(cls, dim: int) -> "SignalNorm":
         return cls((0.0,) * dim, (1.0,) * dim)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - np.asarray(self.mid)) / np.asarray(self.halfrange)
-
-    def apply_rows_graph(self, rows):
-        """Normalize T+1 rows of floats/Values; affine, so gradients pass."""
-        out = []
-        for row in rows:
-            out.append(
-                [
-                    (x - m) * (1.0 / h)
-                    for x, m, h in zip(row, self.mid, self.halfrange)
-                ]
-            )
-        return out
+    def apply(self, x):
+        """Normalize the last axis of an array or tape node."""
+        return (tape.asarray(x) - np.asarray(self.mid)) / np.asarray(self.halfrange)
 
     def to_jsonable(self) -> dict:
         return {"mid": list(self.mid), "halfrange": list(self.halfrange)}
@@ -227,181 +219,82 @@ def normalize_formula(f: Formula, norm: SignalNorm) -> Formula:
     return type(f)(tuple(normalize_formula(c, norm) for c in f.children))
 
 
-# --- smooth robustness: expression-graph path ---------------------------------
+# --- smooth robustness ----------------------------------------------------------
+#
+# Each function below runs on plain arrays (value only) or on tape nodes
+# (for gradients); see `tape`.
 
 
-def smooth_robustness_graph(rows, params: InferenceParams, shape: NetworkShape, tau=None):
-    """Smooth classifier score for one normalized signal.
+def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None):
+    """Smooth classifier scores of a batch of normalized signals.
 
-    `rows` is a (>= horizon+1)-long sequence of length-dim rows whose
-    entries may be floats or tape Values; parameter arrays may likewise
-    hold floats or Values. Returns a Value when anything upstream is one.
+    X is (N, >=T+1, dim); returns (N,). X and the parameter arrays may be
+    tape nodes.
     """
     tau = shape.tau if tau is None else tau
     T = shape.horizon
-    if len(rows) < T + 1:
-        raise stl.HorizonExceeded(f"need {T + 1} samples, got {len(rows)}")
-    inv_sw = 1.0 / SIGMA_W
+    X = tape.asarray(X)
+    if X.shape[1] < T + 1:
+        raise stl.HorizonExceeded(f"need {T + 1} samples, got {X.shape[1]}")
     L = GATE_L
 
-    traces = []
-    for k in range(shape.n_pred):
-        w_row = list(params.pred_w[k])
-        nb = -params.pred_b[k]  # one shared node when b is a Value
-        traces.append([affine(w_row, rows[t], nb) for t in range(T + 1)])
-
-    atoms = []
-    for j in range(shape.n_atoms):
-        k = j // 2
-        s_j = params.win_lo[j]
-        e_j = params.win_hi[j]
-        trace = traces[k]
-        terms = []
-        for t in range(T + 1):
-            m1 = affine_sigmoid((-inv_sw,), (s_j,), (t + 0.5) * inv_sw)
-            m2 = affine_sigmoid((inv_sw,), (e_j,), (0.5 - t) * inv_sw)
-            m = m1 * m2
-            p = trace[t]
-            if j % 2 == 0:  # eventually: off-window terms sink to -L
-                terms.append(affine((p, L), (m, m), -L))
-            else:  # always: off-window terms float to +L
-                terms.append(affine((p, -L), (m, m), L))
-        atoms.append(smooth_max(terms, tau) if j % 2 == 0 else smooth_min(terms, tau))
-
-    conjs = []
-    for c in range(shape.n_conj):
-        terms = []
-        for j in range(shape.n_atoms):
-            sg = tape.sigmoid(params.gate[c, j])
-            terms.append(affine((1.0, -L), (atoms[j], sg), L))
-        conjs.append(smooth_min(terms, tau))
-
-    outs = []
-    for c in range(shape.n_conj):
-        sg = tape.sigmoid(params.out_gate[c])
-        outs.append(affine((1.0, OUT_L), (conjs[c], sg), -OUT_L))
-    return smooth_max(outs, tau)
-
-
-def smooth_formula_graph(rows, f: Formula, tau: float, t: int = 0):
-    """Smooth robustness of a fixed formula (exact structure, smooth
-    min/max); the differentiable twin of stl.robustness for rule
-    injection. Rows are floats or Values in the formula's coordinates."""
-    if isinstance(f, TrueFormula):
-        return stl.TRUE_ROBUSTNESS
-    if isinstance(f, Pred):
-        idx = [i for i, c in enumerate(f.coeffs) if c != 0.0]
-        return affine([f.coeffs[i] for i in idx], [rows[t][i] for i in idx], -f.bound)
-    if isinstance(f, Not):
-        return -smooth_formula_graph(rows, f.child, tau, t)
-    if isinstance(f, And):
-        return smooth_min([smooth_formula_graph(rows, c, tau, t) for c in f.children], tau)
-    if isinstance(f, Or):
-        return smooth_max([smooth_formula_graph(rows, c, tau, t) for c in f.children], tau)
-    if isinstance(f, (Eventually, Always)):
-        window = range(t + f.interval.t1, t + f.interval.t2 + 1)
-        vals = [smooth_formula_graph(rows, f.child, tau, u) for u in window]
-        return smooth_max(vals, tau) if isinstance(f, Eventually) else smooth_min(vals, tau)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def combined_smooth_graph(rows, params, shape, rule: Formula | None, tau=None):
-    """Network score, optionally conjoined with an injected rule through
-    a smooth minimum."""
-    tau = shape.tau if tau is None else tau
-    net = smooth_robustness_graph(rows, params, shape, tau)
-    if rule is None:
-        return net
-    return smooth_min([net, smooth_formula_graph(rows, rule, tau)], tau)
-
-
-# --- smooth robustness: vectorized value path ---------------------------------
-
-
-def _smax(a: np.ndarray, tau: float, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    w = np.exp((a - m) / tau)
-    return (w * a).sum(axis=axis) / w.sum(axis=axis)
-
-
-def _smin(a: np.ndarray, tau: float, axis: int) -> np.ndarray:
-    m = a.min(axis=axis, keepdims=True)
-    w = np.exp(-(a - m) / tau)
-    return (w * a).sum(axis=axis) / w.sum(axis=axis)
-
-
-def _sigmoid_np(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
-
-
-def batch_smooth_robustness(
-    X: np.ndarray, params: InferenceParams, shape: NetworkShape, tau=None
-) -> np.ndarray:
-    """Vectorized twin of smooth_robustness_graph over a batch.
-
-    X is (N, >=T+1, dim) of normalized signals; returns (N,). Used in the
-    optimization hot loop; agreement with the graph path is covered by
-    tests.
-    """
-    tau = shape.tau if tau is None else tau
-    T = shape.horizon
-    X = np.asarray(X, dtype=float)[:, : T + 1, :]
-    L = GATE_L
-
-    traces = X @ params.pred_w.T - params.pred_b  # (N, T+1, n_pred)
-    ts = np.arange(T + 1)
-    m1 = _sigmoid_np((ts[None, :] - params.win_lo[:, None] + 0.5) / SIGMA_W)
-    m2 = _sigmoid_np((params.win_hi[:, None] - ts[None, :] + 0.5) / SIGMA_W)
+    traces = X[:, : T + 1, :] @ params.pred_w.T - params.pred_b  # (N, T+1, n_pred)
+    traces = tape.transpose(traces, (0, 2, 1))  # (N, n_pred, T+1)
+    ts = np.arange(T + 1.0)
+    m1 = tape.sigmoid((ts - params.win_lo[:, None] + 0.5) / SIGMA_W)
+    m2 = tape.sigmoid((params.win_hi[:, None] - ts + 0.5) / SIGMA_W)
     masks = m1 * m2  # (n_atoms, T+1)
 
-    pred_of_atom = np.arange(shape.n_atoms) // 2
-    p = traces[:, :, pred_of_atom].transpose(0, 2, 1)  # (N, n_atoms, T+1)
-    ev_terms = p * masks + (masks - 1.0) * L
-    al_terms = p * masks + (1.0 - masks) * L
-    ev = _smax(ev_terms, tau, axis=2)  # (N, n_atoms)
-    al = _smin(al_terms, tau, axis=2)
-    atom_vals = np.where(np.arange(shape.n_atoms)[None, :] % 2 == 0, ev, al)
+    # atom 2k is the eventually-atom of predicate k, atom 2k+1 the always-atom
+    ev_m, al_m = masks[0::2], masks[1::2]
+    ev = tape.smax(traces * ev_m + (ev_m - 1.0) * L, tau, axis=2)  # (N, n_pred)
+    al = tape.smin(traces * al_m + (1.0 - al_m) * L, tau, axis=2)
 
-    gate_off = (1.0 - _sigmoid_np(params.gate)) * L  # (n_conj, n_atoms)
-    conj_terms = atom_vals[:, None, :] + gate_off[None, :, :]
-    conjs = _smin(conj_terms, tau, axis=2)  # (N, n_conj)
+    gate_off = (1.0 - tape.sigmoid(params.gate)) * L  # (n_conj, n_atoms)
+    conj_terms = tape.concatenate(
+        [ev[:, None, :] + gate_off[:, 0::2], al[:, None, :] + gate_off[:, 1::2]], axis=2
+    )
+    conjs = tape.smin(conj_terms, tau, axis=2)  # (N, n_conj)
 
-    out_off = (1.0 - _sigmoid_np(params.out_gate)) * OUT_L  # (n_conj,)
-    out_terms = conjs - out_off[None, :]
-    return _smax(out_terms, tau, axis=1)
+    out_off = (1.0 - tape.sigmoid(params.out_gate)) * OUT_L  # (n_conj,)
+    return tape.smax(conjs - out_off, tau, axis=1)
 
 
-def batch_smooth_formula(X: np.ndarray, f: Formula, tau: float, t: int = 0) -> np.ndarray:
-    """Vectorized smooth robustness of a fixed formula; X is (N, T+1, d)."""
-    X = np.asarray(X, dtype=float)
+def smooth_formula(X, f: Formula, tau: float, t: int = 0):
+    """Smooth robustness of a fixed formula (exact structure, smooth
+    min/max) over a batch X of shape (N, T+1, d) in the formula's
+    coordinates; the differentiable counterpart of stl.robustness used for
+    rule injection."""
+    X = tape.asarray(X)
     if isinstance(f, TrueFormula):
         return np.full(X.shape[0], stl.TRUE_ROBUSTNESS)
     if isinstance(f, Pred):
         return X[:, t, :] @ np.asarray(f.coeffs) - f.bound
     if isinstance(f, Not):
-        return -batch_smooth_formula(X, f.child, tau, t)
+        return -smooth_formula(X, f.child, tau, t)
     if isinstance(f, (And, Or)):
-        stackv = np.stack([batch_smooth_formula(X, c, tau, t) for c in f.children])
-        return _smin(stackv, tau, 0) if isinstance(f, And) else _smax(stackv, tau, 0)
+        vals = tape.stack([smooth_formula(X, c, tau, t) for c in f.children])
+        return tape.smin(vals, tau, 0) if isinstance(f, And) else tape.smax(vals, tau, 0)
     if isinstance(f, (Eventually, Always)):
         window = range(t + f.interval.t1, t + f.interval.t2 + 1)
-        stackv = np.stack([batch_smooth_formula(X, f.child, tau, u) for u in window])
-        return _smax(stackv, tau, 0) if isinstance(f, Eventually) else _smin(stackv, tau, 0)
+        vals = tape.stack([smooth_formula(X, f.child, tau, u) for u in window])
+        return tape.smax(vals, tau, 0) if isinstance(f, Eventually) else tape.smin(vals, tau, 0)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def batch_combined(X, params, shape, rule: Formula | None, tau=None) -> np.ndarray:
+def combined_smooth(X, params, shape, rule: Formula | None, tau=None):
+    """Network scores, optionally conjoined with an injected rule (in
+    normalized coordinates) through a smooth minimum."""
     tau = shape.tau if tau is None else tau
-    net = batch_smooth_robustness(X, params, shape, tau)
+    net = smooth_robustness(X, params, shape, tau)
     if rule is None:
         return net
-    rule_vals = batch_smooth_formula(X, rule, tau)
-    return _smin(np.stack([net, rule_vals]), tau, 0)
+    return tape.smin(tape.stack([net, smooth_formula(X, rule, tau)]), tau, 0)
 
 
 def classify(x_norm: np.ndarray, params: InferenceParams, shape: NetworkShape, tau=None) -> int:
     """+1 iff the smooth score is >= 0, else -1."""
-    score = batch_smooth_robustness(x_norm[None, :, :], params, shape, tau)[0]
+    score = smooth_robustness(x_norm[None, :, :], params, shape, tau)[0]
     return 1 if score >= 0.0 else -1
 
 
@@ -464,11 +357,11 @@ def extract_formula(
     mid = np.asarray(norm.mid)
     disjuncts = []
     for c in range(shape.n_conj):
-        if _sigmoid_np(params.out_gate[c]) <= gate_threshold:
+        if tape.sigmoid(params.out_gate[c]) <= gate_threshold:
             continue
         atoms = []
         for j in range(shape.n_atoms):
-            if _sigmoid_np(params.gate[c, j]) <= gate_threshold:
+            if tape.sigmoid(params.gate[c, j]) <= gate_threshold:
                 continue
             k = j // 2
             t1 = min(max(_halfup(float(params.win_lo[j])), 0), T)
@@ -511,16 +404,18 @@ def _deletions(f: Formula):
             yield type(f)(f.interval, sub)
 
 
+def exact_satisfaction(f: Formula, signals) -> np.ndarray:
+    """Whether each signal satisfies f at t=0 under exact semantics
+    (robustness exactly 0 counts as satisfied)."""
+    return np.array([stl.robustness(s, f, 0) >= 0.0 for s in signals], dtype=bool)
+
+
 def exact_mcr(f: Formula, signals, labels) -> float:
     """Misclassification rate of a formula under exact semantics."""
     if len(signals) == 0:
         raise ValueError("empty dataset")
-    wrong = 0
-    for s, l in zip(signals, labels):
-        sat = stl.robustness(s, f, 0) >= 0.0
-        if sat != (l > 0):
-            wrong += 1
-    return wrong / len(signals)
+    wrong = exact_satisfaction(f, signals) != (np.asarray(labels) > 0)
+    return int(np.count_nonzero(wrong)) / len(signals)
 
 
 def simplify(f: Formula, signals, labels) -> Formula:

@@ -2,9 +2,8 @@
 
 A single Elman-style cell: h' = tanh(W_in x + W_rec h + b); the output
 head maps h' through tanh onto the box interior, so control constraints
-hold for every parameter setting. The same wiring runs on plain numpy
-(fast rollouts) or on tape Values (training); both paths are covered by
-agreement tests.
+hold for every parameter setting. The one step function runs on plain
+arrays (rollouts) or on tape nodes (training).
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import ParamVector, affine, affine_tanh, tanh
+from . import tape
+from .tape import ParamVector
 
 
 @dataclass(frozen=True)
@@ -93,47 +93,14 @@ def zero_hidden(params: PolicyParams) -> np.ndarray:
     return np.zeros(params.hidden)
 
 
-def _squash(y, lo: float, hi: float):
-    # lo + (hi - lo) * (tanh(y) + 1) / 2, strictly inside the box
-    half = 0.5 * (hi - lo)
-    return tanh(y) * half + (lo + half)
-
-
-def policy_step_np(params: PolicyParams, x: np.ndarray, h: np.ndarray, box: ControlBox):
-    """One control step on numpy arrays; returns (u, h')."""
-    h_new = np.tanh(params.w_in @ np.asarray(x, dtype=float) + params.w_rec @ h + params.b_h)
-    y = params.w_out @ h_new + params.b_out
+def policy_step(params: PolicyParams, x, h, box: ControlBox):
+    """One control step for a state x of shape (n,) or a batch (N, n),
+    with hidden state h of shape (H,) or (N, H); returns (u, h')."""
+    h_new = tape.tanh(x @ params.w_in.T + h @ params.w_rec.T + params.b_h)
+    y = h_new @ params.w_out.T + params.b_out
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
+    # lo + (hi - lo) * (tanh(y) + 1) / 2, strictly inside the box
     half = 0.5 * (hi - lo)
-    u = np.tanh(y) * half + (lo + half)
+    u = tape.tanh(y) * half + (lo + half)
     return u, h_new
-
-
-class PolicyCell:
-    """Per-graph wiring of one parameter set for repeated steps.
-
-    Built once per training step from float or Value parameter arrays;
-    weight rows are pre-concatenated as [recurrent | input] so each hidden
-    unit is a single fused node per step.
-    """
-
-    def __init__(self, params: PolicyParams, box: ControlBox):
-        self.rows = [
-            list(params.w_rec[i]) + list(params.w_in[i])
-            for i in range(len(params.w_rec))
-        ]
-        self.b_h = list(params.b_h)
-        self.w_out = [list(row) for row in params.w_out]
-        self.b_out = list(params.b_out)
-        self.box = box
-
-    def step(self, x_row, h_list):
-        """x_row and h_list hold floats or Values; returns (u_list, h')."""
-        inp = list(h_list) + list(x_row)
-        h_new = [affine_tanh(row, inp, b) for row, b in zip(self.rows, self.b_h)]
-        u = []
-        for k, (w, b) in enumerate(zip(self.w_out, self.b_out)):
-            y = affine(w, h_new, b)
-            u.append(_squash(y, self.box.lo[k], self.box.hi[k]))
-        return u, h_new

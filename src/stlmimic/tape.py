@@ -1,11 +1,13 @@
-"""Reverse-mode automatic differentiation over scalar expression graphs.
+"""Reverse-mode automatic differentiation over ndarrays.
 
-A `Value` records its payload plus parent references and the exact local
-partials computed at forward time; `backward` runs one reverse topological
-sweep (creation order is topological by construction). Every op accepts
-plain numbers alongside `Value`s and degrades to ordinary float arithmetic
-when no `Value` is involved, so the same model code serves both
-differentiable and value-only evaluation.
+A `Node` holds an array value, its parent nodes and a closure giving the
+vector-Jacobian product (VJP) of the op that made it, with numpy
+broadcasting undone. `backward` runs one reverse sweep in creation order,
+which is topological by construction. Every op accepts plain arrays and
+numbers alongside nodes: with no node among its operands it returns a
+plain ndarray and records nothing, and with one it computes the same value
+by the same numpy call. So each model layer is written once and serves
+both value-only evaluation and differentiation.
 
 Graphs are single-owner while being built and swept; independent graphs
 may live on different threads.
@@ -13,6 +15,7 @@ may live on different threads.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import math
 from operator import attrgetter
@@ -21,11 +24,7 @@ import numpy as np
 
 
 class EmptyInput(ValueError):
-    """smooth_max / smooth_min called with no values."""
-
-
-class CycleDetected(RuntimeError):
-    """Defensive check; cannot happen for graphs built through the ops here."""
+    """smax / smin over an axis of length zero."""
 
 
 class NonFiniteValue(ArithmeticError):
@@ -36,214 +35,265 @@ _COUNTER = itertools.count()
 _BY_IDX = attrgetter("_idx")
 
 
-class Value:
-    __slots__ = ("data", "grad", "_parents", "_partials", "_idx")
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g over the axes numpy broadcast to reach `shape`."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape)))) if g.ndim > len(shape) else g
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
-    def __init__(self, data, _parents=(), _partials=()):
-        self.data = data
+
+class Node:
+    """An array value on the tape."""
+
+    __slots__ = ("value", "grad", "_parents", "_vjp", "_idx")
+    __array_ufunc__ = None  # ndarray operators defer to the reflected methods
+
+    def __init__(self, value, _parents=(), _vjp=None):
+        self.value = np.asarray(value, dtype=float)
         self.grad = 0.0
         self._parents = _parents
-        self._partials = _partials
+        self._vjp = _vjp  # g -> one gradient per parent
         self._idx = next(_COUNTER)
 
     def __repr__(self):
-        return f"Value({self.data})"
+        return f"Node({self.value!r})"
+
+    @property
+    def shape(self) -> tuple:
+        return self.value.shape
+
+    @property
+    def T(self) -> "Node":
+        return transpose(self)
 
     def __add__(self, other):
-        if type(other) is Value:
-            return Value(self.data + other.data, (self, other), (1.0, 1.0))
-        return Value(self.data + other, (self,), (1.0,))
+        return _binary(self, other, np.add, lambda g, a, b: (g, g))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _binary(other, self, np.add, lambda g, a, b: (g, g))
 
     def __sub__(self, other):
-        if type(other) is Value:
-            return Value(self.data - other.data, (self, other), (1.0, -1.0))
-        return Value(self.data - other, (self,), (1.0,))
+        return _binary(self, other, np.subtract, lambda g, a, b: (g, -g))
 
     def __rsub__(self, other):
-        return Value(other - self.data, (self,), (-1.0,))
+        return _binary(other, self, np.subtract, lambda g, a, b: (g, -g))
 
     def __mul__(self, other):
-        if type(other) is Value:
-            return Value(self.data * other.data, (self, other), (other.data, self.data))
-        return Value(self.data * other, (self,), (other,))
+        return _binary(self, other, np.multiply, lambda g, a, b: (g * b, g * a))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return _binary(other, self, np.multiply, lambda g, a, b: (g * b, g * a))
+
+    def __truediv__(self, other):
+        if isinstance(other, Node):
+            raise TypeError("the tape divides by constants only")
+        return _binary(self, other, np.true_divide, lambda g, a, b: (g / b, None))
 
     def __neg__(self):
-        return Value(-self.data, (self,), (-1.0,))
+        return Node(-self.value, (self,), lambda g: (-g,))
+
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
+
+    def __getitem__(self, idx):
+        shape = self.value.shape
+        basic = all(_is_basic(i) for i in (idx if isinstance(idx, tuple) else (idx,)))
+
+        def vjp(g):
+            out = np.zeros(shape)
+            if basic:  # a view: no element is selected twice
+                out[idx] += g
+            else:
+                np.add.at(out, idx, g)
+            return (out,)
+
+        return Node(self.value[idx], (self,), vjp)
 
 
-def _data(x):
-    return x.data if type(x) is Value else x
+def _is_basic(i) -> bool:
+    return i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+
+
+def value(x):
+    """The array behind a node, or x itself."""
+    return x.value if isinstance(x, Node) else x
+
+
+def asarray(x):
+    """Nodes pass through; anything else becomes a float ndarray."""
+    return x if isinstance(x, Node) else np.asarray(x, dtype=float)
+
+
+def _binary(a, b, op, partials):
+    """op(a, b) with at least one node operand; `partials(g, a, b)` gives
+    the gradients of both operands before broadcasting is undone."""
+    av, bv = value(a), value(b)
+    is_node = (isinstance(a, Node), isinstance(b, Node))
+
+    def vjp(g):
+        grads = zip(partials(g, av, bv), (av, bv), is_node)
+        return [_unbroadcast(gx, np.shape(xv)) for gx, xv, node in grads if node]
+
+    return Node(op(av, bv), tuple(x for x in (a, b) if isinstance(x, Node)), vjp)
+
+
+def _matmul(a, b):
+    """a @ b with at least one node operand, for a of shape (..., k) or (k,)
+    and b of shape (k, m) or (k,)."""
+    av, bv = np.asarray(value(a), dtype=float), np.asarray(value(b), dtype=float)
+    if bv.ndim > 2:
+        raise NotImplementedError("the tape's matmul takes a matrix or vector on the right")
+    k = av.shape[-1]
+
+    def vjp(g):
+        grads = []
+        if isinstance(a, Node):
+            grads.append(g[..., None] * bv if bv.ndim == 1 else g @ bv.T)
+        if isinstance(b, Node):
+            if bv.ndim == 1:
+                grads.append(np.tensordot(g, av, axes=g.ndim))
+            else:
+                grads.append(av.reshape(-1, k).T @ g.reshape(-1, bv.shape[1]))
+        return grads
+
+    return Node(av @ bv, tuple(x for x in (a, b) if isinstance(x, Node)), vjp)
+
+
+def _unary(x, fn, local):
+    """fn(x); `local(x_value, out)` is the elementwise derivative."""
+    if not isinstance(x, Node):
+        return fn(np.asarray(x, dtype=float))
+    xv = x.value
+    out = fn(xv)
+    return Node(out, (x,), lambda g: (g * local(xv, out),))
+
+
+def _sigmoid_value(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _sqrt_slope(x, r):
+    # At 0 the slope is taken as 0, a subgradient of the norms built on it.
+    return np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
 
 
 def tanh(x):
-    if type(x) is Value:
-        t = math.tanh(x.data)
-        return Value(t, (x,), (1.0 - t * t,))
-    return math.tanh(x)
+    return _unary(x, np.tanh, lambda x, t: 1.0 - t * t)
+
+
+def sigmoid(x):
+    return _unary(x, _sigmoid_value, lambda x, s: s * (1.0 - s))
+
+
+def sqrt(x):
+    return _unary(x, np.sqrt, _sqrt_slope)
+
+
+def cos(x):
+    return _unary(x, np.cos, lambda x, c: -np.sin(x))
+
+
+def sin(x):
+    return _unary(x, np.sin, lambda x, s: np.cos(x))
 
 
 def relu(x):
     # Subgradient at the kink is taken as 0.
-    if type(x) is Value:
-        if x.data > 0.0:
-            return Value(x.data, (x,), (1.0,))
-        return Value(0.0, (x,), (0.0,))
-    return x if x > 0.0 else 0.0
+    return _unary(x, lambda v: np.maximum(v, 0.0), lambda x, r: (x > 0.0).astype(float))
 
 
-def _sigmoid_float(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def transpose(x, axes=None):
+    if not isinstance(x, Node):
+        return np.transpose(x, axes)
+    inverse = None if axes is None else np.argsort(axes)
+    return Node(np.transpose(x.value, axes), (x,), lambda g: (np.transpose(g, inverse),))
 
 
-def sigmoid(x):
-    if type(x) is Value:
-        s = _sigmoid_float(x.data)
-        return Value(s, (x,), (s * (1.0 - s),))
-    return _sigmoid_float(x)
+def sum(x, axis=None):
+    if not isinstance(x, Node):
+        return np.sum(x, axis=axis)
+    shape = x.shape
+
+    def vjp(g):
+        g = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape),)
+
+    return Node(np.sum(x.value, axis=axis), (x,), vjp)
 
 
-def sqrt(x):
-    if type(x) is Value:
-        r = math.sqrt(x.data)
-        return Value(r, (x,), (0.5 / r,))
-    return math.sqrt(x)
+def mean(x, axis=None):
+    v = value(x)
+    return sum(x, axis) / (np.size(v) if axis is None else np.shape(v)[axis])
 
 
-def cos(x):
-    if type(x) is Value:
-        return Value(math.cos(x.data), (x,), (-math.sin(x.data),))
-    return math.cos(x)
+def _join(xs, axis, join, split):
+    """join(xs) with a VJP that splits the gradient back to the node operands."""
+    vals = [value(x) for x in xs]
+    out = join(vals, axis=axis)
+    is_node = [isinstance(x, Node) for x in xs]
+    if not any(is_node):
+        return out
+
+    def vjp(g):
+        return [part for part, node in zip(split(g, vals), is_node) if node]
+
+    return Node(out, tuple(x for x in xs if isinstance(x, Node)), vjp)
 
 
-def sin(x):
-    if type(x) is Value:
-        return Value(math.sin(x.data), (x,), (math.cos(x.data),))
-    return math.sin(x)
+def stack(xs, axis=0):
+    return _join(xs, axis, np.stack, lambda g, vals: [np.take(g, i, axis=axis) for i in range(len(vals))])
 
 
-def _accumulate(weights, inputs, bias):
-    """Shared dot-product accumulation for the affine family."""
-    total = bias.data if type(bias) is Value else bias
-    parents = []
-    partials = []
-    ap = parents.append
-    aq = partials.append
-    for w, x in zip(weights, inputs):
-        if type(w) is Value:
-            wd = w.data
-            if type(x) is Value:
-                xd = x.data
-                ap(w)
-                aq(xd)
-                ap(x)
-                aq(wd)
-            else:
-                xd = x
-                ap(w)
-                aq(xd)
-        else:
-            wd = w
-            if type(x) is Value:
-                xd = x.data
-                ap(x)
-                aq(wd)
-            else:
-                xd = x
-        total += wd * xd
-    if type(bias) is Value:
-        ap(bias)
-        aq(1.0)
-    return total, parents, partials
+def concatenate(xs, axis=0):
+    def split(g, vals):
+        ends = np.cumsum([v.shape[axis] for v in vals])[:-1]
+        return np.split(g, ends, axis=axis)
+
+    return _join(xs, axis, np.concatenate, split)
 
 
-def affine(weights, inputs, bias=0.0):
-    """sum_i weights[i] * inputs[i] + bias as one node.
-
-    Any operand may be a number or a Value; numbers contribute to the
-    payload only. Collapsing the dot product into a single node keeps
-    recurrent rollout graphs small.
-    """
-    total, parents, partials = _accumulate(weights, inputs, bias)
-    if not parents:
-        return total
-    return Value(total, tuple(parents), tuple(partials))
-
-
-def affine_tanh(weights, inputs, bias=0.0):
-    """tanh(affine(...)) fused into one node."""
-    total, parents, partials = _accumulate(weights, inputs, bias)
-    t = math.tanh(total)
-    if not parents:
-        return t
-    d = 1.0 - t * t
-    return Value(t, tuple(parents), tuple([p * d for p in partials]))
-
-
-def affine_sigmoid(weights, inputs, bias=0.0):
-    """sigmoid(affine(...)) fused into one node."""
-    total, parents, partials = _accumulate(weights, inputs, bias)
-    s = _sigmoid_float(total)
-    if not parents:
-        return s
-    d = s * (1.0 - s)
-    return Value(s, tuple(parents), tuple([p * d for p in partials]))
-
-
-def smooth_max(vals, tau):
-    """Softmax-weighted average: sum_i w_i v_i with w = softmax(v / tau).
-
-    Bounded between min(v) and max(v) and approaches max(v) as tau -> 0.
-    """
+def _soft_extremum(a, tau, axis, sign, what):
+    """Exp-weighted average of `a` along `axis`, leaning to its max (sign
+    +1) or min (sign -1): sum_i w_i a_i / sum_i w_i with w = exp(sign a / tau)."""
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if len(vals) == 0:
-        raise EmptyInput("smooth_max of no values")
-    data = [v.data if type(v) is Value else v for v in vals]
-    m = max(data)
-    ws = [math.exp((d - m) / tau) for d in data]
-    z = sum(ws)
-    s = sum(w * d for w, d in zip(ws, data)) / z
-    parents = []
-    partials = []
-    for v, d, w in zip(vals, data, ws):
-        if type(v) is Value:
-            parents.append(v)
-            partials.append((w / z) * (1.0 + (d - s) / tau))
-    if not parents:
+    av = np.asarray(value(a), dtype=float)
+    if av.shape[axis] == 0:
+        raise EmptyInput(f"{what} of no values")
+    m = av.max(axis=axis, keepdims=True) if sign > 0 else av.min(axis=axis, keepdims=True)
+    w = np.exp((av - m) / tau) if sign > 0 else np.exp(-(av - m) / tau)
+    z = w.sum(axis=axis)
+    s = (w * av).sum(axis=axis) / z
+    if not isinstance(a, Node):
         return s
-    return Value(s, tuple(parents), tuple(partials))
+
+    def vjp(g):
+        dev = (av - np.expand_dims(s, axis)) / tau
+        partial = (w / np.expand_dims(z, axis)) * (1.0 + dev if sign > 0 else 1.0 - dev)
+        return (np.expand_dims(g, axis) * partial,)
+
+    return Node(s, (a,), vjp)
 
 
-def smooth_min(vals, tau):
-    """-smooth_max(-v, tau); bounded between min(v) and max(v)."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    if len(vals) == 0:
-        raise EmptyInput("smooth_min of no values")
-    data = [v.data if type(v) is Value else v for v in vals]
-    m = min(data)
-    ws = [math.exp(-(d - m) / tau) for d in data]
-    z = sum(ws)
-    s = sum(w * d for w, d in zip(ws, data)) / z
-    parents = []
-    partials = []
-    for v, d, w in zip(vals, data, ws):
-        if type(v) is Value:
-            parents.append(v)
-            partials.append((w / z) * (1.0 - (d - s) / tau))
-    if not parents:
-        return s
-    return Value(s, tuple(parents), tuple(partials))
+def smax(a, tau: float, axis: int):
+    """Softmax-weighted average along `axis`; bounded by min and max and
+    tends to the max as tau -> 0."""
+    return _soft_extremum(a, tau, axis, +1, "smax")
 
 
-def backward(out: Value) -> None:
+def smin(a, tau: float, axis: int):
+    """-smax(-a): tends to the min as tau -> 0."""
+    return _soft_extremum(a, tau, axis, -1, "smin")
+
+
+def backward(out: Node) -> None:
     """Populate .grad on every node reachable from `out`.
 
     The sweep runs in reverse creation order (a topological order for any
@@ -252,31 +302,21 @@ def backward(out: Value) -> None:
     graph whose grads are still zero.
     """
     visited = {id(out)}
-    seen = visited.add
-    stack = [out]
-    pop = stack.pop
-    push = stack.append
+    stack_ = [out]
     nodes = [out]
-    keep = nodes.append
-    while stack:
-        n = pop()
-        for p in n._parents:
-            i = id(p)
-            if i not in visited:
-                seen(i)
-                push(p)
-                keep(p)
+    while stack_:
+        for p in stack_.pop()._parents:
+            if id(p) not in visited:
+                visited.add(id(p))
+                stack_.append(p)
+                nodes.append(p)
     nodes.sort(key=_BY_IDX, reverse=True)
-    out.grad = 1.0
+    out.grad = np.ones_like(out.value)
     for node in nodes:
-        g = node.grad
-        if g == 0.0:
+        if node._vjp is None:
             continue
-        ni = node._idx
-        for p, d in zip(node._parents, node._partials):
-            if p._idx >= ni:
-                raise CycleDetected("parent created after child; graph is not a DAG")
-            p.grad += g * d
+        for p, g in zip(node._parents, node._vjp(node.grad)):
+            p.grad = p.grad + g
 
 
 class ParamVector:
@@ -287,7 +327,7 @@ class ParamVector:
 
     @property
     def size(self) -> int:
-        return sum(a.size for a in self.groups.values())
+        return builtins.sum(a.size for a in self.groups.values())
 
     def flatten(self) -> np.ndarray:
         if not self.groups:
@@ -308,29 +348,15 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector(self.groups)
 
-    def leaves(self) -> dict[str, np.ndarray]:
-        """Object arrays of leaf Values mirroring each group."""
-        out = {}
-        for k, a in self.groups.items():
-            leaf = np.empty(a.shape, dtype=object)
-            flat_a = a.ravel()
-            flat_l = leaf.ravel()
-            for i in range(a.size):
-                flat_l[i] = Value(float(flat_a[i]))
-            out[k] = leaf
-        return out
+    def leaves(self) -> dict[str, Node]:
+        """One leaf node per group."""
+        return {k: Node(a.copy()) for k, a in self.groups.items()}
 
-    def grads(self, leaves: dict[str, np.ndarray]) -> "ParamVector":
+    def grads(self, leaves: dict[str, Node]) -> "ParamVector":
         """Collect .grad from a leaves() structure after backward()."""
-        out = {}
-        for k, a in self.groups.items():
-            g = np.zeros(a.shape)
-            flat_l = leaves[k].ravel()
-            flat_g = g.ravel()
-            for i in range(a.size):
-                flat_g[i] = flat_l[i].grad
-            out[k] = g
-        return ParamVector(out)
+        return ParamVector(
+            {k: np.broadcast_to(leaves[k].grad, a.shape) for k, a in self.groups.items()}
+        )
 
     def to_jsonable(self) -> dict:
         return {k: a.tolist() for k, a in self.groups.items()}
@@ -343,17 +369,18 @@ class ParamVector:
 def finite_diff_check(f, params: ParamVector, h: float = 1e-5, kink_tol: float = 1e-3) -> float:
     """Max relative error between backward() and central differences.
 
-    `f` maps a leaves() structure to a scalar (Value or number).
-    Coordinates sitting on a nondifferentiable point (one-sided slopes
-    disagree, e.g. a ReLU kink) are skipped. Raises NonFiniteValue if any
-    evaluation is NaN or infinite.
+    `f` maps a leaves() structure to a scalar (node or number); the
+    differences evaluate it on the plain parameter arrays. Coordinates
+    sitting on a nondifferentiable point (one-sided slopes disagree, e.g.
+    a ReLU kink) are skipped. Raises NonFiniteValue if any evaluation is
+    NaN or infinite.
     """
     leaves = params.leaves()
     out = f(leaves)
-    out_v = _data(out)
+    out_v = float(value(out))
     if not math.isfinite(out_v):
         raise NonFiniteValue(f"objective evaluated to {out_v}")
-    if type(out) is Value:
+    if isinstance(out, Node):
         backward(out)
         analytic = params.grads(leaves).flatten()
     else:
@@ -362,7 +389,7 @@ def finite_diff_check(f, params: ParamVector, h: float = 1e-5, kink_tol: float =
     base = params.flatten()
 
     def value_at(vec):
-        v = _data(f(params.with_flat(vec).leaves()))
+        v = float(value(f(params.with_flat(vec).groups)))
         if not math.isfinite(v):
             raise NonFiniteValue(f"objective evaluated to {v}")
         return v

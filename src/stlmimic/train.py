@@ -13,26 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stl
-from .dataio import Dataset
-from .envs import rollout_graph, rollout_np
+from . import stl, tape
+from .dataio import Dataset, InconsistentHorizon
+from .envs import rollout
 from .inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
-    batch_combined,
-    batch_smooth_robustness,
-    combined_smooth_graph,
+    combined_smooth,
     exact_mcr,
     extract_formula,
     init_inference,
     normalize_formula,
     param_bounds,
     simplify,
-    smooth_robustness_graph,
+    smooth_robustness,
 )
-from .policy import PolicyCell, PolicyParams, PolicyShape, init_policy
-from .tape import Value, affine, backward, relu, sigmoid
+from .policy import PolicyParams, PolicyShape, init_policy
+from .tape import Node, backward
 
 log = logging.getLogger(__name__)
 
@@ -95,16 +93,12 @@ def mcr(classifier, dataset: Dataset, *, shape=None, norm=None, tau=None, rule=N
     labels = dataset.labels()
     if stl.is_formula(classifier):
         names = dataset.dim_names
-        wrong = 0
-        for traj, l in zip(dataset, labels):
-            sat = stl.robustness(stl.Signal(traj.full(), names), classifier, 0) >= 0.0
-            wrong += sat != (l > 0)
-        return wrong / len(dataset)
+        return exact_mcr(classifier, [stl.Signal(t.full(), names) for t in dataset], labels)
     if isinstance(classifier, InferenceParams):
         if shape is None or norm is None:
             raise ValueError("shape and norm are required to score parameters")
         X = np.stack([norm.apply(t.full()) for t in dataset])
-        vals = batch_combined(X, classifier, shape, rule, tau)
+        vals = combined_smooth(X, classifier, shape, rule, tau)
         return float(np.mean((vals >= 0.0) != (labels > 0)))
     raise TypeError(f"cannot score {type(classifier).__name__}")
 
@@ -112,33 +106,14 @@ def mcr(classifier, dataset: Dataset, *, shape=None, norm=None, tau=None, rule=N
 # --- inference loss -------------------------------------------------------------
 
 
-def inference_loss_np(
-    X_norm: np.ndarray,
-    labels: np.ndarray,
-    params: InferenceParams,
-    shape: NetworkShape,
-    margin: float,
-    cfg: InferenceTrainConfig,
-) -> float:
-    """Hinge-with-margin classification loss plus gate regularization."""
-    vals = batch_smooth_robustness(X_norm, params, shape)
-    hinge = np.maximum(0.0, margin - labels * vals).mean()
-    gates = np.concatenate([params.gate.ravel(), params.out_gate.ravel()])
-    reg = float(np.sum(0.5 * (1.0 + np.tanh(0.5 * gates))))
-    return float(hinge + cfg.beta1 * reg - cfg.beta2 * margin)
-
-
-def _inference_loss_graph(rows_batch, labels, leaves, margin_leaf, shape, cfg):
-    params = InferenceParams.from_leaves(leaves)
-    terms = []
-    for rows, l in zip(rows_batch, labels):
-        v = smooth_robustness_graph(rows, params, shape)
-        terms.append(relu(margin_leaf - l * v))
-    n = len(terms)
-    hinge = affine([1.0 / n] * n, terms)
-    gate_leaves = list(leaves["gate"].ravel()) + list(leaves["out_gate"].ravel())
-    reg = affine([1.0] * len(gate_leaves), [sigmoid(g) for g in gate_leaves])
-    return hinge + cfg.beta1 * reg - cfg.beta2 * margin_leaf
+def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin, cfg):
+    """Hinge-with-margin classification loss plus gate regularization,
+    minus a reward for a large margin. The parameters and the margin may
+    be tape nodes."""
+    vals = smooth_robustness(X_norm, params, shape)
+    hinge = tape.mean(tape.relu(margin - labels * vals))
+    reg = tape.sum(tape.sigmoid(params.gate)) + tape.sum(tape.sigmoid(params.out_gate))
+    return hinge + cfg.beta1 * reg - cfg.beta2 * margin
 
 
 # --- inference training (dual annealing) ----------------------------------------
@@ -174,7 +149,6 @@ def train_inference(
         raise NoNegativeData("dataset has a single label; bootstrap negatives first")
 
     X, labels = _prepare_arrays(dataset, norm, shape.horizon)
-    rows_cache = [[list(map(float, row)) for row in sig] for sig in X]
 
     lo_p, hi_p = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
     lo = np.concatenate([lo_p, [cfg.margin_lo]])
@@ -186,7 +160,7 @@ def train_inference(
 
     def objective(fullvec) -> float:
         params, margin = unpack(fullvec)
-        return inference_loss_np(X, labels, params, shape, margin, cfg)
+        return float(inference_loss(X, labels, params, shape, margin, cfg))
 
     # multi-start: keep the best of several random initializations; a warm
     # start competes against them rather than replacing them, so stale
@@ -230,7 +204,7 @@ def train_inference(
                 current, cur_loss = cand, cand_loss
                 if cand_loss < best_loss:
                     best, best_loss = cand.copy(), cand_loss
-        refined = _refine(best, rows_cache, labels, template, shape, cfg, (lo, hi), rng)
+        refined = _refine(best, X, labels, template, shape, cfg, (lo, hi), rng)
         refined_loss = objective(refined)
         if refined_loss < best_loss:
             best, best_loss = refined, refined_loss
@@ -261,22 +235,22 @@ def train_inference(
     return params, margin, info
 
 
-def _refine(fullvec, rows_cache, labels, template, shape, cfg, bounds, rng):
+def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
     """Minibatch gradient descent from the incumbent, projected to bounds."""
     lo, hi = bounds
     vec = fullvec.copy()
-    n = len(rows_cache)
+    n = len(X)
     batch = min(cfg.refine_batch, n)
     for _ in range(cfg.refine_steps):
         idx = rng.choice(n, size=batch, replace=False)
         pv = template.with_flat(vec[:-1])
         leaves = pv.leaves()
-        margin_leaf = Value(float(vec[-1]))
-        loss = _inference_loss_graph(
-            [rows_cache[i] for i in idx], labels[idx], leaves, margin_leaf, shape, cfg
+        margin = Node(vec[-1])
+        loss = inference_loss(
+            X[idx], labels[idx], InferenceParams.from_leaves(leaves), shape, margin, cfg
         )
         backward(loss)
-        grad = np.concatenate([pv.grads(leaves).flatten(), [margin_leaf.grad]])
+        grad = np.concatenate([pv.grads(leaves).flatten(), [margin.grad]])
         vec = np.clip(vec - cfg.refine_lr * grad, lo, hi)
     return vec
 
@@ -303,46 +277,29 @@ class Adam:
         return x - self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-def policy_objective_graph(
-    policy_like: PolicyParams,
-    inf_params: InferenceParams,
-    env,
-    samples,
-    shape: NetworkShape,
-    norm: SignalNorm,
-    rule_normed=None,
-    tau=None,
-):
-    """Mean smooth robustness of closed-loop rollouts; differentiable in
-    whatever is a Value inside `policy_like`. The classifier is held as
-    plain floats, so its parameters cannot drift here."""
-    cell = PolicyCell(policy_like, env.control_box)
-    vals = []
-    for x0, env_traj in samples:
-        rows = rollout_graph(env, cell, x0, env_traj)
-        inf_rows = env.inference_rows(rows)
-        normed = norm.apply_rows_graph(inf_rows)
-        vals.append(combined_smooth_graph(normed, inf_params, shape, rule_normed, tau))
-    m = len(vals)
-    return affine([1.0 / m] * m, vals)
-
-
-def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, tau=None) -> float:
+def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, tau=None):
+    """Mean smooth robustness of closed-loop rollouts of the policy from
+    `samples` (initial states, environment trajectories), optionally
+    conjoined with a rule in raw units. Differentiable in whatever is a
+    tape node inside `policy`; the classifier is held as plain arrays, so
+    its parameters cannot drift here."""
+    x0s, env_trajs = samples
+    raw = rollout(env, policy, x0s, env_trajs)
+    X = norm.apply(env.inference_map(raw))
     rule_n = normalize_formula(rule, norm) if rule is not None else None
-    out = policy_objective_graph(policy, inf_params, env, samples, shape, norm, rule_n, tau)
-    return float(out.data if isinstance(out, Value) else out)
+    return tape.mean(combined_smooth(X, inf_params, shape, rule_n, tau))
 
 
 def _draw_samples(env, env_pool, m, rng):
-    samples = []
-    for _ in range(m):
-        x0 = env.sample_initial(rng)
+    """m initial states (m, n_a) and m environment trajectories
+    (m, T+1, n_e), drawn one pair at a time; all zeros without a pool."""
+    x0s = np.zeros((m, env.n_agent))
+    env_trajs = np.zeros((m, env.T + 1, env.n_env))
+    for i in range(m):
+        x0s[i] = env.sample_initial(rng)
         if env_pool:
-            env_traj = env_pool[int(rng.integers(len(env_pool)))]
-        else:
-            env_traj = None
-        samples.append((x0, env_traj))
-    return samples
+            env_trajs[i] = env_pool[int(rng.integers(len(env_pool)))]
+    return x0s, env_trajs
 
 
 def train_policy(
@@ -363,15 +320,14 @@ def train_policy(
 
     `env_pool` holds the environment trajectories of the original dataset
     (empty list for static environments)."""
-    rule_n = normalize_formula(rule, norm) if rule is not None else None
     pv = policy0.to_pv()
     flat = pv.flatten()
     opt = Adam(flat.size, cfg.lr, cfg.betas)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
         leaves = pv.with_flat(flat).leaves()
-        obj = policy_objective_graph(
-            PolicyParams.from_leaves(leaves), inf_params, env, samples, shape, norm, rule_n, tau
+        obj = policy_objective(
+            PolicyParams.from_leaves(leaves), inf_params, env, samples, shape, norm, rule, tau
         )
         backward(obj)
         grad = pv.grads(leaves).flatten()
@@ -402,26 +358,26 @@ def original_env_pool(dataset: Dataset, env) -> list:
     """Environment trajectories of the non-generated rows only."""
     if env.n_env == 0:
         return []
+    if dataset.horizon != env.T:
+        raise InconsistentHorizon(
+            f"dataset horizon {dataset.horizon} != environment horizon {env.T}"
+        )
     return [
         t.env for t in dataset if t.meta.get("source") != GENERATED_SOURCE
     ]
 
 
 def _generate_negatives(env, policy, env_pool, n, rng, tag, start_idx):
-    out = []
-    for i in range(n):
-        x0 = env.sample_initial(rng)
-        env_traj = env_pool[int(rng.integers(len(env_pool)))] if env_pool else None
-        raw = rollout_np(env, policy, x0, env_traj)
-        out.append(
-            env.raw_to_traj(
-                raw,
-                -1,
-                f"gen-{tag}-{start_idx + i:05d}",
-                {"source": GENERATED_SOURCE, "round": tag},
-            )
+    raws = rollout(env, policy, *_draw_samples(env, env_pool, n, rng))
+    return [
+        env.raw_to_traj(
+            raw,
+            -1,
+            f"gen-{tag}-{start_idx + i:05d}",
+            {"source": GENERATED_SOURCE, "round": tag},
         )
-    return out
+        for i, raw in enumerate(raws)
+    ]
 
 
 def gan_loop(
@@ -546,7 +502,7 @@ def gan_loop(
         )
         gen_X = np.stack([norm.apply(t.full()) for t in generated])
         mean_rob = float(
-            np.mean(batch_smooth_robustness(gen_X, inf_params, shape, inf_cfg.tau_eval))
+            np.mean(smooth_robustness(gen_X, inf_params, shape, inf_cfg.tau_eval))
         )
 
         adopted = GanResult(

@@ -111,6 +111,29 @@ class TestTrainOutputs:
         code = main(["train", "--data", str(data), "--config", str(bad_cfg), "--out", str(tmp_path / "c.json")])
         assert code == EXIT_DATA
 
+    def test_nonfinite_state_is_data_error_naming_the_line(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        lines = data.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["agent_states"][1][0] = float("nan")
+        lines[2] = json.dumps(obj)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(bad), "--config", str(config), "--out", str(tmp_path / "c.json")])
+        assert code == EXIT_DATA
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_horizon_mismatch_fails_before_training(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        cfg = tmp_path / "t15.json"
+        cfg.write_text(json.dumps({**TINY, "env": {"name": "unicycle", "T": 15}}))
+        out = tmp_path / "run" / "c.json"
+        code = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(data) in err and "20" in err and "15" in err
+        assert not out.parent.exists()
+
     def test_unknown_config_key_is_config_error(self, trained, tmp_path):
         root, data, config, ckpt = trained
         bad_cfg = tmp_path / "bad2.json"
@@ -181,6 +204,27 @@ class TestRollout:
         assert lines[0].startswith("# config=")
         assert lines[1].split(",")[:5] == ["traj_id", "t", "px", "py", "theta"]
         assert len(lines) == 2 + 4 * 21
+
+    def test_checkpoint_keeps_environment_overrides(self, trained, tmp_path):
+        root, data, config, ckpt = trained
+        ds = dataio.load_dataset(str(data))
+        short = dataio.Dataset(
+            [
+                dataio.LabeledTrajectory(
+                    t.id, t.label, t.agent[:16], t.env[:16], t.agent_names, t.env_names, t.meta
+                )
+                for t in ds
+            ]
+        )
+        short_data = tmp_path / "short.jsonl"
+        dataio.save_dataset(short, str(short_data))
+        cfg = tmp_path / "t15.json"
+        cfg.write_text(json.dumps({**TINY, "env": {"name": "unicycle", "T": 15}}))
+        ck15 = tmp_path / "run" / "ckpt.json"
+        assert main(["train", "--data", str(short_data), "--config", str(cfg), "--out", str(ck15)]) == EXIT_OK
+        out = tmp_path / "r.csv"
+        assert main(["rollout", "--ckpt", str(ck15), "--n", "2", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().strip().split("\n")) == 2 + 2 * 16
 
     def test_deterministic_with_seed(self, trained, tmp_path):
         root, data, config, ckpt = trained

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stlmimic import stl, tape
+from stlmimic import stl
 from stlmimic.envs import (
     DrivingEnv,
     NonFiniteState,
@@ -12,12 +12,11 @@ from stlmimic.envs import (
     ego_step,
     make_env,
     preprocess_distances,
-    rollout_graph,
-    rollout_np,
+    rollout,
     unicycle_step,
 )
-from stlmimic.policy import ControlBox, PolicyCell, PolicyParams, PolicyShape, init_policy
-from stlmimic.tape import ParamVector, Value, finite_diff_check
+from stlmimic.policy import PolicyParams, PolicyShape, init_policy
+from stlmimic.tape import finite_diff_check
 
 
 class TestDynamics:
@@ -39,12 +38,13 @@ class TestDynamics:
         b = unicycle_step(x, u)
         assert np.array_equal(a, b)
 
-    def test_graph_step_matches_numpy(self):
-        env = UnicycleEnv()
-        x = [0.5, 1.5, 0.3]
-        u = [0.8, 0.1]
-        graph = env.step_rows(x, u)
-        assert np.allclose(graph, unicycle_step(x, u), atol=1e-15)
+    def test_batch_rows_match_single_states(self):
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(-2, 2, size=(5, 3))
+        us = rng.uniform(-1, 1, size=(5, 2))
+        batch = unicycle_step(xs, us)
+        for i in range(5):
+            assert np.allclose(batch[i], unicycle_step(xs[i], us[i]), rtol=0, atol=1e-15)
 
 
 class TestPreprocess:
@@ -58,7 +58,7 @@ class TestPreprocess:
     def test_output_shape(self):
         env = UnicycleEnv()
         raw = np.zeros((21, 3))
-        d = env.inference_map_np(raw)
+        d = env.inference_map(raw)
         assert d.shape == (21, 4)
 
 
@@ -94,33 +94,16 @@ class TestRollout:
             w_out=np.zeros((1, 4)),
             b_out=np.zeros(1),
         )
-        env_traj = np.zeros((env.T + 1, 2))
-        raw = rollout_np(env, params, np.array([0.0, 0.0]), env_traj)
+        env_trajs = np.zeros((1, env.T + 1, 2))
+        raw = rollout(env, params, np.array([[0.0, 0.0]]), env_trajs)[0]
         assert np.allclose(raw[:, 0], 0.0) and np.allclose(raw[:, 1], 0.0)
 
     def test_shape(self):
         env = UnicycleEnv()
         params = init_policy(PolicyShape(3, 8, 2), seed=2)
-        raw = rollout_np(env, params, env.sample_initial(np.random.default_rng(1)))
-        assert raw.shape == (env.T + 1, 3)
-
-    def test_graph_matches_numpy(self):
-        for env in (UnicycleEnv(), DrivingEnv()):
-            params = init_policy(
-                PolicyShape(env.n_agent + env.n_env, 6, env.control_box.dim), seed=3
-            )
-            rng = np.random.default_rng(4)
-            x0 = env.sample_initial(rng)
-            env_traj = (
-                DrivingEnv().gen_env_profile(rng, True, 10.0)
-                if env.n_env
-                else None
-            )
-            raw = rollout_np(env, params, x0, env_traj)
-            cell = PolicyCell(params, env.control_box)
-            rows = rollout_graph(env, cell, x0, env_traj)
-            graph_vals = np.array([[tape._data(v) for v in row] for row in rows])
-            assert np.allclose(graph_vals, raw, atol=1e-12)
+        x0s = np.stack([env.sample_initial(np.random.default_rng(s)) for s in (1, 2)])
+        raw = rollout(env, params, x0s, np.zeros((2, env.T + 1, 0)))
+        assert raw.shape == (2, env.T + 1, 3)
 
     def test_terminal_state_gradient_matches_fd(self):
         env = DrivingEnv()
@@ -131,9 +114,8 @@ class TestRollout:
         x0 = np.array([2.0, 0.0])
 
         def f(leaves):
-            cell = PolicyCell(PolicyParams.from_leaves(leaves), env.control_box)
-            rows = rollout_graph(env, cell, x0, env_traj)
-            return rows[-1][0]  # terminal ego position
+            raw = rollout(env, PolicyParams.from_leaves(leaves), x0[None], env_traj[None])
+            return raw[0, -1, 0]  # terminal ego position
 
         assert finite_diff_check(f, pv, h=1e-5) < 1e-3
 
@@ -141,12 +123,12 @@ class TestRollout:
         env = DrivingEnv()
 
         class Exploding(DrivingEnv):
-            def step_np(self, x, u):
-                return np.array([math.inf, math.inf])
+            def step(self, x, u):
+                return np.full(np.shape(x), math.inf)
 
         params = init_policy(PolicyShape(4, 4, 1), seed=0)
-        with pytest.raises(NonFiniteState):
-            rollout_np(Exploding(), params, np.array([0.0, 0.0]), np.zeros((58, 2)))
+        with pytest.raises(NonFiniteState, match="step 1:"):
+            rollout(Exploding(), params, np.array([[0.0, 0.0]]), np.zeros((1, 58, 2)))
 
 
 class TestUnicycleExpert:

@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
 
-from stlmimic import stl, tape
+from stlmimic import stl
 from stlmimic.inference import (
     GATE_L,
     InferenceParams,
     NetworkShape,
     SignalNorm,
-    batch_combined,
-    batch_smooth_formula,
-    batch_smooth_robustness,
     classify,
+    combined_smooth,
     exact_mcr,
     extract_formula,
     init_inference,
     normalize_formula,
     param_bounds,
     simplify,
-    smooth_formula_graph,
-    smooth_robustness_graph,
+    smooth_formula,
+    smooth_robustness,
 )
 from stlmimic.stl import And, Eventually, Not, Or, Pred, Signal, TimeInterval, parse, print_formula
-from stlmimic.tape import ParamVector, Value, backward, finite_diff_check
+from stlmimic.tape import ParamVector, finite_diff_check
+from stlmimic.train import InferenceTrainConfig, inference_loss
 
 import oracle_stl
 from helpers import EQ12_DNF, encode_dnf
@@ -55,7 +54,7 @@ class TestSmoothRobustness:
         params = encode_dnf([[("G", 0, 6, (1.0,), 0.0)]], shape, norm)
         for c in (0.0, 0.4, 2.5):
             X = np.full((1, 7, 1), c)
-            val = batch_smooth_robustness(X, params, shape)[0]
+            val = smooth_robustness(X, params, shape)[0]
             assert val == pytest.approx(c, abs=0.02)
 
     def test_matches_exact_for_hand_encoded_eq12(self):
@@ -67,7 +66,7 @@ class TestSmoothRobustness:
         checked = 0
         for vals in random_walk_signals(rng, 100, 20, 4):
             r = stl.robustness(Signal(vals, CASE1_NAMES), f, 0)
-            smooth = batch_smooth_robustness(vals[None], params, shape)[0]
+            smooth = smooth_robustness(vals[None], params, shape)[0]
             assert abs(smooth - r) <= 0.05 * abs(r) + 0.01
             if abs(r) > 0.1:
                 checked += 1
@@ -83,46 +82,47 @@ class TestSmoothRobustness:
         )
         rng = np.random.default_rng(5)
         vals = rng.uniform(-2, 2, size=(6, 2))
-        base = batch_smooth_robustness(vals[None], params, shape)[0]
+        base = smooth_robustness(vals[None], params, shape)[0]
         for alpha in (0.5, 2.0, 3.0):
-            scaled = batch_smooth_robustness(alpha * vals[None], params, shape)[0]
+            scaled = smooth_robustness(alpha * vals[None], params, shape)[0]
             assert scaled == pytest.approx(alpha * base, abs=0.02 + 0.02 * alpha)
 
-    def test_graph_and_batch_paths_agree(self):
-        rng = np.random.default_rng(41)
-        shape = NetworkShape(n_pred=3, n_conj=2, horizon=8, dim=3, tau=0.1)
-        for _ in range(10):
-            params = init_inference(shape, rng)
-            vals = rng.uniform(-1, 1, size=(9, 3))
-            batch = batch_smooth_robustness(vals[None], params, shape)[0]
-            graph = smooth_robustness_graph([list(r) for r in vals], params, shape)
-            assert graph == pytest.approx(batch, abs=1e-9)
-
     def test_graph_gradient_matches_finite_differences(self):
+        # The classifier score on one signal, and the refine loss (hinge,
+        # gate regularizer and learnable margin) on a labelled batch, with
+        # respect to the classifier parameters and the margin.
         rng = np.random.default_rng(43)
         shape = NetworkShape(n_pred=2, n_conj=2, horizon=5, dim=2, tau=0.1)
         params = init_inference(shape, rng)
-        vals = rng.uniform(-1, 1, size=(6, 2))
+        vals = rng.uniform(-1, 1, size=(1, 6, 2))
         pv = params.to_pv()
 
-        def f(leaves):
-            return smooth_robustness_graph(
-                [list(r) for r in vals], InferenceParams.from_leaves(leaves), shape
-            )
+        def score(leaves):
+            return smooth_robustness(vals, InferenceParams.from_leaves(leaves), shape)[0]
 
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-3
+        assert finite_diff_check(score, pv, h=1e-5) < 1e-3
+
+        X = rng.uniform(-1, 1, size=(6, 6, 2))
+        labels = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+        cfg = InferenceTrainConfig()
+        pv_m = ParamVector({**pv.groups, "margin": np.array([0.3])})
+
+        def loss(leaves):
+            p = InferenceParams.from_leaves({k: v for k, v in leaves.items() if k != "margin"})
+            return inference_loss(X, labels, p, shape, leaves["margin"][0], cfg)
+
+        assert finite_diff_check(loss, pv_m, h=1e-5) < 1e-3
 
     def test_gradient_through_signal_rows(self):
         # Policy training differentiates through the signal, not the params.
         rng = np.random.default_rng(47)
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=4, dim=2, tau=0.1)
         params = init_inference(shape, rng)
-        vals = rng.uniform(-1, 1, size=(5, 2))
+        vals = rng.uniform(-1, 1, size=(1, 5, 2))
         pv = ParamVector({"sig": vals})
 
         def f(leaves):
-            rows = [list(r) for r in leaves["sig"]]
-            return smooth_robustness_graph(rows, params, shape)
+            return smooth_robustness(leaves["sig"], params, shape)[0]
 
         assert finite_diff_check(f, pv, h=1e-5) < 1e-3
 
@@ -130,7 +130,7 @@ class TestSmoothRobustness:
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=10, dim=1, tau=0.1)
         params = init_inference(shape, np.random.default_rng(0))
         with pytest.raises(stl.HorizonExceeded):
-            smooth_robustness_graph([[0.0]] * 5, params, shape)
+            smooth_robustness(np.zeros((1, 5, 1)), params, shape)
 
 
 class TestClassify:
@@ -141,7 +141,7 @@ class TestClassify:
         assert classify(np.full((4, 1), 0.3), params, shape) == 1
         assert classify(np.full((4, 1), -0.3), params, shape) == -1
         # the boundary counts as positive, matching exact satisfaction
-        sat_zero = batch_smooth_robustness(np.zeros((1, 4, 1)), params, shape)[0]
+        sat_zero = smooth_robustness(np.zeros((1, 4, 1)), params, shape)[0]
         assert (1 if sat_zero >= 0 else -1) == 1
 
 
@@ -152,8 +152,8 @@ class TestInjectedRule:
         params = encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         rule = parse("G[0,3](x0 < 100)", ("x0",))
         X = np.full((1, 4, 1), 0.5)
-        combined = batch_combined(X, params, shape, rule)
-        alone = batch_smooth_robustness(X, params, shape)
+        combined = combined_smooth(X, params, shape, rule)
+        alone = smooth_robustness(X, params, shape)
         assert combined[0] == pytest.approx(alone[0], abs=1e-6)
 
     def test_rule_binds_when_violated(self):
@@ -162,7 +162,7 @@ class TestInjectedRule:
         params = encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         rule = parse("G[0,3](x0 < 0.2)", ("x0",))
         X = np.full((1, 4, 1), 0.5)
-        combined = batch_combined(X, params, shape, rule)[0]
+        combined = combined_smooth(X, params, shape, rule)[0]
         assert combined == pytest.approx(0.2 - 0.5, abs=0.02)
 
     def test_smooth_formula_tracks_exact(self):
@@ -172,19 +172,9 @@ class TestInjectedRule:
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
             s = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)
             exact = stl.robustness(s, f, 0)
-            smooth = batch_smooth_formula(s.values[None], f, 0.001)[0]
+            smooth = smooth_formula(s.values[None], f, 0.001)[0]
             if abs(exact) < 1e8:  # skip TRUE-dominated sentinels
                 assert smooth == pytest.approx(exact, abs=0.02 + 0.02 * abs(exact))
-
-    def test_graph_and_batch_formula_agree(self):
-        rng = np.random.default_rng(59)
-        names = ("x0", "x1")
-        for _ in range(20):
-            f = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
-            s = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)
-            g = smooth_formula_graph([list(r) for r in s.values], f, 0.05)
-            b = batch_smooth_formula(s.values[None], f, 0.05)[0]
-            assert tape._data(g) == pytest.approx(b, abs=1e-9)
 
 
 class TestNormalization:
@@ -256,7 +246,7 @@ class TestExtraction:
         f = extract_formula(params, shape, norm, ("a", "b"))
         for raw in arrays:
             exact = stl.robustness(Signal(raw, ("a", "b")), f, 0)
-            smooth = batch_smooth_robustness(norm.apply(raw)[None], params, shape)[0]
+            smooth = smooth_robustness(norm.apply(raw)[None], params, shape)[0]
             if abs(exact) > 0.1:
                 assert (smooth >= 0) == (exact >= 0)
 

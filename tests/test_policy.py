@@ -5,14 +5,13 @@ import pytest
 
 from stlmimic.policy import (
     ControlBox,
-    PolicyCell,
     PolicyParams,
     PolicyShape,
     init_policy,
-    policy_step_np,
+    policy_step,
     zero_hidden,
 )
-from stlmimic.tape import ParamVector, Value, backward, finite_diff_check
+from stlmimic.tape import finite_diff_check
 
 
 def zero_params(n=3, h=4, m=2):
@@ -31,13 +30,13 @@ BOX = ControlBox((-1.0, 0.0), (1.0, 2.0))
 class TestStep:
     def test_zero_weights_give_box_midpoint(self):
         params = zero_params()
-        u, h = policy_step_np(params, np.zeros(3), zero_hidden(params), BOX)
+        u, h = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
         assert np.allclose(u, [0.0, 1.0])
 
     def test_saturation_approaches_bounds(self):
         params = zero_params()
         params.b_out = np.array([50.0, -50.0])
-        u, _ = policy_step_np(params, np.zeros(3), zero_hidden(params), BOX)
+        u, _ = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
         assert u[0] == pytest.approx(1.0, abs=1e-9)
         assert u[1] == pytest.approx(0.0, abs=1e-9)
         assert BOX.lo[0] < u[0] <= BOX.hi[0] and BOX.lo[1] <= u[1] < BOX.hi[1]
@@ -46,8 +45,8 @@ class TestStep:
         params = init_policy(PolicyShape(3, 8, 2), seed=5)
         x = np.array([0.3, -0.2, 0.9])
         h = np.full(8, 0.1)
-        u1, h1 = policy_step_np(params, x, h, BOX)
-        u2, h2 = policy_step_np(params, x, h, BOX)
+        u1, h1 = policy_step(params, x, h, BOX)
+        u2, h2 = policy_step(params, x, h, BOX)
         assert np.array_equal(u1, u2) and np.array_equal(h1, h2)
 
     def test_control_always_interior(self):
@@ -55,7 +54,7 @@ class TestStep:
         params = init_policy(PolicyShape(3, 8, 2), seed=1)
         h = zero_hidden(params)
         for _ in range(200):
-            u, h = policy_step_np(params, rng.uniform(-5, 5, 3), h, BOX)
+            u, h = policy_step(params, rng.uniform(-5, 5, 3), h, BOX)
             assert np.all(u > BOX.lo) and np.all(u < BOX.hi)
 
     def test_history_dependence(self):
@@ -68,21 +67,22 @@ class TestStep:
         box = ControlBox((-1.0,), (1.0,))
         h = np.zeros(1)
         for x in (0.9, 0.9):  # history A: large past inputs
-            u_a, h = policy_step_np(params, np.array([x]), h, box)
+            u_a, h = policy_step(params, np.array([x]), h, box)
         h2 = np.zeros(1)
         for x in (-0.9, 0.9):  # history B: same final input
-            u_b, h2 = policy_step_np(params, np.array([x]), h2, box)
+            u_b, h2 = policy_step(params, np.array([x]), h2, box)
         assert abs(u_a[0] - u_b[0]) > 1e-3
 
-    def test_cell_matches_numpy_step(self):
+    def test_batch_rows_match_single_steps(self):
         params = init_policy(PolicyShape(3, 6, 2), seed=11)
-        cell = PolicyCell(params, BOX)
-        x = [0.25, -0.5, 0.75]
-        h_np = np.full(6, 0.05)
-        u_np, h1_np = policy_step_np(params, np.array(x), h_np, BOX)
-        u_g, h1_g = cell.step(x, list(h_np))
-        assert np.allclose(u_g, u_np, atol=1e-12)
-        assert np.allclose(h1_g, h1_np, atol=1e-12)
+        rng = np.random.default_rng(12)
+        xs = rng.uniform(-1, 1, size=(4, 3))
+        hs = rng.uniform(-0.5, 0.5, size=(4, 6))
+        u_b, h_b = policy_step(params, xs, hs, BOX)
+        for i in range(4):
+            u_i, h_i = policy_step(params, xs[i], hs[i], BOX)
+            assert np.allclose(u_b[i], u_i, atol=1e-12)
+            assert np.allclose(h_b[i], h_i, atol=1e-12)
 
 
 class TestInit:
@@ -112,11 +112,11 @@ class TestGradients:
         xs = [[0.3, -0.1], [0.0, 0.4], [-0.2, 0.2]]
 
         def f(leaves):
-            cell = PolicyCell(PolicyParams.from_leaves(leaves), box)
-            h = [0.0] * 4
+            params = PolicyParams.from_leaves(leaves)
+            h = np.zeros(4)
             acc = 0.0
             for x in xs:
-                u, h = cell.step(x, h)
+                u, h = policy_step(params, np.array(x), h, box)
                 acc = acc + u[0]
             return acc
 

@@ -5,13 +5,13 @@ import pytest
 
 from stlmimic import stl
 from stlmimic.dataio import Dataset, LabeledTrajectory
-from stlmimic.envs import DrivingEnv, UnicycleEnv
+from stlmimic.envs import DrivingEnv, UnicycleEnv, rollout
 from stlmimic.inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
-    batch_smooth_robustness,
     init_inference,
+    smooth_robustness,
 )
 from stlmimic.policy import PolicyParams, PolicyShape, init_policy
 from stlmimic.train import (
@@ -22,12 +22,13 @@ from stlmimic.train import (
     NoNegativeData,
     PolicyTrainConfig,
     gan_loop,
-    inference_loss_np,
+    inference_loss,
     mcr,
     policy_objective,
     train_inference,
     train_policy,
 )
+from stlmimic.tape import Node
 
 import helpers
 
@@ -113,7 +114,7 @@ class TestInferenceLoss:
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         cfg = InferenceTrainConfig(beta1=beta1, beta2=beta2)
         X = np.full((1, 4, 1), float(value))
-        return inference_loss_np(X, np.array([float(label)]), params, shape, margin, cfg)
+        return inference_loss(X, np.array([float(label)]), params, shape, margin, cfg)
 
     def test_positive_sample_inside_margin(self):
         # value 0.5, label +1, margin 0.1 -> hinge 0; -beta2 * margin = -0.01
@@ -131,8 +132,8 @@ class TestInferenceLoss:
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         cfg = InferenceTrainConfig(beta1=0.0, beta2=0.0)
         X = np.stack([np.full((4, 1), 0.5), np.full((4, 1), 0.5)])
-        both = inference_loss_np(X, np.array([1.0, -1.0]), params, shape, 0.1, cfg)
-        only_neg = inference_loss_np(X[1:], np.array([-1.0]), params, shape, 0.1, cfg)
+        both = inference_loss(X, np.array([1.0, -1.0]), params, shape, 0.1, cfg)
+        only_neg = inference_loss(X[1:], np.array([-1.0]), params, shape, 0.1, cfg)
         assert both == pytest.approx(only_neg / 2, abs=2e-3)
 
 
@@ -172,7 +173,7 @@ class TestTrainInference:
             ds, shape, cfg, np.random.default_rng(13), norm=norm, warm_start=start
         )
         X = np.stack([norm.apply(t.full()) for t in ds])
-        start_loss = inference_loss_np(
+        start_loss = inference_loss(
             X, ds.labels().astype(float), InferenceParams.from_pv(
                 init_inference(shape, np.random.default_rng(13)).to_pv().with_flat(start[:-1])
             ), shape, 0.1, cfg
@@ -205,29 +206,82 @@ class TestPolicyObjective:
         rng = np.random.default_rng(17)
         policy = init_policy(PolicyShape(4, 4, 1), seed=1)
         env_traj = env.gen_env_profile(rng, False, 9.0)
-        samples = [(np.array([1.0, 0.0]), env_traj)]
-        v1 = policy_objective(policy, inf, env, samples, shape, norm)
-        v2 = policy_objective(policy, inf, env, samples * 2, shape, norm)
+        x0s, env_trajs = np.array([[1.0, 0.0]]), env_traj[None]
+        v1 = policy_objective(policy, inf, env, (x0s, env_trajs), shape, norm)
+        v2 = policy_objective(
+            policy, inf, env, (np.repeat(x0s, 2, 0), np.repeat(env_trajs, 2, 0)), shape, norm
+        )
         assert v2 == pytest.approx(v1, abs=1e-12)  # duplicating leaves the mean alone
+
+    def test_value_path_is_plain_and_matches_tape_bit_for_bit(self):
+        env, shape, norm, inf = self._setup()
+        rng = np.random.default_rng(43)
+        policy = init_policy(PolicyShape(4, 5, 1), seed=3)
+        samples = (
+            np.array([[0.5, 0.0], [2.0, 0.0], [1.0, 0.0]]),
+            np.stack([env.gen_env_profile(rng, ped, 8.0) for ped in (True, False, True)]),
+        )
+        rule = stl.parse("G[0,57](veg <= 6)", env.inference_names)
+        pol_t = PolicyParams.from_leaves(policy.to_pv().leaves())
+        inf_t = InferenceParams.from_leaves(inf.to_pv().leaves())
+        raw = rollout(env, policy, *samples)
+        X = norm.apply(raw)
+        labels = np.array([1.0, -1.0, 1.0])
+        cfg = InferenceTrainConfig()
+        pairs = [
+            (raw, rollout(env, pol_t, *samples)),
+            (
+                policy_objective(policy, inf, env, samples, shape, norm, rule),
+                policy_objective(pol_t, inf, env, samples, shape, norm, rule),
+            ),
+            (smooth_robustness(X, inf, shape), smooth_robustness(X, inf_t, shape)),
+            (
+                inference_loss(X, labels, inf, shape, 0.2, cfg),
+                inference_loss(X, labels, inf_t, shape, Node(0.2), cfg),
+            ),
+        ]
+        for plain, taped in pairs:
+            assert isinstance(plain, (np.ndarray, np.floating))
+            assert isinstance(taped, Node)
+            assert np.array_equal(taped.value, plain)
 
     def test_gradient_matches_fd(self):
         from stlmimic.policy import PolicyParams as PP
         from stlmimic.tape import finite_diff_check
-        from stlmimic.train import policy_objective_graph
 
+        # driving against the classifier alone; unicycle with an injected
+        # rule, as `adjust --retrain` trains it. The unicycle classifier
+        # (stay 0 or more from C) scores above the rule on these rollouts,
+        # so the rule is the binding term of the smooth minimum.
         env, shape, norm, inf = self._setup()
         rng = np.random.default_rng(19)
-        policy = init_policy(PolicyShape(4, 3, 1), seed=2)
         env_traj = env.gen_env_profile(rng, True, 8.0)
-        samples = [(np.array([0.5, 0.0]), env_traj), (np.array([2.0, 0.0]), env_traj)]
-        pv = policy.to_pv()
+        uni = UnicycleEnv()
+        uni_shape = NetworkShape(n_pred=1, n_conj=1, horizon=20, dim=4, tau=0.1)
+        uni_norm = SignalNorm(mid=(5.0, 5.0, 5.0, 5.0), halfrange=(5.0, 5.0, 5.0, 5.0))
+        uni_inf = helpers.encode_dnf(
+            [[("G", 0, 20, (0.0, 0.0, 1.0, 0.0), 0.0)]], uni_shape, uni_norm
+        )
+        cases = [
+            (
+                env, shape, norm, inf, None, PolicyShape(4, 3, 1),
+                (np.array([[0.5, 0.0], [2.0, 0.0]]), np.stack([env_traj, env_traj])),
+            ),
+            (
+                uni, uni_shape, uni_norm, uni_inf,
+                stl.parse("G[0,20](dO >= 1.5)", uni.inference_names), PolicyShape(3, 3, 2),
+                (np.array([[1.0, 1.5, 0.3], [1.8, 0.7, 1.2]]), np.zeros((2, 21, 0))),
+            ),
+        ]
+        for env_i, shape_i, norm_i, inf_i, rule, pshape, samples in cases:
+            pv = init_policy(pshape, seed=2).to_pv()
 
-        def f(leaves):
-            return policy_objective_graph(
-                PP.from_leaves(leaves), inf, env, samples, shape, norm
-            )
+            def f(leaves):
+                return policy_objective(
+                    PP.from_leaves(leaves), inf_i, env_i, samples, shape_i, norm_i, rule
+                )
 
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-3
+            assert finite_diff_check(f, pv, h=1e-5) < 1e-3
 
 
 class TestTrainPolicy:
@@ -244,7 +298,10 @@ class TestTrainPolicy:
             policy0, inf, env, pool, cfg, np.random.default_rng(29), shape=shape, norm=norm
         )
         val_rng = np.random.default_rng(31)
-        samples = [(env.sample_initial(val_rng), pool[i % len(pool)]) for i in range(6)]
+        samples = (
+            np.stack([env.sample_initial(val_rng) for _ in range(6)]),
+            np.stack([pool[i % len(pool)] for i in range(6)]),
+        )
         before = policy_objective(policy0, inf, env, samples, shape, norm)
         after = policy_objective(trained, inf, env, samples, shape, norm)
         assert after > before
