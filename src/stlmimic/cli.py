@@ -306,8 +306,7 @@ def cmd_extract(args) -> int:
     data_path = args.data or ck.extra.get("augmented_dataset")
     if data_path and os.path.exists(data_path):
         ds = dataio.load_dataset(data_path)
-        signals = [stl.Signal(t.full(), ds.dim_names) for t in ds]
-        formula = simplify(formula, signals, list(ds.labels()))
+        formula = simplify(formula, ds.to_array(), ds.dim_names, ds.labels())
     else:
         log.warning("no dataset available; writing unsimplified extraction")
     if rule is not None:
@@ -325,12 +324,8 @@ def cmd_eval(args) -> int:
     with open(args.formula, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     f = stl.parse(text, ds.dim_names)
-    if stl.horizon(f) > ds.horizon:
-        raise dataio.InconsistentHorizon(
-            f"formula horizon {stl.horizon(f)} exceeds dataset horizon {ds.horizon}"
-        )
     labels = ds.labels()
-    sat = exact_satisfaction(f, [stl.Signal(t.full(), ds.dim_names) for t in ds])
+    sat = exact_satisfaction(f, ds.to_array(), ds.dim_names)
     value = int(np.count_nonzero(sat != (labels > 0))) / len(ds)
     n_pos = int((labels > 0).sum())
     n_neg = int((labels < 0).sum())
@@ -342,6 +337,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be a positive count, got {args.n}")
     ck, _run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else int(ck.config.get("seed", 0)) + 10_000
     rng = np.random.default_rng(seed)
@@ -363,6 +360,8 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_adjust(args) -> int:
+    if args.rollouts < 1:
+        raise ConfigError(f"--rollouts must be a positive count, got {args.rollouts}")
     ck, run, env, shape, inf, pol, norm, existing_rule = _load_ckpt_parts(args.ckpt)
     new_rule = stl.parse(args.conjoin, env.inference_names)
     if stl.horizon(new_rule) > env.T:

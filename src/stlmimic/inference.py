@@ -11,7 +11,9 @@ the network; extraction maps predicates back to original units (an exact
 change of variables, so robustness values are unchanged).
 
 Each layer is written once over batches: it runs on plain arrays for
-value-only calls and on tape nodes when a gradient is needed.
+value-only calls and on tape nodes when a gradient is needed. Fixed
+formulas are scored by `stl.robustness_trace`: an injected rule smoothly
+in `combined_smooth`, extracted formulas exactly over (N, T+1, d) batches.
 """
 
 from __future__ import annotations
@@ -260,36 +262,14 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None)
     return tape.smax(conjs - out_off, tau, axis=1)
 
 
-def smooth_formula(X, f: Formula, tau: float, t: int = 0):
-    """Smooth robustness of a fixed formula (exact structure, smooth
-    min/max) over a batch X of shape (N, T+1, d) in the formula's
-    coordinates; the differentiable counterpart of stl.robustness used for
-    rule injection."""
-    X = tape.asarray(X)
-    if isinstance(f, TrueFormula):
-        return np.full(X.shape[0], stl.TRUE_ROBUSTNESS)
-    if isinstance(f, Pred):
-        return X[:, t, :] @ np.asarray(f.coeffs) - f.bound
-    if isinstance(f, Not):
-        return -smooth_formula(X, f.child, tau, t)
-    if isinstance(f, (And, Or)):
-        vals = tape.stack([smooth_formula(X, c, tau, t) for c in f.children])
-        return tape.smin(vals, tau, 0) if isinstance(f, And) else tape.smax(vals, tau, 0)
-    if isinstance(f, (Eventually, Always)):
-        window = range(t + f.interval.t1, t + f.interval.t2 + 1)
-        vals = tape.stack([smooth_formula(X, f.child, tau, u) for u in window])
-        return tape.smax(vals, tau, 0) if isinstance(f, Eventually) else tape.smin(vals, tau, 0)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def combined_smooth(X, params, shape, rule: Formula | None, tau=None):
     """Network scores, optionally conjoined with an injected rule (in
-    normalized coordinates) through a smooth minimum."""
+    normalized coordinates, smooth robustness at t=0) through a smooth minimum."""
     tau = shape.tau if tau is None else tau
     net = smooth_robustness(X, params, shape, tau)
     if rule is None:
         return net
-    return tape.smin(tape.stack([net, smooth_formula(X, rule, tau)]), tau, 0)
+    return tape.smin(tape.stack([net, stl.robustness_trace(X, rule, tau)[:, 0]]), tau, 0)
 
 
 def classify(x_norm: np.ndarray, params: InferenceParams, shape: NetworkShape, tau=None) -> int:
@@ -404,29 +384,30 @@ def _deletions(f: Formula):
             yield type(f)(f.interval, sub)
 
 
-def exact_satisfaction(f: Formula, signals) -> np.ndarray:
-    """Whether each signal satisfies f at t=0 under exact semantics
-    (robustness exactly 0 counts as satisfied)."""
-    return np.array([stl.robustness(s, f, 0) >= 0.0 for s in signals], dtype=bool)
+def exact_satisfaction(f: Formula, X: np.ndarray, names) -> np.ndarray:
+    """Whether each signal of the batch X (N, T+1, d), over dimensions
+    `names`, satisfies f at t=0 under exact semantics (robustness exactly
+    0 counts as satisfied)."""
+    stl.check_names(f, names)
+    return stl.robustness_trace(X, f)[:, 0] >= 0.0
 
 
-def exact_mcr(f: Formula, signals, labels) -> float:
+def exact_mcr(f: Formula, X: np.ndarray, names, labels) -> float:
     """Misclassification rate of a formula under exact semantics."""
-    if len(signals) == 0:
+    if len(X) == 0:
         raise ValueError("empty dataset")
-    wrong = exact_satisfaction(f, signals) != (np.asarray(labels) > 0)
-    return int(np.count_nonzero(wrong)) / len(signals)
+    return float(np.mean(exact_satisfaction(f, X, names) != (np.asarray(labels) > 0)))
 
 
-def simplify(f: Formula, signals, labels) -> Formula:
-    """Greedily delete conjuncts/disjuncts while the exact MCR does not
-    increase; repeats until no deletion is accepted."""
-    best = exact_mcr(f, signals, labels)
+def simplify(f: Formula, X: np.ndarray, names, labels) -> Formula:
+    """Greedily delete conjuncts/disjuncts while the exact MCR over the
+    batch X does not increase; repeats until no deletion is accepted."""
+    best = exact_mcr(f, X, names, labels)
     improved = True
     while improved:
         improved = False
         for g in _deletions(f):
-            m = exact_mcr(g, signals, labels)
+            m = exact_mcr(g, X, names, labels)
             if m <= best:
                 f, best = g, m
                 improved = True

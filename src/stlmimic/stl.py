@@ -5,16 +5,25 @@ always} with integer time windows. Quantitative semantics (robustness)
 follow the usual min/max recursion; Boolean satisfaction is the sign of
 robustness at t=0, with 0 counting as satisfied.
 
+One evaluator, `robustness_trace`, maps a batch of signals to traces of
+robustness per start step: and/or and each F[a,b]/G[a,b] window reduce
+shifted slices of their children's traces, with the hard min/max (exact
+semantics) or with `tape.smin`/`smax` at a temperature (smooth semantics,
+differentiable for rule injection), as in STLCG (arXiv 1910.10309).
+
 Everything here is a pure function over immutable values and safe to use
 concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tape
 
 # Finite stand-in for the +inf robustness of TRUE. Keeps downstream smooth
 # arithmetic finite; constant, so it never enters a gradient.
@@ -66,14 +75,6 @@ class Pred:
             )
         if not any(c != 0.0 for c in self.coeffs):
             raise ValueError("predicate needs at least one nonzero coefficient")
-
-    def value(self, x) -> float:
-        """Margin coeffs . x - bound at one sample."""
-        acc = -self.bound
-        for c, xi in zip(self.coeffs, x):
-            if c != 0.0:
-                acc += c * xi
-        return acc
 
 
 @dataclass(frozen=True)
@@ -186,36 +187,63 @@ def formula_names(f: Formula) -> tuple[str, ...] | None:
     return names
 
 
-def _rob(vals: np.ndarray, f: Formula, t: int) -> float:
+def check_names(f: Formula, dim_names) -> None:
+    """Raise DimensionMismatch unless f's predicates range over dim_names."""
+    names = formula_names(f)
+    if names is not None and names != dim_names:
+        raise DimensionMismatch(f"formula over {names}, signal over {dim_names}")
+
+
+def robustness_trace(X, f: Formula, tau: float | None = None):
+    """Robustness of f at every start step where its windows fit.
+
+    X is a batch (N, T+1, d) of signals in f's coordinates; returns
+    (N, T+1-horizon(f)). With tau=None the semantics are exact; with a
+    temperature they are smooth, and X may be a tape node.
+    """
     if isinstance(f, Pred):
-        return f.value(vals[t])
+        # -bound, then each nonzero c_i * x_i in order: exact results keep this order.
+        acc = -f.bound
+        for i, c in enumerate(f.coeffs):
+            if c != 0.0:
+                acc = acc + c * X[:, :, i]
+        return acc
     if isinstance(f, TrueFormula):
-        return TRUE_ROBUSTNESS
+        return np.full(X.shape[:2], TRUE_ROBUSTNESS)
     if isinstance(f, Not):
-        return -_rob(vals, f.child, t)
-    if isinstance(f, And):
-        return min(_rob(vals, c, t) for c in f.children)
-    if isinstance(f, Or):
-        return max(_rob(vals, c, t) for c in f.children)
-    if isinstance(f, Eventually):
-        w = range(t + f.interval.t1, t + f.interval.t2 + 1)
-        return max(_rob(vals, f.child, tau) for tau in w)
-    if isinstance(f, Always):
-        w = range(t + f.interval.t1, t + f.interval.t2 + 1)
-        return min(_rob(vals, f.child, tau) for tau in w)
+        return -robustness_trace(X, f.child, tau)
+    if isinstance(f, (And, Or)):
+        parts = [robustness_trace(X, c, tau) for c in f.children]
+        n = min(p.shape[1] for p in parts)
+        return _extremum([p[:, :n] for p in parts], isinstance(f, Or), tau)
+    if isinstance(f, (Eventually, Always)):
+        child = robustness_trace(X, f.child, tau)
+        n = child.shape[1] - f.interval.t2
+        if n < 1:
+            raise HorizonExceeded(
+                f"formula horizon {horizon(f)} exceeds signal horizon {X.shape[1] - 1}"
+            )
+        parts = [child[:, u : u + n] for u in range(f.interval.t1, f.interval.t2 + 1)]
+        return _extremum(parts, isinstance(f, Eventually), tau)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _extremum(parts, is_max: bool, tau):
+    """Elementwise max (or min) of equally shaped traces: a running hard
+    fold when exact, a smooth extremum over their stack when smooth."""
+    if tau is None:
+        return functools.reduce(np.maximum if is_max else np.minimum, parts)
+    return (tape.smax if is_max else tape.smin)(tape.stack(parts), tau, 0)
 
 
 def robustness(s: Signal, f: Formula, t: int = 0) -> float:
     """Quantitative satisfaction degree of f over s, evaluated at step t."""
-    names = formula_names(f)
-    if names is not None and names != s.dim_names:
-        raise DimensionMismatch(f"formula over {names}, signal over {s.dim_names}")
+    check_names(f, s.dim_names)
     if t < 0 or t + horizon(f) > s.horizon:
         raise HorizonExceeded(
             f"need steps up to {t + horizon(f)}, signal ends at {s.horizon}"
         )
-    return _rob(s.values, f, t)
+    return float(robustness_trace(s.values[None], f)[0, t])
 
 
 def satisfies(s: Signal, f: Formula) -> bool:

@@ -92,12 +92,11 @@ def mcr(classifier, dataset: Dataset, *, shape=None, norm=None, tau=None, rule=N
         raise EmptyDataset("cannot score an empty dataset")
     labels = dataset.labels()
     if stl.is_formula(classifier):
-        names = dataset.dim_names
-        return exact_mcr(classifier, [stl.Signal(t.full(), names) for t in dataset], labels)
+        return exact_mcr(classifier, dataset.to_array(), dataset.dim_names, labels)
     if isinstance(classifier, InferenceParams):
         if shape is None or norm is None:
             raise ValueError("shape and norm are required to score parameters")
-        X = np.stack([norm.apply(t.full()) for t in dataset])
+        X = norm.apply(dataset.to_array())
         vals = combined_smooth(X, classifier, shape, rule, tau)
         return float(np.mean((vals >= 0.0) != (labels > 0)))
     raise TypeError(f"cannot score {type(classifier).__name__}")
@@ -119,12 +118,6 @@ def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape,
 # --- inference training (dual annealing) ----------------------------------------
 
 
-def _prepare_arrays(dataset: Dataset, norm: SignalNorm, horizon: int):
-    X = np.stack([norm.apply(t.full())[: horizon + 1] for t in dataset])
-    labels = dataset.labels().astype(float)
-    return X, labels
-
-
 def train_inference(
     dataset: Dataset,
     shape: NetworkShape,
@@ -144,11 +137,10 @@ def train_inference(
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    labels_all = dataset.labels()
-    if np.all(labels_all == 1) or np.all(labels_all == -1):
+    labels = dataset.labels().astype(float)
+    if np.all(labels == 1) or np.all(labels == -1):
         raise NoNegativeData("dataset has a single label; bootstrap negatives first")
-
-    X, labels = _prepare_arrays(dataset, norm, shape.horizon)
+    X = norm.apply(dataset.to_array())
 
     lo_p, hi_p = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
     lo = np.concatenate([lo_p, [cfg.margin_lo]])
@@ -466,8 +458,7 @@ def gan_loop(
             inf_params, dataset, shape=shape, norm=norm, tau=inf_cfg.tau_eval
         )
         formula = extract_formula(inf_params, shape, norm, names)
-        signals = [stl.Signal(t.full(), names) for t in dataset]
-        formula = simplify(formula, signals, list(dataset.labels()))
+        formula = simplify(formula, dataset.to_array(), names, dataset.labels())
         mcr_exact_val = mcr(formula, dataset)
         log.info(
             "iteration %d: smooth MCR %.4f, exact MCR %.4f, loss %.4f",
@@ -500,7 +491,7 @@ def gan_loop(
         generated = _generate_negatives(
             env, policy, env_pool, gan_cfg.n_generate, gen_rng, f"it{it}", 0
         )
-        gen_X = np.stack([norm.apply(t.full()) for t in generated])
+        gen_X = norm.apply(Dataset(generated).to_array())
         mean_rob = float(
             np.mean(smooth_robustness(gen_X, inf_params, shape, inf_cfg.tau_eval))
         )

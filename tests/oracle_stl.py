@@ -1,8 +1,12 @@
 """Independent semantics oracles and random generators for the test suite.
 
-Kept deliberately separate from the package: robustness here is computed
-bottom-up as a full trace (dynamic programming over time), while the
-package evaluates top-down, so agreement is a meaningful check.
+Kept deliberately separate from the package, so agreement is a meaningful
+check. Both compute robustness bottom-up as a trace, but differently:
+here one signal at a time, predicates as a matrix product, and each
+window reduced by a Python loop over its start steps; the package reduces
+shifted slices of the child traces across a whole batch and sums each
+predicate term by term. `bool_sat` stays top-down Boolean semantics with
+no robustness involved.
 """
 
 from __future__ import annotations

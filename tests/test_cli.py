@@ -193,6 +193,14 @@ class TestExtract:
         code = main(["extract", "--ckpt", str(ckpt), "--threshold", "1.5", "--out", str(tmp_path / "f.txt")])
         assert code != EXIT_OK
 
+    def test_other_environments_data_is_data_error(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        driving = tmp_path / "d.jsonl"
+        assert main(["gen-data", "--env", "driving", "--n", "4", "--seed", "0", "--out", str(driving)]) == EXIT_OK
+        code = main(["extract", "--ckpt", str(ckpt), "--data", str(driving), "--out", str(tmp_path / "f.txt")])
+        assert code == EXIT_DATA
+        assert "formula over ('dA', 'dB', 'dC', 'dO')" in capsys.readouterr().err
+
 
 class TestRollout:
     def test_csv_row_count(self, trained, tmp_path):
@@ -225,6 +233,21 @@ class TestRollout:
         out = tmp_path / "r.csv"
         assert main(["rollout", "--ckpt", str(ck15), "--n", "2", "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().strip().split("\n")) == 2 + 2 * 16
+
+    def test_non_positive_counts_are_config_errors(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        for count in ("0", "-1"):
+            out = tmp_path / "r.csv"
+            code = main(["rollout", "--ckpt", str(ckpt), "--n", count, "--out", str(out)])
+            assert code == EXIT_CONFIG and not out.exists()
+            assert "--n" in capsys.readouterr().err
+            adj = tmp_path / "adj.json"
+            code = main([
+                "adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,20](dO >= 1.0)",
+                "--rollouts", count, "--out", str(adj),
+            ])
+            assert code == EXIT_CONFIG and not adj.exists()
+            assert "--rollouts" in capsys.readouterr().err
 
     def test_deterministic_with_seed(self, trained, tmp_path):
         root, data, config, ckpt = trained

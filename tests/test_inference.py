@@ -15,7 +15,6 @@ from stlmimic.inference import (
     normalize_formula,
     param_bounds,
     simplify,
-    smooth_formula,
     smooth_robustness,
 )
 from stlmimic.stl import And, Eventually, Not, Or, Pred, Signal, TimeInterval, parse, print_formula
@@ -172,7 +171,7 @@ class TestInjectedRule:
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
             s = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)
             exact = stl.robustness(s, f, 0)
-            smooth = smooth_formula(s.values[None], f, 0.001)[0]
+            smooth = stl.robustness_trace(s.values[None], f, 0.001)[0, 0]
             if abs(exact) < 1e8:  # skip TRUE-dominated sentinels
                 assert smooth == pytest.approx(exact, abs=0.02 + 0.02 * abs(exact))
 
@@ -267,9 +266,6 @@ class TestExtraction:
 
 
 class TestSimplify:
-    def _signals(self, arrays, names=("x0",)):
-        return [Signal(a, names) for a in arrays]
-
     def test_redundant_conjunct_dropped(self):
         # x0 >= 0 separates; x0 >= -10 is vacuous on this data.
         necessary = Pred((1.0,), 0.0, ("x0",))
@@ -277,13 +273,13 @@ class TestSimplify:
         f = And((necessary, redundant))
         arrays = [np.array([[1.0]]), np.array([[2.0]]), np.array([[-1.0]])]
         labels = [1, 1, -1]
-        g = simplify(f, self._signals(arrays), labels)
+        g = simplify(f, np.stack(arrays), ("x0",), labels)
         assert g == necessary
 
     def test_already_minimal_unchanged(self):
         f = Pred((1.0,), 0.0, ("x0",))
         arrays = [np.array([[1.0]]), np.array([[-1.0]])]
-        g = simplify(f, self._signals(arrays), [1, -1])
+        g = simplify(f, np.stack(arrays), ("x0",), [1, -1])
         assert g == f
 
     def test_never_increases_mcr(self):
@@ -292,9 +288,10 @@ class TestSimplify:
         for _ in range(20):
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=2)
             sigs = [oracle_stl.random_signal(rng, names, stl.horizon(f) + 1) for _ in range(12)]
+            X = np.stack([s.values for s in sigs])
             labels = [1 if rng.random() < 0.5 else -1 for _ in range(12)]
-            before = exact_mcr(f, sigs, labels)
-            after = exact_mcr(simplify(f, sigs, labels), sigs, labels)
+            before = exact_mcr(f, X, names, labels)
+            after = exact_mcr(simplify(f, X, names, labels), X, names, labels)
             assert after <= before + 1e-12
 
 

@@ -93,14 +93,23 @@ class TestRobustness:
         assert not satisfies(sig1([1.0]), pred1(1.0, 2.0))
 
     def test_matches_trace_oracle_randomized(self):
+        # A batch of signals of one length, checked at every valid start step.
         rng = np.random.default_rng(7)
         names = ("x0", "x1", "x2")
         for _ in range(150):
             f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
-            s = oracle_stl.random_signal(rng, names, horizon(f) + int(rng.integers(1, 4)))
-            r = robustness(s, f, 0)
-            assert r == pytest.approx(oracle_stl.brute_robustness(s, f, 0), abs=1e-12)
-            assert satisfies(s, f) == (r >= 0)
+            length = horizon(f) + int(rng.integers(1, 4))
+            batch = [oracle_stl.random_signal(rng, names, length) for _ in range(3)]
+            traces = stl.robustness_trace(np.stack([s.values for s in batch]), f)
+            assert traces.shape == (3, length - horizon(f))
+            for s, trace in zip(batch, traces):
+                oracle = oracle_stl.robustness_trace(s.values, f)
+                assert trace == pytest.approx(oracle, abs=1e-12)
+                for t in range(len(trace)):
+                    assert robustness(s, f, t) == trace[t]
+                r = robustness(s, f, 0)
+                assert r == pytest.approx(oracle_stl.brute_robustness(s, f, 0), abs=1e-12)
+                assert satisfies(s, f) == (r >= 0)
 
     def test_soundness_against_boolean_semantics(self):
         # Ties to the Boolean oracle; exact-zero robustness counts as sat.
