@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dataio, stl
-from .dataio import Checkpoint, Dataset, config_digest, dataset_digest
+from .dataio import Checkpoint, Dataset, config_digest
 from .envs import ExpertFailure, NonFiniteState, make_env, rollout
 from .inference import (
     InferenceParams,
@@ -160,7 +160,7 @@ def _write_metrics(rows, path: str, digest: str) -> None:
             )
 
 
-def _checkpoint_from_result(run: Run, result, dataset_path: str, rule_text=None) -> Checkpoint:
+def _checkpoint_from_result(run: Run, result, dataset_path: str, digest: str) -> Checkpoint:
     return Checkpoint(
         env=run.env.config(),
         shape={
@@ -174,10 +174,10 @@ def _checkpoint_from_result(run: Run, result, dataset_path: str, rule_text=None)
         margin=float(result.margin),
         policy_groups=result.policy.to_pv().to_jsonable(),
         norm=result.norm.to_jsonable(),
-        rule_text=rule_text,
+        rule_text=None,
         gan_iteration=len(result.metrics),
         rng_state=None,
-        dataset_digest=dataset_digest(result.dataset),
+        dataset_digest=digest,
         config=run.doc,
         extra={
             "config_digest": run.digest,
@@ -189,6 +189,10 @@ def _checkpoint_from_result(run: Run, result, dataset_path: str, rule_text=None)
 
 def _load_ckpt_parts(path: str):
     ck = dataio.load_checkpoint(path)
+    if ck.extra.get("boundary"):
+        raise dataio.ParseError(f"{path}: a round-boundary snapshot for resuming, not a trained model")
+    if not ck.inference_groups or not ck.norm:
+        raise dataio.ParseError(f"{path}: no trained classifier (inference_groups or norm is empty)")
     run = Run(ck.config)
     env = run.env
     shape = NetworkShape(**ck.shape)
@@ -199,6 +203,18 @@ def _load_ckpt_parts(path: str):
         stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
     )
     return ck, run, env, shape, inf, pol, norm, rule
+
+
+def _env_pool(ck: Checkpoint, env, data_path) -> list:
+    """Environment trajectories that rollouts of a checkpoint's policy draw
+    from: the original rows of `data_path`, else of the checkpoint's
+    augmented dataset. Empty for an environment without them."""
+    if env.n_env == 0:
+        return []
+    path = data_path or ck.extra.get("augmented_dataset")
+    if not path or not os.path.exists(path):
+        raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories")
+    return original_env_pool(dataio.load_dataset(path), env)
 
 
 # --- commands -------------------------------------------------------------------
@@ -243,7 +259,7 @@ def cmd_train(args) -> int:
     def checkpoint_cb(state):
         it = state["iteration"]
         ds_path = os.path.join(out_dir, f"dataset_iter{it}.jsonl")
-        dataio.save_dataset(state["dataset"], ds_path)
+        digest = dataio.save_dataset(state["dataset"], ds_path)
         warm = state["warm_start"]
         ck = Checkpoint(
             env=run.env.config(),
@@ -255,7 +271,7 @@ def cmd_train(args) -> int:
             rule_text=None,
             gan_iteration=it,
             rng_state=state["rng_state"],
-            dataset_digest=dataset_digest(state["dataset"]),
+            dataset_digest=digest,
             config=run.doc,
             extra={
                 "config_digest": run.digest,
@@ -281,7 +297,7 @@ def cmd_train(args) -> int:
     aug_path = os.path.join(out_dir, "dataset_augmented.jsonl")
     for t in result.full_dataset:
         t.meta.setdefault("config_digest", run.digest)
-    dataio.save_dataset(result.dataset, aug_path)
+    aug_digest = dataio.save_dataset(result.dataset, aug_path)
     negatives = Dataset(
         [t for t in result.full_dataset if t.meta.get("source") == "policy_rollout"]
     )
@@ -291,7 +307,7 @@ def cmd_train(args) -> int:
     formula_text = stl.print_formula(result.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:
         fh.write(formula_text + "\n")
-    dataio.save_checkpoint(_checkpoint_from_result(run, result, aug_path), args.out)
+    dataio.save_checkpoint(_checkpoint_from_result(run, result, aug_path, aug_digest), args.out)
     print(f"final formula: {formula_text}")
     print(f"iterations: {len(result.metrics)}  saturated: {result.saturated}")
     print(f"checkpoint: {args.out}")
@@ -342,14 +358,7 @@ def cmd_rollout(args) -> int:
     ck, _run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else int(ck.config.get("seed", 0)) + 10_000
     rng = np.random.default_rng(seed)
-    env_pool = []
-    if env.n_env > 0:
-        data_path = args.data or ck.extra.get("augmented_dataset")
-        if not data_path or not os.path.exists(data_path):
-            raise dataio.ParseError("driving rollouts need --data for environment trajectories")
-        ds = dataio.load_dataset(data_path)
-        env_pool = original_env_pool(ds, env)
-    rows = rollout(env, pol, *_draw_samples(env, env_pool, args.n, rng))
+    rows = rollout(env, pol, *_draw_samples(env, _env_pool(ck, env, args.data), args.n, rng))
     dim_names = tuple(env.agent_names) + tuple(env.env_names)
     dataio.export_rollouts(
         rows, dim_names, args.out, tags=["policy"] * len(rows),
@@ -371,13 +380,9 @@ def cmd_adjust(args) -> int:
     rule = stl.conjoin(existing_rule, new_rule) if existing_rule else new_rule
     rule_text = stl.print_formula(rule)
     inf_before = inf.to_pv().flatten().copy()
+    env_pool = _env_pool(ck, env, args.data)
 
     if args.retrain:
-        data_path = args.data or ck.extra.get("augmented_dataset")
-        if not data_path or not os.path.exists(data_path):
-            raise dataio.ParseError("adjust --retrain needs the training dataset (--data)")
-        ds = dataio.load_dataset(data_path)
-        env_pool = original_env_pool(ds, env)
         rng = np.random.default_rng([run.seed, 777])
         pol = train_policy(
             pol,
@@ -412,11 +417,6 @@ def cmd_adjust(args) -> int:
     dataio.save_checkpoint(ck2, args.out)
 
     rng = np.random.default_rng([int(ck.config.get("seed", 0)), 778])
-    env_pool = []
-    if env.n_env > 0:
-        data_path = args.data or ck.extra.get("augmented_dataset")
-        ds = dataio.load_dataset(data_path)
-        env_pool = original_env_pool(ds, env)
     rollouts = rollout(env, pol, *_draw_samples(env, env_pool, args.rollouts, rng))
     roll_path = os.path.join(out_dir, "rollouts_adjusted.csv")
     dim_names = tuple(env.agent_names) + tuple(env.env_names)

@@ -1,10 +1,15 @@
 """Persistence: labeled trajectory datasets (JSON-Lines), training
-checkpoints (single JSON documents), rollout CSV exports, and content
-digests pairing the two."""
+checkpoints (single JSON documents) and rollout CSV exports.
+
+A checkpoint names the dataset it was trained on and records its digest:
+the first 16 hex digits of the sha256 of the dataset file's bytes, as
+`save_dataset` returns them, so `sha256sum FILE | cut -c1-16` checks the
+pairing. Config digests are FNV-1a over the canonical JSON."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -127,12 +132,17 @@ def _traj_to_obj(t: LabeledTrajectory) -> dict:
     }
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    """One JSON object per line; float round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
+def save_dataset(ds: Dataset, path: str) -> str:
+    """One JSON object per line; float round-trip precision. Returns the
+    dataset digest: the first 16 hex digits of the sha256 of the bytes
+    written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
         for t in ds:
-            fh.write(json.dumps(_traj_to_obj(t), sort_keys=True))
-            fh.write("\n")
+            line = (json.dumps(_traj_to_obj(t), sort_keys=True) + "\n").encode("utf-8")
+            fh.write(line)
+            h.update(line)
+    return h.hexdigest()[:16]
 
 
 def load_dataset(path: str) -> Dataset:
@@ -171,12 +181,6 @@ def fnv1a_hex(data: bytes) -> str:
     return f"{h:016x}"
 
 
-def dataset_digest(ds: Dataset) -> str:
-    """FNV-1a over the canonical JSONL bytes."""
-    payload = "\n".join(json.dumps(_traj_to_obj(t), sort_keys=True) for t in ds)
-    return fnv1a_hex(payload.encode("utf-8"))
-
-
 def config_digest(config: dict) -> str:
     return fnv1a_hex(json.dumps(config, sort_keys=True).encode("utf-8"))
 
@@ -194,7 +198,7 @@ class Checkpoint:
     rule_text: str | None
     gan_iteration: int
     rng_state: dict | None
-    dataset_digest: str
+    dataset_digest: str  # save_dataset's digest of the dataset file named in extra
     config: dict
     extra: dict = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION

@@ -11,9 +11,12 @@ the network; extraction maps predicates back to original units (an exact
 change of variables, so robustness values are unchanged).
 
 Each layer is written once over batches: it runs on plain arrays for
-value-only calls and on tape nodes when a gradient is needed. Fixed
-formulas are scored by `stl.robustness_trace`: an injected rule smoothly
-in `combined_smooth`, extracted formulas exactly over (N, T+1, d) batches.
+value-only calls and on tape nodes when a gradient is needed.
+`smooth_robustness` composes the atom layer (`smooth_atoms`) and the gated
+and/or layer (`smooth_gates`), so a caller that varies only the gates can
+reuse the atoms. Fixed formulas are scored by `stl.robustness_trace`: an
+injected rule smoothly in `combined_smooth`, extracted formulas exactly
+over (N, T+1, d) batches.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ class NetworkShape:
     @property
     def n_atoms(self) -> int:
         return 2 * self.n_pred
+
+    @property
+    def n_atom_params(self) -> int:
+        """Leading entries of the flat parameter vector (predicates, then
+        windows) that the atom layer reads; the gates follow them."""
+        return self.n_pred * self.dim + self.n_pred + 2 * self.n_atoms
 
 
 @dataclass
@@ -233,6 +242,13 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None)
     X is (N, >=T+1, dim); returns (N,). X and the parameter arrays may be
     tape nodes.
     """
+    return smooth_gates(smooth_atoms(X, params, shape, tau), params, shape, tau)
+
+
+def smooth_atoms(X, params: InferenceParams, shape: NetworkShape, tau=None):
+    """Atom layer: the (N, n_pred) eventually-atoms and always-atoms of a
+    batch X (N, >=T+1, dim). Reads only the predicates and the windows
+    (`pred_w`, `pred_b`, `win_lo`, `win_hi`)."""
     tau = shape.tau if tau is None else tau
     T = shape.horizon
     X = tape.asarray(X)
@@ -251,8 +267,15 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None)
     ev_m, al_m = masks[0::2], masks[1::2]
     ev = tape.smax(traces * ev_m + (ev_m - 1.0) * L, tau, axis=2)  # (N, n_pred)
     al = tape.smin(traces * al_m + (1.0 - al_m) * L, tau, axis=2)
+    return ev, al
 
-    gate_off = (1.0 - tape.sigmoid(params.gate)) * L  # (n_conj, n_atoms)
+
+def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None):
+    """Gated and/or layer: (N,) scores from the `smooth_atoms` output.
+    Reads only the gates (`gate`, `out_gate`)."""
+    tau = shape.tau if tau is None else tau
+    ev, al = atoms
+    gate_off = (1.0 - tape.sigmoid(params.gate)) * GATE_L  # (n_conj, n_atoms)
     conj_terms = tape.concatenate(
         [ev[:, None, :] + gate_off[:, 0::2], al[:, None, :] + gate_off[:, 1::2]], axis=2
     )

@@ -27,10 +27,12 @@ from .inference import (
     normalize_formula,
     param_bounds,
     simplify,
+    smooth_atoms,
+    smooth_gates,
     smooth_robustness,
 )
 from .policy import PolicyParams, PolicyShape, init_policy
-from .tape import Node, backward
+from .tape import Node, ParamVector, backward
 
 log = logging.getLogger(__name__)
 
@@ -109,10 +111,39 @@ def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape,
     """Hinge-with-margin classification loss plus gate regularization,
     minus a reward for a large margin. The parameters and the margin may
     be tape nodes."""
-    vals = smooth_robustness(X_norm, params, shape)
+    return _loss_of_scores(smooth_robustness(X_norm, params, shape), labels, params, margin, cfg)
+
+
+def _loss_of_scores(vals, labels, params: InferenceParams, margin, cfg):
+    """`inference_loss` given the classifier scores `vals`."""
     hinge = tape.mean(tape.relu(margin - labels * vals))
     reg = tape.sum(tape.sigmoid(params.gate)) + tape.sum(tape.sigmoid(params.out_gate))
     return hinge + cfg.beta1 * reg - cfg.beta2 * margin
+
+
+def annealing_objective(X_norm, labels, template: ParamVector, shape: NetworkShape, cfg):
+    """Value-only `inference_loss` of flat (classifier, margin) vectors laid
+    out like `template` plus a trailing margin.
+
+    The atom layer reads only the leading predicate and window entries. A
+    one-entry memo keeps the previous vector's atoms and reuses them while
+    those entries are unchanged, so moves of the gates or the margin alone
+    skip the atom layer. Values are bit-identical to `inference_loss`.
+    """
+    n_atom_params = shape.n_atom_params
+    memo_key = None
+    memo_atoms = None
+
+    def objective(fullvec) -> float:
+        nonlocal memo_key, memo_atoms
+        params = InferenceParams.from_pv(template.with_flat(fullvec[:-1]))
+        key = fullvec[:n_atom_params]
+        if not np.array_equal(key, memo_key):
+            memo_key, memo_atoms = key.copy(), smooth_atoms(X_norm, params, shape)
+        vals = smooth_gates(memo_atoms, params, shape)
+        return float(_loss_of_scores(vals, labels, params, float(fullvec[-1]), cfg))
+
+    return objective
 
 
 # --- inference training (dual annealing) ----------------------------------------
@@ -147,12 +178,7 @@ def train_inference(
     hi = np.concatenate([hi_p, [cfg.margin_hi]])
     template = init_inference(shape, rng).to_pv()
 
-    def unpack(fullvec):
-        return InferenceParams.from_pv(template.with_flat(fullvec[:-1])), float(fullvec[-1])
-
-    def objective(fullvec) -> float:
-        params, margin = unpack(fullvec)
-        return float(inference_loss(X, labels, params, shape, margin, cfg))
+    objective = annealing_objective(X, labels, template, shape, cfg)
 
     # multi-start: keep the best of several random initializations; a warm
     # start competes against them rather than replacing them, so stale
@@ -207,7 +233,7 @@ def train_inference(
     # not hurt the loss. Half-open gates can hide discrimination that the
     # thresholded extraction cannot see; railed gates keep the smooth and
     # extracted semantics aligned.
-    g0 = shape.n_pred * shape.dim + shape.n_pred + 2 * shape.n_atoms
+    g0 = shape.n_atom_params
     g1 = g0 + shape.n_conj * shape.n_atoms + shape.n_conj
     for _ in range(2):
         for i in range(g0, g1):
@@ -218,7 +244,8 @@ def train_inference(
                 if trial_loss <= best_loss:
                     best, best_loss = trial.copy(), trial_loss
 
-    params, margin = unpack(best)
+    params = InferenceParams.from_pv(template.with_flat(best[:-1]))
+    margin = float(best[-1])
     info = {
         "proposals": proposals,
         "loss": best_loss,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,16 @@ TINY = {
     },
     "policy": {"batch_m": 4, "lr": 0.05, "steps": 20, "hidden": 6},
     "gan": {"n_generate": 5, "max_iterations": 2, "stop_mcr": 1.0},
+}
+
+
+TINY_DRIVING = {
+    "seed": 4,
+    "env": {"name": "driving"},
+    "shape": {"n_pred": 1, "n_conj": 1},
+    "inference": {"max_proposals": 10, "epoch_len": 10, "n_starts": 2, "refine_steps": 1, "refine_batch": 4},
+    "policy": {"steps": 1, "batch_m": 2, "hidden": 4},
+    "gan": {"n_generate": 4, "max_iterations": 2, "stop_mcr": 1.0},
 }
 
 
@@ -74,6 +85,18 @@ class TestGenData:
         assert out.exists()
 
 
+@pytest.fixture(scope="module")
+def trained_driving(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clidriving")
+    data = root / "expert.jsonl"
+    config = root / "config.json"
+    ckpt = root / "run" / "ckpt.json"
+    config.write_text(json.dumps(TINY_DRIVING))
+    assert main(["gen-data", "--env", "driving", "--n", "8", "--seed", "2", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt)]) == EXIT_OK
+    return root, data, config, ckpt
+
+
 class TestTrainOutputs:
     def test_artifacts_exist(self, trained):
         root, data, config, ckpt = trained
@@ -103,6 +126,16 @@ class TestTrainOutputs:
         text = (ckpt.parent / "formula.txt").read_text().strip()
         f = stl.parse(text, ("dA", "dB", "dC", "dO"))
         assert stl.horizon(f) <= 20
+
+    def test_dataset_digest_is_sha256_of_the_named_file(self, trained):
+        root, data, config, ckpt = trained
+        ckpts = [ckpt] + sorted(ckpt.parent.glob("ckpt_iter*.json"))
+        assert len(ckpts) == 1 + TINY["gan"]["max_iterations"]
+        for path in ckpts:
+            ck = dataio.load_checkpoint(str(path))
+            named = ck.extra.get("augmented_dataset") or ck.extra["dataset_path"]
+            with open(named, "rb") as fh:
+                assert ck.dataset_digest == hashlib.sha256(fh.read()).hexdigest()[:16], path.name
 
     def test_env_mismatch_is_data_error(self, trained, tmp_path):
         root, data, config, ckpt = trained
@@ -289,6 +322,62 @@ class TestAdjust:
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == EXIT_DATA
+
+
+class TestCheckpointKinds:
+    def test_boundary_snapshot_is_data_error_naming_the_file(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        snapshot = str(ckpt.parent / "ckpt_iter1.json")
+        for argv in (
+            ["extract", "--ckpt", snapshot, "--out", str(tmp_path / "f.txt")],
+            ["rollout", "--ckpt", snapshot, "--n", "2", "--out", str(tmp_path / "r.csv")],
+            ["adjust", "--ckpt", snapshot, "--conjoin", "G[0,20](dO >= 1.0)", "--out", str(tmp_path / "a.json")],
+        ):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert snapshot in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_without_classifier_is_data_error(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        for key in ("inference_groups", "norm"):
+            doc = json.loads(ckpt.read_text())
+            doc[key] = {}
+            bad = tmp_path / f"no_{key}.json"
+            bad.write_text(json.dumps(doc))
+            code = main(["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(tmp_path / "r.csv")])
+            assert code == EXIT_DATA
+            assert str(bad) in capsys.readouterr().err
+
+
+class TestEnvironmentPool:
+    def test_adjust_and_rollout_need_environment_data(self, trained_driving, tmp_path, capsys):
+        root, data, config, ckpt = trained_driving
+        doc = json.loads(ckpt.read_text())
+        doc["extra"]["augmented_dataset"] = str(tmp_path / "gone.jsonl")
+        moved = tmp_path / "ckpt.json"
+        moved.write_text(json.dumps(doc))
+        adj = tmp_path / "adj" / "ckpt.json"
+        for argv in (
+            ["rollout", "--ckpt", str(moved), "--n", "2", "--out", str(tmp_path / "r.csv")],
+            ["adjust", "--ckpt", str(moved), "--conjoin", "G[0,57](veg <= 6)", "--out", str(adj)],
+        ):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert "need --data" in capsys.readouterr().err
+        assert not adj.exists()
+
+    def test_adjust_retrain_reads_the_dataset_once(self, trained_driving, tmp_path, monkeypatch):
+        root, data, config, ckpt = trained_driving
+        reads = []
+        load = dataio.load_dataset
+        monkeypatch.setattr(dataio, "load_dataset", lambda path: reads.append(path) or load(path))
+        out = tmp_path / "adj.json"
+        code = main([
+            "adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--retrain",
+            "--rollouts", "2", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert reads == [str(ckpt.parent / "dataset_augmented.jsonl")]
+        assert len((tmp_path / "rollouts_adjusted.csv").read_text().strip().split("\n")) == 2 + 2 * 58
 
 
 class TestDefaults:

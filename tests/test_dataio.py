@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from stlmimic.dataio import (
     ParseError,
     VersionMismatch,
     config_digest,
-    dataset_digest,
     export_rollouts,
     load_checkpoint,
     load_dataset,
@@ -98,11 +98,13 @@ class TestDatasetRoundtrip:
         with pytest.raises(InconsistentHorizon):
             load_dataset(str(path))
 
-    def test_digest_sensitive_to_content(self):
+    def test_digest_sensitive_to_content(self, tmp_path):
         a = small_dataset(seed=0)
         b = small_dataset(seed=1)
-        assert dataset_digest(a) == dataset_digest(a)
-        assert dataset_digest(a) != dataset_digest(b)
+        digest = save_dataset(a, str(tmp_path / "a.jsonl"))
+        assert save_dataset(a, str(tmp_path / "a2.jsonl")) == digest
+        assert save_dataset(b, str(tmp_path / "b.jsonl")) != digest
+        assert digest == hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest()[:16]
 
 
 class TestCheckpoint:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stlmimic import stl
+from stlmimic import stl, train
 from stlmimic.dataio import Dataset, LabeledTrajectory
 from stlmimic.envs import DrivingEnv, UnicycleEnv, rollout
 from stlmimic.inference import (
@@ -179,6 +179,41 @@ class TestTrainInference:
             ), shape, 0.1, cfg
         )
         assert info["loss"] <= start_loss + 1e-12
+
+    def test_memoised_objective_replays_inference_loss_bit_for_bit(self, monkeypatch):
+        env = DrivingEnv()
+        ds = env.gen_dataset(2, np.random.default_rng(5))
+        shape = NetworkShape(n_pred=3, n_conj=2, horizon=env.T, dim=4, tau=0.1)
+        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        X, labels = norm.apply(ds.to_array()), ds.labels().astype(float)
+        cfg = InferenceTrainConfig()
+        rng = np.random.default_rng(19)
+        template = init_inference(shape, rng).to_pv()
+        groups = template.groups
+        assert shape.n_atom_params == sum(groups[k].size for k in ("pred_w", "pred_b", "win_lo", "win_hi"))
+        n_gate = groups["gate"].size + groups["out_gate"].size
+        win = slice(groups["pred_w"].size + groups["pred_b"].size, shape.n_atom_params)
+
+        v0 = np.concatenate([template.flatten(), [0.1]])
+        full = v0 + rng.normal(0.0, 0.3, v0.size)
+        gates = full.copy()
+        gates[shape.n_atom_params : shape.n_atom_params + n_gate] += rng.normal(0.0, 1.0, n_gate)
+        window = gates.copy()
+        window[win] += 0.7
+        margin = window.copy()
+        margin[-1] = 0.4
+        replay = [v0, full, gates, window, margin, margin, full, gates, v0]
+
+        calls = []
+        atoms = train.smooth_atoms
+        monkeypatch.setattr(train, "smooth_atoms", lambda *a: calls.append(1) or atoms(*a))
+        objective = train.annealing_objective(X, labels, template, shape, cfg)
+        for vec in replay:
+            params = InferenceParams.from_pv(template.with_flat(vec[:-1]))
+            want = float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg))
+            assert objective(vec.copy()) == want
+        # recomputed for v0, full, window, full and v0; reused for the rest
+        assert len(calls) == 5
 
     def test_single_label_rejected(self):
         ds = Dataset([const_traj(1.0, 1, "a"), const_traj(2.0, 1, "b")])
