@@ -221,6 +221,8 @@ def _env_pool(ck: Checkpoint, env, data_path) -> list:
 
 
 def cmd_gen_data(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be a positive count, got {args.n}")
     rng = np.random.default_rng(args.seed)
     env = make_env(args.env)
     digest = config_digest({"cmd": "gen-data", "env": args.env, "n": args.n, "seed": args.seed})
@@ -319,12 +321,15 @@ def cmd_extract(args) -> int:
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
     ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
     formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
-    data_path = args.data or ck.extra.get("augmented_dataset")
-    if data_path and os.path.exists(data_path):
+    # a --data path must exist; only the checkpoint's own dataset may be missing
+    data_path = args.data
+    if data_path is None and os.path.exists(ck.extra.get("augmented_dataset") or ""):
+        data_path = ck.extra["augmented_dataset"]
+    if data_path is None:
+        log.warning("no dataset available; writing unsimplified extraction")
+    else:
         ds = dataio.load_dataset(data_path)
         formula = simplify(formula, ds.to_array(), ds.dim_names, ds.labels())
-    else:
-        log.warning("no dataset available; writing unsimplified extraction")
     if rule is not None:
         formula = stl.conjoin(formula, rule)
     with open(args.out, "w", encoding="utf-8") as fh:

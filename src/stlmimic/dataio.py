@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -257,17 +258,27 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _row_end(tag) -> str:
+    """The comma, the tag cell and the CRLF with which csv.writer ends a
+    row whose last cell is tag, quoting included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", tag])
+    return buf.getvalue()
+
+
 def export_rollouts(trajectories, dim_names, path: str, tags=None, comment: str | None = None) -> None:
-    """CSV rows (traj_id, t, *dims, tag) for downstream plotting."""
+    """CSV rows (traj_id, t, *dims, tag) for downstream plotting. Bytes are
+    those of csv.writer with each value written as repr(float(v))."""
     if len(trajectories) == 0:
         raise IoError("no trajectories to export")
     tags = tags if tags is not None else ["rollout"] * len(trajectories)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["traj_id", "t"] + list(dim_names) + ["tag"])
+        csv.writer(fh).writerow(["traj_id", "t"] + list(dim_names) + ["tag"])
         for i, (arr, tag) in enumerate(zip(trajectories, tags)):
-            arr = np.asarray(arr, dtype=float)
-            for t in range(arr.shape[0]):
-                writer.writerow([i, t] + [repr(float(v)) for v in arr[t]] + [tag])
+            end = _row_end(tag)
+            fh.writelines(
+                ",".join([str(i), str(t), *map(repr, row)]) + end
+                for t, row in enumerate(np.asarray(arr, dtype=float).tolist())
+            )

@@ -156,7 +156,8 @@ class UnicycleEnv:
 
     # -- scripted expert ------------------------------------------------
 
-    def _steer(self, x, target, rng):
+    def _steer(self, x, target, noise):
+        """Controls toward target; noise is this step's (turn, speed) draw."""
         px, py, th = x
         dx, dy = target[0] - px, target[1] - py
         # repulsive component near the obstacle
@@ -170,10 +171,10 @@ class UnicycleEnv:
         desired = math.atan2(dy, dx)
         err = _wrap_angle(desired - th)
         w_lo, w_hi = self.control_box.lo[1], self.control_box.hi[1]
-        w = float(np.clip(err + rng.normal(0, 0.02), w_lo, w_hi))
+        w = min(w_hi, max(w_lo, err + noise[0]))
         dist = math.hypot(target[0] - px, target[1] - py)
         v = min(dist, 1.0) * (0.25 + 0.75 * max(0.0, math.cos(err)))
-        v = float(np.clip(v + rng.normal(0, 0.03), 0.0, 1.0))
+        v = min(1.0, max(0.0, v + noise[1]))
         return np.array([v, w])
 
     def _expert_rollout(self, rng) -> np.ndarray:
@@ -188,12 +189,14 @@ class UnicycleEnv:
         rad = rng.uniform(0, 0.3) * first.radius
         tgt1 = (first.cx + rad * math.cos(ang), first.cy + rad * math.sin(ang))
         tgt2 = (self.region_c.cx, self.region_c.cy)
+        # one (turn, speed) noise row per step, drawn in one call
+        noise = rng.normal(0.0, (0.02, 0.03), size=(self.T, 2)).tolist()
         states = [x.copy()]
         reached_first = False
-        for _ in range(self.T):
+        for step_noise in noise:
             if not reached_first and first.distance(x[0], x[1]) <= 0.7 * first.radius:
                 reached_first = True
-            u = self._steer(x, tgt2 if reached_first else tgt1, rng)
+            u = self._steer(x, tgt2 if reached_first else tgt1, step_noise)
             x = self.step(x, u)
             states.append(x.copy())
         return np.array(states)
@@ -286,41 +289,39 @@ class DrivingEnv:
 
     # -- scripted profiles ----------------------------------------------
 
-    def gen_env_profile(self, rng, pedestrian: bool, p0: float) -> np.ndarray:
-        """Lead-vehicle trajectory (pot, vot): accelerate to cruise, then
-        brake to a stop iff a pedestrian crosses."""
-        cruise = self.cruise + rng.uniform(-0.25, 0.25)
-        t_dec = self.decel_onset + int(rng.integers(-2, 3))
-        p, v = float(p0), 0.0
+    def _speed_profile(self, rng, cruise, p, brake_start, brake) -> np.ndarray:
+        """(position, velocity) rows from rest at p: accelerate to cruise
+        and hold it, with noise in each step's acceleration, until step
+        brake_start (None: never); then brake by up to `brake` per step."""
+        # only the steps before braking draw noise, one value each
+        n_free = self.T if brake_start is None else min(max(brake_start, 0), self.T)
+        noise = iter(rng.uniform(-0.05, 0.05, size=n_free).tolist())
+        p, v = float(p), 0.0
         rows = [[p, v]]
         for t in range(self.T):
-            if pedestrian and t >= t_dec:
-                a = -min(self.other_brake, v)
+            if t >= n_free:
+                a = -min(brake, v)
             elif v < cruise:
-                a = min(self.accel + rng.uniform(-0.05, 0.05), cruise - v)
+                a = min(self.accel + next(noise), cruise - v)
             else:
-                a = rng.uniform(-0.05, 0.05)
+                a = next(noise)
             p += v
             v = max(v + a, 0.0)
             rows.append([p, v])
         return np.array(rows)
 
+    def gen_env_profile(self, rng, pedestrian: bool, p0: float) -> np.ndarray:
+        """Lead-vehicle trajectory (pot, vot): accelerate to cruise, then
+        brake to a stop iff a pedestrian crosses."""
+        cruise = self.cruise + rng.uniform(-0.25, 0.25)
+        t_dec = self.decel_onset + int(rng.integers(-2, 3))
+        return self._speed_profile(rng, cruise, p0, t_dec if pedestrian else None, self.other_brake)
+
     def _ego_profile(self, rng, brake_start) -> np.ndarray:
         """Scripted ego (peg, veg); brake_start None means keep cruising."""
         cruise = self.cruise + rng.uniform(-0.25, 0.25)
-        p, v = float(rng.uniform(*self.init_pos)), 0.0
-        rows = [[p, v]]
-        for t in range(self.T):
-            if brake_start is not None and t >= brake_start:
-                a = -min(self.ego_brake, v)
-            elif v < cruise:
-                a = min(self.accel + rng.uniform(-0.05, 0.05), cruise - v)
-            else:
-                a = rng.uniform(-0.05, 0.05)
-            p += v
-            v = max(v + a, 0.0)
-            rows.append([p, v])
-        return np.array(rows)
+        p0 = rng.uniform(*self.init_pos)
+        return self._speed_profile(rng, cruise, p0, brake_start, self.ego_brake)
 
     def _situation(self, rng, kind: str, id_: str) -> LabeledTrajectory:
         t_dec = self.decel_onset + int(rng.integers(-2, 3))

@@ -309,7 +309,7 @@ def _halfup(x: float) -> int:
 
 
 def _canonical_pred(coeffs: np.ndarray, bound: float, names) -> Formula:
-    """Unit-scale the predicate and prefer `v < c` form for a single
+    """Unit-scale the predicate and prefer `v <= c` form for a single
     negative coefficient (an exact rewrite)."""
     scale = float(np.max(np.abs(coeffs)))
     a = coeffs / scale

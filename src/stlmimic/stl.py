@@ -464,7 +464,7 @@ def _pf(f: Formula, level: int) -> str:
     if isinstance(f, Not):
         if isinstance(f.child, Pred):
             p = f.child
-            return f"{_fmt_linexpr(p.coeffs, p.names)} < {_fmt_num(p.bound)}"
+            return f"{_fmt_linexpr(p.coeffs, p.names)} <= {_fmt_num(p.bound)}"
         return f"!{_pf(f.child, _PREC_UNARY)}"
     if isinstance(f, (Eventually, Always)):
         op = "F" if isinstance(f, Eventually) else "G"

@@ -73,6 +73,13 @@ class TestGenData:
         code = main(["gen-data", "--env", "driving", "--n", "7", "--seed", "0", "--out", str(tmp_path / "x.jsonl")])
         assert code == EXIT_CONFIG
 
+    def test_non_positive_n_is_config_error(self, tmp_path, capsys):
+        for env, n in (("unicycle", "0"), ("driving", "0"), ("driving", "-4")):
+            out = tmp_path / "x.jsonl"
+            code = main(["gen-data", "--env", env, "--n", n, "--seed", "0", "--out", str(out)])
+            assert code == EXIT_CONFIG and not out.exists()
+            assert "--n" in capsys.readouterr().err
+
     def test_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "sp.jsonl"
         res = subprocess.run(
@@ -233,6 +240,24 @@ class TestExtract:
         code = main(["extract", "--ckpt", str(ckpt), "--data", str(driving), "--out", str(tmp_path / "f.txt")])
         assert code == EXIT_DATA
         assert "formula over ('dA', 'dB', 'dC', 'dO')" in capsys.readouterr().err
+
+    def test_missing_data_file_is_data_error_naming_it(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        missing, out = tmp_path / "missing.jsonl", tmp_path / "f.txt"
+        code = main(["extract", "--ckpt", str(ckpt), "--data", str(missing), "--out", str(out)])
+        assert code == EXIT_DATA and not out.exists()
+        assert str(missing) in capsys.readouterr().err
+
+    def test_checkpoint_without_its_dataset_extracts_unsimplified(self, trained, tmp_path, caplog):
+        root, data, config, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        doc["extra"]["augmented_dataset"] = str(tmp_path / "gone.jsonl")
+        moved = tmp_path / "ckpt.json"
+        moved.write_text(json.dumps(doc))
+        out = tmp_path / "f.txt"
+        assert main(["extract", "--ckpt", str(moved), "--out", str(out)]) == EXIT_OK
+        assert "no dataset available" in caplog.text
+        assert stl.is_formula(stl.parse(out.read_text().strip(), ("dA", "dB", "dC", "dO")))
 
 
 class TestRollout:

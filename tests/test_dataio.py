@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -165,6 +167,27 @@ class TestExport:
         export_rollouts(rollouts, ("x", "y", "z"), str(p1))
         export_rollouts(rollouts, ("x", "y", "z"), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rollouts = [
+            np.array([[0.1, 1e-05], [1e16, -0.0]]),
+            np.array([[1.0, -2.5], [np.pi, 3.0], [0.0, 1e-300]]),
+            [[7.0, 8.0]],
+        ]
+        tags = ["plain", 'a,"quoted" tag', ""]
+        path = tmp_path / "r.csv"
+        export_rollouts(rollouts, ("x", "y"), str(path), tags=tags, comment="config=abc")
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["traj_id", "t", "x", "y", "tag"])
+        for i, (arr, tag) in enumerate(zip(rollouts, tags)):
+            for t, row in enumerate(np.asarray(arr, dtype=float)):
+                writer.writerow([i, t] + [repr(float(v)) for v in row] + [tag])
+        data = path.read_bytes()
+        assert data == ("# config=abc\n" + buf.getvalue()).encode("utf-8")
+        assert data.count(b"\r\n") == 7
+        assert b"\r\n0,0,0.1,1e-05,plain\r\n0,1,1e+16,-0.0,plain\r\n" in data
+        assert b',"a,""quoted"" tag"\r\n' in data and data.endswith(b"2,0,7.0,8.0,\r\n")
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(IoError):

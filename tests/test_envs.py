@@ -9,6 +9,7 @@ from stlmimic.envs import (
     NonFiniteState,
     Region,
     UnicycleEnv,
+    _wrap_angle,
     ego_step,
     make_env,
     preprocess_distances,
@@ -216,3 +217,136 @@ class TestDrivingData:
         assert make_env("driving", cruise=4.0).cruise == 4.0
         with pytest.raises(ValueError):
             make_env("humanoid")
+
+
+# --- reference experts -----------------------------------------------------
+# The scripted experts as they were written with one scalar draw per noise
+# value. The experts now draw each trajectory's noise in one call; the data
+# and the generator's state afterwards must be the same.
+
+
+class ScalarDrawDriving(DrivingEnv):
+    def gen_env_profile(self, rng, pedestrian, p0):
+        cruise = self.cruise + rng.uniform(-0.25, 0.25)
+        t_dec = self.decel_onset + int(rng.integers(-2, 3))
+        p, v = float(p0), 0.0
+        rows = [[p, v]]
+        for t in range(self.T):
+            if pedestrian and t >= t_dec:
+                a = -min(self.other_brake, v)
+            elif v < cruise:
+                a = min(self.accel + rng.uniform(-0.05, 0.05), cruise - v)
+            else:
+                a = rng.uniform(-0.05, 0.05)
+            p += v
+            v = max(v + a, 0.0)
+            rows.append([p, v])
+        return np.array(rows)
+
+    def _ego_profile(self, rng, brake_start):
+        cruise = self.cruise + rng.uniform(-0.25, 0.25)
+        p, v = float(rng.uniform(*self.init_pos)), 0.0
+        rows = [[p, v]]
+        for t in range(self.T):
+            if brake_start is not None and t >= brake_start:
+                a = -min(self.ego_brake, v)
+            elif v < cruise:
+                a = min(self.accel + rng.uniform(-0.05, 0.05), cruise - v)
+            else:
+                a = rng.uniform(-0.05, 0.05)
+            p += v
+            v = max(v + a, 0.0)
+            rows.append([p, v])
+        return np.array(rows)
+
+
+class ScalarDrawUnicycle(UnicycleEnv):
+    def __init__(self, **overrides):
+        super().__init__(**overrides)
+        self.attempts = 0
+
+    def _steer(self, x, target, rng):
+        px, py, th = x
+        dx, dy = target[0] - px, target[1] - py
+        d_obs = self.obstacle.distance(px, py)
+        if d_obs < self.obstacle_margin:
+            push = (self.obstacle_margin - d_obs) / self.obstacle_margin
+            ox = (px - self.obstacle.cx) / max(d_obs, 1e-6)
+            oy = (py - self.obstacle.cy) / max(d_obs, 1e-6)
+            dx += 2.5 * push * ox
+            dy += 2.5 * push * oy
+        desired = math.atan2(dy, dx)
+        err = _wrap_angle(desired - th)
+        w_lo, w_hi = self.control_box.lo[1], self.control_box.hi[1]
+        w = float(np.clip(err + rng.normal(0, 0.02), w_lo, w_hi))
+        dist = math.hypot(target[0] - px, target[1] - py)
+        v = min(dist, 1.0) * (0.25 + 0.75 * max(0.0, math.cos(err)))
+        v = float(np.clip(v + rng.normal(0, 0.03), 0.0, 1.0))
+        return np.array([v, w])
+
+    def _expert_rollout(self, rng):
+        self.attempts += 1
+        x = self.sample_initial(rng)
+        first = (
+            self.region_a
+            if self.region_a.distance(x[0], x[1]) < self.region_b.distance(x[0], x[1])
+            else self.region_b
+        )
+        ang = rng.uniform(0, 2 * math.pi)
+        rad = rng.uniform(0, 0.3) * first.radius
+        tgt1 = (first.cx + rad * math.cos(ang), first.cy + rad * math.sin(ang))
+        tgt2 = (self.region_c.cx, self.region_c.cy)
+        states = [x.copy()]
+        reached_first = False
+        for _ in range(self.T):
+            if not reached_first and first.distance(x[0], x[1]) <= 0.7 * first.radius:
+                reached_first = True
+            u = self._steer(x, tgt2 if reached_first else tgt1, rng)
+            x = self.step(x, u)
+            states.append(x.copy())
+        return np.array(states)
+
+
+def _same_data_and_generator_state(a, b, rng_a, rng_b):
+    assert np.array_equal(a.to_array(), b.to_array())
+    assert [t.meta for t in a] == [t.meta for t in b]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestExpertsMatchScalarDraws:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"decel_onset": 57},  # the lead never brakes within the horizon
+            {"decel_onset": 70},
+            {"decel_onset": 0},  # braking from the first steps: few or no draws
+            {"wrong_stop_onset": 0},
+            {"T": 15},
+        ],
+        ids=["defaults", "onset-at-T", "onset-past-T", "onset-0", "wrong-stop-0", "T15"],
+    )
+    def test_driving_situations(self, overrides):
+        for seed in (0, 1):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = DrivingEnv(**overrides).gen_dataset(6, rng_a)
+            b = ScalarDrawDriving(**overrides).gen_dataset(6, rng_b)
+            assert {t.meta["situation"] for t in a} == set(DrivingEnv.SITUATIONS)
+            _same_data_and_generator_state(a, b, rng_a, rng_b)
+
+    def test_lead_profile_braking_before_the_first_step(self):
+        env, ref = DrivingEnv(decel_onset=-5), ScalarDrawDriving(decel_onset=-5)
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        for ped in (True, False):
+            assert np.array_equal(env.gen_env_profile(rng_a, ped, 1.0), ref.gen_env_profile(rng_b, ped, 1.0))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_unicycle_expert_with_retries(self):
+        # at T=16 and this seed, two demonstrations fail the vetting once
+        for overrides, seed, n in (({}, 7, 30), ({"T": 16}, 16, 20)):
+            ref = ScalarDrawUnicycle(**overrides)
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = UnicycleEnv(**overrides).gen_expert(n, rng_a)
+            b = ref.gen_expert(n, rng_b)
+            _same_data_and_generator_state(a, b, rng_a, rng_b)
+        assert ref.attempts == n + 2

@@ -26,6 +26,8 @@ from helpers import EQ12_DNF, encode_dnf
 
 CASE1_NAMES = ("dA", "dB", "dC", "dO")
 EQ12_TEXT = "(F[2,14](dA < 1.5) | F[4,12](dB < 0.86)) & F[12,20](dC < 0.69)"
+# how it prints: a negated atom counts robustness 0 as satisfied, so `<=`
+EQ12_PRINTED = "(F[2,14](dA <= 1.5) | F[4,12](dB <= 0.86)) & F[12,20](dC <= 0.69)"
 
 
 def case1_shape(tau=0.01):
@@ -230,7 +232,7 @@ class TestExtraction:
         norm = SignalNorm.identity(4)
         params = encode_dnf(EQ12_DNF, shape, norm)
         f = extract_formula(params, shape, norm, CASE1_NAMES)
-        assert print_formula(f) == EQ12_TEXT
+        assert print_formula(f) == EQ12_PRINTED
 
     def test_denormalization_preserves_sign(self):
         rng = np.random.default_rng(67)

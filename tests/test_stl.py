@@ -28,6 +28,8 @@ import oracle_stl
 
 CASE1_NAMES = ("dA", "dB", "dC", "dO")
 EQ12_TEXT = "(F[2,14](dA < 1.5) | F[4,12](dB < 0.86)) & F[12,20](dC < 0.69)"
+# how it prints: a negated atom counts robustness 0 as satisfied, so `<=`
+EQ12_PRINTED = "(F[2,14](dA <= 1.5) | F[4,12](dB <= 0.86)) & F[12,20](dC <= 0.69)"
 EQ14_TEXT = (
     "(G[45,47](vot > 2.35) & G[20,57](veg > 1.31) & G[24,46](veg < 5.55))"
     " | (F[42,55](vot < 2.94) & F[20,57](veg < 0.01) & G[24,46](veg < 5.55))"
@@ -215,11 +217,11 @@ class TestParse:
 
 class TestPrint:
     def test_not_pred_sugar(self):
-        assert print_formula(Not(pred1(1.0, 1.5))) == "x0 < 1.5"
+        assert print_formula(Not(pred1(1.0, 1.5))) == "x0 <= 1.5"
 
     def test_eq12_display(self):
         f = parse(EQ12_TEXT, CASE1_NAMES)
-        assert print_formula(f) == EQ12_TEXT
+        assert print_formula(f) == EQ12_PRINTED
 
     def test_nested_or_in_and_parenthesized(self):
         f = And((Or((pred1(1, 0), pred1(1, 1))), pred1(1, 2)))
