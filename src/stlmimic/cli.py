@@ -211,10 +211,12 @@ def _env_pool(ck: Checkpoint, env, data_path) -> list:
     augmented dataset. Empty for an environment without them."""
     if env.n_env == 0:
         return []
-    path = data_path or ck.extra.get("augmented_dataset")
-    if not path or not os.path.exists(path):
-        raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories")
-    return original_env_pool(dataio.load_dataset(path), env)
+    if data_path is None:
+        data_path = ck.extra.get("augmented_dataset")
+        if not data_path or not os.path.exists(data_path):
+            gone = f"; the checkpoint's dataset {data_path} does not exist" if data_path else ""
+            raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
+    return original_env_pool(dataio.load_dataset(data_path), env)
 
 
 # --- commands -------------------------------------------------------------------

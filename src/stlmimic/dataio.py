@@ -147,8 +147,12 @@ def save_dataset(ds: Dataset, path: str) -> str:
 
 
 def load_dataset(path: str) -> Dataset:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"{path}: cannot read dataset: {exc.strerror}") from exc
     trajectories = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -3,9 +3,12 @@ scripted behaviors standing in for the unknown environment distribution,
 the batched closed-loop rollout, and expert dataset generation.
 
 Instances are stateless after construction; stepping and sampling are pure
-given their inputs. The dynamics, the inference maps and the rollout are
-written once over batches and run on plain arrays or on tape nodes, so
-training differentiates through the same code that generates data.
+given their inputs. The dynamics and the policy run on plain arrays over
+batches. When policy parameters are tape nodes, `rollout` records the whole
+closed loop as one tape op: its forward is the same array code that
+generates data, and its backward is backpropagation through time (BPTT)
+over the steps it kept, through each environment's `step_partials`. The
+inference maps run on arrays or tape nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ import numpy as np
 from . import stl, tape
 from .dataio import Dataset, InconsistentHorizon, LabeledTrajectory
 from .inference import SignalNorm
-from .policy import ControlBox, PolicyParams, policy_step, zero_hidden
+from .policy import (
+    ControlBox,
+    PolicyParams,
+    cell_vjp,
+    param_grads,
+    policy_step,
+    squash_slope,
+    zero_hidden,
+)
 
 
 class ExpertFailure(RuntimeError):
@@ -51,16 +62,37 @@ def _wrap_angle(a: float) -> float:
 def unicycle_step(x, u):
     """(px, py, heading) advanced by controls (speed, turn rate); x is
     (..., 3) and u is (..., 2)."""
-    x, u = tape.asarray(x), tape.asarray(u)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     th, v = x[..., 2], u[..., 0]
-    return x + tape.stack([v * tape.cos(th), v * tape.sin(th), u[..., 1]], axis=-1)
+    return x + np.stack([v * np.cos(th), v * np.sin(th), u[..., 1]], axis=-1)
+
+
+def unicycle_partials(x, u):
+    """Jacobians of unicycle_step with respect to x (..., 3, 3) and u
+    (..., 3, 2); entry [i, j] is d x'_i / d x_j (or d u_j)."""
+    th, v = x[..., 2], u[..., 0]
+    c, s = np.cos(th), np.sin(th)
+    one, zero = np.ones_like(th), np.zeros_like(th)
+    jx = np.stack([one, zero, -v * s, zero, one, v * c, zero, zero, one], axis=-1)
+    ju = np.stack([c, zero, s, zero, zero, one], axis=-1)
+    return jx.reshape(th.shape + (3, 3)), ju.reshape(th.shape + (3, 2))
 
 
 def ego_step(x, a):
     """Double integrator: position += velocity; velocity += acceleration.
     x is (..., 2) and a broadcasts against x[..., 0]."""
-    x = tape.asarray(x)
-    return x + tape.stack([x[..., 1], a], axis=-1)
+    x = np.asarray(x, dtype=float)
+    return x + np.stack([x[..., 1], a], axis=-1)
+
+
+def ego_partials(x):
+    """Jacobians of ego_step at states x (..., 2) with respect to x
+    (..., 2, 2) and to a (..., 2, 1); constant, since the integrator is
+    linear."""
+    lead = np.shape(x)[:-1]
+    jx = np.broadcast_to(np.array([[1.0, 1.0], [0.0, 1.0]]), lead + (2, 2))
+    ja = np.broadcast_to(np.array([[0.0], [1.0]]), lead + (2, 1))
+    return jx, ja
 
 
 def preprocess_distances(raw, regions):
@@ -124,6 +156,9 @@ class UnicycleEnv:
 
     def step(self, x, u):
         return unicycle_step(x, u)
+
+    def step_partials(self, x, u):
+        return unicycle_partials(x, u)
 
     def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.init_lo, self.init_hi)
@@ -269,6 +304,9 @@ class DrivingEnv:
     def step(self, x, u):
         return ego_step(x, u[..., 0])
 
+    def step_partials(self, x, u):
+        return ego_partials(x)
+
     def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([rng.uniform(*self.init_pos), 0.0])
 
@@ -367,22 +405,56 @@ def make_env(name: str, **overrides):
 def rollout(env, params: PolicyParams, x0s, env_trajs):
     """Closed-loop raw trajectories (N, T+1, n_a + n_e) from N initial
     agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
-    one batched policy step per time step. The policy parameters may be
-    tape nodes."""
+    one batched policy step per time step. When any policy parameter is a
+    tape node, the result is one tape node whose backward pass is BPTT
+    into those parameters."""
     x = np.asarray(x0s, dtype=float)
     env_trajs = np.asarray(env_trajs, dtype=float)
     if env_trajs.shape[1] != env.T + 1:
         raise InconsistentHorizon(
             f"environment trajectories have {env_trajs.shape[1]} rows, need {env.T + 1}"
         )
-    h = zero_hidden(params)
-    rows = [np.concatenate([x, env_trajs[:, 0]], axis=1)]
+    groups = vars(params)
+    nodes = {k: v for k, v in groups.items() if isinstance(v, tape.Node)}
+    pol = PolicyParams(**{k: tape.value(v) for k, v in groups.items()})
+    n, n_a = x.shape
+    out = np.empty((n, env.T + 1, n_a + env_trajs.shape[2]))
+    out[:, :, n_a:] = env_trajs
+    out[:, 0, :n_a] = x
+    h = zero_hidden(pol)
+    if nodes:  # what the backward pass reads, time-major
+        xins = np.empty((env.T, n, out.shape[2]))
+        hs = np.zeros((env.T + 1, n, pol.hidden))
+        ss = np.empty((env.T, n, env.control_box.dim))
+        us = np.empty_like(ss)
     for t in range(env.T):
-        u, h = policy_step(params, env.state_norm.apply(rows[t]), h, env.control_box)
+        xin = env.state_norm.apply(out[:, t])
+        u, h, s = policy_step(pol, xin, h, env.control_box)
         x = env.step(x, u)
-        finite = np.isfinite(tape.value(x)).all(axis=1)
+        finite = np.isfinite(x).all(axis=1)
         if not finite.all():
-            bad = tape.value(x)[np.argmin(finite)]
-            raise NonFiniteState(f"state diverged at step {t + 1}: {bad}")
-        rows.append(tape.concatenate([x, env_trajs[:, t + 1]], axis=1))
-    return tape.stack(rows, axis=1)
+            raise NonFiniteState(f"state diverged at step {t + 1}: {x[np.argmin(finite)]}")
+        out[:, t + 1, :n_a] = x
+        if nodes:
+            xins[t], hs[t + 1], ss[t], us[t] = xin, h, s, u
+    if not nodes:
+        return out
+
+    def vjp(g):
+        # adjoints of the agent states, time-major (T+1, N, n_a)
+        gxs = g[:, :, :n_a].transpose(1, 0, 2)
+        jx, ju = env.step_partials(out[:, :-1, :n_a].transpose(1, 0, 2), us)
+        jy = ju * squash_slope(ss, env.control_box)[:, :, None, :]  # through the squash
+        halfrange = np.asarray(env.state_norm.halfrange)[:n_a]
+        gys = np.empty_like(ss)
+        gas = np.empty_like(hs[1:])
+        gx, gh = gxs[env.T], np.zeros((n, pol.hidden))
+        for t in range(env.T - 1, -1, -1):
+            gys[t] = gy = (gx[:, None, :] @ jy[t])[:, 0]
+            gxin, gh, gas[t] = cell_vjp(pol, hs[t + 1], gy, gh)
+            # x_t reaches x_{t+1} through the step, and the cell through the normalisation
+            gx = (gx[:, None, :] @ jx[t])[:, 0] + gxin[:, :n_a] / halfrange + gxs[t]
+        grads = param_grads(xins, hs, gys, gas)
+        return [grads[k] for k in nodes]
+
+    return tape.Node(out, tuple(nodes.values()), vjp)

@@ -295,12 +295,6 @@ def combined_smooth(X, params, shape, rule: Formula | None, tau=None):
     return tape.smin(tape.stack([net, stl.robustness_trace(X, rule, tau)[:, 0]]), tau, 0)
 
 
-def classify(x_norm: np.ndarray, params: InferenceParams, shape: NetworkShape, tau=None) -> int:
-    """+1 iff the smooth score is >= 0, else -1."""
-    score = smooth_robustness(x_norm[None, :, :], params, shape, tau)[0]
-    return 1 if score >= 0.0 else -1
-
-
 # --- formula extraction -------------------------------------------------------
 
 

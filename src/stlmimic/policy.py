@@ -2,8 +2,10 @@
 
 A single Elman-style cell: h' = tanh(W_in x + W_rec h + b); the output
 head maps h' through tanh onto the box interior, so control constraints
-hold for every parameter setting. The one step function runs on plain
-arrays (rollouts) or on tape nodes (training).
+hold for every parameter setting. The step runs on plain arrays only.
+Training differentiates whole rollouts through `envs.rollout`, whose
+backward pass uses the step's partials below (`cell_vjp`,
+`squash_slope`, `param_grads`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
 from .tape import ParamVector
 
 
@@ -95,12 +96,43 @@ def zero_hidden(params: PolicyParams) -> np.ndarray:
 
 def policy_step(params: PolicyParams, x, h, box: ControlBox):
     """One control step for a state x of shape (n,) or a batch (N, n),
-    with hidden state h of shape (H,) or (N, H); returns (u, h')."""
-    h_new = tape.tanh(x @ params.w_in.T + h @ params.w_rec.T + params.b_h)
-    y = h_new @ params.w_out.T + params.b_out
+    with hidden state h of shape (H,) or (N, H); returns (u, h', s), where
+    s = tanh(y) is the head's output before it is scaled into the box."""
+    h_new = np.tanh(x @ params.w_in.T + h @ params.w_rec.T + params.b_h)
+    s = np.tanh(h_new @ params.w_out.T + params.b_out)
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
-    # lo + (hi - lo) * (tanh(y) + 1) / 2, strictly inside the box
+    # lo + (hi - lo) * (s + 1) / 2, strictly inside the box
     half = 0.5 * (hi - lo)
-    u = tape.tanh(y) * half + (lo + half)
-    return u, h_new
+    return s * half + (lo + half), h_new, s
+
+
+def squash_slope(s, box: ControlBox):
+    """du/dy of the box squash at head outputs s = tanh(y)."""
+    return 0.5 * (np.asarray(box.hi) - np.asarray(box.lo)) * (1.0 - s * s)
+
+
+def cell_vjp(params: PolicyParams, h_new, gy, gh):
+    """Backward of one step's cell and head, for batches: from the adjoints
+    gy of the head's pre-activation y and gh of h' to (gx, gh_prev, ga),
+    the adjoints of the step's input x, of its previous hidden state and
+    of the cell's pre-activation."""
+    ga = (gh + gy @ params.w_out) * (1.0 - h_new * h_new)
+    return ga @ params.w_in, ga @ params.w_rec, ga
+
+
+def param_grads(xs, hs, gys, gas) -> dict:
+    """Gradients of the five parameter groups, summed over steps and batch
+    rows: xs (..., n) are the cell inputs, hs (T+1, ..., H) the hidden
+    states from h_0 on, gys (..., m) and gas (..., H) the per-step
+    adjoints of the head's and the cell's pre-activations."""
+    n, hidden, m = xs.shape[-1], hs.shape[-1], gys.shape[-1]
+    ga = gas.reshape(-1, hidden)
+    gy = gys.reshape(-1, m)
+    return {
+        "w_in": ga.T @ xs.reshape(-1, n),
+        "w_rec": ga.T @ hs[:-1].reshape(-1, hidden),
+        "b_h": ga.sum(axis=0),
+        "w_out": gy.T @ hs[1:].reshape(-1, hidden),
+        "b_out": gy.sum(axis=0),
+    }

@@ -6,8 +6,10 @@ broadcasting undone. `backward` runs one reverse sweep in creation order,
 which is topological by construction. Every op accepts plain arrays and
 numbers alongside nodes: with no node among its operands it returns a
 plain ndarray and records nothing, and with one it computes the same value
-by the same numpy call. So each model layer is written once and serves
-both value-only evaluation and differentiation.
+by the same numpy call. So each classifier and STL layer is written once
+and serves both value-only evaluation and differentiation. A caller may
+also record a whole computation as one node with a hand-written VJP, as
+`envs.rollout` does for the closed loop of dynamics and policy.
 
 Graphs are single-owner while being built and swept; independent graphs
 may live on different threads.
@@ -184,24 +186,12 @@ def _sqrt_slope(x, r):
     return np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
 
 
-def tanh(x):
-    return _unary(x, np.tanh, lambda x, t: 1.0 - t * t)
-
-
 def sigmoid(x):
     return _unary(x, _sigmoid_value, lambda x, s: s * (1.0 - s))
 
 
 def sqrt(x):
     return _unary(x, np.sqrt, _sqrt_slope)
-
-
-def cos(x):
-    return _unary(x, np.cos, lambda x, c: -np.sin(x))
-
-
-def sin(x):
-    return _unary(x, np.sin, lambda x, s: np.cos(x))
 
 
 def relu(x):

@@ -218,6 +218,19 @@ class TestEval:
         code = main(["eval", "--formula", str(tmp_path / "nope.txt"), "--data", str(tmp_path / "nope.jsonl")])
         assert code == EXIT_DATA
 
+    def test_data_directory_is_data_error_naming_it(self, trained, tmp_path, capsys):
+        # eval, extract and train all read --data; a directory there is bad input
+        root, data, config, ckpt = trained
+        run_dir = ckpt.parent
+        for argv in (
+            ["eval", "--formula", str(run_dir / "formula.txt")],
+            ["extract", "--ckpt", str(ckpt), "--out", str(tmp_path / "f.txt")],
+            ["train", "--config", str(config), "--out", str(tmp_path / "run" / "ckpt.json")],
+        ):
+            assert main(argv + ["--data", str(run_dir)]) == EXIT_DATA, argv[0]
+            assert str(run_dir) in capsys.readouterr().err, argv[0]
+        assert not (tmp_path / "f.txt").exists() and not (tmp_path / "run").exists()
+
 
 class TestExtract:
     def test_writes_parseable_formula(self, trained, tmp_path):
@@ -389,6 +402,19 @@ class TestEnvironmentPool:
             assert main(argv) == EXIT_DATA, argv[0]
             assert "need --data" in capsys.readouterr().err
         assert not adj.exists()
+
+    def test_missing_or_directory_data_path_is_named(self, trained_driving, tmp_path, capsys):
+        root, data, config, ckpt = trained_driving
+        adj = tmp_path / "adj" / "ckpt.json"
+        for bad in (tmp_path / "nope.jsonl", root):
+            for argv in (
+                ["rollout", "--ckpt", str(ckpt), "--n", "2", "--out", str(tmp_path / "r.csv")],
+                ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--out", str(adj)],
+            ):
+                assert main(argv + ["--data", str(bad)]) == EXIT_DATA, argv[0]
+                err = capsys.readouterr().err
+                assert str(bad) in err and "need --data" not in err, (argv[0], err)
+        assert not adj.exists() and not (tmp_path / "r.csv").exists()
 
     def test_adjust_retrain_reads_the_dataset_once(self, trained_driving, tmp_path, monkeypatch):
         root, data, config, ckpt = trained_driving

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stlmimic import stl
+from stlmimic import stl, tape
 from stlmimic.envs import (
     DrivingEnv,
     NonFiniteState,
@@ -130,6 +132,47 @@ class TestRollout:
         params = init_policy(PolicyShape(4, 4, 1), seed=0)
         with pytest.raises(NonFiniteState, match="step 1:"):
             rollout(Exploding(), params, np.array([[0.0, 0.0]]), np.zeros((1, 58, 2)))
+
+
+class TestRolloutOp:
+    """The rollout on tape nodes is one op: its forward is the value path,
+    and its hand-written backward matches central differences."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        env_name=st.sampled_from(["unicycle", "driving"]),
+        horizon=st.integers(2, 8),
+        batch=st.integers(1, 4),
+        hidden=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_equals_value_path_and_gradient_matches_fd(
+        self, env_name, horizon, batch, hidden, seed
+    ):
+        env = make_env(env_name, T=horizon)
+        rng = np.random.default_rng(seed)
+        params = init_policy(
+            PolicyShape(env.n_agent + env.n_env, hidden, env.control_box.dim), rng
+        )
+        x0s = np.stack([env.sample_initial(rng) for _ in range(batch)])
+        if env.n_env:
+            env_trajs = np.stack(
+                [env.gen_env_profile(rng, bool(rng.integers(2)), 8.0) for _ in range(batch)]
+            )
+        else:
+            env_trajs = np.zeros((batch, horizon + 1, 0))
+        weights = rng.normal(size=(batch, horizon + 1, env.n_agent + env.n_env))
+        pv = params.to_pv()
+
+        node = rollout(env, PolicyParams.from_leaves(pv.leaves()), x0s, env_trajs)
+        assert isinstance(node, tape.Node)
+        assert np.array_equal(node.value, rollout(env, params, x0s, env_trajs))
+
+        def f(leaves):
+            raw = rollout(env, PolicyParams.from_leaves(leaves), x0s, env_trajs)
+            return tape.sum(raw * weights)
+
+        assert finite_diff_check(f, pv, h=1e-5) < 1e-4
 
 
 class TestUnicycleExpert:

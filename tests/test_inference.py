@@ -7,7 +7,6 @@ from stlmimic.inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
-    classify,
     combined_smooth,
     exact_mcr,
     extract_formula,
@@ -139,11 +138,11 @@ class TestClassify:
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.01)
         norm = SignalNorm.identity(1)
         params = encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
-        assert classify(np.full((4, 1), 0.3), params, shape) == 1
-        assert classify(np.full((4, 1), -0.3), params, shape) == -1
-        # the boundary counts as positive, matching exact satisfaction
-        sat_zero = smooth_robustness(np.zeros((1, 4, 1)), params, shape)[0]
-        assert (1 if sat_zero >= 0 else -1) == 1
+        X = np.array([0.3, -0.3, 0.0])[:, None, None] * np.ones((3, 4, 1))
+        scores = smooth_robustness(X, params, shape)
+        # a score >= 0 classifies as positive; the boundary counts as
+        # positive, matching exact satisfaction
+        assert scores[0] > 0.0 and scores[1] < 0.0 and scores[2] >= 0.0
 
 
 class TestInjectedRule:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from stlmimic import tape
+from stlmimic.envs import UnicycleEnv, rollout
 from stlmimic.policy import (
     ControlBox,
     PolicyParams,
@@ -30,13 +32,13 @@ BOX = ControlBox((-1.0, 0.0), (1.0, 2.0))
 class TestStep:
     def test_zero_weights_give_box_midpoint(self):
         params = zero_params()
-        u, h = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
+        u, h, _ = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
         assert np.allclose(u, [0.0, 1.0])
 
     def test_saturation_approaches_bounds(self):
         params = zero_params()
         params.b_out = np.array([50.0, -50.0])
-        u, _ = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
+        u, _, _ = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
         assert u[0] == pytest.approx(1.0, abs=1e-9)
         assert u[1] == pytest.approx(0.0, abs=1e-9)
         assert BOX.lo[0] < u[0] <= BOX.hi[0] and BOX.lo[1] <= u[1] < BOX.hi[1]
@@ -45,8 +47,8 @@ class TestStep:
         params = init_policy(PolicyShape(3, 8, 2), seed=5)
         x = np.array([0.3, -0.2, 0.9])
         h = np.full(8, 0.1)
-        u1, h1 = policy_step(params, x, h, BOX)
-        u2, h2 = policy_step(params, x, h, BOX)
+        u1, h1, _ = policy_step(params, x, h, BOX)
+        u2, h2, _ = policy_step(params, x, h, BOX)
         assert np.array_equal(u1, u2) and np.array_equal(h1, h2)
 
     def test_control_always_interior(self):
@@ -54,7 +56,7 @@ class TestStep:
         params = init_policy(PolicyShape(3, 8, 2), seed=1)
         h = zero_hidden(params)
         for _ in range(200):
-            u, h = policy_step(params, rng.uniform(-5, 5, 3), h, BOX)
+            u, h, _ = policy_step(params, rng.uniform(-5, 5, 3), h, BOX)
             assert np.all(u > BOX.lo) and np.all(u < BOX.hi)
 
     def test_history_dependence(self):
@@ -67,10 +69,10 @@ class TestStep:
         box = ControlBox((-1.0,), (1.0,))
         h = np.zeros(1)
         for x in (0.9, 0.9):  # history A: large past inputs
-            u_a, h = policy_step(params, np.array([x]), h, box)
+            u_a, h, _ = policy_step(params, np.array([x]), h, box)
         h2 = np.zeros(1)
         for x in (-0.9, 0.9):  # history B: same final input
-            u_b, h2 = policy_step(params, np.array([x]), h2, box)
+            u_b, h2, _ = policy_step(params, np.array([x]), h2, box)
         assert abs(u_a[0] - u_b[0]) > 1e-3
 
     def test_batch_rows_match_single_steps(self):
@@ -78,9 +80,9 @@ class TestStep:
         rng = np.random.default_rng(12)
         xs = rng.uniform(-1, 1, size=(4, 3))
         hs = rng.uniform(-0.5, 0.5, size=(4, 6))
-        u_b, h_b = policy_step(params, xs, hs, BOX)
+        u_b, h_b, _ = policy_step(params, xs, hs, BOX)
         for i in range(4):
-            u_i, h_i = policy_step(params, xs[i], hs[i], BOX)
+            u_i, h_i, _ = policy_step(params, xs[i], hs[i], BOX)
             assert np.allclose(u_b[i], u_i, atol=1e-12)
             assert np.allclose(h_b[i], h_i, atol=1e-12)
 
@@ -106,19 +108,17 @@ class TestInit:
 
 class TestGradients:
     def test_fd_through_three_recurrent_steps(self):
-        params = init_policy(PolicyShape(2, 4, 1), seed=13)
+        # the policy's gradient reaches it through a 3-step closed-loop
+        # rollout, whose backward pass is hand-written BPTT
+        env = UnicycleEnv(T=3)
+        params = init_policy(PolicyShape(3, 4, 2), seed=13)
         pv = params.to_pv()
-        box = ControlBox((-1.0,), (1.0,))
-        xs = [[0.3, -0.1], [0.0, 0.4], [-0.2, 0.2]]
+        x0s = np.array([[0.3, -0.1, 0.2], [0.0, 0.4, 1.1]])
+        weights = np.random.default_rng(14).normal(size=(2, 4, 3))
 
         def f(leaves):
-            params = PolicyParams.from_leaves(leaves)
-            h = np.zeros(4)
-            acc = 0.0
-            for x in xs:
-                u, h = policy_step(params, np.array(x), h, box)
-                acc = acc + u[0]
-            return acc
+            raw = rollout(env, PolicyParams.from_leaves(leaves), x0s, np.zeros((2, 4, 0)))
+            return tape.sum(raw * weights)
 
         assert finite_diff_check(f, pv, h=1e-5) < 1e-4
 

@@ -15,7 +15,6 @@ from stlmimic.tape import (
     sigmoid,
     smax,
     smin,
-    tanh,
 )
 
 
@@ -58,7 +57,6 @@ class TestPrimitives:
         before = next(tape._COUNTER)
         x = np.array([0.3, -0.2])
         outs = [
-            tanh(x),
             sigmoid(x),
             relu(x),
             tape.sqrt(np.abs(x)),
@@ -108,11 +106,12 @@ class TestBackward:
         backward(y)
         assert x.grad == 6.0
 
-    def test_tanh_at_zero(self):
+    def test_sigmoid_at_zero(self):
         x = Node(0.0)
-        y = tanh(x)
+        y = sigmoid(x)
         backward(y)
-        assert x.grad == 1.0
+        assert y.value == 0.5
+        assert x.grad == 0.25
 
     def test_unreachable_parameter_gets_zero(self):
         x = Node(3.0)
@@ -135,7 +134,7 @@ class TestBackward:
             xs = Node(rng.uniform(-1, 1, size=20))
             h = smax(xs, 0.3, axis=0)
             g = smin(h * xs + sigmoid(xs), 0.5, axis=0)
-            out = tanh(g) * (xs[:5] @ xs[5:10] + h)
+            out = sigmoid(g) * (xs[:5] @ xs[5:10] + h)
             backward(out)
             return xs.grad.tolist()
 
@@ -182,7 +181,7 @@ class TestBackward:
             prod = tape.transpose(a @ b, (0, 2, 1))  # (2, 5, 4)
             picked = prod[:, [0, 0, 3], 1:]  # repeated rows
             joined = tape.concatenate([picked, prod[:, None, 4, 1:]], axis=1)  # (2, 4, 3)
-            return tape.mean(tanh(joined) * b[0, None, 2:] @ np.ones(3))
+            return tape.mean(sigmoid(joined) * b[0, None, 2:] @ np.ones(3))
 
         assert finite_diff_check(f, pv) < 1e-8
 
@@ -222,7 +221,7 @@ class TestFiniteDiff:
 
         def f(leaves):
             w, b = leaves["w"], leaves["b"]
-            h1 = tanh(w[:3] @ np.array([0.3, -0.2, 0.9]) + b[0])
+            h1 = sigmoid(w[:3] @ np.array([0.3, -0.2, 0.9]) + b[0])
             h2 = sigmoid(w[3:] @ tape.stack([h1, 0.4, -1.1]) + b[1])
             return smin(tape.stack([h1, h2, h1 * h2]), 0.3, 0) + smax(tape.stack([h1, -0.2]), 0.5, 0)
 
@@ -259,8 +258,8 @@ class TestFiniteDiff:
         x_in = rng.uniform(-1, 1, size=2)
 
         def f(leaves):
-            h1 = tanh(leaves["w1"] @ x_in)
-            h2 = tanh(leaves["w2"] @ h1)
+            h1 = sigmoid(leaves["w1"] @ x_in)
+            h2 = sigmoid(leaves["w2"] @ h1)
             return leaves["w3"] @ h2
 
         assert finite_diff_check(f, pv, h=1e-5) < 1e-4
