@@ -31,6 +31,7 @@ from .inference import (
 from .policy import PolicyParams
 from .tape import NonFiniteValue, ParamVector
 from .train import (
+    GENERATED_SOURCE,
     GanConfig,
     InferenceTrainConfig,
     PolicyTrainConfig,
@@ -163,13 +164,7 @@ def _write_metrics(rows, path: str, digest: str) -> None:
 def _checkpoint_from_result(run: Run, result, dataset_path: str, digest: str) -> Checkpoint:
     return Checkpoint(
         env=run.env.config(),
-        shape={
-            "n_pred": run.shape.n_pred,
-            "n_conj": run.shape.n_conj,
-            "horizon": run.shape.horizon,
-            "dim": run.shape.dim,
-            "tau": run.shape.tau,
-        },
+        shape=dataclasses.asdict(run.shape),
         inference_groups=result.inference.to_pv().to_jsonable(),
         margin=float(result.margin),
         policy_groups=result.policy.to_pv().to_jsonable(),
@@ -195,14 +190,51 @@ def _load_ckpt_parts(path: str):
         raise dataio.ParseError(f"{path}: no trained classifier (inference_groups or norm is empty)")
     run = Run(ck.config)
     env = run.env
-    shape = NetworkShape(**ck.shape)
-    inf = InferenceParams.from_pv(ParamVector.from_jsonable(ck.inference_groups))
-    pol = PolicyParams.from_pv(ParamVector.from_jsonable(ck.policy_groups))
+    try:
+        shape = NetworkShape(**ck.shape)
+    except (TypeError, ValueError) as exc:
+        raise dataio.ParseError(f"{path}: bad shape {ck.shape!r}: {exc}") from exc
+    if (shape.horizon, shape.dim) != (env.T, len(env.inference_names)):
+        raise dataio.ParseError(
+            f"{path}: shape has horizon {shape.horizon} and dim {shape.dim}, but the"
+            f" {env.name} environment has {env.T} and {len(env.inference_names)}"
+        )
+    n_pred, n_atoms, n_conj, dim = shape.n_pred, shape.n_atoms, shape.n_conj, shape.dim
+    inf_shapes = {
+        "pred_w": (n_pred, dim),
+        "pred_b": (n_pred,),
+        "win_lo": (n_atoms,),
+        "win_hi": (n_atoms,),
+        "gate": (n_conj, n_atoms),
+        "out_gate": (n_conj,),
+    }
+    n_in, h, m = env.n_agent + env.n_env, run.policy.hidden, env.control_box.dim
+    pol_shapes = {"w_in": (h, n_in), "w_rec": (h, h), "b_h": (h,), "w_out": (m, h), "b_out": (m,)}
+    inf = InferenceParams.from_pv(_param_groups(path, "inference_groups", ck.inference_groups, inf_shapes))
+    pol = PolicyParams.from_pv(_param_groups(path, "policy_groups", ck.policy_groups, pol_shapes))
+    _param_groups(path, "norm", ck.norm, {"mid": (dim,), "halfrange": (dim,)})
     norm = SignalNorm.from_jsonable(ck.norm)
     rule = (
         stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
     )
     return ck, run, env, shape, inf, pol, norm, rule
+
+
+def _param_groups(path: str, key: str, groups, shapes: dict) -> ParamVector:
+    """The checkpoint's `key` entry as real arrays, if it holds exactly the
+    named groups with the given shapes."""
+    if not isinstance(groups, dict) or set(groups) != set(shapes):
+        raise dataio.ParseError(f"{path}: {key} must hold exactly the groups {sorted(shapes)}")
+    try:
+        pv = ParamVector.from_jsonable(groups)
+    except (TypeError, ValueError) as exc:
+        raise dataio.ParseError(f"{path}: {key}: {exc}") from exc
+    for name, want in shapes.items():
+        if pv.groups[name].shape != want:
+            raise dataio.ParseError(
+                f"{path}: {key} group {name} has shape {pv.groups[name].shape}, expected {want}"
+            )
+    return pv
 
 
 def _env_pool(ck: Checkpoint, env, data_path) -> list:
@@ -303,7 +335,7 @@ def cmd_train(args) -> int:
         t.meta.setdefault("config_digest", run.digest)
     aug_digest = dataio.save_dataset(result.dataset, aug_path)
     negatives = Dataset(
-        [t for t in result.full_dataset if t.meta.get("source") == "policy_rollout"]
+        [t for t in result.full_dataset if t.meta.get("source") == GENERATED_SOURCE]
     )
     neg_path = os.path.join(out_dir, "negatives.jsonl")
     dataio.save_dataset(negatives, neg_path)
@@ -344,7 +376,7 @@ def cmd_eval(args) -> int:
     ds = dataio.load_dataset(args.data)
     if len(ds) == 0:
         raise dataio.ParseError(f"{args.data}: empty dataset")
-    with open(args.formula, "r", encoding="utf-8") as fh:
+    with dataio.open_input(args.formula, "formula") as fh:
         text = fh.read().strip()
     f = stl.parse(text, ds.dim_names)
     labels = ds.labels()
@@ -407,18 +439,11 @@ def cmd_adjust(args) -> int:
         raise RuntimeError("the classifier changed while the policy retrained")
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    ck2 = Checkpoint(
-        env=ck.env,
-        shape=ck.shape,
-        inference_groups=ck.inference_groups,
-        margin=ck.margin,
+    ck2 = dataclasses.replace(
+        ck,
         policy_groups=pol.to_pv().to_jsonable(),
-        norm=ck.norm,
         rule_text=rule_text,
-        gan_iteration=ck.gan_iteration,
         rng_state=None,
-        dataset_digest=ck.dataset_digest,
-        config=ck.config,
         extra={**ck.extra, "adjusted_from": os.path.abspath(args.ckpt)},
     )
     dataio.save_checkpoint(ck2, args.out)

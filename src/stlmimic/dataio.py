@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -146,13 +146,18 @@ def save_dataset(ds: Dataset, path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def load_dataset(path: str) -> Dataset:
+def open_input(path: str, what: str):
+    """Open an input file as text; any OSError (missing, a directory,
+    unreadable) becomes a ParseError naming the file."""
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:  # missing, a directory, unreadable
-        raise ParseError(f"{path}: cannot read dataset: {exc.strerror}") from exc
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+
+
+def load_dataset(path: str) -> Dataset:
     trajectories = []
-    with fh:
+    with open_input(path, "dataset") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -210,21 +215,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
-    obj = {
-        "version": ck.version,
-        "env": ck.env,
-        "shape": ck.shape,
-        "inference_groups": ck.inference_groups,
-        "margin": ck.margin,
-        "policy_groups": ck.policy_groups,
-        "norm": ck.norm,
-        "rule_text": ck.rule_text,
-        "gan_iteration": ck.gan_iteration,
-        "rng_state": ck.rng_state,
-        "dataset_digest": ck.dataset_digest,
-        "config": ck.config,
-        "extra": ck.extra,
-    }
+    # shallow: dataclasses.asdict would deep-copy every parameter list
+    obj = {f.name: getattr(ck, f.name) for f in fields(Checkpoint)}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True)
@@ -232,11 +224,11 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, "checkpoint") as fh:
+        try:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict) or "version" not in obj:
         raise ParseError(f"{path}: not a checkpoint document")
     if obj["version"] != CHECKPOINT_VERSION:
@@ -244,20 +236,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: version {obj['version']}, expected {CHECKPOINT_VERSION}"
         )
     try:
-        return Checkpoint(
-            env=obj["env"],
-            shape=obj["shape"],
-            inference_groups=obj["inference_groups"],
-            margin=float(obj["margin"]),
-            policy_groups=obj["policy_groups"],
-            norm=obj["norm"],
-            rule_text=obj["rule_text"],
-            gan_iteration=int(obj["gan_iteration"]),
-            rng_state=obj["rng_state"],
-            dataset_digest=obj["dataset_digest"],
-            config=obj["config"],
-            extra=obj.get("extra", {}),
-        )
+        values = {
+            f.name: obj.get(f.name, {}) if f.name == "extra" else obj[f.name]
+            for f in fields(Checkpoint)
+        }
+        values["margin"] = float(values["margin"])
+        values["gan_iteration"] = int(values["gan_iteration"])
+        return Checkpoint(**values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

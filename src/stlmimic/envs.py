@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stl, tape
 from .dataio import Dataset, InconsistentHorizon, LabeledTrajectory
-from .inference import SignalNorm
+from .inference import SignalNorm, exact_satisfaction
 from .policy import (
     ControlBox,
     PolicyParams,
@@ -237,14 +237,15 @@ class UnicycleEnv:
         return np.array(states)
 
     def gen_expert(self, n: int, rng: np.random.Generator, start_id: int = 0) -> Dataset:
-        """Positive demonstrations, each vetted against task_formula."""
+        """Positive demonstrations, each vetted against task_formula under
+        exact semantics; a sample whose 10 candidates all fail raises
+        ExpertFailure."""
         task = self.task_formula()
         out = []
         for i in range(n):
             for attempt in range(10):
                 raw = self._expert_rollout(rng)
-                sig = stl.Signal(self.inference_map(raw), self.inference_names)
-                if stl.robustness(sig, task, 0) >= 0.0:
+                if exact_satisfaction(task, self.inference_map(raw)[None], self.inference_names)[0]:
                     break
             else:
                 raise ExpertFailure(f"unicycle expert failed 10 attempts at sample {i}")

@@ -285,14 +285,15 @@ def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None):
     return tape.smax(conjs - out_off, tau, axis=1)
 
 
-def combined_smooth(X, params, shape, rule: Formula | None, tau=None):
-    """Network scores, optionally conjoined with an injected rule (in
-    normalized coordinates, smooth robustness at t=0) through a smooth minimum."""
-    tau = shape.tau if tau is None else tau
-    net = smooth_robustness(X, params, shape, tau)
+def combined_smooth(X, params, shape, rule: Formula | None):
+    """Network scores at the shape's temperature, optionally conjoined with
+    an injected rule (in normalized coordinates, smooth robustness at t=0)
+    through a smooth minimum."""
+    net = smooth_robustness(X, params, shape)
     if rule is None:
         return net
-    return tape.smin(tape.stack([net, stl.robustness_trace(X, rule, tau)[:, 0]]), tau, 0)
+    rule_vals = stl.robustness_trace(X, rule, shape.tau)[:, 0]
+    return tape.smin(tape.stack([net, rule_vals]), shape.tau, 0)
 
 
 # --- formula extraction -------------------------------------------------------
@@ -402,9 +403,9 @@ def _deletions(f: Formula):
 
 
 def exact_satisfaction(f: Formula, X: np.ndarray, names) -> np.ndarray:
-    """Whether each signal of the batch X (N, T+1, d), over dimensions
-    `names`, satisfies f at t=0 under exact semantics (robustness exactly
-    0 counts as satisfied)."""
+    """Whether f holds at t=0 on each signal of the batch X (N, T+1, d),
+    over dimensions `names`, under exact semantics (robustness exactly 0
+    counts as satisfied). The package's one Boolean reading of a formula."""
     stl.check_names(f, names)
     return stl.robustness_trace(X, f)[:, 0] >= 0.0
 

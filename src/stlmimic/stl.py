@@ -1,15 +1,17 @@
-"""Signal temporal logic over discrete-time vector signals.
+"""STL (signal temporal logic) over discrete-time vector signals.
 
 Formula trees cover {TRUE, linear predicate, not, and, or, eventually,
 always} with integer time windows. Quantitative semantics (robustness)
-follow the usual min/max recursion; Boolean satisfaction is the sign of
-robustness at t=0, with 0 counting as satisfied.
+follow the usual min/max recursion.
 
-One evaluator, `robustness_trace`, maps a batch of signals to traces of
-robustness per start step: and/or and each F[a,b]/G[a,b] window reduce
-shifted slices of their children's traces, with the hard min/max (exact
-semantics) or with `tape.smin`/`smax` at a temperature (smooth semantics,
-differentiable for rule injection), as in STLCG (arXiv 1910.10309).
+One evaluator, `robustness_trace`, maps a batch (N, T+1, d) of signals to
+traces of robustness per start step: and/or and each F[a,b]/G[a,b] window
+reduce shifted slices of their children's traces, with the hard min/max
+(exact semantics) or with `tape.smin`/`smax` at a temperature (smooth
+semantics, differentiable for rule injection), as in STLCG (arXiv
+1910.10309). It is the package's only STL evaluator. Boolean satisfaction
+is the sign of exact robustness at t=0, with 0 counting as satisfied;
+`inference.exact_satisfaction` applies that rule to a batch.
 
 Everything here is a pure function over immutable values and safe to use
 concurrently.
@@ -119,38 +121,6 @@ class Always:
 
 Formula = TrueFormula | Pred | Not | And | Or | Eventually | Always
 
-_NODE_TYPES = (TrueFormula, Pred, Not, And, Or, Eventually, Always)
-
-
-def is_formula(x) -> bool:
-    return isinstance(x, _NODE_TYPES)
-
-
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """Sampled trajectory: values[t] is the state vector at step t."""
-
-    values: np.ndarray  # (T+1, dim) float
-    dim_names: tuple[str, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError(f"signal values must be (T+1, dim), got {v.shape}")
-        if v.shape[1] != len(self.dim_names):
-            raise DimensionMismatch(
-                f"{v.shape[1]} columns for {len(self.dim_names)} dim names"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 def horizon(f: Formula) -> int:
     """Minimum signal length (in steps beyond t) needed to evaluate f."""
@@ -234,21 +204,6 @@ def _extremum(parts, is_max: bool, tau):
     if tau is None:
         return functools.reduce(np.maximum if is_max else np.minimum, parts)
     return (tape.smax if is_max else tape.smin)(tape.stack(parts), tau, 0)
-
-
-def robustness(s: Signal, f: Formula, t: int = 0) -> float:
-    """Quantitative satisfaction degree of f over s, evaluated at step t."""
-    check_names(f, s.dim_names)
-    if t < 0 or t + horizon(f) > s.horizon:
-        raise HorizonExceeded(
-            f"need steps up to {t + horizon(f)}, signal ends at {s.horizon}"
-        )
-    return float(robustness_trace(s.values[None], f)[0, t])
-
-
-def satisfies(s: Signal, f: Formula) -> bool:
-    """Boolean satisfaction at t=0; robustness exactly 0 counts as satisfied."""
-    return robustness(s, f, 0) >= 0.0
 
 
 def conjoin(f1: Formula, f2: Formula) -> Formula:

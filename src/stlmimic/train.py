@@ -84,24 +84,16 @@ class GanConfig:
 # --- misclassification rate ---------------------------------------------------
 
 
-def mcr(classifier, dataset: Dataset, *, shape=None, norm=None, tau=None, rule=None) -> float:
-    """Fraction of the dataset on the wrong side of the classifier.
-
-    A Formula is scored with exact semantics; InferenceParams with the
-    sign of the smooth robustness (optionally conjoined with `rule`).
-    """
+def mcr(
+    params: InferenceParams, dataset: Dataset, *, shape: NetworkShape, norm: SignalNorm, tau=None
+) -> float:
+    """Fraction of the dataset on the wrong side of the classifier: the
+    sign of its smooth robustness at temperature `tau` (the shape's by
+    default). A formula's exact MCR is `inference.exact_mcr`."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot score an empty dataset")
-    labels = dataset.labels()
-    if stl.is_formula(classifier):
-        return exact_mcr(classifier, dataset.to_array(), dataset.dim_names, labels)
-    if isinstance(classifier, InferenceParams):
-        if shape is None or norm is None:
-            raise ValueError("shape and norm are required to score parameters")
-        X = norm.apply(dataset.to_array())
-        vals = combined_smooth(X, classifier, shape, rule, tau)
-        return float(np.mean((vals >= 0.0) != (labels > 0)))
-    raise TypeError(f"cannot score {type(classifier).__name__}")
+    vals = smooth_robustness(norm.apply(dataset.to_array()), params, shape, tau)
+    return float(np.mean((vals >= 0.0) != (dataset.labels() > 0)))
 
 
 # --- inference loss -------------------------------------------------------------
@@ -296,7 +288,7 @@ class Adam:
         return x - self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, tau=None):
+def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
     """Mean smooth robustness of closed-loop rollouts of the policy from
     `samples` (initial states, environment trajectories), optionally
     conjoined with a rule in raw units. Differentiable in whatever is a
@@ -306,7 +298,7 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, t
     raw = rollout(env, policy, x0s, env_trajs)
     X = norm.apply(env.inference_map(raw))
     rule_n = normalize_formula(rule, norm) if rule is not None else None
-    return tape.mean(combined_smooth(X, inf_params, shape, rule_n, tau))
+    return tape.mean(combined_smooth(X, inf_params, shape, rule_n))
 
 
 def _draw_samples(env, env_pool, m, rng):
@@ -332,7 +324,6 @@ def train_policy(
     shape: NetworkShape,
     norm: SignalNorm,
     rule=None,
-    tau=None,
 ) -> PolicyParams:
     """Ascend the rollout objective with Adam; initial states and
     environment trajectories are re-drawn fresh at every step.
@@ -346,7 +337,7 @@ def train_policy(
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
         leaves = pv.with_flat(flat).leaves()
         obj = policy_objective(
-            PolicyParams.from_leaves(leaves), inf_params, env, samples, shape, norm, rule, tau
+            PolicyParams.from_leaves(leaves), inf_params, env, samples, shape, norm, rule
         )
         backward(obj)
         grad = pv.grads(leaves).flatten()
@@ -426,7 +417,7 @@ def gan_loop(
         raise EmptyDataset("need at least one demonstration")
     # Environment trajectories are drawn from the original dataset only, so
     # generated agent behavior never contaminates the environment model.
-    env_pool = [t.env for t in dataset0] if env.n_env > 0 else []
+    env_pool = original_env_pool(dataset0, env)
     norm = SignalNorm.from_arrays([t.full() for t in dataset0])
     names = dataset0.dim_names
 
@@ -485,8 +476,9 @@ def gan_loop(
             inf_params, dataset, shape=shape, norm=norm, tau=inf_cfg.tau_eval
         )
         formula = extract_formula(inf_params, shape, norm, names)
-        formula = simplify(formula, dataset.to_array(), names, dataset.labels())
-        mcr_exact_val = mcr(formula, dataset)
+        X, labels = dataset.to_array(), dataset.labels()
+        formula = simplify(formula, X, names, labels)
+        mcr_exact_val = exact_mcr(formula, X, names, labels)
         log.info(
             "iteration %d: smooth MCR %.4f, exact MCR %.4f, loss %.4f",
             it,

@@ -1,12 +1,14 @@
 """Independent semantics oracles and random generators for the test suite.
 
 Kept deliberately separate from the package, so agreement is a meaningful
-check. Both compute robustness bottom-up as a trace, but differently:
-here one signal at a time, predicates as a matrix product, and each
-window reduced by a Python loop over its start steps; the package reduces
-shifted slices of the child traces across a whole batch and sums each
-predicate term by term. `bool_sat` stays top-down Boolean semantics with
-no robustness involved.
+check. The package has one exact evaluator, `stl.robustness_trace`, and
+`robustness_trace` here checks it. Both compute robustness bottom-up as a
+trace, but differently: here one signal (T+1, d) at a time, predicates as
+a matrix product, and each window reduced by a Python loop over its start
+steps; the package reduces shifted slices of the child traces across a
+whole batch (N, T+1, d) and sums each predicate term by term. `bool_sat`
+stays top-down Boolean semantics with no robustness involved. Random
+signals are plain (length, d) arrays.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ def robustness_trace(vals: np.ndarray, f) -> np.ndarray:
             [reduce(inner[t + t1 : t + t2 + 1]) for t in range(out_len)]
         )
     raise TypeError(f"not a formula: {f!r}")
-
-
-def brute_robustness(signal: stl.Signal, f, t: int = 0) -> float:
-    return float(robustness_trace(signal.values, f)[t])
 
 
 def bool_sat(vals: np.ndarray, f, t: int = 0) -> bool:
@@ -103,6 +101,6 @@ def random_formula(rng: np.random.Generator, names, depth: int, max_t: int = 5):
     return stl.Eventually(iv, child) if kind == 3 else stl.Always(iv, child)
 
 
-def random_signal(rng: np.random.Generator, names, length: int) -> stl.Signal:
-    vals = np.round(rng.uniform(-3, 3, size=(length, len(names))), 3)
-    return stl.Signal(vals, tuple(names))
+def random_signal(rng: np.random.Generator, names, length: int) -> np.ndarray:
+    """Values (length, len(names)) in [-3, 3], rounded to 3 decimals."""
+    return np.round(rng.uniform(-3, 3, size=(length, len(names))), 3)

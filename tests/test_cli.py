@@ -192,9 +192,9 @@ class TestEval:
         code = main(["eval", "--formula", str(formula), "--data", str(aug)])
         assert code == EXIT_OK
         # separately verify the reported number by recomputing
-        from stlmimic.train import mcr
+        from stlmimic.inference import exact_mcr
 
-        assert mcr(stl.TrueFormula(), ds) == ds.count(-1) / len(ds)
+        assert exact_mcr(stl.TrueFormula(), ds.to_array(), ds.dim_names, ds.labels()) == ds.count(-1) / len(ds)
 
     def test_extracted_formula_matches_final_exact_mcr(self, trained, capsys):
         root, data, config, ckpt = trained
@@ -239,7 +239,7 @@ class TestExtract:
         code = main(["extract", "--ckpt", str(ckpt), "--out", str(out)])
         assert code == EXIT_OK
         f = stl.parse(out.read_text().strip(), ("dA", "dB", "dC", "dO"))
-        assert stl.is_formula(f)
+        assert isinstance(f, stl.Formula)
 
     def test_threshold_validated(self, trained, tmp_path):
         root, data, config, ckpt = trained
@@ -270,7 +270,7 @@ class TestExtract:
         out = tmp_path / "f.txt"
         assert main(["extract", "--ckpt", str(moved), "--out", str(out)]) == EXIT_OK
         assert "no dataset available" in caplog.text
-        assert stl.is_formula(stl.parse(out.read_text().strip(), ("dA", "dB", "dC", "dO")))
+        assert isinstance(stl.parse(out.read_text().strip(), ("dA", "dB", "dC", "dO")), stl.Formula)
 
 
 class TestRollout:
@@ -385,6 +385,52 @@ class TestCheckpointKinds:
             code = main(["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(tmp_path / "r.csv")])
             assert code == EXIT_DATA
             assert str(bad) in capsys.readouterr().err
+
+
+def _trim_w_in(doc):
+    doc["policy_groups"]["w_in"] = [row[:-1] for row in doc["policy_groups"]["w_in"]]
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "cmd, edit",
+        [
+            ("rollout", None),
+            ("eval", None),
+            ("rollout", lambda doc: doc["shape"].update(width=3)),
+            ("rollout", lambda doc: doc["policy_groups"].pop("w_rec")),
+            ("extract", lambda doc: doc["norm"].pop("halfrange")),
+            ("extract", lambda doc: doc["inference_groups"].update(gate=[[0.0]])),
+            ("rollout", _trim_w_in),
+        ],
+        ids=[
+            "ckpt-directory",
+            "formula-directory",
+            "shape-unknown-key",
+            "policy-without-w_rec",
+            "norm-without-halfrange",
+            "gate-wrong-shape",
+            "w_in-too-few-columns",
+        ],
+    )
+    def test_is_data_error_naming_the_file(self, trained, tmp_path, capsys, cmd, edit):
+        # `edit` spoils a copy of the trained checkpoint; None passes a directory
+        root, data, config, ckpt = trained
+        bad = tmp_path
+        if edit is not None:
+            doc = json.loads(ckpt.read_text())
+            edit(doc)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        argv = {
+            "rollout": ["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(out)],
+            "extract": ["extract", "--ckpt", str(bad), "--out", str(out)],
+            "eval": ["eval", "--formula", str(bad), "--data", str(data)],
+        }[cmd]
+        assert main(argv) == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEnvironmentPool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stlmimic import stl, tape
 from stlmimic.envs import (
     DrivingEnv,
+    ExpertFailure,
     NonFiniteState,
     Region,
     UnicycleEnv,
@@ -18,6 +19,7 @@ from stlmimic.envs import (
     rollout,
     unicycle_step,
 )
+from stlmimic.inference import exact_satisfaction
 from stlmimic.policy import PolicyParams, PolicyShape, init_policy
 from stlmimic.tape import finite_diff_check
 
@@ -187,10 +189,7 @@ class TestUnicycleExpert:
     def test_every_trajectory_satisfies_task(self):
         env = UnicycleEnv()
         ds = env.gen_expert(30, np.random.default_rng(11))
-        task = env.task_formula()
-        for t in ds:
-            sig = stl.Signal(t.full(), ds.dim_names)
-            assert stl.robustness(sig, task, 0) >= 0.0
+        assert exact_satisfaction(env.task_formula(), ds.to_array(), ds.dim_names).all()
 
     def test_reaches_c_and_avoids_obstacle(self):
         env = UnicycleEnv()
@@ -250,10 +249,9 @@ class TestDrivingData:
         env = DrivingEnv()
         ds = env.gen_dataset(10, np.random.default_rng(25))
         rule = stl.parse("G[0,57]((veg <= 10) & (veg > -1))", ds.dim_names)
-        for t in ds:
-            if t.label == 1:
-                sig = stl.Signal(t.full(), ds.dim_names)
-                assert stl.robustness(sig, rule, 0) >= 0.0
+        positives = ds.to_array()[ds.labels() > 0]
+        assert len(positives) == 20
+        assert exact_satisfaction(rule, positives, ds.dim_names).all()
 
     def test_make_env(self):
         assert make_env("unicycle").name == "unicycle"
@@ -393,3 +391,14 @@ class TestExpertsMatchScalarDraws:
             b = ref.gen_expert(n, rng_b)
             _same_data_and_generator_state(a, b, rng_a, rng_b)
         assert ref.attempts == n + 2
+
+    def test_unicycle_expert_fails_after_ten_rejected_candidates(self):
+        # region C out of reach: every candidate fails the vetting
+        far_c = Region("RegC", 40.0, 40.0, 0.7)
+        ref = ScalarDrawUnicycle(region_c=far_c)
+        rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
+        for env, rng in ((UnicycleEnv(region_c=far_c), rng_a), (ref, rng_b)):
+            with pytest.raises(ExpertFailure, match="at sample 0$"):
+                env.gen_expert(2, rng)
+        assert ref.attempts == 10
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

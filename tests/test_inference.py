@@ -16,7 +16,17 @@ from stlmimic.inference import (
     simplify,
     smooth_robustness,
 )
-from stlmimic.stl import And, Eventually, Not, Or, Pred, Signal, TimeInterval, parse, print_formula
+from stlmimic.stl import (
+    And,
+    Eventually,
+    Not,
+    Or,
+    Pred,
+    TimeInterval,
+    parse,
+    print_formula,
+    robustness_trace,
+)
 from stlmimic.tape import ParamVector, finite_diff_check
 from stlmimic.train import InferenceTrainConfig, inference_loss
 
@@ -65,7 +75,7 @@ class TestSmoothRobustness:
         rng = np.random.default_rng(31)
         checked = 0
         for vals in random_walk_signals(rng, 100, 20, 4):
-            r = stl.robustness(Signal(vals, CASE1_NAMES), f, 0)
+            r = robustness_trace(vals[None], f)[0, 0]
             smooth = smooth_robustness(vals[None], params, shape)[0]
             assert abs(smooth - r) <= 0.05 * abs(r) + 0.01
             if abs(r) > 0.1:
@@ -170,9 +180,9 @@ class TestInjectedRule:
         names = ("x0", "x1")
         for _ in range(40):
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
-            s = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)
-            exact = stl.robustness(s, f, 0)
-            smooth = stl.robustness_trace(s.values[None], f, 0.001)[0, 0]
+            X = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)[None]
+            exact = robustness_trace(X, f)[0, 0]
+            smooth = robustness_trace(X, f, 0.001)[0, 0]
             if abs(exact) < 1e8:  # skip TRUE-dominated sentinels
                 assert smooth == pytest.approx(exact, abs=0.02 + 0.02 * abs(exact))
 
@@ -201,8 +211,8 @@ class TestNormalization:
             if stl.horizon(f) >= raw.shape[0]:
                 continue
             f_n = normalize_formula(f, norm)
-            r_raw = stl.robustness(Signal(raw, names), f, 0)
-            r_norm = stl.robustness(Signal(norm.apply(raw), names), f_n, 0)
+            r_raw = robustness_trace(raw[None], f)
+            r_norm = robustness_trace(norm.apply(raw)[None], f_n)
             assert r_norm == pytest.approx(r_raw, rel=1e-9, abs=1e-9)
 
 
@@ -245,7 +255,7 @@ class TestExtraction:
         )
         f = extract_formula(params, shape, norm, ("a", "b"))
         for raw in arrays:
-            exact = stl.robustness(Signal(raw, ("a", "b")), f, 0)
+            exact = robustness_trace(raw[None], f)[0, 0]
             smooth = smooth_robustness(norm.apply(raw)[None], params, shape)[0]
             if abs(exact) > 0.1:
                 assert (smooth >= 0) == (exact >= 0)
@@ -288,8 +298,7 @@ class TestSimplify:
         names = ("x0", "x1")
         for _ in range(20):
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=2)
-            sigs = [oracle_stl.random_signal(rng, names, stl.horizon(f) + 1) for _ in range(12)]
-            X = np.stack([s.values for s in sigs])
+            X = np.stack([oracle_stl.random_signal(rng, names, stl.horizon(f) + 1) for _ in range(12)])
             labels = [1 if rng.random() < 0.5 else -1 for _ in range(12)]
             before = exact_mcr(f, X, names, labels)
             after = exact_mcr(simplify(f, X, names, labels), X, names, labels)

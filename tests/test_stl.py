@@ -12,7 +12,6 @@ from stlmimic.stl import (
     Not,
     Or,
     Pred,
-    Signal,
     TimeInterval,
     TrueFormula,
     UnknownVariable,
@@ -20,9 +19,9 @@ from stlmimic.stl import (
     horizon,
     parse,
     print_formula,
-    robustness,
-    satisfies,
+    robustness_trace,
 )
+from stlmimic.inference import exact_satisfaction
 
 import oracle_stl
 
@@ -39,7 +38,12 @@ DRIVE_NAMES = ("peg", "veg", "pot", "vot")
 
 
 def sig1(xs):
-    return Signal(np.asarray(xs, dtype=float).reshape(-1, 1), ("x0",))
+    return np.asarray(xs, dtype=float).reshape(-1, 1)
+
+
+def rob(vals, f, t=0):
+    """Exact robustness of f at step t of one signal (T+1, d)."""
+    return robustness_trace(vals[None], f)[0, t]
 
 
 def pred1(c, b):
@@ -65,34 +69,36 @@ class TestHorizon:
 
 class TestRobustness:
     def test_pred_margin(self):
-        assert robustness(sig1([3.0]), pred1(1.0, 2.0), 0) == 1.0
+        assert rob(sig1([3.0]), pred1(1.0, 2.0)) == 1.0
 
     def test_always_min(self):
         f = Always(TimeInterval(0, 2), pred1(1.0, 0.0))
-        assert robustness(sig1([1, -2, 3]), f, 0) == -2.0
+        assert rob(sig1([1, -2, 3]), f) == -2.0
 
     def test_eventually_always_nested(self):
         # inner mins: (-2, -2); outer max: -2
         f = Eventually(TimeInterval(0, 1), Always(TimeInterval(0, 1), pred1(1.0, 0.0)))
-        assert robustness(sig1([1, -2, 3, 4]), f, 0) == -2.0
+        assert rob(sig1([1, -2, 3, 4]), f) == -2.0
 
     def test_true_sentinel(self):
-        assert robustness(sig1([0.0]), TrueFormula(), 0) == stl.TRUE_ROBUSTNESS
+        assert rob(sig1([0.0]), TrueFormula()) == stl.TRUE_ROBUSTNESS
 
     def test_horizon_exceeded(self):
         f = Eventually(TimeInterval(0, 3), pred1(1.0, 0.0))
         with pytest.raises(HorizonExceeded):
-            robustness(sig1([1, 2]), f, 0)
+            robustness_trace(sig1([1, 2])[None], f)
+        with pytest.raises(HorizonExceeded):
+            exact_satisfaction(f, sig1([1, 2])[None], ("x0",))
 
     def test_dimension_mismatch(self):
-        s = Signal(np.zeros((3, 2)), ("a", "b"))
         with pytest.raises(DimensionMismatch):
-            robustness(s, pred1(1.0, 0.0), 0)
+            exact_satisfaction(pred1(1.0, 0.0), np.zeros((1, 3, 2)), ("a", "b"))
 
     def test_satisfies_boundary(self):
-        assert satisfies(sig1([2.0]), pred1(1.0, 2.0))
-        assert satisfies(sig1([3.0]), pred1(1.0, 2.0))
-        assert not satisfies(sig1([1.0]), pred1(1.0, 2.0))
+        # robustness exactly 0 counts as satisfied
+        X = np.stack([sig1([2.0]), sig1([3.0]), sig1([1.0])])
+        sat = exact_satisfaction(pred1(1.0, 2.0), X, ("x0",))
+        assert sat.tolist() == [True, True, False]
 
     def test_matches_trace_oracle_randomized(self):
         # A batch of signals of one length, checked at every valid start step.
@@ -101,17 +107,13 @@ class TestRobustness:
         for _ in range(150):
             f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
             length = horizon(f) + int(rng.integers(1, 4))
-            batch = [oracle_stl.random_signal(rng, names, length) for _ in range(3)]
-            traces = stl.robustness_trace(np.stack([s.values for s in batch]), f)
+            batch = np.stack([oracle_stl.random_signal(rng, names, length) for _ in range(3)])
+            traces = robustness_trace(batch, f)
             assert traces.shape == (3, length - horizon(f))
-            for s, trace in zip(batch, traces):
-                oracle = oracle_stl.robustness_trace(s.values, f)
-                assert trace == pytest.approx(oracle, abs=1e-12)
-                for t in range(len(trace)):
-                    assert robustness(s, f, t) == trace[t]
-                r = robustness(s, f, 0)
-                assert r == pytest.approx(oracle_stl.brute_robustness(s, f, 0), abs=1e-12)
-                assert satisfies(s, f) == (r >= 0)
+            sat = exact_satisfaction(f, batch, names)
+            for vals, trace, s in zip(batch, traces, sat):
+                assert trace == pytest.approx(oracle_stl.robustness_trace(vals, f), abs=1e-12)
+                assert s == (trace[0] >= 0)
 
     def test_soundness_against_boolean_semantics(self):
         # Ties to the Boolean oracle; exact-zero robustness counts as sat.
@@ -120,21 +122,21 @@ class TestRobustness:
         for _ in range(150):
             f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
             s = oracle_stl.random_signal(rng, names, horizon(f) + 1)
-            r = robustness(s, f, 0)
-            sat = oracle_stl.bool_sat(s.values, f, 0)
+            r = rob(s, f)
+            sat = oracle_stl.bool_sat(s, f, 0)
             if r > 0:
                 assert sat
             elif r < 0:
                 assert not sat
 
     def test_negation_duality(self):
+        # at every start step
         rng = np.random.default_rng(13)
         names = ("x0", "x1")
         for _ in range(60):
             f = oracle_stl.random_formula(rng, names, depth=3, max_t=3)
-            s = oracle_stl.random_signal(rng, names, horizon(f) + 2)
-            for t in range(s.horizon - horizon(f) + 1):
-                assert robustness(s, Not(f), t) == -robustness(s, f, t)
+            X = oracle_stl.random_signal(rng, names, horizon(f) + 2)[None]
+            assert np.array_equal(robustness_trace(X, Not(f)), -robustness_trace(X, f))
 
     def test_de_morgan_exact(self):
         rng = np.random.default_rng(17)
@@ -144,8 +146,8 @@ class TestRobustness:
             f2 = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
             both = And((f1, f2))
             s = oracle_stl.random_signal(rng, names, horizon(both) + 1)
-            lhs = robustness(s, Not(both), 0)
-            rhs = robustness(s, Or((Not(f1), Not(f2))), 0)
+            lhs = rob(s, Not(both))
+            rhs = rob(s, Or((Not(f1), Not(f2))))
             assert lhs == rhs
 
     def test_window_monotonicity(self):
@@ -157,11 +159,11 @@ class TestRobustness:
             t2 = int(rng.integers(t1, 5))
             wide = TimeInterval(max(0, t1 - 1), t2 + 1)
             s = oracle_stl.random_signal(rng, names, t2 + 3)
-            r_ev = robustness(s, Eventually(TimeInterval(t1, t2), child), 0)
-            r_ev_wide = robustness(s, Eventually(wide, child), 0)
+            r_ev = rob(s, Eventually(TimeInterval(t1, t2), child))
+            r_ev_wide = rob(s, Eventually(wide, child))
             assert r_ev_wide >= r_ev
-            r_al = robustness(s, Always(TimeInterval(t1, t2), child), 0)
-            r_al_wide = robustness(s, Always(wide, child), 0)
+            r_al = rob(s, Always(TimeInterval(t1, t2), child))
+            r_al_wide = rob(s, Always(wide, child))
             assert r_al_wide <= r_al
 
 

@@ -10,6 +10,7 @@ from stlmimic.inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
+    exact_mcr,
     init_inference,
     smooth_robustness,
 )
@@ -49,6 +50,10 @@ def toy_dataset(rng=None, n=8, T=3):
     return Dataset(trajs)
 
 
+def formula_mcr(f, ds):
+    return exact_mcr(f, ds.to_array(), ds.dim_names, ds.labels())
+
+
 class TestMcr:
     def test_formula_examples(self):
         f = stl.parse("x0 >= 0", ("x0",))
@@ -60,19 +65,24 @@ class TestMcr:
                 const_traj(-2.0, -1, "d"),
             ]
         )
-        assert mcr(f, ds) == 0.0
+        assert formula_mcr(f, ds) == 0.0
         ds_one_wrong = Dataset(ds.trajectories[:3] + [const_traj(0.5, -1, "e")])
-        assert mcr(f, ds_one_wrong) == 0.25
+        assert formula_mcr(f, ds_one_wrong) == 0.25
 
     def test_true_satisfies_everything(self):
         ds = Dataset(
             [const_traj(v, l, f"x{i}") for i, (v, l) in enumerate([(1, 1), (2, 1), (3, 1), (-1, -1)])]
         )
-        assert mcr(stl.TrueFormula(), ds) == 0.25
+        assert formula_mcr(stl.TrueFormula(), ds) == 0.25
 
     def test_empty_dataset(self):
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.01)
+        norm = SignalNorm.identity(1)
+        params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         with pytest.raises(EmptyDataset):
-            mcr(stl.TrueFormula(), Dataset([]))
+            mcr(params, Dataset([]), shape=shape, norm=norm)
+        with pytest.raises(ValueError):
+            exact_mcr(stl.TrueFormula(), np.zeros((0, 4, 1)), ("x0",), [])
 
     def test_matches_exhaustive_enumeration(self):
         # Tiny datasets, every (satisfies, label) combination enumerated by hand.
@@ -96,7 +106,7 @@ class TestMcr:
                 )
                 / n
             )
-            assert mcr(f, ds) == pytest.approx(expected, abs=1e-12)
+            assert formula_mcr(f, ds) == pytest.approx(expected, abs=1e-12)
 
     def test_smooth_agrees_with_hand_gates(self):
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.01)
@@ -395,7 +405,7 @@ class TestGanLoop:
         assert len(result.full_dataset) == 10 + 2 * 6
         assert result.full_dataset.count(-1) == 12
         assert len(result.metrics) == 2
-        assert stl.is_formula(result.formula)
+        assert isinstance(result.formula, stl.Formula)
 
     def test_metrics_reproducible(self):
         env = UnicycleEnv()
