@@ -376,9 +376,7 @@ def cmd_eval(args) -> int:
     ds = dataio.load_dataset(args.data)
     if len(ds) == 0:
         raise dataio.ParseError(f"{args.data}: empty dataset")
-    with dataio.open_input(args.formula, "formula") as fh:
-        text = fh.read().strip()
-    f = stl.parse(text, ds.dim_names)
+    f = stl.parse(dataio.read_text(args.formula, "formula").strip(), ds.dim_names)
     labels = ds.labels()
     sat = exact_satisfaction(f, ds.to_array(), ds.dim_names)
     value = int(np.count_nonzero(sat != (labels > 0))) / len(ds)

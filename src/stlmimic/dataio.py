@@ -147,15 +147,29 @@ def save_dataset(ds: Dataset, path: str) -> str:
 
 
 def open_input(path: str, what: str):
-    """Open an input file as text; any OSError (missing, a directory,
-    unreadable) becomes a ParseError naming the file."""
+    """Open an input file for reading bytes; any OSError (missing, a
+    directory, unreadable) becomes a ParseError naming the file."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "rb")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from exc
 
 
+def read_text(path: str, what: str) -> str:
+    """A whole input file as text; a file that cannot be read or is not
+    UTF-8 raises a ParseError naming it."""
+    with open_input(path, what) as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot read {what}: not UTF-8 text ({exc})") from exc
+
+
 def load_dataset(path: str) -> Dataset:
+    """Read a dataset line by line, so only one line's text is held at a
+    time; a bad line, including one that is not UTF-8, raises a ParseError
+    naming the file and the line."""
     trajectories = []
     with open_input(path, "dataset") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -163,7 +177,7 @@ def load_dataset(path: str) -> Dataset:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 traj = LabeledTrajectory(
                     id=str(obj["id"]),
                     label=int(obj["label"]),
@@ -219,16 +233,27 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     obj = {f.name: getattr(ck, f.name) for f in fields(Checkpoint)}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        fh.write(json.dumps(obj, sort_keys=True))  # json.dump never uses the C encoder
     os.replace(tmp, path)
 
 
+# what each annotation of a Checkpoint field admits in a loaded document
+_FIELD_TYPES = {
+    "dict": dict,
+    "dict | None": (dict, type(None)),
+    "str": str,
+    "str | None": (str, type(None)),
+    "float": float,
+    "int": int,
+}
+
+
 def load_checkpoint(path: str) -> Checkpoint:
-    with open_input(path, "checkpoint") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ParseError(f"{path}: {exc}") from exc
+    text = read_text(path, "checkpoint")
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict) or "version" not in obj:
         raise ParseError(f"{path}: not a checkpoint document")
     if obj["version"] != CHECKPOINT_VERSION:
@@ -242,9 +267,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         }
         values["margin"] = float(values["margin"])
         values["gan_iteration"] = int(values["gan_iteration"])
-        return Checkpoint(**values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    for f in fields(Checkpoint):
+        if not isinstance(values[f.name], _FIELD_TYPES[f.type]):
+            raise ParseError(f"{path}: {f.name} must be {f.type}, got {type(values[f.name]).__name__}")
+    return Checkpoint(**values)
 
 
 def _row_end(tag) -> str:

@@ -9,10 +9,18 @@ closed loop as one tape op: its forward is the same array code that
 generates data, and its backward is backpropagation through time (BPTT)
 over the steps it kept, through each environment's `step_partials`. The
 inference maps run on arrays or tape nodes.
+
+The scripted experts draw their random values one trajectory at a time, in
+a fixed order, and then advance all of a batch's trajectories together: the
+driving speed profiles through one array integrator, the unicycle candidates
+through one `step` per time step, each candidate's controls still steered by
+scalar code. A dataset and the generator state after it are what drawing and
+integrating one trajectory at a time gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,8 +168,10 @@ class UnicycleEnv:
     def step_partials(self, x, u):
         return unicycle_partials(x, u)
 
-    def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.init_lo, self.init_hi)
+    def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+        """One initial state (3,), or m of them (m, 3) from one draw: the
+        same values, and the same generator state, as m single draws."""
+        return rng.uniform(self.init_lo, self.init_hi, None if m is None else (m, 3))
 
     def inference_map(self, raw):
         return preprocess_distances(raw, self.regions)
@@ -179,11 +189,14 @@ class UnicycleEnv:
         return stl.parse(text, self.inference_names)
 
     def raw_to_traj(self, raw, label, id_, meta=None) -> LabeledTrajectory:
+        return self._distance_traj(self.inference_map(raw), label, id_, meta)
+
+    def _distance_traj(self, dist, label, id_, meta) -> LabeledTrajectory:
         return LabeledTrajectory(
             id=id_,
             label=label,
-            agent=self.inference_map(raw),
-            env=np.zeros((raw.shape[0], 0)),
+            agent=dist,
+            env=np.zeros((dist.shape[0], 0)),
             agent_names=self.inference_names,
             env_names=(),
             meta={"env": self.name, **(meta or {})},
@@ -212,48 +225,57 @@ class UnicycleEnv:
         v = min(1.0, max(0.0, v + noise[1]))
         return np.array([v, w])
 
-    def _expert_rollout(self, rng) -> np.ndarray:
-        x = self.sample_initial(rng)
-        first = (
-            self.region_a
-            if self.region_a.distance(x[0], x[1]) < self.region_b.distance(x[0], x[1])
-            else self.region_b
-        )
-        # aim slightly inside the region, jittered per trajectory
-        ang = rng.uniform(0, 2 * math.pi)
-        rad = rng.uniform(0, 0.3) * first.radius
-        tgt1 = (first.cx + rad * math.cos(ang), first.cy + rad * math.sin(ang))
+    def _expert_rollouts(self, k: int, rng) -> np.ndarray:
+        """k scripted candidates (k, T+1, 3). Each draws, one after the
+        other, its initial state, its target jitter and its noise; then one
+        step per time step advances all k."""
+        xs = np.empty((k, self.T + 1, 3))
+        plans = []
+        for j in range(k):
+            xs[j, 0] = x = self.sample_initial(rng)
+            first = (
+                self.region_a
+                if self.region_a.distance(x[0], x[1]) < self.region_b.distance(x[0], x[1])
+                else self.region_b
+            )
+            # aim slightly inside the region, jittered per trajectory
+            ang = rng.uniform(0, 2 * math.pi)
+            rad = rng.uniform(0, 0.3) * first.radius
+            tgt1 = (first.cx + rad * math.cos(ang), first.cy + rad * math.sin(ang))
+            # one (turn, speed) noise row per step, drawn in one call
+            noise = rng.normal(0.0, (0.02, 0.03), size=(self.T, 2)).tolist()
+            plans.append((first, tgt1, noise))
         tgt2 = (self.region_c.cx, self.region_c.cy)
-        # one (turn, speed) noise row per step, drawn in one call
-        noise = rng.normal(0.0, (0.02, 0.03), size=(self.T, 2)).tolist()
-        states = [x.copy()]
-        reached_first = False
-        for step_noise in noise:
-            if not reached_first and first.distance(x[0], x[1]) <= 0.7 * first.radius:
-                reached_first = True
-            u = self._steer(x, tgt2 if reached_first else tgt1, step_noise)
-            x = self.step(x, u)
-            states.append(x.copy())
-        return np.array(states)
+        reached = [False] * k
+        us = np.empty((k, 2))
+        for t in range(self.T):
+            for j, (x, (first, tgt1, noise)) in enumerate(zip(xs[:, t].tolist(), plans)):
+                reached[j] = reached[j] or first.distance(x[0], x[1]) <= 0.7 * first.radius
+                # scalar steering: np.arctan2 and np.hypot differ from the
+                # math versions in the last bit, which would change the data
+                us[j] = self._steer(x, tgt2 if reached[j] else tgt1, noise[t])
+            xs[:, t + 1] = self.step(xs[:, t], us)
+        return xs
 
     def gen_expert(self, n: int, rng: np.random.Generator, start_id: int = 0) -> Dataset:
         """Positive demonstrations, each vetted against task_formula under
         exact semantics; a sample whose 10 candidates all fail raises
-        ExpertFailure."""
+        ExpertFailure. Candidates come in rounds that stop at the n-th
+        demonstration and at a sample's 10th failure, so the generator
+        draws exactly the candidates that trying one at a time would."""
         task = self.task_formula()
-        out = []
-        for i in range(n):
-            for attempt in range(10):
-                raw = self._expert_rollout(rng)
-                if exact_satisfaction(task, self.inference_map(raw)[None], self.inference_names)[0]:
-                    break
-            else:
-                raise ExpertFailure(f"unicycle expert failed 10 attempts at sample {i}")
-            out.append(
-                self.raw_to_traj(
-                    raw, 1, f"uni-{start_id + i:05d}", {"source": "expert"}
-                )
-            )
+        out, failures = [], 0
+        while len(out) < n:
+            dist = self.inference_map(self._expert_rollouts(min(n - len(out), 10 - failures), rng))
+            for d, ok in zip(dist, exact_satisfaction(task, dist, self.inference_names)):
+                if ok:
+                    id_ = f"uni-{start_id + len(out):05d}"
+                    out.append(self._distance_traj(d, 1, id_, {"source": "expert"}))
+                    failures = 0
+                    continue
+                failures += 1
+                if failures == 10:
+                    raise ExpertFailure(f"unicycle expert failed 10 attempts at sample {len(out)}")
         return Dataset(out)
 
 
@@ -308,8 +330,15 @@ class DrivingEnv:
     def step_partials(self, x, u):
         return ego_partials(x)
 
-    def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(*self.init_pos), 0.0])
+    def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+        """One initial state (2,) at rest, or m of them (m, 2) from one
+        draw: the same values, and the same generator state, as m single
+        draws."""
+        if m is None:
+            return np.array([rng.uniform(*self.init_pos), 0.0])
+        x = np.zeros((m, 2))
+        x[:, 0] = rng.uniform(*self.init_pos, size=m)
+        return x
 
     def inference_map(self, raw):
         return tape.asarray(raw)
@@ -328,69 +357,82 @@ class DrivingEnv:
 
     # -- scripted profiles ----------------------------------------------
 
-    def _speed_profile(self, rng, cruise, p, brake_start, brake) -> np.ndarray:
-        """(position, velocity) rows from rest at p: accelerate to cruise
-        and hold it, with noise in each step's acceleration, until step
-        brake_start (None: never); then brake by up to `brake` per step."""
-        # only the steps before braking draw noise, one value each
-        n_free = self.T if brake_start is None else min(max(brake_start, 0), self.T)
-        noise = iter(rng.uniform(-0.05, 0.05, size=n_free).tolist())
-        p, v = float(p), 0.0
-        rows = [[p, v]]
+    def _speed_profiles(self, out, cruise, brake, n_free, noise) -> None:
+        """Fill the (position, velocity) rows out[..., 1:, :] of profiles
+        that start at rest at out[..., 0, 0]: accelerate to cruise and hold
+        it, with noise[..., t] in step t's acceleration, until step n_free;
+        then brake by up to `brake` per step. cruise, brake and n_free
+        broadcast against out[..., 0, 0]; noise is (..., T). The where,
+        minimum and maximum below are the scalar script's branches, min and
+        max, with the same float operations."""
+        boost = self.accel + noise
+        p, v = out[..., 0, 0], out[..., 0, 1]
         for t in range(self.T):
-            if t >= n_free:
-                a = -min(brake, v)
-            elif v < cruise:
-                a = min(self.accel + next(noise), cruise - v)
-            else:
-                a = next(noise)
-            p += v
-            v = max(v + a, 0.0)
-            rows.append([p, v])
-        return np.array(rows)
+            free = np.where(v < cruise, np.minimum(boost[..., t], cruise - v), noise[..., t])
+            a = np.where(t < n_free, free, -np.minimum(brake, v))
+            p, v = p + v, np.maximum(v + a, 0.0)
+            out[..., t + 1, 0], out[..., t + 1, 1] = p, v
+
+    def _draw_noise(self, rng, brake_start, row) -> int:
+        """Draw the acceleration noise of the steps before braking into
+        row, one value each, and return their count; brake_start None
+        means no braking within the horizon."""
+        n_free = self.T if brake_start is None else min(max(brake_start, 0), self.T)
+        row[:n_free] = rng.uniform(-0.05, 0.05, size=n_free)
+        return n_free
 
     def gen_env_profile(self, rng, pedestrian: bool, p0: float) -> np.ndarray:
         """Lead-vehicle trajectory (pot, vot): accelerate to cruise, then
         brake to a stop iff a pedestrian crosses."""
         cruise = self.cruise + rng.uniform(-0.25, 0.25)
         t_dec = self.decel_onset + int(rng.integers(-2, 3))
-        return self._speed_profile(rng, cruise, p0, t_dec if pedestrian else None, self.other_brake)
+        noise = np.zeros(self.T)
+        n_free = self._draw_noise(rng, t_dec if pedestrian else None, noise)
+        out = np.zeros((self.T + 1, 2))
+        out[0, 0] = p0
+        self._speed_profiles(out, cruise, self.other_brake, n_free, noise)
+        return out
 
-    def _ego_profile(self, rng, brake_start) -> np.ndarray:
-        """Scripted ego (peg, veg); brake_start None means keep cruising."""
-        cruise = self.cruise + rng.uniform(-0.25, 0.25)
-        p0 = rng.uniform(*self.init_pos)
-        return self._speed_profile(rng, cruise, p0, brake_start, self.ego_brake)
-
-    def _situation(self, rng, kind: str, id_: str) -> LabeledTrajectory:
-        t_dec = self.decel_onset + int(rng.integers(-2, 3))
-        if kind == "pos_ped":  # lead stops, ego stops behind it
-            label, ped = 1, True
-            brake = t_dec + self.react_delay + int(rng.integers(0, 3))
-        elif kind == "pos_clear":  # nobody stops
-            label, ped = 1, False
-            brake = None
-        elif kind == "neg_stop":  # ego stops for no reason
-            label, ped = -1, False
-            brake = self.wrong_stop_onset + int(rng.integers(0, 5))
-        elif kind == "neg_go":  # ego ignores the stopping lead
-            label, ped = -1, True
-            brake = None
-        else:
-            raise ValueError(f"unknown situation {kind!r}")
-        ego = self._ego_profile(rng, brake)
-        other = self.gen_env_profile(rng, ped, p0=ego[0, 0] + rng.uniform(*self.gap))
-        raw = np.concatenate([ego, other], axis=1)
-        return self.raw_to_traj(raw, label, id_, {"situation": kind, "pedestrian": ped})
-
-    SITUATIONS = ("pos_ped", "pos_clear", "neg_stop", "neg_go")
+    # situation: (label, whether a pedestrian crosses)
+    SITUATIONS = {
+        "pos_ped": (1, True),  # lead stops, ego stops behind it
+        "pos_clear": (1, False),  # nobody stops
+        "neg_stop": (-1, False),  # ego stops for no reason
+        "neg_go": (-1, True),  # ego ignores the stopping lead
+    }
 
     def gen_dataset(self, n_per_situation: int, rng: np.random.Generator) -> Dataset:
-        out = []
-        for kind in self.SITUATIONS:
-            for i in range(n_per_situation):
-                out.append(self._situation(rng, kind, f"drv-{kind}-{i:05d}"))
-        return Dataset(out)
+        """n_per_situation trajectories of each situation, in SITUATIONS
+        order. Each draws, one after the other, its ego's braking step,
+        cruise speed, start and noise, then the gap and its lead's cruise
+        speed, braking step and noise; then every ego and lead profile is
+        integrated together. Each trajectory is a view of one block."""
+        m, T = 4 * n_per_situation, self.T
+        raw = np.zeros((m, T + 1, 4))
+        # (trajectory, ego/lead, step, position/velocity) view of raw
+        profiles = raw.reshape(m, T + 1, 2, 2).swapaxes(1, 2)
+        cruise = np.empty((m, 2))
+        n_free = np.empty((m, 2), dtype=int)
+        noise = np.zeros((m, 2, T))
+        specs = []
+        for j, (kind, i) in enumerate(itertools.product(self.SITUATIONS, range(n_per_situation))):
+            label, ped = self.SITUATIONS[kind]
+            t_dec = self.decel_onset + int(rng.integers(-2, 3))
+            brake = None
+            if kind == "pos_ped":
+                brake = t_dec + self.react_delay + int(rng.integers(0, 3))
+            elif kind == "neg_stop":
+                brake = self.wrong_stop_onset + int(rng.integers(0, 5))
+            cruise[j, 0] = self.cruise + rng.uniform(-0.25, 0.25)
+            profiles[j, 0, 0, 0] = rng.uniform(*self.init_pos)
+            n_free[j, 0] = self._draw_noise(rng, brake, noise[j, 0])
+            profiles[j, 1, 0, 0] = profiles[j, 0, 0, 0] + rng.uniform(*self.gap)
+            cruise[j, 1] = self.cruise + rng.uniform(-0.25, 0.25)
+            lead_dec = self.decel_onset + int(rng.integers(-2, 3))
+            n_free[j, 1] = self._draw_noise(rng, lead_dec if ped else None, noise[j, 1])
+            specs.append((label, f"drv-{kind}-{i:05d}", {"situation": kind, "pedestrian": ped}))
+        self._speed_profiles(profiles, cruise, np.array([self.ego_brake, self.other_brake]), n_free, noise)
+        return Dataset([self.raw_to_traj(r, *spec) for r, spec in zip(raw, specs)])
 
 
 def make_env(name: str, **overrides):

@@ -258,11 +258,17 @@ def _soft_extremum(a, tau, axis, sign, what):
     if av.shape[axis] == 0:
         raise EmptyInput(f"{what} of no values")
     m = av.max(axis=axis, keepdims=True) if sign > 0 else av.min(axis=axis, keepdims=True)
-    w = np.exp((av - m) / tau) if sign > 0 else np.exp(-(av - m) / tau)
+    # w in one buffer: each temporary of a large batch would be a fresh mmap
+    w = av - m
+    if sign < 0:
+        np.negative(w, out=w)
+    w /= tau
+    np.exp(w, out=w)
     z = w.sum(axis=axis)
-    s = (w * av).sum(axis=axis) / z
     if not isinstance(a, Node):
-        return s
+        w *= av
+        return w.sum(axis=axis) / z
+    s = (w * av).sum(axis=axis) / z
 
     def vjp(g):
         dev = (av - np.expand_dims(s, axis)) / tau

@@ -303,13 +303,16 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
 
 def _draw_samples(env, env_pool, m, rng):
     """m initial states (m, n_a) and m environment trajectories
-    (m, T+1, n_e), drawn one pair at a time; all zeros without a pool."""
-    x0s = np.zeros((m, env.n_agent))
+    (m, T+1, n_e). With a pool, each state is drawn with its pool row, one
+    pair at a time; without one, the states come from one draw and the
+    environment trajectories are all zeros."""
     env_trajs = np.zeros((m, env.T + 1, env.n_env))
+    if not env_pool:
+        return env.sample_initial(rng, m), env_trajs
+    x0s = np.zeros((m, env.n_agent))
     for i in range(m):
         x0s[i] = env.sample_initial(rng)
-        if env_pool:
-            env_trajs[i] = env_pool[int(rng.integers(len(env_pool)))]
+        env_trajs[i] = env_pool[int(rng.integers(len(env_pool)))]
     return x0s, env_trajs
 
 

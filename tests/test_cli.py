@@ -69,6 +69,21 @@ class TestGenData:
             main(["gen-data", "--env", "unicycle", "--n", "5", "--seed", "9", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "env, n, seed, sha256",
+        [
+            ("driving", 8, 2, "105b720a62aed885bf795ef758124eeda199ab53d2c0f9abd11cd6120f7542eb"),
+            ("driving", 40, 0, "7300dba7dd28d229586f0593a635c486f12d5d192dc95b110ecfe2c152e0c9b6"),
+            ("unicycle", 6, 3, "fbae805b4abc6a0ac21951cca1b758bc454b0e36de3a22f98e89c8c11ef39c60"),
+            ("unicycle", 30, 7, "4b2fcd03e64fe78207dac3c91bb5ec3f47658c6ffe767612f9f12596a321152a"),
+        ],
+    )
+    def test_pinned_bytes(self, tmp_path, env, n, seed, sha256):
+        # the bytes of the one-trajectory-at-a-time generators
+        out = tmp_path / "d.jsonl"
+        assert main(["gen-data", "--env", env, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_driving_n_not_divisible(self, tmp_path):
         code = main(["gen-data", "--env", "driving", "--n", "7", "--seed", "0", "--out", str(tmp_path / "x.jsonl")])
         assert code == EXIT_CONFIG
@@ -391,6 +406,9 @@ def _trim_w_in(doc):
     doc["policy_groups"]["w_in"] = [row[:-1] for row in doc["policy_groups"]["w_in"]]
 
 
+NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize(
         "cmd, edit",
@@ -402,6 +420,10 @@ class TestBadInputFiles:
             ("extract", lambda doc: doc["norm"].pop("halfrange")),
             ("extract", lambda doc: doc["inference_groups"].update(gate=[[0.0]])),
             ("rollout", _trim_w_in),
+            ("rollout", lambda doc: doc.update(extra=[])),
+            ("rollout", lambda doc: doc.update(rule_text=3)),
+            ("eval", NOT_UTF8),
+            ("eval-data", NOT_UTF8),
         ],
         ids=[
             "ckpt-directory",
@@ -411,13 +433,21 @@ class TestBadInputFiles:
             "norm-without-halfrange",
             "gate-wrong-shape",
             "w_in-too-few-columns",
+            "extra-a-list",
+            "rule_text-an-int",
+            "formula-not-utf8",
+            "data-not-utf8",
         ],
     )
     def test_is_data_error_naming_the_file(self, trained, tmp_path, capsys, cmd, edit):
-        # `edit` spoils a copy of the trained checkpoint; None passes a directory
+        # `edit` spoils a copy of the trained checkpoint, or is the bytes of
+        # the bad file; None passes a directory
         root, data, config, ckpt = trained
         bad = tmp_path
-        if edit is not None:
+        if isinstance(edit, bytes):
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(edit)
+        elif edit is not None:
             doc = json.loads(ckpt.read_text())
             edit(doc)
             bad = tmp_path / "bad.json"
@@ -427,6 +457,7 @@ class TestBadInputFiles:
             "rollout": ["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(out)],
             "extract": ["extract", "--ckpt", str(bad), "--out", str(out)],
             "eval": ["eval", "--formula", str(bad), "--data", str(data)],
+            "eval-data": ["eval", "--formula", str(ckpt.parent / "formula.txt"), "--data", str(bad)],
         }[cmd]
         assert main(argv) == EXIT_DATA
         assert str(bad) in capsys.readouterr().err

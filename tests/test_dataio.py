@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestCheckpoint:
         assert back.policy_groups == self._ck().policy_groups
         assert back.margin == 0.125
         assert back.rng_state == self._ck().rng_state
+
+    def test_file_is_json_dumps_of_the_fields(self, tmp_path):
+        path = tmp_path / "ck.json"
+        ck = self._ck()
+        save_checkpoint(ck, str(path))
+        want = json.dumps({f.name: getattr(ck, f.name) for f in fields(Checkpoint)}, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == want
 
     def test_corrupted_raises_parse_error(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlmimic import stl, tape
+from stlmimic.dataio import Dataset
 from stlmimic.envs import (
     DrivingEnv,
     ExpertFailure,
@@ -261,20 +262,21 @@ class TestDrivingData:
 
 
 # --- reference experts -----------------------------------------------------
-# The scripted experts as they were written with one scalar draw per noise
-# value. The experts now draw each trajectory's noise in one call; the data
-# and the generator's state afterwards must be the same.
+# The scripted experts as they were written: one trajectory at a time, one
+# scalar draw per noise value, one scalar step per time step. The experts
+# now draw each trajectory's noise in one call and integrate a dataset's
+# trajectories together; the data and the generator's state afterwards must
+# be the same. Each reference carries its own loops and calls no generator
+# code of the class it extends, so it cannot compare that code with itself.
 
 
 class ScalarDrawDriving(DrivingEnv):
-    def gen_env_profile(self, rng, pedestrian, p0):
-        cruise = self.cruise + rng.uniform(-0.25, 0.25)
-        t_dec = self.decel_onset + int(rng.integers(-2, 3))
-        p, v = float(p0), 0.0
+    def _profile(self, rng, cruise, p, brake_start, brake):
+        p, v = float(p), 0.0
         rows = [[p, v]]
         for t in range(self.T):
-            if pedestrian and t >= t_dec:
-                a = -min(self.other_brake, v)
+            if brake_start is not None and t >= brake_start:
+                a = -min(brake, v)
             elif v < cruise:
                 a = min(self.accel + rng.uniform(-0.05, 0.05), cruise - v)
             else:
@@ -284,21 +286,37 @@ class ScalarDrawDriving(DrivingEnv):
             rows.append([p, v])
         return np.array(rows)
 
-    def _ego_profile(self, rng, brake_start):
+    def gen_env_profile(self, rng, pedestrian, p0):
         cruise = self.cruise + rng.uniform(-0.25, 0.25)
-        p, v = float(rng.uniform(*self.init_pos)), 0.0
-        rows = [[p, v]]
-        for t in range(self.T):
-            if brake_start is not None and t >= brake_start:
-                a = -min(self.ego_brake, v)
-            elif v < cruise:
-                a = min(self.accel + rng.uniform(-0.05, 0.05), cruise - v)
-            else:
-                a = rng.uniform(-0.05, 0.05)
-            p += v
-            v = max(v + a, 0.0)
-            rows.append([p, v])
-        return np.array(rows)
+        t_dec = self.decel_onset + int(rng.integers(-2, 3))
+        return self._profile(rng, cruise, p0, t_dec if pedestrian else None, self.other_brake)
+
+    def _situation(self, rng, kind, id_):
+        t_dec = self.decel_onset + int(rng.integers(-2, 3))
+        if kind == "pos_ped":
+            label, ped = 1, True
+            brake = t_dec + self.react_delay + int(rng.integers(0, 3))
+        elif kind == "pos_clear":
+            label, ped, brake = 1, False, None
+        elif kind == "neg_stop":
+            label, ped = -1, False
+            brake = self.wrong_stop_onset + int(rng.integers(0, 5))
+        else:  # neg_go
+            label, ped, brake = -1, True, None
+        cruise = self.cruise + rng.uniform(-0.25, 0.25)
+        ego = self._profile(rng, cruise, rng.uniform(*self.init_pos), brake, self.ego_brake)
+        other = self.gen_env_profile(rng, ped, ego[0, 0] + rng.uniform(*self.gap))
+        raw = np.concatenate([ego, other], axis=1)
+        return self.raw_to_traj(raw, label, id_, {"situation": kind, "pedestrian": ped})
+
+    def gen_dataset(self, n_per_situation, rng):
+        return Dataset(
+            [
+                self._situation(rng, kind, f"drv-{kind}-{i:05d}")
+                for kind in ("pos_ped", "pos_clear", "neg_stop", "neg_go")
+                for i in range(n_per_situation)
+            ]
+        )
 
 
 class ScalarDrawUnicycle(UnicycleEnv):
@@ -306,7 +324,7 @@ class ScalarDrawUnicycle(UnicycleEnv):
         super().__init__(**overrides)
         self.attempts = 0
 
-    def _steer(self, x, target, rng):
+    def _scalar_steer(self, x, target, rng):
         px, py, th = x
         dx, dy = target[0] - px, target[1] - py
         d_obs = self.obstacle.distance(px, py)
@@ -325,7 +343,7 @@ class ScalarDrawUnicycle(UnicycleEnv):
         v = float(np.clip(v + rng.normal(0, 0.03), 0.0, 1.0))
         return np.array([v, w])
 
-    def _expert_rollout(self, rng):
+    def _scalar_rollout(self, rng):
         self.attempts += 1
         x = self.sample_initial(rng)
         first = (
@@ -342,10 +360,23 @@ class ScalarDrawUnicycle(UnicycleEnv):
         for _ in range(self.T):
             if not reached_first and first.distance(x[0], x[1]) <= 0.7 * first.radius:
                 reached_first = True
-            u = self._steer(x, tgt2 if reached_first else tgt1, rng)
-            x = self.step(x, u)
+            u = self._scalar_steer(x, tgt2 if reached_first else tgt1, rng)
+            x = unicycle_step(x, u)
             states.append(x.copy())
         return np.array(states)
+
+    def gen_expert(self, n, rng, start_id=0):
+        task = self.task_formula()
+        out = []
+        for i in range(n):
+            for _ in range(10):
+                raw = self._scalar_rollout(rng)
+                if exact_satisfaction(task, self.inference_map(raw)[None], self.inference_names)[0]:
+                    break
+            else:
+                raise ExpertFailure(f"unicycle expert failed 10 attempts at sample {i}")
+            out.append(self.raw_to_traj(raw, 1, f"uni-{start_id + i:05d}", {"source": "expert"}))
+        return Dataset(out)
 
 
 def _same_data_and_generator_state(a, b, rng_a, rng_b):
@@ -393,12 +424,13 @@ class TestExpertsMatchScalarDraws:
         assert ref.attempts == n + 2
 
     def test_unicycle_expert_fails_after_ten_rejected_candidates(self):
-        # region C out of reach: every candidate fails the vetting
+        # region C out of reach: every candidate fails the vetting; 3 does
+        # not divide 10, so a round of 3 candidates would draw past the 10th
         far_c = Region("RegC", 40.0, 40.0, 0.7)
         ref = ScalarDrawUnicycle(region_c=far_c)
         rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
         for env, rng in ((UnicycleEnv(region_c=far_c), rng_a), (ref, rng_b)):
             with pytest.raises(ExpertFailure, match="at sample 0$"):
-                env.gen_expert(2, rng)
+                env.gen_expert(3, rng)
         assert ref.attempts == 10
         assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -52,6 +52,15 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             smooth_max([1.0], 0.0)
 
+    @pytest.mark.parametrize("op", [smax, smin], ids=["smax", "smin"])
+    @pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 8, 13), 2), ((5, 8, 13), 1)])
+    def test_plain_path_equals_the_node_value(self, op, shape, axis):
+        # the plain path reuses one buffer; the tape path keeps w for its VJP
+        a = np.random.default_rng(4).normal(size=shape) * 3.0
+        plain = op(a, 0.3, axis=axis)
+        assert not isinstance(plain, Node)
+        assert np.array_equal(plain, op(Node(a), 0.3, axis=axis).value)
+
     def test_float_passthrough(self):
         # With no node operands every op returns a plain array and records nothing.
         before = next(tape._COUNTER)

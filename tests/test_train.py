@@ -329,6 +329,18 @@ class TestPolicyObjective:
             assert finite_diff_check(f, pv, h=1e-5) < 1e-3
 
 
+class TestDrawSamples:
+    @pytest.mark.parametrize("env", [UnicycleEnv(), DrivingEnv()], ids=["unicycle", "driving"])
+    def test_without_a_pool_equals_drawing_one_row_at_a_time(self, env):
+        for m, seed in itertools.product((1, 2, 32, 50), range(3)):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            x0s, env_trajs = train._draw_samples(env, [], m, rng_a)
+            rows = np.stack([env.sample_initial(rng_b) for _ in range(m)])
+            assert np.array_equal(x0s, rows) and x0s.shape == (m, env.n_agent)
+            assert env_trajs.shape == (m, env.T + 1, env.n_env) and not env_trajs.any()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestTrainPolicy:
     def test_objective_improves_on_toy_task(self):
         env = DrivingEnv()
