@@ -28,8 +28,8 @@ from .inference import (
     extract_formula,
     simplify,
 )
-from .policy import PolicyParams
-from .tape import NonFiniteValue, ParamVector
+from .policy import PolicyParams, PolicyShape
+from .tape import NonFiniteValue
 from .train import (
     GENERATED_SOURCE,
     GanConfig,
@@ -69,8 +69,8 @@ SHAPE_DEFAULTS = {
 
 
 def default_config(env_name: str = "unicycle") -> dict:
-    if env_name not in SHAPE_DEFAULTS:
-        raise ConfigError(f"unknown environment {env_name!r}")
+    if not isinstance(env_name, str) or env_name not in SHAPE_DEFAULTS:
+        raise ConfigError(f"env.name must be one of {sorted(SHAPE_DEFAULTS)}, got {env_name!r}")
     return {
         "seed": 0,
         "env": {"name": env_name},
@@ -81,15 +81,31 @@ def default_config(env_name: str = "unicycle") -> dict:
     }
 
 
-def _build_dc(dc_cls, obj: dict, what: str):
-    names = {f.name for f in dataclasses.fields(dc_cls)}
-    unknown = set(obj) - names
+def _build_dc(dc_cls, obj: dict, section: str):
+    """dc_cls built from a config section; a wrong option is a ConfigError
+    naming `section.option`."""
+    types = {f.name: f.type for f in dataclasses.fields(dc_cls)}
+    unknown = set(obj) - set(types)
     if unknown:
-        raise ConfigError(f"unknown {what} option(s): {sorted(unknown)}")
-    kwargs = dict(obj)
-    if "betas" in kwargs and isinstance(kwargs["betas"], list):
-        kwargs["betas"] = tuple(kwargs["betas"])
-    return dc_cls(**kwargs)
+        raise ConfigError(f"unknown {section} option(s): {sorted(unknown)}")
+    bad = dataio.field_type_error(dc_cls, obj)
+    if bad:
+        raise ConfigError(f"{section}.{bad}")
+    kwargs = {
+        k: float(v) if types[k] == "float" else tuple(v) if isinstance(v, list) else v
+        for k, v in obj.items()
+    }
+    try:
+        return dc_cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
+def _section(doc: dict, name: str) -> dict:
+    obj = {} if doc.get(name) is None else doc[name]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 class Run:
@@ -100,36 +116,34 @@ class Run:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-        env_obj = dict(doc.get("env") or {"name": "unicycle"})
+        env_obj = dict(_section(doc, "env"))
         name = env_obj.pop("name", "unicycle")
         defaults = default_config(name)
+        if "T" in env_obj and not (dataio.admits("int", env_obj["T"]) and env_obj["T"] >= 1):
+            raise ConfigError(f"env.T must be an integer of at least 1, got {env_obj['T']!r}")
         try:
             self.env = make_env(name, **env_obj)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        self.seed = int(doc.get("seed", defaults["seed"]))
-        shape_obj = {**defaults["shape"], **(doc.get("shape") or {})}
-        unknown = set(shape_obj) - {"n_pred", "n_conj", "tau"}
+            raise ConfigError(f"env: {exc}") from exc
+        self.seed = doc.get("seed", defaults["seed"])
+        if not dataio.admits("int", self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        shape_obj = {**defaults["shape"], **_section(doc, "shape")}
+        unknown = set(shape_obj) - set(defaults["shape"])
         if unknown:
             raise ConfigError(f"unknown shape option(s): {sorted(unknown)}")
-        self.shape = NetworkShape(
-            n_pred=int(shape_obj["n_pred"]),
-            n_conj=int(shape_obj["n_conj"]),
-            horizon=self.env.T,
-            dim=len(self.env.inference_names),
-            tau=float(shape_obj["tau"]),
+        self.shape = _build_dc(
+            NetworkShape,
+            {**shape_obj, "horizon": self.env.T, "dim": len(self.env.inference_names)},
+            "shape",
         )
-        self.inference = _build_dc(
-            InferenceTrainConfig,
-            {**defaults["inference"], **(doc.get("inference") or {})},
-            "inference",
-        )
-        self.policy = _build_dc(
-            PolicyTrainConfig, {**defaults["policy"], **(doc.get("policy") or {})}, "policy"
-        )
-        self.gan = _build_dc(
-            GanConfig, {**defaults["gan"], **(doc.get("gan") or {})}, "gan"
-        )
+
+        def build(dc_cls, name):
+            return _build_dc(dc_cls, {**defaults[name], **_section(doc, name)}, name)
+
+        self.inference = build(InferenceTrainConfig, "inference")
+        self.policy = build(PolicyTrainConfig, "policy")
+        self.gan = build(GanConfig, "gan")
         self.doc = doc
         self.digest = config_digest(doc)
 
@@ -161,24 +175,11 @@ def _write_metrics(rows, path: str, digest: str) -> None:
             )
 
 
-def _checkpoint_from_result(run: Run, result, dataset_path: str, digest: str) -> Checkpoint:
+def _checkpoint(run: Run, extra: dict, **fields) -> Checkpoint:
+    """A checkpoint of the run's environment, shape and config."""
     return Checkpoint(
-        env=run.env.config(),
-        shape=dataclasses.asdict(run.shape),
-        inference_groups=result.inference.to_pv().to_jsonable(),
-        margin=float(result.margin),
-        policy_groups=result.policy.to_pv().to_jsonable(),
-        norm=result.norm.to_jsonable(),
-        rule_text=None,
-        gan_iteration=len(result.metrics),
-        rng_state=None,
-        dataset_digest=digest,
-        config=run.doc,
-        extra={
-            "config_digest": run.digest,
-            "augmented_dataset": dataset_path,
-            "saturated": result.saturated,
-        },
+        env=run.env.config(), shape=dataclasses.asdict(run.shape), rule_text=None, config=run.doc,
+        extra={"config_digest": run.digest, **extra}, **fields,
     )
 
 
@@ -188,7 +189,10 @@ def _load_ckpt_parts(path: str):
         raise dataio.ParseError(f"{path}: a round-boundary snapshot for resuming, not a trained model")
     if not ck.inference_groups or not ck.norm:
         raise dataio.ParseError(f"{path}: no trained classifier (inference_groups or norm is empty)")
-    run = Run(ck.config)
+    try:
+        run = Run(ck.config)
+    except ConfigError as exc:
+        raise dataio.ParseError(f"{path}: config: {exc}") from exc
     env = run.env
     try:
         shape = NetworkShape(**ck.shape)
@@ -199,42 +203,20 @@ def _load_ckpt_parts(path: str):
             f"{path}: shape has horizon {shape.horizon} and dim {shape.dim}, but the"
             f" {env.name} environment has {env.T} and {len(env.inference_names)}"
         )
-    n_pred, n_atoms, n_conj, dim = shape.n_pred, shape.n_atoms, shape.n_conj, shape.dim
-    inf_shapes = {
-        "pred_w": (n_pred, dim),
-        "pred_b": (n_pred,),
-        "win_lo": (n_atoms,),
-        "win_hi": (n_atoms,),
-        "gate": (n_conj, n_atoms),
-        "out_gate": (n_conj,),
-    }
-    n_in, h, m = env.n_agent + env.n_env, run.policy.hidden, env.control_box.dim
-    pol_shapes = {"w_in": (h, n_in), "w_rec": (h, h), "b_h": (h,), "w_out": (m, h), "b_out": (m,)}
-    inf = InferenceParams.from_pv(_param_groups(path, "inference_groups", ck.inference_groups, inf_shapes))
-    pol = PolicyParams.from_pv(_param_groups(path, "policy_groups", ck.policy_groups, pol_shapes))
-    _param_groups(path, "norm", ck.norm, {"mid": (dim,), "halfrange": (dim,)})
-    norm = SignalNorm.from_jsonable(ck.norm)
+    key = "inference_groups"  # the part being read, for the error message
+    try:
+        inf = InferenceParams.from_jsonable(ck.inference_groups, InferenceParams.group_shapes(shape))
+        key = "policy_groups"
+        pol_shapes = PolicyParams.group_shapes(PolicyShape.for_env(env, run.policy.hidden))
+        pol = PolicyParams.from_jsonable(ck.policy_groups, pol_shapes)
+        key = "norm"
+        norm = SignalNorm.from_jsonable(ck.norm, shape.dim)
+    except ValueError as exc:
+        raise dataio.ParseError(f"{path}: {key}: {exc}") from exc
     rule = (
         stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
     )
     return ck, run, env, shape, inf, pol, norm, rule
-
-
-def _param_groups(path: str, key: str, groups, shapes: dict) -> ParamVector:
-    """The checkpoint's `key` entry as real arrays, if it holds exactly the
-    named groups with the given shapes."""
-    if not isinstance(groups, dict) or set(groups) != set(shapes):
-        raise dataio.ParseError(f"{path}: {key} must hold exactly the groups {sorted(shapes)}")
-    try:
-        pv = ParamVector.from_jsonable(groups)
-    except (TypeError, ValueError) as exc:
-        raise dataio.ParseError(f"{path}: {key}: {exc}") from exc
-    for name, want in shapes.items():
-        if pv.groups[name].shape != want:
-            raise dataio.ParseError(
-                f"{path}: {key} group {name} has shape {pv.groups[name].shape}, expected {want}"
-            )
-    return pv
 
 
 def _env_pool(ck: Checkpoint, env, data_path) -> list:
@@ -249,6 +231,16 @@ def _env_pool(ck: Checkpoint, env, data_path) -> list:
             gone = f"; the checkpoint's dataset {data_path} does not exist" if data_path else ""
             raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
     return original_env_pool(dataio.load_dataset(data_path), env)
+
+
+def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, path: str, tag: str) -> None:
+    """Roll the policy out from n drawn samples and write the CSV, stamped
+    with the checkpoint's config digest."""
+    rows = rollout(env, pol, *_draw_samples(env, env_pool, n, rng))
+    dataio.export_rollouts(
+        rows, tuple(env.agent_names) + tuple(env.env_names), path, tags=[tag] * len(rows),
+        comment=f"config={ck.extra.get('config_digest', '')}",
+    )
 
 
 # --- commands -------------------------------------------------------------------
@@ -297,25 +289,15 @@ def cmd_train(args) -> int:
         ds_path = os.path.join(out_dir, f"dataset_iter{it}.jsonl")
         digest = dataio.save_dataset(state["dataset"], ds_path)
         warm = state["warm_start"]
-        ck = Checkpoint(
-            env=run.env.config(),
-            shape=dataclasses.asdict(run.shape),
-            inference_groups={},
-            margin=0.0,
-            policy_groups=state["policy"].to_jsonable(),
-            norm={},
-            rule_text=None,
-            gan_iteration=it,
-            rng_state=state["rng_state"],
-            dataset_digest=digest,
-            config=run.doc,
-            extra={
-                "config_digest": run.digest,
-                "boundary": True,
-                "warm_start": None if warm is None else list(map(float, warm)),
-                "metrics": state["metrics"],
-                "dataset_path": ds_path,
-            },
+        extra = {
+            "boundary": True,
+            "warm_start": None if warm is None else list(map(float, warm)),
+            "metrics": state["metrics"],
+            "dataset_path": ds_path,
+        }
+        ck = _checkpoint(
+            run, extra, inference_groups={}, margin=0.0, policy_groups=state["policy"].to_jsonable(),
+            norm={}, gan_iteration=it, rng_state=state["rng_state"], dataset_digest=digest,
         )
         dataio.save_checkpoint(ck, os.path.join(out_dir, f"ckpt_iter{it}.json"))
 
@@ -343,7 +325,13 @@ def cmd_train(args) -> int:
     formula_text = stl.print_formula(result.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:
         fh.write(formula_text + "\n")
-    dataio.save_checkpoint(_checkpoint_from_result(run, result, aug_path, aug_digest), args.out)
+    ck = _checkpoint(
+        run, {"augmented_dataset": aug_path, "saturated": result.saturated},
+        inference_groups=result.inference.to_jsonable(), margin=float(result.margin),
+        policy_groups=result.policy.to_jsonable(), norm=result.norm.to_jsonable(),
+        gan_iteration=len(result.metrics), rng_state=None, dataset_digest=aug_digest,
+    )
+    dataio.save_checkpoint(ck, args.out)
     print(f"final formula: {formula_text}")
     print(f"iterations: {len(result.metrics)}  saturated: {result.saturated}")
     print(f"checkpoint: {args.out}")
@@ -392,15 +380,10 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be a positive count, got {args.n}")
-    ck, _run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
-    seed = args.seed if args.seed is not None else int(ck.config.get("seed", 0)) + 10_000
-    rng = np.random.default_rng(seed)
-    rows = rollout(env, pol, *_draw_samples(env, _env_pool(ck, env, args.data), args.n, rng))
-    dim_names = tuple(env.agent_names) + tuple(env.env_names)
-    dataio.export_rollouts(
-        rows, dim_names, args.out, tags=["policy"] * len(rows),
-        comment=f"config={ck.extra.get('config_digest', '')}",
-    )
+    ck, run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
+    seed = args.seed if args.seed is not None else run.seed + 10_000
+    env_pool = _env_pool(ck, env, args.data)
+    _export_policy_rollouts(ck, env, pol, env_pool, args.n, np.random.default_rng(seed), args.out, "policy")
     print(f"wrote {args.n} rollouts to {args.out}")
     return EXIT_OK
 
@@ -416,44 +399,29 @@ def cmd_adjust(args) -> int:
         )
     rule = stl.conjoin(existing_rule, new_rule) if existing_rule else new_rule
     rule_text = stl.print_formula(rule)
-    inf_before = inf.to_pv().flatten().copy()
+    inf_before = inf.flatten()
     env_pool = _env_pool(ck, env, args.data)
 
     if args.retrain:
         rng = np.random.default_rng([run.seed, 777])
-        pol = train_policy(
-            pol,
-            inf,
-            env,
-            env_pool,
-            run.policy,
-            rng,
-            shape=shape,
-            norm=norm,
-            rule=rule,
-        )
+        pol = train_policy(pol, inf, env, env_pool, run.policy, rng, shape=shape, norm=norm, rule=rule)
 
-    if not np.array_equal(inf.to_pv().flatten(), inf_before):
+    if not np.array_equal(inf.flatten(), inf_before):
         raise RuntimeError("the classifier changed while the policy retrained")
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     ck2 = dataclasses.replace(
         ck,
-        policy_groups=pol.to_pv().to_jsonable(),
+        policy_groups=pol.to_jsonable(),
         rule_text=rule_text,
         rng_state=None,
         extra={**ck.extra, "adjusted_from": os.path.abspath(args.ckpt)},
     )
     dataio.save_checkpoint(ck2, args.out)
 
-    rng = np.random.default_rng([int(ck.config.get("seed", 0)), 778])
-    rollouts = rollout(env, pol, *_draw_samples(env, env_pool, args.rollouts, rng))
+    rng = np.random.default_rng([run.seed, 778])
     roll_path = os.path.join(out_dir, "rollouts_adjusted.csv")
-    dim_names = tuple(env.agent_names) + tuple(env.env_names)
-    dataio.export_rollouts(
-        rollouts, dim_names, roll_path, tags=["adjusted"] * len(rollouts),
-        comment=f"config={ck.extra.get('config_digest', '')}",
-    )
+    _export_policy_rollouts(ck, env, pol, env_pool, args.rollouts, rng, roll_path, "adjusted")
     print(f"rule: {rule_text}")
     print(f"checkpoint: {args.out}")
     print(f"rollouts: {roll_path}")

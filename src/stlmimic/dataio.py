@@ -237,15 +237,33 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     os.replace(tmp, path)
 
 
-# what each annotation of a Checkpoint field admits in a loaded document
+# what each annotation of a dataclass field admits in a loaded JSON document
 _FIELD_TYPES = {
     "dict": dict,
     "dict | None": (dict, type(None)),
     "str": str,
     "str | None": (str, type(None)),
-    "float": float,
+    "float": (int, float),  # a JSON integer is a valid float
     "int": int,
 }
+
+
+def admits(annotation: str, value) -> bool:
+    """Whether a loaded JSON value has the type a field annotation names;
+    a JSON true or false is not a number."""
+    if annotation.startswith("tuple["):
+        items = annotation[len("tuple[") : -1].split(", ")
+        return isinstance(value, (list, tuple)) and len(value) == len(items) and all(map(admits, items, value))
+    return isinstance(value, _FIELD_TYPES[annotation]) and not isinstance(value, bool)
+
+
+def field_type_error(dc_cls, values: dict) -> str | None:
+    """Why the first of `values` that its field's annotation in the
+    dataclass `dc_cls` does not admit is wrong, or None if all are admitted."""
+    for f in fields(dc_cls):
+        if f.name in values and not admits(f.type, values[f.name]):
+            return f"{f.name} must be {f.type}, got {type(values[f.name]).__name__}"
+    return None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -269,9 +287,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         values["gan_iteration"] = int(values["gan_iteration"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    for f in fields(Checkpoint):
-        if not isinstance(values[f.name], _FIELD_TYPES[f.type]):
-            raise ParseError(f"{path}: {f.name} must be {f.type}, got {type(values[f.name]).__name__}")
+    bad = field_type_error(Checkpoint, values)
+    if bad:
+        raise ParseError(f"{path}: {bad}")
     return Checkpoint(**values)
 
 

@@ -10,6 +10,10 @@ Signals are affinely normalized per dimension to [-1, 1] before entering
 the network; extraction maps predicates back to original units (an exact
 change of variables, so robustness values are unchanged).
 
+The parameters are one `InferenceParams` (a `tape.ParamVector`) whose
+`group_shapes` is the layout annealing searches and checkpoints store;
+`param_bounds` and `NetworkShape.n_atom_params` are read from it.
+
 Each layer is written once over batches: it runs on plain arrays for
 value-only calls and on tape nodes when a gradient is needed.
 `smooth_robustness` composes the atom layer (`smooth_atoms`) and the gated
@@ -71,10 +75,11 @@ class NetworkShape:
     tau: float = 0.1
 
     def __post_init__(self):
-        if self.n_pred < 1 or self.n_conj < 1 or self.horizon < 1:
-            raise ValueError(f"bad shape {self}")
+        for name in ("n_pred", "n_conj", "horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
     @property
     def n_atoms(self) -> int:
@@ -83,45 +88,37 @@ class NetworkShape:
     @property
     def n_atom_params(self) -> int:
         """Leading entries of the flat parameter vector (predicates, then
-        windows) that the atom layer reads; the gates follow them."""
-        return self.n_pred * self.dim + self.n_pred + 2 * self.n_atoms
+        windows) that the atom layer reads: the offset of the gates."""
+        return tape.layout(InferenceParams.group_shapes(self))["gate"].start
 
 
 @dataclass
-class InferenceParams:
-    """All learnable classifier parameters.
+class InferenceParams(ParamVector):
+    """All learnable classifier parameters, in the order they flatten.
 
     Atom 2k is the eventually-atom of predicate k, atom 2k+1 the
     always-atom. Window endpoints are unconstrained reals interpreted
     through soft masks; gates are logits.
     """
 
-    pred_w: np.ndarray  # (n_pred, dim)
-    pred_b: np.ndarray  # (n_pred,)
-    win_lo: np.ndarray  # (n_atoms,)
-    win_hi: np.ndarray  # (n_atoms,)
-    gate: np.ndarray  # (n_conj, n_atoms)
-    out_gate: np.ndarray  # (n_conj,)
+    pred_w: np.ndarray
+    pred_b: np.ndarray
+    win_lo: np.ndarray
+    win_hi: np.ndarray
+    gate: np.ndarray
+    out_gate: np.ndarray
 
-    def to_pv(self) -> ParamVector:
-        return ParamVector(
-            {
-                "pred_w": self.pred_w,
-                "pred_b": self.pred_b,
-                "win_lo": self.win_lo,
-                "win_hi": self.win_hi,
-                "gate": self.gate,
-                "out_gate": self.out_gate,
-            }
-        )
-
-    @classmethod
-    def from_pv(cls, pv: ParamVector) -> "InferenceParams":
-        return cls(**{k: v for k, v in pv.groups.items()})
-
-    @classmethod
-    def from_leaves(cls, leaves: dict) -> "InferenceParams":
-        return cls(**{k: v for k, v in leaves.items()})
+    @staticmethod
+    def group_shapes(shape: NetworkShape) -> dict[str, tuple]:
+        n_pred, n_atoms, n_conj = shape.n_pred, shape.n_atoms, shape.n_conj
+        return {
+            "pred_w": (n_pred, shape.dim),
+            "pred_b": (n_pred,),
+            "win_lo": (n_atoms,),
+            "win_hi": (n_atoms,),
+            "gate": (n_conj, n_atoms),
+            "out_gate": (n_conj,),
+        }
 
 
 def init_inference(shape: NetworkShape, rng: np.random.Generator) -> InferenceParams:
@@ -151,29 +148,13 @@ def init_inference(shape: NetworkShape, rng: np.random.Generator) -> InferencePa
 
 
 def param_bounds(shape: NetworkShape, pred_bound: float = 3.0, gate_bound: float = 6.0):
-    """(lo, hi) arrays aligned with InferenceParams.to_pv().flatten()."""
-    T = float(shape.horizon)
-    n_pred, n_atoms, n_conj = shape.n_pred, shape.n_atoms, shape.n_conj
-    lo = np.concatenate(
-        [
-            np.full(n_pred * shape.dim, -pred_bound),
-            np.full(n_pred, -pred_bound),
-            np.zeros(n_atoms),
-            np.zeros(n_atoms),
-            np.full(n_conj * n_atoms, -gate_bound),
-            np.full(n_conj, -gate_bound),
-        ]
-    )
-    hi = np.concatenate(
-        [
-            np.full(n_pred * shape.dim, pred_bound),
-            np.full(n_pred, pred_bound),
-            np.full(n_atoms, T),
-            np.full(n_atoms, T),
-            np.full(n_conj * n_atoms, gate_bound),
-            np.full(n_conj, gate_bound),
-        ]
-    )
+    """(lo, hi) arrays aligned with InferenceParams.flatten(): each group's
+    bounds, repeated over its entries, in field order."""
+    pred, win, gate = (-pred_bound, pred_bound), (0.0, float(shape.horizon)), (-gate_bound, gate_bound)
+    bounds = {"pred_w": pred, "pred_b": pred, "win_lo": win, "win_hi": win, "gate": gate, "out_gate": gate}
+    shapes = InferenceParams.group_shapes(shape).items()
+    lo = np.concatenate([np.full(s, bounds[k][0]).ravel() for k, s in shapes])
+    hi = np.concatenate([np.full(s, bounds[k][1]).ravel() for k, s in shapes])
     return lo, hi
 
 
@@ -208,7 +189,14 @@ class SignalNorm:
         return {"mid": list(self.mid), "halfrange": list(self.halfrange)}
 
     @classmethod
-    def from_jsonable(cls, obj: dict) -> "SignalNorm":
+    def from_jsonable(cls, obj: dict, dim: int | None = None) -> "SignalNorm":
+        """Inverse of to_jsonable. Given `dim`, a ValueError names mid or
+        halfrange unless obj holds exactly those, each `dim` finite numbers,
+        the halfranges positive."""
+        if dim is not None:
+            ParamVector.from_jsonable(obj, {"mid": (dim,), "halfrange": (dim,)})
+            if min(obj["halfrange"]) <= 0.0:
+                raise ValueError(f"halfrange must be positive, got {obj['halfrange']}")
         return cls(tuple(obj["mid"]), tuple(obj["halfrange"]))
 
 

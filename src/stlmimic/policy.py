@@ -6,6 +6,9 @@ hold for every parameter setting. The step runs on plain arrays only.
 Training differentiates whole rollouts through `envs.rollout`, whose
 backward pass uses the step's partials below (`cell_vjp`,
 `squash_slope`, `param_grads`).
+
+The weights are one `PolicyParams` (a `tape.ParamVector`) whose
+`group_shapes` is the layout Adam steps and checkpoints store.
 """
 
 from __future__ import annotations
@@ -39,37 +42,30 @@ class PolicyShape:
     hidden: int
     control_dim: int
 
+    @classmethod
+    def for_env(cls, env, hidden: int) -> "PolicyShape":
+        """The policy that drives `env`: its whole state in, its controls out."""
+        return cls(env.n_agent + env.n_env, hidden, env.control_box.dim)
+
 
 @dataclass
-class PolicyParams:
-    w_in: np.ndarray  # (H, state_dim)
-    w_rec: np.ndarray  # (H, H)
-    b_h: np.ndarray  # (H,)
-    w_out: np.ndarray  # (m, H)
-    b_out: np.ndarray  # (m,)
+class PolicyParams(ParamVector):
+    """The cell's and the head's weights, in the order they flatten."""
+
+    w_in: np.ndarray
+    w_rec: np.ndarray
+    b_h: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
+
+    @staticmethod
+    def group_shapes(shape: PolicyShape) -> dict[str, tuple]:
+        n, h, m = shape.state_dim, shape.hidden, shape.control_dim
+        return {"w_in": (h, n), "w_rec": (h, h), "b_h": (h,), "w_out": (m, h), "b_out": (m,)}
 
     @property
     def hidden(self) -> int:
         return self.w_rec.shape[0]
-
-    def to_pv(self) -> ParamVector:
-        return ParamVector(
-            {
-                "w_in": self.w_in,
-                "w_rec": self.w_rec,
-                "b_h": self.b_h,
-                "w_out": self.w_out,
-                "b_out": self.b_out,
-            }
-        )
-
-    @classmethod
-    def from_pv(cls, pv: ParamVector) -> "PolicyParams":
-        return cls(**{k: v for k, v in pv.groups.items()})
-
-    @classmethod
-    def from_leaves(cls, leaves: dict) -> "PolicyParams":
-        return cls(**{k: v for k, v in leaves.items()})
 
 
 def init_policy(shape: PolicyShape, seed) -> PolicyParams:

@@ -11,6 +11,12 @@ and serves both value-only evaluation and differentiation. A caller may
 also record a whole computation as one node with a hand-written VJP, as
 `envs.rollout` does for the closed loop of dynamics and policy.
 
+`ParamVector` is the one parameter type: `inference.InferenceParams` and
+`policy.PolicyParams` derive from it, and each states its group shapes
+once, in `group_shapes`. It flattens itself for annealing and Adam, is
+rebuilt from a flat vector as views, becomes tape leaves for a gradient,
+and reads and writes its checkpoint groups.
+
 Graphs are single-owner while being built and swept; independent graphs
 may live on different threads.
 """
@@ -315,77 +321,95 @@ def backward(out: Node) -> None:
             p.grad = p.grad + g
 
 
+def layout(shapes: dict) -> dict[str, slice]:
+    """Each group's slice of the flat vector of the groups `shapes` names
+    (name -> array shape), raveled one after another in that order."""
+    spans, i = {}, 0
+    for name, shape in shapes.items():
+        spans[name] = slice(i, i + math.prod(shape))
+        i = spans[name].stop
+    return spans
+
+
 class ParamVector:
-    """Named groups of real parameters with a stable flattening order."""
+    """Named parameter arrays, flattened in the order they were set: a
+    model's dataclass fields, or the ad-hoc groups of `ParamVector(w=...)`."""
 
-    def __init__(self, groups: dict[str, np.ndarray]):
-        self.groups = {k: np.array(v, dtype=float) for k, v in groups.items()}
-
-    @property
-    def size(self) -> int:
-        return builtins.sum(a.size for a in self.groups.values())
+    def __init__(self, **groups):
+        vars(self).update(groups)
 
     def flatten(self) -> np.ndarray:
-        if not self.groups:
-            return np.zeros(0)
-        return np.concatenate([a.ravel() for a in self.groups.values()])
+        """A new vector of every group, raveled, in order."""
+        return np.concatenate([np.ravel(a) for a in vars(self).values()])
 
-    def with_flat(self, flat: np.ndarray) -> "ParamVector":
+    def with_flat(self, flat) -> "ParamVector":
+        """The same type laid out like self, each group a view of `flat`."""
         flat = np.asarray(flat, dtype=float)
-        if flat.size != self.size:
-            raise ValueError(f"expected {self.size} entries, got {flat.size}")
-        out = {}
-        i = 0
-        for k, a in self.groups.items():
-            out[k] = flat[i : i + a.size].reshape(a.shape).copy()
+        size = builtins.sum(a.size for a in vars(self).values())
+        if flat.shape != (size,):
+            raise ValueError(f"expected {size} entries, got shape {flat.shape}")
+        groups, i = {}, 0
+        for k, a in vars(self).items():
+            groups[k] = flat[i : i + a.size].reshape(a.shape)
             i += a.size
-        return ParamVector(out)
+        return type(self)(**groups)
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.groups)
+    def leaves(self) -> "ParamVector":
+        """The same type with one tape leaf per group."""
+        return type(self)(**{k: Node(a) for k, a in vars(self).items()})
 
-    def leaves(self) -> dict[str, Node]:
-        """One leaf node per group."""
-        return {k: Node(a.copy()) for k, a in self.groups.items()}
-
-    def grads(self, leaves: dict[str, Node]) -> "ParamVector":
-        """Collect .grad from a leaves() structure after backward()."""
-        return ParamVector(
-            {k: np.broadcast_to(leaves[k].grad, a.shape) for k, a in self.groups.items()}
-        )
+    def grads(self) -> np.ndarray:
+        """The flat gradient collected from a leaves() structure after backward()."""
+        return np.concatenate([np.broadcast_to(n.grad, n.shape).ravel() for n in vars(self).values()])
 
     def to_jsonable(self) -> dict:
-        return {k: a.tolist() for k, a in self.groups.items()}
+        return {k: a.tolist() for k, a in vars(self).items()}
 
     @classmethod
-    def from_jsonable(cls, obj: dict) -> "ParamVector":
-        return cls({k: np.array(v, dtype=float) for k, v in obj.items()})
+    def from_jsonable(cls, obj, shapes: dict) -> "ParamVector":
+        """Inverse of to_jsonable for an object holding exactly the groups
+        `shapes` names, each finite numbers of its shape; any other raises
+        a ValueError naming the group."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected the groups {list(shapes)}, got a {type(obj).__name__}")
+        unknown = set(obj) - set(shapes)
+        if unknown:
+            raise ValueError(f"unknown group {sorted(unknown)[0]}; expected {list(shapes)}")
+        groups = {}
+        for name, want in shapes.items():
+            try:
+                groups[name] = np.array(obj[name], dtype=float)
+                ok = groups[name].shape == tuple(want) and np.isfinite(groups[name]).all()
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"group {name} must be finite numbers of shape {tuple(want)}")
+        return cls(**groups)
 
 
 def finite_diff_check(f, params: ParamVector, h: float = 1e-5, kink_tol: float = 1e-3) -> float:
     """Max relative error between backward() and central differences.
 
-    `f` maps a leaves() structure to a scalar (node or number); the
-    differences evaluate it on the plain parameter arrays. Coordinates
-    sitting on a nondifferentiable point (one-sided slopes disagree, e.g.
-    a ReLU kink) are skipped. Raises NonFiniteValue if any evaluation is
-    NaN or infinite.
+    `f` maps parameters of the type of `params` to a scalar (node or
+    number): once with tape leaves for backward(), then with plain arrays
+    for the differences. Coordinates sitting on a nondifferentiable point
+    (one-sided slopes disagree, e.g. a ReLU kink) are skipped. Raises
+    NonFiniteValue if any evaluation is NaN or infinite.
     """
     leaves = params.leaves()
     out = f(leaves)
     out_v = float(value(out))
     if not math.isfinite(out_v):
         raise NonFiniteValue(f"objective evaluated to {out_v}")
+    base = params.flatten()
     if isinstance(out, Node):
         backward(out)
-        analytic = params.grads(leaves).flatten()
+        analytic = leaves.grads()
     else:
-        analytic = np.zeros(params.size)
-
-    base = params.flatten()
+        analytic = np.zeros(base.size)
 
     def value_at(vec):
-        v = float(value(f(params.with_flat(vec).groups)))
+        v = float(value(f(params.with_flat(vec))))
         if not math.isfinite(v):
             raise NonFiniteValue(f"objective evaluated to {v}")
         return v

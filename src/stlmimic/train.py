@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .inference import (
     smooth_robustness,
 )
 from .policy import PolicyParams, PolicyShape, init_policy
-from .tape import Node, ParamVector, backward
+from .tape import Node, backward, layout
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +43,12 @@ class EmptyDataset(ValueError):
 
 class NoNegativeData(ValueError):
     """Single-label dataset: the caller must bootstrap negatives first."""
+
+
+def _require_counts(cfg, *names) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -63,6 +69,11 @@ class InferenceTrainConfig:
     gate_bound: float = 6.0
     tau_eval: float = 0.01
 
+    def __post_init__(self):
+        _require_counts(self, "epoch_len", "refine_batch")
+        if self.tau_eval <= 0:
+            raise ValueError(f"tau_eval must be positive, got {self.tau_eval}")
+
 
 @dataclass
 class PolicyTrainConfig:
@@ -72,6 +83,11 @@ class PolicyTrainConfig:
     steps: int = 2000
     hidden: int = 32
 
+    def __post_init__(self):
+        _require_counts(self, "batch_m", "hidden")
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
+
 
 @dataclass
 class GanConfig:
@@ -79,6 +95,9 @@ class GanConfig:
     max_iterations: int = 8
     stop_mcr: float = 0.05
     reheat: float = 0.5  # annealing temperature scale on warm-started rounds
+
+    def __post_init__(self):
+        _require_counts(self, "n_generate", "max_iterations")
 
 
 # --- misclassification rate ---------------------------------------------------
@@ -113,9 +132,10 @@ def _loss_of_scores(vals, labels, params: InferenceParams, margin, cfg):
     return hinge + cfg.beta1 * reg - cfg.beta2 * margin
 
 
-def annealing_objective(X_norm, labels, template: ParamVector, shape: NetworkShape, cfg):
+def annealing_objective(X_norm, labels, template: InferenceParams, shape: NetworkShape, cfg):
     """Value-only `inference_loss` of flat (classifier, margin) vectors laid
-    out like `template` plus a trailing margin.
+    out like `template` plus a trailing margin; the parameters are views of
+    the vector.
 
     The atom layer reads only the leading predicate and window entries. A
     one-entry memo keeps the previous vector's atoms and reuses them while
@@ -128,7 +148,7 @@ def annealing_objective(X_norm, labels, template: ParamVector, shape: NetworkSha
 
     def objective(fullvec) -> float:
         nonlocal memo_key, memo_atoms
-        params = InferenceParams.from_pv(template.with_flat(fullvec[:-1]))
+        params = template.with_flat(fullvec[:-1])
         key = fullvec[:n_atom_params]
         if not np.array_equal(key, memo_key):
             memo_key, memo_atoms = key.copy(), smooth_atoms(X_norm, params, shape)
@@ -168,23 +188,18 @@ def train_inference(
     lo_p, hi_p = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
     lo = np.concatenate([lo_p, [cfg.margin_lo]])
     hi = np.concatenate([hi_p, [cfg.margin_hi]])
-    template = init_inference(shape, rng).to_pv()
+    template = init_inference(shape, rng)
 
     objective = annealing_objective(X, labels, template, shape, cfg)
 
     # multi-start: keep the best of several random initializations; a warm
     # start competes against them rather than replacing them, so stale
     # incumbents cannot pin the search after the dataset shifts
-    current = np.clip(np.concatenate([template.flatten(), [0.1]]), lo, hi)
-    cur_loss = objective(current)
-    for _ in range(cfg.n_starts - 1):
-        cand = np.clip(
-            np.concatenate([init_inference(shape, rng).to_pv().flatten(), [0.1]]),
-            lo,
-            hi,
-        )
+    current = None
+    for start in [template] + [init_inference(shape, rng) for _ in range(cfg.n_starts - 1)]:
+        cand = np.clip(np.append(start.flatten(), 0.1), lo, hi)
         cand_loss = objective(cand)
-        if cand_loss < cur_loss:
+        if current is None or cand_loss < cur_loss:
             current, cur_loss = cand, cand_loss
     if warm_start is not None:
         warm = np.clip(np.asarray(warm_start, dtype=float), lo, hi)
@@ -225,10 +240,9 @@ def train_inference(
     # not hurt the loss. Half-open gates can hide discrimination that the
     # thresholded extraction cannot see; railed gates keep the smooth and
     # extracted semantics aligned.
-    g0 = shape.n_atom_params
-    g1 = g0 + shape.n_conj * shape.n_atoms + shape.n_conj
+    spans = layout(InferenceParams.group_shapes(shape))
     for _ in range(2):
-        for i in range(g0, g1):
+        for i in range(spans["gate"].start, spans["out_gate"].stop):
             trial = best.copy()
             for cand in (-cfg.gate_bound, cfg.gate_bound):
                 trial[i] = cand
@@ -236,7 +250,7 @@ def train_inference(
                 if trial_loss <= best_loss:
                     best, best_loss = trial.copy(), trial_loss
 
-    params = InferenceParams.from_pv(template.with_flat(best[:-1]))
+    params = template.with_flat(best[:-1].copy())  # not a view of info["flat"]
     margin = float(best[-1])
     info = {
         "proposals": proposals,
@@ -254,14 +268,10 @@ def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
     batch = min(cfg.refine_batch, n)
     for _ in range(cfg.refine_steps):
         idx = rng.choice(n, size=batch, replace=False)
-        pv = template.with_flat(vec[:-1])
-        leaves = pv.leaves()
+        params = template.with_flat(vec[:-1]).leaves()
         margin = Node(vec[-1])
-        loss = inference_loss(
-            X[idx], labels[idx], InferenceParams.from_leaves(leaves), shape, margin, cfg
-        )
-        backward(loss)
-        grad = np.concatenate([pv.grads(leaves).flatten(), [margin.grad]])
+        backward(inference_loss(X[idx], labels[idx], params, shape, margin, cfg))
+        grad = np.concatenate([params.grads(), [margin.grad]])
         vec = np.clip(vec - cfg.refine_lr * grad, lo, hi)
     return vec
 
@@ -333,19 +343,14 @@ def train_policy(
 
     `env_pool` holds the environment trajectories of the original dataset
     (empty list for static environments)."""
-    pv = policy0.to_pv()
-    flat = pv.flatten()
+    flat = policy0.flatten()
     opt = Adam(flat.size, cfg.lr, cfg.betas)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
-        leaves = pv.with_flat(flat).leaves()
-        obj = policy_objective(
-            PolicyParams.from_leaves(leaves), inf_params, env, samples, shape, norm, rule
-        )
-        backward(obj)
-        grad = pv.grads(leaves).flatten()
-        flat = opt.step(flat, grad, maximize=True)
-    return PolicyParams.from_pv(pv.with_flat(flat))
+        p = policy0.with_flat(flat).leaves()
+        backward(policy_objective(p, inf_params, env, samples, shape, norm, rule))
+        flat = opt.step(flat, p.grads(), maximize=True)
+    return policy0.with_flat(flat)  # flat is this call's own array
 
 
 # --- adversarial alternation ------------------------------------------------------
@@ -425,10 +430,7 @@ def gan_loop(
     names = dataset0.dim_names
 
     if resume is None:
-        policy = init_policy(
-            PolicyShape(env.n_agent + env.n_env, pol_cfg.hidden, env.control_box.dim),
-            seed=int(rng.integers(2**31)),
-        )
+        policy = init_policy(PolicyShape.for_env(env, pol_cfg.hidden), seed=int(rng.integers(2**31)))
         dataset = dataset0
         if dataset.count(-1) == 0:
             log.info("positive-only dataset: bootstrapping %d negatives from a random policy", gan_cfg.n_generate)
@@ -439,7 +441,7 @@ def gan_loop(
         start_iter = 1
         warm = None
     else:
-        policy = PolicyParams.from_pv(resume["policy"])
+        policy = resume["policy"]
         dataset = resume["dataset"]
         start_iter = resume["iteration"]
         warm = resume["warm_start"]
@@ -456,7 +458,7 @@ def gan_loop(
                 {
                     "iteration": it,
                     "rng_state": rng.bit_generator.state,
-                    "policy": policy.to_pv(),
+                    "policy": policy,
                     "dataset": dataset,
                     "warm_start": warm,
                     "metrics": list(metrics),

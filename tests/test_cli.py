@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stlmimic import dataio, stl
-from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, default_config, main
+from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
 
 TINY = {
     "seed": 3,
@@ -195,6 +195,64 @@ class TestTrainOutputs:
         bad_cfg.write_text(json.dumps({**TINY, "optimizer": "sgd"}))
         code = main(["train", "--data", str(data), "--config", str(bad_cfg), "--out", str(tmp_path / "c.json")])
         assert code == EXIT_CONFIG
+
+
+BAD_CONFIGS = {
+    # the option each config gets wrong, and the config
+    "inference.epoch_len": {"inference": {"epoch_len": 0}},
+    "gan.n_generate": {"gan": {"n_generate": 0}},
+    "gan.max_iterations": {"gan": {"max_iterations": 0}},
+    "policy.hidden": {"policy": {"hidden": 0}},
+    "policy.batch_m": {"policy": {"batch_m": 0}},
+    "policy.betas": {"policy": {"betas": [0.9, 1.0]}},
+    "seed": {"seed": "abc"},
+    "shape.n_pred": {"shape": {"n_pred": "x"}},
+    "shape.n_conj": {"shape": {"n_conj": 0}},
+    "shape.tau": {"shape": {"tau": -1}},
+    "env.T": {"env": {"name": "unicycle", "T": 0}},
+    "env": {"env": "unicycle"},
+    "env.name": {"env": {"name": ["unicycle"]}},
+    "inference.max_proposals": {"inference": {"max_proposals": "10"}},
+    "inference.refine_steps": {"inference": {"refine_steps": 2.0}},
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("option", list(BAD_CONFIGS))
+    def test_names_the_option(self, option):
+        with pytest.raises(ConfigError) as excinfo:
+            Run(BAD_CONFIGS[option])
+        assert str(excinfo.value).startswith(option + " "), str(excinfo.value)
+
+    def test_more_cases_name_the_option(self):
+        for doc, option in [
+            ({"shape": {"n_pred": 0}}, "shape.n_pred"),
+            ({"env": {"name": "driving", "T": "57"}}, "env.T"),
+            ({"seed": -1}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"policy": {"betas": [0.9]}}, "policy.betas"),
+            ({"inference": {"tau_eval": 0}}, "inference.tau_eval"),
+            ({"inference": {"refine_batch": 0}}, "inference.refine_batch"),
+            ({"gan": []}, "gan"),
+        ]:
+            with pytest.raises(ConfigError) as excinfo:
+                Run(doc)
+            assert str(excinfo.value).startswith(option + " "), (doc, str(excinfo.value))
+
+    def test_json_integers_are_valid_floats(self):
+        run = Run({"shape": {"tau": 1}, "inference": {"margin_lo": 0}, "policy": {"betas": [0, 0.5]}})
+        assert run.shape.tau == 1.0 and isinstance(run.shape.tau, float)
+        assert isinstance(run.inference.margin_lo, float)
+        assert run.policy.betas == (0.0, 0.5)
+
+    def test_train_exits_2_and_writes_no_checkpoint(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY, "inference": {"epoch_len": 0}}))
+        out = tmp_path / "run" / "ckpt.json"
+        assert main(["train", "--data", str(data), "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert "inference.epoch_len" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
 
 
 class TestEval:
@@ -418,10 +476,14 @@ class TestBadInputFiles:
             ("rollout", lambda doc: doc["shape"].update(width=3)),
             ("rollout", lambda doc: doc["policy_groups"].pop("w_rec")),
             ("extract", lambda doc: doc["norm"].pop("halfrange")),
+            ("extract", lambda doc: doc["norm"].update(halfrange=[1.0, 0.0, 1.0, 1.0])),
             ("extract", lambda doc: doc["inference_groups"].update(gate=[[0.0]])),
             ("rollout", _trim_w_in),
             ("rollout", lambda doc: doc.update(extra=[])),
             ("rollout", lambda doc: doc.update(rule_text=3)),
+            ("rollout", lambda doc: doc["config"]["env"].update(name="nope")),
+            ("rollout", lambda doc: doc["config"].update(seed="abc")),
+            ("rollout", lambda doc: doc["config"].update(env=["unicycle"])),
             ("eval", NOT_UTF8),
             ("eval-data", NOT_UTF8),
         ],
@@ -431,10 +493,14 @@ class TestBadInputFiles:
             "shape-unknown-key",
             "policy-without-w_rec",
             "norm-without-halfrange",
+            "norm-halfrange-zero",
             "gate-wrong-shape",
             "w_in-too-few-columns",
             "extra-a-list",
             "rule_text-an-int",
+            "config-env-name-unknown",
+            "config-seed-a-string",
+            "config-env-a-list",
             "formula-not-utf8",
             "data-not-utf8",
         ],

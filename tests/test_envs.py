@@ -114,16 +114,15 @@ class TestRollout:
     def test_terminal_state_gradient_matches_fd(self):
         env = DrivingEnv()
         params = init_policy(PolicyShape(4, 4, 1), seed=5)
-        pv = params.to_pv()
         rng = np.random.default_rng(6)
         env_traj = env.gen_env_profile(rng, False, 8.0)
         x0 = np.array([2.0, 0.0])
 
-        def f(leaves):
-            raw = rollout(env, PolicyParams.from_leaves(leaves), x0[None], env_traj[None])
+        def f(p):
+            raw = rollout(env, p, x0[None], env_traj[None])
             return raw[0, -1, 0]  # terminal ego position
 
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-3
+        assert finite_diff_check(f, params, h=1e-5) < 1e-3
 
     def test_nonfinite_state_raises(self):
         env = DrivingEnv()
@@ -165,17 +164,16 @@ class TestRolloutOp:
         else:
             env_trajs = np.zeros((batch, horizon + 1, 0))
         weights = rng.normal(size=(batch, horizon + 1, env.n_agent + env.n_env))
-        pv = params.to_pv()
 
-        node = rollout(env, PolicyParams.from_leaves(pv.leaves()), x0s, env_trajs)
+        node = rollout(env, params.leaves(), x0s, env_trajs)
         assert isinstance(node, tape.Node)
         assert np.array_equal(node.value, rollout(env, params, x0s, env_trajs))
 
-        def f(leaves):
-            raw = rollout(env, PolicyParams.from_leaves(leaves), x0s, env_trajs)
+        def f(p):
+            raw = rollout(env, p, x0s, env_trajs)
             return tape.sum(raw * weights)
 
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-4
+        assert finite_diff_check(f, params, h=1e-5) < 1e-4
 
 
 class TestUnicycleExpert:

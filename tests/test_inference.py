@@ -12,7 +12,6 @@ from stlmimic.inference import (
     extract_formula,
     init_inference,
     normalize_formula,
-    param_bounds,
     simplify,
     smooth_robustness,
 )
@@ -105,21 +104,21 @@ class TestSmoothRobustness:
         shape = NetworkShape(n_pred=2, n_conj=2, horizon=5, dim=2, tau=0.1)
         params = init_inference(shape, rng)
         vals = rng.uniform(-1, 1, size=(1, 6, 2))
-        pv = params.to_pv()
 
-        def score(leaves):
-            return smooth_robustness(vals, InferenceParams.from_leaves(leaves), shape)[0]
+        def score(p):
+            return smooth_robustness(vals, p, shape)[0]
 
-        assert finite_diff_check(score, pv, h=1e-5) < 1e-3
+        assert finite_diff_check(score, params, h=1e-5) < 1e-3
 
         X = rng.uniform(-1, 1, size=(6, 6, 2))
         labels = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
         cfg = InferenceTrainConfig()
-        pv_m = ParamVector({**pv.groups, "margin": np.array([0.3])})
+        pv_m = ParamVector(**vars(params), margin=np.array([0.3]))
 
         def loss(leaves):
-            p = InferenceParams.from_leaves({k: v for k, v in leaves.items() if k != "margin"})
-            return inference_loss(X, labels, p, shape, leaves["margin"][0], cfg)
+            groups = dict(vars(leaves))
+            margin = groups.pop("margin")
+            return inference_loss(X, labels, InferenceParams(**groups), shape, margin[0], cfg)
 
         assert finite_diff_check(loss, pv_m, h=1e-5) < 1e-3
 
@@ -129,10 +128,10 @@ class TestSmoothRobustness:
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=4, dim=2, tau=0.1)
         params = init_inference(shape, rng)
         vals = rng.uniform(-1, 1, size=(1, 5, 2))
-        pv = ParamVector({"sig": vals})
+        pv = ParamVector(sig=vals)
 
         def f(leaves):
-            return smooth_robustness(leaves["sig"], params, shape)[0]
+            return smooth_robustness(leaves.sig, params, shape)[0]
 
         assert finite_diff_check(f, pv, h=1e-5) < 1e-3
 
@@ -303,12 +302,3 @@ class TestSimplify:
             before = exact_mcr(f, X, names, labels)
             after = exact_mcr(simplify(f, X, names, labels), X, names, labels)
             assert after <= before + 1e-12
-
-
-class TestBounds:
-    def test_bounds_align_with_flatten(self):
-        shape = case1_shape()
-        lo, hi = param_bounds(shape)
-        pv = init_inference(shape, np.random.default_rng(0)).to_pv()
-        assert lo.size == pv.size == hi.size
-        assert np.all(lo < hi)

@@ -91,12 +91,12 @@ class TestInit:
     def test_same_seed_identical(self):
         a = init_policy(PolicyShape(3, 16, 2), seed=3)
         b = init_policy(PolicyShape(3, 16, 2), seed=3)
-        assert np.array_equal(a.to_pv().flatten(), b.to_pv().flatten())
+        assert np.array_equal(a.flatten(), b.flatten())
 
     def test_different_seeds_differ(self):
         a = init_policy(PolicyShape(3, 16, 2), seed=3)
         b = init_policy(PolicyShape(3, 16, 2), seed=4)
-        assert not np.array_equal(a.to_pv().flatten(), b.to_pv().flatten())
+        assert not np.array_equal(a.flatten(), b.flatten())
 
     def test_weights_within_fan_in_bound(self):
         p = init_policy(PolicyShape(4, 9, 2), seed=0)
@@ -112,18 +112,18 @@ class TestGradients:
         # rollout, whose backward pass is hand-written BPTT
         env = UnicycleEnv(T=3)
         params = init_policy(PolicyShape(3, 4, 2), seed=13)
-        pv = params.to_pv()
         x0s = np.array([[0.3, -0.1, 0.2], [0.0, 0.4, 1.1]])
         weights = np.random.default_rng(14).normal(size=(2, 4, 3))
 
-        def f(leaves):
-            raw = rollout(env, PolicyParams.from_leaves(leaves), x0s, np.zeros((2, 4, 0)))
+        def f(p):
+            raw = rollout(env, p, x0s, np.zeros((2, 4, 0)))
             return tape.sum(raw * weights)
 
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-4
+        assert finite_diff_check(f, params, h=1e-5) < 1e-4
 
     def test_roundtrip_pv(self):
         p = init_policy(PolicyShape(3, 5, 2), seed=1)
-        q = PolicyParams.from_pv(p.to_pv())
+        q = p.with_flat(p.flatten())
+        assert type(q) is PolicyParams
         assert np.array_equal(q.w_rec, p.w_rec)
         assert np.array_equal(q.b_out, p.b_out)

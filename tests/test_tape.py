@@ -1,9 +1,15 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlmimic import tape
+from stlmimic.inference import InferenceParams, NetworkShape, init_inference, param_bounds
+from stlmimic.policy import PolicyParams, PolicyShape
 from stlmimic.tape import (
     EmptyInput,
     Node,
@@ -183,10 +189,10 @@ class TestBackward:
 
     def test_matmul_and_indexing_match_fd(self):
         rng = np.random.default_rng(2)
-        pv = ParamVector({"a": rng.uniform(-1, 1, size=(2, 4, 3)), "b": rng.uniform(-1, 1, size=(3, 5))})
+        pv = ParamVector(a=rng.uniform(-1, 1, size=(2, 4, 3)), b=rng.uniform(-1, 1, size=(3, 5)))
 
         def f(leaves):
-            a, b = leaves["a"], leaves["b"]
+            a, b = leaves.a, leaves.b
             prod = tape.transpose(a @ b, (0, 2, 1))  # (2, 5, 4)
             picked = prod[:, [0, 0, 3], 1:]  # repeated rows
             joined = tape.concatenate([picked, prod[:, None, 4, 1:]], axis=1)  # (2, 4, 3)
@@ -195,41 +201,21 @@ class TestBackward:
         assert finite_diff_check(f, pv) < 1e-8
 
 
-class TestParamVector:
-    def test_flatten_roundtrip(self):
-        pv = ParamVector({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])})
-        flat = pv.flatten()
-        assert flat.tolist() == [0, 1, 2, 3, 4, 5, 7]
-        back = pv.with_flat(flat)
-        for k in pv.groups:
-            assert np.array_equal(back.groups[k], pv.groups[k])
-
-    def test_with_flat_size_check(self):
-        pv = ParamVector({"a": np.zeros(3)})
-        with pytest.raises(ValueError):
-            pv.with_flat(np.zeros(4))
-
-    def test_jsonable_roundtrip(self):
-        pv = ParamVector({"a": np.array([[1.5, -2.25]]), "b": np.array([1e-17])})
-        back = ParamVector.from_jsonable(pv.to_jsonable())
-        assert np.array_equal(back.flatten(), pv.flatten())
-
-
 class TestFiniteDiff:
     def test_linear_is_exact(self):
-        pv = ParamVector({"w": np.array([1.0, -2.0, 0.5])})
+        pv = ParamVector(w=np.array([1.0, -2.0, 0.5]))
 
         def f(leaves):
-            return leaves["w"] @ np.array([3.0, 1.0, -1.0]) + 2.0
+            return leaves.w @ np.array([3.0, 1.0, -1.0]) + 2.0
 
         assert finite_diff_check(f, pv) < 1e-10
 
     def test_smooth_composite(self):
         rng = np.random.default_rng(9)
-        pv = ParamVector({"w": rng.uniform(-1, 1, size=6), "b": rng.uniform(-1, 1, size=2)})
+        pv = ParamVector(w=rng.uniform(-1, 1, size=6), b=rng.uniform(-1, 1, size=2))
 
         def f(leaves):
-            w, b = leaves["w"], leaves["b"]
+            w, b = leaves.w, leaves.b
             h1 = sigmoid(w[:3] @ np.array([0.3, -0.2, 0.9]) + b[0])
             h2 = sigmoid(w[3:] @ tape.stack([h1, 0.4, -1.1]) + b[1])
             return smin(tape.stack([h1, h2, h1 * h2]), 0.3, 0) + smax(tape.stack([h1, -0.2]), 0.5, 0)
@@ -237,20 +223,20 @@ class TestFiniteDiff:
         assert finite_diff_check(f, pv, h=1e-5) < 1e-4
 
     def test_relu_kink_skipped(self):
-        pv = ParamVector({"w": np.array([0.0, 1.0])})
+        pv = ParamVector(w=np.array([0.0, 1.0]))
 
         def f(leaves):
-            w = leaves["w"]
+            w = leaves.w
             return relu(w[0]) + w[1] * 2.0
 
         # Kink coordinate is skipped; the smooth coordinate still checks out.
         assert finite_diff_check(f, pv) < 1e-10
 
     def test_nonfinite_raises(self):
-        pv = ParamVector({"w": np.array([1.0])})
+        pv = ParamVector(w=np.array([1.0]))
 
         def f(leaves):
-            return leaves["w"][0] * math.inf
+            return leaves.w[0] * math.inf
 
         with pytest.raises(NonFiniteValue):
             finite_diff_check(f, pv)
@@ -258,17 +244,130 @@ class TestFiniteDiff:
     def test_three_layer_matches_fd(self):
         rng = np.random.default_rng(21)
         pv = ParamVector(
-            {
-                "w1": rng.uniform(-1, 1, size=(3, 2)),
-                "w2": rng.uniform(-1, 1, size=(2, 3)),
-                "w3": rng.uniform(-1, 1, size=2),
-            }
+            w1=rng.uniform(-1, 1, size=(3, 2)),
+            w2=rng.uniform(-1, 1, size=(2, 3)),
+            w3=rng.uniform(-1, 1, size=2),
         )
         x_in = rng.uniform(-1, 1, size=2)
 
         def f(leaves):
-            h1 = sigmoid(leaves["w1"] @ x_in)
-            h2 = sigmoid(leaves["w2"] @ h1)
-            return leaves["w3"] @ h2
+            h1 = sigmoid(leaves.w1 @ x_in)
+            h2 = sigmoid(leaves.w2 @ h1)
+            return leaves.w3 @ h2
 
         assert finite_diff_check(f, pv, h=1e-5) < 1e-4
+
+
+NETWORK_SHAPES = st.builds(
+    NetworkShape,
+    n_pred=st.integers(1, 4),
+    n_conj=st.integers(1, 3),
+    horizon=st.integers(1, 6),
+    dim=st.integers(1, 4),
+)
+MODEL_SHAPES = st.one_of(
+    NETWORK_SHAPES,
+    st.builds(PolicyShape, st.integers(1, 5), st.integers(1, 6), st.integers(1, 3)),
+)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def model_params(shape, flat=None):
+    """The parameter class of `shape`'s model, and parameters of that shape
+    holding `flat` (zeros by default)."""
+    cls = InferenceParams if isinstance(shape, NetworkShape) else PolicyParams
+    zeros = cls(**{k: np.zeros(s) for k, s in cls.group_shapes(shape).items()})
+    return cls, zeros if flat is None else zeros.with_flat(flat)
+
+
+def flat_size(shape) -> int:
+    return model_params(shape)[1].flatten().size
+
+
+class TestParamLayout:
+    """Each model's parameters are one type that flattens itself in field
+    order, with its group shapes stated once in `group_shapes`."""
+
+    @PROPERTY
+    @given(shape=MODEL_SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_with_flat_of_flatten_is_the_same_params_as_views(self, shape, seed):
+        cls, p = model_params(shape)
+        p = p.with_flat(np.random.default_rng(seed).normal(size=flat_size(shape)))
+        shapes = cls.group_shapes(shape)
+        assert list(vars(p)) == list(shapes) == [f.name for f in dataclasses.fields(cls)]
+        flat = p.flatten()
+        assert np.array_equal(flat, np.concatenate([getattr(p, k).ravel() for k in shapes]))
+        for k, span in tape.layout(shapes).items():
+            assert np.array_equal(flat[span], getattr(p, k).ravel())
+        q = p.with_flat(flat)
+        assert type(q) is cls
+        for k, want in shapes.items():
+            assert getattr(q, k).shape == want
+            assert np.array_equal(getattr(q, k), getattr(p, k))
+            assert np.shares_memory(getattr(q, k), flat)
+        for bad in (flat[:-1], np.append(flat, 0.0), flat[None]):
+            with pytest.raises(ValueError):
+                p.with_flat(bad)
+        # one leaf per group, and the gradient flattens in the same order
+        leaves = p.leaves()
+        assert type(leaves) is cls and all(isinstance(n, Node) for n in vars(leaves).values())
+        weights = q.with_flat(np.arange(flat.size, dtype=float))
+        backward(sum(tape.sum(n * w) for n, w in zip(vars(leaves).values(), vars(weights).values())))
+        assert np.array_equal(leaves.grads(), weights.flatten())
+
+    @PROPERTY
+    @given(shape=MODEL_SHAPES, data=st.data())
+    def test_from_jsonable_of_to_jsonable_is_the_identity(self, shape, data):
+        n = flat_size(shape)
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+        cls, p = model_params(shape, np.array(values))
+        q = cls.from_jsonable(json.loads(json.dumps(p.to_jsonable())), cls.group_shapes(shape))
+        assert type(q) is cls
+        for k, a in vars(p).items():
+            assert getattr(q, k).shape == a.shape and np.array_equal(getattr(q, k), a)
+
+    @PROPERTY
+    @given(shape=MODEL_SHAPES, data=st.data())
+    def test_a_missing_misshaped_or_unknown_group_is_named(self, shape, data):
+        cls, p = model_params(shape)
+        shapes = cls.group_shapes(shape)
+        name = data.draw(st.sampled_from(list(shapes)))
+        good = p.to_jsonable()
+        cases = [
+            ({k: v for k, v in good.items() if k != name}, name),
+            ({**good, name: np.append(getattr(p, name), 0.0).tolist()}, name),
+            ({**good, name: [good[name]]}, name),
+            ({**good, name: "x"}, name),
+            ({**good, name: np.full(shapes[name], np.inf).tolist()}, name),
+            ({**good, "bogus": [0.0]}, "bogus"),
+        ]
+        for doc, named in cases:
+            with pytest.raises(ValueError, match=rf"\b{named}\b"):
+                cls.from_jsonable(doc, shapes)
+        with pytest.raises(ValueError):
+            cls.from_jsonable([good], shapes)
+
+    @PROPERTY
+    @given(shape=NETWORK_SHAPES, pred_bound=st.floats(0.5, 5.0), gate_bound=st.floats(0.5, 10.0))
+    def test_bounds_cover_every_parameter_in_field_order(self, shape, pred_bound, gate_bound):
+        lo, hi = param_bounds(shape, pred_bound, gate_bound)
+        assert lo.size == init_inference(shape, np.random.default_rng(0)).flatten().size == hi.size
+        assert np.all(lo < hi)
+        want = {
+            "pred_w": (-pred_bound, pred_bound),
+            "pred_b": (-pred_bound, pred_bound),
+            "win_lo": (0.0, shape.horizon),
+            "win_hi": (0.0, shape.horizon),
+            "gate": (-gate_bound, gate_bound),
+            "out_gate": (-gate_bound, gate_bound),
+        }
+        for k, span in tape.layout(InferenceParams.group_shapes(shape)).items():
+            assert np.all(lo[span] == want[k][0]) and np.all(hi[span] == want[k][1])
+
+    @PROPERTY
+    @given(shape=NETWORK_SHAPES)
+    def test_atom_params_are_the_four_atom_groups(self, shape):
+        shapes = InferenceParams.group_shapes(shape)
+        atoms = ("pred_w", "pred_b", "win_lo", "win_hi")
+        assert shape.n_atom_params == sum(math.prod(shapes[k]) for k in atoms)
+        assert list(shapes)[: len(atoms)] == list(atoms)

@@ -7,14 +7,13 @@ from stlmimic import stl, train
 from stlmimic.dataio import Dataset, LabeledTrajectory
 from stlmimic.envs import DrivingEnv, UnicycleEnv, rollout
 from stlmimic.inference import (
-    InferenceParams,
     NetworkShape,
     SignalNorm,
     exact_mcr,
     init_inference,
     smooth_robustness,
 )
-from stlmimic.policy import PolicyParams, PolicyShape, init_policy
+from stlmimic.policy import PolicyShape, init_policy
 from stlmimic.train import (
     Adam,
     EmptyDataset,
@@ -169,7 +168,7 @@ class TestTrainInference:
         outs = []
         for _ in range(2):
             p, m, info = train_inference(ds, shape, self.CFG, np.random.default_rng(11), norm=norm)
-            outs.append(np.concatenate([p.to_pv().flatten(), [m]]))
+            outs.append(np.concatenate([p.flatten(), [m]]))
         assert np.array_equal(outs[0], outs[1])
 
     def test_loss_not_worse_than_start(self):
@@ -177,16 +176,15 @@ class TestTrainInference:
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=3, dim=1, tau=0.1)
         norm = SignalNorm.from_arrays([t.full() for t in ds])
         rng = np.random.default_rng(13)
-        start = np.concatenate([init_inference(shape, rng).to_pv().flatten(), [0.1]])
+        start = np.concatenate([init_inference(shape, rng).flatten(), [0.1]])
         cfg = self.CFG
         p, m, info = train_inference(
             ds, shape, cfg, np.random.default_rng(13), norm=norm, warm_start=start
         )
         X = np.stack([norm.apply(t.full()) for t in ds])
         start_loss = inference_loss(
-            X, ds.labels().astype(float), InferenceParams.from_pv(
-                init_inference(shape, np.random.default_rng(13)).to_pv().with_flat(start[:-1])
-            ), shape, 0.1, cfg
+            X, ds.labels().astype(float),
+            init_inference(shape, np.random.default_rng(13)).with_flat(start[:-1]), shape, 0.1, cfg
         )
         assert info["loss"] <= start_loss + 1e-12
 
@@ -198,11 +196,12 @@ class TestTrainInference:
         X, labels = norm.apply(ds.to_array()), ds.labels().astype(float)
         cfg = InferenceTrainConfig()
         rng = np.random.default_rng(19)
-        template = init_inference(shape, rng).to_pv()
-        groups = template.groups
-        assert shape.n_atom_params == sum(groups[k].size for k in ("pred_w", "pred_b", "win_lo", "win_hi"))
-        n_gate = groups["gate"].size + groups["out_gate"].size
-        win = slice(groups["pred_w"].size + groups["pred_b"].size, shape.n_atom_params)
+        template = init_inference(shape, rng)
+        assert shape.n_atom_params == sum(
+            getattr(template, k).size for k in ("pred_w", "pred_b", "win_lo", "win_hi")
+        )
+        n_gate = template.gate.size + template.out_gate.size
+        win = slice(template.pred_w.size + template.pred_b.size, shape.n_atom_params)
 
         v0 = np.concatenate([template.flatten(), [0.1]])
         full = v0 + rng.normal(0.0, 0.3, v0.size)
@@ -219,11 +218,19 @@ class TestTrainInference:
         monkeypatch.setattr(train, "smooth_atoms", lambda *a: calls.append(1) or atoms(*a))
         objective = train.annealing_objective(X, labels, template, shape, cfg)
         for vec in replay:
-            params = InferenceParams.from_pv(template.with_flat(vec[:-1]))
+            params = template.with_flat(vec[:-1])
             want = float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg))
             assert objective(vec.copy()) == want
         # recomputed for v0, full, window, full and v0; reused for the rest
         assert len(calls) == 5
+
+    def test_result_is_not_a_view_of_the_flat_vector(self):
+        ds = toy_dataset()
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
+        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        params, margin, info = train_inference(ds, shape, self.CFG, np.random.default_rng(7), norm=norm)
+        assert np.array_equal(np.append(params.flatten(), margin), info["flat"])
+        assert not any(np.shares_memory(a, info["flat"]) for a in vars(params).values())
 
     def test_single_label_rejected(self):
         ds = Dataset([const_traj(1.0, 1, "a"), const_traj(2.0, 1, "b")])
@@ -267,8 +274,8 @@ class TestPolicyObjective:
             np.stack([env.gen_env_profile(rng, ped, 8.0) for ped in (True, False, True)]),
         )
         rule = stl.parse("G[0,57](veg <= 6)", env.inference_names)
-        pol_t = PolicyParams.from_leaves(policy.to_pv().leaves())
-        inf_t = InferenceParams.from_leaves(inf.to_pv().leaves())
+        pol_t = policy.leaves()
+        inf_t = inf.leaves()
         raw = rollout(env, policy, *samples)
         X = norm.apply(raw)
         labels = np.array([1.0, -1.0, 1.0])
@@ -291,7 +298,6 @@ class TestPolicyObjective:
             assert np.array_equal(taped.value, plain)
 
     def test_gradient_matches_fd(self):
-        from stlmimic.policy import PolicyParams as PP
         from stlmimic.tape import finite_diff_check
 
         # driving against the classifier alone; unicycle with an injected
@@ -319,14 +325,11 @@ class TestPolicyObjective:
             ),
         ]
         for env_i, shape_i, norm_i, inf_i, rule, pshape, samples in cases:
-            pv = init_policy(pshape, seed=2).to_pv()
 
-            def f(leaves):
-                return policy_objective(
-                    PP.from_leaves(leaves), inf_i, env_i, samples, shape_i, norm_i, rule
-                )
+            def f(policy):
+                return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule)
 
-            assert finite_diff_check(f, pv, h=1e-5) < 1e-3
+            assert finite_diff_check(f, init_policy(pshape, seed=2), h=1e-5) < 1e-3
 
 
 class TestDrawSamples:
@@ -373,14 +376,14 @@ class TestTrainPolicy:
         out = train_policy(
             policy0, inf, env, [], cfg, np.random.default_rng(0), shape=shape, norm=norm
         )
-        assert np.array_equal(out.to_pv().flatten(), policy0.to_pv().flatten())
+        assert np.array_equal(out.flatten(), policy0.flatten())
 
     def test_same_seed_identical_and_inference_frozen(self):
         env = DrivingEnv()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=57, dim=4, tau=0.1)
         norm = SignalNorm(mid=(100.0, 5.0, 100.0, 5.0), halfrange=(100.0, 6.0, 100.0, 6.0))
         inf = helpers.encode_dnf([[("G", 30, 57, (0.0, 1.0, 0.0, 0.0), 2.0)]], shape, norm)
-        frozen = inf.to_pv().flatten().copy()
+        frozen = inf.flatten()
         rng = np.random.default_rng(37)
         pool = [env.gen_env_profile(rng, False, 9.0)]
         policy0 = init_policy(PolicyShape(4, 4, 1), seed=7)
@@ -390,9 +393,9 @@ class TestTrainPolicy:
             out = train_policy(
                 policy0, inf, env, pool, cfg, np.random.default_rng(41), shape=shape, norm=norm
             )
-            outs.append(out.to_pv().flatten())
+            outs.append(out.flatten())
         assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(inf.to_pv().flatten(), frozen)
+        assert np.array_equal(inf.flatten(), frozen)
 
 
 TINY_INF = InferenceTrainConfig(
@@ -434,7 +437,7 @@ class TestGanLoop:
             for key in ("mcr_smooth", "mcr_exact", "mean_policy_robustness", "loss"):
                 assert ra[key] == rb[key]
         assert stl.print_formula(a.formula) == stl.print_formula(b.formula)
-        assert np.array_equal(a.policy.to_pv().flatten(), b.policy.to_pv().flatten())
+        assert np.array_equal(a.policy.flatten(), b.policy.flatten())
 
     def test_resume_matches_uninterrupted(self):
         env = UnicycleEnv()
@@ -463,10 +466,8 @@ class TestGanLoop:
             np.random.default_rng(1234),  # state is overwritten by the snapshot
             resume=snap,
         )
-        assert np.array_equal(
-            resumed.inference.to_pv().flatten(), full.inference.to_pv().flatten()
-        )
-        assert np.array_equal(resumed.policy.to_pv().flatten(), full.policy.to_pv().flatten())
+        assert np.array_equal(resumed.inference.flatten(), full.inference.flatten())
+        assert np.array_equal(resumed.policy.flatten(), full.policy.flatten())
         assert stl.print_formula(resumed.formula) == stl.print_formula(full.formula)
         for ra, rb in zip(resumed.metrics, full.metrics):
             assert ra["mcr_smooth"] == rb["mcr_smooth"]
