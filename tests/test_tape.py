@@ -201,6 +201,21 @@ class TestBackward:
         assert finite_diff_check(f, pv) < 1e-8
 
 
+class TestParamVector:
+    def test_flatten_roundtrip(self):
+        pv = ParamVector(a=np.arange(6.0).reshape(2, 3), b=np.array([7.0]))
+        flat = pv.flatten()
+        assert flat.tolist() == [0, 1, 2, 3, 4, 5, 7]
+        back = pv.with_flat(flat)
+        for k in vars(pv):
+            assert np.array_equal(getattr(back, k), getattr(pv, k))
+
+    def test_with_flat_size_check(self):
+        pv = ParamVector(a=np.zeros(3))
+        with pytest.raises(ValueError):
+            pv.with_flat(np.zeros(4))
+
+
 class TestFiniteDiff:
     def test_linear_is_exact(self):
         pv = ParamVector(w=np.array([1.0, -2.0, 0.5]))
