@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dataio, stl
-from .dataio import Checkpoint, Dataset, config_digest
+from .dataio import Checkpoint, config_digest
 from .envs import ExpertFailure, NonFiniteState, make_env, rollout
 from .inference import (
     InferenceParams,
@@ -31,12 +31,12 @@ from .inference import (
 from .policy import PolicyParams, PolicyShape
 from .tape import NonFiniteValue
 from .train import (
-    GENERATED_SOURCE,
     GanConfig,
     InferenceTrainConfig,
     PolicyTrainConfig,
     _draw_samples,
     gan_loop,
+    generated_rows,
     original_env_pool,
     train_policy,
 )
@@ -123,8 +123,8 @@ class Run:
             raise ConfigError(f"env.T must be an integer of at least 1, got {env_obj['T']!r}")
         try:
             self.env = make_env(name, **env_obj)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"env: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # messages name env.<option>
+            raise ConfigError(str(exc)) from exc
         self.seed = doc.get("seed", defaults["seed"])
         if not dataio.admits("int", self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -213,13 +213,16 @@ def _load_ckpt_parts(path: str):
         norm = SignalNorm.from_jsonable(ck.norm, shape.dim)
     except ValueError as exc:
         raise dataio.ParseError(f"{path}: {key}: {exc}") from exc
-    rule = (
-        stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
-    )
+    try:
+        rule = stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
+        if rule is not None and stl.horizon(rule) > env.T:
+            raise stl.HorizonExceeded(f"horizon {stl.horizon(rule)} is past the environment horizon {env.T}")
+    except ValueError as exc:
+        raise dataio.ParseError(f"{path}: rule_text {ck.rule_text!r}: {exc}") from exc
     return ck, run, env, shape, inf, pol, norm, rule
 
 
-def _env_pool(ck: Checkpoint, env, data_path) -> list:
+def _env_pool(ck: Checkpoint, env, data_path):
     """Environment trajectories that rollouts of a checkpoint's policy draw
     from: the original rows of `data_path`, else of the checkpoint's
     augmented dataset. Empty for an environment without them."""
@@ -260,8 +263,8 @@ def cmd_gen_data(args) -> int:
         if args.n % 4 != 0:
             raise ConfigError("driving dataset size must be divisible by 4 situations")
         ds = env.gen_dataset(args.n // 4, rng)
-    for t in ds:
-        t.meta["config_digest"] = digest
+    for meta in ds.metas:
+        meta["config_digest"] = digest
     dataio.save_dataset(ds, args.out)
     print(f"wrote {len(ds)} trajectories to {args.out}")
     return EXIT_OK
@@ -272,7 +275,7 @@ def cmd_train(args) -> int:
     ds = dataio.load_dataset(args.data)
     if len(ds) == 0:
         raise dataio.ParseError(f"{args.data}: empty dataset")
-    env_meta = ds.trajectories[0].meta.get("env")
+    env_meta = ds.metas[0].get("env")
     if env_meta is not None and env_meta != run.env.name:
         raise dataio.ParseError(
             f"dataset was generated for env {env_meta!r}, config says {run.env.name!r}"
@@ -313,14 +316,12 @@ def cmd_train(args) -> int:
     )
 
     aug_path = os.path.join(out_dir, "dataset_augmented.jsonl")
-    for t in result.full_dataset:
-        t.meta.setdefault("config_digest", run.digest)
+    full = result.full_dataset
+    for meta in full.metas:  # shared with result.dataset's rows
+        meta.setdefault("config_digest", run.digest)
     aug_digest = dataio.save_dataset(result.dataset, aug_path)
-    negatives = Dataset(
-        [t for t in result.full_dataset if t.meta.get("source") == GENERATED_SOURCE]
-    )
     neg_path = os.path.join(out_dir, "negatives.jsonl")
-    dataio.save_dataset(negatives, neg_path)
+    dataio.save_dataset(full.select(generated_rows(full)), neg_path)
     _write_metrics(result.metrics, os.path.join(out_dir, "metrics.csv"), run.digest)
     formula_text = stl.print_formula(result.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:
@@ -351,7 +352,7 @@ def cmd_extract(args) -> int:
         log.warning("no dataset available; writing unsimplified extraction")
     else:
         ds = dataio.load_dataset(data_path)
-        formula = simplify(formula, ds.to_array(), ds.dim_names, ds.labels())
+        formula = simplify(formula, ds.X, ds.dim_names, ds.labels)
     if rule is not None:
         formula = stl.conjoin(formula, rule)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -365,8 +366,8 @@ def cmd_eval(args) -> int:
     if len(ds) == 0:
         raise dataio.ParseError(f"{args.data}: empty dataset")
     f = stl.parse(dataio.read_text(args.formula, "formula").strip(), ds.dim_names)
-    labels = ds.labels()
-    sat = exact_satisfaction(f, ds.to_array(), ds.dim_names)
+    labels = ds.labels
+    sat = exact_satisfaction(f, ds.X, ds.dim_names)
     value = int(np.count_nonzero(sat != (labels > 0))) / len(ds)
     n_pos = int((labels > 0).sum())
     n_neg = int((labels < 0).sum())

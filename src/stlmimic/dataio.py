@@ -4,7 +4,13 @@ checkpoints (single JSON documents) and rollout CSV exports.
 A checkpoint names the dataset it was trained on and records its digest:
 the first 16 hex digits of the sha256 of the dataset file's bytes, as
 `save_dataset` returns them, so `sha256sum FILE | cut -c1-16` checks the
-pairing. Config digests are FNV-1a over the canonical JSON."""
+pairing. Config digests are FNV-1a over the canonical JSON.
+
+In memory a dataset is one `Dataset`: a single float block `X` of shape
+(N, T+1, n_agent + n_env) with the agent columns first, a +-1 label array,
+and per-row `ids` and `metas`. `extended` and `select` build new blocks but
+share the rows' meta dicts, so a key set on a row's meta shows in every
+dataset that holds the row."""
 
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -37,110 +44,81 @@ class IoError(OSError):
 
 
 @dataclass
-class LabeledTrajectory:
-    id: str
-    label: int  # +1 expert-like, -1 incorrect behavior
-    agent: np.ndarray  # (T+1, n_a)
-    env: np.ndarray  # (T+1, n_e); n_e may be 0
-    agent_names: tuple[str, ...]
-    env_names: tuple[str, ...]
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.agent = np.asarray(self.agent, dtype=float)
-        if self.env is None or np.asarray(self.env).size == 0:
-            self.env = np.zeros((self.agent.shape[0], 0))
-        else:
-            self.env = np.asarray(self.env, dtype=float)
-        if self.label not in (1, -1):
-            raise ParseError(f"label must be +1 or -1, got {self.label}")
-        if self.agent.ndim != 2 or self.env.ndim != 2:
-            raise ParseError("state blocks must be 2-d arrays")
-        if self.env.shape[0] != self.agent.shape[0]:
-            raise InconsistentHorizon(
-                f"agent has {self.agent.shape[0]} steps, env {self.env.shape[0]}"
-            )
-        if self.agent.shape[1] != len(self.agent_names):
-            raise ParseError("agent_names do not match agent state width")
-        if self.env.shape[1] != len(self.env_names):
-            raise ParseError("env_names do not match env state width")
-
-    @property
-    def horizon(self) -> int:
-        return self.agent.shape[0] - 1
-
-    @property
-    def dim_names(self) -> tuple[str, ...]:
-        return tuple(self.agent_names) + tuple(self.env_names)
-
-    def full(self) -> np.ndarray:
-        return np.concatenate([self.agent, self.env], axis=1)
-
-
-@dataclass
 class Dataset:
-    trajectories: list[LabeledTrajectory]
+    """Labelled trajectories as one block: `X` is (N, T+1, n_agent + n_env)
+    with the agent columns first, `labels` the N labels (+1 expert-like,
+    -1 incorrect behavior), and `ids` and `metas` one entry per row."""
+
+    X: np.ndarray
+    labels: np.ndarray
+    ids: list[str]
+    metas: list[dict]
+    agent_names: tuple[str, ...]
+    env_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.trajectories:
-            t0 = self.trajectories[0]
-            for t in self.trajectories[1:]:
-                if t.horizon != t0.horizon:
-                    raise InconsistentHorizon(
-                        f"{t.id}: horizon {t.horizon} != {t0.horizon}"
-                    )
-                if t.dim_names != t0.dim_names:
-                    raise ParseError(f"{t.id}: dimension names differ")
+        self.X, labels = np.asarray(self.X, dtype=float), np.asarray(self.labels).reshape(-1)
+        if not np.isin(labels, (1, -1)).all():
+            raise ParseError(f"labels must be +1 or -1, got {sorted(set(labels.tolist()))}")
+        self.labels = labels.astype(int)
+        self.agent_names, self.env_names = tuple(self.agent_names), tuple(self.env_names)
+        if self.X.ndim != 3:
+            raise ParseError(f"states must form one (N, T+1, D) block, got shape {self.X.shape}")
+        if not len(self.X) == len(self.labels) == len(self.ids) == len(self.metas):
+            raise ParseError("states, labels, ids and metas differ in length")
+        if self.X.shape[2] != len(self.dim_names):
+            raise ParseError(f"{len(self.dim_names)} dimension names for {self.X.shape[2]} state columns")
 
     def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories)
+        return len(self.X)
 
     @property
     def horizon(self) -> int:
-        return self.trajectories[0].horizon
+        return self.X.shape[1] - 1
 
     @property
     def dim_names(self) -> tuple[str, ...]:
-        return self.trajectories[0].dim_names
-
-    def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.trajectories])
-
-    def to_array(self) -> np.ndarray:
-        """(N, T+1, D) stack of full state signals."""
-        return np.stack([t.full() for t in self.trajectories])
+        return self.agent_names + self.env_names
 
     def count(self, label: int) -> int:
-        return sum(1 for t in self.trajectories if t.label == label)
+        return int(np.count_nonzero(self.labels == label))
 
-    def extended(self, more) -> "Dataset":
-        return Dataset(self.trajectories + list(more))
+    def extended(self, more: "Dataset") -> "Dataset":
+        """This dataset's rows, then those of `more`, sharing their meta dicts."""
+        if more.dim_names != self.dim_names:
+            raise ParseError(f"dimension names differ: {self.dim_names} and {more.dim_names}")
+        return Dataset(
+            np.concatenate([self.X, more.X]), np.concatenate([self.labels, more.labels]),
+            self.ids + more.ids, self.metas + more.metas, self.agent_names, self.env_names,
+        )
 
-
-def _traj_to_obj(t: LabeledTrajectory) -> dict:
-    return {
-        "id": t.id,
-        "label": t.label,
-        "agent_dims": list(t.agent_names),
-        "env_dims": list(t.env_names),
-        "dt": 1,
-        "agent_states": t.agent.tolist(),
-        "env_states": t.env.tolist(),
-        "meta": t.meta,
-    }
+    def select(self, mask) -> "Dataset":
+        """The rows where the boolean `mask` is true, sharing their meta dicts."""
+        mask = np.asarray(mask, dtype=bool)
+        return Dataset(
+            self.X[mask], self.labels[mask], list(compress(self.ids, mask)),
+            list(compress(self.metas, mask)), self.agent_names, self.env_names,
+        )
 
 
 def save_dataset(ds: Dataset, path: str) -> str:
     """One JSON object per line; float round-trip precision. Returns the
     dataset digest: the first 16 hex digits of the sha256 of the bytes
     written."""
+    n_a = len(ds.agent_names)
+    dims = {"agent_dims": list(ds.agent_names), "env_dims": list(ds.env_names), "dt": 1}
     h = hashlib.sha256()
     with open(path, "wb") as fh:
-        for t in ds:
-            line = (json.dumps(_traj_to_obj(t), sort_keys=True) + "\n").encode("utf-8")
+        for id_, label, x, meta in zip(ds.ids, ds.labels.tolist(), ds.X, ds.metas):
+            obj = {
+                "id": id_,
+                "label": label,
+                **dims,
+                "agent_states": x[:, :n_a].tolist(),
+                "env_states": x[:, n_a:].tolist(),
+                "meta": meta,
+            }
+            line = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
             fh.write(line)
             h.update(line)
     return h.hexdigest()[:16]
@@ -167,34 +145,47 @@ def read_text(path: str, what: str) -> str:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset line by line, so only one line's text is held at a
-    time; a bad line, including one that is not UTF-8, raises a ParseError
-    naming the file and the line."""
-    trajectories = []
+    """Read a dataset line by line, so only one line's text and parsed
+    lists are held at a time: each line becomes one (T+1, D) array, and the
+    arrays are stacked once at the end. A bad line, including one that is
+    not UTF-8 or whose horizon or dimension names differ from the first
+    line's, raises a ParseError or InconsistentHorizon naming the file and
+    the line."""
+    rows, labels, ids, metas, names = [], [], [], [], ((), ())
     with open_input(path, "dataset") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line.decode("utf-8"))
-                traj = LabeledTrajectory(
-                    id=str(obj["id"]),
-                    label=int(obj["label"]),
-                    agent=np.array(obj["agent_states"], dtype=float),
-                    env=np.array(obj.get("env_states") or np.zeros((len(obj["agent_states"]), 0))),
-                    agent_names=tuple(obj["agent_dims"]),
-                    env_names=tuple(obj.get("env_dims") or ()),
-                    meta=obj.get("meta") or {},
-                )
-                if not (np.isfinite(traj.agent).all() and np.isfinite(traj.env).all()):
+                label = int(obj["label"])
+                if label not in (1, -1):
+                    raise ValueError(f"label must be +1 or -1, got {label}")
+                agent = np.array(obj["agent_states"], dtype=float)
+                env = np.array(obj.get("env_states") or np.zeros((len(agent), 0)), dtype=float)
+                if agent.ndim != 2 or env.ndim != 2:
+                    raise ValueError("state blocks must be 2-d arrays")
+                steps = len(rows[0]) if rows else len(agent)
+                if not len(agent) == len(env) == steps:
+                    raise InconsistentHorizon(f"{len(agent)} agent, {len(env)} env steps; first line {steps}")
+                row_names = (tuple(obj["agent_dims"]), tuple(obj.get("env_dims") or ()))
+                if (agent.shape[1], env.shape[1]) != tuple(map(len, row_names)):
+                    raise ValueError("agent_dims or env_dims do not match the state widths")
+                if rows and row_names != names:
+                    raise ValueError(f"dimension names {row_names} differ from {names} of the first line")
+                x = np.concatenate([agent, env], axis=1)
+                if not np.isfinite(x).all():
                     raise ValueError("non-finite value in agent_states or env_states")
-            except InconsistentHorizon:
-                raise
+                ids.append(str(obj["id"]))
+            except InconsistentHorizon as exc:
+                raise InconsistentHorizon(f"{path}:{lineno}: {exc}") from exc
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            trajectories.append(traj)
-    return Dataset(trajectories)  # Dataset validates cross-line consistency
+            names = row_names
+            rows.append(x)
+            labels.append(label)
+            metas.append(obj.get("meta") or {})
+    return Dataset(np.stack(rows) if rows else np.zeros((0, 0, 0)), labels, ids, metas, *names)
 
 
 def fnv1a_hex(data: bytes) -> str:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import stl, tape
-from .dataio import Dataset, InconsistentHorizon, LabeledTrajectory
+from .dataio import Dataset, InconsistentHorizon
 from .inference import SignalNorm, exact_satisfaction
 from .policy import (
     ControlBox,
@@ -103,6 +104,59 @@ def ego_partials(x):
     return jx, ja
 
 
+def _finite_number(value, integer: bool = False) -> bool:
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def set_options(env, overrides: dict) -> None:
+    """Set an environment's options from `overrides`, each checked against
+    its default; errors name `env.<option>`. A number takes a finite number
+    (an integer where the default is one). A tuple or array takes a list of
+    as many finite numbers, stored as the default's type. A Region or
+    ControlBox takes only an instance of its class, which no config holds."""
+    for key, value in overrides.items():
+        if key not in vars(env):
+            raise TypeError(f"env.{key} is not a {env.name} option")
+        default = getattr(env, key)
+        sequence = isinstance(default, (tuple, np.ndarray))
+        if isinstance(default, (Region, ControlBox)):
+            ok, what = isinstance(value, type(default)), f"a {type(default).__name__}, not a config value"
+        elif sequence:
+            ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default)
+            ok = ok and all(map(_finite_number, value))
+            what = f"a list of {len(default)} finite numbers"
+        else:
+            integer = isinstance(default, numbers.Integral)
+            ok, what = _finite_number(value, integer), "a finite " + ("integer" if integer else "number")
+        if not ok:
+            raise ValueError(f"env.{key} must be {what}, got {value!r}")
+        if sequence:
+            value = tuple(value) if isinstance(default, tuple) else np.array(value, dtype=float)
+        setattr(env, key, value)
+
+
+def check_ranges(**ranges) -> None:
+    """Raise a ValueError naming `env.<option>` unless each option's
+    (low, high) pair has low <= high, entry by entry."""
+    for key, (lo, hi) in ranges.items():
+        if not np.all(np.asarray(lo) <= np.asarray(hi)):
+            raise ValueError(f"env.{key} must have low <= high, got low {lo!r} and high {hi!r}")
+
+
+def to_dataset(env, raw, labels, ids, metas) -> Dataset:
+    """Raw trajectories (N, T+1, n_a + n_e) of `env` as a Dataset over its
+    inference signals, mapped as one batch. The environment's own n_e
+    columns stay last, as the dataset's environment columns; each row's
+    meta gains the environment's name."""
+    names = env.inference_names
+    split = len(names) - env.n_env
+    return Dataset(
+        np.asarray(env.inference_map(raw)), labels, list(ids), [{"env": env.name, **m} for m in metas],
+        names[:split], names[split:],
+    )
+
+
 def preprocess_distances(raw, regions):
     """Euclidean distances from the (px, py) columns of raw (..., >=2) to
     each region center; returns (..., len(regions))."""
@@ -133,10 +187,8 @@ class UnicycleEnv:
         self.init_hi = np.array([2.0, 2.0, math.pi / 2])
         self.control_box = ControlBox((0.0, -math.pi / 4), (1.0, math.pi / 4))
         self.obstacle_margin = 1.5  # repulsion kicks in inside this range
-        for k, v in overrides.items():
-            if not hasattr(self, k):
-                raise TypeError(f"unknown unicycle option {k!r}")
-            setattr(self, k, v)
+        set_options(self, overrides)
+        check_ranges(init_lo=(self.init_lo, self.init_hi))
         self.n_agent = 3
         self.n_env = 0
         self.agent_names = ("px", "py", "theta")
@@ -187,20 +239,6 @@ class UnicycleEnv:
             f" & G[0,{self.T}](dO >= {ro})"
         )
         return stl.parse(text, self.inference_names)
-
-    def raw_to_traj(self, raw, label, id_, meta=None) -> LabeledTrajectory:
-        return self._distance_traj(self.inference_map(raw), label, id_, meta)
-
-    def _distance_traj(self, dist, label, id_, meta) -> LabeledTrajectory:
-        return LabeledTrajectory(
-            id=id_,
-            label=label,
-            agent=dist,
-            env=np.zeros((dist.shape[0], 0)),
-            agent_names=self.inference_names,
-            env_names=(),
-            meta={"env": self.name, **(meta or {})},
-        )
 
     # -- scripted expert ------------------------------------------------
 
@@ -257,7 +295,7 @@ class UnicycleEnv:
             xs[:, t + 1] = self.step(xs[:, t], us)
         return xs
 
-    def gen_expert(self, n: int, rng: np.random.Generator, start_id: int = 0) -> Dataset:
+    def gen_expert(self, n: int, rng: np.random.Generator) -> Dataset:
         """Positive demonstrations, each vetted against task_formula under
         exact semantics; a sample whose 10 candidates all fail raises
         ExpertFailure. Candidates come in rounds that stop at the n-th
@@ -266,17 +304,17 @@ class UnicycleEnv:
         task = self.task_formula()
         out, failures = [], 0
         while len(out) < n:
-            dist = self.inference_map(self._expert_rollouts(min(n - len(out), 10 - failures), rng))
-            for d, ok in zip(dist, exact_satisfaction(task, dist, self.inference_names)):
+            raws = self._expert_rollouts(min(n - len(out), 10 - failures), rng)
+            for raw, ok in zip(raws, exact_satisfaction(task, self.inference_map(raws), self.inference_names)):
                 if ok:
-                    id_ = f"uni-{start_id + len(out):05d}"
-                    out.append(self._distance_traj(d, 1, id_, {"source": "expert"}))
+                    out.append(raw)
                     failures = 0
                     continue
                 failures += 1
                 if failures == 10:
                     raise ExpertFailure(f"unicycle expert failed 10 attempts at sample {len(out)}")
-        return Dataset(out)
+        ids = [f"uni-{i:05d}" for i in range(n)]
+        return to_dataset(self, np.array(out), [1] * n, ids, [{"source": "expert"}] * n)
 
 
 class DrivingEnv:
@@ -299,10 +337,8 @@ class DrivingEnv:
         self.gap = (6.0, 10.0)
         self.init_pos = (0.0, 5.0)
         self.control_box = ControlBox((-3.0,), (3.0,))
-        for k, v in overrides.items():
-            if not hasattr(self, k):
-                raise TypeError(f"unknown driving option {k!r}")
-            setattr(self, k, v)
+        set_options(self, overrides)
+        check_ranges(gap=self.gap, init_pos=self.init_pos)
         self.n_agent = 2
         self.n_env = 2
         self.agent_names = ("peg", "veg")
@@ -343,18 +379,6 @@ class DrivingEnv:
     def inference_map(self, raw):
         return tape.asarray(raw)
 
-    def raw_to_traj(self, raw, label, id_, meta=None) -> LabeledTrajectory:
-        raw = np.asarray(raw, dtype=float)
-        return LabeledTrajectory(
-            id=id_,
-            label=label,
-            agent=raw[:, :2],
-            env=raw[:, 2:],
-            agent_names=self.agent_names,
-            env_names=self.env_names,
-            meta={"env": self.name, **(meta or {})},
-        )
-
     # -- scripted profiles ----------------------------------------------
 
     def _speed_profiles(self, out, cruise, brake, n_free, noise) -> None:
@@ -381,18 +405,6 @@ class DrivingEnv:
         row[:n_free] = rng.uniform(-0.05, 0.05, size=n_free)
         return n_free
 
-    def gen_env_profile(self, rng, pedestrian: bool, p0: float) -> np.ndarray:
-        """Lead-vehicle trajectory (pot, vot): accelerate to cruise, then
-        brake to a stop iff a pedestrian crosses."""
-        cruise = self.cruise + rng.uniform(-0.25, 0.25)
-        t_dec = self.decel_onset + int(rng.integers(-2, 3))
-        noise = np.zeros(self.T)
-        n_free = self._draw_noise(rng, t_dec if pedestrian else None, noise)
-        out = np.zeros((self.T + 1, 2))
-        out[0, 0] = p0
-        self._speed_profiles(out, cruise, self.other_brake, n_free, noise)
-        return out
-
     # situation: (label, whether a pedestrian crosses)
     SITUATIONS = {
         "pos_ped": (1, True),  # lead stops, ego stops behind it
@@ -406,7 +418,7 @@ class DrivingEnv:
         order. Each draws, one after the other, its ego's braking step,
         cruise speed, start and noise, then the gap and its lead's cruise
         speed, braking step and noise; then every ego and lead profile is
-        integrated together. Each trajectory is a view of one block."""
+        integrated together, in one block."""
         m, T = 4 * n_per_situation, self.T
         raw = np.zeros((m, T + 1, 4))
         # (trajectory, ego/lead, step, position/velocity) view of raw
@@ -432,7 +444,7 @@ class DrivingEnv:
             n_free[j, 1] = self._draw_noise(rng, lead_dec if ped else None, noise[j, 1])
             specs.append((label, f"drv-{kind}-{i:05d}", {"situation": kind, "pedestrian": ped}))
         self._speed_profiles(profiles, cruise, np.array([self.ego_brake, self.other_brake]), n_free, noise)
-        return Dataset([self.raw_to_traj(r, *spec) for r, spec in zip(raw, specs)])
+        return to_dataset(self, raw, *zip(*specs))  # labels, ids, metas
 
 
 def make_env(name: str, **overrides):

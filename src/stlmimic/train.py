@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stl, tape
 from .dataio import Dataset, InconsistentHorizon
-from .envs import rollout
+from .envs import rollout, to_dataset
 from .inference import (
     InferenceParams,
     NetworkShape,
@@ -111,8 +111,8 @@ def mcr(
     default). A formula's exact MCR is `inference.exact_mcr`."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot score an empty dataset")
-    vals = smooth_robustness(norm.apply(dataset.to_array()), params, shape, tau)
-    return float(np.mean((vals >= 0.0) != (dataset.labels() > 0)))
+    vals = smooth_robustness(norm.apply(dataset.X), params, shape, tau)
+    return float(np.mean((vals >= 0.0) != (dataset.labels > 0)))
 
 
 # --- inference loss -------------------------------------------------------------
@@ -180,10 +180,10 @@ def train_inference(
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    labels = dataset.labels().astype(float)
+    labels = dataset.labels.astype(float)
     if np.all(labels == 1) or np.all(labels == -1):
         raise NoNegativeData("dataset has a single label; bootstrap negatives first")
-    X = norm.apply(dataset.to_array())
+    X = norm.apply(dataset.X)
 
     lo_p, hi_p = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
     lo = np.concatenate([lo_p, [cfg.margin_lo]])
@@ -317,7 +317,7 @@ def _draw_samples(env, env_pool, m, rng):
     pair at a time; without one, the states come from one draw and the
     environment trajectories are all zeros."""
     env_trajs = np.zeros((m, env.T + 1, env.n_env))
-    if not env_pool:
+    if len(env_pool) == 0:
         return env.sample_initial(rng, m), env_trajs
     x0s = np.zeros((m, env.n_agent))
     for i in range(m):
@@ -342,7 +342,8 @@ def train_policy(
     environment trajectories are re-drawn fresh at every step.
 
     `env_pool` holds the environment trajectories of the original dataset
-    (empty list for static environments)."""
+    (N, T+1, n_e), as `original_env_pool` gives them; empty for static
+    environments."""
     flat = policy0.flatten()
     opt = Adam(flat.size, cfg.lr, cfg.betas)
     for _ in range(cfg.steps):
@@ -372,30 +373,27 @@ class GanResult:
 GENERATED_SOURCE = "policy_rollout"
 
 
-def original_env_pool(dataset: Dataset, env) -> list:
-    """Environment trajectories of the non-generated rows only."""
+def generated_rows(dataset: Dataset) -> np.ndarray:
+    """Boolean mask of the rows that are policy rollouts."""
+    return np.array([m.get("source") == GENERATED_SOURCE for m in dataset.metas], dtype=bool)
+
+
+def original_env_pool(dataset: Dataset, env):
+    """Environment trajectories (N, T+1, n_e) of the non-generated rows
+    only; an empty list for a static environment."""
     if env.n_env == 0:
         return []
     if dataset.horizon != env.T:
         raise InconsistentHorizon(
             f"dataset horizon {dataset.horizon} != environment horizon {env.T}"
         )
-    return [
-        t.env for t in dataset if t.meta.get("source") != GENERATED_SOURCE
-    ]
+    return dataset.X[~generated_rows(dataset), :, len(dataset.agent_names) :]
 
 
-def _generate_negatives(env, policy, env_pool, n, rng, tag, start_idx):
+def _generate_negatives(env, policy, env_pool, n, rng, tag) -> Dataset:
     raws = rollout(env, policy, *_draw_samples(env, env_pool, n, rng))
-    return [
-        env.raw_to_traj(
-            raw,
-            -1,
-            f"gen-{tag}-{start_idx + i:05d}",
-            {"source": GENERATED_SOURCE, "round": tag},
-        )
-        for i, raw in enumerate(raws)
-    ]
+    ids = [f"gen-{tag}-{i:05d}" for i in range(n)]
+    return to_dataset(env, raws, [-1] * n, ids, [{"source": GENERATED_SOURCE, "round": tag}] * n)
 
 
 def gan_loop(
@@ -426,7 +424,7 @@ def gan_loop(
     # Environment trajectories are drawn from the original dataset only, so
     # generated agent behavior never contaminates the environment model.
     env_pool = original_env_pool(dataset0, env)
-    norm = SignalNorm.from_arrays([t.full() for t in dataset0])
+    norm = SignalNorm.from_arrays(dataset0.X)
     names = dataset0.dim_names
 
     if resume is None:
@@ -434,9 +432,7 @@ def gan_loop(
         dataset = dataset0
         if dataset.count(-1) == 0:
             log.info("positive-only dataset: bootstrapping %d negatives from a random policy", gan_cfg.n_generate)
-            boot = _generate_negatives(
-                env, policy, env_pool, gan_cfg.n_generate, rng, "boot", 0
-            )
+            boot = _generate_negatives(env, policy, env_pool, gan_cfg.n_generate, rng, "boot")
             dataset = dataset.extended(boot)
         start_iter = 1
         warm = None
@@ -481,9 +477,8 @@ def gan_loop(
             inf_params, dataset, shape=shape, norm=norm, tau=inf_cfg.tau_eval
         )
         formula = extract_formula(inf_params, shape, norm, names)
-        X, labels = dataset.to_array(), dataset.labels()
-        formula = simplify(formula, X, names, labels)
-        mcr_exact_val = exact_mcr(formula, X, names, labels)
+        formula = simplify(formula, dataset.X, names, dataset.labels)
+        mcr_exact_val = exact_mcr(formula, dataset.X, names, dataset.labels)
         log.info(
             "iteration %d: smooth MCR %.4f, exact MCR %.4f, loss %.4f",
             it,
@@ -512,10 +507,8 @@ def gan_loop(
         )
 
         gen_rng = np.random.default_rng(seed_gen)
-        generated = _generate_negatives(
-            env, policy, env_pool, gan_cfg.n_generate, gen_rng, f"it{it}", 0
-        )
-        gen_X = norm.apply(Dataset(generated).to_array())
+        generated = _generate_negatives(env, policy, env_pool, gan_cfg.n_generate, gen_rng, f"it{it}")
+        gen_X = norm.apply(generated.X)
         mean_rob = float(
             np.mean(smooth_robustness(gen_X, inf_params, shape, inf_cfg.tau_eval))
         )

@@ -1,4 +1,5 @@
-"""Shared test utilities: hand-encoding formulas into classifier params."""
+"""Shared test utilities: hand-encoding formulas into classifier params,
+the pinned `gen-data` outputs, and lead-vehicle profiles for driving."""
 
 from __future__ import annotations
 
@@ -64,3 +65,20 @@ EQ12_DNF = [
         ("F", 12, 20, (0.0, 0.0, -1.0, 0.0), -0.69),
     ],
 ]
+
+
+# (env, --n, --seed, sha256 of the file) of pinned `gen-data` outputs: the
+# bytes of the one-trajectory-at-a-time generators
+PINNED_GEN_DATA = [
+    ("driving", 8, 2, "105b720a62aed885bf795ef758124eeda199ab53d2c0f9abd11cd6120f7542eb"),
+    ("driving", 40, 0, "7300dba7dd28d229586f0593a635c486f12d5d192dc95b110ecfe2c152e0c9b6"),
+    ("unicycle", 6, 3, "fbae805b4abc6a0ac21951cca1b758bc454b0e36de3a22f98e89c8c11ef39c60"),
+    ("unicycle", 30, 7, "4b2fcd03e64fe78207dac3c91bb5ec3f47658c6ffe767612f9f12596a321152a"),
+]
+
+
+def lead_profiles(env, rng, n_per_situation: int = 1) -> np.ndarray:
+    """Lead-vehicle (pot, vot) profiles (4 n_per_situation, T+1, 2) of one
+    driving `gen_dataset` draw, in SITUATIONS order: the lead brakes in
+    the pos_ped and neg_go rows, and keeps going in the others."""
+    return env.gen_dataset(n_per_situation, rng).X[:, :, env.n_agent :]

@@ -9,6 +9,8 @@ import pytest
 from stlmimic import dataio, stl
 from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
 
+import helpers
+
 TINY = {
     "seed": 3,
     "env": {"name": "unicycle"},
@@ -60,7 +62,7 @@ class TestGenData:
         assert main(["gen-data", "--env", "driving", "--n", "8", "--seed", "0", "--out", str(out)]) == EXIT_OK
         ds = dataio.load_dataset(str(out))
         assert len(ds) == 8 and ds.count(1) == 4 and ds.horizon == 57
-        situations = {t.meta["situation"] for t in ds}
+        situations = {m["situation"] for m in ds.metas}
         assert len(situations) == 4
 
     def test_same_seed_identical_bytes(self, tmp_path):
@@ -69,17 +71,8 @@ class TestGenData:
             main(["gen-data", "--env", "unicycle", "--n", "5", "--seed", "9", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "env, n, seed, sha256",
-        [
-            ("driving", 8, 2, "105b720a62aed885bf795ef758124eeda199ab53d2c0f9abd11cd6120f7542eb"),
-            ("driving", 40, 0, "7300dba7dd28d229586f0593a635c486f12d5d192dc95b110ecfe2c152e0c9b6"),
-            ("unicycle", 6, 3, "fbae805b4abc6a0ac21951cca1b758bc454b0e36de3a22f98e89c8c11ef39c60"),
-            ("unicycle", 30, 7, "4b2fcd03e64fe78207dac3c91bb5ec3f47658c6ffe767612f9f12596a321152a"),
-        ],
-    )
+    @pytest.mark.parametrize("env, n, seed, sha256", helpers.PINNED_GEN_DATA)
     def test_pinned_bytes(self, tmp_path, env, n, seed, sha256):
-        # the bytes of the one-trajectory-at-a-time generators
         out = tmp_path / "d.jsonl"
         assert main(["gen-data", "--env", env, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
@@ -141,7 +134,7 @@ class TestTrainOutputs:
         root, data, config, ckpt = trained
         negs = dataio.load_dataset(str(ckpt.parent / "negatives.jsonl"))
         assert len(negs) >= TINY["gan"]["n_generate"]
-        assert {t.meta["source"] for t in negs} == {"policy_rollout"}
+        assert {m["source"] for m in negs.metas} == {"policy_rollout"}
 
     def test_formula_parses(self, trained):
         root, data, config, ckpt = trained
@@ -214,6 +207,15 @@ BAD_CONFIGS = {
     "env.name": {"env": {"name": ["unicycle"]}},
     "inference.max_proposals": {"inference": {"max_proposals": "10"}},
     "inference.refine_steps": {"inference": {"refine_steps": 2.0}},
+    "env.init_lo": {"env": {"name": "unicycle", "init_lo": 5}},
+    "env.init_hi": {"env": {"name": "unicycle", "init_hi": [2.0, 2.0]}},
+    "env.control_box": {"env": {"name": "unicycle", "control_box": [[0.0, -0.5], [1.0, 0.5]]}},
+    "env.region_c": {"env": {"name": "unicycle", "region_c": [9.0, 9.0, 0.7]}},
+    "env.obstacle_margin": {"env": {"name": "unicycle", "obstacle_margin": "x"}},
+    "env.cruise": {"env": {"name": "driving", "cruise": float("inf")}},
+    "env.decel_onset": {"env": {"name": "driving", "decel_onset": 35.5}},
+    "env.gap": {"env": {"name": "driving", "gap": [10.0, 6.0]}},
+    "env.init_pos": {"env": {"name": "driving", "init_pos": [0.0, "5"]}},
 }
 
 
@@ -234,6 +236,11 @@ class TestConfigErrors:
             ({"inference": {"tau_eval": 0}}, "inference.tau_eval"),
             ({"inference": {"refine_batch": 0}}, "inference.refine_batch"),
             ({"gan": []}, "gan"),
+            ({"env": {"name": "unicycle", "init_lo": [2.5, 0.5, 0.0]}}, "env.init_lo"),
+            ({"env": {"name": "unicycle", "obstacle_margin": True}}, "env.obstacle_margin"),
+            ({"env": {"name": "driving", "init_pos": [5.0, 0.0]}}, "env.init_pos"),
+            ({"env": {"name": "driving", "react_delay": None}}, "env.react_delay"),
+            ({"env": {"name": "driving", "wobble": 1}}, "env.wobble"),
         ]:
             with pytest.raises(ConfigError) as excinfo:
                 Run(doc)
@@ -244,6 +251,18 @@ class TestConfigErrors:
         assert run.shape.tau == 1.0 and isinstance(run.shape.tau, float)
         assert isinstance(run.inference.margin_lo, float)
         assert run.policy.betas == (0.0, 0.5)
+
+    def test_list_init_lo_trains_and_round_trips_through_config(self, trained, tmp_path):
+        root, data, config, ckpt = trained
+        env = {"name": "unicycle", "init_lo": [0.5, 0.75, 0.0]}
+        cfg = tmp_path / "init_lo.json"
+        cfg.write_text(json.dumps({**TINY, "env": env}))
+        out = tmp_path / "run" / "ckpt.json"
+        assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        ck = dataio.load_checkpoint(str(out))
+        assert ck.env["init_box"][0] == [0.5, 0.75, 0.0]
+        assert Run(ck.config).env.config() == ck.env
+        assert main(["rollout", "--ckpt", str(out), "--n", "2", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
     def test_train_exits_2_and_writes_no_checkpoint(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained
@@ -267,7 +286,7 @@ class TestEval:
         # separately verify the reported number by recomputing
         from stlmimic.inference import exact_mcr
 
-        assert exact_mcr(stl.TrueFormula(), ds.to_array(), ds.dim_names, ds.labels()) == ds.count(-1) / len(ds)
+        assert exact_mcr(stl.TrueFormula(), ds.X, ds.dim_names, ds.labels) == ds.count(-1) / len(ds)
 
     def test_extracted_formula_matches_final_exact_mcr(self, trained, capsys):
         root, data, config, ckpt = trained
@@ -360,14 +379,7 @@ class TestRollout:
     def test_checkpoint_keeps_environment_overrides(self, trained, tmp_path):
         root, data, config, ckpt = trained
         ds = dataio.load_dataset(str(data))
-        short = dataio.Dataset(
-            [
-                dataio.LabeledTrajectory(
-                    t.id, t.label, t.agent[:16], t.env[:16], t.agent_names, t.env_names, t.meta
-                )
-                for t in ds
-            ]
-        )
+        short = dataio.Dataset(ds.X[:, :16], ds.labels, ds.ids, ds.metas, ds.agent_names, ds.env_names)
         short_data = tmp_path / "short.jsonl"
         dataio.save_dataset(short, str(short_data))
         cfg = tmp_path / "t15.json"
@@ -484,6 +496,9 @@ class TestBadInputFiles:
             ("rollout", lambda doc: doc["config"]["env"].update(name="nope")),
             ("rollout", lambda doc: doc["config"].update(seed="abc")),
             ("rollout", lambda doc: doc["config"].update(env=["unicycle"])),
+            ("rollout", lambda doc: doc["config"]["env"].update(init_lo=5)),
+            ("extract", lambda doc: doc.update(rule_text="G[0,")),
+            ("rollout", lambda doc: doc.update(rule_text="G[0,50](dO >= 1.0)")),
             ("eval", NOT_UTF8),
             ("eval-data", NOT_UTF8),
         ],
@@ -501,6 +516,9 @@ class TestBadInputFiles:
             "config-env-name-unknown",
             "config-seed-a-string",
             "config-env-a-list",
+            "config-env-init_lo-a-number",
+            "rule_text-unparsable",
+            "rule_text-past-the-horizon",
             "formula-not-utf8",
             "data-not-utf8",
         ],

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -12,7 +13,6 @@ from stlmimic.dataio import (
     Dataset,
     InconsistentHorizon,
     IoError,
-    LabeledTrajectory,
     ParseError,
     VersionMismatch,
     config_digest,
@@ -22,25 +22,17 @@ from stlmimic.dataio import (
     save_checkpoint,
     save_dataset,
 )
+from stlmimic.cli import main
 from stlmimic.envs import UnicycleEnv
+
+import helpers
 
 
 def small_dataset(n=6, T=4, seed=0):
     rng = np.random.default_rng(seed)
-    trajs = []
-    for i in range(n):
-        trajs.append(
-            LabeledTrajectory(
-                id=f"t{i}",
-                label=1 if i % 2 == 0 else -1,
-                agent=rng.uniform(-3, 3, size=(T + 1, 2)),
-                env=rng.uniform(-1, 1, size=(T + 1, 1)),
-                agent_names=("a0", "a1"),
-                env_names=("e0",),
-                meta={"k": i},
-            )
-        )
-    return Dataset(trajs)
+    X = np.concatenate([rng.uniform(-3, 3, size=(n, T + 1, 2)), rng.uniform(-1, 1, size=(n, T + 1, 1))], axis=2)
+    labels = [1 if i % 2 == 0 else -1 for i in range(n)]
+    return Dataset(X, labels, [f"t{i}" for i in range(n)], [{"k": i} for i in range(n)], ("a0", "a1"), ("e0",))
 
 
 class TestDatasetRoundtrip:
@@ -50,11 +42,10 @@ class TestDatasetRoundtrip:
         save_dataset(ds, str(path))
         back = load_dataset(str(path))
         assert len(back) == len(ds)
-        for a, b in zip(ds, back):
-            assert a.id == b.id and a.label == b.label
-            assert np.array_equal(a.agent, b.agent)
-            assert np.array_equal(a.env, b.env)
-            assert a.meta == b.meta
+        assert back.ids == ds.ids and back.metas == ds.metas
+        assert np.array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.X, ds.X)
+        assert (back.agent_names, back.env_names) == (ds.agent_names, ds.env_names)
 
     def test_expert_dataset_roundtrip(self, tmp_path):
         env = UnicycleEnv()
@@ -62,8 +53,50 @@ class TestDatasetRoundtrip:
         path = tmp_path / "uni.jsonl"
         save_dataset(ds, str(path))
         back = load_dataset(str(path))
-        assert np.array_equal(back.to_array(), ds.to_array())
+        assert np.array_equal(back.X, ds.X)
         assert back.dim_names == ds.dim_names
+
+    @pytest.mark.parametrize("env, n, seed, sha256", helpers.PINNED_GEN_DATA)
+    def test_pinned_files_save_back_byte_for_byte(self, tmp_path, env, n, seed, sha256):
+        whole = tmp_path / "whole.jsonl"
+        assert main(["gen-data", "--env", env, "--n", str(n), "--seed", str(seed), "--out", str(whole)]) == 0
+        data = whole.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
+        again = tmp_path / "again.jsonl"
+        save_dataset(load_dataset(str(whole)), str(again))
+        assert again.read_bytes() == data
+        # two halves, loaded apart and joined, save to the bytes of the whole
+        lines = data.splitlines(keepends=True)
+        halves = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        halves[0].write_bytes(b"".join(lines[: n // 2]))
+        halves[1].write_bytes(b"".join(lines[n // 2 :]))
+        joined = load_dataset(str(halves[0])).extended(load_dataset(str(halves[1])))
+        save_dataset(joined, str(again))
+        assert again.read_bytes() == data
+
+    def test_extended_and_select_share_the_meta_dicts(self):
+        ds = small_dataset()
+        both = ds.extended(small_dataset(n=2, seed=1))
+        picked = both.select(both.labels < 0)
+        assert picked.ids == ["t1", "t3", "t5", "t1"] and picked.count(1) == 0
+        for meta in both.metas:
+            meta["seen"] = True
+        assert all(m["seen"] for m in ds.metas + picked.metas)
+        assert np.array_equal(picked.X, both.X[both.labels < 0])
+
+    def test_constructor_checks(self):
+        ds = small_dataset(n=2)
+        cases = [
+            ((ds.X, [1, 0], ds.ids, ds.metas, ds.agent_names, ds.env_names), "labels"),
+            ((ds.X[0], ds.labels, ds.ids, ds.metas, ds.agent_names, ds.env_names), "block"),
+            ((ds.X, ds.labels, ds.ids[:1], ds.metas, ds.agent_names, ds.env_names), "length"),
+            ((ds.X, ds.labels, ds.ids, ds.metas, ds.agent_names, ()), "dimension names"),
+        ]
+        for args, what in cases:
+            with pytest.raises(ParseError, match=what):
+                Dataset(*args)
+        with pytest.raises(ParseError, match="dimension names differ"):
+            ds.extended(Dataset(ds.X, ds.labels, ds.ids, ds.metas, ("b0", "b1"), ("e0",)))
 
     def test_bad_label_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -98,7 +131,7 @@ class TestDatasetRoundtrip:
             )
         path = tmp_path / "mixed.jsonl"
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(InconsistentHorizon):
+        with pytest.raises(InconsistentHorizon, match=f"^{re.escape(str(path))}:2: "):
             load_dataset(str(path))
 
     def test_digest_sensitive_to_content(self, tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlmimic import stl, tape
-from stlmimic.dataio import Dataset
 from stlmimic.envs import (
     DrivingEnv,
     ExpertFailure,
@@ -18,11 +17,14 @@ from stlmimic.envs import (
     make_env,
     preprocess_distances,
     rollout,
+    to_dataset,
     unicycle_step,
 )
 from stlmimic.inference import exact_satisfaction
 from stlmimic.policy import PolicyParams, PolicyShape, init_policy
 from stlmimic.tape import finite_diff_check
+
+import helpers
 
 
 class TestDynamics:
@@ -115,7 +117,7 @@ class TestRollout:
         env = DrivingEnv()
         params = init_policy(PolicyShape(4, 4, 1), seed=5)
         rng = np.random.default_rng(6)
-        env_traj = env.gen_env_profile(rng, False, 8.0)
+        env_traj = helpers.lead_profiles(env, rng)[1]  # the lead keeps going
         x0 = np.array([2.0, 0.0])
 
         def f(p):
@@ -158,9 +160,7 @@ class TestRolloutOp:
         )
         x0s = np.stack([env.sample_initial(rng) for _ in range(batch)])
         if env.n_env:
-            env_trajs = np.stack(
-                [env.gen_env_profile(rng, bool(rng.integers(2)), 8.0) for _ in range(batch)]
-            )
+            env_trajs = helpers.lead_profiles(env, rng)[:batch]
         else:
             env_trajs = np.zeros((batch, horizon + 1, 0))
         weights = rng.normal(size=(batch, horizon + 1, env.n_agent + env.n_env))
@@ -181,28 +181,26 @@ class TestUnicycleExpert:
         env = UnicycleEnv()
         ds = env.gen_expert(30, np.random.default_rng(10))
         assert len(ds) == 30
-        assert all(t.label == 1 for t in ds)
+        assert (ds.labels == 1).all()
         assert ds.dim_names == ("dA", "dB", "dC", "dO")
         assert ds.horizon == 20
 
     def test_every_trajectory_satisfies_task(self):
         env = UnicycleEnv()
         ds = env.gen_expert(30, np.random.default_rng(11))
-        assert exact_satisfaction(env.task_formula(), ds.to_array(), ds.dim_names).all()
+        assert exact_satisfaction(env.task_formula(), ds.X, ds.dim_names).all()
 
     def test_reaches_c_and_avoids_obstacle(self):
         env = UnicycleEnv()
         ds = env.gen_expert(25, np.random.default_rng(12))
-        for t in ds:
-            d = t.full()
-            assert d[:, 2].min() <= env.region_c.radius  # gets inside C
-            assert d[:, 3].min() >= env.obstacle.radius  # clears the obstacle
+        assert (ds.X[:, :, 2].min(axis=1) <= env.region_c.radius).all()  # gets inside C
+        assert (ds.X[:, :, 3].min(axis=1) >= env.obstacle.radius).all()  # clears the obstacle
 
     def test_deterministic(self):
         env = UnicycleEnv()
         a = env.gen_expert(5, np.random.default_rng(13))
         b = env.gen_expert(5, np.random.default_rng(13))
-        assert np.array_equal(a.to_array(), b.to_array())
+        assert np.array_equal(a.X, b.X)
 
 
 class TestDrivingData:
@@ -216,30 +214,28 @@ class TestDrivingData:
     def test_positive_pedestrian_stops(self):
         env = DrivingEnv()
         ds = env.gen_dataset(10, np.random.default_rng(21))
-        for t in ds:
-            if t.meta["situation"] == "pos_ped":
-                veg = t.agent[20:, 1]
-                assert veg.min() < 0.01
+        for x, meta in zip(ds.X, ds.metas):
+            if meta["situation"] == "pos_ped":
+                assert x[20:, 1].min() < 0.01  # veg
 
     def test_positive_clear_keeps_speed(self):
         env = DrivingEnv()
         ds = env.gen_dataset(10, np.random.default_rng(22))
-        for t in ds:
-            if t.meta["situation"] == "pos_clear":
-                assert t.agent[20:, 1].min() > 1.0
+        for x, meta in zip(ds.X, ds.metas):
+            if meta["situation"] == "pos_clear":
+                assert x[20:, 1].min() > 1.0  # veg
 
     def test_other_starts_ahead(self):
         env = DrivingEnv()
         ds = env.gen_dataset(10, np.random.default_rng(23))
-        for t in ds:
-            assert t.env[0, 0] >= t.agent[0, 0]
+        assert (ds.X[:, 0, 2] >= ds.X[:, 0, 0]).all()  # pot >= peg
 
     def test_lead_brakes_iff_pedestrian(self):
         env = DrivingEnv()
         ds = env.gen_dataset(10, np.random.default_rng(24))
-        for t in ds:
-            vot_late = t.env[50:, 1]
-            if t.meta["pedestrian"]:
+        for x, meta in zip(ds.X, ds.metas):
+            vot_late = x[50:, 3]
+            if meta["pedestrian"]:
                 assert vot_late.max() < 0.01
             else:
                 assert vot_late.min() > 1.0
@@ -248,7 +244,7 @@ class TestDrivingData:
         env = DrivingEnv()
         ds = env.gen_dataset(10, np.random.default_rng(25))
         rule = stl.parse("G[0,57]((veg <= 10) & (veg > -1))", ds.dim_names)
-        positives = ds.to_array()[ds.labels() > 0]
+        positives = ds.X[ds.labels > 0]
         assert len(positives) == 20
         assert exact_satisfaction(rule, positives, ds.dim_names).all()
 
@@ -284,12 +280,12 @@ class ScalarDrawDriving(DrivingEnv):
             rows.append([p, v])
         return np.array(rows)
 
-    def gen_env_profile(self, rng, pedestrian, p0):
+    def _lead_profile(self, rng, pedestrian, p0):
         cruise = self.cruise + rng.uniform(-0.25, 0.25)
         t_dec = self.decel_onset + int(rng.integers(-2, 3))
         return self._profile(rng, cruise, p0, t_dec if pedestrian else None, self.other_brake)
 
-    def _situation(self, rng, kind, id_):
+    def _situation(self, rng, kind):
         t_dec = self.decel_onset + int(rng.integers(-2, 3))
         if kind == "pos_ped":
             label, ped = 1, True
@@ -303,18 +299,14 @@ class ScalarDrawDriving(DrivingEnv):
             label, ped, brake = -1, True, None
         cruise = self.cruise + rng.uniform(-0.25, 0.25)
         ego = self._profile(rng, cruise, rng.uniform(*self.init_pos), brake, self.ego_brake)
-        other = self.gen_env_profile(rng, ped, ego[0, 0] + rng.uniform(*self.gap))
-        raw = np.concatenate([ego, other], axis=1)
-        return self.raw_to_traj(raw, label, id_, {"situation": kind, "pedestrian": ped})
+        other = self._lead_profile(rng, ped, ego[0, 0] + rng.uniform(*self.gap))
+        return np.concatenate([ego, other], axis=1), label, {"situation": kind, "pedestrian": ped}
 
     def gen_dataset(self, n_per_situation, rng):
-        return Dataset(
-            [
-                self._situation(rng, kind, f"drv-{kind}-{i:05d}")
-                for kind in ("pos_ped", "pos_clear", "neg_stop", "neg_go")
-                for i in range(n_per_situation)
-            ]
-        )
+        kinds = [(k, i) for k in ("pos_ped", "pos_clear", "neg_stop", "neg_go") for i in range(n_per_situation)]
+        raws, labels, metas = zip(*(self._situation(rng, kind) for kind, _ in kinds))
+        ids = [f"drv-{kind}-{i:05d}" for kind, i in kinds]
+        return to_dataset(self, np.array(raws), labels, ids, metas)
 
 
 class ScalarDrawUnicycle(UnicycleEnv):
@@ -363,7 +355,7 @@ class ScalarDrawUnicycle(UnicycleEnv):
             states.append(x.copy())
         return np.array(states)
 
-    def gen_expert(self, n, rng, start_id=0):
+    def gen_expert(self, n, rng):
         task = self.task_formula()
         out = []
         for i in range(n):
@@ -373,13 +365,15 @@ class ScalarDrawUnicycle(UnicycleEnv):
                     break
             else:
                 raise ExpertFailure(f"unicycle expert failed 10 attempts at sample {i}")
-            out.append(self.raw_to_traj(raw, 1, f"uni-{start_id + i:05d}", {"source": "expert"}))
-        return Dataset(out)
+            out.append(raw)
+        ids = [f"uni-{i:05d}" for i in range(n)]
+        return to_dataset(self, np.array(out), [1] * n, ids, [{"source": "expert"}] * n)
 
 
 def _same_data_and_generator_state(a, b, rng_a, rng_b):
-    assert np.array_equal(a.to_array(), b.to_array())
-    assert [t.meta for t in a] == [t.meta for t in b]
+    assert np.array_equal(a.X, b.X)
+    assert (a.ids, a.metas) == (b.ids, b.metas)
+    assert np.array_equal(a.labels, b.labels)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -393,23 +387,17 @@ class TestExpertsMatchScalarDraws:
             {"decel_onset": 0},  # braking from the first steps: few or no draws
             {"wrong_stop_onset": 0},
             {"T": 15},
+            {"decel_onset": -5},  # braking before the first step: no draws at all
         ],
-        ids=["defaults", "onset-at-T", "onset-past-T", "onset-0", "wrong-stop-0", "T15"],
+        ids=["defaults", "onset-at-T", "onset-past-T", "onset-0", "wrong-stop-0", "T15", "onset-before-0"],
     )
     def test_driving_situations(self, overrides):
         for seed in (0, 1):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             a = DrivingEnv(**overrides).gen_dataset(6, rng_a)
             b = ScalarDrawDriving(**overrides).gen_dataset(6, rng_b)
-            assert {t.meta["situation"] for t in a} == set(DrivingEnv.SITUATIONS)
+            assert {m["situation"] for m in a.metas} == set(DrivingEnv.SITUATIONS)
             _same_data_and_generator_state(a, b, rng_a, rng_b)
-
-    def test_lead_profile_braking_before_the_first_step(self):
-        env, ref = DrivingEnv(decel_onset=-5), ScalarDrawDriving(decel_onset=-5)
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        for ped in (True, False):
-            assert np.array_equal(env.gen_env_profile(rng_a, ped, 1.0), ref.gen_env_profile(rng_b, ped, 1.0))
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_unicycle_expert_with_retries(self):
         # at T=16 and this seed, two demonstrations fail the vetting once

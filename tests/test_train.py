@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stlmimic import stl, train
-from stlmimic.dataio import Dataset, LabeledTrajectory
+from stlmimic.dataio import Dataset
 from stlmimic.envs import DrivingEnv, UnicycleEnv, rollout
 from stlmimic.inference import (
     NetworkShape,
@@ -33,45 +33,42 @@ from stlmimic.tape import Node
 import helpers
 
 
-def const_traj(value, label, id_, T=3, names=("x0",)):
-    arr = np.full((T + 1, 1), float(value))
-    return LabeledTrajectory(id_, label, arr, np.zeros((T + 1, 0)), names, (), {})
+def one_dim_dataset(X, labels):
+    """A dataset over the one signal x0 with states X (N, T+1)."""
+    X = np.asarray(X, dtype=float)
+    return Dataset(X[:, :, None], labels, [f"t{i}" for i in range(len(X))], [{} for _ in X], ("x0",))
+
+
+def const_dataset(values, labels, T=3):
+    """One constant x0 trajectory per value."""
+    return one_dim_dataset(np.repeat(np.asarray(values, dtype=float)[:, None], T + 1, axis=1), labels)
 
 
 def toy_dataset(rng=None, n=8, T=3):
     """Positives sit at x0 >= 1, negatives at x0 <= -1."""
     rng = rng or np.random.default_rng(0)
-    trajs = []
+    values, labels = [], []
     for i in range(n):
         pos = i % 2 == 0
-        base = rng.uniform(1.0, 2.0) if pos else rng.uniform(-2.0, -1.0)
-        trajs.append(const_traj(base, 1 if pos else -1, f"t{i}", T))
-    return Dataset(trajs)
+        values.append(rng.uniform(1.0, 2.0) if pos else rng.uniform(-2.0, -1.0))
+        labels.append(1 if pos else -1)
+    return const_dataset(values, labels, T)
 
 
 def formula_mcr(f, ds):
-    return exact_mcr(f, ds.to_array(), ds.dim_names, ds.labels())
+    return exact_mcr(f, ds.X, ds.dim_names, ds.labels)
 
 
 class TestMcr:
     def test_formula_examples(self):
         f = stl.parse("x0 >= 0", ("x0",))
-        ds = Dataset(
-            [
-                const_traj(1.0, 1, "a"),
-                const_traj(2.0, 1, "b"),
-                const_traj(-1.0, -1, "c"),
-                const_traj(-2.0, -1, "d"),
-            ]
-        )
+        ds = const_dataset([1.0, 2.0, -1.0, -2.0], [1, 1, -1, -1])
         assert formula_mcr(f, ds) == 0.0
-        ds_one_wrong = Dataset(ds.trajectories[:3] + [const_traj(0.5, -1, "e")])
+        ds_one_wrong = const_dataset([1.0, 2.0, -1.0, 0.5], [1, 1, -1, -1])
         assert formula_mcr(f, ds_one_wrong) == 0.25
 
     def test_true_satisfies_everything(self):
-        ds = Dataset(
-            [const_traj(v, l, f"x{i}") for i, (v, l) in enumerate([(1, 1), (2, 1), (3, 1), (-1, -1)])]
-        )
+        ds = const_dataset([1, 2, 3, -1], [1, 1, 1, -1])
         assert formula_mcr(stl.TrueFormula(), ds) == 0.25
 
     def test_empty_dataset(self):
@@ -79,7 +76,7 @@ class TestMcr:
         norm = SignalNorm.identity(1)
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         with pytest.raises(EmptyDataset):
-            mcr(params, Dataset([]), shape=shape, norm=norm)
+            mcr(params, const_dataset([], []), shape=shape, norm=norm)
         with pytest.raises(ValueError):
             exact_mcr(stl.TrueFormula(), np.zeros((0, 4, 1)), ("x0",), [])
 
@@ -89,22 +86,12 @@ class TestMcr:
         f = stl.parse("F[0,2](x0 >= 0.5)", ("x0",))
         for _ in range(20):
             n = int(rng.integers(1, 9))
-            trajs = []
+            rows, labels = [], []
             for i in range(n):
-                vals = rng.uniform(-2, 2, size=(4, 1))
-                label = 1 if rng.random() < 0.5 else -1
-                trajs.append(
-                    LabeledTrajectory(f"r{i}", label, vals, np.zeros((4, 0)), ("x0",), (), {})
-                )
-            ds = Dataset(trajs)
-            expected = (
-                sum(
-                    1
-                    for t in trajs
-                    if (t.agent[0:3].max() >= 0.5) != (t.label == 1)
-                )
-                / n
-            )
+                rows.append(rng.uniform(-2, 2, size=4))
+                labels.append(1 if rng.random() < 0.5 else -1)
+            ds = one_dim_dataset(rows, labels)
+            expected = sum(1 for x, label in zip(rows, labels) if (x[0:3].max() >= 0.5) != (label == 1)) / n
             assert formula_mcr(f, ds) == pytest.approx(expected, abs=1e-12)
 
     def test_smooth_agrees_with_hand_gates(self):
@@ -154,7 +141,7 @@ class TestTrainInference:
     def test_separable_toy_reaches_zero_mcr(self):
         ds = toy_dataset()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
-        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        norm = SignalNorm.from_arrays(ds.X)
         params, margin, info = train_inference(
             ds, shape, self.CFG, np.random.default_rng(7), norm=norm
         )
@@ -164,7 +151,7 @@ class TestTrainInference:
     def test_same_seed_identical(self):
         ds = toy_dataset()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
-        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        norm = SignalNorm.from_arrays(ds.X)
         outs = []
         for _ in range(2):
             p, m, info = train_inference(ds, shape, self.CFG, np.random.default_rng(11), norm=norm)
@@ -174,16 +161,15 @@ class TestTrainInference:
     def test_loss_not_worse_than_start(self):
         ds = toy_dataset()
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=3, dim=1, tau=0.1)
-        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        norm = SignalNorm.from_arrays(ds.X)
         rng = np.random.default_rng(13)
         start = np.concatenate([init_inference(shape, rng).flatten(), [0.1]])
         cfg = self.CFG
         p, m, info = train_inference(
             ds, shape, cfg, np.random.default_rng(13), norm=norm, warm_start=start
         )
-        X = np.stack([norm.apply(t.full()) for t in ds])
         start_loss = inference_loss(
-            X, ds.labels().astype(float),
+            norm.apply(ds.X), ds.labels.astype(float),
             init_inference(shape, np.random.default_rng(13)).with_flat(start[:-1]), shape, 0.1, cfg
         )
         assert info["loss"] <= start_loss + 1e-12
@@ -192,8 +178,8 @@ class TestTrainInference:
         env = DrivingEnv()
         ds = env.gen_dataset(2, np.random.default_rng(5))
         shape = NetworkShape(n_pred=3, n_conj=2, horizon=env.T, dim=4, tau=0.1)
-        norm = SignalNorm.from_arrays([t.full() for t in ds])
-        X, labels = norm.apply(ds.to_array()), ds.labels().astype(float)
+        norm = SignalNorm.from_arrays(ds.X)
+        X, labels = norm.apply(ds.X), ds.labels.astype(float)
         cfg = InferenceTrainConfig()
         rng = np.random.default_rng(19)
         template = init_inference(shape, rng)
@@ -227,15 +213,15 @@ class TestTrainInference:
     def test_result_is_not_a_view_of_the_flat_vector(self):
         ds = toy_dataset()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
-        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        norm = SignalNorm.from_arrays(ds.X)
         params, margin, info = train_inference(ds, shape, self.CFG, np.random.default_rng(7), norm=norm)
         assert np.array_equal(np.append(params.flatten(), margin), info["flat"])
         assert not any(np.shares_memory(a, info["flat"]) for a in vars(params).values())
 
     def test_single_label_rejected(self):
-        ds = Dataset([const_traj(1.0, 1, "a"), const_traj(2.0, 1, "b")])
+        ds = const_dataset([1.0, 2.0], [1, 1])
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
-        norm = SignalNorm.from_arrays([t.full() for t in ds])
+        norm = SignalNorm.from_arrays(ds.X)
         with pytest.raises(NoNegativeData):
             train_inference(ds, shape, self.CFG, np.random.default_rng(0), norm=norm)
 
@@ -257,7 +243,7 @@ class TestPolicyObjective:
         env, shape, norm, inf = self._setup()
         rng = np.random.default_rng(17)
         policy = init_policy(PolicyShape(4, 4, 1), seed=1)
-        env_traj = env.gen_env_profile(rng, False, 9.0)
+        env_traj = helpers.lead_profiles(env, rng)[1]  # the lead keeps going
         x0s, env_trajs = np.array([[1.0, 0.0]]), env_traj[None]
         v1 = policy_objective(policy, inf, env, (x0s, env_trajs), shape, norm)
         v2 = policy_objective(
@@ -271,7 +257,7 @@ class TestPolicyObjective:
         policy = init_policy(PolicyShape(4, 5, 1), seed=3)
         samples = (
             np.array([[0.5, 0.0], [2.0, 0.0], [1.0, 0.0]]),
-            np.stack([env.gen_env_profile(rng, ped, 8.0) for ped in (True, False, True)]),
+            helpers.lead_profiles(env, rng)[[0, 1, 3]],  # braking, going, braking
         )
         rule = stl.parse("G[0,57](veg <= 6)", env.inference_names)
         pol_t = policy.leaves()
@@ -306,7 +292,7 @@ class TestPolicyObjective:
         # so the rule is the binding term of the smooth minimum.
         env, shape, norm, inf = self._setup()
         rng = np.random.default_rng(19)
-        env_traj = env.gen_env_profile(rng, True, 8.0)
+        env_traj = helpers.lead_profiles(env, rng)[0]  # the lead brakes
         uni = UnicycleEnv()
         uni_shape = NetworkShape(n_pred=1, n_conj=1, horizon=20, dim=4, tau=0.1)
         uni_norm = SignalNorm(mid=(5.0, 5.0, 5.0, 5.0), halfrange=(5.0, 5.0, 5.0, 5.0))
@@ -351,7 +337,7 @@ class TestTrainPolicy:
         norm = SignalNorm(mid=(100.0, 5.0, 100.0, 5.0), halfrange=(100.0, 6.0, 100.0, 6.0))
         inf = helpers.encode_dnf([[("G", 30, 57, (0.0, 1.0, 0.0, 0.0), 2.0)]], shape, norm)
         rng = np.random.default_rng(23)
-        pool = [env.gen_env_profile(rng, False, 9.0) for _ in range(4)]
+        pool = helpers.lead_profiles(env, rng, 2)[2:6]  # four leads that keep going
         policy0 = init_policy(PolicyShape(4, 6, 1), seed=3)
         cfg = PolicyTrainConfig(batch_m=4, lr=0.05, steps=40, hidden=6)
         trained = train_policy(
@@ -385,7 +371,7 @@ class TestTrainPolicy:
         inf = helpers.encode_dnf([[("G", 30, 57, (0.0, 1.0, 0.0, 0.0), 2.0)]], shape, norm)
         frozen = inf.flatten()
         rng = np.random.default_rng(37)
-        pool = [env.gen_env_profile(rng, False, 9.0)]
+        pool = helpers.lead_profiles(env, rng)[1:2]
         policy0 = init_policy(PolicyShape(4, 4, 1), seed=7)
         cfg = PolicyTrainConfig(batch_m=2, lr=0.05, steps=10, hidden=4)
         outs = []
@@ -478,7 +464,8 @@ class TestGanLoop:
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=20, dim=4, tau=0.1)
         with pytest.raises(EmptyDataset):
             gan_loop(
-                Dataset([]), env, shape, TINY_INF, TINY_POL, TINY_GAN, np.random.default_rng(0)
+                Dataset(np.zeros((0, 21, 4)), [], [], [], env.inference_names),
+                env, shape, TINY_INF, TINY_POL, TINY_GAN, np.random.default_rng(0),
             )
 
 
