@@ -29,7 +29,6 @@ from .inference import (
     simplify,
 )
 from .policy import PolicyParams, PolicyShape
-from .tape import NonFiniteValue
 from .train import (
     GanConfig,
     InferenceTrainConfig,
@@ -222,6 +221,13 @@ def _load_ckpt_parts(path: str):
     return ck, run, env, shape, inf, pol, norm, rule
 
 
+def _read_data(path: str, env=None) -> dataio.Dataset:
+    """The dataset at `path`, checked as input (for `env`, if given)."""
+    ds = dataio.load_dataset(path)
+    ds.check_input(path, env)
+    return ds
+
+
 def _env_pool(ck: Checkpoint, env, data_path):
     """Environment trajectories that rollouts of a checkpoint's policy draw
     from: the original rows of `data_path`, else of the checkpoint's
@@ -233,7 +239,7 @@ def _env_pool(ck: Checkpoint, env, data_path):
         if not data_path or not os.path.exists(data_path):
             gone = f"; the checkpoint's dataset {data_path} does not exist" if data_path else ""
             raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
-    return original_env_pool(dataio.load_dataset(data_path), env)
+    return original_env_pool(_read_data(data_path, env), env)
 
 
 def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, path: str, tag: str) -> None:
@@ -272,18 +278,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     run = load_config(args.config)
-    ds = dataio.load_dataset(args.data)
-    if len(ds) == 0:
-        raise dataio.ParseError(f"{args.data}: empty dataset")
-    env_meta = ds.metas[0].get("env")
-    if env_meta is not None and env_meta != run.env.name:
-        raise dataio.ParseError(
-            f"dataset was generated for env {env_meta!r}, config says {run.env.name!r}"
-        )
-    if ds.horizon != run.env.T:
-        raise dataio.InconsistentHorizon(
-            f"{args.data}: dataset horizon {ds.horizon} != environment horizon {run.env.T}"
-        )
+    ds = _read_data(args.data, run.env)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -351,7 +346,7 @@ def cmd_extract(args) -> int:
     if data_path is None:
         log.warning("no dataset available; writing unsimplified extraction")
     else:
-        ds = dataio.load_dataset(data_path)
+        ds = _read_data(data_path, env)
         formula = simplify(formula, ds.X, ds.dim_names, ds.labels)
     if rule is not None:
         formula = stl.conjoin(formula, rule)
@@ -362,9 +357,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = dataio.load_dataset(args.data)
-    if len(ds) == 0:
-        raise dataio.ParseError(f"{args.data}: empty dataset")
+    ds = _read_data(args.data)
     f = stl.parse(dataio.read_text(args.formula, "formula").strip(), ds.dim_names)
     labels = ds.labels
     sat = exact_satisfaction(f, ds.X, ds.dim_names)
@@ -502,7 +495,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NonFiniteState, NonFiniteValue) as exc:
+    except NonFiniteState as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -80,6 +80,29 @@ class Dataset:
     def dim_names(self) -> tuple[str, ...]:
         return self.agent_names + self.env_names
 
+    def check_input(self, path: str, env=None) -> None:
+        """Raise a ParseError or InconsistentHorizon naming `path` unless the
+        dataset read from it holds rows and, given an environment, is one of
+        that environment's datasets: generated for it, if its first row says,
+        over its inference signals with its own columns last, and of its
+        horizon."""
+        if len(self) == 0:
+            raise ParseError(f"{path}: empty dataset")
+        if env is None:
+            return
+        made_for = self.metas[0].get("env")
+        if made_for is not None and made_for != env.name:
+            raise ParseError(f"{path}: dataset was generated for env {made_for!r}, not {env.name!r}")
+        names = tuple(env.inference_names)
+        want = (names[: len(names) - env.n_env], names[len(names) - env.n_env :])
+        if (self.agent_names, self.env_names) != want:
+            raise ParseError(
+                f"{path}: dimensions {self.agent_names} and environment dimensions {self.env_names}"
+                f" are not the {env.name} environment's {want[0]} and {want[1]}"
+            )
+        if self.horizon != env.T:
+            raise InconsistentHorizon(f"{path}: dataset horizon {self.horizon} != environment horizon {env.T}")
+
     def count(self, label: int) -> int:
         return int(np.count_nonzero(self.labels == label))
 

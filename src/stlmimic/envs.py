@@ -4,11 +4,13 @@ the batched closed-loop rollout, and expert dataset generation.
 
 Instances are stateless after construction; stepping and sampling are pure
 given their inputs. The dynamics and the policy run on plain arrays over
-batches. When policy parameters are tape nodes, `rollout` records the whole
-closed loop as one tape op: its forward is the same array code that
-generates data, and its backward is backpropagation through time (BPTT)
-over the steps it kept, through each environment's `step_partials`. The
-inference maps run on arrays or tape nodes.
+batches. Asked for a vector-Jacobian product (VJP), `rollout` also returns
+a closure that backpropagates through time (BPTT) into the policy
+parameters, over the steps its forward kept, through each environment's
+`step_partials`; its forward is the same array code that generates data,
+and without a VJP it keeps nothing for the backward pass. The inference
+maps (unicycle distances, the driving identity) return their VJP the same
+way.
 
 The scripted experts draw their random values one trajectory at a time, in
 a fixed order, and then advance all of a batch's trajectories together: the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stl, tape
+from . import stl
 from .dataio import Dataset, InconsistentHorizon
 from .inference import SignalNorm, exact_satisfaction
 from .policy import (
@@ -157,15 +159,26 @@ def to_dataset(env, raw, labels, ids, metas) -> Dataset:
     )
 
 
-def preprocess_distances(raw, regions):
+def preprocess_distances(raw, regions, vjp: bool = False):
     """Euclidean distances from the (px, py) columns of raw (..., >=2) to
-    each region center; returns (..., len(regions))."""
-    pos = tape.asarray(raw)[..., :2]
-    cols = []
-    for r in regions:
-        d = pos - np.array([r.cx, r.cy])
-        cols.append(tape.sqrt(tape.sum(d * d, axis=-1)))
-    return tape.stack(cols, axis=-1)
+    each region center; returns (..., len(regions)). With vjp, also the map
+    from an adjoint of the distances to one of raw."""
+    raw = np.asarray(raw, dtype=float)
+    diffs = raw[..., None, :2] - np.array([[r.cx, r.cy] for r in regions])  # (..., R, 2)
+    dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
+    if not vjp:
+        return dists
+
+    def grad(g):
+        # At a center the slope is taken as 0, a subgradient of the norm.
+        slope = g * np.divide(1.0, dists, out=np.zeros_like(dists), where=dists > 0.0)
+        g_raw = np.zeros(raw.shape)
+        # summed from the last region to the first: another order moves
+        # trained policies in their last bits
+        g_raw[..., :2] = (slope[..., ::-1, None] * diffs[..., ::-1, :]).sum(axis=-2)
+        return g_raw
+
+    return dists, grad
 
 
 class UnicycleEnv:
@@ -225,8 +238,8 @@ class UnicycleEnv:
         same values, and the same generator state, as m single draws."""
         return rng.uniform(self.init_lo, self.init_hi, None if m is None else (m, 3))
 
-    def inference_map(self, raw):
-        return preprocess_distances(raw, self.regions)
+    def inference_map(self, raw, vjp: bool = False):
+        return preprocess_distances(raw, self.regions, vjp)
 
     def task_formula(self) -> stl.Formula:
         """Lenient exact-semantics description of the scripted task; used
@@ -376,8 +389,10 @@ class DrivingEnv:
         x[:, 0] = rng.uniform(*self.init_pos, size=m)
         return x
 
-    def inference_map(self, raw):
-        return tape.asarray(raw)
+    def inference_map(self, raw, vjp: bool = False):
+        """The identity on raw states, and with vjp its VJP."""
+        raw = np.asarray(raw, dtype=float)
+        return (raw, lambda g: g) if vjp else raw
 
     # -- scripted profiles ----------------------------------------------
 
@@ -457,45 +472,42 @@ def make_env(name: str, **overrides):
 # --- closed-loop rollouts ------------------------------------------------------
 
 
-def rollout(env, params: PolicyParams, x0s, env_trajs):
+def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
     """Closed-loop raw trajectories (N, T+1, n_a + n_e) from N initial
     agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
-    one batched policy step per time step. When any policy parameter is a
-    tape node, the result is one tape node whose backward pass is BPTT
-    into those parameters."""
+    one batched policy step per time step. With vjp, (trajectories, grad),
+    where grad maps an adjoint of the trajectories to a PolicyParams of
+    gradients by BPTT."""
     x = np.asarray(x0s, dtype=float)
     env_trajs = np.asarray(env_trajs, dtype=float)
     if env_trajs.shape[1] != env.T + 1:
         raise InconsistentHorizon(
             f"environment trajectories have {env_trajs.shape[1]} rows, need {env.T + 1}"
         )
-    groups = vars(params)
-    nodes = {k: v for k, v in groups.items() if isinstance(v, tape.Node)}
-    pol = PolicyParams(**{k: tape.value(v) for k, v in groups.items()})
     n, n_a = x.shape
     out = np.empty((n, env.T + 1, n_a + env_trajs.shape[2]))
     out[:, :, n_a:] = env_trajs
     out[:, 0, :n_a] = x
-    h = zero_hidden(pol)
-    if nodes:  # what the backward pass reads, time-major
+    h = zero_hidden(params)
+    if vjp:  # what the backward pass reads, time-major
         xins = np.empty((env.T, n, out.shape[2]))
-        hs = np.zeros((env.T + 1, n, pol.hidden))
+        hs = np.zeros((env.T + 1, n, params.hidden))
         ss = np.empty((env.T, n, env.control_box.dim))
         us = np.empty_like(ss)
     for t in range(env.T):
         xin = env.state_norm.apply(out[:, t])
-        u, h, s = policy_step(pol, xin, h, env.control_box)
+        u, h, s = policy_step(params, xin, h, env.control_box)
         x = env.step(x, u)
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
             raise NonFiniteState(f"state diverged at step {t + 1}: {x[np.argmin(finite)]}")
         out[:, t + 1, :n_a] = x
-        if nodes:
+        if vjp:
             xins[t], hs[t + 1], ss[t], us[t] = xin, h, s, u
-    if not nodes:
+    if not vjp:
         return out
 
-    def vjp(g):
+    def grad(g):
         # adjoints of the agent states, time-major (T+1, N, n_a)
         gxs = g[:, :, :n_a].transpose(1, 0, 2)
         jx, ju = env.step_partials(out[:, :-1, :n_a].transpose(1, 0, 2), us)
@@ -503,13 +515,12 @@ def rollout(env, params: PolicyParams, x0s, env_trajs):
         halfrange = np.asarray(env.state_norm.halfrange)[:n_a]
         gys = np.empty_like(ss)
         gas = np.empty_like(hs[1:])
-        gx, gh = gxs[env.T], np.zeros((n, pol.hidden))
+        gx, gh = gxs[env.T], np.zeros((n, params.hidden))
         for t in range(env.T - 1, -1, -1):
             gys[t] = gy = (gx[:, None, :] @ jy[t])[:, 0]
-            gxin, gh, gas[t] = cell_vjp(pol, hs[t + 1], gy, gh)
+            gxin, gh, gas[t] = cell_vjp(params, hs[t + 1], gy, gh)
             # x_t reaches x_{t+1} through the step, and the cell through the normalisation
             gx = (gx[:, None, :] @ jx[t])[:, 0] + gxin[:, :n_a] / halfrange + gxs[t]
-        grads = param_grads(xins, hs, gys, gas)
-        return [grads[k] for k in nodes]
+        return PolicyParams(**param_grads(xins, hs, gys, gas))
 
-    return tape.Node(out, tuple(nodes.values()), vjp)
+    return out, grad

@@ -10,17 +10,19 @@ Signals are affinely normalized per dimension to [-1, 1] before entering
 the network; extraction maps predicates back to original units (an exact
 change of variables, so robustness values are unchanged).
 
-The parameters are one `InferenceParams` (a `tape.ParamVector`) whose
+The parameters are one `InferenceParams` (a `params.ParamVector`) whose
 `group_shapes` is the layout annealing searches and checkpoints store;
 `param_bounds` and `NetworkShape.n_atom_params` are read from it.
 
-Each layer is written once over batches: it runs on plain arrays for
-value-only calls and on tape nodes when a gradient is needed.
-`smooth_robustness` composes the atom layer (`smooth_atoms`) and the gated
-and/or layer (`smooth_gates`), so a caller that varies only the gates can
-reuse the atoms. Fixed formulas are scored by `stl.robustness_trace`: an
-injected rule smoothly in `combined_smooth`, extracted formulas exactly
-over (N, T+1, d) batches.
+Each layer is written once over batches of plain arrays. Called with
+vjp=True it also returns its vector-Jacobian product (VJP): a closure,
+built from the same forward pass, that maps an adjoint of the output to
+the gradients of the parameters and of the signal. `smooth_robustness`
+composes the atom layer (`smooth_atoms`) and the gated and/or layer
+(`smooth_gates`), so a caller that varies only the gates can reuse the
+atoms. Fixed formulas are scored by `stl.robustness_trace`: an injected
+rule smoothly in `combined_smooth`, extracted formulas exactly over
+(N, T+1, d) batches.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stl, tape
+from . import stl
+from .params import ParamVector, layout
 from .stl import (
     Always,
     And,
@@ -42,8 +45,9 @@ from .stl import (
     Pred,
     TimeInterval,
     TrueFormula,
+    smax,
+    smin,
 )
-from .tape import ParamVector
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +64,11 @@ log = logging.getLogger(__name__)
 SIGMA_W = 0.05
 GATE_L = 50.0
 OUT_L = 2.0 * GATE_L
+
+
+def sigmoid(z):
+    """The logistic function, through tanh so that no |z| overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ class NetworkShape:
     def n_atom_params(self) -> int:
         """Leading entries of the flat parameter vector (predicates, then
         windows) that the atom layer reads: the offset of the gates."""
-        return tape.layout(InferenceParams.group_shapes(self))["gate"].start
+        return layout(InferenceParams.group_shapes(self))["gate"].start
 
 
 @dataclass
@@ -181,9 +190,12 @@ class SignalNorm:
     def identity(cls, dim: int) -> "SignalNorm":
         return cls((0.0,) * dim, (1.0,) * dim)
 
-    def apply(self, x):
-        """Normalize the last axis of an array or tape node."""
-        return (tape.asarray(x) - np.asarray(self.mid)) / np.asarray(self.halfrange)
+    def apply(self, x, vjp: bool = False):
+        """Normalize the last axis of an array; with vjp, also the map from
+        an adjoint of the result to one of x."""
+        halfrange = np.asarray(self.halfrange)
+        out = (np.asarray(x, dtype=float) - np.asarray(self.mid)) / halfrange
+        return (out, lambda g: g / halfrange) if vjp else out
 
     def to_jsonable(self) -> dict:
         return {"mid": list(self.mid), "halfrange": list(self.halfrange)}
@@ -219,69 +231,130 @@ def normalize_formula(f: Formula, norm: SignalNorm) -> Formula:
 
 
 # --- smooth robustness ----------------------------------------------------------
-#
-# Each function below runs on plain arrays (value only) or on tape nodes
-# (for gradients); see `tape`.
 
 
-def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None):
-    """Smooth classifier scores of a batch of normalized signals.
+def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
+    """Smooth classifier scores (N,) of a batch X (N, >=T+1, dim) of
+    normalized signals. With vjp, (scores, grad), where grad maps an
+    adjoint of the scores to (an InferenceParams of parameter gradients,
+    the gradient with respect to X)."""
+    if not vjp:
+        return smooth_gates(smooth_atoms(X, params, shape, tau), params, shape, tau)
+    atoms, atoms_grad = smooth_atoms(X, params, shape, tau, vjp=True)
+    scores, gates_grad = smooth_gates(atoms, params, shape, tau, vjp=True)
 
-    X is (N, >=T+1, dim); returns (N,). X and the parameter arrays may be
-    tape nodes.
-    """
-    return smooth_gates(smooth_atoms(X, params, shape, tau), params, shape, tau)
+    def grad(g):
+        g_atoms, g_gates = gates_grad(g)
+        g_preds, gX = atoms_grad(*g_atoms)
+        return InferenceParams(**g_preds, **g_gates), gX
+
+    return scores, grad
 
 
-def smooth_atoms(X, params: InferenceParams, shape: NetworkShape, tau=None):
+def smooth_atoms(X, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
     """Atom layer: the (N, n_pred) eventually-atoms and always-atoms of a
     batch X (N, >=T+1, dim). Reads only the predicates and the windows
-    (`pred_w`, `pred_b`, `win_lo`, `win_hi`)."""
+    (`pred_w`, `pred_b`, `win_lo`, `win_hi`). With vjp, (atoms, grad),
+    where grad maps adjoints of the two atom arrays to (a dict of those
+    groups' gradients, the gradient with respect to X)."""
     tau = shape.tau if tau is None else tau
     T = shape.horizon
-    X = tape.asarray(X)
+    X = np.asarray(X, dtype=float)
     if X.shape[1] < T + 1:
         raise stl.HorizonExceeded(f"need {T + 1} samples, got {X.shape[1]}")
     L = GATE_L
 
-    traces = X[:, : T + 1, :] @ params.pred_w.T - params.pred_b  # (N, T+1, n_pred)
-    traces = tape.transpose(traces, (0, 2, 1))  # (N, n_pred, T+1)
+    window = X[:, : T + 1, :]
+    traces = np.transpose(window @ params.pred_w.T - params.pred_b, (0, 2, 1))  # (N, n_pred, T+1)
     ts = np.arange(T + 1.0)
-    m1 = tape.sigmoid((ts - params.win_lo[:, None] + 0.5) / SIGMA_W)
-    m2 = tape.sigmoid((params.win_hi[:, None] - ts + 0.5) / SIGMA_W)
+    m1 = sigmoid((ts - params.win_lo[:, None] + 0.5) / SIGMA_W)
+    m2 = sigmoid((params.win_hi[:, None] - ts + 0.5) / SIGMA_W)
     masks = m1 * m2  # (n_atoms, T+1)
 
     # atom 2k is the eventually-atom of predicate k, atom 2k+1 the always-atom
     ev_m, al_m = masks[0::2], masks[1::2]
-    ev = tape.smax(traces * ev_m + (ev_m - 1.0) * L, tau, axis=2)  # (N, n_pred)
-    al = tape.smin(traces * al_m + (1.0 - al_m) * L, tau, axis=2)
-    return ev, al
+    ev = smax(traces * ev_m + (ev_m - 1.0) * L, tau, 2, vjp)  # (N, n_pred)
+    al = smin(traces * al_m + (1.0 - al_m) * L, tau, 2, vjp)
+    if not vjp:
+        return ev, al
+    (ev, ev_grad), (al, al_grad) = ev, al
+
+    def grad(g_ev, g_al):
+        g_ev, g_al = ev_grad(g_ev), al_grad(g_al)  # (N, n_pred, T+1)
+        g_masks = np.empty_like(masks)
+        g_masks[0::2] = (g_ev * (traces + L)).sum(axis=0)
+        g_masks[1::2] = (g_al * (traces - L)).sum(axis=0)
+        g_traces = np.transpose(g_ev * ev_m + g_al * al_m, (0, 2, 1))  # (N, T+1, n_pred)
+        gX = np.zeros(X.shape)
+        gX[:, : T + 1, :] = g_traces @ params.pred_w
+        flat_g = g_traces.reshape(-1, shape.n_pred)
+        return {
+            "pred_w": flat_g.T @ window.reshape(-1, window.shape[2]),
+            "pred_b": -flat_g.sum(axis=0),
+            "win_lo": -(g_masks * m2 * m1 * (1.0 - m1)).sum(axis=1) / SIGMA_W,
+            "win_hi": (g_masks * m1 * m2 * (1.0 - m2)).sum(axis=1) / SIGMA_W,
+        }, gX
+
+    return (ev, al), grad
 
 
-def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None):
+def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
     """Gated and/or layer: (N,) scores from the `smooth_atoms` output.
-    Reads only the gates (`gate`, `out_gate`)."""
+    Reads only the gates (`gate`, `out_gate`). With vjp, (scores, grad),
+    where grad maps an adjoint of the scores to (the adjoints of the two
+    atom arrays, a dict of the gate groups' gradients)."""
     tau = shape.tau if tau is None else tau
     ev, al = atoms
-    gate_off = (1.0 - tape.sigmoid(params.gate)) * GATE_L  # (n_conj, n_atoms)
-    conj_terms = tape.concatenate(
+    s_gate = sigmoid(params.gate)
+    gate_off = (1.0 - s_gate) * GATE_L  # (n_conj, n_atoms)
+    conj_terms = np.concatenate(
         [ev[:, None, :] + gate_off[:, 0::2], al[:, None, :] + gate_off[:, 1::2]], axis=2
     )
-    conjs = tape.smin(conj_terms, tau, axis=2)  # (N, n_conj)
+    conjs = smin(conj_terms, tau, 2, vjp)  # (N, n_conj)
+    s_out = sigmoid(params.out_gate)
+    out_off = (1.0 - s_out) * OUT_L  # (n_conj,)
+    if not vjp:
+        return smax(conjs - out_off, tau, 1)
+    conjs, conjs_grad = conjs
+    scores, scores_grad = smax(conjs - out_off, tau, 1, True)
 
-    out_off = (1.0 - tape.sigmoid(params.out_gate)) * OUT_L  # (n_conj,)
-    return tape.smax(conjs - out_off, tau, axis=1)
+    def grad(g):
+        g_conjs = scores_grad(g)
+        g_terms = conjs_grad(g_conjs)  # (N, n_conj, n_atoms), eventually-atoms first
+        n_pred = ev.shape[1]
+        g_off = np.empty_like(gate_off)
+        g_off[:, 0::2], g_off[:, 1::2] = np.split(g_terms.sum(axis=0), 2, axis=1)
+        atoms_adjoint = (g_terms[:, :, :n_pred].sum(axis=1), g_terms[:, :, n_pred:].sum(axis=1))
+        return atoms_adjoint, {
+            "gate": -GATE_L * g_off * s_gate * (1.0 - s_gate),
+            "out_gate": OUT_L * g_conjs.sum(axis=0) * s_out * (1.0 - s_out),
+        }
+
+    return scores, grad
 
 
-def combined_smooth(X, params, shape, rule: Formula | None):
+def combined_smooth(X, params, shape, rule: Formula | None, vjp: bool = False):
     """Network scores at the shape's temperature, optionally conjoined with
     an injected rule (in normalized coordinates, smooth robustness at t=0)
-    through a smooth minimum."""
-    net = smooth_robustness(X, params, shape)
+    through a smooth minimum. With vjp, (scores, grad) as for
+    `smooth_robustness`."""
     if rule is None:
-        return net
-    rule_vals = stl.robustness_trace(X, rule, shape.tau)[:, 0]
-    return tape.smin(tape.stack([net, rule_vals]), shape.tau, 0)
+        return smooth_robustness(X, params, shape, vjp=vjp)
+    if not vjp:
+        net = smooth_robustness(X, params, shape)
+        return smin(np.stack([net, stl.robustness_trace(X, rule, shape.tau)[:, 0]]), shape.tau, 0)
+    net, net_grad = smooth_robustness(X, params, shape, vjp=True)
+    trace, trace_grad = stl.robustness_trace(X, rule, shape.tau, vjp=True)
+    scores, scores_grad = smin(np.stack([net, trace[:, 0]]), shape.tau, 0, True)
+
+    def grad(g):
+        g_net, g_rule = scores_grad(g)
+        g_params, gX = net_grad(g_net)
+        g_trace = np.zeros(trace.shape)
+        g_trace[:, 0] = g_rule
+        return g_params, gX + trace_grad(g_trace)
+
+    return scores, grad
 
 
 # --- formula extraction -------------------------------------------------------
@@ -343,11 +416,11 @@ def extract_formula(
     mid = np.asarray(norm.mid)
     disjuncts = []
     for c in range(shape.n_conj):
-        if tape.sigmoid(params.out_gate[c]) <= gate_threshold:
+        if sigmoid(params.out_gate[c]) <= gate_threshold:
             continue
         atoms = []
         for j in range(shape.n_atoms):
-            if tape.sigmoid(params.gate[c, j]) <= gate_threshold:
+            if sigmoid(params.gate[c, j]) <= gate_threshold:
                 continue
             k = j // 2
             t1 = min(max(_halfup(float(params.win_lo[j])), 0), T)

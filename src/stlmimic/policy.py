@@ -2,12 +2,12 @@
 
 A single Elman-style cell: h' = tanh(W_in x + W_rec h + b); the output
 head maps h' through tanh onto the box interior, so control constraints
-hold for every parameter setting. The step runs on plain arrays only.
+hold for every parameter setting. The step runs on plain arrays.
 Training differentiates whole rollouts through `envs.rollout`, whose
 backward pass uses the step's partials below (`cell_vjp`,
 `squash_slope`, `param_grads`).
 
-The weights are one `PolicyParams` (a `tape.ParamVector`) whose
+The weights are one `PolicyParams` (a `params.ParamVector`) whose
 `group_shapes` is the layout Adam steps and checkpoints store.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import ParamVector
+from .params import ParamVector
 
 
 @dataclass(frozen=True)

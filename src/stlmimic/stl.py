@@ -7,11 +7,17 @@ follow the usual min/max recursion.
 One evaluator, `robustness_trace`, maps a batch (N, T+1, d) of signals to
 traces of robustness per start step: and/or and each F[a,b]/G[a,b] window
 reduce shifted slices of their children's traces, with the hard min/max
-(exact semantics) or with `tape.smin`/`smax` at a temperature (smooth
-semantics, differentiable for rule injection), as in STLCG (arXiv
-1910.10309). It is the package's only STL evaluator. Boolean satisfaction
-is the sign of exact robustness at t=0, with 0 counting as satisfied;
-`inference.exact_satisfaction` applies that rule to a batch.
+(exact semantics) or with the soft extrema `smin`/`smax` at a temperature
+(smooth semantics), as in STLCG (arXiv 1910.10309). It is the package's
+only STL evaluator. Boolean satisfaction is the sign of exact robustness at
+t=0, with 0 counting as satisfied; `inference.exact_satisfaction` applies
+that rule to a batch.
+
+The smooth semantics are differentiable. Asked for a vector-Jacobian
+product (VJP), `smax`, `smin` and `robustness_trace` return their value
+together with a closure mapping an adjoint of the value to the gradient
+of its input, from the same forward pass; value-only calls keep nothing
+for it. The classifier in `inference` is built on the same soft extrema.
 
 Everything here is a pure function over immutable values and safe to use
 concurrently.
@@ -25,11 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
-
 # Finite stand-in for the +inf robustness of TRUE. Keeps downstream smooth
 # arithmetic finite; constant, so it never enters a gradient.
 TRUE_ROBUSTNESS = 1e9
+
+
+class EmptyInput(ValueError):
+    """smax / smin over an axis of length zero."""
 
 
 class HorizonExceeded(ValueError):
@@ -164,46 +172,142 @@ def check_names(f: Formula, dim_names) -> None:
         raise DimensionMismatch(f"formula over {names}, signal over {dim_names}")
 
 
-def robustness_trace(X, f: Formula, tau: float | None = None):
+def _soft_extremum(a, tau, axis, sign, what, vjp):
+    """Exp-weighted average of `a` along `axis`, leaning to its max (sign
+    +1) or min (sign -1): sum_i w_i a_i / sum_i w_i with w = exp(sign a / tau)."""
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    a = np.asarray(a, dtype=float)
+    if a.shape[axis] == 0:
+        raise EmptyInput(f"{what} of no values")
+    m = a.max(axis=axis, keepdims=True) if sign > 0 else a.min(axis=axis, keepdims=True)
+    # w in one buffer: each temporary of a large batch would be a fresh mmap
+    w = a - m
+    if sign < 0:
+        np.negative(w, out=w)
+    w /= tau
+    np.exp(w, out=w)
+    z = w.sum(axis=axis)
+    if not vjp:
+        w *= a
+        return w.sum(axis=axis) / z
+    s = (w * a).sum(axis=axis) / z
+
+    def grad(g):
+        dev = (a - np.expand_dims(s, axis)) / tau
+        partial = (w / np.expand_dims(z, axis)) * (1.0 + dev if sign > 0 else 1.0 - dev)
+        return np.expand_dims(g, axis) * partial
+
+    return s, grad
+
+
+def smax(a, tau: float, axis: int, vjp: bool = False):
+    """Softmax-weighted average along `axis`; bounded by min and max and
+    tends to the max as tau -> 0. With vjp, (value, grad) where grad maps
+    an adjoint of the value to one of `a`."""
+    return _soft_extremum(a, tau, axis, +1, "smax", vjp)
+
+
+def smin(a, tau: float, axis: int, vjp: bool = False):
+    """-smax(-a): tends to the min as tau -> 0."""
+    return _soft_extremum(a, tau, axis, -1, "smin", vjp)
+
+
+def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False):
     """Robustness of f at every start step where its windows fit.
 
     X is a batch (N, T+1, d) of signals in f's coordinates; returns
     (N, T+1-horizon(f)). With tau=None the semantics are exact; with a
-    temperature they are smooth, and X may be a tape node.
+    temperature they are smooth, and with vjp the result is (trace, grad),
+    where grad maps an adjoint of the trace to the gradient with respect
+    to X.
     """
+    if vjp and tau is None:
+        raise ValueError("exact robustness has no gradient; give a temperature")
+    trace, back = _trace(X, f, tau, vjp)
+    if not vjp:
+        return trace
+
+    def grad(g):
+        gX = np.zeros(np.shape(X))
+        back(g, gX)
+        return gX
+
+    return trace, grad
+
+
+def _trace(X, f: Formula, tau, vjp: bool):
+    """`robustness_trace` and, with vjp, its backward step (else None):
+    back(g, gX) adds the gradient of the trace, weighted by g, into gX. A
+    backward step keeps the shapes of the traces it reduced, not the traces."""
     if isinstance(f, Pred):
         # -bound, then each nonzero c_i * x_i in order: exact results keep this order.
         acc = -f.bound
         for i, c in enumerate(f.coeffs):
             if c != 0.0:
                 acc = acc + c * X[:, :, i]
-        return acc
+        if not vjp:
+            return acc, None
+
+        def back(g, gX):
+            for i, c in enumerate(f.coeffs):
+                if c != 0.0:
+                    gX[:, :, i] += c * g
+
+        return acc, back
     if isinstance(f, TrueFormula):
-        return np.full(X.shape[:2], TRUE_ROBUSTNESS)
+        return np.full(X.shape[:2], TRUE_ROBUSTNESS), (lambda g, gX: None) if vjp else None
     if isinstance(f, Not):
-        return -robustness_trace(X, f.child, tau)
+        child, child_back = _trace(X, f.child, tau, vjp)
+        if not vjp:  # nothing else reads the child's trace
+            return np.negative(child, out=child), None
+        return -child, lambda g, gX: child_back(-g, gX)
     if isinstance(f, (And, Or)):
-        parts = [robustness_trace(X, c, tau) for c in f.children]
-        n = min(p.shape[1] for p in parts)
-        return _extremum([p[:, :n] for p in parts], isinstance(f, Or), tau)
+        parts = [_trace(X, c, tau, vjp) for c in f.children]
+        n = min(p.shape[1] for p, _ in parts)
+        out, ext_back = _extremum([p[:, :n] for p, _ in parts], isinstance(f, Or), tau, vjp)
+        if not vjp:
+            return out, None
+        children = [(p.shape, child_back) for p, child_back in parts]
+
+        def back(g, gX):
+            for (shape, child_back), gp in zip(children, ext_back(g)):
+                padded = np.zeros(shape)
+                padded[:, :n] = gp
+                child_back(padded, gX)
+
+        return out, back
     if isinstance(f, (Eventually, Always)):
-        child = robustness_trace(X, f.child, tau)
+        child, child_back = _trace(X, f.child, tau, vjp)
         n = child.shape[1] - f.interval.t2
         if n < 1:
             raise HorizonExceeded(
                 f"formula horizon {horizon(f)} exceeds signal horizon {X.shape[1] - 1}"
             )
-        parts = [child[:, u : u + n] for u in range(f.interval.t1, f.interval.t2 + 1)]
-        return _extremum(parts, isinstance(f, Eventually), tau)
+        shifts = range(f.interval.t1, f.interval.t2 + 1)
+        out, ext_back = _extremum([child[:, u : u + n] for u in shifts], isinstance(f, Eventually), tau, vjp)
+        if not vjp:
+            return out, None
+        child_shape = child.shape
+
+        def back(g, gX):
+            gc = np.zeros(child_shape)
+            for u, gp in zip(shifts, ext_back(g)):
+                gc[:, u : u + n] += gp
+            child_back(gc, gX)
+
+        return out, back
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _extremum(parts, is_max: bool, tau):
+def _extremum(parts, is_max: bool, tau, vjp: bool):
     """Elementwise max (or min) of equally shaped traces: a running hard
-    fold when exact, a smooth extremum over their stack when smooth."""
+    fold when exact, a smooth extremum over their stack when smooth; with
+    its VJP over the stack when vjp."""
     if tau is None:
-        return functools.reduce(np.maximum if is_max else np.minimum, parts)
-    return (tape.smax if is_max else tape.smin)(tape.stack(parts), tau, 0)
+        return functools.reduce(np.maximum if is_max else np.minimum, parts), None
+    out = (smax if is_max else smin)(np.stack(parts), tau, 0, vjp)
+    return out if vjp else (out, None)
 
 
 def conjoin(f1: Formula, f2: Formula) -> Formula:

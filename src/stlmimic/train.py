@@ -2,6 +2,13 @@
 search with periodic gradient refinement), policy fitting by Adam ascent
 through unrolled dynamics, and the adversarial alternation that grows the
 dataset with policy-generated negatives.
+
+Both gradients are composed from the layers' vector-Jacobian products
+(the `vjp=True` form of each layer, see `inference` and `envs`), all on
+plain arrays: refinement takes the loss back through the classifier to
+its parameters and margin; a policy step takes the mean score back
+through the classifier, the signal normalization, the inference map and
+the closed-loop rollout to the policy weights.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stl, tape
+from . import stl
 from .dataio import Dataset, InconsistentHorizon
 from .envs import rollout, to_dataset
 from .inference import (
@@ -26,13 +33,14 @@ from .inference import (
     init_inference,
     normalize_formula,
     param_bounds,
+    sigmoid,
     simplify,
     smooth_atoms,
     smooth_gates,
     smooth_robustness,
 )
+from .params import layout
 from .policy import PolicyParams, PolicyShape, init_policy
-from .tape import Node, backward, layout
 
 log = logging.getLogger(__name__)
 
@@ -118,18 +126,45 @@ def mcr(
 # --- inference loss -------------------------------------------------------------
 
 
-def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin, cfg):
+def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin, cfg, vjp=False):
     """Hinge-with-margin classification loss plus gate regularization,
-    minus a reward for a large margin. The parameters and the margin may
-    be tape nodes."""
-    return _loss_of_scores(smooth_robustness(X_norm, params, shape), labels, params, margin, cfg)
+    minus a reward for a large margin. With vjp, (loss, grad), where
+    grad(g) is (an InferenceParams of parameter gradients, the margin's
+    gradient) for an adjoint g of the loss."""
+    if not vjp:
+        return _loss_of_scores(smooth_robustness(X_norm, params, shape), labels, params, margin, cfg)
+    scores, scores_grad = smooth_robustness(X_norm, params, shape, vjp=True)
+    loss, loss_grad = _loss_of_scores(scores, labels, params, margin, cfg, vjp=True)
+
+    def grad(g):
+        g_scores, g_gates, g_margin = loss_grad(g)
+        g_params, _ = scores_grad(g_scores)
+        g_params.gate += g_gates["gate"]
+        g_params.out_gate += g_gates["out_gate"]
+        return g_params, g_margin
+
+    return loss, grad
 
 
-def _loss_of_scores(vals, labels, params: InferenceParams, margin, cfg):
-    """`inference_loss` given the classifier scores `vals`."""
-    hinge = tape.mean(tape.relu(margin - labels * vals))
-    reg = tape.sum(tape.sigmoid(params.gate)) + tape.sum(tape.sigmoid(params.out_gate))
-    return hinge + cfg.beta1 * reg - cfg.beta2 * margin
+def _loss_of_scores(vals, labels, params: InferenceParams, margin, cfg, vjp=False):
+    """`inference_loss` given the classifier scores `vals`. With vjp,
+    (loss, grad), where grad(g) is (the adjoint of `vals`, a dict of the
+    regularizer's gate gradients, the margin's gradient)."""
+    slack = margin - labels * vals
+    hinge = np.sum(np.maximum(slack, 0.0)) / slack.size
+    s_gate, s_out = sigmoid(params.gate), sigmoid(params.out_gate)
+    loss = hinge + cfg.beta1 * (np.sum(s_gate) + np.sum(s_out)) - cfg.beta2 * margin
+    if not vjp:
+        return loss
+
+    def grad(g):
+        # The hinge's subgradient at its kink is taken as 0.
+        g_slack = (g / slack.size) * (slack > 0.0)
+        g_reg = g * cfg.beta1
+        gates = {"gate": g_reg * s_gate * (1.0 - s_gate), "out_gate": g_reg * s_out * (1.0 - s_out)}
+        return -labels * g_slack, gates, float(np.sum(g_slack)) - g * cfg.beta2
+
+    return loss, grad
 
 
 def annealing_objective(X_norm, labels, template: InferenceParams, shape: NetworkShape, cfg):
@@ -268,11 +303,10 @@ def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
     batch = min(cfg.refine_batch, n)
     for _ in range(cfg.refine_steps):
         idx = rng.choice(n, size=batch, replace=False)
-        params = template.with_flat(vec[:-1]).leaves()
-        margin = Node(vec[-1])
-        backward(inference_loss(X[idx], labels[idx], params, shape, margin, cfg))
-        grad = np.concatenate([params.grads(), [margin.grad]])
-        vec = np.clip(vec - cfg.refine_lr * grad, lo, hi)
+        params = template.with_flat(vec[:-1])
+        _, loss_grad = inference_loss(X[idx], labels[idx], params, shape, vec[-1], cfg, vjp=True)
+        g_params, g_margin = loss_grad(1.0)
+        vec = np.clip(vec - cfg.refine_lr * np.append(g_params.flatten(), g_margin), lo, hi)
     return vec
 
 
@@ -298,17 +332,28 @@ class Adam:
         return x - self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
+def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, vjp=False):
     """Mean smooth robustness of closed-loop rollouts of the policy from
     `samples` (initial states, environment trajectories), optionally
-    conjoined with a rule in raw units. Differentiable in whatever is a
-    tape node inside `policy`; the classifier is held as plain arrays, so
-    its parameters cannot drift here."""
+    conjoined with a rule in raw units. With vjp, (objective, grad), where
+    grad(g) is a PolicyParams of the policy's gradients for an adjoint g;
+    the classifier's own gradient is dropped, so it cannot drift here."""
     x0s, env_trajs = samples
-    raw = rollout(env, policy, x0s, env_trajs)
-    X = norm.apply(env.inference_map(raw))
     rule_n = normalize_formula(rule, norm) if rule is not None else None
-    return tape.mean(combined_smooth(X, inf_params, shape, rule_n))
+    if not vjp:
+        X = norm.apply(env.inference_map(rollout(env, policy, x0s, env_trajs)))
+        scores = combined_smooth(X, inf_params, shape, rule_n)
+        return np.sum(scores) / scores.size
+    raw, raw_grad = rollout(env, policy, x0s, env_trajs, vjp=True)
+    mapped, map_grad = env.inference_map(raw, vjp=True)
+    X, norm_grad = norm.apply(mapped, vjp=True)
+    scores, scores_grad = combined_smooth(X, inf_params, shape, rule_n, vjp=True)
+
+    def grad(g):
+        _, gX = scores_grad(np.full(scores.shape, g / scores.size))
+        return raw_grad(map_grad(norm_grad(gX)))
+
+    return np.sum(scores) / scores.size, grad
 
 
 def _draw_samples(env, env_pool, m, rng):
@@ -348,9 +393,10 @@ def train_policy(
     opt = Adam(flat.size, cfg.lr, cfg.betas)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
-        p = policy0.with_flat(flat).leaves()
-        backward(policy_objective(p, inf_params, env, samples, shape, norm, rule))
-        flat = opt.step(flat, p.grads(), maximize=True)
+        _, objective_grad = policy_objective(
+            policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule, vjp=True
+        )
+        flat = opt.step(flat, objective_grad(1.0).flatten(), maximize=True)
     return policy0.with_flat(flat)  # flat is this call's own array
 
 

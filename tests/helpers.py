@@ -1,11 +1,56 @@
-"""Shared test utilities: hand-encoding formulas into classifier params,
-the pinned `gen-data` outputs, and lead-vehicle profiles for driving."""
+"""Shared test utilities: the finite-difference gradient oracle,
+hand-encoding formulas into classifier params, the pinned `gen-data`
+outputs, and lead-vehicle profiles for driving."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from stlmimic.inference import InferenceParams, NetworkShape, SignalNorm
+from stlmimic.params import ParamVector
+
+
+class NonFiniteValue(ArithmeticError):
+    """A checked evaluation produced NaN or infinity."""
+
+
+def finite_diff_check(f, grad, params: ParamVector, h: float = 1e-5, kink_tol: float = 1e-3) -> float:
+    """Max relative error between a hand-written gradient and central
+    differences.
+
+    `f` maps parameters of the type of `params` to a scalar, and `grad`
+    maps them to the gradient of `f`, laid out like them (a ParamVector of
+    the same groups). Coordinates sitting on a nondifferentiable point
+    (one-sided slopes disagree, e.g. a ReLU kink) are skipped. Raises
+    NonFiniteValue if any evaluation is NaN or infinite.
+    """
+
+    def value_at(p):
+        v = float(f(p))
+        if not math.isfinite(v):
+            raise NonFiniteValue(f"objective evaluated to {v}")
+        return v
+
+    out_v = value_at(params)
+    analytic = grad(params).flatten()
+    base = params.flatten()
+    worst = 0.0
+    for i in range(base.size):
+        step = np.zeros_like(base)
+        step[i] = h
+        fp = value_at(params.with_flat(base + step))
+        fm = value_at(params.with_flat(base - step))
+        central = (fp - fm) / (2.0 * h)
+        fwd = (fp - out_v) / h
+        bwd = (out_v - fm) / h
+        if abs(fwd - bwd) > kink_tol * (1.0 + abs(fwd) + abs(bwd)):
+            continue
+        err = abs(analytic[i] - central) / max(1.0, abs(central))
+        if err > worst:
+            worst = err
+    return worst
 
 
 def encode_dnf(

@@ -344,7 +344,7 @@ class TestExtract:
         assert main(["gen-data", "--env", "driving", "--n", "4", "--seed", "0", "--out", str(driving)]) == EXIT_OK
         code = main(["extract", "--ckpt", str(ckpt), "--data", str(driving), "--out", str(tmp_path / "f.txt")])
         assert code == EXIT_DATA
-        assert "formula over ('dA', 'dB', 'dC', 'dO')" in capsys.readouterr().err
+        assert f"{driving}: dataset was generated for env 'driving', not 'unicycle'" in capsys.readouterr().err
 
     def test_missing_data_file_is_data_error_naming_it(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained
@@ -546,6 +546,52 @@ class TestBadInputFiles:
         assert main(argv) == EXIT_DATA
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
+
+
+def _renamed(src, dst, key, names):
+    """A copy of the dataset file src whose `key` dimension names are `names`."""
+    lines = [json.loads(line) for line in src.read_text().splitlines()]
+    dst.write_text("".join(json.dumps({**obj, key: names}) + "\n" for obj in lines))
+    return dst
+
+
+class TestDataInput:
+    """Each command that reads --data checks the dataset first: an empty
+    file, or one over other dimensions than the environment's, is a data
+    error naming the file, and nothing is written."""
+
+    @pytest.mark.parametrize("cmd", ["train", "extract", "eval", "rollout", "adjust"])
+    def test_empty_data_is_data_error_naming_the_file(self, trained, trained_driving, tmp_path, capsys, cmd):
+        root, data, config, ckpt = trained
+        driving_ckpt = trained_driving[3]
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "out" / "x"
+        empty.write_text("")
+        argv = {
+            "train": ["train", "--config", str(config), "--out", str(out)],
+            "extract": ["extract", "--ckpt", str(ckpt), "--out", str(out)],
+            "eval": ["eval", "--formula", str(ckpt.parent / "formula.txt")],
+            # a unicycle rollout reads no environment trajectories
+            "rollout": ["rollout", "--ckpt", str(driving_ckpt), "--n", "2", "--out", str(out)],
+            "adjust": ["adjust", "--ckpt", str(driving_ckpt), "--conjoin", "G[0,57](veg <= 6)", "--out", str(out)],
+        }[cmd]
+        assert main(argv + ["--data", str(empty)]) == EXIT_DATA
+        assert f"{empty}: empty dataset" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_renamed_dimensions_fail_before_training(self, trained, trained_driving, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        renamed = _renamed(data, tmp_path / "renamed.jsonl", "agent_dims", ["a", "b", "c", "d"])
+        lead = _renamed(trained_driving[1], tmp_path / "lead.jsonl", "env_dims", ["p_lead", "v_lead"])
+        out = tmp_path / "out" / "x"
+        for argv, bad in (
+            (["train", "--data", str(renamed), "--config", str(config)], renamed),
+            (["extract", "--ckpt", str(ckpt), "--data", str(renamed)], renamed),
+            (["rollout", "--ckpt", str(trained_driving[3]), "--data", str(lead), "--n", "2"], lead),
+        ):
+            assert main(argv + ["--out", str(out)]) == EXIT_DATA, argv[0]
+            err = capsys.readouterr().err
+            assert f"{bad}: dimensions" in err and "are not the" in err, argv[0]
+        assert not out.parent.exists()  # train made no run directory: it failed before its first rollouts
 
 
 class TestEnvironmentPool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlmimic import stl, tape
+from stlmimic import stl
 from stlmimic.envs import (
     DrivingEnv,
     ExpertFailure,
@@ -21,10 +21,11 @@ from stlmimic.envs import (
     unicycle_step,
 )
 from stlmimic.inference import exact_satisfaction
+from stlmimic.params import ParamVector
 from stlmimic.policy import PolicyParams, PolicyShape, init_policy
-from stlmimic.tape import finite_diff_check
 
 import helpers
+from helpers import finite_diff_check
 
 
 class TestDynamics:
@@ -68,6 +69,28 @@ class TestPreprocess:
         raw = np.zeros((21, 3))
         d = env.inference_map(raw)
         assert d.shape == (21, 4)
+
+    def test_distance_map_gradient_matches_fd(self):
+        # batches of unicycle states, one of them on region A's center,
+        # where the subgradient of its distance is 0
+        env = UnicycleEnv()
+        rng = np.random.default_rng(12)
+        raw = rng.uniform(0.0, 10.0, size=(2, 5, 3))
+        raw[1, 2, :2] = env.region_a.cx, env.region_a.cy
+        weights = rng.normal(size=(2, 5, 4))
+
+        def grad(p):
+            dists, vjp = env.inference_map(p.raw, vjp=True)
+            assert np.array_equal(dists, env.inference_map(p.raw))
+            return ParamVector(raw=vjp(weights))
+
+        g = grad(ParamVector(raw=raw)).raw
+        assert np.all(g[..., 2] == 0.0)  # the heading reaches no distance
+        pos = raw[1, 2, :2]
+        others = [(r, w) for r, w in zip(env.regions, weights[1, 2]) if r is not env.region_a]
+        want = sum(w * (pos - (r.cx, r.cy)) / r.distance(*pos) for r, w in others)
+        assert np.allclose(g[1, 2, :2], want, rtol=1e-12, atol=0.0)
+        assert finite_diff_check(lambda p: np.sum(env.inference_map(p.raw) * weights), grad, ParamVector(raw=raw)) < 1e-6
 
 
 class TestSampling:
@@ -124,7 +147,13 @@ class TestRollout:
             raw = rollout(env, p, x0[None], env_traj[None])
             return raw[0, -1, 0]  # terminal ego position
 
-        assert finite_diff_check(f, params, h=1e-5) < 1e-3
+        def grad(p):
+            raw, vjp = rollout(env, p, x0[None], env_traj[None], vjp=True)
+            g = np.zeros_like(raw)
+            g[0, -1, 0] = 1.0
+            return vjp(g)
+
+        assert finite_diff_check(f, grad, params, h=1e-5) < 1e-3
 
     def test_nonfinite_state_raises(self):
         env = DrivingEnv()
@@ -139,8 +168,8 @@ class TestRollout:
 
 
 class TestRolloutOp:
-    """The rollout on tape nodes is one op: its forward is the value path,
-    and its hand-written backward matches central differences."""
+    """The rollout with its VJP runs the value path's forward, and its
+    hand-written backward (BPTT) matches central differences."""
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
@@ -165,15 +194,17 @@ class TestRolloutOp:
             env_trajs = np.zeros((batch, horizon + 1, 0))
         weights = rng.normal(size=(batch, horizon + 1, env.n_agent + env.n_env))
 
-        node = rollout(env, params.leaves(), x0s, env_trajs)
-        assert isinstance(node, tape.Node)
-        assert np.array_equal(node.value, rollout(env, params, x0s, env_trajs))
+        raw, vjp = rollout(env, params, x0s, env_trajs, vjp=True)
+        assert np.array_equal(raw, rollout(env, params, x0s, env_trajs))
+        assert type(vjp(weights)) is PolicyParams
 
         def f(p):
-            raw = rollout(env, p, x0s, env_trajs)
-            return tape.sum(raw * weights)
+            return np.sum(rollout(env, p, x0s, env_trajs) * weights)
 
-        assert finite_diff_check(f, params, h=1e-5) < 1e-4
+        def grad(p):
+            return rollout(env, p, x0s, env_trajs, vjp=True)[1](weights)
+
+        assert finite_diff_check(f, grad, params, h=1e-5) < 1e-4
 
 
 class TestUnicycleExpert:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlmimic import stl
 from stlmimic.inference import (
@@ -26,11 +28,11 @@ from stlmimic.stl import (
     print_formula,
     robustness_trace,
 )
-from stlmimic.tape import ParamVector, finite_diff_check
+from stlmimic.params import ParamVector
 from stlmimic.train import InferenceTrainConfig, inference_loss
 
 import oracle_stl
-from helpers import EQ12_DNF, encode_dnf
+from helpers import EQ12_DNF, encode_dnf, finite_diff_check
 
 CASE1_NAMES = ("dA", "dB", "dC", "dO")
 EQ12_TEXT = "(F[2,14](dA < 1.5) | F[4,12](dB < 0.86)) & F[12,20](dC < 0.69)"
@@ -108,32 +110,87 @@ class TestSmoothRobustness:
         def score(p):
             return smooth_robustness(vals, p, shape)[0]
 
-        assert finite_diff_check(score, params, h=1e-5) < 1e-3
+        def score_grad(p):
+            return smooth_robustness(vals, p, shape, vjp=True)[1](np.ones(1))[0]
+
+        assert finite_diff_check(score, score_grad, params, h=1e-5) < 1e-3
 
         X = rng.uniform(-1, 1, size=(6, 6, 2))
         labels = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
         cfg = InferenceTrainConfig()
         pv_m = ParamVector(**vars(params), margin=np.array([0.3]))
 
-        def loss(leaves):
-            groups = dict(vars(leaves))
-            margin = groups.pop("margin")
-            return inference_loss(X, labels, InferenceParams(**groups), shape, margin[0], cfg)
+        def split(p):
+            groups = dict(vars(p))
+            margin = groups.pop("margin")[0]
+            return InferenceParams(**groups), margin
 
-        assert finite_diff_check(loss, pv_m, h=1e-5) < 1e-3
+        def loss(p):
+            params, margin = split(p)
+            return inference_loss(X, labels, params, shape, margin, cfg)
+
+        def loss_grad(p):
+            params, margin = split(p)
+            g_params, g_margin = inference_loss(X, labels, params, shape, margin, cfg, vjp=True)[1](1.0)
+            return ParamVector(**vars(g_params), margin=np.array([g_margin]))
+
+        assert finite_diff_check(loss, loss_grad, pv_m, h=1e-5) < 1e-3
 
     def test_gradient_through_signal_rows(self):
         # Policy training differentiates through the signal, not the params.
         rng = np.random.default_rng(47)
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=4, dim=2, tau=0.1)
         params = init_inference(shape, rng)
-        vals = rng.uniform(-1, 1, size=(1, 5, 2))
-        pv = ParamVector(sig=vals)
+        pv = ParamVector(sig=rng.uniform(-1, 1, size=(1, 5, 2)))
 
-        def f(leaves):
-            return smooth_robustness(leaves.sig, params, shape)[0]
+        def f(p):
+            return smooth_robustness(p.sig, params, shape)[0]
 
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-3
+        def grad(p):
+            return ParamVector(sig=smooth_robustness(p.sig, params, shape, vjp=True)[1](np.ones(1))[1])
+
+        assert finite_diff_check(f, grad, pv, h=1e-5) < 1e-3
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.builds(
+            NetworkShape,
+            n_pred=st.integers(1, 4),
+            n_conj=st.integers(1, 3),
+            horizon=st.integers(1, 6),
+            dim=st.integers(1, 3),
+            tau=st.sampled_from([0.1, 0.3, 1.0]),
+        ),
+        n=st.integers(1, 4),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vjp_matches_fd_on_random_shapes(self, shape, n, extra, seed):
+        # the classifier's gradient with respect to its parameters and to
+        # signals longer than its horizon, for a weighted sum of the scores;
+        # the value returned with the VJP is the value-only score bit for bit
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.5, 1.5, size=(n, shape.horizon + 1 + extra, shape.dim))
+        weights = rng.normal(size=n)
+        pv = ParamVector(**vars(init_inference(shape, rng)), sig=X)
+
+        def split(p):
+            groups = dict(vars(p))
+            return groups.pop("sig"), InferenceParams(**groups)
+
+        def f(p):
+            sig, params = split(p)
+            return smooth_robustness(sig, params, shape) @ weights
+
+        def grad(p):
+            sig, params = split(p)
+            scores, vjp = smooth_robustness(sig, params, shape, vjp=True)
+            assert np.array_equal(scores, smooth_robustness(sig, params, shape))
+            g_params, gX = vjp(weights)
+            assert type(g_params) is InferenceParams
+            return ParamVector(**vars(g_params), sig=gX)
+
+        assert finite_diff_check(f, grad, pv, h=1e-6) < 1e-4
 
     def test_horizon_guard(self):
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=10, dim=1, tau=0.1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlmimic import stl
 from stlmimic.stl import (
@@ -21,9 +23,11 @@ from stlmimic.stl import (
     print_formula,
     robustness_trace,
 )
-from stlmimic.inference import exact_satisfaction
+from stlmimic.inference import exact_mcr, exact_satisfaction, simplify
+from stlmimic.params import ParamVector
 
 import oracle_stl
+from helpers import finite_diff_check
 
 CASE1_NAMES = ("dA", "dB", "dC", "dO")
 EQ12_TEXT = "(F[2,14](dA < 1.5) | F[4,12](dB < 0.86)) & F[12,20](dC < 0.69)"
@@ -287,3 +291,90 @@ class TestInvariants:
     def test_and_arity(self):
         with pytest.raises(ValueError):
             And((pred1(1, 0),))
+
+
+# --- properties on random formulas ----------------------------------------------
+
+NAMES2 = ("x", "y")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def formulas(coeff, true_leaves: bool = True):
+    """Random formulas over NAMES2 with windows inside [0, 3], their
+    predicates' coefficients and bounds drawn from `coeff`."""
+    preds = st.builds(
+        lambda c, b: Pred(c, b, NAMES2),
+        st.tuples(coeff, coeff).filter(lambda c: any(v != 0.0 for v in c)),
+        coeff,
+    )
+    windows = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda w: TimeInterval(min(w), max(w)))
+    children = st.lists  # n-ary and/or of 2 or 3 children
+    return st.recursive(
+        st.one_of(preds, st.just(TrueFormula())) if true_leaves else preds,
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(And, children(sub, min_size=2, max_size=3).map(tuple)),
+            st.builds(Or, children(sub, min_size=2, max_size=3).map(tuple)),
+            st.builds(Eventually, windows, sub),
+            st.builds(Always, windows, sub),
+        ),
+        max_leaves=5,
+    )
+
+
+BOUNDED = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+def signals(f, seed: int, n: int = 3, extra: int = 2) -> np.ndarray:
+    """n random signals (n, horizon(f) + 1 + extra, 2) in [-2, 2]."""
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, horizon(f) + 1 + extra, 2))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1))
+    def test_smooth_tends_to_exact_as_tau_shrinks(self, f, seed):
+        X = signals(f, seed)
+        exact = robustness_trace(X, f)
+        for tau in (1e-7, 1e-9):
+            smooth = robustness_trace(X, f, tau)
+            assert smooth.shape == exact.shape
+            assert np.allclose(smooth, exact, rtol=1e-12, atol=2e3 * tau)
+
+    @PROPERTY
+    @given(f=formulas(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_parse_of_print_is_the_identity(self, f):
+        assert parse(print_formula(f), NAMES2) == f
+
+    @PROPERTY
+    @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+    def test_simplify_never_raises_the_exact_mcr(self, f, seed, n):
+        X = signals(f, seed, n)
+        labels = np.random.default_rng(seed + 1).choice([-1, 1], size=n)
+        simpler = simplify(f, X, NAMES2, labels)
+        assert exact_mcr(simpler, X, NAMES2, labels) <= exact_mcr(f, X, NAMES2, labels)
+
+    @PROPERTY
+    @given(
+        f=formulas(BOUNDED, true_leaves=False),
+        tau=st.sampled_from([0.2, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_smooth_vjp_matches_fd(self, f, tau, seed):
+        # TRUE is left out: its robustness, 1e9, would swamp the differences
+        pv = ParamVector(X=signals(f, seed))
+        weights = np.random.default_rng(seed + 1).normal(size=robustness_trace(pv.X, f).shape)
+
+        def value(p):
+            return np.sum(robustness_trace(p.X, f, tau) * weights)
+
+        def grad(p):
+            trace, vjp = robustness_trace(p.X, f, tau, vjp=True)
+            assert np.array_equal(trace, robustness_trace(p.X, f, tau))
+            return ParamVector(X=vjp(weights))
+
+        assert finite_diff_check(value, grad, pv, h=1e-6) < 1e-5
+
+    def test_exact_semantics_have_no_vjp(self):
+        with pytest.raises(ValueError, match="temperature"):
+            robustness_trace(np.zeros((1, 2, 1)), pred1(1.0, 0.0), vjp=True)

@@ -1,3 +1,8 @@
+"""The building blocks of the hand-written gradients: the soft extrema
+`stl.smax`/`smin` and their VJPs, the `params.ParamVector` layout, and the
+finite-difference oracle `helpers.finite_diff_check` that every gradient
+test checks against."""
+
 import dataclasses
 import json
 import math
@@ -7,21 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlmimic import tape
-from stlmimic.inference import InferenceParams, NetworkShape, init_inference, param_bounds
-from stlmimic.policy import PolicyParams, PolicyShape
-from stlmimic.tape import (
-    EmptyInput,
-    Node,
-    NonFiniteValue,
-    ParamVector,
-    backward,
-    finite_diff_check,
-    relu,
+from stlmimic.inference import (
+    InferenceParams,
+    NetworkShape,
+    init_inference,
+    param_bounds,
     sigmoid,
-    smax,
-    smin,
+    smooth_robustness,
 )
+from stlmimic.params import ParamVector, layout
+from stlmimic.policy import PolicyParams, PolicyShape
+from stlmimic.stl import EmptyInput, Eventually, Pred, TimeInterval, robustness_trace, smax, smin
+
+from helpers import NonFiniteValue, finite_diff_check
 
 
 def smooth_max(vals, tau):
@@ -61,32 +64,40 @@ class TestPrimitives:
     @pytest.mark.parametrize("op", [smax, smin], ids=["smax", "smin"])
     @pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 8, 13), 2), ((5, 8, 13), 1)])
     def test_plain_path_equals_the_node_value(self, op, shape, axis):
-        # the plain path reuses one buffer; the tape path keeps w for its VJP
+        # the value-only path reuses one buffer; the path with a VJP keeps
+        # the weights for it, and returns the same value bit for bit
         a = np.random.default_rng(4).normal(size=shape) * 3.0
         plain = op(a, 0.3, axis=axis)
-        assert not isinstance(plain, Node)
-        assert np.array_equal(plain, op(Node(a), 0.3, axis=axis).value)
+        assert isinstance(plain, (np.ndarray, np.floating))
+        value, grad = op(a, 0.3, axis=axis, vjp=True)
+        assert np.array_equal(plain, value)
+        assert grad(np.ones_like(value)).shape == a.shape
 
     def test_float_passthrough(self):
-        # With no node operands every op returns a plain array and records nothing.
-        before = next(tape._COUNTER)
-        x = np.array([0.3, -0.2])
+        # Without vjp every layer returns plain arrays, and no closure that
+        # would keep its intermediates alive.
+        rng = np.random.default_rng(2)
+        shape = NetworkShape(n_pred=2, n_conj=1, horizon=3, dim=2)
+        X = rng.uniform(-1, 1, size=(4, 4, 2))
+        f = Eventually(TimeInterval(0, 2), Pred((1.0, -1.0), 0.2, ("x", "y")))
         outs = [
-            sigmoid(x),
-            relu(x),
-            tape.sqrt(np.abs(x)),
-            tape.stack([x, x], axis=1),
-            tape.sum(x),
-            smax(x, 0.5, axis=0),
-            x @ np.array([3.0, 4.0]) + 5.0,
+            smax(X, 0.5, axis=1),
+            smin(X, 0.5, axis=1),
+            robustness_trace(X, f, 0.5),
+            smooth_robustness(X, init_inference(shape, rng), shape),
         ]
-        assert not any(isinstance(o, Node) for o in outs)
-        assert next(tape._COUNTER) == before + 1
-        assert np.array([1.0, 2.0]) @ np.array([3.0, 4.0]) + 5.0 == 16.0
+        assert all(type(o) is np.ndarray for o in outs)
 
-    def test_relu(self):
-        assert relu(-1.0) == 0.0
-        assert relu(2.5) == 2.5
+    @pytest.mark.parametrize("op", [smax, smin], ids=["smax", "smin"])
+    def test_vjp_matches_fd(self, op):
+        rng = np.random.default_rng(8)
+        weights = rng.normal(size=(3, 5))
+        pv = ParamVector(a=rng.normal(size=(3, 4, 5)))
+        assert finite_diff_check(
+            lambda p: np.sum(op(p.a, 0.4, axis=1) * weights),
+            lambda p: ParamVector(a=op(p.a, 0.4, axis=1, vjp=True)[1](weights)),
+            pv,
+        ) < 1e-8
 
     def test_sigmoid_stable(self):
         assert sigmoid(800.0) == 1.0
@@ -115,90 +126,84 @@ class TestPrimitives:
 
 
 class TestBackward:
-    def test_square(self):
-        x = Node(3.0)
-        y = x * x
-        backward(y)
-        assert x.grad == 6.0
-
-    def test_sigmoid_at_zero(self):
-        x = Node(0.0)
-        y = sigmoid(x)
-        backward(y)
-        assert y.value == 0.5
-        assert x.grad == 0.25
-
     def test_unreachable_parameter_gets_zero(self):
-        x = Node(3.0)
-        z = Node(4.0)
-        y = x * 2.0
-        backward(y)
-        assert z.grad == 0.0
-
-    def test_shared_subexpression(self):
-        x = Node(2.0)
-        s = x * x  # 4
-        y = s + s  # 8, dy/dx = 8
-        backward(y)
-        assert y.value == 8.0
-        assert x.grad == 8.0
+        # The classifier reads the first T+1 samples of each signal: the
+        # samples after them get a zero gradient, not a missing one.
+        rng = np.random.default_rng(6)
+        shape = NetworkShape(n_pred=2, n_conj=1, horizon=4, dim=3)
+        X = rng.uniform(-1, 1, size=(3, 9, 3))
+        _, grad = smooth_robustness(X, init_inference(shape, rng), shape, vjp=True)
+        _, gX = grad(np.ones(3))
+        assert gX.shape == X.shape
+        assert np.all(gX[:, 5:] == 0.0) and np.any(gX[:, :5] != 0.0)
 
     def test_deterministic_bit_identical(self):
         def build():
             rng = np.random.default_rng(42)
-            xs = Node(rng.uniform(-1, 1, size=20))
-            h = smax(xs, 0.3, axis=0)
-            g = smin(h * xs + sigmoid(xs), 0.5, axis=0)
-            out = sigmoid(g) * (xs[:5] @ xs[5:10] + h)
-            backward(out)
-            return xs.grad.tolist()
+            shape = NetworkShape(n_pred=3, n_conj=2, horizon=6, dim=2)
+            X = rng.uniform(-1, 1, size=(5, 7, 2))
+            _, grad = smooth_robustness(X, init_inference(shape, rng), shape, vjp=True)
+            g_params, gX = grad(rng.normal(size=5))
+            return g_params.flatten().tolist(), gX.tolist()
 
         assert build() == build()
 
-    def test_deep_chain_iterative(self):
-        x = Node(0.1)
-        y = x
-        for _ in range(50_000):
-            y = y + 1.0
-        backward(y)
-        assert x.grad == 1.0
 
-    def test_cycle_detected(self):
-        # A cycle forced past the ops cannot make the sweep loop: it sweeps
-        # each node once, in reverse creation order, so the gradient sent
-        # back along the late edge from x to y goes no further.
-        x = Node(1.0)
-        y = x + 1.0
-        x._parents = (y,)  # sabotage: cycles cannot arise through the ops
-        x._vjp = lambda g: (g,)
-        backward(y)
-        assert x.grad == 1.0
+class TestFiniteDiff:
+    def test_linear_is_exact(self):
+        c = np.array([3.0, 1.0, -1.0])
+        pv = ParamVector(w=np.array([1.0, -2.0, 0.5]))
+        assert finite_diff_check(lambda p: p.w @ c + 2.0, lambda p: ParamVector(w=c), pv) < 1e-10
 
-    def test_affine_mixed_partials(self):
-        # Matmul and broadcasting with constant and node operands mixed;
-        # each node gets the gradient summed back to its own shape.
-        w = Node([2.0, 5.0])
-        x = Node([3.0, 7.0])
-        b = Node(1.0)
-        out = tape.sum(w * x + np.zeros((3, 1)) + b) + w @ np.array([1.0, -1.0])
-        assert out.value == 3 * (2.0 * 3.0 + 5.0 * 7.0) + 6 * 1.0 + (2.0 - 5.0)
-        backward(out)
-        assert w.grad.tolist() == [3 * 3.0 + 1.0, 3 * 7.0 - 1.0]
-        assert x.grad.tolist() == [3 * 2.0, 3 * 5.0]
-        assert b.grad == 6.0
+    def test_smooth_composite(self):
+        # smax over rows of smin over columns, through both VJPs
+        rng = np.random.default_rng(9)
+        pv = ParamVector(w=rng.uniform(-1, 1, size=(3, 4)))
 
-    def test_matmul_and_indexing_match_fd(self):
-        rng = np.random.default_rng(2)
-        pv = ParamVector(a=rng.uniform(-1, 1, size=(2, 4, 3)), b=rng.uniform(-1, 1, size=(3, 5)))
+        def f(p):
+            return smax(smin(p.w, 0.3, axis=1), 0.5, axis=0)
 
-        def f(leaves):
-            a, b = leaves.a, leaves.b
-            prod = tape.transpose(a @ b, (0, 2, 1))  # (2, 5, 4)
-            picked = prod[:, [0, 0, 3], 1:]  # repeated rows
-            joined = tape.concatenate([picked, prod[:, None, 4, 1:]], axis=1)  # (2, 4, 3)
-            return tape.mean(sigmoid(joined) * b[0, None, 2:] @ np.ones(3))
+        def grad(p):
+            rows, rows_grad = smin(p.w, 0.3, axis=1, vjp=True)
+            _, top_grad = smax(rows, 0.5, axis=0, vjp=True)
+            return ParamVector(w=rows_grad(top_grad(1.0)))
 
-        assert finite_diff_check(f, pv) < 1e-8
+        assert finite_diff_check(f, grad, pv, h=1e-5) < 1e-4
+
+    def test_relu_kink_skipped(self):
+        pv = ParamVector(w=np.array([0.0, 1.0]))
+
+        def f(p):
+            return max(p.w[0], 0.0) + p.w[1] * 2.0
+
+        # Kink coordinate is skipped; the smooth coordinate still checks out.
+        assert finite_diff_check(f, lambda p: ParamVector(w=np.array([0.0, 2.0])), pv) < 1e-10
+
+    def test_nonfinite_raises(self):
+        pv = ParamVector(w=np.array([1.0]))
+        with pytest.raises(NonFiniteValue):
+            finite_diff_check(lambda p: p.w[0] * math.inf, lambda p: p, pv)
+
+    def test_three_layer_matches_fd(self):
+        rng = np.random.default_rng(21)
+        pv = ParamVector(
+            w1=rng.uniform(-1, 1, size=(3, 2)),
+            w2=rng.uniform(-1, 1, size=(2, 3)),
+            w3=rng.uniform(-1, 1, size=2),
+        )
+        x_in = rng.uniform(-1, 1, size=2)
+
+        def f(p):
+            return p.w3 @ sigmoid(p.w2 @ sigmoid(p.w1 @ x_in))
+
+        def grad(p):
+            h1 = sigmoid(p.w1 @ x_in)
+            h2 = sigmoid(p.w2 @ h1)
+            g2 = p.w3 * h2 * (1.0 - h2)
+            g1 = (g2 @ p.w2) * h1 * (1.0 - h1)
+            return ParamVector(w1=np.outer(g1, x_in), w2=np.outer(g2, h1), w3=h2)
+
+        assert finite_diff_check(f, grad, pv, h=1e-5) < 1e-4
 
 
 class TestParamVector:
@@ -214,63 +219,6 @@ class TestParamVector:
         pv = ParamVector(a=np.zeros(3))
         with pytest.raises(ValueError):
             pv.with_flat(np.zeros(4))
-
-
-class TestFiniteDiff:
-    def test_linear_is_exact(self):
-        pv = ParamVector(w=np.array([1.0, -2.0, 0.5]))
-
-        def f(leaves):
-            return leaves.w @ np.array([3.0, 1.0, -1.0]) + 2.0
-
-        assert finite_diff_check(f, pv) < 1e-10
-
-    def test_smooth_composite(self):
-        rng = np.random.default_rng(9)
-        pv = ParamVector(w=rng.uniform(-1, 1, size=6), b=rng.uniform(-1, 1, size=2))
-
-        def f(leaves):
-            w, b = leaves.w, leaves.b
-            h1 = sigmoid(w[:3] @ np.array([0.3, -0.2, 0.9]) + b[0])
-            h2 = sigmoid(w[3:] @ tape.stack([h1, 0.4, -1.1]) + b[1])
-            return smin(tape.stack([h1, h2, h1 * h2]), 0.3, 0) + smax(tape.stack([h1, -0.2]), 0.5, 0)
-
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-4
-
-    def test_relu_kink_skipped(self):
-        pv = ParamVector(w=np.array([0.0, 1.0]))
-
-        def f(leaves):
-            w = leaves.w
-            return relu(w[0]) + w[1] * 2.0
-
-        # Kink coordinate is skipped; the smooth coordinate still checks out.
-        assert finite_diff_check(f, pv) < 1e-10
-
-    def test_nonfinite_raises(self):
-        pv = ParamVector(w=np.array([1.0]))
-
-        def f(leaves):
-            return leaves.w[0] * math.inf
-
-        with pytest.raises(NonFiniteValue):
-            finite_diff_check(f, pv)
-
-    def test_three_layer_matches_fd(self):
-        rng = np.random.default_rng(21)
-        pv = ParamVector(
-            w1=rng.uniform(-1, 1, size=(3, 2)),
-            w2=rng.uniform(-1, 1, size=(2, 3)),
-            w3=rng.uniform(-1, 1, size=2),
-        )
-        x_in = rng.uniform(-1, 1, size=2)
-
-        def f(leaves):
-            h1 = sigmoid(leaves.w1 @ x_in)
-            h2 = sigmoid(leaves.w2 @ h1)
-            return leaves.w3 @ h2
-
-        assert finite_diff_check(f, pv, h=1e-5) < 1e-4
 
 
 NETWORK_SHAPES = st.builds(
@@ -312,7 +260,7 @@ class TestParamLayout:
         assert list(vars(p)) == list(shapes) == [f.name for f in dataclasses.fields(cls)]
         flat = p.flatten()
         assert np.array_equal(flat, np.concatenate([getattr(p, k).ravel() for k in shapes]))
-        for k, span in tape.layout(shapes).items():
+        for k, span in layout(shapes).items():
             assert np.array_equal(flat[span], getattr(p, k).ravel())
         q = p.with_flat(flat)
         assert type(q) is cls
@@ -323,12 +271,6 @@ class TestParamLayout:
         for bad in (flat[:-1], np.append(flat, 0.0), flat[None]):
             with pytest.raises(ValueError):
                 p.with_flat(bad)
-        # one leaf per group, and the gradient flattens in the same order
-        leaves = p.leaves()
-        assert type(leaves) is cls and all(isinstance(n, Node) for n in vars(leaves).values())
-        weights = q.with_flat(np.arange(flat.size, dtype=float))
-        backward(sum(tape.sum(n * w) for n, w in zip(vars(leaves).values(), vars(weights).values())))
-        assert np.array_equal(leaves.grads(), weights.flatten())
 
     @PROPERTY
     @given(shape=MODEL_SHAPES, data=st.data())
@@ -376,7 +318,7 @@ class TestParamLayout:
             "gate": (-gate_bound, gate_bound),
             "out_gate": (-gate_bound, gate_bound),
         }
-        for k, span in tape.layout(InferenceParams.group_shapes(shape)).items():
+        for k, span in layout(InferenceParams.group_shapes(shape)).items():
             assert np.all(lo[span] == want[k][0]) and np.all(hi[span] == want[k][1])
 
     @PROPERTY

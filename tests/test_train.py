@@ -28,9 +28,9 @@ from stlmimic.train import (
     train_inference,
     train_policy,
 )
-from stlmimic.tape import Node
 
 import helpers
+from helpers import finite_diff_check
 
 
 def one_dim_dataset(X, labels):
@@ -251,7 +251,7 @@ class TestPolicyObjective:
         )
         assert v2 == pytest.approx(v1, abs=1e-12)  # duplicating leaves the mean alone
 
-    def test_value_path_is_plain_and_matches_tape_bit_for_bit(self):
+    def test_value_path_is_plain_and_matches_the_vjp_path_bit_for_bit(self):
         env, shape, norm, inf = self._setup()
         rng = np.random.default_rng(43)
         policy = init_policy(PolicyShape(4, 5, 1), seed=3)
@@ -260,36 +260,27 @@ class TestPolicyObjective:
             helpers.lead_profiles(env, rng)[[0, 1, 3]],  # braking, going, braking
         )
         rule = stl.parse("G[0,57](veg <= 6)", env.inference_names)
-        pol_t = policy.leaves()
-        inf_t = inf.leaves()
         raw = rollout(env, policy, *samples)
         X = norm.apply(raw)
         labels = np.array([1.0, -1.0, 1.0])
         cfg = InferenceTrainConfig()
-        pairs = [
-            (raw, rollout(env, pol_t, *samples)),
-            (
-                policy_objective(policy, inf, env, samples, shape, norm, rule),
-                policy_objective(pol_t, inf, env, samples, shape, norm, rule),
-            ),
-            (smooth_robustness(X, inf, shape), smooth_robustness(X, inf_t, shape)),
-            (
-                inference_loss(X, labels, inf, shape, 0.2, cfg),
-                inference_loss(X, labels, inf_t, shape, Node(0.2), cfg),
-            ),
+        calls = [
+            lambda vjp: rollout(env, policy, *samples, vjp=vjp),
+            lambda vjp: policy_objective(policy, inf, env, samples, shape, norm, rule, vjp=vjp),
+            lambda vjp: smooth_robustness(X, inf, shape, vjp=vjp),
+            lambda vjp: inference_loss(X, labels, inf, shape, 0.2, cfg, vjp=vjp),
         ]
-        for plain, taped in pairs:
-            assert isinstance(plain, (np.ndarray, np.floating))
-            assert isinstance(taped, Node)
-            assert np.array_equal(taped.value, plain)
+        for call in calls:
+            plain = call(False)
+            value, grad = call(True)
+            assert isinstance(plain, (np.ndarray, np.floating)) and callable(grad)
+            assert np.array_equal(value, plain)
 
     def test_gradient_matches_fd(self):
-        from stlmimic.tape import finite_diff_check
-
-        # driving against the classifier alone; unicycle with an injected
-        # rule, as `adjust --retrain` trains it. The unicycle classifier
-        # (stay 0 or more from C) scores above the rule on these rollouts,
-        # so the rule is the binding term of the smooth minimum.
+        # Both environments, each with and without an injected rule, as
+        # `adjust --retrain` trains it. On these rollouts both rules score
+        # below their classifier, so the rule is the binding term of the
+        # smooth minimum.
         env, shape, norm, inf = self._setup()
         rng = np.random.default_rng(19)
         env_traj = helpers.lead_profiles(env, rng)[0]  # the lead brakes
@@ -299,23 +290,29 @@ class TestPolicyObjective:
         uni_inf = helpers.encode_dnf(
             [[("G", 0, 20, (0.0, 0.0, 1.0, 0.0), 0.0)]], uni_shape, uni_norm
         )
+        driving = (
+            env, shape, norm, inf, PolicyShape(4, 3, 1),
+            (np.array([[0.5, 0.0], [2.0, 0.0]]), np.stack([env_traj, env_traj])),
+        )
+        unicycle = (
+            uni, uni_shape, uni_norm, uni_inf, PolicyShape(3, 3, 2),
+            (np.array([[1.0, 1.5, 0.3], [1.8, 0.7, 1.2]]), np.zeros((2, 21, 0))),
+        )
         cases = [
-            (
-                env, shape, norm, inf, None, PolicyShape(4, 3, 1),
-                (np.array([[0.5, 0.0], [2.0, 0.0]]), np.stack([env_traj, env_traj])),
-            ),
-            (
-                uni, uni_shape, uni_norm, uni_inf,
-                stl.parse("G[0,20](dO >= 1.5)", uni.inference_names), PolicyShape(3, 3, 2),
-                (np.array([[1.0, 1.5, 0.3], [1.8, 0.7, 1.2]]), np.zeros((2, 21, 0))),
-            ),
+            (*driving, None),
+            (*driving, stl.parse("G[0,57](veg <= 6) & F[20,40](peg - pot <= -3)", env.inference_names)),
+            (*unicycle, None),
+            (*unicycle, stl.parse("G[0,20](dO >= 1.5)", uni.inference_names)),
         ]
-        for env_i, shape_i, norm_i, inf_i, rule, pshape, samples in cases:
+        for env_i, shape_i, norm_i, inf_i, pshape, samples, rule in cases:
 
             def f(policy):
                 return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule)
 
-            assert finite_diff_check(f, init_policy(pshape, seed=2), h=1e-5) < 1e-3
+            def grad(policy):
+                return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule, vjp=True)[1](1.0)
+
+            assert finite_diff_check(f, grad, init_policy(pshape, seed=2), h=1e-5) < 1e-3
 
 
 class TestDrawSamples:
