@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -231,10 +232,11 @@ def _read_data(path: str, env=None) -> dataio.Dataset:
 def _env_pool(ck: Checkpoint, env, data_path):
     """Environment trajectories that rollouts of a checkpoint's policy draw
     from: the original rows of `data_path`, else of the checkpoint's
-    augmented dataset. Empty for an environment without them."""
-    if env.n_env == 0:
-        return []
+    augmented dataset. Empty for an environment without them; a given
+    `data_path` is still read and checked for it."""
     if data_path is None:
+        if env.n_env == 0:
+            return []
         data_path = ck.extra.get("augmented_dataset")
         if not data_path or not os.path.exists(data_path):
             gone = f"; the checkpoint's dataset {data_path} does not exist" if data_path else ""
@@ -269,9 +271,7 @@ def cmd_gen_data(args) -> int:
         if args.n % 4 != 0:
             raise ConfigError("driving dataset size must be divisible by 4 situations")
         ds = env.gen_dataset(args.n // 4, rng)
-    for meta in ds.metas:
-        meta["config_digest"] = digest
-    dataio.save_dataset(ds, args.out)
+    dataio.save_dataset(ds, args.out, config_digest=digest)
     print(f"wrote {len(ds)} trajectories to {args.out}")
     return EXIT_OK
 
@@ -282,16 +282,18 @@ def cmd_train(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
 
+    run_data = dataio.RunDataset(os.path.join(out_dir, "dataset.jsonl"), config_digest=run.digest)
+
     def checkpoint_cb(state):
         it = state["iteration"]
-        ds_path = os.path.join(out_dir, f"dataset_iter{it}.jsonl")
-        digest = dataio.save_dataset(state["dataset"], ds_path)
+        digest = run_data.extend(state["dataset"])
         warm = state["warm_start"]
         extra = {
             "boundary": True,
             "warm_start": None if warm is None else list(map(float, warm)),
             "metrics": state["metrics"],
-            "dataset_path": ds_path,
+            "dataset_path": run_data.path,
+            "dataset_rows": len(run_data.lines),
         }
         ck = _checkpoint(
             run, extra, inference_groups={}, margin=0.0, policy_groups=state["policy"].to_jsonable(),
@@ -310,13 +312,12 @@ def cmd_train(args) -> int:
         checkpoint_cb=checkpoint_cb,
     )
 
-    aug_path = os.path.join(out_dir, "dataset_augmented.jsonl")
+    # the adopted round's dataset leads the full one, whose rows are all in run_data
     full = result.full_dataset
-    for meta in full.metas:  # shared with result.dataset's rows
-        meta.setdefault("config_digest", run.digest)
-    aug_digest = dataio.save_dataset(result.dataset, aug_path)
-    neg_path = os.path.join(out_dir, "negatives.jsonl")
-    dataio.save_dataset(full.select(generated_rows(full)), neg_path)
+    run_data.extend(full)
+    aug_path = os.path.join(out_dir, "dataset_augmented.jsonl")
+    aug_digest = dataio.write_lines(run_data.lines[: len(result.dataset)], aug_path)
+    dataio.write_lines(compress(run_data.lines, generated_rows(full)), os.path.join(out_dir, "negatives.jsonl"))
     _write_metrics(result.metrics, os.path.join(out_dir, "metrics.csv"), run.digest)
     formula_text = stl.print_formula(result.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:

@@ -4,7 +4,11 @@ checkpoints (single JSON documents) and rollout CSV exports.
 A checkpoint names the dataset it was trained on and records its digest:
 the first 16 hex digits of the sha256 of the dataset file's bytes, as
 `save_dataset` returns them, so `sha256sum FILE | cut -c1-16` checks the
-pairing. Config digests are FNV-1a over the canonical JSON.
+pairing. A training run appends its rows to one file as its dataset grows
+(`RunDataset`), so a round-boundary snapshot names that file and the
+number of its leading lines it was taken at, `dataset_rows`, and records
+the digest of those lines: `head -n ROWS FILE | sha256sum | cut -c1-16`.
+Config digests are FNV-1a over the canonical JSON.
 
 In memory a dataset is one `Dataset`: a single float block `X` of shape
 (N, T+1, n_agent + n_env) with the agent columns first, a +-1 label array,
@@ -124,27 +128,76 @@ class Dataset:
         )
 
 
-def save_dataset(ds: Dataset, path: str) -> str:
-    """One JSON object per line; float round-trip precision. Returns the
-    dataset digest: the first 16 hex digits of the sha256 of the bytes
-    written."""
+def encoded_rows(ds: Dataset, start: int = 0, config_digest: str | None = None):
+    """The line of each row of `ds` from `start` on, as UTF-8 bytes: one
+    JSON object with sorted keys and floats at round-trip precision. Given
+    a config digest, a row whose meta has no `config_digest` is written as
+    if it had that one; the row's meta itself is not changed. The one
+    encoder of dataset rows."""
     n_a = len(ds.agent_names)
     dims = {"agent_dims": list(ds.agent_names), "env_dims": list(ds.env_names), "dt": 1}
+    for id_, label, x, meta in zip(ds.ids[start:], ds.labels[start:].tolist(), ds.X[start:], ds.metas[start:]):
+        if config_digest is not None and "config_digest" not in meta:
+            meta = {**meta, "config_digest": config_digest}
+        obj = {
+            "id": id_,
+            "label": label,
+            **dims,
+            "agent_states": x[:, :n_a].tolist(),
+            "env_states": x[:, n_a:].tolist(),
+            "meta": meta,
+        }
+        yield (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+
+
+def write_lines(lines, path: str) -> str:
+    """Write encoded lines to a new file. Returns the dataset digest: the
+    first 16 hex digits of the sha256 of the bytes written."""
     h = hashlib.sha256()
     with open(path, "wb") as fh:
-        for id_, label, x, meta in zip(ds.ids, ds.labels.tolist(), ds.X, ds.metas):
-            obj = {
-                "id": id_,
-                "label": label,
-                **dims,
-                "agent_states": x[:, :n_a].tolist(),
-                "env_states": x[:, n_a:].tolist(),
-                "meta": meta,
-            }
-            line = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+        for line in lines:
             fh.write(line)
             h.update(line)
     return h.hexdigest()[:16]
+
+
+def save_dataset(ds: Dataset, path: str, config_digest: str | None = None) -> str:
+    """One JSON object per line (`encoded_rows`), written one line at a
+    time. Returns the dataset digest."""
+    return write_lines(encoded_rows(ds, config_digest=config_digest), path)
+
+
+class RunDataset:
+    """A training run's growing dataset as one append-only JSON-Lines file.
+
+    `extend` encodes and appends only the rows it has not seen, so each row
+    is encoded once per run; the digest of the file so far is kept running.
+    `lines` holds every encoded row, from which files of chosen rows are
+    written without encoding them again."""
+
+    def __init__(self, path: str, config_digest: str | None = None):
+        self.path = path
+        self.config_digest = config_digest
+        self.lines: list[bytes] = []
+        self.ids: list[str] = []
+        self._sha = hashlib.sha256()
+        open(path, "wb").close()
+
+    def extend(self, ds: Dataset) -> str:
+        """Append the rows of `ds` past those already written, which must be
+        its leading rows. Returns the digest of the file so far, that is of
+        its first len(self.lines) lines."""
+        n = len(self.lines)
+        if ds.ids[:n] != self.ids:
+            raise ValueError(f"{self.path}: the dataset does not begin with the {n} rows already written")
+        new = list(encoded_rows(ds, n, self.config_digest))
+        with open(self.path, "ab") as fh:
+            fh.writelines(new)
+        for line in new:
+            self._sha.update(line)
+        self.lines += new
+        self.ids += ds.ids[n:]
+        return self._sha.hexdigest()[:16]
 
 
 def open_input(path: str, what: str):
@@ -236,7 +289,9 @@ class Checkpoint:
     rule_text: str | None
     gan_iteration: int
     rng_state: dict | None
-    dataset_digest: str  # save_dataset's digest of the dataset file named in extra
+    # the digest of the dataset file named in extra; of a round-boundary
+    # snapshot, the digest of the first extra["dataset_rows"] lines of it
+    dataset_digest: str
     config: dict
     extra: dict = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION

@@ -20,7 +20,9 @@ built from the same forward pass, that maps an adjoint of the output to
 the gradients of the parameters and of the signal. `smooth_robustness`
 composes the atom layer (`smooth_atoms`) and the gated and/or layer
 (`smooth_gates`), so a caller that varies only the gates can reuse the
-atoms. Fixed formulas are scored by `stl.robustness_trace`: an injected
+atoms. The atom layer is in turn `windowed_extrema` of the
+`predicate_traces`, so a caller that moves one predicate or its atoms'
+windows can recompute that predicate's atoms alone. Fixed formulas are scored by `stl.robustness_trace`: an injected
 rule smoothly in `combined_smooth`, extracted formulas exactly over
 (N, T+1, d) batches.
 """
@@ -253,47 +255,80 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None,
 
 def smooth_atoms(X, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
     """Atom layer: the (N, n_pred) eventually-atoms and always-atoms of a
-    batch X (N, >=T+1, dim). Reads only the predicates and the windows
-    (`pred_w`, `pred_b`, `win_lo`, `win_hi`). With vjp, (atoms, grad),
-    where grad maps adjoints of the two atom arrays to (a dict of those
-    groups' gradients, the gradient with respect to X)."""
+    batch X (N, >=T+1, dim), `windowed_extrema` of the `predicate_traces`.
+    Reads only the predicates and the windows (`pred_w`, `pred_b`,
+    `win_lo`, `win_hi`). With vjp, (atoms, grad), where grad maps adjoints
+    of the two atom arrays to (a dict of those groups' gradients, the
+    gradient with respect to X)."""
     tau = shape.tau if tau is None else tau
+    if not vjp:
+        return windowed_extrema(predicate_traces(X, params, shape), params.win_lo, params.win_hi, tau)
+    traces, traces_grad = predicate_traces(X, params, shape, vjp=True)
+    atoms, atoms_grad = windowed_extrema(traces, params.win_lo, params.win_hi, tau, vjp=True)
+
+    def grad(g_ev, g_al):
+        g_traces, g_windows = atoms_grad(g_ev, g_al)
+        g_preds, gX = traces_grad(g_traces)
+        return {**g_preds, **g_windows}, gX
+
+    return atoms, grad
+
+
+def predicate_traces(X, params: InferenceParams, shape: NetworkShape, vjp: bool = False):
+    """The linear traces (N, n_pred, T+1) of the predicates over the first
+    T+1 samples of a batch X (N, >=T+1, dim): one matrix product for all
+    predicates, read as a transposed view. With vjp, (traces, grad), where
+    grad maps an adjoint of the traces to (a dict of the `pred_w` and
+    `pred_b` gradients, the gradient with respect to X)."""
     T = shape.horizon
     X = np.asarray(X, dtype=float)
     if X.shape[1] < T + 1:
         raise stl.HorizonExceeded(f"need {T + 1} samples, got {X.shape[1]}")
-    L = GATE_L
-
     window = X[:, : T + 1, :]
-    traces = np.transpose(window @ params.pred_w.T - params.pred_b, (0, 2, 1))  # (N, n_pred, T+1)
-    ts = np.arange(T + 1.0)
-    m1 = sigmoid((ts - params.win_lo[:, None] + 0.5) / SIGMA_W)
-    m2 = sigmoid((params.win_hi[:, None] - ts + 0.5) / SIGMA_W)
-    masks = m1 * m2  # (n_atoms, T+1)
+    traces = np.transpose(window @ params.pred_w.T - params.pred_b, (0, 2, 1))
+    if not vjp:
+        return traces
 
-    # atom 2k is the eventually-atom of predicate k, atom 2k+1 the always-atom
+    def grad(g):
+        g_traces = np.transpose(g, (0, 2, 1))  # (N, T+1, n_pred)
+        gX = np.zeros(X.shape)
+        gX[:, : T + 1, :] = g_traces @ params.pred_w
+        flat_g = g_traces.reshape(-1, shape.n_pred)
+        return {"pred_w": flat_g.T @ window.reshape(-1, window.shape[2]), "pred_b": -flat_g.sum(axis=0)}, gX
+
+    return traces, grad
+
+
+def windowed_extrema(traces, win_lo, win_hi, tau, vjp: bool = False):
+    """The eventually-atoms and always-atoms (N, P) of the traces
+    (N, P, T+1) of P predicates, under the windows (2P,) of their atoms:
+    entry 2k of `win_lo` and `win_hi` is the eventually-atom of predicate
+    k, entry 2k+1 its always-atom. Given one predicate's traces as the
+    basic slice `traces[:, k:k+1]` and its two atoms' windows, the values
+    are bit for bit column k of the whole layer's. With vjp, (atoms, grad),
+    where grad maps adjoints of the two atom arrays to (the adjoint of the
+    traces, a dict of the `win_lo` and `win_hi` gradients)."""
+    L = GATE_L
+    ts = np.arange(float(traces.shape[2]))
+    m1 = sigmoid((ts - win_lo[:, None] + 0.5) / SIGMA_W)
+    m2 = sigmoid((win_hi[:, None] - ts + 0.5) / SIGMA_W)
+    masks = m1 * m2  # (2P, T+1)
     ev_m, al_m = masks[0::2], masks[1::2]
-    ev = smax(traces * ev_m + (ev_m - 1.0) * L, tau, 2, vjp)  # (N, n_pred)
+    ev = smax(traces * ev_m + (ev_m - 1.0) * L, tau, 2, vjp)
     al = smin(traces * al_m + (1.0 - al_m) * L, tau, 2, vjp)
     if not vjp:
         return ev, al
     (ev, ev_grad), (al, al_grad) = ev, al
 
     def grad(g_ev, g_al):
-        g_ev, g_al = ev_grad(g_ev), al_grad(g_al)  # (N, n_pred, T+1)
+        g_ev, g_al = ev_grad(g_ev), al_grad(g_al)  # (N, P, T+1)
         g_masks = np.empty_like(masks)
         g_masks[0::2] = (g_ev * (traces + L)).sum(axis=0)
         g_masks[1::2] = (g_al * (traces - L)).sum(axis=0)
-        g_traces = np.transpose(g_ev * ev_m + g_al * al_m, (0, 2, 1))  # (N, T+1, n_pred)
-        gX = np.zeros(X.shape)
-        gX[:, : T + 1, :] = g_traces @ params.pred_w
-        flat_g = g_traces.reshape(-1, shape.n_pred)
-        return {
-            "pred_w": flat_g.T @ window.reshape(-1, window.shape[2]),
-            "pred_b": -flat_g.sum(axis=0),
+        return g_ev * ev_m + g_al * al_m, {
             "win_lo": -(g_masks * m2 * m1 * (1.0 - m1)).sum(axis=1) / SIGMA_W,
             "win_hi": (g_masks * m1 * m2 * (1.0 - m2)).sum(axis=1) / SIGMA_W,
-        }, gX
+        }
 
     return (ev, al), grad
 

@@ -33,11 +33,12 @@ from .inference import (
     init_inference,
     normalize_formula,
     param_bounds,
+    predicate_traces,
     sigmoid,
     simplify,
-    smooth_atoms,
     smooth_gates,
     smooth_robustness,
+    windowed_extrema,
 )
 from .params import layout
 from .policy import PolicyParams, PolicyShape, init_policy
@@ -173,21 +174,40 @@ def annealing_objective(X_norm, labels, template: InferenceParams, shape: Networ
     the vector.
 
     The atom layer reads only the leading predicate and window entries. A
-    one-entry memo keeps the previous vector's atoms and reuses them while
-    those entries are unchanged, so moves of the gates or the margin alone
-    skip the atom layer. Values are bit-identical to `inference_loss`.
+    one-entry memo keeps the previous vector's predicate traces and atoms.
+    A vector whose atom entries equal the memo's reuses its atoms, so moves
+    of the gates or the margin alone skip the atom layer. One whose atom
+    entries differ from the memo's only in predicate k's entries and its
+    two atoms' windows recomputes only predicate k's two atoms (and the
+    traces, if the predicate moved). Any other vector recomputes every
+    atom. Values are bit-identical to `inference_loss`.
     """
     n_atom_params = shape.n_atom_params
-    memo_key = None
-    memo_atoms = None
+    n_pred_params = shape.n_pred * (shape.dim + 1)
+    # the predicate each atom entry belongs to: pred_w rows, pred_b, then
+    # win_lo and win_hi, where atoms 2k and 2k+1 are predicate k's
+    preds = np.arange(shape.n_pred)
+    owner = np.concatenate([np.repeat(preds, shape.dim), preds, np.tile(np.repeat(preds, 2), 2)])
+    memo_key = traces = ev = al = None
 
     def objective(fullvec) -> float:
-        nonlocal memo_key, memo_atoms
+        nonlocal memo_key, traces, ev, al
         params = template.with_flat(fullvec[:-1])
         key = fullvec[:n_atom_params]
-        if not np.array_equal(key, memo_key):
-            memo_key, memo_atoms = key.copy(), smooth_atoms(X_norm, params, shape)
-        vals = smooth_gates(memo_atoms, params, shape)
+        diff = None if memo_key is None else key != memo_key
+        moved = None if diff is None else set(owner[diff].tolist())
+        if moved is None or len(moved) > 1:
+            traces = predicate_traces(X_norm, params, shape)
+            ev, al = windowed_extrema(traces, params.win_lo, params.win_hi, shape.tau)
+        elif moved:
+            (k,) = moved
+            if diff[:n_pred_params].any():
+                traces = predicate_traces(X_norm, params, shape)
+            pair = slice(2 * k, 2 * k + 2)
+            ev_k, al_k = windowed_extrema(traces[:, k : k + 1], params.win_lo[pair], params.win_hi[pair], shape.tau)
+            ev[:, k], al[:, k] = ev_k[:, 0], al_k[:, 0]
+        memo_key = key.copy()
+        vals = smooth_gates((ev, al), params, shape)
         return float(_loss_of_scores(vals, labels, params, float(fullvec[-1]), cfg))
 
     return objective
@@ -274,12 +294,15 @@ def train_inference(
     # Discrete polish: drive every gate logit to a rail whenever that does
     # not hurt the loss. Half-open gates can hide discrimination that the
     # thresholded extraction cannot see; railed gates keep the smooth and
-    # extracted semantics aligned.
+    # extracted semantics aligned. A gate already on a rail is not tried
+    # there again: that trial is the incumbent, whose loss is best_loss.
     spans = layout(InferenceParams.group_shapes(shape))
     for _ in range(2):
         for i in range(spans["gate"].start, spans["out_gate"].stop):
             trial = best.copy()
             for cand in (-cfg.gate_bound, cfg.gate_bound):
+                if best[i] == cand:
+                    continue
                 trial[i] = cand
                 trial_loss = objective(trial)
                 if trial_loss <= best_loss:

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from stlmimic import dataio, stl
+from stlmimic import cli, dataio, stl
 from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
+from stlmimic.train import gan_loop, generated_rows
 
 import helpers
 
@@ -38,16 +39,25 @@ TINY_DRIVING = {
 
 
 @pytest.fixture(scope="module")
-def trained(tmp_path_factory):
-    """One tiny end-to-end training run shared by the command tests."""
+def trained_with_result(tmp_path_factory):
+    """One tiny end-to-end training run shared by the command tests, and
+    the GanResult that its training loop returned."""
     root = tmp_path_factory.mktemp("clirun")
     data = root / "expert.jsonl"
     config = root / "config.json"
     ckpt = root / "run" / "ckpt.json"
     config.write_text(json.dumps(TINY))
     assert main(["gen-data", "--env", "unicycle", "--n", "10", "--seed", "1", "--out", str(data)]) == EXIT_OK
-    assert main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt)]) == EXIT_OK
-    return root, data, config, ckpt
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "gan_loop", lambda *a, **kw: results.append(gan_loop(*a, **kw)) or results[-1])
+        assert main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt)]) == EXIT_OK
+    return (root, data, config, ckpt), results[0]
+
+
+@pytest.fixture(scope="module")
+def trained(trained_with_result):
+    return trained_with_result[0]
 
 
 class TestGenData:
@@ -143,6 +153,9 @@ class TestTrainOutputs:
         assert stl.horizon(f) <= 20
 
     def test_dataset_digest_is_sha256_of_the_named_file(self, trained):
+        """The final checkpoint's digest is of its whole dataset file; a
+        boundary snapshot's is of the leading `dataset_rows` lines of the
+        run dataset that it names."""
         root, data, config, ckpt = trained
         ckpts = [ckpt] + sorted(ckpt.parent.glob("ckpt_iter*.json"))
         assert len(ckpts) == 1 + TINY["gan"]["max_iterations"]
@@ -150,7 +163,10 @@ class TestTrainOutputs:
             ck = dataio.load_checkpoint(str(path))
             named = ck.extra.get("augmented_dataset") or ck.extra["dataset_path"]
             with open(named, "rb") as fh:
-                assert ck.dataset_digest == hashlib.sha256(fh.read()).hexdigest()[:16], path.name
+                lines = fh.readlines()
+            if "dataset_rows" in ck.extra:
+                lines = lines[: ck.extra["dataset_rows"]]
+            assert ck.dataset_digest == hashlib.sha256(b"".join(lines)).hexdigest()[:16], path.name
 
     def test_env_mismatch_is_data_error(self, trained, tmp_path):
         root, data, config, ckpt = trained
@@ -217,6 +233,38 @@ BAD_CONFIGS = {
     "env.gap": {"env": {"name": "driving", "gap": [10.0, 6.0]}},
     "env.init_pos": {"env": {"name": "driving", "init_pos": [0.0, "5"]}},
 }
+
+
+class TestRunDataset:
+    """`train` encodes each row once: into one append-only run dataset, from
+    whose lines the boundary digests and the final files come."""
+
+    def test_one_dataset_file_holds_every_row(self, trained_with_result):
+        (root, data, config, ckpt), result = trained_with_result
+        lines = (ckpt.parent / "dataset.jsonl").read_bytes().splitlines()
+        assert len(lines) == len(result.full_dataset) == 10 + TINY["gan"]["n_generate"] * 2
+        assert not list(ckpt.parent.glob("dataset_iter*.jsonl"))
+
+    def test_boundary_digests_are_of_the_leading_rows(self, trained):
+        root, data, config, ckpt = trained
+        lines = (ckpt.parent / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        rows = []
+        for it in range(1, TINY["gan"]["max_iterations"] + 1):
+            ck = dataio.load_checkpoint(str(ckpt.parent / f"ckpt_iter{it}.json"))
+            assert ck.extra["dataset_path"] == str(ckpt.parent / "dataset.jsonl")
+            rows.append(ck.extra["dataset_rows"])
+            assert ck.dataset_digest == hashlib.sha256(b"".join(lines[: rows[-1]])).hexdigest()[:16]
+        # the bootstrapped negatives, then one round's rollouts more
+        assert rows == [10 + TINY["gan"]["n_generate"], len(lines)]
+
+    def test_final_files_are_what_save_dataset_writes(self, trained_with_result, tmp_path):
+        (root, data, config, ckpt), result = trained_with_result
+        digest = dataio.load_checkpoint(str(ckpt)).extra["config_digest"]
+        full = result.full_dataset
+        negatives = full.select(generated_rows(full))
+        for name, ds in (("dataset_augmented.jsonl", result.dataset), ("negatives.jsonl", negatives)):
+            dataio.save_dataset(ds, str(tmp_path / name), config_digest=digest)
+            assert (ckpt.parent / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestConfigErrors:
@@ -622,6 +670,23 @@ class TestEnvironmentPool:
                 err = capsys.readouterr().err
                 assert str(bad) in err and "need --data" not in err, (argv[0], err)
         assert not adj.exists() and not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("data", ["missing", "empty", "driving"])
+    def test_unicycle_data_is_read_and_checked(self, trained, trained_driving, tmp_path, capsys, data):
+        """A unicycle rollout draws no environment trajectories, yet a --data
+        it is given must be one of its environment's datasets."""
+        ckpt = trained[3]
+        bad = trained_driving[1] if data == "driving" else tmp_path / f"{data}.jsonl"
+        if data == "empty":
+            bad.write_text("")
+        out = tmp_path / "out" / "x"
+        for argv in (
+            ["rollout", "--ckpt", str(ckpt), "--n", "2", "--out", str(out)],
+            ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,20](dO >= 1.0)", "--out", str(out)],
+        ):
+            assert main(argv + ["--data", str(bad)]) == EXIT_DATA, argv[0]
+            assert str(bad) in capsys.readouterr().err, argv[0]
+        assert not out.parent.exists()
 
     def test_adjust_retrain_reads_the_dataset_once(self, trained_driving, tmp_path, monkeypatch):
         root, data, config, ckpt = trained_driving

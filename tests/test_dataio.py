@@ -14,6 +14,7 @@ from stlmimic.dataio import (
     InconsistentHorizon,
     IoError,
     ParseError,
+    RunDataset,
     VersionMismatch,
     config_digest,
     export_rollouts,
@@ -141,6 +142,28 @@ class TestDatasetRoundtrip:
         assert save_dataset(a, str(tmp_path / "a2.jsonl")) == digest
         assert save_dataset(b, str(tmp_path / "b.jsonl")) != digest
         assert digest == hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest()[:16]
+
+
+class TestRunDataset:
+    def test_grows_to_the_bytes_save_dataset_writes(self, tmp_path):
+        ds = small_dataset()
+        ds.metas[0]["config_digest"] = "kept"
+        run = RunDataset(str(tmp_path / "run.jsonl"), config_digest="stamped")
+        digests = [run.extend(ds.select(np.arange(6) < 2)), run.extend(ds), run.extend(ds)]
+        whole = (tmp_path / "run.jsonl").read_bytes()
+        assert save_dataset(ds, str(tmp_path / "saved.jsonl"), config_digest="stamped") == digests[-1]
+        assert (tmp_path / "saved.jsonl").read_bytes() == whole == b"".join(run.lines)
+        lines = whole.splitlines(keepends=True)
+        assert digests[:2] == [hashlib.sha256(b"".join(lines[:n])).hexdigest()[:16] for n in (2, 6)]
+        assert [json.loads(line)["meta"]["config_digest"] for line in lines] == ["kept"] + ["stamped"] * 5
+        assert [m.get("config_digest") for m in ds.metas] == ["kept"] + [None] * 5  # the metas are unchanged
+
+    def test_refuses_rows_that_do_not_extend_it(self, tmp_path):
+        run = RunDataset(str(tmp_path / "run.jsonl"))
+        run.extend(small_dataset(n=3))
+        with pytest.raises(ValueError, match="does not begin with the 3 rows"):
+            run.extend(small_dataset(n=2))
+        assert len(run.lines) == 3
 
 
 class TestCheckpoint:

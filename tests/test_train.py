@@ -2,17 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlmimic import stl, train
 from stlmimic.dataio import Dataset
 from stlmimic.envs import DrivingEnv, UnicycleEnv, rollout
 from stlmimic.inference import (
+    InferenceParams,
     NetworkShape,
     SignalNorm,
     exact_mcr,
     init_inference,
+    param_bounds,
     smooth_robustness,
 )
+from stlmimic.params import layout
 from stlmimic.policy import PolicyShape, init_policy
 from stlmimic.train import (
     Adam,
@@ -53,6 +58,17 @@ def toy_dataset(rng=None, n=8, T=3):
         values.append(rng.uniform(1.0, 2.0) if pos else rng.uniform(-2.0, -1.0))
         labels.append(1 if pos else -1)
     return const_dataset(values, labels, T)
+
+
+def atom_layer_widths(monkeypatch):
+    """The number of predicates whose atoms each atom-layer computation in
+    `train` computes, in call order: every predicate for a full one."""
+    widths = []
+    extrema = train.windowed_extrema
+    monkeypatch.setattr(
+        train, "windowed_extrema", lambda traces, *a: widths.append(traces.shape[1]) or extrema(traces, *a)
+    )
+    return widths
 
 
 def formula_mcr(f, ds):
@@ -199,16 +215,115 @@ class TestTrainInference:
         margin[-1] = 0.4
         replay = [v0, full, gates, window, margin, margin, full, gates, v0]
 
-        calls = []
-        atoms = train.smooth_atoms
-        monkeypatch.setattr(train, "smooth_atoms", lambda *a: calls.append(1) or atoms(*a))
+        widths = atom_layer_widths(monkeypatch)
         objective = train.annealing_objective(X, labels, template, shape, cfg)
         for vec in replay:
             params = template.with_flat(vec[:-1])
             want = float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg))
             assert objective(vec.copy()) == want
-        # recomputed for v0, full, window, full and v0; reused for the rest
-        assert len(calls) == 5
+        # every atom recomputed for v0, full, window, full and v0, each of which
+        # moves more than one predicate; reused for the rest
+        assert widths == [shape.n_pred] * 5
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_memo_replays_inference_loss_over_random_moves(self, data):
+        """Chains of one-entry moves in every group, moves of every entry,
+        repeats and returns to the vector before last: each value is
+        inference_loss's, bit for bit. A move within one predicate's entries
+        and its two atoms' windows recomputes that predicate's atoms alone,
+        a move of more predicates all of them, and any other reuses them."""
+        draw = data.draw
+        shape = NetworkShape(
+            n_pred=draw(st.integers(1, 3)), n_conj=draw(st.integers(1, 2)),
+            horizon=draw(st.integers(1, 5)), dim=draw(st.integers(1, 3)), tau=0.1,
+        )
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(2, 6))
+        X = rng.normal(size=(n, shape.horizon + 1, shape.dim))
+        labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        cfg = InferenceTrainConfig()
+        template = init_inference(shape, rng)
+        lo, hi = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
+        lo, hi = np.append(lo, cfg.margin_lo), np.append(hi, cfg.margin_hi)
+        spans = {**layout(InferenceParams.group_shapes(shape)), "margin": slice(lo.size - 1, lo.size)}
+        # the predicate that each atom entry belongs to, read through the layout
+        pair = np.arange(shape.n_atoms) // 2
+        owner = InferenceParams(
+            pred_w=np.repeat(np.arange(shape.n_pred)[:, None], shape.dim, axis=1), pred_b=np.arange(shape.n_pred),
+            win_lo=pair, win_hi=pair, gate=template.gate, out_gate=template.out_gate,
+        ).flatten()[: shape.n_atom_params]
+
+        vecs = [np.clip(np.append(template.flatten(), 0.1), lo, hi)]
+        moves = draw(st.lists(st.sampled_from(list(spans) + ["every", "repeat", "back"]), max_size=12))
+        for move in moves:
+            vec = vecs[-2 if move == "back" and len(vecs) > 1 else -1].copy()
+            if move == "every":
+                vec = np.clip(vec + rng.normal(0.0, 0.25, vec.size) * (hi - lo), lo, hi)
+            elif move in spans:
+                i = draw(st.integers(spans[move].start, spans[move].stop - 1))
+                vec[i] = rng.uniform(lo[i], hi[i])
+            vecs.append(vec)
+
+        want_widths, prev = [], None
+        with pytest.MonkeyPatch.context() as mp:
+            widths = atom_layer_widths(mp)
+            objective = train.annealing_objective(X, labels, template, shape, cfg)
+            for vec in vecs:
+                params = template.with_flat(vec[:-1])
+                assert objective(vec.copy()) == float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg))
+                atom_entries = slice(0, shape.n_atom_params)
+                moved = None if prev is None else set(owner[vec[atom_entries] != prev[atom_entries]].tolist())
+                if moved is None or len(moved) > 1:
+                    want_widths.append(shape.n_pred)
+                elif moved:
+                    want_widths.append(1)
+                prev = vec
+        assert widths == want_widths
+
+    def test_polish_never_scores_the_incumbent(self, monkeypatch):
+        ds = toy_dataset()
+        shape = NetworkShape(n_pred=2, n_conj=2, horizon=3, dim=1, tau=0.1)
+        norm = SignalNorm.from_arrays(ds.X)
+        calls, refines = [], []
+        make_objective, refine = train.annealing_objective, train._refine
+
+        def recording(*args):
+            objective = make_objective(*args)
+
+            def scored(vec):
+                loss = objective(vec)
+                calls.append((vec.copy(), loss))
+                return loss
+
+            return scored
+
+        monkeypatch.setattr(train, "annealing_objective", recording)
+        monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
+        cfg = self.CFG
+        params, margin, info = train_inference(ds, shape, cfg, np.random.default_rng(7), norm=norm)
+
+        # the last refined vector is scored right after its refine; the polish follows
+        annealed, polish = calls[: refines[-1] + 1], iter(calls[refines[-1] + 1 :])
+        best, best_loss = annealed[int(np.argmin([loss for _, loss in annealed]))]
+        spans = layout(InferenceParams.group_shapes(shape))
+        gates = range(spans["gate"].start, spans["out_gate"].stop)
+        scored = 0
+        for _ in range(2):
+            for i in gates:
+                for rail in (-cfg.gate_bound, cfg.gate_bound):
+                    if best[i] == rail:
+                        continue
+                    vec, loss = next(polish)
+                    want = best.copy()
+                    want[i] = rail
+                    assert np.array_equal(vec, want)
+                    scored += 1
+                    if loss <= best_loss:
+                        best, best_loss = vec, loss
+        assert next(polish, None) is None
+        assert np.array_equal(info["flat"], best) and info["loss"] == best_loss
+        assert scored < 2 * 2 * len(gates)
 
     def test_result_is_not_a_view_of_the_flat_vector(self):
         ds = toy_dataset()
