@@ -4,6 +4,16 @@ formula extraction, evaluation, policy rollouts, and rule adjustment.
 Every command is reproducible from its arguments plus the config file;
 outputs embed the config digest. Exit codes: 0 success, 2 config error,
 3 data error, 4 training divergence.
+
+A config is one JSON object with the sections `seed`, `env`, `shape`,
+`inference`, `policy` and `gan`; `default_config` gives the defaults of
+each. Every option follows one rule, `dataio.checked_options`: it takes a
+value of its default's type and is stored as that type. A number takes a
+finite number, an integer where the default is one, and never true or
+false; a pair or list takes a list of as many finite numbers. An unknown
+section or option is refused, and so is a value out of its option's range;
+the error names `section.option` and the command exits 2. A checkpoint's
+`shape` is checked by the same rule, and a bad one exits 3.
 """
 
 from __future__ import annotations
@@ -81,31 +91,30 @@ def default_config(env_name: str = "unicycle") -> dict:
     }
 
 
-def _build_dc(dc_cls, obj: dict, section: str):
-    """dc_cls built from a config section; a wrong option is a ConfigError
-    naming `section.option`."""
-    types = {f.name: f.type for f in dataclasses.fields(dc_cls)}
-    unknown = set(obj) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown {section} option(s): {sorted(unknown)}")
-    bad = dataio.field_type_error(dc_cls, obj)
-    if bad:
-        raise ConfigError(f"{section}.{bad}")
-    kwargs = {
-        k: float(v) if types[k] == "float" else tuple(v) if isinstance(v, list) else v
-        for k, v in obj.items()
-    }
-    try:
-        return dc_cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
-
-
 def _section(doc: dict, name: str) -> dict:
     obj = {} if doc.get(name) is None else doc[name]
     if not isinstance(obj, dict):
         raise ConfigError(f"{name} must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _checked(section: str, defaults: dict, values: dict) -> dict:
+    try:
+        return dataio.checked_options(section, defaults, values)
+    except ValueError as exc:  # the message names section.option
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_dc(dc_cls, section: str, doc: dict, defaults: dict, **fixed):
+    """dc_cls built from the `fixed` fields and the section of the config
+    doc over that section of `default_config`; a wrong option is a
+    ConfigError naming `section.option`."""
+    default = defaults[section]
+    values = {**default, **_checked(section, default, _section(doc, section))}
+    try:
+        return dc_cls(**values, **fixed)
+    except ValueError as exc:  # a range check names the option alone
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 class Run:
@@ -119,31 +128,18 @@ class Run:
         env_obj = dict(_section(doc, "env"))
         name = env_obj.pop("name", "unicycle")
         defaults = default_config(name)
-        if "T" in env_obj and not (dataio.admits("int", env_obj["T"]) and env_obj["T"] >= 1):
-            raise ConfigError(f"env.T must be an integer of at least 1, got {env_obj['T']!r}")
         try:
             self.env = make_env(name, **env_obj)
-        except (TypeError, ValueError) as exc:  # messages name env.<option>
+        except ValueError as exc:  # messages name env.<option>
             raise ConfigError(str(exc)) from exc
-        self.seed = doc.get("seed", defaults["seed"])
-        if not dataio.admits("int", self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        shape_obj = {**defaults["shape"], **_section(doc, "shape")}
-        unknown = set(shape_obj) - set(defaults["shape"])
-        if unknown:
-            raise ConfigError(f"unknown shape option(s): {sorted(unknown)}")
-        self.shape = _build_dc(
-            NetworkShape,
-            {**shape_obj, "horizon": self.env.T, "dim": len(self.env.inference_names)},
-            "shape",
-        )
-
-        def build(dc_cls, name):
-            return _build_dc(dc_cls, {**defaults[name], **_section(doc, name)}, name)
-
-        self.inference = build(InferenceTrainConfig, "inference")
-        self.policy = build(PolicyTrainConfig, "policy")
-        self.gan = build(GanConfig, "gan")
+        self.seed = _checked("", defaults, {"seed": doc.get("seed", defaults["seed"])})["seed"]
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        dims = {"horizon": self.env.T, "dim": len(self.env.inference_names)}
+        self.shape = _build_dc(NetworkShape, "shape", doc, defaults, **dims)
+        self.inference = _build_dc(InferenceTrainConfig, "inference", doc, defaults)
+        self.policy = _build_dc(PolicyTrainConfig, "policy", doc, defaults)
+        self.gan = _build_dc(GanConfig, "gan", doc, defaults)
         self.doc = doc
         self.digest = config_digest(doc)
 
@@ -194,9 +190,11 @@ def _load_ckpt_parts(path: str):
     except ConfigError as exc:
         raise dataio.ParseError(f"{path}: config: {exc}") from exc
     env = run.env
+    # the config's shape gives the types; the values are ck.shape's, which
+    # need not be the config's
     try:
-        shape = NetworkShape(**ck.shape)
-    except (TypeError, ValueError) as exc:
+        shape = NetworkShape(**dataio.checked_options("shape", dataclasses.asdict(run.shape), ck.shape))
+    except (TypeError, ValueError) as exc:  # TypeError: a missing field
         raise dataio.ParseError(f"{path}: bad shape {ck.shape!r}: {exc}") from exc
     if (shape.horizon, shape.dim) != (env.T, len(env.inference_names)):
         raise dataio.ParseError(
@@ -260,6 +258,8 @@ def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, pat
 def cmd_gen_data(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be a positive count, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     env = make_env(args.env)
     digest = config_digest({"cmd": "gen-data", "env": args.env, "n": args.n, "seed": args.seed})
@@ -375,6 +375,8 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be a positive count, got {args.n}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     ck, run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else run.seed + 10_000
     env_pool = _env_pool(ck, env, args.data)

@@ -14,7 +14,11 @@ In memory a dataset is one `Dataset`: a single float block `X` of shape
 (N, T+1, n_agent + n_env) with the agent columns first, a +-1 label array,
 and per-row `ids` and `metas`. `extended` and `select` build new blocks but
 share the rows' meta dicts, so a key set on a row's meta shows in every
-dataset that holds the row."""
+dataset that holds the row.
+
+`checked_options` is the one checker of option values read from outside
+the program: each config section, the environment's options and a
+checkpoint's classifier shape."""
 
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from itertools import compress
@@ -276,6 +282,54 @@ def config_digest(config: dict) -> str:
     return fnv1a_hex(json.dumps(config, sort_keys=True).encode("utf-8"))
 
 
+def _finite_number(value, integer: bool = False) -> bool:
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def checked_options(section: str, defaults: dict, values: dict) -> dict:
+    """The options `values` of one section of a config, or of a checkpoint's
+    shape, each checked against its entry in `defaults` and stored as the
+    default's type; the one checker of such values. A number default takes
+    a finite number, or an integer where the default is one; a JSON true or
+    false is not a number. A tuple or array default takes a list of as many
+    finite numbers. Any other default takes only an instance of its class.
+    A wrong or unknown option is a ValueError naming `section.option`, or
+    `option` alone where the section is ''."""
+    checked = {}
+    for key, value in values.items():
+        name = f"{section}.{key}" if section else key
+        if key not in defaults:
+            raise ValueError(f"{name} is unknown; the {section} options are {sorted(defaults)}")
+        default = defaults[key]
+        if isinstance(default, (tuple, np.ndarray)):
+            ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default)
+            ok, what = ok and all(map(_finite_number, value)), f"a list of {len(default)} finite numbers"
+        elif isinstance(default, numbers.Real):
+            integer = isinstance(default, numbers.Integral)
+            ok, what = _finite_number(value, integer), "a finite " + ("integer" if integer else "number")
+        else:
+            ok, what = isinstance(value, type(default)), f"a {type(default).__name__}"
+        if not ok:
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        if isinstance(default, np.ndarray):
+            value = np.array(value, dtype=float)
+        elif isinstance(default, tuple):
+            value = tuple(map(float, value))
+        elif isinstance(default, numbers.Real):
+            value = type(default)(value)
+        checked[key] = value
+    return checked
+
+
+def require_counts(obj, *names) -> None:
+    """Raise a ValueError naming the first of the fields `names` of obj that
+    is below 1."""
+    for name in names:
+        if getattr(obj, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(obj, name)}")
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to resume or evaluate a run."""
@@ -306,7 +360,9 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     os.replace(tmp, path)
 
 
-# what each annotation of a dataclass field admits in a loaded JSON document
+# what each annotation of a Checkpoint field admits in a loaded JSON
+# document (a JSON true or false is not a number); the values inside its
+# config and shape are checked by `checked_options`
 _FIELD_TYPES = {
     "dict": dict,
     "dict | None": (dict, type(None)),
@@ -315,24 +371,6 @@ _FIELD_TYPES = {
     "float": (int, float),  # a JSON integer is a valid float
     "int": int,
 }
-
-
-def admits(annotation: str, value) -> bool:
-    """Whether a loaded JSON value has the type a field annotation names;
-    a JSON true or false is not a number."""
-    if annotation.startswith("tuple["):
-        items = annotation[len("tuple[") : -1].split(", ")
-        return isinstance(value, (list, tuple)) and len(value) == len(items) and all(map(admits, items, value))
-    return isinstance(value, _FIELD_TYPES[annotation]) and not isinstance(value, bool)
-
-
-def field_type_error(dc_cls, values: dict) -> str | None:
-    """Why the first of `values` that its field's annotation in the
-    dataclass `dc_cls` does not admit is wrong, or None if all are admitted."""
-    for f in fields(dc_cls):
-        if f.name in values and not admits(f.type, values[f.name]):
-            return f"{f.name} must be {f.type}, got {type(values[f.name]).__name__}"
-    return None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -356,9 +394,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         values["gan_iteration"] = int(values["gan_iteration"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    bad = field_type_error(Checkpoint, values)
-    if bad:
-        raise ParseError(f"{path}: {bad}")
+    for f in fields(Checkpoint):
+        value = values[f.name]
+        if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
+            raise ParseError(f"{path}: {f.name} must be {f.type}, got {type(value).__name__}")
     return Checkpoint(**values)
 
 

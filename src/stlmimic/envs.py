@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import stl
-from .dataio import Dataset, InconsistentHorizon
+from .dataio import Dataset, InconsistentHorizon, checked_options
 from .inference import SignalNorm, exact_satisfaction
 from .policy import (
     ControlBox,
@@ -106,36 +105,14 @@ def ego_partials(x):
     return jx, ja
 
 
-def _finite_number(value, integer: bool = False) -> bool:
-    kind = numbers.Integral if integer else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def set_options(env, overrides: dict) -> None:
     """Set an environment's options from `overrides`, each checked against
-    its default; errors name `env.<option>`. A number takes a finite number
-    (an integer where the default is one). A tuple or array takes a list of
-    as many finite numbers, stored as the default's type. A Region or
-    ControlBox takes only an instance of its class, which no config holds."""
-    for key, value in overrides.items():
-        if key not in vars(env):
-            raise TypeError(f"env.{key} is not a {env.name} option")
-        default = getattr(env, key)
-        sequence = isinstance(default, (tuple, np.ndarray))
-        if isinstance(default, (Region, ControlBox)):
-            ok, what = isinstance(value, type(default)), f"a {type(default).__name__}, not a config value"
-        elif sequence:
-            ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default)
-            ok = ok and all(map(_finite_number, value))
-            what = f"a list of {len(default)} finite numbers"
-        else:
-            integer = isinstance(default, numbers.Integral)
-            ok, what = _finite_number(value, integer), "a finite " + ("integer" if integer else "number")
-        if not ok:
-            raise ValueError(f"env.{key} must be {what}, got {value!r}")
-        if sequence:
-            value = tuple(value) if isinstance(default, tuple) else np.array(value, dtype=float)
-        setattr(env, key, value)
+    its default by `dataio.checked_options`; errors name `env.<option>`. A
+    Region or ControlBox default takes only an instance of its class, which
+    no config holds. The horizon `T` must be at least 1."""
+    vars(env).update(checked_options("env", vars(env), overrides))
+    if env.T < 1:
+        raise ValueError(f"env.T must be at least 1, got {env.T}")
 
 
 def check_ranges(**ranges) -> None:

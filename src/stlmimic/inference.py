@@ -18,11 +18,11 @@ Each layer is written once over batches of plain arrays. Called with
 vjp=True it also returns its vector-Jacobian product (VJP): a closure,
 built from the same forward pass, that maps an adjoint of the output to
 the gradients of the parameters and of the signal. `smooth_robustness`
-composes the atom layer (`smooth_atoms`) and the gated and/or layer
-(`smooth_gates`), so a caller that varies only the gates can reuse the
-atoms. The atom layer is in turn `windowed_extrema` of the
-`predicate_traces`, so a caller that moves one predicate or its atoms'
-windows can recompute that predicate's atoms alone. Fixed formulas are scored by `stl.robustness_trace`: an injected
+composes the three layers: the `predicate_traces`, their atoms through
+`windowed_extrema`, and the gated and/or layer `smooth_gates`. A caller
+that varies only the gates can reuse the atoms, and one that moves one
+predicate or its atoms' windows can recompute that predicate's atoms
+alone. Fixed formulas are scored by `stl.robustness_trace`: an injected
 rule smoothly in `combined_smooth`, extracted formulas exactly over
 (N, T+1, d) batches.
 """
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
+from .dataio import require_counts
 from .params import ParamVector, layout
 from .stl import (
     Always,
@@ -86,9 +87,7 @@ class NetworkShape:
     tau: float = 0.1
 
     def __post_init__(self):
-        for name in ("n_pred", "n_conj", "horizon"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        require_counts(self, "n_pred", "n_conj", "horizon")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
@@ -237,41 +236,25 @@ def normalize_formula(f: Formula, norm: SignalNorm) -> Formula:
 
 def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
     """Smooth classifier scores (N,) of a batch X (N, >=T+1, dim) of
-    normalized signals. With vjp, (scores, grad), where grad maps an
-    adjoint of the scores to (an InferenceParams of parameter gradients,
-    the gradient with respect to X)."""
+    normalized signals: the `smooth_gates` of the atoms, which are the
+    `windowed_extrema` of the `predicate_traces`. With vjp, (scores, grad),
+    where grad maps an adjoint of the scores to (an InferenceParams of
+    parameter gradients, the gradient with respect to X)."""
+    tau = shape.tau if tau is None else tau
     if not vjp:
-        return smooth_gates(smooth_atoms(X, params, shape, tau), params, shape, tau)
-    atoms, atoms_grad = smooth_atoms(X, params, shape, tau, vjp=True)
+        atoms = windowed_extrema(predicate_traces(X, params, shape), params.win_lo, params.win_hi, tau)
+        return smooth_gates(atoms, params, shape, tau)
+    traces, traces_grad = predicate_traces(X, params, shape, vjp=True)
+    atoms, atoms_grad = windowed_extrema(traces, params.win_lo, params.win_hi, tau, vjp=True)
     scores, gates_grad = smooth_gates(atoms, params, shape, tau, vjp=True)
 
     def grad(g):
         g_atoms, g_gates = gates_grad(g)
-        g_preds, gX = atoms_grad(*g_atoms)
-        return InferenceParams(**g_preds, **g_gates), gX
+        g_traces, g_windows = atoms_grad(*g_atoms)
+        g_preds, gX = traces_grad(g_traces)
+        return InferenceParams(**g_preds, **g_windows, **g_gates), gX
 
     return scores, grad
-
-
-def smooth_atoms(X, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
-    """Atom layer: the (N, n_pred) eventually-atoms and always-atoms of a
-    batch X (N, >=T+1, dim), `windowed_extrema` of the `predicate_traces`.
-    Reads only the predicates and the windows (`pred_w`, `pred_b`,
-    `win_lo`, `win_hi`). With vjp, (atoms, grad), where grad maps adjoints
-    of the two atom arrays to (a dict of those groups' gradients, the
-    gradient with respect to X)."""
-    tau = shape.tau if tau is None else tau
-    if not vjp:
-        return windowed_extrema(predicate_traces(X, params, shape), params.win_lo, params.win_hi, tau)
-    traces, traces_grad = predicate_traces(X, params, shape, vjp=True)
-    atoms, atoms_grad = windowed_extrema(traces, params.win_lo, params.win_hi, tau, vjp=True)
-
-    def grad(g_ev, g_al):
-        g_traces, g_windows = atoms_grad(g_ev, g_al)
-        g_preds, gX = traces_grad(g_traces)
-        return {**g_preds, **g_windows}, gX
-
-    return atoms, grad
 
 
 def predicate_traces(X, params: InferenceParams, shape: NetworkShape, vjp: bool = False):
@@ -334,7 +317,7 @@ def windowed_extrema(traces, win_lo, win_hi, tau, vjp: bool = False):
 
 
 def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
-    """Gated and/or layer: (N,) scores from the `smooth_atoms` output.
+    """Gated and/or layer: (N,) scores from the `windowed_extrema` output.
     Reads only the gates (`gate`, `out_gate`). With vjp, (scores, grad),
     where grad maps an adjoint of the scores to (the adjoints of the two
     atom arrays, a dict of the gate groups' gradients)."""

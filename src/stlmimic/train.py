@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
-from .dataio import Dataset, InconsistentHorizon
+from .dataio import Dataset, InconsistentHorizon, require_counts
 from .envs import rollout, to_dataset
 from .inference import (
     InferenceParams,
@@ -54,12 +54,6 @@ class NoNegativeData(ValueError):
     """Single-label dataset: the caller must bootstrap negatives first."""
 
 
-def _require_counts(cfg, *names) -> None:
-    for name in names:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-
-
 @dataclass
 class InferenceTrainConfig:
     margin_lo: float = 0.01
@@ -79,7 +73,7 @@ class InferenceTrainConfig:
     tau_eval: float = 0.01
 
     def __post_init__(self):
-        _require_counts(self, "epoch_len", "refine_batch")
+        require_counts(self, "epoch_len", "refine_batch")
         if self.tau_eval <= 0:
             raise ValueError(f"tau_eval must be positive, got {self.tau_eval}")
 
@@ -93,7 +87,7 @@ class PolicyTrainConfig:
     hidden: int = 32
 
     def __post_init__(self):
-        _require_counts(self, "batch_m", "hidden")
+        require_counts(self, "batch_m", "hidden")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
 
@@ -106,7 +100,7 @@ class GanConfig:
     reheat: float = 0.5  # annealing temperature scale on warm-started rounds
 
     def __post_init__(self):
-        _require_counts(self, "n_generate", "max_iterations")
+        require_counts(self, "n_generate", "max_iterations")
 
 
 # --- misclassification rate ---------------------------------------------------

@@ -98,6 +98,12 @@ class TestGenData:
             assert code == EXIT_CONFIG and not out.exists()
             assert "--n" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code = main(["gen-data", "--env", "unicycle", "--n", "2", "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG and not out.exists()
+        assert "--seed" in capsys.readouterr().err
+
     def test_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "sp.jsonl"
         res = subprocess.run(
@@ -232,6 +238,9 @@ BAD_CONFIGS = {
     "env.decel_onset": {"env": {"name": "driving", "decel_onset": 35.5}},
     "env.gap": {"env": {"name": "driving", "gap": [10.0, 6.0]}},
     "env.init_pos": {"env": {"name": "driving", "init_pos": [0.0, "5"]}},
+    "policy.lr": {"policy": {"lr": float("nan")}},
+    "inference.tau_eval": {"inference": {"tau_eval": float("inf")}},
+    "gan.stop_mcr": {"gan": {"stop_mcr": float("nan")}},
 }
 
 
@@ -289,6 +298,8 @@ class TestConfigErrors:
             ({"env": {"name": "driving", "init_pos": [5.0, 0.0]}}, "env.init_pos"),
             ({"env": {"name": "driving", "react_delay": None}}, "env.react_delay"),
             ({"env": {"name": "driving", "wobble": 1}}, "env.wobble"),
+            ({"shape": {"tau": float("inf")}}, "shape.tau"),
+            ({"shape": {"n_conj": True}}, "shape.n_conj"),
         ]:
             with pytest.raises(ConfigError) as excinfo:
                 Run(doc)
@@ -299,6 +310,8 @@ class TestConfigErrors:
         assert run.shape.tau == 1.0 and isinstance(run.shape.tau, float)
         assert isinstance(run.inference.margin_lo, float)
         assert run.policy.betas == (0.0, 0.5)
+        env = Run({"env": {"name": "driving", "cruise": 5, "gap": [6, 10]}}).env.config()
+        assert [type(v) for v in (env["cruise"], *env["gap"])] == [float] * 3
 
     def test_list_init_lo_trains_and_round_trips_through_config(self, trained, tmp_path):
         root, data, config, ckpt = trained
@@ -313,13 +326,16 @@ class TestConfigErrors:
         assert main(["rollout", "--ckpt", str(out), "--n", "2", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
     def test_train_exits_2_and_writes_no_checkpoint(self, trained, tmp_path, capsys):
+        # a NaN learning rate would otherwise train a round and exit 4 as "diverged"
         root, data, config, ckpt = trained
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**TINY, "inference": {"epoch_len": 0}}))
-        out = tmp_path / "run" / "ckpt.json"
-        assert main(["train", "--data", str(data), "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
-        assert "inference.epoch_len" in capsys.readouterr().err
-        assert not out.exists() and not out.parent.exists()
+        for option, section in (("inference.epoch_len", {"inference": {"epoch_len": 0}}),
+                                ("policy.lr", {"policy": {"lr": float("nan")}})):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({**TINY, **section}))
+            out = tmp_path / "run" / "ckpt.json"
+            assert main(["train", "--data", str(data), "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+            assert option in capsys.readouterr().err
+            assert not out.exists() and not out.parent.exists()
 
 
 class TestEval:
@@ -453,6 +469,12 @@ class TestRollout:
             assert code == EXIT_CONFIG and not adj.exists()
             assert "--rollouts" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, trained, tmp_path, capsys):
+        root, data, config, ckpt = trained
+        out = tmp_path / "r.csv"
+        assert main(["rollout", "--ckpt", str(ckpt), "--n", "2", "--seed", "-3", "--out", str(out)]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err and not out.exists()
+
     def test_deterministic_with_seed(self, trained, tmp_path):
         root, data, config, ckpt = trained
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -545,6 +567,8 @@ class TestBadInputFiles:
             ("rollout", lambda doc: doc["config"].update(seed="abc")),
             ("rollout", lambda doc: doc["config"].update(env=["unicycle"])),
             ("rollout", lambda doc: doc["config"]["env"].update(init_lo=5)),
+            ("extract", lambda doc: doc["shape"].update(n_pred=float(doc["shape"]["n_pred"]))),
+            ("rollout", lambda doc: doc["shape"].update(n_conj=True)),
             ("extract", lambda doc: doc.update(rule_text="G[0,")),
             ("rollout", lambda doc: doc.update(rule_text="G[0,50](dO >= 1.0)")),
             ("eval", NOT_UTF8),
@@ -565,6 +589,8 @@ class TestBadInputFiles:
             "config-seed-a-string",
             "config-env-a-list",
             "config-env-init_lo-a-number",
+            "shape-n_pred-a-float",
+            "shape-n_conj-a-bool",
             "rule_text-unparsable",
             "rule_text-past-the-horizon",
             "formula-not-utf8",
