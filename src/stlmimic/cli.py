@@ -14,6 +14,13 @@ false; a pair or list takes a list of as many finite numbers. An unknown
 section or option is refused, and so is a value out of its option's range;
 the error names `section.option` and the command exits 2. A checkpoint's
 `shape` is checked by the same rule, and a bad one exits 3.
+
+Each command that reads `--data` FILE parses it once: the first read
+leaves a binary sidecar `.FILE.npz` beside it (see `dataio`), keyed by the
+sha256 of FILE's bytes, and a later read takes the parsed block from it.
+A sidecar is used only when its recorded sha256 matches FILE's bytes; any
+other is ignored and rewritten, and one that cannot be written is skipped.
+Outputs are the same either way, and deleting a sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -359,9 +366,12 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = _read_data(args.data)
-    f = stl.parse(dataio.read_text(args.formula, "formula").strip(), ds.dim_names)
+    try:
+        f = stl.parse(dataio.read_text(args.formula, "formula").strip(), ds.dim_names)
+        sat = exact_satisfaction(f, ds.X, ds.dim_names)
+    except (stl.FormulaSyntaxError, stl.HorizonExceeded, stl.DimensionMismatch) as exc:
+        raise dataio.ParseError(f"{args.formula}: {exc}") from exc
     labels = ds.labels
-    sat = exact_satisfaction(f, ds.X, ds.dim_names)
     value = int(np.count_nonzero(sat != (labels > 0))) / len(ds)
     n_pos = int((labels > 0).sum())
     n_neg = int((labels < 0).sum())

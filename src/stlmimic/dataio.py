@@ -16,25 +16,44 @@ and per-row `ids` and `metas`. `extended` and `select` build new blocks but
 share the rows' meta dicts, so a key set on a row's meta shows in every
 dataset that holds the row.
 
+Each dataset file is parsed once. `load_dataset` keeps the `Dataset` it
+parsed from a regular file in a binary sidecar next to it: `.NAME.npz` for
+the file NAME, an uncompressed NumPy archive of `X`, the labels and one
+JSON document of the ids, metas and dimension names, keyed by the sha256
+of the file's bytes and stamped with `SIDECAR_VERSION`. A read hashes the
+file and takes the sidecar only when both match; it never trusts a sidecar
+otherwise. A missing, stale, corrupt or other-version sidecar is a miss:
+the file is parsed and the sidecar is written anew, to a temporary name
+renamed into place. A sidecar that cannot be written is skipped without
+changing the result. A pipe or other non-regular input is always parsed
+and gets no sidecar. Deleting a sidecar is always safe.
+
 `checked_options` is the one checker of option values read from outside
 the program: each config section, the environment's options and a
 checkpoint's classifier shape."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import numbers
 import os
+import stat
+import zipfile
 from dataclasses import dataclass, field, fields
 from itertools import compress
 
 import numpy as np
 
 CHECKPOINT_VERSION = 1
+SIDECAR_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
@@ -227,46 +246,115 @@ def read_text(path: str, what: str) -> str:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset line by line, so only one line's text and parsed
-    lists are held at a time: each line becomes one (T+1, D) array, and the
-    arrays are stacked once at the end. A bad line, including one that is
-    not UTF-8 or whose horizon or dimension names differ from the first
-    line's, raises a ParseError or InconsistentHorizon naming the file and
-    the line."""
-    rows, labels, ids, metas, names = [], [], [], [], ((), ())
+    """The dataset in the JSON-Lines file at `path`, read through its
+    sidecar (see the module docstring). A regular file whose sidecar is of
+    this version and records the file's sha256 is read from the sidecar;
+    any other file is parsed (`_parse_lines`), and a regular file's parse
+    is stored as its sidecar. A bad line, including one that is not UTF-8
+    or whose horizon or dimension names differ from the first line's,
+    raises a ParseError or InconsistentHorizon naming the file and the
+    line."""
     with open_input(path, "dataset") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8"))
-                label = int(obj["label"])
-                if label not in (1, -1):
-                    raise ValueError(f"label must be +1 or -1, got {label}")
-                agent = np.array(obj["agent_states"], dtype=float)
-                env = np.array(obj.get("env_states") or np.zeros((len(agent), 0)), dtype=float)
-                if agent.ndim != 2 or env.ndim != 2:
-                    raise ValueError("state blocks must be 2-d arrays")
-                steps = len(rows[0]) if rows else len(agent)
-                if not len(agent) == len(env) == steps:
-                    raise InconsistentHorizon(f"{len(agent)} agent, {len(env)} env steps; first line {steps}")
-                row_names = (tuple(obj["agent_dims"]), tuple(obj.get("env_dims") or ()))
-                if (agent.shape[1], env.shape[1]) != tuple(map(len, row_names)):
-                    raise ValueError("agent_dims or env_dims do not match the state widths")
-                if rows and row_names != names:
-                    raise ValueError(f"dimension names {row_names} differ from {names} of the first line")
-                x = np.concatenate([agent, env], axis=1)
-                if not np.isfinite(x).all():
-                    raise ValueError("non-finite value in agent_states or env_states")
-                ids.append(str(obj["id"]))
-            except InconsistentHorizon as exc:
-                raise InconsistentHorizon(f"{path}:{lineno}: {exc}") from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            names = row_names
-            rows.append(x)
-            labels.append(label)
-            metas.append(obj.get("meta") or {})
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return _parse_lines(path, fh)
+        head, name = os.path.split(path)
+        side = os.path.join(head, f".{name}.npz")
+        if os.path.exists(side):  # else a miss, and the parse below hashes the file
+            sha = hashlib.sha256()
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
+            ds = _read_sidecar(side, sha.hexdigest())
+            if ds is not None:
+                return ds
+            fh.seek(0)
+        # the key is the sha256 of the bytes parsed, so a file that changes
+        # while it is read is stored under the content it was read with
+        sha = hashlib.sha256()
+        ds = _parse_lines(path, _hashed(fh, sha))
+    _write_sidecar(ds, side, sha.hexdigest())
+    return ds
+
+
+def _hashed(lines, sha):
+    """The lines, each added to `sha` as it is passed on."""
+    for line in lines:
+        sha.update(line)
+        yield line
+
+
+def _read_sidecar(path: str, sha: str) -> Dataset | None:
+    """The dataset stored in the sidecar at `path` if the sidecar is of
+    this version and records the sha256 `sha`; None for any other sidecar,
+    a corrupt one or none."""
+    try:  # np.load leaves a file it opened itself open when the archive is corrupt
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            if int(z["version"]) != SIDECAR_VERSION or str(z["sha256"]) != sha:
+                return None
+            head = json.loads(z["head"].tobytes().decode("utf-8"))
+            ds = Dataset(z["X"], z["labels"], head["ids"], head["metas"], *head["names"])
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return None
+    return ds if np.isfinite(ds.X).all() else None
+
+
+def _write_sidecar(ds: Dataset, path: str, sha: str) -> None:
+    """Store `ds` as the sidecar at `path` of a dataset file whose sha256 is
+    `sha`: written to a temporary name and renamed into place, so a reader
+    finds a whole sidecar or none. A failure to write is logged and leaves
+    no file."""
+    head = json.dumps({"ids": ds.ids, "metas": ds.metas, "names": [ds.agent_names, ds.env_names]})
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh, version=SIDECAR_VERSION, sha256=sha, X=ds.X, labels=ds.labels,
+                head=np.frombuffer(head.encode("utf-8"), dtype=np.uint8),
+            )
+        os.replace(tmp, path)
+    except OSError as exc:
+        log.debug("%s: sidecar not written: %s", path, exc)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _parse_lines(path: str, lines) -> Dataset:
+    """Parse a dataset's lines (bytes) one at a time, so only one line's
+    text and parsed lists are held at a time: each line becomes one
+    (T+1, D) array, and the arrays are stacked once at the end. Errors
+    name `path` and the line."""
+    rows, labels, ids, metas, names = [], [], [], [], ((), ())
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode("utf-8"))
+            label = int(obj["label"])
+            if label not in (1, -1):
+                raise ValueError(f"label must be +1 or -1, got {label}")
+            agent = np.array(obj["agent_states"], dtype=float)
+            env = np.array(obj.get("env_states") or np.zeros((len(agent), 0)), dtype=float)
+            if agent.ndim != 2 or env.ndim != 2:
+                raise ValueError("state blocks must be 2-d arrays")
+            steps = len(rows[0]) if rows else len(agent)
+            if not len(agent) == len(env) == steps:
+                raise InconsistentHorizon(f"{len(agent)} agent, {len(env)} env steps; first line {steps}")
+            row_names = (tuple(obj["agent_dims"]), tuple(obj.get("env_dims") or ()))
+            if (agent.shape[1], env.shape[1]) != tuple(map(len, row_names)):
+                raise ValueError("agent_dims or env_dims do not match the state widths")
+            if rows and row_names != names:
+                raise ValueError(f"dimension names {row_names} differ from {names} of the first line")
+            x = np.concatenate([agent, env], axis=1)
+            if not np.isfinite(x).all():
+                raise ValueError("non-finite value in agent_states or env_states")
+            ids.append(str(obj["id"]))
+        except InconsistentHorizon as exc:
+            raise InconsistentHorizon(f"{path}:{lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        names = row_names
+        rows.append(x)
+        labels.append(label)
+        metas.append(obj.get("meta") or {})
     return Dataset(np.stack(rows) if rows else np.zeros((0, 0, 0)), labels, ids, metas, *names)
 
 
@@ -361,15 +449,13 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
 
 
 # what each annotation of a Checkpoint field admits in a loaded JSON
-# document (a JSON true or false is not a number); the values inside its
-# config and shape are checked by `checked_options`
+# document; its numbers are checked by `_finite_number`, and the values
+# inside its config and shape by `checked_options`
 _FIELD_TYPES = {
     "dict": dict,
     "dict | None": (dict, type(None)),
     "str": str,
     "str | None": (str, type(None)),
-    "float": (int, float),  # a JSON integer is a valid float
-    "int": int,
 }
 
 
@@ -390,14 +476,17 @@ def load_checkpoint(path: str) -> Checkpoint:
             f.name: obj.get(f.name, {}) if f.name == "extra" else obj[f.name]
             for f in fields(Checkpoint)
         }
-        values["margin"] = float(values["margin"])
-        values["gan_iteration"] = int(values["gan_iteration"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     for f in fields(Checkpoint):
         value = values[f.name]
-        if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
+        if f.type in ("float", "int"):  # a JSON integer is a valid float; true and false are not numbers
+            if not _finite_number(value, integer=f.type == "int"):
+                what = "integer" if f.type == "int" else "number"
+                raise ParseError(f"{path}: {f.name} must be a finite {what}, got {value!r}")
+        elif not isinstance(value, _FIELD_TYPES[f.type]):
             raise ParseError(f"{path}: {f.name} must be {f.type}, got {type(value).__name__}")
+    values["margin"] = float(values["margin"])
     return Checkpoint(**values)
 
 

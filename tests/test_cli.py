@@ -370,6 +370,15 @@ class TestEval:
         code = main(["eval", "--formula", str(formula), "--data", str(data)])
         assert code == EXIT_DATA
 
+    def test_bad_formula_is_data_error_naming_the_formula_file(self, trained_driving, tmp_path, capsys):
+        root, data, config, ckpt = trained_driving
+        for text, what in (("F[0,80](veg >= 1)", "exceeds signal horizon 57"), ("F[0,5](dA >= 1)", "unknown variable")):
+            formula = tmp_path / "f.txt"
+            formula.write_text(text + "\n")
+            assert main(["eval", "--formula", str(formula), "--data", str(data)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"{formula}: " in err and what in err, text
+
     def test_missing_file_exit_code(self, tmp_path):
         code = main(["eval", "--formula", str(tmp_path / "nope.txt"), "--data", str(tmp_path / "nope.jsonl")])
         assert code == EXIT_DATA
@@ -569,6 +578,10 @@ class TestBadInputFiles:
             ("rollout", lambda doc: doc["config"]["env"].update(init_lo=5)),
             ("extract", lambda doc: doc["shape"].update(n_pred=float(doc["shape"]["n_pred"]))),
             ("rollout", lambda doc: doc["shape"].update(n_conj=True)),
+            ("extract", lambda doc: doc.update(margin="0.5")),
+            ("extract", lambda doc: doc.update(margin=True)),
+            ("extract", lambda doc: doc.update(margin=float("nan"))),
+            ("extract", lambda doc: doc.update(gan_iteration=2.7)),
             ("extract", lambda doc: doc.update(rule_text="G[0,")),
             ("rollout", lambda doc: doc.update(rule_text="G[0,50](dO >= 1.0)")),
             ("eval", NOT_UTF8),
@@ -591,6 +604,10 @@ class TestBadInputFiles:
             "config-env-init_lo-a-number",
             "shape-n_pred-a-float",
             "shape-n_conj-a-bool",
+            "margin-a-string",
+            "margin-a-bool",
+            "margin-nan",
+            "gan_iteration-a-float",
             "rule_text-unparsable",
             "rule_text-past-the-horizon",
             "formula-not-utf8",

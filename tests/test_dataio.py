@@ -2,13 +2,25 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import tempfile
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from multiprocessing import get_context
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from stlmimic import dataio
 from stlmimic.dataio import (
+    SIDECAR_VERSION,
     Checkpoint,
     Dataset,
     InconsistentHorizon,
@@ -17,6 +29,7 @@ from stlmimic.dataio import (
     RunDataset,
     VersionMismatch,
     config_digest,
+    encoded_rows,
     export_rollouts,
     load_checkpoint,
     load_dataset,
@@ -142,6 +155,149 @@ class TestDatasetRoundtrip:
         assert save_dataset(a, str(tmp_path / "a2.jsonl")) == digest
         assert save_dataset(b, str(tmp_path / "b.jsonl")) != digest
         assert digest == hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest()[:16]
+
+
+def sidecar(path):
+    return path.parent / f".{path.name}.npz"
+
+
+def assert_same(a, b):
+    assert np.array_equal(a.X.view(np.uint64), b.X.view(np.uint64))  # bit for bit, -0.0 included
+    assert np.array_equal(a.labels, b.labels)
+    assert a.ids == b.ids and a.metas == b.metas
+    assert (a.agent_names, a.env_names) == (b.agent_names, b.env_names)
+
+
+def parse_fails(*args):
+    raise AssertionError("parsed the file where its sidecar should have been read")
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-309, 1e308, -1e308, 1.7976931348623157e308]
+
+
+def _read_repeatedly(path, n, drop) -> bool:
+    """Read the dataset n times, deleting its sidecar before every third
+    read if `drop`; whether every read equals a fresh parse of the file."""
+    with open(path, "rb") as fh:
+        want = dataio._parse_lines(path, fh)
+    for i in range(n):
+        if drop and i % 3 == 0:
+            sidecar(Path(path)).unlink(missing_ok=True)
+        got = load_dataset(path)
+        if not (np.array_equal(got.X, want.X) and got.ids == want.ids and got.metas == want.metas):
+            return False
+    return True
+
+
+@st.composite
+def datasets(draw):
+    n, steps = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_agent, n_env = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    values = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+    X = draw(arrays(np.float64, (n, steps, n_agent + n_env), elements=values))
+    scalars = st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4), st.booleans(), st.none())
+    return Dataset(
+        X,
+        draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
+        draw(st.lists(st.text(max_size=6), min_size=n, max_size=n)),
+        draw(st.lists(st.dictionaries(st.text(max_size=4), scalars, max_size=3), min_size=n, max_size=n)),
+        tuple(f"a{i}" for i in range(n_agent)),
+        draw(st.lists(st.text(min_size=1, max_size=4), min_size=n_env, max_size=n_env)),
+    )
+
+
+class TestSidecar:
+    """`load_dataset` parses a regular file once and reads its sidecar after
+    that; every other case parses the file and gives the same dataset."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    def test_miss_then_hit_round_trip(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ds.jsonl"
+            save_dataset(ds, str(path))
+            assert not sidecar(path).exists()
+            assert_same(load_dataset(str(path)), ds)
+            assert sidecar(path).exists()
+            with mock.patch.object(dataio, "_parse_lines", parse_fails):
+                assert_same(load_dataset(str(path)), ds)
+
+    def test_stale_sidecar_is_ignored_and_rewritten(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(small_dataset(), str(path))
+        load_dataset(str(path))
+        # one digit of the first state value, so the file keeps its length
+        data = bytearray(path.read_bytes())
+        at = data.index(b'"agent_states": [[') + len(b'"agent_states": [[')
+        at += 1 if data[at : at + 1] == b"-" else 0
+        data[at : at + 1] = b"1" if data[at : at + 1] != b"1" else b"2"
+        path.write_bytes(bytes(data))
+        edited = load_dataset(str(path))
+        assert edited.X[0, 0, 0] != small_dataset().X[0, 0, 0]
+        with mock.patch.object(dataio, "_parse_lines", parse_fails):
+            assert_same(load_dataset(str(path)), edited)
+
+    @pytest.mark.parametrize("spoil", ["truncated", "other-version", "non-finite"])
+    def test_bad_sidecar_is_ignored(self, tmp_path, spoil):
+        path = tmp_path / "ds.jsonl"
+        ds = small_dataset()
+        save_dataset(ds, str(path))
+        load_dataset(str(path))
+        side = sidecar(path)
+        if spoil == "truncated":
+            side.write_bytes(side.read_bytes()[: side.stat().st_size // 2])
+        else:  # whole, but of another version or holding a NaN
+            with np.load(side) as z:
+                stored = dict(z)
+            X = stored["X"].copy()
+            X[0, 0, 0] = np.nan
+            spoiled = {"version": SIDECAR_VERSION + 1, "X": stored["X"] + 1} if spoil == "other-version" else {"X": X}
+            np.savez(side, **{**stored, **spoiled})
+        assert_same(load_dataset(str(path)), ds)
+        with mock.patch.object(dataio, "_parse_lines", parse_fails):
+            assert_same(load_dataset(str(path)), ds)
+
+    def test_failed_parse_leaves_no_sidecar(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"".join(encoded_rows(small_dataset())) + b"{not json\n")
+        with pytest.raises(ParseError, match=":7:"):
+            load_dataset(str(path))
+        assert os.listdir(tmp_path) == ["bad.jsonl"]
+
+    def test_unwritable_sidecar_still_returns_the_dataset(self, tmp_path):
+        # a directory where the sidecar goes: writing it fails even as root
+        path = tmp_path / "ds.jsonl"
+        ds = small_dataset()
+        save_dataset(ds, str(path))
+        sidecar(path).mkdir()
+        for _ in range(2):
+            assert_same(load_dataset(str(path)), ds)
+        assert sorted(os.listdir(tmp_path)) == [".ds.jsonl.npz", "ds.jsonl"]
+        assert sidecar(path).is_dir()
+
+    def test_concurrent_readers_each_get_the_dataset(self, tmp_path):
+        # more processes than cores, each reading while others delete and
+        # rewrite the sidecar: every read gives the dataset
+        path = tmp_path / "ds.jsonl"
+        save_dataset(small_dataset(n=40, T=30), str(path))
+        with ProcessPoolExecutor(max_workers=3, mp_context=get_context("spawn")) as pool:
+            futures = [pool.submit(_read_repeatedly, str(path), 40, drop) for drop in (True, True, False)]
+            assert all(f.result(timeout=120) for f in futures)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_parsed_and_gets_no_sidecar(self, tmp_path):
+        ds = small_dataset()
+        data = b"".join(encoded_rows(ds))
+        fifo = tmp_path / "ds.jsonl"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            assert_same(load_dataset(str(fifo)), ds)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert os.listdir(tmp_path) == ["ds.jsonl"]
 
 
 class TestRunDataset:
