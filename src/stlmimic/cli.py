@@ -218,13 +218,20 @@ def _load_ckpt_parts(path: str):
         norm = SignalNorm.from_jsonable(ck.norm, shape.dim)
     except ValueError as exc:
         raise dataio.ParseError(f"{path}: {key}: {exc}") from exc
+    rule = _parse_rule(ck.rule_text, env, f"{path}: rule_text") if ck.rule_text else None
+    return ck, run, env, shape, inf, pol, norm, rule
+
+
+def _parse_rule(text: str, env, where: str) -> stl.Formula:
+    """The rule `text` over the environment's signals; one that does not
+    parse or runs past the horizon is a ParseError led by `where`."""
     try:
-        rule = stl.parse(ck.rule_text, env.inference_names) if ck.rule_text else None
-        if rule is not None and stl.horizon(rule) > env.T:
+        rule = stl.parse(text, env.inference_names)
+        if stl.horizon(rule) > env.T:
             raise stl.HorizonExceeded(f"horizon {stl.horizon(rule)} is past the environment horizon {env.T}")
     except ValueError as exc:
-        raise dataio.ParseError(f"{path}: rule_text {ck.rule_text!r}: {exc}") from exc
-    return ck, run, env, shape, inf, pol, norm, rule
+        raise dataio.ParseError(f"{where} {text!r}: {exc}") from exc
+    return rule
 
 
 def _read_data(path: str, env=None) -> dataio.Dataset:
@@ -286,27 +293,28 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     run = load_config(args.config)
     ds = _read_data(args.data, run.env)
+    if ds.count(1) == 0:
+        raise dataio.ParseError(f"{args.data}: no positive rows; train learns from demonstrations")
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
 
     run_data = dataio.RunDataset(os.path.join(out_dir, "dataset.jsonl"), config_digest=run.digest)
 
     def checkpoint_cb(state):
-        it = state["iteration"]
-        digest = run_data.extend(state["dataset"])
-        warm = state["warm_start"]
+        digest = run_data.extend(state.dataset)
+        warm = state.warm_start
         extra = {
             "boundary": True,
             "warm_start": None if warm is None else list(map(float, warm)),
-            "metrics": state["metrics"],
+            "metrics": list(state.metrics),
             "dataset_path": run_data.path,
             "dataset_rows": len(run_data.lines),
         }
         ck = _checkpoint(
-            run, extra, inference_groups={}, margin=0.0, policy_groups=state["policy"].to_jsonable(),
-            norm={}, gan_iteration=it, rng_state=state["rng_state"], dataset_digest=digest,
+            run, extra, inference_groups={}, margin=0.0, policy_groups=state.policy.to_jsonable(),
+            norm={}, gan_iteration=state.iteration, rng_state=state.rng_state, dataset_digest=digest,
         )
-        dataio.save_checkpoint(ck, os.path.join(out_dir, f"ckpt_iter{it}.json"))
+        dataio.save_checkpoint(ck, os.path.join(out_dir, f"ckpt_iter{state.iteration}.json"))
 
     result = gan_loop(
         ds,
@@ -399,11 +407,7 @@ def cmd_adjust(args) -> int:
     if args.rollouts < 1:
         raise ConfigError(f"--rollouts must be a positive count, got {args.rollouts}")
     ck, run, env, shape, inf, pol, norm, existing_rule = _load_ckpt_parts(args.ckpt)
-    new_rule = stl.parse(args.conjoin, env.inference_names)
-    if stl.horizon(new_rule) > env.T:
-        raise dataio.InconsistentHorizon(
-            f"rule horizon {stl.horizon(new_rule)} exceeds environment horizon {env.T}"
-        )
+    new_rule = _parse_rule(args.conjoin, env, "--conjoin")
     rule = stl.conjoin(existing_rule, new_rule) if existing_rule else new_rule
     rule_text = stl.print_formula(rule)
     inf_before = inf.flatten()
@@ -504,7 +508,7 @@ def main(argv=None) -> int:
         stl.HorizonExceeded,
         stl.DimensionMismatch,
         ExpertFailure,
-        FileNotFoundError,
+        OSError,  # the message names the path
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -420,17 +420,46 @@ def train_policy(
 # --- adversarial alternation ------------------------------------------------------
 
 
-@dataclass
-class GanResult:
+@dataclass(frozen=True)
+class AdoptedRound:
+    """A round whose classifier separated the dataset it was trained on."""
     inference: InferenceParams
     margin: float
-    policy: PolicyParams
     formula: stl.Formula
-    dataset: Dataset  # what the adopted classifier was trained on
+    dataset: Dataset
+
+
+@dataclass(frozen=True)
+class GanResult(AdoptedRound):
+    """The last adopted round, and the loop's state when it stopped."""
+    policy: PolicyParams
     full_dataset: Dataset  # including any rollouts appended afterwards
     metrics: list[dict]
     norm: SignalNorm
     saturated: bool
+
+
+@dataclass(frozen=True)
+class LoopState:
+    """The adversarial loop at the top of round `iteration`: what a
+    boundary snapshot records (the RNG state, the policy, the dataset grown
+    so far, the metrics of the rounds run and the `warm_start`), plus the
+    adopted round's formula and dataset. `adopted` is None until a round
+    separates."""
+
+    iteration: int
+    rng_state: dict
+    policy: PolicyParams
+    dataset: Dataset
+    metrics: tuple[dict, ...]
+    adopted: AdoptedRound | None
+
+    @property
+    def warm_start(self) -> np.ndarray | None:
+        """The adopted classifier flattened, with its margin appended."""
+        if self.adopted is None:
+            return None
+        return np.append(self.adopted.inference.flatten(), self.adopted.margin)
 
 
 GENERATED_SOURCE = "policy_rollout"
@@ -459,6 +488,18 @@ def _generate_negatives(env, policy, env_pool, n, rng, tag) -> Dataset:
     return to_dataset(env, raws, [-1] * n, ids, [{"source": GENERATED_SOURCE, "round": tag}] * n)
 
 
+def initial_state(dataset0: Dataset, env, pol_cfg: PolicyTrainConfig, gan_cfg: GanConfig, rng) -> LoopState:
+    """The state at the top of round 1: a randomly initialized policy and,
+    if the dataset is positive-only, that policy's rollouts as negatives."""
+    policy = init_policy(PolicyShape.for_env(env, pol_cfg.hidden), seed=int(rng.integers(2**31)))
+    dataset = dataset0
+    if dataset.count(-1) == 0:
+        log.info("positive-only dataset: bootstrapping %d negatives from a random policy", gan_cfg.n_generate)
+        boot = _generate_negatives(env, policy, original_env_pool(dataset, env), gan_cfg.n_generate, rng, "boot")
+        dataset = dataset.extended(boot)
+    return LoopState(1, rng.bit_generator.state, policy, dataset, (), None)
+
+
 def gan_loop(
     dataset0: Dataset,
     env,
@@ -468,19 +509,20 @@ def gan_loop(
     gan_cfg: GanConfig,
     rng: np.random.Generator,
     checkpoint_cb=None,
-    resume: dict | None = None,
+    resume: LoopState | None = None,
 ) -> GanResult:
     """Alternate classifier and policy training, appending policy rollouts
     as fresh negatives after every round.
 
-    If the dataset is positive-only, rollouts of the randomly initialized
-    policy seed the negatives. Stops early once the freshly trained
-    classifier can no longer separate (smooth MCR above the threshold);
-    the last separating round is what the result reports. No environment
-    interaction happens here beyond re-sampling stored trajectories.
+    Runs from `resume`, else from `initial_state`. Stops early once a
+    classifier can no longer separate (smooth MCR above the threshold)
+    after an adopted round; the last separating round is what the result
+    reports. No environment interaction happens here beyond re-sampling
+    stored trajectories.
 
-    `checkpoint_cb(state: dict)` is invoked at the top of every iteration
-    with everything needed to resume; `resume` accepts such a state.
+    `checkpoint_cb(state: LoopState)` is invoked at the top of every round;
+    `resume` accepts such a state and continues exactly as the run that
+    made it would have.
     """
     if len(dataset0) == 0:
         raise EmptyDataset("need at least one demonstration")
@@ -489,52 +531,22 @@ def gan_loop(
     env_pool = original_env_pool(dataset0, env)
     norm = SignalNorm.from_arrays(dataset0.X)
     names = dataset0.dim_names
-
-    if resume is None:
-        policy = init_policy(PolicyShape.for_env(env, pol_cfg.hidden), seed=int(rng.integers(2**31)))
-        dataset = dataset0
-        if dataset.count(-1) == 0:
-            log.info("positive-only dataset: bootstrapping %d negatives from a random policy", gan_cfg.n_generate)
-            boot = _generate_negatives(env, policy, env_pool, gan_cfg.n_generate, rng, "boot")
-            dataset = dataset.extended(boot)
-        start_iter = 1
-        warm = None
-    else:
-        policy = resume["policy"]
-        dataset = resume["dataset"]
-        start_iter = resume["iteration"]
-        warm = resume["warm_start"]
-        rng.bit_generator.state = resume["rng_state"]
-
-    adopted = None
-    metrics: list[dict] = list(resume.get("metrics") or []) if resume else []
+    state = resume or initial_state(dataset0, env, pol_cfg, gan_cfg, rng)
+    rng.bit_generator.state = state.rng_state
     saturated = False
 
-    for it in range(start_iter, gan_cfg.max_iterations + 1):
+    for it in range(state.iteration, gan_cfg.max_iterations + 1):
         t0 = time.perf_counter()
         if checkpoint_cb is not None:
-            checkpoint_cb(
-                {
-                    "iteration": it,
-                    "rng_state": rng.bit_generator.state,
-                    "policy": policy,
-                    "dataset": dataset,
-                    "warm_start": warm,
-                    "metrics": list(metrics),
-                }
-            )
+            checkpoint_cb(state)
         seed_inf = int(rng.integers(2**63))
         seed_pol = int(rng.integers(2**63))
         seed_gen = int(rng.integers(2**63))
 
+        dataset = state.dataset
         inf_params, margin, info = train_inference(
-            dataset,
-            shape,
-            inf_cfg,
-            np.random.default_rng(seed_inf),
-            norm=norm,
-            warm_start=warm,
-            temp_scale=1.0 if it == start_iter and warm is None else gan_cfg.reheat,
+            dataset, shape, inf_cfg, np.random.default_rng(seed_inf), norm=norm, warm_start=state.warm_start,
+            temp_scale=1.0 if state.adopted is None else gan_cfg.reheat,
         )
         mcr_smooth = mcr(
             inf_params, dataset, shape=shape, norm=norm, tau=inf_cfg.tau_eval
@@ -550,23 +562,15 @@ def gan_loop(
             info["loss"],
         )
 
-        if it > start_iter and mcr_smooth > gan_cfg.stop_mcr:
+        if state.adopted is not None and mcr_smooth > gan_cfg.stop_mcr:
             # The policy's rollouts have become indistinguishable from the
             # demonstrations; keep the last round that still separated.
             log.info("stopping: classifier saturated (MCR %.3f)", mcr_smooth)
             saturated = True
             break
 
-        warm = info["flat"]
         policy = train_policy(
-            policy,
-            inf_params,
-            env,
-            env_pool,
-            pol_cfg,
-            np.random.default_rng(seed_pol),
-            shape=shape,
-            norm=norm,
+            state.policy, inf_params, env, env_pool, pol_cfg, np.random.default_rng(seed_pol), shape=shape, norm=norm
         )
 
         gen_rng = np.random.default_rng(seed_gen)
@@ -576,35 +580,23 @@ def gan_loop(
             np.mean(smooth_robustness(gen_X, inf_params, shape, inf_cfg.tau_eval))
         )
 
-        adopted = GanResult(
-            inference=inf_params,
-            margin=margin,
-            policy=policy,
-            formula=formula,
-            dataset=dataset,
-            full_dataset=dataset,
-            metrics=[],
-            norm=norm,
-            saturated=False,
-        )
-        metrics.append(
-            {
-                "iteration": it,
-                "mcr_smooth": mcr_smooth,
-                "mcr_exact": mcr_exact_val,
-                "mean_policy_robustness": mean_rob,
-                "loss": info["loss"],
-                "wall_time_s": time.perf_counter() - t0,
-                "dataset_size": len(dataset),
-            }
-        )
-        if it < gan_cfg.max_iterations:
+        row = {
+            "iteration": it,
+            "mcr_smooth": mcr_smooth,
+            "mcr_exact": mcr_exact_val,
+            "mean_policy_robustness": mean_rob,
+            "loss": info["loss"],
+            "wall_time_s": time.perf_counter() - t0,
+            "dataset_size": len(dataset),
+        }
+        state = LoopState(
+            iteration=it + 1, rng_state=rng.bit_generator.state, policy=policy,
             # these rollouts feed the next round's classifier
-            dataset = dataset.extended(generated)
+            dataset=dataset.extended(generated) if it < gan_cfg.max_iterations else dataset,
+            metrics=state.metrics + (row,), adopted=AdoptedRound(inf_params, margin, formula, dataset),
+        )
 
-    if adopted is None:
-        raise RuntimeError("classifier failed to separate on the first round")
-    adopted.metrics = metrics
-    adopted.full_dataset = dataset
-    adopted.saturated = saturated
-    return adopted
+    return GanResult(
+        **vars(state.adopted), policy=state.policy, full_dataset=state.dataset, metrics=list(state.metrics),
+        norm=norm, saturated=saturated,
+    )

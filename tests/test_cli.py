@@ -211,6 +211,16 @@ class TestTrainOutputs:
         code = main(["train", "--data", str(data), "--config", str(bad_cfg), "--out", str(tmp_path / "c.json")])
         assert code == EXIT_CONFIG
 
+    def test_data_without_positives_fails_before_writing(self, trained_driving, tmp_path, capsys):
+        # eval and extract read negative-only files such as negatives.jsonl; train needs demonstrations
+        root, data, config, ckpt = trained_driving
+        neg = tmp_path / "neg.jsonl"
+        neg.write_text("".join(line for line in data.read_text().splitlines(True) if json.loads(line)["label"] < 0))
+        out = tmp_path / "run" / "ckpt.json"
+        assert main(["train", "--data", str(neg), "--config", str(config), "--out", str(out)]) == EXIT_DATA
+        assert f"{neg}: no positive rows" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 BAD_CONFIGS = {
     # the option each config gets wrong, and the config
@@ -525,6 +535,13 @@ class TestAdjust:
         ])
         assert code == EXIT_DATA
 
+    def test_bad_rule_error_names_the_option(self, trained_driving, tmp_path, capsys):
+        root, data, config, ckpt = trained_driving
+        out = tmp_path / "adjusted" / "ckpt.json"
+        assert main(["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,5](dA<=1)", "--out", str(out)]) == EXIT_DATA
+        assert "--conjoin 'G[0,5](dA<=1)': unknown variable 'dA'" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestCheckpointKinds:
     def test_boundary_snapshot_is_data_error_naming_the_file(self, trained, tmp_path, capsys):
@@ -549,6 +566,22 @@ class TestCheckpointKinds:
             code = main(["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(tmp_path / "r.csv")])
             assert code == EXIT_DATA
             assert str(bad) in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("cmd", ["gen-data", "extract", "rollout", "train"])
+    def test_directory_as_out_is_data_error_naming_it(self, trained, tmp_path, capsys, cmd):
+        root, data, config, ckpt = trained
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "gen-data": ["gen-data", "--env", "unicycle", "--n", "2"],
+            "extract": ["extract", "--ckpt", str(ckpt)],
+            "rollout": ["rollout", "--ckpt", str(ckpt), "--n", "2"],
+            "train": ["train", "--data", str(data), "--config", str(config)],
+        }[cmd]
+        assert main(argv + ["--out", str(out)]) == EXIT_DATA
+        assert str(out) in capsys.readouterr().err
 
 
 def _trim_w_in(doc):

@@ -503,6 +503,19 @@ TINY_POL = PolicyTrainConfig(batch_m=4, lr=0.05, steps=25, hidden=6)
 TINY_GAN = GanConfig(n_generate=6, max_iterations=2, stop_mcr=1.0)
 
 
+def assert_same_result(a, b):
+    """Two loop results agree in everything but their wall times."""
+    assert np.array_equal(a.inference.flatten(), b.inference.flatten())
+    assert a.margin == b.margin
+    assert np.array_equal(a.policy.flatten(), b.policy.flatten())
+    assert stl.print_formula(a.formula) == stl.print_formula(b.formula)
+    assert a.saturated == b.saturated
+    timeless = [[{k: v for k, v in row.items() if k != "wall_time_s"} for row in r.metrics] for r in (a, b)]
+    assert timeless[0] == timeless[1]
+    assert a.dataset.ids == b.dataset.ids
+    assert a.full_dataset.ids == b.full_dataset.ids
+
+
 class TestGanLoop:
     def test_bootstrap_and_growth(self):
         env = UnicycleEnv()
@@ -541,35 +554,52 @@ class TestGanLoop:
         env = UnicycleEnv()
         ds0 = env.gen_expert(8, np.random.default_rng(61))
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=20, dim=4, tau=0.1)
+        # at stop_mcr -1 every round after the first saturates
+        for stop_mcr in (1.0, -1.0):
+            gan = GanConfig(n_generate=6, max_iterations=2, stop_mcr=stop_mcr)
+            states = []
+            full = gan_loop(
+                ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(67), checkpoint_cb=states.append
+            )
+            assert [s.iteration for s in states] == [1, 2]
+            assert full.saturated == (stop_mcr < 0)
+            for snap in states:
+                # the generator's state is overwritten by the snapshot's
+                resumed = gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(1234), resume=snap)
+                assert_same_result(resumed, full)
+
+    def test_resumed_run_adopts_the_rounds_an_uninterrupted_one_does(self):
+        # a run resumed after an adopted round still checks that round's
+        # successor for saturation, and so stops where the uninterrupted run does
+        env = UnicycleEnv()
+        ds0 = env.gen_expert(12, np.random.default_rng(61))
+        shape = NetworkShape(n_pred=2, n_conj=1, horizon=20, dim=4, tau=0.1)
+        gan = GanConfig(n_generate=6, max_iterations=4, stop_mcr=-1.0)
         states = []
-        full = gan_loop(
-            ds0,
-            env,
-            shape,
-            TINY_INF,
-            TINY_POL,
-            TINY_GAN,
-            np.random.default_rng(67),
-            checkpoint_cb=states.append,
-        )
-        # resume from the iteration-2 boundary
-        snap = next(s for s in states if s["iteration"] == 2)
-        resumed = gan_loop(
-            ds0,
-            env,
-            shape,
-            TINY_INF,
-            TINY_POL,
-            TINY_GAN,
-            np.random.default_rng(1234),  # state is overwritten by the snapshot
-            resume=snap,
-        )
-        assert np.array_equal(resumed.inference.flatten(), full.inference.flatten())
-        assert np.array_equal(resumed.policy.flatten(), full.policy.flatten())
-        assert stl.print_formula(resumed.formula) == stl.print_formula(full.formula)
-        for ra, rb in zip(resumed.metrics, full.metrics):
-            assert ra["mcr_smooth"] == rb["mcr_smooth"]
-            assert ra["loss"] == rb["loss"]
+        full = gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(67), checkpoint_cb=states.append)
+        snap = next(s for s in states if s.iteration == 2)
+        resumed = gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(0), resume=snap)
+        assert len(full.metrics) == len(resumed.metrics) == 1
+        assert full.saturated and resumed.saturated
+        assert_same_result(resumed, full)
+        # the snapshot warm-starts from the one adopted round
+        assert np.array_equal(snap.warm_start, np.append(full.inference.flatten(), full.margin))
+
+    def test_only_a_round_before_any_adoption_anneals_unreheated(self, monkeypatch):
+        env = UnicycleEnv()
+        ds0 = env.gen_expert(8, np.random.default_rng(61))
+        shape = NetworkShape(n_pred=2, n_conj=1, horizon=20, dim=4, tau=0.1)
+        gan = GanConfig(n_generate=6, max_iterations=2, stop_mcr=1.0, reheat=0.25)
+        scales = []
+        fit = train.train_inference
+        monkeypatch.setattr(train, "train_inference", lambda *a, **kw: scales.append(kw["temp_scale"]) or fit(*a, **kw))
+        states = []
+        gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(67), checkpoint_cb=states.append)
+        assert scales == [1.0, 0.25]
+        for snap, rest in zip(states, ([1.0, 0.25], [0.25])):
+            scales.clear()
+            gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(0), resume=snap)
+            assert scales == rest
 
     def test_empty_dataset_rejected(self):
         env = UnicycleEnv()
