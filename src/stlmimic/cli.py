@@ -35,7 +35,7 @@ from itertools import compress
 
 import numpy as np
 
-from . import dataio, stl
+from . import dataio, stl, train
 from .dataio import Checkpoint, config_digest
 from .envs import ExpertFailure, NonFiniteState, make_env, rollout
 from .inference import (
@@ -243,9 +243,9 @@ def _read_data(path: str, env=None) -> dataio.Dataset:
 
 def _env_pool(ck: Checkpoint, env, data_path):
     """Environment trajectories that rollouts of a checkpoint's policy draw
-    from: the original rows of `data_path`, else of the checkpoint's
-    augmented dataset. Empty for an environment without them; a given
-    `data_path` is still read and checked for it."""
+    from: the demonstration rows of `data_path`, else of the checkpoint's
+    augmented dataset; a file without any is a ParseError naming it. Empty
+    for an environment without them, though a given `data_path` is still read and checked."""
     if data_path is None:
         if env.n_env == 0:
             return []
@@ -253,7 +253,19 @@ def _env_pool(ck: Checkpoint, env, data_path):
         if not data_path or not os.path.exists(data_path):
             gone = f"; the checkpoint's dataset {data_path} does not exist" if data_path else ""
             raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
-    return original_env_pool(_read_data(data_path, env), env)
+    try:
+        return original_env_pool(_read_data(data_path, env), env)
+    except train.EmptyDataset as exc:
+        raise dataio.ParseError(f"{data_path}: {exc}") from exc
+
+
+def _out_dir(path: str) -> str:
+    """The directory of the output file `path`, made if missing; refuses a directory as --out."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    out_dir = os.path.dirname(os.path.abspath(path))
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, path: str, tag: str) -> None:
@@ -278,8 +290,6 @@ def cmd_gen_data(args) -> int:
     env = make_env(args.env)
     digest = config_digest({"cmd": "gen-data", "env": args.env, "n": args.n, "seed": args.seed})
     if args.env == "unicycle":
-        if args.negatives:
-            raise ConfigError("unicycle datasets are positive-only demonstrations")
         ds = env.gen_expert(args.n, rng)
     else:
         if args.n % 4 != 0:
@@ -295,8 +305,7 @@ def cmd_train(args) -> int:
     ds = _read_data(args.data, run.env)
     if ds.count(1) == 0:
         raise dataio.ParseError(f"{args.data}: no positive rows; train learns from demonstrations")
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     run_data = dataio.RunDataset(os.path.join(out_dir, "dataset.jsonl"), config_digest=run.digest)
 
@@ -412,6 +421,7 @@ def cmd_adjust(args) -> int:
     rule_text = stl.print_formula(rule)
     inf_before = inf.flatten()
     env_pool = _env_pool(ck, env, args.data)
+    out_dir = _out_dir(args.out)
 
     if args.retrain:
         rng = np.random.default_rng([run.seed, 777])
@@ -419,8 +429,6 @@ def cmd_adjust(args) -> int:
 
     if not np.array_equal(inf.flatten(), inf_before):
         raise RuntimeError("the classifier changed while the policy retrained")
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
     ck2 = dataclasses.replace(
         ck,
         policy_groups=pol.to_jsonable(),
@@ -451,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--negatives", action="store_true", help="driving includes negatives by construction")
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("train", help="run the adversarial training loop")

@@ -12,9 +12,9 @@ Config digests are FNV-1a over the canonical JSON.
 
 In memory a dataset is one `Dataset`: a single float block `X` of shape
 (N, T+1, n_agent + n_env) with the agent columns first, a +-1 label array,
-and per-row `ids` and `metas`. `extended` and `select` build new blocks but
-share the rows' meta dicts, so a key set on a row's meta shows in every
-dataset that holds the row.
+and per-row `ids` and `metas`. `extended` builds a new block but shares
+the rows' meta dicts, so a key set on a row's meta shows in every dataset
+that holds the row.
 
 Each dataset file is parsed once. `load_dataset` keeps the `Dataset` it
 parsed from a regular file in a binary sidecar next to it: `.NAME.npz` for
@@ -46,7 +46,6 @@ import os
 import stat
 import zipfile
 from dataclasses import dataclass, field, fields
-from itertools import compress
 
 import numpy as np
 
@@ -142,14 +141,6 @@ class Dataset:
         return Dataset(
             np.concatenate([self.X, more.X]), np.concatenate([self.labels, more.labels]),
             self.ids + more.ids, self.metas + more.metas, self.agent_names, self.env_names,
-        )
-
-    def select(self, mask) -> "Dataset":
-        """The rows where the boolean `mask` is true, sharing their meta dicts."""
-        mask = np.asarray(mask, dtype=bool)
-        return Dataset(
-            self.X[mask], self.labels[mask], list(compress(self.ids, mask)),
-            list(compress(self.metas, mask)), self.agent_names, self.env_names,
         )
 
 
@@ -303,18 +294,28 @@ def _write_sidecar(ds: Dataset, path: str, sha: str) -> None:
     finds a whole sidecar or none. A failure to write is logged and leaves
     no file."""
     head = json.dumps({"ids": ds.ids, "metas": ds.metas, "names": [ds.agent_names, ds.env_names]})
-    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with _replacing(path, f"{path}.{os.getpid()}.tmp") as fh:
             np.savez(
                 fh, version=SIDECAR_VERSION, sha256=sha, X=ds.X, labels=ds.labels,
                 head=np.frombuffer(head.encode("utf-8"), dtype=np.uint8),
             )
-        os.replace(tmp, path)
     except OSError as exc:
         log.debug("%s: sidecar not written: %s", path, exc)
+
+
+@contextlib.contextmanager
+def _replacing(path: str, tmp: str):
+    """The file `tmp`, open for writing bytes, renamed to `path` once
+    written. A failure to write or rename removes `tmp` and is raised."""
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise
 
 
 def _parse_lines(path: str, lines) -> Dataset:
@@ -440,12 +441,11 @@ class Checkpoint:
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
+    """Write `ck` to `path` through `path`.tmp (`_replacing`)."""
     # shallow: dataclasses.asdict would deep-copy every parameter list
     obj = {f.name: getattr(ck, f.name) for f in fields(Checkpoint)}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True))  # json.dump never uses the C encoder
-    os.replace(tmp, path)
+    with _replacing(path, path + ".tmp") as fh:
+        fh.write(json.dumps(obj, sort_keys=True).encode("utf-8"))  # json.dump never uses the C encoder
 
 
 # what each annotation of a Checkpoint field admits in a loaded JSON
@@ -498,15 +498,13 @@ def _row_end(tag) -> str:
     return buf.getvalue()
 
 
-def export_rollouts(trajectories, dim_names, path: str, tags=None, comment: str | None = None) -> None:
-    """CSV rows (traj_id, t, *dims, tag) for downstream plotting. Bytes are
-    those of csv.writer with each value written as repr(float(v))."""
+def export_rollouts(trajectories, dim_names, path: str, tags, comment: str) -> None:
+    """A `# comment` line, then CSV rows (traj_id, t, *dims, tag) for plotting.
+    Bytes are those of csv.writer with each value written as repr(float(v))."""
     if len(trajectories) == 0:
         raise IoError("no trajectories to export")
-    tags = tags if tags is not None else ["rollout"] * len(trajectories)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         csv.writer(fh).writerow(["traj_id", "t"] + list(dim_names) + ["tag"])
         for i, (arr, tag) in enumerate(zip(trajectories, tags)):
             end = _row_end(tag)

@@ -356,15 +356,9 @@ class DrivingEnv:
     def step_partials(self, x, u):
         return ego_partials(x)
 
-    def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
-        """One initial state (2,) at rest, or m of them (m, 2) from one
-        draw: the same values, and the same generator state, as m single
-        draws."""
-        if m is None:
-            return np.array([rng.uniform(*self.init_pos), 0.0])
-        x = np.zeros((m, 2))
-        x[:, 0] = rng.uniform(*self.init_pos, size=m)
-        return x
+    def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
+        """One initial state (2,) at rest."""
+        return np.array([rng.uniform(*self.init_pos), 0.0])
 
     def inference_map(self, raw, vjp: bool = False):
         """The identity on raw states, and with vjp its VJP."""

@@ -157,7 +157,7 @@ def init_inference(shape: NetworkShape, rng: np.random.Generator) -> InferencePa
     )
 
 
-def param_bounds(shape: NetworkShape, pred_bound: float = 3.0, gate_bound: float = 6.0):
+def param_bounds(shape: NetworkShape, pred_bound: float, gate_bound: float):
     """(lo, hi) arrays aligned with InferenceParams.flatten(): each group's
     bounds, repeated over its entries, in field order."""
     pred, win, gate = (-pred_bound, pred_bound), (0.0, float(shape.horizon)), (-gate_bound, gate_bound)
@@ -351,16 +351,13 @@ def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, 
     return scores, grad
 
 
-def combined_smooth(X, params, shape, rule: Formula | None, vjp: bool = False):
+def combined_smooth(X, params, shape, rule: Formula | None):
     """Network scores at the shape's temperature, optionally conjoined with
     an injected rule (in normalized coordinates, smooth robustness at t=0)
-    through a smooth minimum. With vjp, (scores, grad) as for
+    through a smooth minimum, as (scores, grad) with grad as for
     `smooth_robustness`."""
     if rule is None:
-        return smooth_robustness(X, params, shape, vjp=vjp)
-    if not vjp:
-        net = smooth_robustness(X, params, shape)
-        return smin(np.stack([net, stl.robustness_trace(X, rule, shape.tau)[:, 0]]), shape.tau, 0)
+        return smooth_robustness(X, params, shape, vjp=True)
     net, net_grad = smooth_robustness(X, params, shape, vjp=True)
     trace, trace_grad = stl.robustness_trace(X, rule, shape.tau, vjp=True)
     scores, scores_grad = smin(np.stack([net, trace[:, 0]]), shape.tau, 0, True)

@@ -121,13 +121,11 @@ def mcr(
 # --- inference loss -------------------------------------------------------------
 
 
-def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin, cfg, vjp=False):
+def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin, cfg):
     """Hinge-with-margin classification loss plus gate regularization,
-    minus a reward for a large margin. With vjp, (loss, grad), where
-    grad(g) is (an InferenceParams of parameter gradients, the margin's
-    gradient) for an adjoint g of the loss."""
-    if not vjp:
-        return _loss_of_scores(smooth_robustness(X_norm, params, shape), labels, params, margin, cfg)
+    minus a reward for a large margin, as (loss, grad), where grad(g) is
+    (an InferenceParams of parameter gradients, the margin's gradient) for
+    an adjoint g of the loss."""
     scores, scores_grad = smooth_robustness(X_norm, params, shape, vjp=True)
     loss, loss_grad = _loss_of_scores(scores, labels, params, margin, cfg, vjp=True)
 
@@ -163,7 +161,7 @@ def _loss_of_scores(vals, labels, params: InferenceParams, margin, cfg, vjp=Fals
 
 
 def annealing_objective(X_norm, labels, template: InferenceParams, shape: NetworkShape, cfg):
-    """Value-only `inference_loss` of flat (classifier, margin) vectors laid
+    """The value of `inference_loss` at flat (classifier, margin) vectors laid
     out like `template` plus a trailing margin; the parameters are views of
     the vector.
 
@@ -225,7 +223,7 @@ def train_inference(
     Global search uses Cauchy-distributed proposal moves with geometric
     cooling and Metropolis acceptance; after every epoch the incumbent is
     polished with minibatch gradient descent. Deterministic per rng.
-    Returns (params, margin, info).
+    Returns (params, margin, loss).
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -259,10 +257,8 @@ def train_inference(
 
     span = hi - lo
     temp = cfg.initial_temp * temp_scale
-    proposals = 0
-    while proposals < cfg.max_proposals:
-        for _ in range(min(cfg.epoch_len, cfg.max_proposals - proposals)):
-            proposals += 1
+    for start in range(0, cfg.max_proposals, cfg.epoch_len):
+        for _ in range(min(cfg.epoch_len, cfg.max_proposals - start)):
             u = rng.uniform(size=current.size)
             step = 0.1 * span * temp * np.tan(math.pi * (u - 0.5))
             if rng.random() < 0.5:
@@ -302,14 +298,7 @@ def train_inference(
                 if trial_loss <= best_loss:
                     best, best_loss = trial.copy(), trial_loss
 
-    params = template.with_flat(best[:-1].copy())  # not a view of info["flat"]
-    margin = float(best[-1])
-    info = {
-        "proposals": proposals,
-        "loss": best_loss,
-        "flat": best,
-    }
-    return params, margin, info
+    return template.with_flat(best[:-1]), float(best[-1]), best_loss
 
 
 def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
@@ -321,7 +310,7 @@ def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
     for _ in range(cfg.refine_steps):
         idx = rng.choice(n, size=batch, replace=False)
         params = template.with_flat(vec[:-1])
-        _, loss_grad = inference_loss(X[idx], labels[idx], params, shape, vec[-1], cfg, vjp=True)
+        _, loss_grad = inference_loss(X[idx], labels[idx], params, shape, vec[-1], cfg)
         g_params, g_margin = loss_grad(1.0)
         vec = np.clip(vec - cfg.refine_lr * np.append(g_params.flatten(), g_margin), lo, hi)
     return vec
@@ -339,9 +328,8 @@ class Adam:
         self.v = np.zeros(n)
         self.t = 0
 
-    def step(self, x: np.ndarray, grad: np.ndarray, maximize: bool = False) -> np.ndarray:
+    def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.t += 1
-        g = grad if not maximize else -grad
         self.m = self.b1 * self.m + (1 - self.b1) * g
         self.v = self.b2 * self.v + (1 - self.b2) * g * g
         mh = self.m / (1 - self.b1**self.t)
@@ -349,22 +337,18 @@ class Adam:
         return x - self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, vjp=False):
+def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
     """Mean smooth robustness of closed-loop rollouts of the policy from
     `samples` (initial states, environment trajectories), optionally
-    conjoined with a rule in raw units. With vjp, (objective, grad), where
-    grad(g) is a PolicyParams of the policy's gradients for an adjoint g;
-    the classifier's own gradient is dropped, so it cannot drift here."""
+    conjoined with a rule in raw units, as (objective, grad), where grad(g)
+    is a PolicyParams of the policy's gradients for an adjoint g; the
+    classifier's own gradient is dropped, so it cannot drift here."""
     x0s, env_trajs = samples
     rule_n = normalize_formula(rule, norm) if rule is not None else None
-    if not vjp:
-        X = norm.apply(env.inference_map(rollout(env, policy, x0s, env_trajs)))
-        scores = combined_smooth(X, inf_params, shape, rule_n)
-        return np.sum(scores) / scores.size
     raw, raw_grad = rollout(env, policy, x0s, env_trajs, vjp=True)
     mapped, map_grad = env.inference_map(raw, vjp=True)
     X, norm_grad = norm.apply(mapped, vjp=True)
-    scores, scores_grad = combined_smooth(X, inf_params, shape, rule_n, vjp=True)
+    scores, scores_grad = combined_smooth(X, inf_params, shape, rule_n)
 
     def grad(g):
         _, gX = scores_grad(np.full(scores.shape, g / scores.size))
@@ -375,11 +359,11 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None, v
 
 def _draw_samples(env, env_pool, m, rng):
     """m initial states (m, n_a) and m environment trajectories
-    (m, T+1, n_e). With a pool, each state is drawn with its pool row, one
-    pair at a time; without one, the states come from one draw and the
-    environment trajectories are all zeros."""
+    (m, T+1, n_e). A static environment's states come from one draw and
+    its trajectories are empty; any other's states are drawn one at a
+    time, each with a row of the pool `original_env_pool` gives."""
     env_trajs = np.zeros((m, env.T + 1, env.n_env))
-    if len(env_pool) == 0:
+    if env.n_env == 0:
         return env.sample_initial(rng, m), env_trajs
     x0s = np.zeros((m, env.n_agent))
     for i in range(m):
@@ -410,10 +394,8 @@ def train_policy(
     opt = Adam(flat.size, cfg.lr, cfg.betas)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
-        _, objective_grad = policy_objective(
-            policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule, vjp=True
-        )
-        flat = opt.step(flat, objective_grad(1.0).flatten(), maximize=True)
+        _, objective_grad = policy_objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule)
+        flat = opt.step(flat, -objective_grad(1.0).flatten())  # ascent
     return policy0.with_flat(flat)  # flat is this call's own array
 
 
@@ -471,15 +453,18 @@ def generated_rows(dataset: Dataset) -> np.ndarray:
 
 
 def original_env_pool(dataset: Dataset, env):
-    """Environment trajectories (N, T+1, n_e) of the non-generated rows
-    only; an empty list for a static environment."""
+    """Environment trajectories (N, T+1, n_e) of the demonstration rows (not
+    policy rollouts), an EmptyDataset if there are none; [] for a static environment."""
     if env.n_env == 0:
         return []
     if dataset.horizon != env.T:
         raise InconsistentHorizon(
             f"dataset horizon {dataset.horizon} != environment horizon {env.T}"
         )
-    return dataset.X[~generated_rows(dataset), :, len(dataset.agent_names) :]
+    pool = dataset.X[~generated_rows(dataset), :, len(dataset.agent_names) :]
+    if len(pool) == 0:
+        raise EmptyDataset("no demonstration rows to draw environment trajectories from")
+    return pool
 
 
 def _generate_negatives(env, policy, env_pool, n, rng, tag) -> Dataset:
@@ -544,7 +529,7 @@ def gan_loop(
         seed_gen = int(rng.integers(2**63))
 
         dataset = state.dataset
-        inf_params, margin, info = train_inference(
+        inf_params, margin, loss = train_inference(
             dataset, shape, inf_cfg, np.random.default_rng(seed_inf), norm=norm, warm_start=state.warm_start,
             temp_scale=1.0 if state.adopted is None else gan_cfg.reheat,
         )
@@ -554,13 +539,7 @@ def gan_loop(
         formula = extract_formula(inf_params, shape, norm, names)
         formula = simplify(formula, dataset.X, names, dataset.labels)
         mcr_exact_val = exact_mcr(formula, dataset.X, names, dataset.labels)
-        log.info(
-            "iteration %d: smooth MCR %.4f, exact MCR %.4f, loss %.4f",
-            it,
-            mcr_smooth,
-            mcr_exact_val,
-            info["loss"],
-        )
+        log.info("iteration %d: smooth MCR %.4f, exact MCR %.4f, loss %.4f", it, mcr_smooth, mcr_exact_val, loss)
 
         if state.adopted is not None and mcr_smooth > gan_cfg.stop_mcr:
             # The policy's rollouts have become indistinguishable from the
@@ -585,7 +564,7 @@ def gan_loop(
             "mcr_smooth": mcr_smooth,
             "mcr_exact": mcr_exact_val,
             "mean_policy_robustness": mean_rob,
-            "loss": info["loss"],
+            "loss": loss,
             "wall_time_s": time.perf_counter() - t0,
             "dataset_size": len(dataset),
         }

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ class TestGenData:
         code = main(["gen-data", "--env", "unicycle", "--n", "2", "--seed", "-1", "--out", str(out)])
         assert code == EXIT_CONFIG and not out.exists()
         assert "--seed" in capsys.readouterr().err
+
+    def test_negatives_flag_is_a_usage_error(self, tmp_path, capsys):
+        # a driving dataset holds its negatives by construction; there is no flag for them
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--env", "driving", "--n", "4", "--negatives", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG and not out.exists()
+        assert "--negatives" in capsys.readouterr().err
 
     def test_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "sp.jsonl"
@@ -280,7 +289,9 @@ class TestRunDataset:
         (root, data, config, ckpt), result = trained_with_result
         digest = dataio.load_checkpoint(str(ckpt)).extra["config_digest"]
         full = result.full_dataset
-        negatives = full.select(generated_rows(full))
+        negatives = dataio.load_dataset(str(ckpt.parent / "negatives.jsonl"))
+        generated = generated_rows(full)
+        assert negatives.ids == list(compress(full.ids, generated)) and np.array_equal(negatives.X, full.X[generated])
         for name, ds in (("dataset_augmented.jsonl", result.dataset), ("negatives.jsonl", negatives)):
             dataio.save_dataset(ds, str(tmp_path / name), config_digest=digest)
             assert (ckpt.parent / name).read_bytes() == (tmp_path / name).read_bytes(), name
@@ -569,9 +580,12 @@ class TestCheckpointKinds:
 
 
 class TestOutputPaths:
-    @pytest.mark.parametrize("cmd", ["gen-data", "extract", "rollout", "train"])
-    def test_directory_as_out_is_data_error_naming_it(self, trained, tmp_path, capsys, cmd):
+    @pytest.mark.parametrize("cmd", ["gen-data", "extract", "rollout", "train", "adjust"])
+    def test_directory_as_out_is_data_error_naming_it(self, trained, tmp_path, capsys, monkeypatch, cmd):
+        """Nothing is written: train and adjust refuse the path before they
+        train, and leave no run files or temporary checkpoint beside it."""
         root, data, config, ckpt = trained
+        monkeypatch.setattr(cli, "train_policy", lambda *a, **kw: pytest.fail("retrained before checking --out"))
         out = tmp_path / "out"
         out.mkdir()
         argv = {
@@ -579,9 +593,11 @@ class TestOutputPaths:
             "extract": ["extract", "--ckpt", str(ckpt)],
             "rollout": ["rollout", "--ckpt", str(ckpt), "--n", "2"],
             "train": ["train", "--data", str(data), "--config", str(config)],
+            "adjust": ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,20](dO >= 1.5)", "--retrain"],
         }[cmd]
         assert main(argv + ["--out", str(out)]) == EXIT_DATA
         assert str(out) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"] and not any(out.iterdir())
 
 
 def _trim_w_in(doc):
@@ -763,6 +779,21 @@ class TestEnvironmentPool:
             assert main(argv + ["--data", str(bad)]) == EXIT_DATA, argv[0]
             assert str(bad) in capsys.readouterr().err, argv[0]
         assert not out.parent.exists()
+
+    def test_rollouts_alone_are_data_error_naming_the_file(self, trained_driving, tmp_path, capsys):
+        """Policy rollouts hold no demonstration to draw a lead car from, so
+        a driving rollout or retrain given only them writes nothing."""
+        root, data, config, ckpt = trained_driving
+        negatives = ckpt.parent / "negatives.jsonl"
+        assert not any(dataio.load_dataset(str(negatives)).labels > 0)
+        out = tmp_path / "out"
+        for argv in (
+            ["rollout", "--ckpt", str(ckpt), "--n", "2", "--out", str(out / "r.csv")],
+            ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--retrain", "--out", str(out / "c.json")],
+        ):
+            assert main(argv + ["--data", str(negatives)]) == EXIT_DATA, argv[0]
+            assert f"{negatives}: no demonstration rows" in capsys.readouterr().err, argv[0]
+        assert not out.exists()
 
     def test_adjust_retrain_reads_the_dataset_once(self, trained_driving, tmp_path, monkeypatch):
         root, data, config, ckpt = trained_driving

@@ -89,14 +89,16 @@ class TestDatasetRoundtrip:
         assert again.read_bytes() == data
 
     def test_extended_and_select_share_the_meta_dicts(self):
-        ds = small_dataset()
-        both = ds.extended(small_dataset(n=2, seed=1))
-        picked = both.select(both.labels < 0)
-        assert picked.ids == ["t1", "t3", "t5", "t1"] and picked.count(1) == 0
+        """`extended`, the one builder of a dataset from others' rows, keeps
+        their order and blocks and shares their meta dicts."""
+        ds, more = small_dataset(), small_dataset(n=2, seed=1)
+        both = ds.extended(more)
+        assert both.ids == ds.ids + more.ids and both.labels.tolist() == ds.labels.tolist() + more.labels.tolist()
+        assert np.array_equal(both.X, np.concatenate([ds.X, more.X]))
+        assert all(a is b for a, b in zip(both.metas, ds.metas + more.metas))
         for meta in both.metas:
             meta["seen"] = True
-        assert all(m["seen"] for m in ds.metas + picked.metas)
-        assert np.array_equal(picked.X, both.X[both.labels < 0])
+        assert all(m["seen"] for m in ds.metas + more.metas)
 
     def test_constructor_checks(self):
         ds = small_dataset(n=2)
@@ -302,10 +304,11 @@ class TestSidecar:
 
 class TestRunDataset:
     def test_grows_to_the_bytes_save_dataset_writes(self, tmp_path):
-        ds = small_dataset()
+        head = small_dataset(n=2)
+        ds = head.extended(small_dataset(n=4, seed=1))
         ds.metas[0]["config_digest"] = "kept"
         run = RunDataset(str(tmp_path / "run.jsonl"), config_digest="stamped")
-        digests = [run.extend(ds.select(np.arange(6) < 2)), run.extend(ds), run.extend(ds)]
+        digests = [run.extend(head), run.extend(ds), run.extend(ds)]
         whole = (tmp_path / "run.jsonl").read_bytes()
         assert save_dataset(ds, str(tmp_path / "saved.jsonl"), config_digest="stamped") == digests[-1]
         assert (tmp_path / "saved.jsonl").read_bytes() == whole == b"".join(run.lines)
@@ -354,6 +357,22 @@ class TestCheckpoint:
         want = json.dumps({f.name: getattr(ck, f.name) for f in fields(Checkpoint)}, sort_keys=True)
         assert path.read_text(encoding="utf-8") == want
 
+    def test_failed_write_or_rename_leaves_no_temporary_file(self, tmp_path):
+        # the rename fails: the path is a directory
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(self._ck(), str(tmp_path / "dir"))
+        assert sorted(os.listdir(tmp_path)) == ["dir"]
+        # the write fails part way: a value JSON cannot encode; the old file stays
+        path = tmp_path / "ck.json"
+        save_checkpoint(self._ck(), str(path))
+        before = path.read_bytes()
+        bad = self._ck()
+        bad.extra = {"not json": object()}
+        with pytest.raises(TypeError):
+            save_checkpoint(bad, str(path))
+        assert sorted(os.listdir(tmp_path)) == ["ck.json", "dir"] and path.read_bytes() == before
+
     def test_corrupted_raises_parse_error(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text('{"version": 1, "env": ')
@@ -374,8 +393,8 @@ class TestExport:
     def test_row_count_and_order(self, tmp_path):
         rollouts = [np.random.default_rng(i).uniform(size=(21, 3)) for i in range(3)]
         path = tmp_path / "r.csv"
-        export_rollouts(rollouts, ("x", "y", "z"), str(path), tags=["a", "b", "c"])
-        lines = path.read_text().strip().split("\n")
+        export_rollouts(rollouts, ("x", "y", "z"), str(path), tags=["a", "b", "c"], comment="c")
+        lines = path.read_text().strip().split("\n")[1:]
         assert lines[0] == "traj_id,t,x,y,z,tag"
         assert len(lines) == 1 + 3 * 21
         first = lines[1].split(",")
@@ -384,8 +403,8 @@ class TestExport:
     def test_deterministic_bytes(self, tmp_path):
         rollouts = [np.linspace(0, 1, 12).reshape(4, 3)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_rollouts(rollouts, ("x", "y", "z"), str(p1))
-        export_rollouts(rollouts, ("x", "y", "z"), str(p2))
+        export_rollouts(rollouts, ("x", "y", "z"), str(p1), tags=["r"], comment="c")
+        export_rollouts(rollouts, ("x", "y", "z"), str(p2), tags=["r"], comment="c")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bytes_match_csv_writer(self, tmp_path):
@@ -411,11 +430,11 @@ class TestExport:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(IoError):
-            export_rollouts([], ("x",), str(tmp_path / "no.csv"))
+            export_rollouts([], ("x",), str(tmp_path / "no.csv"), tags=[], comment="c")
 
     def test_comment_line(self, tmp_path):
         path = tmp_path / "c.csv"
-        export_rollouts([np.zeros((2, 1))], ("x",), str(path), comment="config=deadbeef")
+        export_rollouts([np.zeros((2, 1))], ("x",), str(path), tags=["r"], comment="config=deadbeef")
         assert path.read_text().startswith("# config=deadbeef\n")
 
 

@@ -127,11 +127,11 @@ class TestSmoothRobustness:
 
         def loss(p):
             params, margin = split(p)
-            return inference_loss(X, labels, params, shape, margin, cfg)
+            return inference_loss(X, labels, params, shape, margin, cfg)[0]
 
         def loss_grad(p):
             params, margin = split(p)
-            g_params, g_margin = inference_loss(X, labels, params, shape, margin, cfg, vjp=True)[1](1.0)
+            g_params, g_margin = inference_loss(X, labels, params, shape, margin, cfg)[1](1.0)
             return ParamVector(**vars(g_params), margin=np.array([g_margin]))
 
         assert finite_diff_check(loss, loss_grad, pv_m, h=1e-5) < 1e-3
@@ -218,7 +218,7 @@ class TestInjectedRule:
         params = encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         rule = parse("G[0,3](x0 < 100)", ("x0",))
         X = np.full((1, 4, 1), 0.5)
-        combined = combined_smooth(X, params, shape, rule)
+        combined, _ = combined_smooth(X, params, shape, rule)
         alone = smooth_robustness(X, params, shape)
         assert combined[0] == pytest.approx(alone[0], abs=1e-6)
 
@@ -228,7 +228,7 @@ class TestInjectedRule:
         params = encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         rule = parse("G[0,3](x0 < 0.2)", ("x0",))
         X = np.full((1, 4, 1), 0.5)
-        combined = combined_smooth(X, params, shape, rule)[0]
+        combined = combined_smooth(X, params, shape, rule)[0][0]
         assert combined == pytest.approx(0.2 - 0.5, abs=0.02)
 
     def test_smooth_formula_tracks_exact(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from stlmimic.inference import (
     SignalNorm,
     exact_mcr,
     init_inference,
+    normalize_formula,
     param_bounds,
     smooth_robustness,
 )
@@ -29,6 +31,7 @@ from stlmimic.train import (
     gan_loop,
     inference_loss,
     mcr,
+    original_env_pool,
     policy_objective,
     train_inference,
     train_policy,
@@ -126,7 +129,7 @@ class TestInferenceLoss:
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         cfg = InferenceTrainConfig(beta1=beta1, beta2=beta2)
         X = np.full((1, 4, 1), float(value))
-        return inference_loss(X, np.array([float(label)]), params, shape, margin, cfg)
+        return inference_loss(X, np.array([float(label)]), params, shape, margin, cfg)[0]
 
     def test_positive_sample_inside_margin(self):
         # value 0.5, label +1, margin 0.1 -> hinge 0; -beta2 * margin = -0.01
@@ -144,8 +147,8 @@ class TestInferenceLoss:
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         cfg = InferenceTrainConfig(beta1=0.0, beta2=0.0)
         X = np.stack([np.full((4, 1), 0.5), np.full((4, 1), 0.5)])
-        both = inference_loss(X, np.array([1.0, -1.0]), params, shape, 0.1, cfg)
-        only_neg = inference_loss(X[1:], np.array([-1.0]), params, shape, 0.1, cfg)
+        both = inference_loss(X, np.array([1.0, -1.0]), params, shape, 0.1, cfg)[0]
+        only_neg = inference_loss(X[1:], np.array([-1.0]), params, shape, 0.1, cfg)[0]
         assert both == pytest.approx(only_neg / 2, abs=2e-3)
 
 
@@ -158,7 +161,7 @@ class TestTrainInference:
         ds = toy_dataset()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
         norm = SignalNorm.from_arrays(ds.X)
-        params, margin, info = train_inference(
+        params, margin, loss = train_inference(
             ds, shape, self.CFG, np.random.default_rng(7), norm=norm
         )
         assert mcr(params, ds, shape=shape, norm=norm, tau=0.01) == 0.0
@@ -170,7 +173,7 @@ class TestTrainInference:
         norm = SignalNorm.from_arrays(ds.X)
         outs = []
         for _ in range(2):
-            p, m, info = train_inference(ds, shape, self.CFG, np.random.default_rng(11), norm=norm)
+            p, m, loss = train_inference(ds, shape, self.CFG, np.random.default_rng(11), norm=norm)
             outs.append(np.concatenate([p.flatten(), [m]]))
         assert np.array_equal(outs[0], outs[1])
 
@@ -181,14 +184,14 @@ class TestTrainInference:
         rng = np.random.default_rng(13)
         start = np.concatenate([init_inference(shape, rng).flatten(), [0.1]])
         cfg = self.CFG
-        p, m, info = train_inference(
+        p, m, loss = train_inference(
             ds, shape, cfg, np.random.default_rng(13), norm=norm, warm_start=start
         )
-        start_loss = inference_loss(
+        start_loss, _ = inference_loss(
             norm.apply(ds.X), ds.labels.astype(float),
             init_inference(shape, np.random.default_rng(13)).with_flat(start[:-1]), shape, 0.1, cfg
         )
-        assert info["loss"] <= start_loss + 1e-12
+        assert loss <= start_loss + 1e-12
 
     def test_memoised_objective_replays_inference_loss_bit_for_bit(self, monkeypatch):
         env = DrivingEnv()
@@ -219,7 +222,7 @@ class TestTrainInference:
         objective = train.annealing_objective(X, labels, template, shape, cfg)
         for vec in replay:
             params = template.with_flat(vec[:-1])
-            want = float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg))
+            want = float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg)[0])
             assert objective(vec.copy()) == want
         # every atom recomputed for v0, full, window, full and v0, each of which
         # moves more than one predicate; reused for the rest
@@ -271,7 +274,7 @@ class TestTrainInference:
             objective = train.annealing_objective(X, labels, template, shape, cfg)
             for vec in vecs:
                 params = template.with_flat(vec[:-1])
-                assert objective(vec.copy()) == float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg))
+                assert objective(vec.copy()) == float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg)[0])
                 atom_entries = slice(0, shape.n_atom_params)
                 moved = None if prev is None else set(owner[vec[atom_entries] != prev[atom_entries]].tolist())
                 if moved is None or len(moved) > 1:
@@ -301,7 +304,7 @@ class TestTrainInference:
         monkeypatch.setattr(train, "annealing_objective", recording)
         monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
         cfg = self.CFG
-        params, margin, info = train_inference(ds, shape, cfg, np.random.default_rng(7), norm=norm)
+        params, margin, fit_loss = train_inference(ds, shape, cfg, np.random.default_rng(7), norm=norm)
 
         # the last refined vector is scored right after its refine; the polish follows
         annealed, polish = calls[: refines[-1] + 1], iter(calls[refines[-1] + 1 :])
@@ -322,16 +325,44 @@ class TestTrainInference:
                     if loss <= best_loss:
                         best, best_loss = vec, loss
         assert next(polish, None) is None
-        assert np.array_equal(info["flat"], best) and info["loss"] == best_loss
+        assert np.array_equal(np.append(params.flatten(), margin), best) and fit_loss == best_loss
         assert scored < 2 * 2 * len(gates)
 
+    @pytest.mark.parametrize("max_proposals", [0, 240, 250])
+    def test_each_epoch_draws_epoch_len_proposals_then_refines(self, monkeypatch, max_proposals):
+        """After the starts are scored, each epoch scores up to epoch_len
+        proposals, max_proposals in all, then refines and scores the result."""
+        ds = toy_dataset()
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
+        calls, refines = [], []
+        make_objective, refine = train.annealing_objective, train._refine
+
+        def counting(*args):
+            objective = make_objective(*args)
+            return lambda vec: calls.append(1) or objective(vec)
+
+        monkeypatch.setattr(train, "annealing_objective", counting)
+        monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
+        cfg = dataclasses.replace(self.CFG, max_proposals=max_proposals)
+        train_inference(ds, shape, cfg, np.random.default_rng(7), norm=SignalNorm.from_arrays(ds.X))
+        epochs = [min(cfg.epoch_len, max_proposals - s) for s in range(0, max_proposals, cfg.epoch_len)]
+        assert refines == [cfg.n_starts + sum(epochs[: k + 1]) + k for k in range(len(epochs))]
+
     def test_result_is_not_a_view_of_the_flat_vector(self):
+        """The loss returned is the annealing objective's at the returned
+        classifier and margin, and the classifier shares no memory with the
+        warm start it was given."""
         ds = toy_dataset()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
         norm = SignalNorm.from_arrays(ds.X)
-        params, margin, info = train_inference(ds, shape, self.CFG, np.random.default_rng(7), norm=norm)
-        assert np.array_equal(np.append(params.flatten(), margin), info["flat"])
-        assert not any(np.shares_memory(a, info["flat"]) for a in vars(params).values())
+        warm = np.append(init_inference(shape, np.random.default_rng(3)).flatten(), 0.5)
+        template = init_inference(shape, np.random.default_rng(7))
+        params, margin, loss = train_inference(
+            ds, shape, self.CFG, np.random.default_rng(7), norm=norm, warm_start=warm
+        )
+        objective = train.annealing_objective(norm.apply(ds.X), ds.labels.astype(float), template, shape, self.CFG)
+        assert objective(np.append(params.flatten(), margin)) == loss
+        assert not any(np.shares_memory(a, warm) for a in vars(params).values())
 
     def test_single_label_rejected(self):
         ds = const_dataset([1.0, 2.0], [1, 1])
@@ -360,13 +391,16 @@ class TestPolicyObjective:
         policy = init_policy(PolicyShape(4, 4, 1), seed=1)
         env_traj = helpers.lead_profiles(env, rng)[1]  # the lead keeps going
         x0s, env_trajs = np.array([[1.0, 0.0]]), env_traj[None]
-        v1 = policy_objective(policy, inf, env, (x0s, env_trajs), shape, norm)
-        v2 = policy_objective(
+        v1, _ = policy_objective(policy, inf, env, (x0s, env_trajs), shape, norm)
+        v2, _ = policy_objective(
             policy, inf, env, (np.repeat(x0s, 2, 0), np.repeat(env_trajs, 2, 0)), shape, norm
         )
         assert v2 == pytest.approx(v1, abs=1e-12)  # duplicating leaves the mean alone
 
     def test_value_path_is_plain_and_matches_the_vjp_path_bit_for_bit(self):
+        """The layers that keep a value path return a plain value equal to
+        their VJP path's. Both objectives have only the VJP path; their
+        values equal, bit for bit, those composed from the value layers."""
         env, shape, norm, inf = self._setup()
         rng = np.random.default_rng(43)
         policy = init_policy(PolicyShape(4, 5, 1), seed=3)
@@ -381,15 +415,21 @@ class TestPolicyObjective:
         cfg = InferenceTrainConfig()
         calls = [
             lambda vjp: rollout(env, policy, *samples, vjp=vjp),
-            lambda vjp: policy_objective(policy, inf, env, samples, shape, norm, rule, vjp=vjp),
             lambda vjp: smooth_robustness(X, inf, shape, vjp=vjp),
-            lambda vjp: inference_loss(X, labels, inf, shape, 0.2, cfg, vjp=vjp),
         ]
         for call in calls:
             plain = call(False)
             value, grad = call(True)
             assert isinstance(plain, (np.ndarray, np.floating)) and callable(grad)
             assert np.array_equal(value, plain)
+
+        rule_scores = stl.robustness_trace(X, normalize_formula(rule, norm), shape.tau)[:, 0]
+        scores = stl.smin(np.stack([smooth_robustness(X, inf, shape), rule_scores]), shape.tau, 0)
+        value, grad = policy_objective(policy, inf, env, samples, shape, norm, rule)
+        assert value == np.sum(scores) / scores.size and callable(grad)
+        value, grad = inference_loss(X, labels, inf, shape, 0.2, cfg)
+        assert value == train._loss_of_scores(smooth_robustness(X, inf, shape), labels, inf, 0.2, cfg)
+        assert callable(grad)
 
     def test_gradient_matches_fd(self):
         # Both environments, each with and without an injected rule, as
@@ -422,10 +462,10 @@ class TestPolicyObjective:
         for env_i, shape_i, norm_i, inf_i, pshape, samples, rule in cases:
 
             def f(policy):
-                return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule)
+                return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule)[0]
 
             def grad(policy):
-                return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule, vjp=True)[1](1.0)
+                return policy_objective(policy, inf_i, env_i, samples, shape_i, norm_i, rule)[1](1.0)
 
             assert finite_diff_check(f, grad, init_policy(pshape, seed=2), h=1e-5) < 1e-3
 
@@ -433,13 +473,38 @@ class TestPolicyObjective:
 class TestDrawSamples:
     @pytest.mark.parametrize("env", [UnicycleEnv(), DrivingEnv()], ids=["unicycle", "driving"])
     def test_without_a_pool_equals_drawing_one_row_at_a_time(self, env):
+        """A static environment draws its states without a pool, and a
+        dynamic one each state with a row of the pool `original_env_pool`
+        gives; either way the samples and the generator state are those of
+        drawing one row at a time."""
+        rng = np.random.default_rng(1)
+        pool = original_env_pool(env.gen_dataset(2, rng) if env.n_env else env.gen_expert(2, rng), env)
+        assert len(pool) == (8 if env.n_env else 0)
         for m, seed in itertools.product((1, 2, 32, 50), range(3)):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            x0s, env_trajs = train._draw_samples(env, [], m, rng_a)
-            rows = np.stack([env.sample_initial(rng_b) for _ in range(m)])
+            x0s, env_trajs = train._draw_samples(env, pool, m, rng_a)
+            rows = np.zeros((m, env.n_agent))
+            trajs = np.zeros((m, env.T + 1, env.n_env))
+            for i in range(m):
+                rows[i] = env.sample_initial(rng_b)
+                if env.n_env:
+                    trajs[i] = pool[int(rng_b.integers(len(pool)))]
             assert np.array_equal(x0s, rows) and x0s.shape == (m, env.n_agent)
-            assert env_trajs.shape == (m, env.T + 1, env.n_env) and not env_trajs.any()
+            assert np.array_equal(env_trajs, trajs) and env_trajs.shape == (m, env.T + 1, env.n_env)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_a_dynamic_pool_needs_demonstration_rows(self):
+        """The pool of a driving dataset holds only its demonstration rows;
+        one of policy rollouts alone is refused, not drawn as a lead car
+        frozen at 0."""
+        env = DrivingEnv()
+        ds = env.gen_dataset(1, np.random.default_rng(2))
+        policy = init_policy(PolicyShape.for_env(env, 4), seed=1)
+        rollouts = train._generate_negatives(env, policy, original_env_pool(ds, env), 3, np.random.default_rng(3), "t")
+        both = ds.extended(rollouts)
+        assert np.array_equal(original_env_pool(both, env), ds.X[:, :, env.n_agent :])
+        with pytest.raises(EmptyDataset, match="no demonstration rows"):
+            original_env_pool(rollouts, env)
 
 
 class TestTrainPolicy:
@@ -460,8 +525,8 @@ class TestTrainPolicy:
             np.stack([env.sample_initial(val_rng) for _ in range(6)]),
             np.stack([pool[i % len(pool)] for i in range(6)]),
         )
-        before = policy_objective(policy0, inf, env, samples, shape, norm)
-        after = policy_objective(trained, inf, env, samples, shape, norm)
+        before, _ = policy_objective(policy0, inf, env, samples, shape, norm)
+        after, _ = policy_objective(trained, inf, env, samples, shape, norm)
         assert after > before
 
     def test_zero_steps_identity(self):
@@ -620,8 +685,12 @@ class TestAdam:
         assert np.all(np.abs(x) < 1e-2)
 
     def test_ascends_when_maximizing(self):
-        opt = Adam(1, lr=0.1)
-        x = np.array([0.0])
-        for _ in range(50):
-            x = opt.step(x, np.array([1.0]), maximize=True)
-        assert x[0] > 1.0
+        """`train_policy` ascends by stepping along the negated gradient:
+        each step mirrors, bit for bit, the descent step along the gradient."""
+        up, down = Adam(1, lr=0.1), Adam(1, lr=0.1)
+        x_up, x_down = np.array([0.0]), np.array([0.0])
+        for k in range(50):
+            g = np.array([1.0 + 0.1 * k])
+            x_up, x_down = up.step(x_up, -g), down.step(x_down, g)
+            assert np.array_equal(x_up, -x_down)
+        assert x_up[0] > 1.0
