@@ -16,11 +16,16 @@ the error names `section.option` and the command exits 2. A checkpoint's
 `shape` is checked by the same rule, and a bad one exits 3.
 
 Each command that reads `--data` FILE parses it once: the first read
-leaves a binary sidecar `.FILE.npz` beside it (see `dataio`), keyed by the
-sha256 of FILE's bytes, and a later read takes the parsed block from it.
-A sidecar is used only when its recorded sha256 matches FILE's bytes; any
+leaves a binary sidecar `.FILE.npz` beside it (see `dataio`), one flat
+file keyed by the sha256 of FILE's bytes and checked by a CRC32, and a
+later read takes the parsed block from it in one pass. A sidecar is used
+only when it is whole and its recorded sha256 matches FILE's bytes; any
 other is ignored and rewritten, and one that cannot be written is skipped.
 Outputs are the same either way, and deleting a sidecar is always safe.
+
+Every command that writes `--out` reads and checks its inputs, then refuses
+a directory as `--out` and makes the file's missing parent directories,
+and only then does its work.
 """
 
 from __future__ import annotations
@@ -286,15 +291,13 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--n must be a positive count, got {args.n}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.env == "driving" and args.n % 4 != 0:
+        raise ConfigError("driving dataset size must be divisible by 4 situations")
+    _out_dir(args.out)
     rng = np.random.default_rng(args.seed)
     env = make_env(args.env)
     digest = config_digest({"cmd": "gen-data", "env": args.env, "n": args.n, "seed": args.seed})
-    if args.env == "unicycle":
-        ds = env.gen_expert(args.n, rng)
-    else:
-        if args.n % 4 != 0:
-            raise ConfigError("driving dataset size must be divisible by 4 situations")
-        ds = env.gen_dataset(args.n // 4, rng)
+    ds = env.gen_expert(args.n, rng) if args.env == "unicycle" else env.gen_dataset(args.n // 4, rng)
     dataio.save_dataset(ds, args.out, config_digest=digest)
     print(f"wrote {len(ds)} trajectories to {args.out}")
     return EXIT_OK
@@ -363,15 +366,16 @@ def cmd_extract(args) -> int:
     if not (0.0 < args.threshold < 1.0):
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
     ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
-    formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
     # a --data path must exist; only the checkpoint's own dataset may be missing
     data_path = args.data
     if data_path is None and os.path.exists(ck.extra.get("augmented_dataset") or ""):
         data_path = ck.extra["augmented_dataset"]
-    if data_path is None:
+    ds = None if data_path is None else _read_data(data_path, env)
+    _out_dir(args.out)
+    formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
+    if ds is None:
         log.warning("no dataset available; writing unsimplified extraction")
     else:
-        ds = _read_data(data_path, env)
         formula = simplify(formula, ds.X, ds.dim_names, ds.labels)
     if rule is not None:
         formula = stl.conjoin(formula, rule)
@@ -407,6 +411,7 @@ def cmd_rollout(args) -> int:
     ck, run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else run.seed + 10_000
     env_pool = _env_pool(ck, env, args.data)
+    _out_dir(args.out)
     _export_policy_rollouts(ck, env, pol, env_pool, args.n, np.random.default_rng(seed), args.out, "policy")
     print(f"wrote {args.n} rollouts to {args.out}")
     return EXIT_OK

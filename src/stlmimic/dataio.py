@@ -17,13 +17,25 @@ the rows' meta dicts, so a key set on a row's meta shows in every dataset
 that holds the row.
 
 Each dataset file is parsed once. `load_dataset` keeps the `Dataset` it
-parsed from a regular file in a binary sidecar next to it: `.NAME.npz` for
-the file NAME, an uncompressed NumPy archive of `X`, the labels and one
-JSON document of the ids, metas and dimension names, keyed by the sha256
-of the file's bytes and stamped with `SIDECAR_VERSION`. A read hashes the
-file and takes the sidecar only when both match; it never trusts a sidecar
-otherwise. A missing, stale, corrupt or other-version sidecar is a miss:
-the file is parsed and the sidecar is written anew, to a temporary name
+parsed from a regular file in a binary sidecar next to it, `.NAME.npz` for
+the file NAME, and reads it in one pass. The sidecar is a flat file (the
+name is that of the NumPy archive of version 1, so reading a dataset
+replaces an old sidecar instead of leaving it behind):
+
+- 8 bytes of magic, `STLDSv` and the two-digit `SIDECAR_VERSION`;
+- the length of the header, as 8 bytes little-endian;
+- the header, one UTF-8 JSON object: the sha256 of the dataset file's
+  bytes, the shape of `X`, the labels, the ids, each distinct meta once (a
+  meta holding a list or an object once per row), the index of each row's
+  meta among those, and the dimension names;
+- `X` as little-endian float64 in C order;
+- the CRC32 of all the bytes before it, as 4 bytes little-endian.
+
+A read hashes the file and takes the sidecar only when its version, its
+sha256, its length and its CRC32 match and its values are finite; it never
+trusts a sidecar otherwise. Each row read back gets a meta dict of its own.
+A missing, stale, short, corrupt or other-version sidecar is a miss: the
+file is parsed and the sidecar is written anew, to a temporary name
 renamed into place. A sidecar that cannot be written is skipped without
 changing the result. A pipe or other non-regular input is always parsed
 and gets no sidecar. Deleting a sidecar is always safe.
@@ -44,13 +56,14 @@ import math
 import numbers
 import os
 import stat
-import zipfile
+import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 CHECKPOINT_VERSION = 1
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
+_SIDECAR_MAGIC = b"STLDSv%02d" % SIDECAR_VERSION
 
 log = logging.getLogger(__name__)
 
@@ -238,13 +251,13 @@ def read_text(path: str, what: str) -> str:
 
 def load_dataset(path: str) -> Dataset:
     """The dataset in the JSON-Lines file at `path`, read through its
-    sidecar (see the module docstring). A regular file whose sidecar is of
-    this version and records the file's sha256 is read from the sidecar;
-    any other file is parsed (`_parse_lines`), and a regular file's parse
-    is stored as its sidecar. A bad line, including one that is not UTF-8
-    or whose horizon or dimension names differ from the first line's,
-    raises a ParseError or InconsistentHorizon naming the file and the
-    line."""
+    sidecar (see the module docstring). A regular file whose sidecar is
+    whole, of this version and records the file's sha256 is read from the
+    sidecar; any other file is parsed (`_parse_lines`), and a regular
+    file's parse is stored as its sidecar. A bad line, including one that
+    is not UTF-8 or whose horizon or dimension names differ from the first
+    line's, raises a ParseError or InconsistentHorizon naming the file and
+    the line."""
     with open_input(path, "dataset") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             return _parse_lines(path, fh)
@@ -275,17 +288,35 @@ def _hashed(lines, sha):
 
 def _read_sidecar(path: str, sha: str) -> Dataset | None:
     """The dataset stored in the sidecar at `path` if the sidecar is of
-    this version and records the sha256 `sha`; None for any other sidecar,
-    a corrupt one or none."""
-    try:  # np.load leaves a file it opened itself open when the archive is corrupt
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            if int(z["version"]) != SIDECAR_VERSION or str(z["sha256"]) != sha:
+    this version, records the sha256 `sha`, is as long as its header says,
+    passes its CRC32 and holds only finite values; None for any other
+    sidecar, a corrupt one or none."""
+    try:
+        with open(path, "rb") as fh:
+            lead = fh.read(16)
+            if len(lead) != 16 or lead[:8] != _SIDECAR_MAGIC:
                 return None
-            head = json.loads(z["head"].tobytes().decode("utf-8"))
-            ds = Dataset(z["X"], z["labels"], head["ids"], head["metas"], *head["names"])
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+            n_head = int.from_bytes(lead[8:], "little")
+            size = os.fstat(fh.fileno()).st_size
+            if n_head > size:  # read() would first allocate a corrupt length
+                return None
+            head_bytes = fh.read(n_head)
+            head = json.loads(head_bytes)
+            if head["sha256"] != sha:
+                return None
+            shape = tuple(head["shape"])
+            if len(lead) + n_head + 8 * math.prod(shape) + 4 != size:
+                return None
+            X = np.empty(shape, dtype="<f8")
+            if fh.readinto(X) != X.nbytes:
+                return None
+            crc = zlib.crc32(X, zlib.crc32(head_bytes, zlib.crc32(lead)))
+            if fh.read(4) != crc.to_bytes(4, "little") or not np.isfinite(X).all():
+                return None
+            metas = head["metas"]
+            return Dataset(X, head["labels"], head["ids"], [dict(metas[i]) for i in head["meta_index"]], *head["names"])
+    except (OSError, KeyError, IndexError, TypeError, ValueError):
         return None
-    return ds if np.isfinite(ds.X).all() else None
 
 
 def _write_sidecar(ds: Dataset, path: str, sha: str) -> None:
@@ -293,13 +324,23 @@ def _write_sidecar(ds: Dataset, path: str, sha: str) -> None:
     `sha`: written to a temporary name and renamed into place, so a reader
     finds a whole sidecar or none. A failure to write is logged and leaves
     no file."""
-    head = json.dumps({"ids": ds.ids, "metas": ds.metas, "names": [ds.agent_names, ds.env_names]})
+    distinct, index = {}, []
+    for row, meta in enumerate(ds.metas):
+        # a meta holding a list or an object gets an entry of its own, so no
+        # two rows read back share those values
+        shared = not any(isinstance(v, (dict, list)) for v in meta.values())
+        index.append(distinct.setdefault((json.dumps(meta), -1 if shared else row), len(distinct)))
+    head = json.dumps({
+        "sha256": sha, "shape": ds.X.shape, "labels": ds.labels.tolist(), "ids": ds.ids,
+        "metas": [json.loads(text) for text, _ in distinct], "meta_index": index,
+        "names": [ds.agent_names, ds.env_names],
+    }).encode("utf-8")
+    lead = _SIDECAR_MAGIC + len(head).to_bytes(8, "little")
+    X = np.ascontiguousarray(ds.X, dtype="<f8")
+    crc = zlib.crc32(X, zlib.crc32(head, zlib.crc32(lead)))
     try:
         with _replacing(path, f"{path}.{os.getpid()}.tmp") as fh:
-            np.savez(
-                fh, version=SIDECAR_VERSION, sha256=sha, X=ds.X, labels=ds.labels,
-                head=np.frombuffer(head.encode("utf-8"), dtype=np.uint8),
-            )
+            fh.writelines([lead, head, X, crc.to_bytes(4, "little")])
     except OSError as exc:
         log.debug("%s: sidecar not written: %s", path, exc)
 
@@ -347,6 +388,9 @@ def _parse_lines(path: str, lines) -> Dataset:
             x = np.concatenate([agent, env], axis=1)
             if not np.isfinite(x).all():
                 raise ValueError("non-finite value in agent_states or env_states")
+            meta = obj.get("meta") or {}
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
             ids.append(str(obj["id"]))
         except InconsistentHorizon as exc:
             raise InconsistentHorizon(f"{path}:{lineno}: {exc}") from exc
@@ -355,7 +399,7 @@ def _parse_lines(path: str, lines) -> Dataset:
         names = row_names
         rows.append(x)
         labels.append(label)
-        metas.append(obj.get("meta") or {})
+        metas.append(meta)
     return Dataset(np.stack(rows) if rows else np.zeros((0, 0, 0)), labels, ids, metas, *names)
 
 

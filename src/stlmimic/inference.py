@@ -478,30 +478,35 @@ def _deletions(f: Formula):
             yield type(f)(f.interval, sub)
 
 
-def exact_satisfaction(f: Formula, X: np.ndarray, names) -> np.ndarray:
+def exact_satisfaction(f: Formula, X: np.ndarray, names, cache: dict | None = None) -> np.ndarray:
     """Whether f holds at t=0 on each signal of the batch X (N, T+1, d),
     over dimensions `names`, under exact semantics (robustness exactly 0
-    counts as satisfied). The package's one Boolean reading of a formula."""
+    counts as satisfied). The package's one Boolean reading of a formula.
+    `cache` is `stl.robustness_trace`'s, for this X."""
     stl.check_names(f, names)
-    return stl.robustness_trace(X, f)[:, 0] >= 0.0
+    return stl.robustness_trace(X, f, cache=cache)[:, 0] >= 0.0
 
 
-def exact_mcr(f: Formula, X: np.ndarray, names, labels) -> float:
-    """Misclassification rate of a formula under exact semantics."""
+def exact_mcr(f: Formula, X: np.ndarray, names, labels, cache: dict | None = None) -> float:
+    """Misclassification rate of a formula under exact semantics; `cache`
+    as for `exact_satisfaction`."""
     if len(X) == 0:
         raise ValueError("empty dataset")
-    return float(np.mean(exact_satisfaction(f, X, names) != (np.asarray(labels) > 0)))
+    return float(np.mean(exact_satisfaction(f, X, names, cache) != (np.asarray(labels) > 0)))
 
 
 def simplify(f: Formula, X: np.ndarray, names, labels) -> Formula:
     """Greedily delete conjuncts/disjuncts while the exact MCR over the
-    batch X does not increase; repeats until no deletion is accepted."""
-    best = exact_mcr(f, X, names, labels)
+    batch X does not increase; repeats until no deletion is accepted. The
+    candidates share their unchanged subformulas, so one trace cache scores
+    each of those once for the whole call."""
+    cache = {}
+    best = exact_mcr(f, X, names, labels, cache)
     improved = True
     while improved:
         improved = False
         for g in _deletions(f):
-            m = exact_mcr(g, X, names, labels)
+            m = exact_mcr(g, X, names, labels, cache)
             if m <= best:
                 f, best = g, m
                 improved = True

@@ -11,7 +11,9 @@ reduce shifted slices of their children's traces, with the hard min/max
 (smooth semantics), as in STLCG (arXiv 1910.10309). It is the package's
 only STL evaluator. Boolean satisfaction is the sign of exact robustness at
 t=0, with 0 counting as satisfied; `inference.exact_satisfaction` applies
-that rule to a batch.
+that rule to a batch. Exact traces can be kept in a cache the caller
+passes, so formulas that share subformulas, such as the deletion
+candidates of `inference.simplify`, compute those once.
 
 The smooth semantics are differentiable. Asked for a vector-Jacobian
 product (VJP), `smax`, `smin` and `robustness_trace` return their value
@@ -213,7 +215,7 @@ def smin(a, tau: float, axis: int, vjp: bool = False):
     return _soft_extremum(a, tau, axis, -1, "smin", vjp)
 
 
-def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False):
+def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False, cache: dict | None = None):
     """Robustness of f at every start step where its windows fit.
 
     X is a batch (N, T+1, d) of signals in f's coordinates; returns
@@ -221,10 +223,20 @@ def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False)
     temperature they are smooth, and with vjp the result is (trace, grad),
     where grad maps an adjoint of the trace to the gradient with respect
     to X.
+
+    `cache`, a dict the caller makes for one X and exact semantics, keeps
+    the trace of f and of every operand of an and/or within f, except an
+    and/or, keyed by the subformula object (which it keeps alive). Formulas
+    that share those objects, such as the deletion candidates of
+    `inference.simplify`, compute each once; an and/or is recomputed from
+    its operands. Cached traces are the same bits as uncached ones; the
+    trace returned may be one of them, so it must not be modified.
     """
     if vjp and tau is None:
         raise ValueError("exact robustness has no gradient; give a temperature")
-    trace, back = _trace(X, f, tau, vjp)
+    if cache is not None and tau is not None:
+        raise ValueError("only exact traces are cached")
+    trace, back = _kept(X, f, tau, vjp, cache)
     if not vjp:
         return trace
 
@@ -236,10 +248,22 @@ def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False)
     return trace, grad
 
 
-def _trace(X, f: Formula, tau, vjp: bool):
+def _kept(X, f: Formula, tau, vjp: bool, cache):
+    """`_trace` of f, taken from the cache or stored in it when a cache is
+    given and f is not an and/or."""
+    if cache is None or isinstance(f, (And, Or)):
+        return _trace(X, f, tau, vjp, cache)
+    if id(f) not in cache:
+        cache[id(f)] = (f, _trace(X, f, tau, vjp, cache)[0])
+    return cache[id(f)][1], None
+
+
+def _trace(X, f: Formula, tau, vjp: bool, cache):
     """`robustness_trace` and, with vjp, its backward step (else None):
     back(g, gX) adds the gradient of the trace, weighted by g, into gX. A
-    backward step keeps the shapes of the traces it reduced, not the traces."""
+    backward step keeps the shapes of the traces it reduced, not the traces.
+    The cache is passed down to the operands of each and/or (`_kept`); every
+    other trace computed here is new, so it may be changed in place."""
     if isinstance(f, Pred):
         # -bound, then each nonzero c_i * x_i in order: exact results keep this order.
         acc = -f.bound
@@ -258,12 +282,12 @@ def _trace(X, f: Formula, tau, vjp: bool):
     if isinstance(f, TrueFormula):
         return np.full(X.shape[:2], TRUE_ROBUSTNESS), (lambda g, gX: None) if vjp else None
     if isinstance(f, Not):
-        child, child_back = _trace(X, f.child, tau, vjp)
+        child, child_back = _trace(X, f.child, tau, vjp, cache)
         if not vjp:  # nothing else reads the child's trace
             return np.negative(child, out=child), None
         return -child, lambda g, gX: child_back(-g, gX)
     if isinstance(f, (And, Or)):
-        parts = [_trace(X, c, tau, vjp) for c in f.children]
+        parts = [_kept(X, c, tau, vjp, cache) for c in f.children]
         n = min(p.shape[1] for p, _ in parts)
         out, ext_back = _extremum([p[:, :n] for p, _ in parts], isinstance(f, Or), tau, vjp)
         if not vjp:
@@ -278,7 +302,7 @@ def _trace(X, f: Formula, tau, vjp: bool):
 
         return out, back
     if isinstance(f, (Eventually, Always)):
-        child, child_back = _trace(X, f.child, tau, vjp)
+        child, child_back = _trace(X, f.child, tau, vjp, cache)
         n = child.shape[1] - f.interval.t2
         if n < 1:
             raise HorizonExceeded(

@@ -9,6 +9,7 @@ import pytest
 
 from stlmimic import cli, dataio, stl
 from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
+from stlmimic.envs import UnicycleEnv
 from stlmimic.train import gan_loop, generated_rows
 
 import helpers
@@ -582,10 +583,11 @@ class TestCheckpointKinds:
 class TestOutputPaths:
     @pytest.mark.parametrize("cmd", ["gen-data", "extract", "rollout", "train", "adjust"])
     def test_directory_as_out_is_data_error_naming_it(self, trained, tmp_path, capsys, monkeypatch, cmd):
-        """Nothing is written: train and adjust refuse the path before they
-        train, and leave no run files or temporary checkpoint beside it."""
+        """Nothing is written: every command refuses the path before it does
+        its work, and leaves no run files or temporary checkpoint beside it."""
         root, data, config, ckpt = trained
-        monkeypatch.setattr(cli, "train_policy", lambda *a, **kw: pytest.fail("retrained before checking --out"))
+        for owner, name in [(cli, "train_policy"), (UnicycleEnv, "gen_expert"), (cli, "simplify"), (cli, "rollout")]:
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, **kw: pytest.fail(f"{_name} ran before --out was checked"))
         out = tmp_path / "out"
         out.mkdir()
         argv = {

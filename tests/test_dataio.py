@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import tempfile
 import threading
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from multiprocessing import get_context
@@ -129,6 +131,16 @@ class TestDatasetRoundtrip:
             load_dataset(str(path))
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize("meta", [5, "x", [1]])
+    def test_meta_that_is_not_an_object_reports_line(self, tmp_path, meta):
+        path = tmp_path / "bad.jsonl"
+        lines = list(encoded_rows(small_dataset(n=2)))
+        obj = json.loads(lines[1])
+        lines[1] = (json.dumps({**obj, "meta": meta}) + "\n").encode("utf-8")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=r":2: meta must be a JSON object"):
+            load_dataset(str(path))
+
     def test_mixed_horizons_rejected(self, tmp_path):
         rows = []
         for i, steps in enumerate((3, 5)):
@@ -222,7 +234,11 @@ class TestSidecar:
             assert_same(load_dataset(str(path)), ds)
             assert sidecar(path).exists()
             with mock.patch.object(dataio, "_parse_lines", parse_fails):
-                assert_same(load_dataset(str(path)), ds)
+                hit = load_dataset(str(path))
+            with open(path, "rb") as fh:
+                assert_same(hit, dataio._parse_lines(str(path), fh))
+            assert hit.X.flags.writeable
+            assert len({id(meta) for meta in hit.metas}) == len(hit)
 
     def test_stale_sidecar_is_ignored_and_rewritten(self, tmp_path):
         path = tmp_path / "ds.jsonl"
@@ -239,25 +255,58 @@ class TestSidecar:
         with mock.patch.object(dataio, "_parse_lines", parse_fails):
             assert_same(load_dataset(str(path)), edited)
 
-    @pytest.mark.parametrize("spoil", ["truncated", "other-version", "non-finite"])
+    @pytest.mark.parametrize(
+        "spoil", ["truncated", "other-version", "non-finite", "float-byte", "header-byte", "version-1-archive"]
+    )
     def test_bad_sidecar_is_ignored(self, tmp_path, spoil):
         path = tmp_path / "ds.jsonl"
         ds = small_dataset()
         save_dataset(ds, str(path))
         load_dataset(str(path))
         side = sidecar(path)
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        data = bytearray(side.read_bytes())
+        n_head = int.from_bytes(data[8:16], "little")
         if spoil == "truncated":
-            side.write_bytes(side.read_bytes()[: side.stat().st_size // 2])
-        else:  # whole, but of another version or holding a NaN
-            with np.load(side) as z:
-                stored = dict(z)
-            X = stored["X"].copy()
+            data = data[: len(data) // 2]
+        elif spoil == "other-version":  # whole and checksummed, but of another version and dataset
+            dataio._write_sidecar(dataclasses.replace(ds, X=ds.X + 1), str(side), sha)
+            data = bytearray(side.read_bytes())
+            data[:8] = b"STLDSv%02d" % (SIDECAR_VERSION + 1)
+            data[-4:] = zlib.crc32(data[:-4]).to_bytes(4, "little")
+        elif spoil == "non-finite":  # whole and checksummed, but holding a NaN
+            X = ds.X.copy()
             X[0, 0, 0] = np.nan
-            spoiled = {"version": SIDECAR_VERSION + 1, "X": stored["X"] + 1} if spoil == "other-version" else {"X": X}
-            np.savez(side, **{**stored, **spoiled})
+            dataio._write_sidecar(dataclasses.replace(ds, X=X), str(side), sha)
+            data = side.read_bytes()
+        elif spoil == "float-byte":  # the sign of the first state value
+            data[16 + n_head + 7] ^= 0x80
+        elif spoil == "header-byte":  # an id, so the header still decodes
+            at = data.index(b'"t0"', 16, 16 + n_head)
+            data[at + 1 : at + 2] = b"u"
+        else:  # an archive of version 1, a NumPy .npz of another dataset under the same sha256
+            head = json.dumps({"ids": ds.ids, "metas": ds.metas, "names": [ds.agent_names, ds.env_names]})
+            buf = io.BytesIO()
+            np.savez(
+                buf, version=1, sha256=sha, X=ds.X + 1, labels=ds.labels,
+                head=np.frombuffer(head.encode("utf-8"), dtype=np.uint8),
+            )
+            data = buf.getvalue()
+        side.write_bytes(bytes(data))
         assert_same(load_dataset(str(path)), ds)
         with mock.patch.object(dataio, "_parse_lines", parse_fails):
             assert_same(load_dataset(str(path)), ds)
+
+    def test_rows_read_back_share_no_meta_values(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        ds = small_dataset(n=4)
+        ds.metas[:] = [{"k": [1]}, {"k": [1]}, {"k": 1}, {"k": 1}]
+        save_dataset(ds, str(path))
+        load_dataset(str(path))
+        with mock.patch.object(dataio, "_parse_lines", parse_fails):
+            hit = load_dataset(str(path))
+        assert hit.metas == ds.metas
+        assert hit.metas[0]["k"] is not hit.metas[1]["k"]
 
     def test_failed_parse_leaves_no_sidecar(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -349,6 +349,21 @@ class TestSimplify:
         g = simplify(f, np.stack(arrays), ("x0",), [1, -1])
         assert g == f
 
+    def test_scores_each_atom_once(self, monkeypatch):
+        # two conjunctions of two atoms, like a default extraction: each atom
+        # and each predicate is scored once, however many candidates hold it
+        names = ("x0", "x1")
+        atoms = [Eventually(TimeInterval(0, 2), Pred((1.0, -0.5), b, names)) for b in (-1.0, 0.0, 0.5, 1.0)]
+        f = Or((And(tuple(atoms[:2])), And(tuple(atoms[2:]))))
+        rng = np.random.default_rng(3)
+        X, labels = rng.uniform(-2, 2, size=(40, 6, 2)), rng.choice([-1, 1], size=40)
+        computed = []
+        trace = stl._trace
+        monkeypatch.setattr(stl, "_trace", lambda X, g, *rest: computed.append(g) or trace(X, g, *rest))
+        simplify(f, X, names, labels)
+        scored = [id(g) for g in computed if not isinstance(g, (And, Or))]
+        assert sorted(scored) == sorted({id(g) for g in atoms + [a.child for a in atoms]})
+
     def test_never_increases_mcr(self):
         rng = np.random.default_rng(71)
         names = ("x0", "x1")

@@ -23,7 +23,7 @@ from stlmimic.stl import (
     print_formula,
     robustness_trace,
 )
-from stlmimic.inference import exact_mcr, exact_satisfaction, simplify
+from stlmimic.inference import _deletions, exact_mcr, exact_satisfaction, simplify
 from stlmimic.params import ParamVector
 
 import oracle_stl
@@ -330,6 +330,20 @@ def signals(f, seed: int, n: int = 3, extra: int = 2) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, horizon(f) + 1 + extra, 2))
 
 
+def uncached_simplify(f, X, names, labels):
+    """simplify's greedy deletion loop, each candidate scored without a cache."""
+    best = exact_mcr(f, X, names, labels)
+    improved = True
+    while improved:
+        improved = False
+        for g in _deletions(f):
+            m = exact_mcr(g, X, names, labels)
+            if m <= best:
+                f, best, improved = g, m, True
+                break
+    return f
+
+
 class TestProperties:
     @PROPERTY
     @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1))
@@ -353,6 +367,17 @@ class TestProperties:
         labels = np.random.default_rng(seed + 1).choice([-1, 1], size=n)
         simpler = simplify(f, X, NAMES2, labels)
         assert exact_mcr(simpler, X, NAMES2, labels) <= exact_mcr(f, X, NAMES2, labels)
+        assert simpler == uncached_simplify(f, X, NAMES2, labels)
+
+    @PROPERTY
+    @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1))
+    def test_cached_trace_is_the_uncached_one_bit_for_bit(self, f, seed):
+        # one cache over f and its deletion candidates, twice over, as
+        # simplify shares it: hits, and traces negated after they were cached
+        X = signals(f, seed)
+        cache = {}
+        for g in [f, *_deletions(f)] * 2:
+            assert robustness_trace(X, g, cache=cache).tobytes() == robustness_trace(X, g).tobytes()
 
     @PROPERTY
     @given(
