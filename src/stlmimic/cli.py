@@ -17,11 +17,21 @@ the error names `section.option` and the command exits 2. A checkpoint's
 
 Each command that reads `--data` FILE parses it once: the first read
 leaves a binary sidecar `.FILE.npz` beside it (see `dataio`), one flat
-file keyed by the sha256 of FILE's bytes and checked by a CRC32, and a
-later read takes the parsed block from it in one pass. A sidecar is used
-only when it is whole and its recorded sha256 matches FILE's bytes; any
-other is ignored and rewritten, and one that cannot be written is skipped.
-Outputs are the same either way, and deleting a sidecar is always safe.
+file that holds a verbatim copy of FILE's bytes besides the parsed block,
+checked by a CRC32. A later read compares FILE with that copy, a chunk at
+a time and without hashing it, and takes the parsed block from the sidecar
+in one pass when they are equal; any other sidecar is ignored and
+rewritten, and one that cannot be written is skipped. Because the copy is
+compared, an edit that keeps FILE's size and modification time is still
+read from the new bytes. A sidecar takes about FILE's size plus 8 bytes
+per state value on disk. Outputs are the same either way, and deleting a
+sidecar is always safe.
+
+Without `--data`, `extract`, `rollout` and `adjust` read the checkpoint's
+own dataset, `extra["augmented_dataset"]`, and first check it against the
+checkpoint's `dataset_digest`: a file whose digest differs is a data error
+(exit 3) naming it and both digests. A `--data` FILE is taken as given,
+without that check.
 
 Every command that writes `--out` reads and checks its inputs, then refuses
 a directory as `--out` and makes the file's missing parent directories,
@@ -246,17 +256,35 @@ def _read_data(path: str, env=None) -> dataio.Dataset:
     return ds
 
 
-def _env_pool(ck: Checkpoint, env, data_path):
+def _own_dataset(ck: Checkpoint, ckpt_path: str) -> str | None:
+    """The checkpoint's own dataset file, None if it names none or the file
+    is gone. A file whose digest is not the checkpoint's dataset_digest is a
+    ParseError naming it and both digests."""
+    path = ck.extra.get("augmented_dataset")
+    if not path or not os.path.exists(path):
+        return None
+    digest = dataio.file_digest(path)
+    if digest != ck.dataset_digest:
+        raise dataio.ParseError(
+            f"{path}: digest {digest} is not the dataset_digest {ck.dataset_digest} of {ckpt_path};"
+            " give --data to read it anyway"
+        )
+    return path
+
+
+def _env_pool(ck: Checkpoint, env, data_path, ckpt_path: str):
     """Environment trajectories that rollouts of a checkpoint's policy draw
     from: the demonstration rows of `data_path`, else of the checkpoint's
-    augmented dataset; a file without any is a ParseError naming it. Empty
-    for an environment without them, though a given `data_path` is still read and checked."""
+    own dataset (`_own_dataset`); a file without any is a ParseError naming
+    it. Empty for an environment without them, though a given `data_path`
+    is still read and checked."""
     if data_path is None:
         if env.n_env == 0:
             return []
-        data_path = ck.extra.get("augmented_dataset")
-        if not data_path or not os.path.exists(data_path):
-            gone = f"; the checkpoint's dataset {data_path} does not exist" if data_path else ""
+        data_path = _own_dataset(ck, ckpt_path)
+        if data_path is None:
+            named = ck.extra.get("augmented_dataset")
+            gone = f"; the checkpoint's dataset {named} does not exist" if named else ""
             raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
     try:
         return original_env_pool(_read_data(data_path, env), env)
@@ -367,9 +395,7 @@ def cmd_extract(args) -> int:
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
     ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
     # a --data path must exist; only the checkpoint's own dataset may be missing
-    data_path = args.data
-    if data_path is None and os.path.exists(ck.extra.get("augmented_dataset") or ""):
-        data_path = ck.extra["augmented_dataset"]
+    data_path = args.data if args.data is not None else _own_dataset(ck, args.ckpt)
     ds = None if data_path is None else _read_data(data_path, env)
     _out_dir(args.out)
     formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
@@ -410,7 +436,7 @@ def cmd_rollout(args) -> int:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     ck, run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else run.seed + 10_000
-    env_pool = _env_pool(ck, env, args.data)
+    env_pool = _env_pool(ck, env, args.data, args.ckpt)
     _out_dir(args.out)
     _export_policy_rollouts(ck, env, pol, env_pool, args.n, np.random.default_rng(seed), args.out, "policy")
     print(f"wrote {args.n} rollouts to {args.out}")
@@ -425,7 +451,7 @@ def cmd_adjust(args) -> int:
     rule = stl.conjoin(existing_rule, new_rule) if existing_rule else new_rule
     rule_text = stl.print_formula(rule)
     inf_before = inf.flatten()
-    env_pool = _env_pool(ck, env, args.data)
+    env_pool = _env_pool(ck, env, args.data, args.ckpt)
     out_dir = _out_dir(args.out)
 
     if args.retrain:

@@ -812,6 +812,38 @@ class TestEnvironmentPool:
         assert len((tmp_path / "rollouts_adjusted.csv").read_text().strip().split("\n")) == 2 + 2 * 58
 
 
+class TestOwnDatasetDigest:
+    def test_edited_dataset_is_data_error_naming_both_digests(self, trained_driving, tmp_path, capsys):
+        """Without --data, extract, rollout and adjust check the checkpoint's
+        own dataset against its dataset_digest; a --data file is taken as given."""
+        doc = json.loads(trained_driving[3].read_text())
+        text = bytearray(open(doc["extra"]["augmented_dataset"], "rb").read())
+        # one digit of a lead-car value, so the file keeps its length
+        at = text.index(b'"env_states": [[') + len(b'"env_states": [[')
+        at += 1 if text[at : at + 1] == b"-" else 0
+        text[at : at + 1] = b"1" if text[at : at + 1] != b"1" else b"2"
+        data = tmp_path / "dataset_augmented.jsonl"
+        data.write_bytes(bytes(text))
+        doc["extra"]["augmented_dataset"] = str(data)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        digest = hashlib.sha256(bytes(text)).hexdigest()[:16]
+        out = tmp_path / "out"
+        commands = (
+            ["extract", "--ckpt", str(ckpt), "--out", str(out / "f.txt")],
+            ["rollout", "--ckpt", str(ckpt), "--n", "2", "--out", str(out / "r.csv")],
+            ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--rollouts", "2",
+             "--out", str(out / "adj.json")],
+        )
+        for argv in commands:
+            assert main(argv) == EXIT_DATA, argv[0]
+            err = capsys.readouterr().err
+            assert f"{data}: digest {digest} is not the dataset_digest {doc['dataset_digest']}" in err, argv[0]
+        assert not out.exists()
+        for argv in commands:
+            assert main(argv + ["--data", str(data)]) == EXIT_OK, argv[0]
+
+
 class TestDefaults:
     def test_default_config_roundtrips(self):
         for env in ("unicycle", "driving"):

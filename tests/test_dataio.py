@@ -186,6 +186,32 @@ def parse_fails(*args):
     raise AssertionError("parsed the file where its sidecar should have been read")
 
 
+def hash_fails(*args):
+    raise AssertionError("hashed the file where its sidecar should have been read")
+
+
+def forge_sidecar(path, ds):
+    """Store `ds` as the sidecar of the file at `path`, whatever the file holds."""
+    with open(path, "rb") as fh:
+        sha = hashlib.sha256(fh.read()).digest()
+        dataio._write_sidecar(ds, str(sidecar(path)), fh, sha)
+
+
+def sidecar_parts(data):
+    """The lead, the copy, the header and the float bytes of a sidecar's bytes."""
+    n_copy, n_head = int.from_bytes(data[8:16], "little"), int.from_bytes(data[16:24], "little")
+    return data[:24], data[24 : 24 + n_copy], data[24 + n_copy : 24 + n_copy + n_head], data[24 + n_copy + n_head : -4]
+
+
+def edit_keeping_size_and_mtime(path, at, byte):
+    """Put `byte` at offset `at` of the file, then restore its mtime."""
+    st = path.stat()
+    data = bytearray(path.read_bytes())
+    data[at] = byte
+    path.write_bytes(bytes(data))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-309, 1e308, -1e308, 1.7976931348623157e308]
 
 
@@ -233,7 +259,7 @@ class TestSidecar:
             assert not sidecar(path).exists()
             assert_same(load_dataset(str(path)), ds)
             assert sidecar(path).exists()
-            with mock.patch.object(dataio, "_parse_lines", parse_fails):
+            with mock.patch.object(dataio, "_parse_lines", parse_fails), mock.patch("hashlib.sha256", hash_fails):
                 hit = load_dataset(str(path))
             with open(path, "rb") as fh:
                 assert_same(hit, dataio._parse_lines(str(path), fh))
@@ -244,19 +270,73 @@ class TestSidecar:
         path = tmp_path / "ds.jsonl"
         save_dataset(small_dataset(), str(path))
         load_dataset(str(path))
-        # one digit of the first state value, so the file keeps its length
-        data = bytearray(path.read_bytes())
+        # one digit of the first state value, so the file keeps its length, and
+        # its mtime put back: the sidecar is keyed by content, not by metadata
+        data = path.read_bytes()
         at = data.index(b'"agent_states": [[') + len(b'"agent_states": [[')
         at += 1 if data[at : at + 1] == b"-" else 0
-        data[at : at + 1] = b"1" if data[at : at + 1] != b"1" else b"2"
-        path.write_bytes(bytes(data))
+        edit_keeping_size_and_mtime(path, at, ord("1") if data[at] != ord("1") else ord("2"))
         edited = load_dataset(str(path))
         assert edited.X[0, 0, 0] != small_dataset().X[0, 0, 0]
         with mock.patch.object(dataio, "_parse_lines", parse_fails):
             assert_same(load_dataset(str(path)), edited)
 
+    @pytest.mark.parametrize("change", ["appended", "truncated"])
+    def test_file_of_another_length_is_a_miss(self, tmp_path, change):
+        path = tmp_path / "ds.jsonl"
+        ds = small_dataset()
+        save_dataset(ds, str(path))
+        load_dataset(str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        more = small_dataset(n=1, seed=1)
+        if change == "appended":
+            path.write_bytes(b"".join(lines + list(encoded_rows(more))))
+            assert_same(load_dataset(str(path)), ds.extended(more))
+        else:
+            path.write_bytes(b"".join(lines[:-1]))
+            assert load_dataset(str(path)).ids == ds.ids[:-1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(where=st.floats(0, 1, exclude_max=True), byte=st.integers(0, 255))
+    def test_any_same_length_edit_is_read_as_a_parse(self, where, byte):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ds.jsonl"
+            save_dataset(small_dataset(n=2, T=2), str(path))
+            load_dataset(str(path))
+            edit_keeping_size_and_mtime(path, int(where * path.stat().st_size), byte)
+            try:
+                with open(path, "rb") as fh:
+                    want = dataio._parse_lines(str(path), fh)
+            except (ParseError, InconsistentHorizon) as exc:
+                with pytest.raises(type(exc)) as got:
+                    load_dataset(str(path))
+                assert str(got.value) == str(exc)
+            else:
+                for _ in range(2):  # the parse that writes a sidecar, then any read of it
+                    assert_same(load_dataset(str(path)), want)
+
+    def test_file_changed_before_its_copy_gets_no_sidecar(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        ds = small_dataset()
+        save_dataset(ds, str(path))
+        parse = dataio._parse_lines
+        data = path.read_bytes()
+        at = data.index(b'"t0"') + 2
+
+        def parse_then_edit(*args):
+            parsed = parse(*args)
+            edit_keeping_size_and_mtime(path, at, ord("9"))
+            return parsed
+
+        with mock.patch.object(dataio, "_parse_lines", parse_then_edit):
+            assert_same(load_dataset(str(path)), ds)
+        assert os.listdir(tmp_path) == ["ds.jsonl"]
+        assert load_dataset(str(path)).ids[0] == "t9"
+
     @pytest.mark.parametrize(
-        "spoil", ["truncated", "other-version", "non-finite", "float-byte", "header-byte", "version-1-archive"]
+        "spoil",
+        ["truncated", "other-version", "non-finite", "float-byte", "header-byte", "copy-byte", "version-1-archive",
+         "version-2"],
     )
     def test_bad_sidecar_is_ignored(self, tmp_path, spoil):
         path = tmp_path / "ds.jsonl"
@@ -266,25 +346,30 @@ class TestSidecar:
         side = sidecar(path)
         sha = hashlib.sha256(path.read_bytes()).hexdigest()
         data = bytearray(side.read_bytes())
-        n_head = int.from_bytes(data[8:16], "little")
+        lead, copy, head, _ = sidecar_parts(data)
+        x_at = len(lead) + len(copy) + len(head)
         if spoil == "truncated":
             data = data[: len(data) // 2]
         elif spoil == "other-version":  # whole and checksummed, but of another version and dataset
-            dataio._write_sidecar(dataclasses.replace(ds, X=ds.X + 1), str(side), sha)
+            forge_sidecar(path, dataclasses.replace(ds, X=ds.X + 1))
             data = bytearray(side.read_bytes())
             data[:8] = b"STLDSv%02d" % (SIDECAR_VERSION + 1)
-            data[-4:] = zlib.crc32(data[:-4]).to_bytes(4, "little")
+            lead, _, head, floats = sidecar_parts(data)
+            data[-4:] = zlib.crc32(floats, zlib.crc32(head, zlib.crc32(lead))).to_bytes(4, "little")
         elif spoil == "non-finite":  # whole and checksummed, but holding a NaN
             X = ds.X.copy()
             X[0, 0, 0] = np.nan
-            dataio._write_sidecar(dataclasses.replace(ds, X=X), str(side), sha)
+            forge_sidecar(path, dataclasses.replace(ds, X=X))
             data = side.read_bytes()
         elif spoil == "float-byte":  # the sign of the first state value
-            data[16 + n_head + 7] ^= 0x80
+            data[x_at + 7] ^= 0x80
         elif spoil == "header-byte":  # an id, so the header still decodes
-            at = data.index(b'"t0"', 16, 16 + n_head)
+            at = data.index(b'"t0"', x_at - len(head), x_at)
             data[at + 1 : at + 2] = b"u"
-        else:  # an archive of version 1, a NumPy .npz of another dataset under the same sha256
+        elif spoil == "copy-byte":  # the copy's first id: it no longer equals the file
+            at = data.index(b'"t0"', len(lead), len(lead) + len(copy))
+            data[at + 1 : at + 2] = b"u"
+        elif spoil == "version-1-archive":  # a NumPy .npz of another dataset under the same sha256
             head = json.dumps({"ids": ds.ids, "metas": ds.metas, "names": [ds.agent_names, ds.env_names]})
             buf = io.BytesIO()
             np.savez(
@@ -292,8 +377,16 @@ class TestSidecar:
                 head=np.frombuffer(head.encode("utf-8"), dtype=np.uint8),
             )
             data = buf.getvalue()
+        else:  # a flat file of version 2, keyed by the sha256, of another dataset
+            head = json.dumps({
+                "sha256": sha, "shape": ds.X.shape, "labels": ds.labels.tolist(), "ids": ds.ids,
+                "metas": ds.metas, "meta_index": list(range(len(ds))), "names": [ds.agent_names, ds.env_names],
+            }).encode("utf-8")
+            v2 = b"STLDSv02" + len(head).to_bytes(8, "little") + head + (ds.X + 1).astype("<f8").tobytes()
+            data = v2 + zlib.crc32(v2).to_bytes(4, "little")
         side.write_bytes(bytes(data))
         assert_same(load_dataset(str(path)), ds)
+        assert side.read_bytes()[:8] == b"STLDSv%02d" % SIDECAR_VERSION  # replaced by a sidecar of this version
         with mock.patch.object(dataio, "_parse_lines", parse_fails):
             assert_same(load_dataset(str(path)), ds)
 
