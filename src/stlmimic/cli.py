@@ -15,23 +15,17 @@ section or option is refused, and so is a value out of its option's range;
 the error names `section.option` and the command exits 2. A checkpoint's
 `shape` is checked by the same rule, and a bad one exits 3.
 
-Each command that reads `--data` FILE parses it once: the first read
-leaves a binary sidecar `.FILE.npz` beside it (see `dataio`), one flat
-file that holds a verbatim copy of FILE's bytes besides the parsed block,
-checked by a CRC32. A later read compares FILE with that copy, a chunk at
-a time and without hashing it, and takes the parsed block from the sidecar
-in one pass when they are equal; any other sidecar is ignored and
-rewritten, and one that cannot be written is skipped. Because the copy is
-compared, an edit that keeps FILE's size and modification time is still
-read from the new bytes. A sidecar takes about FILE's size plus 8 bytes
-per state value on disk. Outputs are the same either way, and deleting a
-sidecar is always safe.
+Each dataset FILE a command reads is parsed once, and later reads take it
+from a sidecar `.FILE.npz` beside it, used only while FILE is byte for
+byte what was parsed (see `dataio`). A sidecar takes about FILE's size
+plus 8 bytes per state value on disk; outputs are the same either way, and
+deleting a sidecar is always safe.
 
 Without `--data`, `extract`, `rollout` and `adjust` read the checkpoint's
-own dataset, `extra["augmented_dataset"]`, and first check it against the
-checkpoint's `dataset_digest`: a file whose digest differs is a data error
-(exit 3) naming it and both digests. A `--data` FILE is taken as given,
-without that check.
+own dataset, `extra["augmented_dataset"]`, and check the digest of that
+read against the checkpoint's `dataset_digest`: a file whose digest
+differs is a data error (exit 3) naming it and both digests. A `--data`
+FILE is taken as given, without that check.
 
 Every command that writes `--out` reads and checks its inputs, then refuses
 a directory as `--out` and makes the file's missing parent directories,
@@ -203,6 +197,9 @@ def _checkpoint(run: Run, extra: dict, **fields) -> Checkpoint:
 
 def _load_ckpt_parts(path: str):
     ck = dataio.load_checkpoint(path)
+    own = ck.extra.get("augmented_dataset")
+    if own is not None and not isinstance(own, str):
+        raise dataio.ParseError(f"{path}: extra.augmented_dataset must be a file name, got {own!r}")
     if ck.extra.get("boundary"):
         raise dataio.ParseError(f"{path}: a round-boundary snapshot for resuming, not a trained model")
     if not ck.inference_groups or not ck.norm:
@@ -256,40 +253,41 @@ def _read_data(path: str, env=None) -> dataio.Dataset:
     return ds
 
 
-def _own_dataset(ck: Checkpoint, ckpt_path: str) -> str | None:
-    """The checkpoint's own dataset file, None if it names none or the file
-    is gone. A file whose digest is not the checkpoint's dataset_digest is a
-    ParseError naming it and both digests."""
-    path = ck.extra.get("augmented_dataset")
-    if not path or not os.path.exists(path):
-        return None
-    digest = dataio.file_digest(path)
-    if digest != ck.dataset_digest:
+def _ckpt_data(ck: Checkpoint, env, data_path, ckpt_path: str):
+    """The dataset file a checkpoint command reads and its dataset: `data_path`
+    as given, else the checkpoint's own, whose read must give its dataset_digest
+    (a ParseError naming the file and both digests otherwise). The dataset is
+    None, and the path too if none is named, when there is no such file."""
+    if data_path is not None:
+        return data_path, _read_data(data_path, env)
+    path = ck.extra.get("augmented_dataset") or None
+    if path is None or not os.path.exists(path):
+        return path, None
+    ds = dataio.load_dataset(path)
+    if ds.digest != ck.dataset_digest:
         raise dataio.ParseError(
-            f"{path}: digest {digest} is not the dataset_digest {ck.dataset_digest} of {ckpt_path};"
+            f"{path}: digest {ds.digest} is not the dataset_digest {ck.dataset_digest} of {ckpt_path};"
             " give --data to read it anyway"
         )
-    return path
+    ds.check_input(path, env)
+    return path, ds
 
 
 def _env_pool(ck: Checkpoint, env, data_path, ckpt_path: str):
     """Environment trajectories that rollouts of a checkpoint's policy draw
-    from: the demonstration rows of `data_path`, else of the checkpoint's
-    own dataset (`_own_dataset`); a file without any is a ParseError naming
-    it. Empty for an environment without them, though a given `data_path`
-    is still read and checked."""
-    if data_path is None:
-        if env.n_env == 0:
-            return []
-        data_path = _own_dataset(ck, ckpt_path)
-        if data_path is None:
-            named = ck.extra.get("augmented_dataset")
-            gone = f"; the checkpoint's dataset {named} does not exist" if named else ""
-            raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
+    from: the demonstration rows of the dataset `_ckpt_data` reads; a file
+    without any is a ParseError naming it. Empty for an environment without
+    them, though a given `data_path` is still read and checked."""
+    if data_path is None and env.n_env == 0:
+        return []
+    path, ds = _ckpt_data(ck, env, data_path, ckpt_path)
+    if ds is None:
+        gone = f"; the checkpoint's dataset {path} does not exist" if path else ""
+        raise dataio.ParseError(f"{env.name} rollouts need --data for environment trajectories{gone}")
     try:
-        return original_env_pool(_read_data(data_path, env), env)
+        return original_env_pool(ds, env)
     except train.EmptyDataset as exc:
-        raise dataio.ParseError(f"{data_path}: {exc}") from exc
+        raise dataio.ParseError(f"{path}: {exc}") from exc
 
 
 def _out_dir(path: str) -> str:
@@ -394,9 +392,7 @@ def cmd_extract(args) -> int:
     if not (0.0 < args.threshold < 1.0):
         raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
     ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
-    # a --data path must exist; only the checkpoint's own dataset may be missing
-    data_path = args.data if args.data is not None else _own_dataset(ck, args.ckpt)
-    ds = None if data_path is None else _read_data(data_path, env)
+    _path, ds = _ckpt_data(ck, env, args.data, args.ckpt)
     _out_dir(args.out)
     formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
     if ds is None:

@@ -28,7 +28,8 @@ replaces an old sidecar instead of leaving it behind):
 - the copy: the dataset file's bytes that were parsed, verbatim;
 - the header, one UTF-8 JSON object: the shape of `X`, the labels, the
   ids, each distinct meta once (a meta holding a list or an object once per
-  row), the index of each row's meta among those, and the dimension names;
+  row), the index of each row's meta among those, the dimension names and
+  the dataset digest of the copy;
 - `X` as little-endian float64 in C order;
 - the CRC32 of the lead (the magic and the two lengths), the header and
   `X`, as 4 bytes little-endian.
@@ -42,7 +43,9 @@ file's size and modification time, the comparison sees an edit that keeps
 both, and unlike a hash it cannot collide. The price is disk space: the
 sidecar holds the file once more besides `X`, so the sidecar of the 4.68 MB
 1,000-row driving set takes 6.56 MB, 4.68 MB of it the copy, and a miss
-writes all of it. Each row read back gets a meta dict of its own.
+writes all of it. Each row read back gets a meta dict of its own, and the
+dataset digest of the file from the same read: the header's digest is that
+of the copy, which the hit found equal to the file.
 
 A missing, stale, short, corrupt or other-version sidecar is a miss: the
 file is parsed, and its sha256 taken as it is read. The sidecar is then
@@ -75,7 +78,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 CHECKPOINT_VERSION = 1
-SIDECAR_VERSION = 3
+SIDECAR_VERSION = 4
 _SIDECAR_MAGIC = b"STLDSv%02d" % SIDECAR_VERSION
 _LEAD_SIZE = 24  # the magic and two lengths
 # the bytes a sidecar read or write moves at a time; the allocator maps a
@@ -106,7 +109,8 @@ class IoError(OSError):
 class Dataset:
     """Labelled trajectories as one block: `X` is (N, T+1, n_agent + n_env)
     with the agent columns first, `labels` the N labels (+1 expert-like,
-    -1 incorrect behavior), and `ids` and `metas` one entry per row."""
+    -1 incorrect behavior), `ids` and `metas` one entry per row, and
+    `digest` the dataset digest of the file read, None for one built here."""
 
     X: np.ndarray
     labels: np.ndarray
@@ -114,6 +118,7 @@ class Dataset:
     metas: list[dict]
     agent_names: tuple[str, ...]
     env_names: tuple[str, ...] = ()
+    digest: str | None = None
 
     def __post_init__(self):
         self.X, labels = np.asarray(self.X, dtype=float), np.asarray(self.labels).reshape(-1)
@@ -208,15 +213,6 @@ def write_lines(lines, path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def file_digest(path: str) -> str:
-    """The dataset digest of the file at `path`, as `write_lines` returns it."""
-    sha = hashlib.sha256()
-    with open_input(path, "dataset") as fh:
-        while chunk := fh.read(_CHUNK):
-            sha.update(chunk)
-    return sha.hexdigest()[:16]
-
-
 def save_dataset(ds: Dataset, path: str, config_digest: str | None = None) -> str:
     """One JSON object per line (`encoded_rows`), written one line at a
     time. Returns the dataset digest."""
@@ -278,25 +274,27 @@ def read_text(path: str, what: str) -> str:
 
 def load_dataset(path: str) -> Dataset:
     """The dataset in the JSON-Lines file at `path`, read through its
-    sidecar (see the module docstring). A regular file whose sidecar is
-    whole, of this version and holds a copy equal to the file's bytes is
-    read from the sidecar; any other file is parsed (`_parse_lines`), and a
-    regular file's parse is stored as its sidecar. A bad line, including
-    one that is not UTF-8 or whose horizon or dimension names differ from
-    the first line's, raises a ParseError or InconsistentHorizon naming the
-    file and the line."""
+    sidecar (see the module docstring), with the digest of the bytes read.
+    A regular file whose sidecar is whole, of this version and holds a copy
+    equal to the file's bytes is read from the sidecar; any other file is
+    parsed (`_parse_lines`), and a regular file's parse is stored as its
+    sidecar. A bad line, including one that is not UTF-8 or whose horizon
+    or dimension names differ from the first line's, raises a ParseError or
+    InconsistentHorizon naming the file and the line."""
     with open_input(path, "dataset") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return _parse_lines(path, fh)
-        head, name = os.path.split(path)
-        side = os.path.join(head, f".{name}.npz")
-        ds = _read_sidecar(side, fh)
-        if ds is not None:
-            return ds
-        fh.seek(0)
+        side = None
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            head, name = os.path.split(path)
+            side = os.path.join(head, f".{name}.npz")
+            ds = _read_sidecar(side, fh)
+            if ds is not None:
+                return ds
+            fh.seek(0)
         sha = hashlib.sha256()
         ds = _parse_lines(path, _hashed(fh, sha))
-        _write_sidecar(ds, side, fh, sha.digest())
+        ds.digest = sha.hexdigest()[:16]
+        if side is not None:
+            _write_sidecar(ds, side, fh, sha.digest())
     return ds
 
 
@@ -335,8 +333,8 @@ def _read_sidecar(path: str, src) -> Dataset | None:
             crc = zlib.crc32(X, zlib.crc32(head_bytes, zlib.crc32(lead)))
             if fh.read(4) != crc.to_bytes(4, "little") or not np.isfinite(X).all():
                 return None
-            metas = head["metas"]
-            return Dataset(X, head["labels"], head["ids"], [dict(metas[i]) for i in head["meta_index"]], *head["names"])
+            metas = [dict(head["metas"][i]) for i in head["meta_index"]]
+            return Dataset(X, head["labels"], head["ids"], metas, *head["names"], head["digest"])
     except (OSError, KeyError, IndexError, TypeError, ValueError):
         return None
 
@@ -358,10 +356,10 @@ def _same_bytes(src, copy, n: int) -> bool:
 def _write_sidecar(ds: Dataset, path: str, src, sha: bytes) -> None:
     """Store `ds` as the sidecar at `path` of the dataset file open as
     `src`, whose bytes before its position were parsed into `ds` and have
-    the sha256 `sha`. Those bytes are copied from `src` a chunk at a time,
-    and the sidecar is kept only when the copy has that sha256. It is
-    written to a temporary name and renamed into place, so a reader finds a
-    whole sidecar or none. A failure to write, or a copy that differs, is
+    the sha256 `sha`, of which `ds.digest` is the prefix. Those bytes are
+    copied from `src` a chunk at a time, and the sidecar is kept only when
+    the copy has that sha256. It is written to a temporary name and renamed
+    into place, so a reader finds a whole sidecar or none. A failure to write, or a copy that differs, is
     logged and leaves no file."""
     n_copy = src.tell()
     distinct, index = {}, []
@@ -373,7 +371,7 @@ def _write_sidecar(ds: Dataset, path: str, src, sha: bytes) -> None:
     head = json.dumps({
         "shape": ds.X.shape, "labels": ds.labels.tolist(), "ids": ds.ids,
         "metas": [json.loads(text) for text, _ in distinct], "meta_index": index,
-        "names": [ds.agent_names, ds.env_names],
+        "names": [ds.agent_names, ds.env_names], "digest": ds.digest,
     }).encode("utf-8")
     lead = _SIDECAR_MAGIC + n_copy.to_bytes(8, "little") + len(head).to_bytes(8, "little")
     X = np.ascontiguousarray(ds.X, dtype="<f8")
@@ -411,25 +409,30 @@ def _replacing(path: str, tmp: str):
 def _parse_lines(path: str, lines) -> Dataset:
     """Parse a dataset's lines (bytes) one at a time, so only one line's
     text and parsed lists are held at a time: each line becomes one
-    (T+1, D) array, and the arrays are stacked once at the end. Errors
-    name `path` and the line."""
+    (T+1, D) array, and the arrays are stacked once at the end. Only a
+    missing or null `env_states`, `env_dims` or `meta` is read as empty,
+    and `[]` as no environment columns. Errors name `path` and the line."""
     rows, labels, ids, metas, names = [], [], [], [], ((), ())
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line.decode("utf-8"))
-            label = int(obj["label"])
-            if label not in (1, -1):
-                raise ValueError(f"label must be +1 or -1, got {label}")
+            label = obj["label"]
+            if not (_finite_number(label) and label in (1, -1)):
+                raise ValueError(f"label must be +1 or -1, got {label!r}")
             agent = np.array(obj["agent_states"], dtype=float)
-            env = np.array(obj.get("env_states") or np.zeros((len(agent), 0)), dtype=float)
+            env = obj.get("env_states")
+            env = np.array(np.zeros((len(agent), 0)) if env in (None, []) else env, dtype=float)
             if agent.ndim != 2 or env.ndim != 2:
                 raise ValueError("state blocks must be 2-d arrays")
             steps = len(rows[0]) if rows else len(agent)
             if not len(agent) == len(env) == steps:
                 raise InconsistentHorizon(f"{len(agent)} agent, {len(env)} env steps; first line {steps}")
-            row_names = (tuple(obj["agent_dims"]), tuple(obj.get("env_dims") or ()))
+            dims = obj["agent_dims"], [] if obj.get("env_dims") is None else obj["env_dims"]
+            if not all(isinstance(d, list) for d in dims):
+                raise ValueError("agent_dims and env_dims must be lists of names")
+            row_names = tuple(map(tuple, dims))
             if (agent.shape[1], env.shape[1]) != tuple(map(len, row_names)):
                 raise ValueError("agent_dims or env_dims do not match the state widths")
             if rows and row_names != names:
@@ -437,7 +440,7 @@ def _parse_lines(path: str, lines) -> Dataset:
             x = np.concatenate([agent, env], axis=1)
             if not np.isfinite(x).all():
                 raise ValueError("non-finite value in agent_states or env_states")
-            meta = obj.get("meta") or {}
+            meta = {} if obj.get("meta") is None else obj["meta"]
             if not isinstance(meta, dict):
                 raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
             ids.append(str(obj["id"]))
@@ -447,7 +450,7 @@ def _parse_lines(path: str, lines) -> Dataset:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         names = row_names
         rows.append(x)
-        labels.append(label)
+        labels.append(int(label))
         metas.append(meta)
     return Dataset(np.stack(rows) if rows else np.zeros((0, 0, 0)), labels, ids, metas, *names)
 

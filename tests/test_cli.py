@@ -843,6 +843,59 @@ class TestOwnDatasetDigest:
         for argv in commands:
             assert main(argv + ["--data", str(data)]) == EXIT_OK, argv[0]
 
+    def test_sidecar_hit_opens_the_dataset_once_and_hashes_nothing(self, trained_driving, tmp_path, monkeypatch):
+        """The digest checked is that of the one read of the dataset, which a
+        sidecar hit gives without hashing the file."""
+        ckpt = trained_driving[3]
+        data = json.loads(ckpt.read_text())["extra"]["augmented_dataset"]
+        dataio.load_dataset(data)  # leaves its sidecar
+        opened, hashed = [], []
+        real_open, real_sha256 = open, hashlib.sha256
+        monkeypatch.setattr("builtins.open", lambda file, *a, **kw: opened.append(file) or real_open(file, *a, **kw))
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or real_sha256(*a))
+        for argv in own_dataset_commands(ckpt, tmp_path / "out"):
+            opened.clear()
+            assert main(argv) == EXIT_OK, argv[0]
+            assert opened.count(data) == 1 and not hashed, argv[0]
+
+    def test_malformed_dataset_is_data_error_naming_its_line(self, trained_driving, tmp_path, capsys):
+        doc = json.loads(trained_driving[3].read_text())
+        lines = open(doc["extra"]["augmented_dataset"], "rb").read().splitlines(keepends=True)
+        data = tmp_path / "dataset_augmented.jsonl"
+        data.write_bytes(lines[0] + b"{not json\n" + b"".join(lines[2:]))
+        doc["extra"]["augmented_dataset"] = str(data)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for argv in own_dataset_commands(ckpt, out):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert f"{data}:2: " in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, 2])
+    def test_dataset_name_that_is_not_a_string_is_data_error(self, trained_driving, tmp_path, capsys, value):
+        """A number or true is not read as a file descriptor."""
+        doc = json.loads(trained_driving[3].read_text())
+        doc["extra"]["augmented_dataset"] = value
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for argv in own_dataset_commands(ckpt, out):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert f"{ckpt}: extra.augmented_dataset must be a file name" in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
+
+def own_dataset_commands(ckpt, out):
+    """extract, rollout and adjust on the driving checkpoint `ckpt`, without
+    --data, writing under `out`."""
+    return (
+        ["extract", "--ckpt", str(ckpt), "--out", str(out / "f.txt")],
+        ["rollout", "--ckpt", str(ckpt), "--n", "2", "--out", str(out / "r.csv")],
+        ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--rollouts", "2",
+         "--out", str(out / "adj.json")],
+    )
+
 
 class TestDefaults:
     def test_default_config_roundtrips(self):

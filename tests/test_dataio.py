@@ -131,15 +131,40 @@ class TestDatasetRoundtrip:
             load_dataset(str(path))
         assert ":1:" in str(err.value)
 
-    @pytest.mark.parametrize("meta", [5, "x", [1]])
+    @pytest.mark.parametrize("label", [True, 1.7, -1.2, "1"])
+    def test_label_not_equal_to_one_or_minus_one_reports_line(self, tmp_path, label):
+        """A label is a number equal to 1 or -1, and true is not a number."""
+        write_with_second_row(tmp_path / "bad.jsonl", label=label)
+        with pytest.raises(ParseError, match=r":2: label must be \+1 or -1, got " + re.escape(repr(label))):
+            load_dataset(str(tmp_path / "bad.jsonl"))
+        write_with_second_row(tmp_path / "ok.jsonl", label=1.0)
+        assert load_dataset(str(tmp_path / "ok.jsonl")).labels.tolist() == [1, 1, 1, -1, 1, -1]
+
+    @pytest.mark.parametrize(
+        "meta", [5, "x", [1], 0, False, pytest.param("", id="empty-string"), pytest.param([], id="empty-list")],
+    )
     def test_meta_that_is_not_an_object_reports_line(self, tmp_path, meta):
         path = tmp_path / "bad.jsonl"
-        lines = list(encoded_rows(small_dataset(n=2)))
-        obj = json.loads(lines[1])
-        lines[1] = (json.dumps({**obj, "meta": meta}) + "\n").encode("utf-8")
-        path.write_bytes(b"".join(lines))
+        write_with_second_row(path, meta=meta)
         with pytest.raises(ParseError, match=r":2: meta must be a JSON object"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("env_states", 0), ("env_states", False), ("env_dims", 0), ("env_dims", False),
+         pytest.param("env_dims", "", id="env_dims-empty-string")],
+    )
+    def test_falsy_environment_field_reports_line(self, tmp_path, key, value):
+        """Of rows without environment columns, only a missing or null field
+        or `[]` is read as empty."""
+        ds = small_dataset()
+        ds = Dataset(ds.X[:, :, :2], ds.labels, ds.ids, ds.metas, ds.agent_names)
+        for empty in (None, []):
+            write_with_second_row(tmp_path / "ok.jsonl", ds, **{key: empty})
+            assert_same(load_dataset(str(tmp_path / "ok.jsonl")), ds)
+        write_with_second_row(tmp_path / "bad.jsonl", ds, **{key: value})
+        with pytest.raises(ParseError, match=":2: "):
+            load_dataset(str(tmp_path / "bad.jsonl"))
 
     def test_mixed_horizons_rejected(self, tmp_path):
         rows = []
@@ -169,6 +194,14 @@ class TestDatasetRoundtrip:
         assert save_dataset(a, str(tmp_path / "a2.jsonl")) == digest
         assert save_dataset(b, str(tmp_path / "b.jsonl")) != digest
         assert digest == hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest()[:16]
+
+
+def write_with_second_row(path, ds=None, **fields):
+    """Save `ds`, by default `small_dataset()`, to `path` with `fields` set
+    in its second row."""
+    lines = list(encoded_rows(small_dataset() if ds is None else ds))
+    lines[1] = (json.dumps({**json.loads(lines[1]), **fields}) + "\n").encode("utf-8")
+    path.write_bytes(b"".join(lines))
 
 
 def sidecar(path):
@@ -266,6 +299,30 @@ class TestSidecar:
             assert hit.X.flags.writeable
             assert len({id(meta) for meta in hit.metas}) == len(hit)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    def test_digest_is_that_of_the_bytes_read(self, ds):
+        """A read returns the digest `save_dataset` returned, the sha256 prefix
+        of the file's bytes, whether it parses the file, reads its sidecar or
+        reads a pipe; a dataset built in memory has none."""
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ds.jsonl"
+            digest = save_dataset(ds, str(path))
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            assert load_dataset(str(path)).digest == digest
+            with mock.patch.object(dataio, "_parse_lines", parse_fails), mock.patch("hashlib.sha256", hash_fails):
+                assert load_dataset(str(path)).digest == digest
+            if hasattr(os, "mkfifo"):
+                fifo = Path(d) / "pipe.jsonl"
+                os.mkfifo(fifo)
+                writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+                writer.start()
+                try:
+                    assert load_dataset(str(fifo)).digest == digest
+                finally:
+                    writer.join(timeout=10)
+        assert ds.digest is None and ds.extended(ds).digest is None
+
     def test_stale_sidecar_is_ignored_and_rewritten(self, tmp_path):
         path = tmp_path / "ds.jsonl"
         save_dataset(small_dataset(), str(path))
@@ -336,7 +393,7 @@ class TestSidecar:
     @pytest.mark.parametrize(
         "spoil",
         ["truncated", "other-version", "non-finite", "float-byte", "header-byte", "copy-byte", "version-1-archive",
-         "version-2"],
+         "version-2", "version-3"],
     )
     def test_bad_sidecar_is_ignored(self, tmp_path, spoil):
         path = tmp_path / "ds.jsonl"
@@ -377,6 +434,15 @@ class TestSidecar:
                 head=np.frombuffer(head.encode("utf-8"), dtype=np.uint8),
             )
             data = buf.getvalue()
+        elif spoil == "version-3":  # keyed by a copy of the file, of another dataset, and without a digest
+            head = json.dumps({
+                "shape": ds.X.shape, "labels": ds.labels.tolist(), "ids": ds.ids, "metas": ds.metas,
+                "meta_index": list(range(len(ds))), "names": [ds.agent_names, ds.env_names],
+            }).encode("utf-8")
+            copy, floats = path.read_bytes(), (ds.X + 1).astype("<f8").tobytes()
+            lead = b"STLDSv03" + len(copy).to_bytes(8, "little") + len(head).to_bytes(8, "little")
+            crc = zlib.crc32(floats, zlib.crc32(head, zlib.crc32(lead)))
+            data = lead + copy + head + floats + crc.to_bytes(4, "little")
         else:  # a flat file of version 2, keyed by the sha256, of another dataset
             head = json.dumps({
                 "sha256": sha, "shape": ds.X.shape, "labels": ds.labels.tolist(), "ids": ds.ids,
