@@ -13,7 +13,13 @@ finite number, an integer where the default is one, and never true or
 false; a pair or list takes a list of as many finite numbers. An unknown
 section or option is refused, and so is a value out of its option's range;
 the error names `section.option` and the command exits 2. A checkpoint's
-`shape` is checked by the same rule, and a bad one exits 3.
+`shape` is checked by the same rule, and a bad one exits 3, as does a
+checkpoint whose config has a bad option.
+
+Besides `name`, the `env` section takes `T`, `init_lo` and `init_hi` on
+unicycle, and `T` and `init_pos` on driving. The scripted experts'
+parameters and the region geometry are fixed, and `gen-data` runs the
+experts at those values.
 
 Each dataset FILE a command reads is parsed once, and later reads take it
 from a sidecar `.FILE.npz` beside it, used only while FILE is byte for
@@ -389,12 +395,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if not (0.0 < args.threshold < 1.0):
-        raise ConfigError(f"--threshold must be in (0, 1), got {args.threshold}")
     ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
     _path, ds = _ckpt_data(ck, env, args.data, args.ckpt)
     _out_dir(args.out)
-    formula = extract_formula(inf, shape, norm, env.inference_names, args.threshold)
+    formula = extract_formula(inf, shape, norm, env.inference_names)
     if ds is None:
         log.warning("no dataset available; writing unsimplified extraction")
     else:
@@ -496,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extract", help="read the formula out of a checkpoint")
     e.add_argument("--ckpt", required=True)
-    e.add_argument("--threshold", type=float, default=0.5)
     e.add_argument("--data", default=None, help="dataset for simplification")
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_extract)

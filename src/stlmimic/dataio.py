@@ -78,7 +78,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 CHECKPOINT_VERSION = 1
-SIDECAR_VERSION = 4
+SIDECAR_VERSION = 5
 _SIDECAR_MAGIC = b"STLDSv%02d" % SIDECAR_VERSION
 _LEAD_SIZE = 24  # the magic and two lengths
 # the bytes a sidecar read or write moves at a time; the allocator maps a
@@ -430,8 +430,8 @@ def _parse_lines(path: str, lines) -> Dataset:
             if not len(agent) == len(env) == steps:
                 raise InconsistentHorizon(f"{len(agent)} agent, {len(env)} env steps; first line {steps}")
             dims = obj["agent_dims"], [] if obj.get("env_dims") is None else obj["env_dims"]
-            if not all(isinstance(d, list) for d in dims):
-                raise ValueError("agent_dims and env_dims must be lists of names")
+            if not all(isinstance(d, list) and all(isinstance(n, str) for n in d) for d in dims):
+                raise ValueError("agent_dims and env_dims must be lists of strings")
             row_names = tuple(map(tuple, dims))
             if (agent.shape[1], env.shape[1]) != tuple(map(len, row_names)):
                 raise ValueError("agent_dims or env_dims do not match the state widths")
@@ -443,7 +443,10 @@ def _parse_lines(path: str, lines) -> Dataset:
             meta = {} if obj.get("meta") is None else obj["meta"]
             if not isinstance(meta, dict):
                 raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
-            ids.append(str(obj["id"]))
+            id_ = obj["id"]
+            if not isinstance(id_, str):
+                raise ValueError(f"id must be a string, got {id_!r}")
+            ids.append(id_)
         except InconsistentHorizon as exc:
             raise InconsistentHorizon(f"{path}:{lineno}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
@@ -475,12 +478,12 @@ def _finite_number(value, integer: bool = False) -> bool:
 def checked_options(section: str, defaults: dict, values: dict) -> dict:
     """The options `values` of one section of a config, or of a checkpoint's
     shape, each checked against its entry in `defaults` and stored as the
-    default's type; the one checker of such values. A number default takes
-    a finite number, or an integer where the default is one; a JSON true or
-    false is not a number. A tuple or array default takes a list of as many
-    finite numbers. Any other default takes only an instance of its class.
-    A wrong or unknown option is a ValueError naming `section.option`, or
-    `option` alone where the section is ''."""
+    default's type; the one checker of such values. Every default is a
+    number, a tuple or an array. A number default takes a finite number, or
+    an integer where the default is one; a JSON true or false is not a
+    number. A tuple or array default takes a list of as many finite
+    numbers. A wrong or unknown option is a ValueError naming
+    `section.option`, or `option` alone where the section is ''."""
     checked = {}
     for key, value in values.items():
         name = f"{section}.{key}" if section else key
@@ -490,29 +493,32 @@ def checked_options(section: str, defaults: dict, values: dict) -> dict:
         if isinstance(default, (tuple, np.ndarray)):
             ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default)
             ok, what = ok and all(map(_finite_number, value)), f"a list of {len(default)} finite numbers"
-        elif isinstance(default, numbers.Real):
+        else:
             integer = isinstance(default, numbers.Integral)
             ok, what = _finite_number(value, integer), "a finite " + ("integer" if integer else "number")
-        else:
-            ok, what = isinstance(value, type(default)), f"a {type(default).__name__}"
         if not ok:
             raise ValueError(f"{name} must be {what}, got {value!r}")
         if isinstance(default, np.ndarray):
             value = np.array(value, dtype=float)
         elif isinstance(default, tuple):
             value = tuple(map(float, value))
-        elif isinstance(default, numbers.Real):
+        else:
             value = type(default)(value)
         checked[key] = value
     return checked
 
 
-def require_counts(obj, *names) -> None:
-    """Raise a ValueError naming the first of the fields `names` of obj that
-    is below 1."""
+def require(obj, what: str, ok, *names) -> None:
+    """Raise a ValueError naming the first of the fields `names` of obj whose
+    value fails the test `ok`: `NAME must be WHAT, got VALUE`."""
     for name in names:
-        if getattr(obj, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(obj, name)}")
+        if not ok(getattr(obj, name)):
+            raise ValueError(f"{name} must be {what}, got {getattr(obj, name)}")
+
+
+def require_counts(obj, *names) -> None:
+    """`require` that each of the fields `names` of obj is at least 1."""
+    require(obj, "at least 1", lambda v: v >= 1, *names)
 
 
 @dataclass

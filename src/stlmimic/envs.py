@@ -107,9 +107,9 @@ def ego_partials(x):
 
 def set_options(env, overrides: dict) -> None:
     """Set an environment's options from `overrides`, each checked against
-    its default by `dataio.checked_options`; errors name `env.<option>`. A
-    Region or ControlBox default takes only an instance of its class, which
-    no config holds. The horizon `T` must be at least 1."""
+    its default by `dataio.checked_options`; errors name `env.<option>`.
+    The options are the instance's own attributes, set before this call;
+    the class attributes are fixed. The horizon `T` must be at least 1."""
     vars(env).update(checked_options("env", vars(env), overrides))
     if env.T < 1:
         raise ValueError(f"env.T must be at least 1, got {env.T}")
@@ -166,17 +166,17 @@ class UnicycleEnv:
     """
 
     name = "unicycle"
+    region_a = Region("RegA", 1.0, 9.0, 1.0)
+    region_b = Region("RegB", 7.0, 2.0, 0.86)
+    region_c = Region("RegC", 9.0, 9.0, 0.7)
+    obstacle = Region("Obs", 5.0, 8.0, 1.0)
+    control_box = ControlBox((0.0, -math.pi / 4), (1.0, math.pi / 4))
+    obstacle_margin = 1.5  # the expert's repulsion kicks in inside this range
 
     def __init__(self, **overrides):
         self.T = 20
-        self.region_a = Region("RegA", 1.0, 9.0, 1.0)
-        self.region_b = Region("RegB", 7.0, 2.0, 0.86)
-        self.region_c = Region("RegC", 9.0, 9.0, 0.7)
-        self.obstacle = Region("Obs", 5.0, 8.0, 1.0)
         self.init_lo = np.array([0.5, 0.5, 0.0])
         self.init_hi = np.array([2.0, 2.0, math.pi / 2])
-        self.control_box = ControlBox((0.0, -math.pi / 4), (1.0, math.pi / 4))
-        self.obstacle_margin = 1.5  # repulsion kicks in inside this range
         set_options(self, overrides)
         check_ranges(init_lo=(self.init_lo, self.init_hi))
         self.n_agent = 3
@@ -313,22 +313,22 @@ class DrivingEnv:
     from the lead's motion: stop when it stops, keep moving otherwise."""
 
     name = "driving"
+    cruise = 5.0  # nominal cruise speed; deliberately above the
+    # retrofit speed limit of 4 used in the unseen-scenario study
+    accel = 0.5
+    other_brake = 1.25
+    ego_brake = 1.0
+    decel_onset = 35  # lead starts braking here when a pedestrian crosses
+    react_delay = 2
+    wrong_stop_onset = 28
+    gap = (6.0, 10.0)
+    control_box = ControlBox((-3.0,), (3.0,))
 
     def __init__(self, **overrides):
         self.T = 57
-        self.cruise = 5.0  # nominal cruise speed; deliberately above the
-        # retrofit speed limit of 4 used in the unseen-scenario study
-        self.accel = 0.5
-        self.other_brake = 1.25
-        self.ego_brake = 1.0
-        self.decel_onset = 35  # lead starts braking here when a pedestrian crosses
-        self.react_delay = 2
-        self.wrong_stop_onset = 28
-        self.gap = (6.0, 10.0)
         self.init_pos = (0.0, 5.0)
-        self.control_box = ControlBox((-3.0,), (3.0,))
         set_options(self, overrides)
-        check_ranges(gap=self.gap, init_pos=self.init_pos)
+        check_ranges(init_pos=self.init_pos)
         self.n_agent = 2
         self.n_env = 2
         self.agent_names = ("peg", "veg")

@@ -421,21 +421,19 @@ def extract_formula(
     shape: NetworkShape,
     norm: SignalNorm,
     dim_names,
-    gate_threshold: float = 0.5,
 ) -> Formula:
-    """Discretize gates and windows into a formula in original units."""
-    if not (0.0 < gate_threshold < 1.0):
-        raise ValueError("gate_threshold must be in (0, 1)")
+    """Discretize gates and windows into a formula in original units; a
+    gate is on where its sigmoid is above 0.5."""
     T = shape.horizon
     hr = np.asarray(norm.halfrange)
     mid = np.asarray(norm.mid)
     disjuncts = []
     for c in range(shape.n_conj):
-        if sigmoid(params.out_gate[c]) <= gate_threshold:
+        if sigmoid(params.out_gate[c]) <= 0.5:
             continue
         atoms = []
         for j in range(shape.n_atoms):
-            if sigmoid(params.gate[c, j]) <= gate_threshold:
+            if sigmoid(params.gate[c, j]) <= 0.5:
                 continue
             k = j // 2
             t1 = min(max(_halfup(float(params.win_lo[j])), 0), T)

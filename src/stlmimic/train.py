@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
-from .dataio import Dataset, InconsistentHorizon, require_counts
+from .dataio import Dataset, InconsistentHorizon, require, require_counts
 from .envs import rollout, to_dataset
 from .inference import (
     InferenceParams,
@@ -54,14 +54,18 @@ class NoNegativeData(ValueError):
     """Single-label dataset: the caller must bootstrap negatives first."""
 
 
+# the annealing schedule of `train_inference`
+INITIAL_TEMP = 1.0
+TEMP_DECAY = 0.95  # geometric cooling per epoch
+REHEAT = 0.5  # the initial temperature's scale on a warm-started fit
+
+
 @dataclass
 class InferenceTrainConfig:
     margin_lo: float = 0.01
     margin_hi: float = 1.0
     beta1: float = 0.05  # weight of the gate-sparsity regularizer
     beta2: float = 0.1  # reward for a large margin
-    initial_temp: float = 1.0
-    temp_decay: float = 0.95  # geometric cooling per epoch
     epoch_len: int = 50  # proposals per epoch; refinement runs between epochs
     refine_steps: int = 20
     refine_lr: float = 0.05
@@ -73,9 +77,11 @@ class InferenceTrainConfig:
     tau_eval: float = 0.01
 
     def __post_init__(self):
-        require_counts(self, "epoch_len", "refine_batch")
-        if self.tau_eval <= 0:
-            raise ValueError(f"tau_eval must be positive, got {self.tau_eval}")
+        require_counts(self, "epoch_len", "refine_batch", "n_starts")
+        require(self, "at least 0", lambda v: v >= 0, "max_proposals", "refine_steps", "margin_lo", "beta1", "beta2")
+        require(self, "positive", lambda v: v > 0, "refine_lr", "pred_bound", "gate_bound", "tau_eval")
+        if self.margin_lo > self.margin_hi:
+            raise ValueError(f"margin_lo must be at most margin_hi {self.margin_hi}, got {self.margin_lo}")
 
 
 @dataclass
@@ -88,6 +94,8 @@ class PolicyTrainConfig:
 
     def __post_init__(self):
         require_counts(self, "batch_m", "hidden")
+        require(self, "at least 0", lambda v: v >= 0, "steps")
+        require(self, "positive", lambda v: v > 0, "lr")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
 
@@ -97,7 +105,6 @@ class GanConfig:
     n_generate: int = 50
     max_iterations: int = 8
     stop_mcr: float = 0.05
-    reheat: float = 0.5  # annealing temperature scale on warm-started rounds
 
     def __post_init__(self):
         require_counts(self, "n_generate", "max_iterations")
@@ -216,14 +223,15 @@ def train_inference(
     *,
     norm: SignalNorm,
     warm_start: np.ndarray | None = None,
-    temp_scale: float = 1.0,
 ):
     """Fit classifier parameters plus the learnable margin.
 
     Global search uses Cauchy-distributed proposal moves with geometric
     cooling and Metropolis acceptance; after every epoch the incumbent is
-    polished with minibatch gradient descent. Deterministic per rng.
-    Returns (params, margin, loss).
+    polished with minibatch gradient descent. The temperature starts at
+    `INITIAL_TEMP` (1.0), or `REHEAT` (0.5) times that on a warm-started
+    fit, and is multiplied by `TEMP_DECAY` (0.95) after each epoch.
+    Deterministic per rng. Returns (params, margin, loss).
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -256,7 +264,7 @@ def train_inference(
     best, best_loss = current.copy(), cur_loss
 
     span = hi - lo
-    temp = cfg.initial_temp * temp_scale
+    temp = INITIAL_TEMP * (REHEAT if warm_start is not None else 1.0)
     for start in range(0, cfg.max_proposals, cfg.epoch_len):
         for _ in range(min(cfg.epoch_len, cfg.max_proposals - start)):
             u = rng.uniform(size=current.size)
@@ -279,7 +287,7 @@ def train_inference(
         if refined_loss < best_loss:
             best, best_loss = refined, refined_loss
             current, cur_loss = refined.copy(), refined_loss
-        temp *= cfg.temp_decay
+        temp *= TEMP_DECAY
 
     # Discrete polish: drive every gate logit to a rail whenever that does
     # not hurt the loss. Half-open gates can hide discrimination that the
@@ -530,8 +538,7 @@ def gan_loop(
 
         dataset = state.dataset
         inf_params, margin, loss = train_inference(
-            dataset, shape, inf_cfg, np.random.default_rng(seed_inf), norm=norm, warm_start=state.warm_start,
-            temp_scale=1.0 if state.adopted is None else gan_cfg.reheat,
+            dataset, shape, inf_cfg, np.random.default_rng(seed_inf), norm=norm, warm_start=state.warm_start
         )
         mcr_smooth = mcr(
             inf_params, dataset, shape=shape, norm=norm, tau=inf_cfg.tau_eval

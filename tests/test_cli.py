@@ -322,18 +322,35 @@ class TestConfigErrors:
             ({"env": {"name": "driving", "wobble": 1}}, "env.wobble"),
             ({"shape": {"tau": float("inf")}}, "shape.tau"),
             ({"shape": {"n_conj": True}}, "shape.n_conj"),
+            ({"inference": {"n_starts": -5}}, "inference.n_starts"),
+            ({"inference": {"n_starts": 0}}, "inference.n_starts"),
+            ({"inference": {"max_proposals": -10}}, "inference.max_proposals"),
+            ({"inference": {"refine_steps": -1}}, "inference.refine_steps"),
+            ({"policy": {"steps": -1}}, "policy.steps"),
+            ({"policy": {"lr": -0.5}}, "policy.lr"),
+            ({"policy": {"lr": 0}}, "policy.lr"),
+            ({"inference": {"refine_lr": 0.0}}, "inference.refine_lr"),
+            ({"inference": {"margin_lo": 2.0, "margin_hi": 1.0}}, "inference.margin_lo"),
+            ({"inference": {"margin_lo": -0.01}}, "inference.margin_lo"),
+            ({"inference": {"pred_bound": 0.0}}, "inference.pred_bound"),
+            ({"inference": {"gate_bound": -1.0}}, "inference.gate_bound"),
+            ({"inference": {"beta1": -10}}, "inference.beta1"),
+            ({"inference": {"beta2": -0.1}}, "inference.beta2"),
         ]:
             with pytest.raises(ConfigError) as excinfo:
                 Run(doc)
             assert str(excinfo.value).startswith(option + " "), (doc, str(excinfo.value))
+        # the lowest value of each range is taken
+        Run({"inference": {"max_proposals": 0, "refine_steps": 0, "margin_lo": 0, "margin_hi": 0, "beta1": 0,
+                           "beta2": 0}, "policy": {"steps": 0}})
 
     def test_json_integers_are_valid_floats(self):
         run = Run({"shape": {"tau": 1}, "inference": {"margin_lo": 0}, "policy": {"betas": [0, 0.5]}})
         assert run.shape.tau == 1.0 and isinstance(run.shape.tau, float)
         assert isinstance(run.inference.margin_lo, float)
         assert run.policy.betas == (0.0, 0.5)
-        env = Run({"env": {"name": "driving", "cruise": 5, "gap": [6, 10]}}).env.config()
-        assert [type(v) for v in (env["cruise"], *env["gap"])] == [float] * 3
+        env = Run({"env": {"name": "driving", "init_pos": [0, 5]}}).env.config()
+        assert [type(v) for v in env["init_pos"]] == [float] * 2
 
     def test_list_init_lo_trains_and_round_trips_through_config(self, trained, tmp_path):
         root, data, config, ckpt = trained
@@ -358,6 +375,55 @@ class TestConfigErrors:
             assert main(["train", "--data", str(data), "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
             assert option in capsys.readouterr().err
             assert not out.exists() and not out.parent.exists()
+
+
+# each option that changed nothing or that no caller set, with its old default
+RETIRED_OPTIONS = [
+    ("unicycle", "env", "region_a", [1.0, 9.0, 1.0]),
+    ("unicycle", "env", "region_b", [7.0, 2.0, 0.86]),
+    ("unicycle", "env", "region_c", [9.0, 9.0, 0.7]),
+    ("unicycle", "env", "obstacle", [5.0, 8.0, 1.0]),
+    ("unicycle", "env", "control_box", [[0.0, -0.7853981633974483], [1.0, 0.7853981633974483]]),
+    ("unicycle", "env", "obstacle_margin", 1.5),
+    ("driving", "env", "cruise", 5.0),
+    ("driving", "env", "accel", 0.5),
+    ("driving", "env", "other_brake", 1.25),
+    ("driving", "env", "ego_brake", 1.0),
+    ("driving", "env", "decel_onset", 35),
+    ("driving", "env", "react_delay", 2),
+    ("driving", "env", "wrong_stop_onset", 28),
+    ("driving", "env", "gap", [6.0, 10.0]),
+    ("driving", "env", "control_box", [[-3.0], [3.0]]),
+    ("unicycle", "inference", "initial_temp", 1.0),
+    ("unicycle", "inference", "temp_decay", 0.95),
+    ("driving", "gan", "reheat", 0.5),
+]
+
+
+class TestRetiredOptions:
+    def test_config_or_checkpoint_naming_one_is_refused(self, trained, trained_driving, tmp_path, capsys):
+        """A config naming a retired option exits 2, and a checkpoint whose
+        config names one exits 3; each error names `section.option`, and
+        nothing is written."""
+        runs = {"unicycle": trained, "driving": trained_driving}
+        for env_name, section, key, value in RETIRED_OPTIONS:
+            option = f"{section}.{key}"
+            root, data, config, ckpt = runs[env_name]
+            doc = json.loads(config.read_text())
+            doc.setdefault(section, {})[key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            out = tmp_path / "run" / "ckpt.json"
+            assert main(["train", "--data", str(data), "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
+            assert f"config error: {option} is unknown" in capsys.readouterr().err, option
+            assert not out.parent.exists()
+            ck = json.loads(ckpt.read_text())
+            ck["config"] = doc
+            bad.write_text(json.dumps(ck))
+            out = tmp_path / "r.csv"
+            assert main(["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(out)]) == EXIT_DATA
+            assert f"{bad}: config: {option} is unknown" in capsys.readouterr().err, option
+            assert not out.exists()
 
 
 class TestEval:
@@ -428,10 +494,14 @@ class TestExtract:
         f = stl.parse(out.read_text().strip(), ("dA", "dB", "dC", "dO"))
         assert isinstance(f, stl.Formula)
 
-    def test_threshold_validated(self, trained, tmp_path):
+    def test_threshold_validated(self, trained, tmp_path, capsys):
+        # extraction reads a gate as on above 0.5, as training does; there is no flag for it
         root, data, config, ckpt = trained
-        code = main(["extract", "--ckpt", str(ckpt), "--threshold", "1.5", "--out", str(tmp_path / "f.txt")])
-        assert code != EXIT_OK
+        out = tmp_path / "f.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--ckpt", str(ckpt), "--threshold", "0.5", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG and not out.exists()
+        assert "--threshold" in capsys.readouterr().err
 
     def test_other_environments_data_is_data_error(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained

@@ -140,6 +140,27 @@ class TestDatasetRoundtrip:
         write_with_second_row(tmp_path / "ok.jsonl", label=1.0)
         assert load_dataset(str(tmp_path / "ok.jsonl")).labels.tolist() == [1, 1, 1, -1, 1, -1]
 
+    @pytest.mark.parametrize("id_", [1, None, True])
+    def test_id_that_is_not_a_string_reports_line(self, tmp_path, id_):
+        """An id is a JSON string; nothing else is turned into one. Two rows
+        may share an id."""
+        write_with_second_row(tmp_path / "bad.jsonl", id=id_)
+        with pytest.raises(ParseError, match=r":2: id must be a string, got " + re.escape(repr(id_))):
+            load_dataset(str(tmp_path / "bad.jsonl"))
+        write_with_second_row(tmp_path / "ok.jsonl", id="t0")
+        assert load_dataset(str(tmp_path / "ok.jsonl")).ids[:2] == ["t0", "t0"]
+
+    @pytest.mark.parametrize(
+        "agent_names, env_names", [((1, 2), ("e0",)), (("a0", "a1"), (0.5,)), (("a0", True), ("e0",))],
+        ids=["agent-ints", "env-float", "agent-bool"],
+    )
+    def test_dimension_name_that_is_not_a_string_reports_line(self, tmp_path, agent_names, env_names):
+        ds = small_dataset()
+        path = tmp_path / "bad.jsonl"
+        save_dataset(Dataset(ds.X, ds.labels, ds.ids, ds.metas, agent_names, env_names), str(path))
+        with pytest.raises(ParseError, match=r":1: agent_dims and env_dims must be lists of strings"):
+            load_dataset(str(path))
+
     @pytest.mark.parametrize(
         "meta", [5, "x", [1], 0, False, pytest.param("", id="empty-string"), pytest.param([], id="empty-list")],
     )
@@ -393,7 +414,7 @@ class TestSidecar:
     @pytest.mark.parametrize(
         "spoil",
         ["truncated", "other-version", "non-finite", "float-byte", "header-byte", "copy-byte", "version-1-archive",
-         "version-2", "version-3"],
+         "version-2", "version-3", "version-4"],
     )
     def test_bad_sidecar_is_ignored(self, tmp_path, spoil):
         path = tmp_path / "ds.jsonl"
@@ -407,10 +428,10 @@ class TestSidecar:
         x_at = len(lead) + len(copy) + len(head)
         if spoil == "truncated":
             data = data[: len(data) // 2]
-        elif spoil == "other-version":  # whole and checksummed, but of another version and dataset
+        elif spoil in ("other-version", "version-4"):  # whole and checksummed, but of another version and dataset
             forge_sidecar(path, dataclasses.replace(ds, X=ds.X + 1))
             data = bytearray(side.read_bytes())
-            data[:8] = b"STLDSv%02d" % (SIDECAR_VERSION + 1)
+            data[:8] = b"STLDSv%02d" % (SIDECAR_VERSION + 1 if spoil == "other-version" else 4)
             lead, _, head, floats = sidecar_parts(data)
             data[-4:] = zlib.crc32(floats, zlib.crc32(head, zlib.crc32(lead))).to_bytes(4, "little")
         elif spoil == "non-finite":  # whole and checksummed, but holding a NaN

@@ -281,7 +281,9 @@ class TestDrivingData:
 
     def test_make_env(self):
         assert make_env("unicycle").name == "unicycle"
-        assert make_env("driving", cruise=4.0).cruise == 4.0
+        assert make_env("driving", init_pos=[1, 4]).init_pos == (1.0, 4.0)
+        with pytest.raises(ValueError, match="^env.cruise is unknown"):
+            make_env("driving", cruise=4.0)
         with pytest.raises(ValueError):
             make_env("humanoid")
 
@@ -401,6 +403,13 @@ class ScalarDrawUnicycle(UnicycleEnv):
         return to_dataset(self, np.array(out), [1] * n, ids, [{"source": "expert"}] * n)
 
 
+def _with(env, attrs):
+    """`env` with each of `attrs` set on the instance."""
+    for key, value in attrs.items():
+        setattr(env, key, value)
+    return env
+
+
 def _same_data_and_generator_state(a, b, rng_a, rng_b):
     assert np.array_equal(a.X, b.X)
     assert (a.ids, a.metas) == (b.ids, b.metas)
@@ -410,7 +419,7 @@ def _same_data_and_generator_state(a, b, rng_a, rng_b):
 
 class TestExpertsMatchScalarDraws:
     @pytest.mark.parametrize(
-        "overrides",
+        "attrs",
         [
             {},
             {"decel_onset": 57},  # the lead never brakes within the horizon
@@ -422,11 +431,11 @@ class TestExpertsMatchScalarDraws:
         ],
         ids=["defaults", "onset-at-T", "onset-past-T", "onset-0", "wrong-stop-0", "T15", "onset-before-0"],
     )
-    def test_driving_situations(self, overrides):
+    def test_driving_situations(self, attrs):
         for seed in (0, 1):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            a = DrivingEnv(**overrides).gen_dataset(6, rng_a)
-            b = ScalarDrawDriving(**overrides).gen_dataset(6, rng_b)
+            a = _with(DrivingEnv(), attrs).gen_dataset(6, rng_a)
+            b = _with(ScalarDrawDriving(), attrs).gen_dataset(6, rng_b)
             assert {m["situation"] for m in a.metas} == set(DrivingEnv.SITUATIONS)
             _same_data_and_generator_state(a, b, rng_a, rng_b)
 
@@ -444,9 +453,9 @@ class TestExpertsMatchScalarDraws:
         # region C out of reach: every candidate fails the vetting; 3 does
         # not divide 10, so a round of 3 candidates would draw past the 10th
         far_c = Region("RegC", 40.0, 40.0, 0.7)
-        ref = ScalarDrawUnicycle(region_c=far_c)
+        ref = _with(ScalarDrawUnicycle(), {"region_c": far_c})
         rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
-        for env, rng in ((UnicycleEnv(region_c=far_c), rng_a), (ref, rng_b)):
+        for env, rng in ((_with(UnicycleEnv(), {"region_c": far_c}), rng_a), (ref, rng_b)):
             with pytest.raises(ExpertFailure, match="at sample 0$"):
                 env.gen_expert(3, rng)
         assert ref.attempts == 10

@@ -280,7 +280,18 @@ class TestExtraction:
         # logit 2.197 -> sigmoid ~0.9 stays; logit -2.197 -> ~0.1 dropped
         params.gate[0, 0] = 2.197
         params.gate[0, 1] = -2.197
-        f = extract_formula(params, shape, norm, ("x0",), gate_threshold=0.5)
+        f = extract_formula(params, shape, norm, ("x0",))
+        assert f == Eventually(TimeInterval(0, 5), Pred((1.0,), 0.5, ("x0",)))
+
+    def test_gate_is_on_above_one_half(self):
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=5, dim=1, tau=0.1)
+        norm = SignalNorm.identity(1)
+        params = encode_dnf([[("F", 0, 5, (1.0,), 0.5)]], shape, norm)
+        # logit 0.01 -> sigmoid 0.5025 stays; logit -0.01 -> 0.4975 dropped
+        params.out_gate[0] = 0.01
+        params.gate[0, 0] = 0.01
+        params.gate[0, 1] = -0.01
+        f = extract_formula(params, shape, norm, ("x0",))
         assert f == Eventually(TimeInterval(0, 5), Pred((1.0,), 0.5, ("x0",)))
 
     def test_window_rounding(self):

@@ -364,6 +364,32 @@ class TestTrainInference:
         assert objective(np.append(params.flatten(), margin)) == loss
         assert not any(np.shares_memory(a, warm) for a in vars(params).values())
 
+    def test_warm_start_alone_reheats(self, monkeypatch):
+        """A fit's initial temperature is INITIAL_TEMP, times REHEAT when it
+        is warm-started: a warm-started fit at (1.0, 0.5) is bit for bit one
+        at (0.5, 1.0) and not one at (1.0, 1.0); a cold fit ignores REHEAT.
+        Each epoch cools by TEMP_DECAY."""
+        ds = toy_dataset()
+        shape = NetworkShape(n_pred=2, n_conj=1, horizon=3, dim=1, tau=0.1)
+        norm = SignalNorm.from_arrays(ds.X)
+        warm = np.append(init_inference(shape, np.random.default_rng(3)).flatten(), 0.5)
+
+        def fit(initial_temp, reheat, warm_start):
+            monkeypatch.setattr(train, "INITIAL_TEMP", initial_temp)
+            monkeypatch.setattr(train, "REHEAT", reheat)
+            p, m, loss = train_inference(ds, shape, self.CFG, np.random.default_rng(7), norm=norm, warm_start=warm_start)
+            return np.append(p.flatten(), [m, loss])
+
+        # the schedule training has always used
+        assert (train.INITIAL_TEMP, train.TEMP_DECAY, train.REHEAT) == (1.0, 0.95, 0.5)
+        assert np.array_equal(fit(1.0, 0.5, warm), fit(0.5, 1.0, warm))
+        assert not np.array_equal(fit(1.0, 0.5, warm), fit(1.0, 1.0, warm))
+        cold = fit(1.0, 0.5, None)
+        assert np.array_equal(cold, fit(1.0, 1.0, None))
+        assert not np.array_equal(cold, fit(0.5, 1.0, None))
+        monkeypatch.setattr(train, "TEMP_DECAY", 0.5)
+        assert not np.array_equal(cold, fit(1.0, 0.5, None))
+
     def test_single_label_rejected(self):
         ds = const_dataset([1.0, 2.0], [1, 1])
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
@@ -654,17 +680,20 @@ class TestGanLoop:
         env = UnicycleEnv()
         ds0 = env.gen_expert(8, np.random.default_rng(61))
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=20, dim=4, tau=0.1)
-        gan = GanConfig(n_generate=6, max_iterations=2, stop_mcr=1.0, reheat=0.25)
-        scales = []
+        # a fit reheats exactly when it is warm-started (test_warm_start_alone_reheats)
+        gan = GanConfig(n_generate=6, max_iterations=2, stop_mcr=1.0)
+        warm = []
         fit = train.train_inference
-        monkeypatch.setattr(train, "train_inference", lambda *a, **kw: scales.append(kw["temp_scale"]) or fit(*a, **kw))
+        monkeypatch.setattr(
+            train, "train_inference", lambda *a, **kw: warm.append(kw["warm_start"] is not None) or fit(*a, **kw)
+        )
         states = []
         gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(67), checkpoint_cb=states.append)
-        assert scales == [1.0, 0.25]
-        for snap, rest in zip(states, ([1.0, 0.25], [0.25])):
-            scales.clear()
+        assert warm == [False, True]
+        for snap, rest in zip(states, ([False, True], [True])):
+            warm.clear()
             gan_loop(ds0, env, shape, TINY_INF, TINY_POL, gan, np.random.default_rng(0), resume=snap)
-            assert scales == rest
+            assert warm == rest
 
     def test_empty_dataset_rejected(self):
         env = UnicycleEnv()
