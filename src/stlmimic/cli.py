@@ -31,7 +31,10 @@ Without `--data`, `extract`, `rollout` and `adjust` read the checkpoint's
 own dataset, `extra["augmented_dataset"]`, and check the digest of that
 read against the checkpoint's `dataset_digest`: a file whose digest
 differs is a data error (exit 3) naming it and both digests. A `--data`
-FILE is taken as given, without that check.
+FILE is taken as given, without that check. A checkpoint names its
+dataset relative to its own directory, so a run directory can be moved
+as a whole; `adjust` names it relative to its `--out`. An absolute name,
+which older checkpoints hold, is read as it is.
 
 Every command that writes `--out` reads and checks its inputs, then refuses
 a directory as `--out` and makes the file's missing parent directories,
@@ -259,6 +262,14 @@ def _read_data(path: str, env=None) -> dataio.Dataset:
     return ds
 
 
+def _own_dataset(ck: Checkpoint, ckpt_path: str):
+    """The path of the checkpoint's own dataset, whose name is relative to
+    the checkpoint's directory (an absolute name stays as it is); None if
+    it names none."""
+    name = ck.extra.get("augmented_dataset")
+    return os.path.join(os.path.dirname(ckpt_path), name) if name else None
+
+
 def _ckpt_data(ck: Checkpoint, env, data_path, ckpt_path: str):
     """The dataset file a checkpoint command reads and its dataset: `data_path`
     as given, else the checkpoint's own, whose read must give its dataset_digest
@@ -266,7 +277,7 @@ def _ckpt_data(ck: Checkpoint, env, data_path, ckpt_path: str):
     None, and the path too if none is named, when there is no such file."""
     if data_path is not None:
         return data_path, _read_data(data_path, env)
-    path = ck.extra.get("augmented_dataset") or None
+    path = _own_dataset(ck, ckpt_path)
     if path is None or not os.path.exists(path):
         return path, None
     ds = dataio.load_dataset(path)
@@ -351,7 +362,7 @@ def cmd_train(args) -> int:
             "boundary": True,
             "warm_start": None if warm is None else list(map(float, warm)),
             "metrics": list(state.metrics),
-            "dataset_path": run_data.path,
+            "dataset_path": os.path.basename(run_data.path),
             "dataset_rows": len(run_data.lines),
         }
         ck = _checkpoint(
@@ -374,15 +385,15 @@ def cmd_train(args) -> int:
     # the adopted round's dataset leads the full one, whose rows are all in run_data
     full = result.full_dataset
     run_data.extend(full)
-    aug_path = os.path.join(out_dir, "dataset_augmented.jsonl")
-    aug_digest = dataio.write_lines(run_data.lines[: len(result.dataset)], aug_path)
+    aug_name = "dataset_augmented.jsonl"
+    aug_digest = dataio.write_lines(run_data.lines[: len(result.dataset)], os.path.join(out_dir, aug_name))
     dataio.write_lines(compress(run_data.lines, generated_rows(full)), os.path.join(out_dir, "negatives.jsonl"))
     _write_metrics(result.metrics, os.path.join(out_dir, "metrics.csv"), run.digest)
     formula_text = stl.print_formula(result.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:
         fh.write(formula_text + "\n")
     ck = _checkpoint(
-        run, {"augmented_dataset": aug_path, "saturated": result.saturated},
+        run, {"augmented_dataset": aug_name, "saturated": result.saturated},
         inference_groups=result.inference.to_jsonable(), margin=float(result.margin),
         policy_groups=result.policy.to_jsonable(), norm=result.norm.to_jsonable(),
         gan_iteration=len(result.metrics), rng_state=None, dataset_digest=aug_digest,
@@ -460,12 +471,16 @@ def cmd_adjust(args) -> int:
 
     if not np.array_equal(inf.flatten(), inf_before):
         raise RuntimeError("the classifier changed while the policy retrained")
+    extra = {**ck.extra, "adjusted_from": os.path.abspath(args.ckpt)}
+    own = _own_dataset(ck, args.ckpt)
+    if own is not None:
+        extra["augmented_dataset"] = os.path.relpath(own, out_dir)
     ck2 = dataclasses.replace(
         ck,
         policy_groups=pol.to_jsonable(),
         rule_text=rule_text,
         rng_state=None,
-        extra={**ck.extra, "adjusted_from": os.path.abspath(args.ckpt)},
+        extra=extra,
     )
     dataio.save_checkpoint(ck2, args.out)
 

@@ -7,10 +7,10 @@ given their inputs. The dynamics and the policy run on plain arrays over
 batches. Asked for a vector-Jacobian product (VJP), `rollout` also returns
 a closure that backpropagates through time (BPTT) into the policy
 parameters, over the steps its forward kept, through each environment's
-`step_partials`; its forward is the same array code that generates data,
-and without a VJP it keeps nothing for the backward pass. The inference
-maps (unicycle distances, the driving identity) return their VJP the same
-way.
+`step_vjp`, the VJP of its `step`; its forward is the same array code
+that generates data, and without a VJP it keeps nothing for the backward
+pass. The inference maps (unicycle distances, the driving identity)
+return their VJP the same way.
 
 The scripted experts draw their random values one trajectory at a time, in
 a fixed order, and then advance all of a batch's trajectories together: the
@@ -77,32 +77,11 @@ def unicycle_step(x, u):
     return x + np.stack([v * np.cos(th), v * np.sin(th), u[..., 1]], axis=-1)
 
 
-def unicycle_partials(x, u):
-    """Jacobians of unicycle_step with respect to x (..., 3, 3) and u
-    (..., 3, 2); entry [i, j] is d x'_i / d x_j (or d u_j)."""
-    th, v = x[..., 2], u[..., 0]
-    c, s = np.cos(th), np.sin(th)
-    one, zero = np.ones_like(th), np.zeros_like(th)
-    jx = np.stack([one, zero, -v * s, zero, one, v * c, zero, zero, one], axis=-1)
-    ju = np.stack([c, zero, s, zero, zero, one], axis=-1)
-    return jx.reshape(th.shape + (3, 3)), ju.reshape(th.shape + (3, 2))
-
-
 def ego_step(x, a):
     """Double integrator: position += velocity; velocity += acceleration.
     x is (..., 2) and a broadcasts against x[..., 0]."""
     x = np.asarray(x, dtype=float)
     return x + np.stack([x[..., 1], a], axis=-1)
-
-
-def ego_partials(x):
-    """Jacobians of ego_step at states x (..., 2) with respect to x
-    (..., 2, 2) and to a (..., 2, 1); constant, since the integrator is
-    linear."""
-    lead = np.shape(x)[:-1]
-    jx = np.broadcast_to(np.array([[1.0, 1.0], [0.0, 1.0]]), lead + (2, 2))
-    ja = np.broadcast_to(np.array([[0.0], [1.0]]), lead + (2, 1))
-    return jx, ja
 
 
 def set_options(env, overrides: dict) -> None:
@@ -150,9 +129,7 @@ def preprocess_distances(raw, regions, vjp: bool = False):
         # At a center the slope is taken as 0, a subgradient of the norm.
         slope = g * np.divide(1.0, dists, out=np.zeros_like(dists), where=dists > 0.0)
         g_raw = np.zeros(raw.shape)
-        # summed from the last region to the first: another order moves
-        # trained policies in their last bits
-        g_raw[..., :2] = (slope[..., ::-1, None] * diffs[..., ::-1, :]).sum(axis=-2)
+        g_raw[..., :2] = (slope[..., None] * diffs).sum(axis=-2)
         return g_raw
 
     return dists, grad
@@ -207,8 +184,13 @@ class UnicycleEnv:
     def step(self, x, u):
         return unicycle_step(x, u)
 
-    def step_partials(self, x, u):
-        return unicycle_partials(x, u)
+    def step_vjp(self, x, u, g):
+        """The adjoints of x and u for an adjoint g of step(x, u)."""
+        th, v = x[..., 2], u[..., 0]
+        c, s = np.cos(th), np.sin(th)
+        g_th = g[..., 0] * (-v * s) + g[..., 1] * (v * c) + g[..., 2]
+        g_u = np.stack([g[..., 0] * c + g[..., 1] * s, g[..., 2]], axis=-1)
+        return np.stack([g[..., 0], g[..., 1], g_th], axis=-1), g_u
 
     def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         """One initial state (3,), or m of them (m, 3) from one draw: the
@@ -353,12 +335,16 @@ class DrivingEnv:
     def step(self, x, u):
         return ego_step(x, u[..., 0])
 
-    def step_partials(self, x, u):
-        return ego_partials(x)
+    def step_vjp(self, x, u, g):
+        """The adjoints of x and u for an adjoint g of step(x, u)."""
+        return np.stack([g[..., 0], g[..., 0] + g[..., 1]], axis=-1), g[..., 1:]
 
-    def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
-        """One initial state (2,) at rest."""
-        return np.array([rng.uniform(*self.init_pos), 0.0])
+    def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+        """One initial state (2,) at rest, or m of them (m, 2) from one
+        draw: the same values, and the same generator state, as m single
+        draws."""
+        pos = rng.uniform(*self.init_pos, size=m)
+        return np.stack([pos, np.zeros_like(pos)], axis=-1)
 
     def inference_map(self, raw, vjp: bool = False):
         """The identity on raw states, and with vjp its VJP."""
@@ -448,7 +434,8 @@ def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
     agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
     one batched policy step per time step. With vjp, (trajectories, grad),
     where grad maps an adjoint of the trajectories to a PolicyParams of
-    gradients by BPTT."""
+    gradients by BPTT: one `env.step_vjp` per time step, whose control
+    adjoint goes through the squash's slope into the policy step."""
     x = np.asarray(x0s, dtype=float)
     env_trajs = np.asarray(env_trajs, dtype=float)
     if env_trajs.shape[1] != env.T + 1:
@@ -479,19 +466,17 @@ def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
         return out
 
     def grad(g):
-        # adjoints of the agent states, time-major (T+1, N, n_a)
-        gxs = g[:, :, :n_a].transpose(1, 0, 2)
-        jx, ju = env.step_partials(out[:, :-1, :n_a].transpose(1, 0, 2), us)
-        jy = ju * squash_slope(ss, env.control_box)[:, :, None, :]  # through the squash
+        slopes = squash_slope(ss, env.control_box)
         halfrange = np.asarray(env.state_norm.halfrange)[:n_a]
         gys = np.empty_like(ss)
         gas = np.empty_like(hs[1:])
-        gx, gh = gxs[env.T], np.zeros((n, params.hidden))
+        gx, gh = g[:, env.T, :n_a], np.zeros((n, params.hidden))
         for t in range(env.T - 1, -1, -1):
-            gys[t] = gy = (gx[:, None, :] @ jy[t])[:, 0]
+            gx, gu = env.step_vjp(out[:, t, :n_a], us[t], gx)
+            gys[t] = gy = gu * slopes[t]  # through the squash
             gxin, gh, gas[t] = cell_vjp(params, hs[t + 1], gy, gh)
             # x_t reaches x_{t+1} through the step, and the cell through the normalisation
-            gx = (gx[:, None, :] @ jx[t])[:, 0] + gxin[:, :n_a] / halfrange + gxs[t]
+            gx = gx + gxin[:, :n_a] / halfrange + g[:, t, :n_a]
         return PolicyParams(**param_grads(xins, hs, gys, gas))
 
     return out, grad

@@ -366,18 +366,14 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
 
 
 def _draw_samples(env, env_pool, m, rng):
-    """m initial states (m, n_a) and m environment trajectories
-    (m, T+1, n_e). A static environment's states come from one draw and
-    its trajectories are empty; any other's states are drawn one at a
-    time, each with a row of the pool `original_env_pool` gives."""
-    env_trajs = np.zeros((m, env.T + 1, env.n_env))
+    """m initial states (m, n_a) from one `sample_initial` draw, then m
+    environment trajectories (m, T+1, n_e): empty for a static environment,
+    else rows of the pool `original_env_pool` gives, at indices from one
+    `rng.integers` draw."""
+    x0s = env.sample_initial(rng, m)
     if env.n_env == 0:
-        return env.sample_initial(rng, m), env_trajs
-    x0s = np.zeros((m, env.n_agent))
-    for i in range(m):
-        x0s[i] = env.sample_initial(rng)
-        env_trajs[i] = env_pool[int(rng.integers(len(env_pool)))]
-    return x0s, env_trajs
+        return x0s, np.zeros((m, env.T + 1, 0))
+    return x0s, env_pool[rng.integers(len(env_pool), size=m)]
 
 
 def train_policy(

@@ -178,7 +178,7 @@ class TestTrainOutputs:
         for path in ckpts:
             ck = dataio.load_checkpoint(str(path))
             named = ck.extra.get("augmented_dataset") or ck.extra["dataset_path"]
-            with open(named, "rb") as fh:
+            with open(path.parent / named, "rb") as fh:
                 lines = fh.readlines()
             if "dataset_rows" in ck.extra:
                 lines = lines[: ck.extra["dataset_rows"]]
@@ -280,7 +280,7 @@ class TestRunDataset:
         rows = []
         for it in range(1, TINY["gan"]["max_iterations"] + 1):
             ck = dataio.load_checkpoint(str(ckpt.parent / f"ckpt_iter{it}.json"))
-            assert ck.extra["dataset_path"] == str(ckpt.parent / "dataset.jsonl")
+            assert ckpt.parent / ck.extra["dataset_path"] == ckpt.parent / "dataset.jsonl"
             rows.append(ck.extra["dataset_rows"])
             assert ck.dataset_digest == hashlib.sha256(b"".join(lines[: rows[-1]])).hexdigest()[:16]
         # the bootstrapped negatives, then one round's rollouts more
@@ -887,7 +887,7 @@ class TestOwnDatasetDigest:
         """Without --data, extract, rollout and adjust check the checkpoint's
         own dataset against its dataset_digest; a --data file is taken as given."""
         doc = json.loads(trained_driving[3].read_text())
-        text = bytearray(open(doc["extra"]["augmented_dataset"], "rb").read())
+        text = bytearray((trained_driving[3].parent / doc["extra"]["augmented_dataset"]).read_bytes())
         # one digit of a lead-car value, so the file keeps its length
         at = text.index(b'"env_states": [[') + len(b'"env_states": [[')
         at += 1 if text[at : at + 1] == b"-" else 0
@@ -917,7 +917,7 @@ class TestOwnDatasetDigest:
         """The digest checked is that of the one read of the dataset, which a
         sidecar hit gives without hashing the file."""
         ckpt = trained_driving[3]
-        data = json.loads(ckpt.read_text())["extra"]["augmented_dataset"]
+        data = str(ckpt.parent / json.loads(ckpt.read_text())["extra"]["augmented_dataset"])
         dataio.load_dataset(data)  # leaves its sidecar
         opened, hashed = [], []
         real_open, real_sha256 = open, hashlib.sha256
@@ -930,7 +930,7 @@ class TestOwnDatasetDigest:
 
     def test_malformed_dataset_is_data_error_naming_its_line(self, trained_driving, tmp_path, capsys):
         doc = json.loads(trained_driving[3].read_text())
-        lines = open(doc["extra"]["augmented_dataset"], "rb").read().splitlines(keepends=True)
+        lines = (trained_driving[3].parent / doc["extra"]["augmented_dataset"]).read_bytes().splitlines(keepends=True)
         data = tmp_path / "dataset_augmented.jsonl"
         data.write_bytes(lines[0] + b"{not json\n" + b"".join(lines[2:]))
         doc["extra"]["augmented_dataset"] = str(data)
@@ -954,6 +954,48 @@ class TestOwnDatasetDigest:
             assert main(argv) == EXIT_DATA, argv[0]
             assert f"{ckpt}: extra.augmented_dataset must be a file name" in capsys.readouterr().err, argv[0]
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def moved_run(tmp_path_factory):
+    """A tiny driving run and a checkpoint that `adjust` wrote beside it,
+    after their common directory was renamed."""
+    root = tmp_path_factory.mktemp("clirelative")
+    data, config = root / "first" / "expert.jsonl", root / "config.json"
+    config.write_text(json.dumps(TINY_DRIVING))
+    assert main(["gen-data", "--env", "driving", "--n", "8", "--seed", "2", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--config", str(config), "--out", str(data.parent / "run" / "ckpt.json")]) == EXIT_OK
+    argv = ["adjust", "--ckpt", str(data.parent / "run" / "ckpt.json"), "--conjoin", "G[0,57](veg <= 6)", "--rollouts", "2"]
+    assert main(argv + ["--out", str(data.parent / "adj" / "ckpt.json")]) == EXIT_OK
+    (root / "first").rename(root / "moved")
+    return root / "moved"
+
+
+class TestMovedRun:
+    """A checkpoint names its dataset relative to its own directory, so a
+    moved run directory still finds it."""
+
+    def test_driving_rollout_reads_the_moved_dataset(self, moved_run, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["rollout", "--ckpt", str(moved_run / "run" / "ckpt.json"), "--n", "2", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().strip().split("\n")) == 2 + 2 * 58
+
+    def test_boundary_snapshots_name_the_moved_run_dataset(self, moved_run):
+        for path in sorted((moved_run / "run").glob("ckpt_iter*.json")):
+            ck = dataio.load_checkpoint(str(path))
+            lines = (path.parent / ck.extra["dataset_path"]).read_bytes().splitlines(keepends=True)
+            assert ck.dataset_digest == hashlib.sha256(b"".join(lines[: ck.extra["dataset_rows"]])).hexdigest()[:16]
+
+    @pytest.mark.parametrize("ckpt", ["run", "adj"])
+    def test_extract_simplifies_on_the_moved_dataset(self, moved_run, tmp_path, caplog, ckpt):
+        """The trained checkpoint, and the one `adjust` wrote into another
+        directory, extract what they extract given the dataset as --data."""
+        argv = ["extract", "--ckpt", str(moved_run / ckpt / "ckpt.json")]
+        assert main(argv + ["--out", str(tmp_path / "own.txt")]) == EXIT_OK
+        assert "no dataset available" not in caplog.text
+        data = str(moved_run / "run" / "dataset_augmented.jsonl")
+        assert main(argv + ["--data", data, "--out", str(tmp_path / "given.txt")]) == EXIT_OK
+        assert (tmp_path / "own.txt").read_bytes() == (tmp_path / "given.txt").read_bytes()
 
 
 def own_dataset_commands(ckpt, out):

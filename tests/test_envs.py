@@ -55,6 +55,22 @@ class TestDynamics:
         for i in range(5):
             assert np.allclose(batch[i], unicycle_step(xs[i], us[i]), rtol=0, atol=1e-15)
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(env_name=st.sampled_from(["unicycle", "driving"]), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_step_vjp_matches_central_differences(self, env_name, batch, seed):
+        env = make_env(env_name)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-10.0, 10.0, size=(batch, env.n_agent))
+        u = rng.uniform(env.control_box.lo, env.control_box.hi, size=(batch, env.control_box.dim))
+        g = rng.normal(size=(batch, env.n_agent))
+
+        def grad(p):
+            gx, gu = env.step_vjp(p.x, p.u, g)
+            assert gx.shape == x.shape and gu.shape == u.shape
+            return ParamVector(x=gx, u=gu)
+
+        assert finite_diff_check(lambda p: np.sum(env.step(p.x, p.u) * g), grad, ParamVector(x=x, u=u)) < 1e-7
+
 
 class TestPreprocess:
     def test_distance_examples(self):
@@ -107,6 +123,15 @@ class TestSampling:
         for _ in range(20):
             x = env.sample_initial(rng)
             assert x[1] == 0.0 and 0.0 <= x[0] <= 5.0
+
+    @pytest.mark.parametrize("env", [UnicycleEnv(), DrivingEnv()], ids=["unicycle", "driving"])
+    def test_m_states_equal_m_single_draws(self, env):
+        for m, seed in ((1, 0), (2, 1), (33, 2)):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            states = env.sample_initial(rng_a, m)
+            assert states.shape == (m, env.n_agent)
+            assert np.array_equal(states, np.stack([env.sample_initial(rng_b) for _ in range(m)]))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_seed_reproducible(self):
         env = UnicycleEnv()

@@ -499,22 +499,18 @@ class TestPolicyObjective:
 class TestDrawSamples:
     @pytest.mark.parametrize("env", [UnicycleEnv(), DrivingEnv()], ids=["unicycle", "driving"])
     def test_without_a_pool_equals_drawing_one_row_at_a_time(self, env):
-        """A static environment draws its states without a pool, and a
-        dynamic one each state with a row of the pool `original_env_pool`
-        gives; either way the samples and the generator state are those of
-        drawing one row at a time."""
+        """The samples and the generator state are those of one
+        `sample_initial(rng, m)` call and, on an environment with a pool,
+        one `rng.integers(len(pool), size=m)` call that picks the pool rows
+        `original_env_pool` gives."""
         rng = np.random.default_rng(1)
         pool = original_env_pool(env.gen_dataset(2, rng) if env.n_env else env.gen_expert(2, rng), env)
         assert len(pool) == (8 if env.n_env else 0)
         for m, seed in itertools.product((1, 2, 32, 50), range(3)):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             x0s, env_trajs = train._draw_samples(env, pool, m, rng_a)
-            rows = np.zeros((m, env.n_agent))
-            trajs = np.zeros((m, env.T + 1, env.n_env))
-            for i in range(m):
-                rows[i] = env.sample_initial(rng_b)
-                if env.n_env:
-                    trajs[i] = pool[int(rng_b.integers(len(pool)))]
+            rows = env.sample_initial(rng_b, m)
+            trajs = pool[rng_b.integers(len(pool), size=m)] if env.n_env else np.zeros((m, env.T + 1, 0))
             assert np.array_equal(x0s, rows) and x0s.shape == (m, env.n_agent)
             assert np.array_equal(env_trajs, trajs) and env_trajs.shape == (m, env.T + 1, env.n_env)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
