@@ -7,19 +7,21 @@ outputs embed the config digest. Exit codes: 0 success, 2 config error,
 
 A config is one JSON object with the sections `seed`, `env`, `shape`,
 `inference`, `policy` and `gan`; `default_config` gives the defaults of
-each. Every option follows one rule, `dataio.checked_options`: it takes a
-value of its default's type and is stored as that type. A number takes a
-finite number, an integer where the default is one, and never true or
-false; a pair or list takes a list of as many finite numbers. An unknown
-section or option is refused, and so is a value out of its option's range;
-the error names `section.option` and the command exits 2. A checkpoint's
-`shape` is checked by the same rule, and a bad one exits 3, as does a
-checkpoint whose config has a bad option.
+each. Every option is a number and follows one rule,
+`dataio.checked_options`: it takes a finite number, an integer where the
+default is one, and never true or false, and is stored as its default's
+type. An unknown section or option is refused, and so is a value out of
+its option's range; the error names `section.option` and the command
+exits 2. A config that cannot be read, is not JSON or is not one object
+also exits 2, naming the file. A checkpoint's `shape` is checked by the
+same rule, and a bad one exits 3, as does a checkpoint whose config has a
+bad option.
 
-Besides `name`, the `env` section takes `T`, `init_lo` and `init_hi` on
-unicycle, and `T` and `init_pos` on driving. The scripted experts'
-parameters and the region geometry are fixed, and `gen-data` runs the
-experts at those values.
+The `env` section takes only `name`. Each environment's horizon, initial
+states, region geometry and scripted experts are fixed (see `envs`), and
+`gen-data` runs the experts at those values. The method's other fixed
+hyperparameters, such as the loss weights, the parameter bounds and the
+learning rates, are constants in `train`.
 
 Each dataset FILE a command reads is parsed once, and later reads take it
 from a sidecar `.FILE.npz` beside it, used only while FILE is byte for
@@ -33,7 +35,8 @@ read against the checkpoint's `dataset_digest`: a file whose digest
 differs is a data error (exit 3) naming it and both digests. A `--data`
 FILE is taken as given, without that check. A checkpoint names its
 dataset relative to its own directory, so a run directory can be moved
-as a whole; `adjust` names it relative to its `--out`. An absolute name,
+as a whole; `adjust` names it, and the checkpoint it adjusted
+(`extra["adjusted_from"]`), relative to its `--out`. An absolute name,
 which older checkpoints hold, is read as it is.
 
 Every command that writes `--out` reads and checks its inputs, then refuses
@@ -153,10 +156,8 @@ class Run:
         env_obj = dict(_section(doc, "env"))
         name = env_obj.pop("name", "unicycle")
         defaults = default_config(name)
-        try:
-            self.env = make_env(name, **env_obj)
-        except ValueError as exc:  # messages name env.<option>
-            raise ConfigError(str(exc)) from exc
+        _checked("env", defaults["env"], env_obj)  # refuses any key but name
+        self.env = make_env(name)
         self.seed = _checked("", defaults, {"seed": doc.get("seed", defaults["seed"])})["seed"]
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
@@ -174,11 +175,11 @@ def load_config(path: str) -> Run:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
     return Run(doc)
 
 
@@ -471,7 +472,7 @@ def cmd_adjust(args) -> int:
 
     if not np.array_equal(inf.flatten(), inf_before):
         raise RuntimeError("the classifier changed while the policy retrained")
-    extra = {**ck.extra, "adjusted_from": os.path.abspath(args.ckpt)}
+    extra = {**ck.extra, "adjusted_from": os.path.relpath(args.ckpt, out_dir)}
     own = _own_dataset(ck, args.ckpt)
     if own is not None:
         extra["augmented_dataset"] = os.path.relpath(own, out_dir)

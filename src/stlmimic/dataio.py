@@ -57,8 +57,7 @@ changing the result. A pipe or other non-regular input is always parsed
 and gets no sidecar. Deleting a sidecar is always safe.
 
 `checked_options` is the one checker of option values read from outside
-the program: each config section, the environment's options and a
-checkpoint's classifier shape."""
+the program: each config section and a checkpoint's classifier shape."""
 
 from __future__ import annotations
 
@@ -478,33 +477,20 @@ def _finite_number(value, integer: bool = False) -> bool:
 def checked_options(section: str, defaults: dict, values: dict) -> dict:
     """The options `values` of one section of a config, or of a checkpoint's
     shape, each checked against its entry in `defaults` and stored as the
-    default's type; the one checker of such values. Every default is a
-    number, a tuple or an array. A number default takes a finite number, or
-    an integer where the default is one; a JSON true or false is not a
-    number. A tuple or array default takes a list of as many finite
-    numbers. A wrong or unknown option is a ValueError naming
-    `section.option`, or `option` alone where the section is ''."""
+    default's type; the one checker of such values. Every option is a
+    number: it takes a finite number, or an integer where the default is
+    one, and a JSON true or false is not a number. A wrong or unknown option
+    is a ValueError naming `section.option`, or `option` alone where the
+    section is ''."""
     checked = {}
     for key, value in values.items():
         name = f"{section}.{key}" if section else key
         if key not in defaults:
             raise ValueError(f"{name} is unknown; the {section} options are {sorted(defaults)}")
-        default = defaults[key]
-        if isinstance(default, (tuple, np.ndarray)):
-            ok = isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default)
-            ok, what = ok and all(map(_finite_number, value)), f"a list of {len(default)} finite numbers"
-        else:
-            integer = isinstance(default, numbers.Integral)
-            ok, what = _finite_number(value, integer), "a finite " + ("integer" if integer else "number")
-        if not ok:
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-        if isinstance(default, np.ndarray):
-            value = np.array(value, dtype=float)
-        elif isinstance(default, tuple):
-            value = tuple(map(float, value))
-        else:
-            value = type(default)(value)
-        checked[key] = value
+        integer = isinstance(defaults[key], numbers.Integral)
+        if not _finite_number(value, integer):
+            raise ValueError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+        checked[key] = type(defaults[key])(value)
     return checked
 
 
@@ -579,7 +565,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             for f in fields(Checkpoint)
         }
     except KeyError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: missing field {exc.args[0]}") from exc
     for f in fields(Checkpoint):
         value = values[f.name]
         if f.type in ("float", "int"):  # a JSON integer is a valid float; true and false are not numbers

@@ -2,7 +2,8 @@
 scripted behaviors standing in for the unknown environment distribution,
 the batched closed-loop rollout, and expert dataset generation.
 
-Instances are stateless after construction; stepping and sampling are pure
+Every setting of an environment, its horizon `T` included, is a class
+attribute; instances are stateless, and stepping and sampling are pure
 given their inputs. The dynamics and the policy run on plain arrays over
 batches. Asked for a vector-Jacobian product (VJP), `rollout` also returns
 a closure that backpropagates through time (BPTT) into the policy
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
-from .dataio import Dataset, InconsistentHorizon, checked_options
+from .dataio import Dataset, InconsistentHorizon
 from .inference import SignalNorm, exact_satisfaction
 from .policy import (
     ControlBox,
@@ -84,24 +85,6 @@ def ego_step(x, a):
     return x + np.stack([x[..., 1], a], axis=-1)
 
 
-def set_options(env, overrides: dict) -> None:
-    """Set an environment's options from `overrides`, each checked against
-    its default by `dataio.checked_options`; errors name `env.<option>`.
-    The options are the instance's own attributes, set before this call;
-    the class attributes are fixed. The horizon `T` must be at least 1."""
-    vars(env).update(checked_options("env", vars(env), overrides))
-    if env.T < 1:
-        raise ValueError(f"env.T must be at least 1, got {env.T}")
-
-
-def check_ranges(**ranges) -> None:
-    """Raise a ValueError naming `env.<option>` unless each option's
-    (low, high) pair has low <= high, entry by entry."""
-    for key, (lo, hi) in ranges.items():
-        if not np.all(np.asarray(lo) <= np.asarray(hi)):
-            raise ValueError(f"env.{key} must have low <= high, got low {lo!r} and high {hi!r}")
-
-
 def to_dataset(env, raw, labels, ids, metas) -> Dataset:
     """Raw trajectories (N, T+1, n_a + n_e) of `env` as a Dataset over its
     inference signals, mapped as one batch. The environment's own n_e
@@ -143,28 +126,23 @@ class UnicycleEnv:
     """
 
     name = "unicycle"
+    T = 20  # the horizon: a trajectory has T + 1 states
+    # the corners of the box that initial states (px, py, theta) are drawn from
+    init_lo = (0.5, 0.5, 0.0)
+    init_hi = (2.0, 2.0, math.pi / 2)
     region_a = Region("RegA", 1.0, 9.0, 1.0)
     region_b = Region("RegB", 7.0, 2.0, 0.86)
     region_c = Region("RegC", 9.0, 9.0, 0.7)
     obstacle = Region("Obs", 5.0, 8.0, 1.0)
     control_box = ControlBox((0.0, -math.pi / 4), (1.0, math.pi / 4))
     obstacle_margin = 1.5  # the expert's repulsion kicks in inside this range
-
-    def __init__(self, **overrides):
-        self.T = 20
-        self.init_lo = np.array([0.5, 0.5, 0.0])
-        self.init_hi = np.array([2.0, 2.0, math.pi / 2])
-        set_options(self, overrides)
-        check_ranges(init_lo=(self.init_lo, self.init_hi))
-        self.n_agent = 3
-        self.n_env = 0
-        self.agent_names = ("px", "py", "theta")
-        self.env_names = ()
-        self.inference_names = ("dA", "dB", "dC", "dO")
-        # fixed bounds for the policy's input normalization
-        self.state_norm = SignalNorm(
-            mid=(5.0, 5.0, 0.0), halfrange=(5.0, 5.0, 2.0 * math.pi)
-        )
+    n_agent = 3
+    n_env = 0
+    agent_names = ("px", "py", "theta")
+    env_names = ()
+    inference_names = ("dA", "dB", "dC", "dO")
+    # fixed bounds for the policy's input normalization
+    state_norm = SignalNorm(mid=(5.0, 5.0, 0.0), halfrange=(5.0, 5.0, 2.0 * math.pi))
 
     @property
     def regions(self):
@@ -178,7 +156,7 @@ class UnicycleEnv:
                 r.name: [r.cx, r.cy, r.radius] for r in self.regions
             },
             "control_box": [list(self.control_box.lo), list(self.control_box.hi)],
-            "init_box": [self.init_lo.tolist(), self.init_hi.tolist()],
+            "init_box": [list(self.init_lo), list(self.init_hi)],
         }
 
     def step(self, x, u):
@@ -295,6 +273,8 @@ class DrivingEnv:
     from the lead's motion: stop when it stops, keep moving otherwise."""
 
     name = "driving"
+    T = 57  # the horizon: a trajectory has T + 1 states
+    init_pos = (0.0, 5.0)  # the range that ego's initial position is drawn from
     cruise = 5.0  # nominal cruise speed; deliberately above the
     # retrofit speed limit of 4 used in the unseen-scenario study
     accel = 0.5
@@ -305,20 +285,12 @@ class DrivingEnv:
     wrong_stop_onset = 28
     gap = (6.0, 10.0)
     control_box = ControlBox((-3.0,), (3.0,))
-
-    def __init__(self, **overrides):
-        self.T = 57
-        self.init_pos = (0.0, 5.0)
-        set_options(self, overrides)
-        check_ranges(init_pos=self.init_pos)
-        self.n_agent = 2
-        self.n_env = 2
-        self.agent_names = ("peg", "veg")
-        self.env_names = ("pot", "vot")
-        self.inference_names = self.agent_names + self.env_names
-        self.state_norm = SignalNorm(
-            mid=(150.0, 5.5, 150.0, 5.5), halfrange=(150.0, 6.5, 150.0, 6.5)
-        )
+    n_agent = 2
+    n_env = 2
+    agent_names = ("peg", "veg")
+    env_names = ("pot", "vot")
+    inference_names = agent_names + env_names
+    state_norm = SignalNorm(mid=(150.0, 5.5, 150.0, 5.5), halfrange=(150.0, 6.5, 150.0, 6.5))
 
     def config(self) -> dict:
         return {
@@ -419,11 +391,11 @@ class DrivingEnv:
         return to_dataset(self, raw, *zip(*specs))  # labels, ids, metas
 
 
-def make_env(name: str, **overrides):
+def make_env(name: str):
     envs = {"unicycle": UnicycleEnv, "driving": DrivingEnv}
     if name not in envs:
         raise ValueError(f"unknown environment {name!r}; choices: {sorted(envs)}")
-    return envs[name](**overrides)
+    return envs[name]()
 
 
 # --- closed-loop rollouts ------------------------------------------------------

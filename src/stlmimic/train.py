@@ -59,45 +59,40 @@ INITIAL_TEMP = 1.0
 TEMP_DECAY = 0.95  # geometric cooling per epoch
 REHEAT = 0.5  # the initial temperature's scale on a warm-started fit
 
+# the classifier fit's fixed hyperparameters
+MARGIN_LO, MARGIN_HI = 0.01, 1.0  # the bounds of the learnable margin
+BETA1 = 0.05  # weight of the gate-sparsity regularizer
+BETA2 = 0.1  # reward for a large margin
+REFINE_LR = 0.05  # step size of the minibatch refinement
+PRED_BOUND = 3.0  # bound on every predicate weight and offset
+GATE_BOUND = 6.0  # bound on every gate logit, and the polish's rails
+TAU_EVAL = 0.01  # the temperature at which a round's smooth MCR is read
+
+POLICY_LR = 1e-3  # Adam's step size in `train_policy`, with its default betas
+
 
 @dataclass
 class InferenceTrainConfig:
-    margin_lo: float = 0.01
-    margin_hi: float = 1.0
-    beta1: float = 0.05  # weight of the gate-sparsity regularizer
-    beta2: float = 0.1  # reward for a large margin
     epoch_len: int = 50  # proposals per epoch; refinement runs between epochs
     refine_steps: int = 20
-    refine_lr: float = 0.05
     refine_batch: int = 32
     max_proposals: int = 2000
     n_starts: int = 24
-    pred_bound: float = 3.0
-    gate_bound: float = 6.0
-    tau_eval: float = 0.01
 
     def __post_init__(self):
         require_counts(self, "epoch_len", "refine_batch", "n_starts")
-        require(self, "at least 0", lambda v: v >= 0, "max_proposals", "refine_steps", "margin_lo", "beta1", "beta2")
-        require(self, "positive", lambda v: v > 0, "refine_lr", "pred_bound", "gate_bound", "tau_eval")
-        if self.margin_lo > self.margin_hi:
-            raise ValueError(f"margin_lo must be at most margin_hi {self.margin_hi}, got {self.margin_lo}")
+        require(self, "at least 0", lambda v: v >= 0, "max_proposals", "refine_steps")
 
 
 @dataclass
 class PolicyTrainConfig:
     batch_m: int = 32
-    lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
     steps: int = 2000
     hidden: int = 32
 
     def __post_init__(self):
         require_counts(self, "batch_m", "hidden")
         require(self, "at least 0", lambda v: v >= 0, "steps")
-        require(self, "positive", lambda v: v > 0, "lr")
-        if not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
 
 
 @dataclass
@@ -128,13 +123,13 @@ def mcr(
 # --- inference loss -------------------------------------------------------------
 
 
-def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin, cfg):
-    """Hinge-with-margin classification loss plus gate regularization,
-    minus a reward for a large margin, as (loss, grad), where grad(g) is
-    (an InferenceParams of parameter gradients, the margin's gradient) for
-    an adjoint g of the loss."""
+def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape, margin):
+    """Hinge-with-margin classification loss plus gate regularization
+    (weighted by BETA1), minus a reward for a large margin (BETA2), as
+    (loss, grad), where grad(g) is (an InferenceParams of parameter
+    gradients, the margin's gradient) for an adjoint g of the loss."""
     scores, scores_grad = smooth_robustness(X_norm, params, shape, vjp=True)
-    loss, loss_grad = _loss_of_scores(scores, labels, params, margin, cfg, vjp=True)
+    loss, loss_grad = _loss_of_scores(scores, labels, params, margin, vjp=True)
 
     def grad(g):
         g_scores, g_gates, g_margin = loss_grad(g)
@@ -146,28 +141,28 @@ def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape,
     return loss, grad
 
 
-def _loss_of_scores(vals, labels, params: InferenceParams, margin, cfg, vjp=False):
+def _loss_of_scores(vals, labels, params: InferenceParams, margin, vjp=False):
     """`inference_loss` given the classifier scores `vals`. With vjp,
     (loss, grad), where grad(g) is (the adjoint of `vals`, a dict of the
     regularizer's gate gradients, the margin's gradient)."""
     slack = margin - labels * vals
     hinge = np.sum(np.maximum(slack, 0.0)) / slack.size
     s_gate, s_out = sigmoid(params.gate), sigmoid(params.out_gate)
-    loss = hinge + cfg.beta1 * (np.sum(s_gate) + np.sum(s_out)) - cfg.beta2 * margin
+    loss = hinge + BETA1 * (np.sum(s_gate) + np.sum(s_out)) - BETA2 * margin
     if not vjp:
         return loss
 
     def grad(g):
         # The hinge's subgradient at its kink is taken as 0.
         g_slack = (g / slack.size) * (slack > 0.0)
-        g_reg = g * cfg.beta1
+        g_reg = g * BETA1
         gates = {"gate": g_reg * s_gate * (1.0 - s_gate), "out_gate": g_reg * s_out * (1.0 - s_out)}
-        return -labels * g_slack, gates, float(np.sum(g_slack)) - g * cfg.beta2
+        return -labels * g_slack, gates, float(np.sum(g_slack)) - g * BETA2
 
     return loss, grad
 
 
-def annealing_objective(X_norm, labels, template: InferenceParams, shape: NetworkShape, cfg):
+def annealing_objective(X_norm, labels, template: InferenceParams, shape: NetworkShape):
     """The value of `inference_loss` at flat (classifier, margin) vectors laid
     out like `template` plus a trailing margin; the parameters are views of
     the vector.
@@ -207,7 +202,7 @@ def annealing_objective(X_norm, labels, template: InferenceParams, shape: Networ
             ev[:, k], al[:, k] = ev_k[:, 0], al_k[:, 0]
         memo_key = key.copy()
         vals = smooth_gates((ev, al), params, shape)
-        return float(_loss_of_scores(vals, labels, params, float(fullvec[-1]), cfg))
+        return float(_loss_of_scores(vals, labels, params, float(fullvec[-1])))
 
     return objective
 
@@ -240,12 +235,12 @@ def train_inference(
         raise NoNegativeData("dataset has a single label; bootstrap negatives first")
     X = norm.apply(dataset.X)
 
-    lo_p, hi_p = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
-    lo = np.concatenate([lo_p, [cfg.margin_lo]])
-    hi = np.concatenate([hi_p, [cfg.margin_hi]])
+    lo_p, hi_p = param_bounds(shape, PRED_BOUND, GATE_BOUND)
+    lo = np.concatenate([lo_p, [MARGIN_LO]])
+    hi = np.concatenate([hi_p, [MARGIN_HI]])
     template = init_inference(shape, rng)
 
-    objective = annealing_objective(X, labels, template, shape, cfg)
+    objective = annealing_objective(X, labels, template, shape)
 
     # multi-start: keep the best of several random initializations; a warm
     # start competes against them rather than replacing them, so stale
@@ -298,7 +293,7 @@ def train_inference(
     for _ in range(2):
         for i in range(spans["gate"].start, spans["out_gate"].stop):
             trial = best.copy()
-            for cand in (-cfg.gate_bound, cfg.gate_bound):
+            for cand in (-GATE_BOUND, GATE_BOUND):
                 if best[i] == cand:
                     continue
                 trial[i] = cand
@@ -318,9 +313,9 @@ def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
     for _ in range(cfg.refine_steps):
         idx = rng.choice(n, size=batch, replace=False)
         params = template.with_flat(vec[:-1])
-        _, loss_grad = inference_loss(X[idx], labels[idx], params, shape, vec[-1], cfg)
+        _, loss_grad = inference_loss(X[idx], labels[idx], params, shape, vec[-1])
         g_params, g_margin = loss_grad(1.0)
-        vec = np.clip(vec - cfg.refine_lr * np.append(g_params.flatten(), g_margin), lo, hi)
+        vec = np.clip(vec - REFINE_LR * np.append(g_params.flatten(), g_margin), lo, hi)
     return vec
 
 
@@ -395,7 +390,7 @@ def train_policy(
     (N, T+1, n_e), as `original_env_pool` gives them; empty for static
     environments."""
     flat = policy0.flatten()
-    opt = Adam(flat.size, cfg.lr, cfg.betas)
+    opt = Adam(flat.size, POLICY_LR)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
         _, objective_grad = policy_objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule)
@@ -536,9 +531,7 @@ def gan_loop(
         inf_params, margin, loss = train_inference(
             dataset, shape, inf_cfg, np.random.default_rng(seed_inf), norm=norm, warm_start=state.warm_start
         )
-        mcr_smooth = mcr(
-            inf_params, dataset, shape=shape, norm=norm, tau=inf_cfg.tau_eval
-        )
+        mcr_smooth = mcr(inf_params, dataset, shape=shape, norm=norm, tau=TAU_EVAL)
         formula = extract_formula(inf_params, shape, norm, names)
         formula = simplify(formula, dataset.X, names, dataset.labels)
         mcr_exact_val = exact_mcr(formula, dataset.X, names, dataset.labels)
@@ -558,9 +551,7 @@ def gan_loop(
         gen_rng = np.random.default_rng(seed_gen)
         generated = _generate_negatives(env, policy, env_pool, gan_cfg.n_generate, gen_rng, f"it{it}")
         gen_X = norm.apply(generated.X)
-        mean_rob = float(
-            np.mean(smooth_robustness(gen_X, inf_params, shape, inf_cfg.tau_eval))
-        )
+        mean_rob = float(np.mean(smooth_robustness(gen_X, inf_params, shape, TAU_EVAL)))
 
         row = {
             "iteration": it,

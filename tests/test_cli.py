@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import json
+import math
 import subprocess
 import sys
 from itertools import compress
@@ -7,9 +9,9 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from stlmimic import cli, dataio, stl
+from stlmimic import cli, dataio, stl, train
 from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
-from stlmimic.envs import UnicycleEnv
+from stlmimic.envs import DrivingEnv, UnicycleEnv
 from stlmimic.train import gan_loop, generated_rows
 
 import helpers
@@ -22,10 +24,9 @@ TINY = {
         "max_proposals": 120,
         "epoch_len": 40,
         "refine_steps": 6,
-        "refine_lr": 0.1,
         "refine_batch": 8,
     },
-    "policy": {"batch_m": 4, "lr": 0.05, "steps": 20, "hidden": 6},
+    "policy": {"batch_m": 4, "steps": 20, "hidden": 6},
     "gan": {"n_generate": 5, "max_iterations": 2, "stop_mcr": 1.0},
 }
 
@@ -205,13 +206,14 @@ class TestTrainOutputs:
 
     def test_horizon_mismatch_fails_before_training(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained
-        cfg = tmp_path / "t15.json"
-        cfg.write_text(json.dumps({**TINY, "env": {"name": "unicycle", "T": 15}}))
+        ds = dataio.load_dataset(str(data))
+        short = tmp_path / "t15.jsonl"
+        dataio.save_dataset(dataio.Dataset(ds.X[:, :16], ds.labels, ds.ids, ds.metas, ds.agent_names), str(short))
         out = tmp_path / "run" / "c.json"
-        code = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+        code = main(["train", "--data", str(short), "--config", str(config), "--out", str(out)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert str(data) in err and "20" in err and "15" in err
+        assert f"{short}: dataset horizon 15 != environment horizon 20" in err
         assert not out.parent.exists()
 
     def test_unknown_config_key_is_config_error(self, trained, tmp_path):
@@ -220,6 +222,26 @@ class TestTrainOutputs:
         bad_cfg.write_text(json.dumps({**TINY, "optimizer": "sgd"}))
         code = main(["train", "--data", str(data), "--config", str(bad_cfg), "--out", str(tmp_path / "c.json")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            (b'{seed: 1}', "config is not valid JSON: Expecting property name"),
+            (b'[{"seed": 1}]', "config must be a JSON object, got list"),
+            (None, "cannot read config: No such file or directory"),
+            (b"\xff\xfe{}", "config is not valid JSON: 'utf-8' codec can't decode"),
+        ],
+        ids=["not-json", "a-list", "missing", "not-utf8"],
+    )
+    def test_unreadable_config_is_config_error_naming_the_file(self, trained, tmp_path, capsys, text, what):
+        root, data, config, ckpt = trained
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_bytes(text)
+        out = tmp_path / "run" / "ckpt.json"
+        assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {cfg}: {what}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else ["config.json"])
 
     def test_data_without_positives_fails_before_writing(self, trained_driving, tmp_path, capsys):
         # eval and extract read negative-only files such as negatives.jsonl; train needs demonstrations
@@ -233,7 +255,8 @@ class TestTrainOutputs:
 
 
 BAD_CONFIGS = {
-    # the option each config gets wrong, and the config
+    # the option each config gets wrong, and the config; a retired option
+    # (RETIRED_OPTIONS) is refused as unknown, whatever its value
     "inference.epoch_len": {"inference": {"epoch_len": 0}},
     "gan.n_generate": {"gan": {"n_generate": 0}},
     "gan.max_iterations": {"gan": {"max_iterations": 0}},
@@ -303,30 +326,45 @@ class TestConfigErrors:
     def test_names_the_option(self, option):
         with pytest.raises(ConfigError) as excinfo:
             Run(BAD_CONFIGS[option])
-        assert str(excinfo.value).startswith(option + " "), str(excinfo.value)
+        message = str(excinfo.value)
+        assert message.startswith(option + " "), message
+        retired = {f"{section}.{key}" for _, section, key, _ in RETIRED_OPTIONS}
+        assert message.startswith(option + " is unknown") == (option in retired), message
 
     def test_more_cases_name_the_option(self):
         for doc, option in [
             ({"shape": {"n_pred": 0}}, "shape.n_pred"),
-            ({"env": {"name": "driving", "T": "57"}}, "env.T"),
             ({"seed": -1}, "seed"),
             ({"seed": True}, "seed"),
-            ({"policy": {"betas": [0.9]}}, "policy.betas"),
-            ({"inference": {"tau_eval": 0}}, "inference.tau_eval"),
             ({"inference": {"refine_batch": 0}}, "inference.refine_batch"),
             ({"gan": []}, "gan"),
-            ({"env": {"name": "unicycle", "init_lo": [2.5, 0.5, 0.0]}}, "env.init_lo"),
-            ({"env": {"name": "unicycle", "obstacle_margin": True}}, "env.obstacle_margin"),
-            ({"env": {"name": "driving", "init_pos": [5.0, 0.0]}}, "env.init_pos"),
-            ({"env": {"name": "driving", "react_delay": None}}, "env.react_delay"),
-            ({"env": {"name": "driving", "wobble": 1}}, "env.wobble"),
             ({"shape": {"tau": float("inf")}}, "shape.tau"),
             ({"shape": {"n_conj": True}}, "shape.n_conj"),
+            ({"shape": {"n_pred": [2]}}, "shape.n_pred"),
             ({"inference": {"n_starts": -5}}, "inference.n_starts"),
             ({"inference": {"n_starts": 0}}, "inference.n_starts"),
             ({"inference": {"max_proposals": -10}}, "inference.max_proposals"),
             ({"inference": {"refine_steps": -1}}, "inference.refine_steps"),
             ({"policy": {"steps": -1}}, "policy.steps"),
+        ]:
+            with pytest.raises(ConfigError) as excinfo:
+                Run(doc)
+            assert str(excinfo.value).startswith(option + " "), (doc, str(excinfo.value))
+        # the lowest value of each range is taken
+        Run({"inference": {"max_proposals": 0, "refine_steps": 0}, "policy": {"steps": 0}})
+
+    def test_unknown_options_are_refused_whatever_their_value(self):
+        """Retired options, and one that never was (env.wobble), are refused
+        before their values are read."""
+        for doc, option in [
+            ({"env": {"name": "driving", "T": "57"}}, "env.T"),
+            ({"policy": {"betas": [0.9]}}, "policy.betas"),
+            ({"inference": {"tau_eval": 0}}, "inference.tau_eval"),
+            ({"env": {"name": "unicycle", "init_lo": [2.5, 0.5, 0.0]}}, "env.init_lo"),
+            ({"env": {"name": "unicycle", "obstacle_margin": True}}, "env.obstacle_margin"),
+            ({"env": {"name": "driving", "init_pos": [5.0, 0.0]}}, "env.init_pos"),
+            ({"env": {"name": "driving", "react_delay": None}}, "env.react_delay"),
+            ({"env": {"name": "driving", "wobble": 1}}, "env.wobble"),
             ({"policy": {"lr": -0.5}}, "policy.lr"),
             ({"policy": {"lr": 0}}, "policy.lr"),
             ({"inference": {"refine_lr": 0.0}}, "inference.refine_lr"),
@@ -339,36 +377,18 @@ class TestConfigErrors:
         ]:
             with pytest.raises(ConfigError) as excinfo:
                 Run(doc)
-            assert str(excinfo.value).startswith(option + " "), (doc, str(excinfo.value))
-        # the lowest value of each range is taken
-        Run({"inference": {"max_proposals": 0, "refine_steps": 0, "margin_lo": 0, "margin_hi": 0, "beta1": 0,
-                           "beta2": 0}, "policy": {"steps": 0}})
+            assert str(excinfo.value).startswith(option + " is unknown; "), (doc, str(excinfo.value))
 
     def test_json_integers_are_valid_floats(self):
-        run = Run({"shape": {"tau": 1}, "inference": {"margin_lo": 0}, "policy": {"betas": [0, 0.5]}})
+        run = Run({"shape": {"tau": 1}, "gan": {"stop_mcr": 1}})
         assert run.shape.tau == 1.0 and isinstance(run.shape.tau, float)
-        assert isinstance(run.inference.margin_lo, float)
-        assert run.policy.betas == (0.0, 0.5)
-        env = Run({"env": {"name": "driving", "init_pos": [0, 5]}}).env.config()
-        assert [type(v) for v in env["init_pos"]] == [float] * 2
-
-    def test_list_init_lo_trains_and_round_trips_through_config(self, trained, tmp_path):
-        root, data, config, ckpt = trained
-        env = {"name": "unicycle", "init_lo": [0.5, 0.75, 0.0]}
-        cfg = tmp_path / "init_lo.json"
-        cfg.write_text(json.dumps({**TINY, "env": env}))
-        out = tmp_path / "run" / "ckpt.json"
-        assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        ck = dataio.load_checkpoint(str(out))
-        assert ck.env["init_box"][0] == [0.5, 0.75, 0.0]
-        assert Run(ck.config).env.config() == ck.env
-        assert main(["rollout", "--ckpt", str(out), "--n", "2", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+        assert run.gan.stop_mcr == 1.0 and isinstance(run.gan.stop_mcr, float)
 
     def test_train_exits_2_and_writes_no_checkpoint(self, trained, tmp_path, capsys):
-        # a NaN learning rate would otherwise train a round and exit 4 as "diverged"
+        # a NaN is refused before any training, as a value out of range is
         root, data, config, ckpt = trained
         for option, section in (("inference.epoch_len", {"inference": {"epoch_len": 0}}),
-                                ("policy.lr", {"policy": {"lr": float("nan")}})):
+                                ("gan.stop_mcr", {"gan": {"stop_mcr": float("nan")}})):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps({**TINY, **section}))
             out = tmp_path / "run" / "ckpt.json"
@@ -397,10 +417,51 @@ RETIRED_OPTIONS = [
     ("unicycle", "inference", "initial_temp", 1.0),
     ("unicycle", "inference", "temp_decay", 0.95),
     ("driving", "gan", "reheat", 0.5),
+    ("unicycle", "env", "T", 20),
+    ("unicycle", "env", "init_lo", [0.5, 0.5, 0.0]),
+    ("unicycle", "env", "init_hi", [2.0, 2.0, math.pi / 2]),
+    ("driving", "env", "T", 57),
+    ("driving", "env", "init_pos", [0.0, 5.0]),
+    ("unicycle", "inference", "margin_lo", 0.01),
+    ("unicycle", "inference", "margin_hi", 1.0),
+    ("unicycle", "inference", "beta1", 0.05),
+    ("unicycle", "inference", "beta2", 0.1),
+    ("driving", "inference", "refine_lr", 0.05),
+    ("driving", "inference", "pred_bound", 3.0),
+    ("driving", "inference", "gate_bound", 6.0),
+    ("driving", "inference", "tau_eval", 0.01),
+    ("unicycle", "policy", "lr", 1e-3),
+    ("driving", "policy", "betas", [0.9, 0.999]),
 ]
+
+# where each option retired to a constant lives now
+CONSTANTS = {
+    ("unicycle", "env", "T"): UnicycleEnv.T,
+    ("unicycle", "env", "init_lo"): UnicycleEnv.init_lo,
+    ("unicycle", "env", "init_hi"): UnicycleEnv.init_hi,
+    ("driving", "env", "T"): DrivingEnv.T,
+    ("driving", "env", "init_pos"): DrivingEnv.init_pos,
+    ("unicycle", "inference", "margin_lo"): train.MARGIN_LO,
+    ("unicycle", "inference", "margin_hi"): train.MARGIN_HI,
+    ("unicycle", "inference", "beta1"): train.BETA1,
+    ("unicycle", "inference", "beta2"): train.BETA2,
+    ("driving", "inference", "refine_lr"): train.REFINE_LR,
+    ("driving", "inference", "pred_bound"): train.PRED_BOUND,
+    ("driving", "inference", "gate_bound"): train.GATE_BOUND,
+    ("driving", "inference", "tau_eval"): train.TAU_EVAL,
+    ("unicycle", "policy", "lr"): train.POLICY_LR,
+    ("driving", "policy", "betas"): inspect.signature(train.Adam).parameters["betas"].default,
+}
 
 
 class TestRetiredOptions:
+    def test_each_constant_keeps_the_old_default(self):
+        retired = {(env, section, key): value for env, section, key, value in RETIRED_OPTIONS}
+        for where, constant in CONSTANTS.items():
+            assert json.loads(json.dumps(constant)) == retired[where], where
+        # tuples, so that no two instances share a mutable array
+        assert all(type(v) is tuple for v in (UnicycleEnv.init_lo, UnicycleEnv.init_hi, DrivingEnv.init_pos))
+
     def test_config_or_checkpoint_naming_one_is_refused(self, trained, trained_driving, tmp_path, capsys):
         """A config naming a retired option exits 2, and a checkpoint whose
         config names one exits 3; each error names `section.option`, and
@@ -540,20 +601,6 @@ class TestRollout:
         assert lines[0].startswith("# config=")
         assert lines[1].split(",")[:5] == ["traj_id", "t", "px", "py", "theta"]
         assert len(lines) == 2 + 4 * 21
-
-    def test_checkpoint_keeps_environment_overrides(self, trained, tmp_path):
-        root, data, config, ckpt = trained
-        ds = dataio.load_dataset(str(data))
-        short = dataio.Dataset(ds.X[:, :16], ds.labels, ds.ids, ds.metas, ds.agent_names, ds.env_names)
-        short_data = tmp_path / "short.jsonl"
-        dataio.save_dataset(short, str(short_data))
-        cfg = tmp_path / "t15.json"
-        cfg.write_text(json.dumps({**TINY, "env": {"name": "unicycle", "T": 15}}))
-        ck15 = tmp_path / "run" / "ckpt.json"
-        assert main(["train", "--data", str(short_data), "--config", str(cfg), "--out", str(ck15)]) == EXIT_OK
-        out = tmp_path / "r.csv"
-        assert main(["rollout", "--ckpt", str(ck15), "--n", "2", "--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().strip().split("\n")) == 2 + 2 * 16
 
     def test_non_positive_counts_are_config_errors(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained
@@ -758,6 +805,54 @@ class TestBadInputFiles:
         assert main(argv) == EXIT_DATA
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
+
+
+def _edited_line(src, dst, lineno, **fields):
+    """A copy of the dataset file src whose line `lineno` has `fields` replaced."""
+    lines = src.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields}) + "\n"
+    dst.write_text("".join(lines))
+    return dst
+
+
+class TestMalformedInputBranches:
+    """A checkpoint or dataset line that is malformed in one of these ways
+    is a data error (exit 3) naming the file, and the line where there is
+    one, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "edit, what",
+        [
+            (lambda doc: [doc], "not a checkpoint document"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "margin"}, "missing field margin"),
+            (lambda doc: {**doc, "shape": {**doc["shape"], "horizon": 15}},
+             "shape has horizon 15 and dim 4, but the unicycle environment has 20 and 4"),
+        ],
+        ids=["a-list", "without-margin", "horizon-not-T"],
+    )
+    def test_checkpoint(self, trained, tmp_path, capsys, edit, what):
+        root, data, config, ckpt = trained
+        bad, out = tmp_path / "bad.json", tmp_path / "out" / "r.csv"
+        bad.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+        assert main(["rollout", "--ckpt", str(bad), "--n", "2", "--out", str(out)]) == EXIT_DATA
+        assert f"data error: {bad}: {what}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "names, what",
+        [
+            (["dA", "dB", "dC"], "agent_dims or env_dims do not match the state widths"),
+            (["dA", "dB", "dC", "dX"], "dimension names (('dA', 'dB', 'dC', 'dX'), ()) differ from"),
+        ],
+        ids=["width-not-the-states", "names-not-the-first-line"],
+    )
+    def test_dataset_line(self, trained, tmp_path, capsys, names, what):
+        root, data, config, ckpt = trained
+        bad = _edited_line(data, tmp_path / "bad.jsonl", 2, agent_dims=names)
+        out = tmp_path / "out" / "f.txt"
+        assert main(["extract", "--ckpt", str(ckpt), "--data", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert f"data error: {bad}:2: {what}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 def _renamed(src, dst, key, names):
@@ -979,6 +1074,11 @@ class TestMovedRun:
         out = tmp_path / "r.csv"
         assert main(["rollout", "--ckpt", str(moved_run / "run" / "ckpt.json"), "--n", "2", "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().strip().split("\n")) == 2 + 2 * 58
+
+    def test_adjusted_checkpoint_names_its_moved_source(self, moved_run):
+        adjusted = moved_run / "adj" / "ckpt.json"
+        source = adjusted.parent / dataio.load_checkpoint(str(adjusted)).extra["adjusted_from"]
+        assert source.resolve() == (moved_run / "run" / "ckpt.json").resolve()
 
     def test_boundary_snapshots_name_the_moved_run_dataset(self, moved_run):
         for path in sorted((moved_run / "run").glob("ckpt_iter*.json")):

@@ -207,7 +207,7 @@ class TestRolloutOp:
     def test_forward_equals_value_path_and_gradient_matches_fd(
         self, env_name, horizon, batch, hidden, seed
     ):
-        env = make_env(env_name, T=horizon)
+        env = _with(make_env(env_name), {"T": horizon})
         rng = np.random.default_rng(seed)
         params = init_policy(
             PolicyShape(env.n_agent + env.n_env, hidden, env.control_box.dim), rng
@@ -306,10 +306,8 @@ class TestDrivingData:
 
     def test_make_env(self):
         assert make_env("unicycle").name == "unicycle"
-        assert make_env("driving", init_pos=[1, 4]).init_pos == (1.0, 4.0)
-        with pytest.raises(ValueError, match="^env.cruise is unknown"):
-            make_env("driving", cruise=4.0)
-        with pytest.raises(ValueError):
+        assert make_env("driving").init_pos == (0.0, 5.0)
+        with pytest.raises(ValueError, match="^unknown environment 'humanoid'"):
             make_env("humanoid")
 
 
@@ -368,8 +366,7 @@ class ScalarDrawDriving(DrivingEnv):
 
 
 class ScalarDrawUnicycle(UnicycleEnv):
-    def __init__(self, **overrides):
-        super().__init__(**overrides)
+    def __init__(self):
         self.attempts = 0
 
     def _scalar_steer(self, x, target, rng):
@@ -466,10 +463,10 @@ class TestExpertsMatchScalarDraws:
 
     def test_unicycle_expert_with_retries(self):
         # at T=16 and this seed, two demonstrations fail the vetting once
-        for overrides, seed, n in (({}, 7, 30), ({"T": 16}, 16, 20)):
-            ref = ScalarDrawUnicycle(**overrides)
+        for attrs, seed, n in (({}, 7, 30), ({"T": 16}, 16, 20)):
+            ref = _with(ScalarDrawUnicycle(), attrs)
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            a = UnicycleEnv(**overrides).gen_expert(n, rng_a)
+            a = _with(UnicycleEnv(), attrs).gen_expert(n, rng_a)
             b = ref.gen_expert(n, rng_b)
             _same_data_and_generator_state(a, b, rng_a, rng_b)
         assert ref.attempts == n + 2

@@ -9,8 +9,10 @@ from stlmimic.inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
+    _factor_shared,
     combined_smooth,
     exact_mcr,
+    exact_satisfaction,
     extract_formula,
     init_inference,
     normalize_formula,
@@ -29,7 +31,7 @@ from stlmimic.stl import (
     robustness_trace,
 )
 from stlmimic.params import ParamVector
-from stlmimic.train import InferenceTrainConfig, inference_loss
+from stlmimic.train import inference_loss
 
 import oracle_stl
 from helpers import EQ12_DNF, encode_dnf, finite_diff_check
@@ -117,7 +119,6 @@ class TestSmoothRobustness:
 
         X = rng.uniform(-1, 1, size=(6, 6, 2))
         labels = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
-        cfg = InferenceTrainConfig()
         pv_m = ParamVector(**vars(params), margin=np.array([0.3]))
 
         def split(p):
@@ -127,11 +128,11 @@ class TestSmoothRobustness:
 
         def loss(p):
             params, margin = split(p)
-            return inference_loss(X, labels, params, shape, margin, cfg)[0]
+            return inference_loss(X, labels, params, shape, margin)[0]
 
         def loss_grad(p):
             params, margin = split(p)
-            g_params, g_margin = inference_loss(X, labels, params, shape, margin, cfg)[1](1.0)
+            g_params, g_margin = inference_loss(X, labels, params, shape, margin)[1](1.0)
             return ParamVector(**vars(g_params), margin=np.array([g_margin]))
 
         assert finite_diff_check(loss, loss_grad, pv_m, h=1e-5) < 1e-3
@@ -341,6 +342,33 @@ class TestExtraction:
         norm = SignalNorm.identity(1)
         params = encode_dnf([], shape, norm)
         assert extract_formula(params, shape, norm, ("x0",)) == stl.TrueFormula()
+
+
+class TestFactorShared:
+    """`_factor_shared` pulls the conjuncts every disjunct shares out of a
+    top-level Or; the rewrite has the exact satisfaction of its input."""
+
+    A, B, C = "F[0,3](a >= 1)", "G[0,2](a >= 3)", "G[1,4](b <= 2)"
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            (f"({A} & {C}) | ({B} & {C})", f"({A} | {B}) & {C}"),
+            (f"({A} & {C}) | ({B} & F[1,4](b <= 2))", None),
+            (f"({A} & {C}) | {C}", C),
+        ],
+        ids=["shared-factor", "no-common-conjunct", "absorption"],
+    )
+    def test_rewrite_keeps_exact_satisfaction(self, text, want):
+        names = ("a", "b")
+        f = parse(text, names)
+        g = _factor_shared(f)
+        if want is None:
+            assert g is f
+        else:
+            assert g == parse(want, names)
+        X = np.random.default_rng(5).uniform(-1.0, 5.0, size=(500, 6, 2))
+        assert np.array_equal(exact_satisfaction(g, X, names), exact_satisfaction(f, X, names))
 
 
 class TestSimplify:

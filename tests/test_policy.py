@@ -110,7 +110,8 @@ class TestGradients:
     def test_fd_through_three_recurrent_steps(self):
         # the policy's gradient reaches it through a 3-step closed-loop
         # rollout, whose backward pass is hand-written BPTT
-        env = UnicycleEnv(T=3)
+        env = UnicycleEnv()
+        env.T = 3
         params = init_policy(PolicyShape(3, 4, 2), seed=13)
         x0s = np.array([[0.3, -0.1, 0.2], [0.0, 0.4, 1.1]])
         weights = np.random.default_rng(14).normal(size=(2, 4, 3))

@@ -122,40 +122,42 @@ class TestMcr:
 
 
 class TestInferenceLoss:
-    def _loss_for(self, value, label, margin, beta1=0.0, beta2=0.1):
+    @pytest.fixture(autouse=True)
+    def _no_gate_penalty(self, monkeypatch):
+        monkeypatch.setattr(train, "BETA1", 0.0)
+
+    def _loss_for(self, value, label, margin):
         # Single degenerate network whose output is ~value on this signal.
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.01)
         norm = SignalNorm.identity(1)
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
-        cfg = InferenceTrainConfig(beta1=beta1, beta2=beta2)
         X = np.full((1, 4, 1), float(value))
-        return inference_loss(X, np.array([float(label)]), params, shape, margin, cfg)[0]
+        return inference_loss(X, np.array([float(label)]), params, shape, margin)[0]
 
     def test_positive_sample_inside_margin(self):
-        # value 0.5, label +1, margin 0.1 -> hinge 0; -beta2 * margin = -0.01
+        # value 0.5, label +1, margin 0.1 -> hinge 0; -BETA2 * margin = -0.01
         out = self._loss_for(0.5, +1, margin=0.1)
         assert out == pytest.approx(-0.01, abs=2e-3)
 
-    def test_negative_sample_violating(self):
+    def test_negative_sample_violating(self, monkeypatch):
         # value 0.5, label -1 -> hinge = 0.1 + 0.5 = 0.6 (minus margin bonus)
-        out = self._loss_for(0.5, -1, margin=0.1, beta2=0.0)
+        monkeypatch.setattr(train, "BETA2", 0.0)
+        out = self._loss_for(0.5, -1, margin=0.1)
         assert out == pytest.approx(0.6, abs=2e-3)
 
-    def test_two_samples_average(self):
+    def test_two_samples_average(self, monkeypatch):
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.01)
         norm = SignalNorm.identity(1)
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
-        cfg = InferenceTrainConfig(beta1=0.0, beta2=0.0)
+        monkeypatch.setattr(train, "BETA2", 0.0)
         X = np.stack([np.full((4, 1), 0.5), np.full((4, 1), 0.5)])
-        both = inference_loss(X, np.array([1.0, -1.0]), params, shape, 0.1, cfg)[0]
-        only_neg = inference_loss(X[1:], np.array([-1.0]), params, shape, 0.1, cfg)[0]
+        both = inference_loss(X, np.array([1.0, -1.0]), params, shape, 0.1)[0]
+        only_neg = inference_loss(X[1:], np.array([-1.0]), params, shape, 0.1)[0]
         assert both == pytest.approx(only_neg / 2, abs=2e-3)
 
 
 class TestTrainInference:
-    CFG = InferenceTrainConfig(
-        max_proposals=240, epoch_len=40, refine_steps=10, refine_lr=0.1, refine_batch=8
-    )
+    CFG = InferenceTrainConfig(max_proposals=240, epoch_len=40, refine_steps=10, refine_batch=8)
 
     def test_separable_toy_reaches_zero_mcr(self):
         ds = toy_dataset()
@@ -165,7 +167,7 @@ class TestTrainInference:
             ds, shape, self.CFG, np.random.default_rng(7), norm=norm
         )
         assert mcr(params, ds, shape=shape, norm=norm, tau=0.01) == 0.0
-        assert self.CFG.margin_lo <= margin <= self.CFG.margin_hi
+        assert train.MARGIN_LO <= margin <= train.MARGIN_HI
 
     def test_same_seed_identical(self):
         ds = toy_dataset()
@@ -183,13 +185,12 @@ class TestTrainInference:
         norm = SignalNorm.from_arrays(ds.X)
         rng = np.random.default_rng(13)
         start = np.concatenate([init_inference(shape, rng).flatten(), [0.1]])
-        cfg = self.CFG
         p, m, loss = train_inference(
-            ds, shape, cfg, np.random.default_rng(13), norm=norm, warm_start=start
+            ds, shape, self.CFG, np.random.default_rng(13), norm=norm, warm_start=start
         )
         start_loss, _ = inference_loss(
             norm.apply(ds.X), ds.labels.astype(float),
-            init_inference(shape, np.random.default_rng(13)).with_flat(start[:-1]), shape, 0.1, cfg
+            init_inference(shape, np.random.default_rng(13)).with_flat(start[:-1]), shape, 0.1
         )
         assert loss <= start_loss + 1e-12
 
@@ -199,7 +200,6 @@ class TestTrainInference:
         shape = NetworkShape(n_pred=3, n_conj=2, horizon=env.T, dim=4, tau=0.1)
         norm = SignalNorm.from_arrays(ds.X)
         X, labels = norm.apply(ds.X), ds.labels.astype(float)
-        cfg = InferenceTrainConfig()
         rng = np.random.default_rng(19)
         template = init_inference(shape, rng)
         assert shape.n_atom_params == sum(
@@ -219,10 +219,10 @@ class TestTrainInference:
         replay = [v0, full, gates, window, margin, margin, full, gates, v0]
 
         widths = atom_layer_widths(monkeypatch)
-        objective = train.annealing_objective(X, labels, template, shape, cfg)
+        objective = train.annealing_objective(X, labels, template, shape)
         for vec in replay:
             params = template.with_flat(vec[:-1])
-            want = float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg)[0])
+            want = float(inference_loss(X, labels, params, shape, float(vec[-1]))[0])
             assert objective(vec.copy()) == want
         # every atom recomputed for v0, full, window, full and v0, each of which
         # moves more than one predicate; reused for the rest
@@ -245,10 +245,9 @@ class TestTrainInference:
         n = draw(st.integers(2, 6))
         X = rng.normal(size=(n, shape.horizon + 1, shape.dim))
         labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        cfg = InferenceTrainConfig()
         template = init_inference(shape, rng)
-        lo, hi = param_bounds(shape, cfg.pred_bound, cfg.gate_bound)
-        lo, hi = np.append(lo, cfg.margin_lo), np.append(hi, cfg.margin_hi)
+        lo, hi = param_bounds(shape, train.PRED_BOUND, train.GATE_BOUND)
+        lo, hi = np.append(lo, train.MARGIN_LO), np.append(hi, train.MARGIN_HI)
         spans = {**layout(InferenceParams.group_shapes(shape)), "margin": slice(lo.size - 1, lo.size)}
         # the predicate that each atom entry belongs to, read through the layout
         pair = np.arange(shape.n_atoms) // 2
@@ -271,10 +270,10 @@ class TestTrainInference:
         want_widths, prev = [], None
         with pytest.MonkeyPatch.context() as mp:
             widths = atom_layer_widths(mp)
-            objective = train.annealing_objective(X, labels, template, shape, cfg)
+            objective = train.annealing_objective(X, labels, template, shape)
             for vec in vecs:
                 params = template.with_flat(vec[:-1])
-                assert objective(vec.copy()) == float(inference_loss(X, labels, params, shape, float(vec[-1]), cfg)[0])
+                assert objective(vec.copy()) == float(inference_loss(X, labels, params, shape, float(vec[-1]))[0])
                 atom_entries = slice(0, shape.n_atom_params)
                 moved = None if prev is None else set(owner[vec[atom_entries] != prev[atom_entries]].tolist())
                 if moved is None or len(moved) > 1:
@@ -303,8 +302,7 @@ class TestTrainInference:
 
         monkeypatch.setattr(train, "annealing_objective", recording)
         monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
-        cfg = self.CFG
-        params, margin, fit_loss = train_inference(ds, shape, cfg, np.random.default_rng(7), norm=norm)
+        params, margin, fit_loss = train_inference(ds, shape, self.CFG, np.random.default_rng(7), norm=norm)
 
         # the last refined vector is scored right after its refine; the polish follows
         annealed, polish = calls[: refines[-1] + 1], iter(calls[refines[-1] + 1 :])
@@ -314,7 +312,7 @@ class TestTrainInference:
         scored = 0
         for _ in range(2):
             for i in gates:
-                for rail in (-cfg.gate_bound, cfg.gate_bound):
+                for rail in (-train.GATE_BOUND, train.GATE_BOUND):
                     if best[i] == rail:
                         continue
                     vec, loss = next(polish)
@@ -360,7 +358,7 @@ class TestTrainInference:
         params, margin, loss = train_inference(
             ds, shape, self.CFG, np.random.default_rng(7), norm=norm, warm_start=warm
         )
-        objective = train.annealing_objective(norm.apply(ds.X), ds.labels.astype(float), template, shape, self.CFG)
+        objective = train.annealing_objective(norm.apply(ds.X), ds.labels.astype(float), template, shape)
         assert objective(np.append(params.flatten(), margin)) == loss
         assert not any(np.shares_memory(a, warm) for a in vars(params).values())
 
@@ -438,7 +436,6 @@ class TestPolicyObjective:
         raw = rollout(env, policy, *samples)
         X = norm.apply(raw)
         labels = np.array([1.0, -1.0, 1.0])
-        cfg = InferenceTrainConfig()
         calls = [
             lambda vjp: rollout(env, policy, *samples, vjp=vjp),
             lambda vjp: smooth_robustness(X, inf, shape, vjp=vjp),
@@ -453,8 +450,8 @@ class TestPolicyObjective:
         scores = stl.smin(np.stack([smooth_robustness(X, inf, shape), rule_scores]), shape.tau, 0)
         value, grad = policy_objective(policy, inf, env, samples, shape, norm, rule)
         assert value == np.sum(scores) / scores.size and callable(grad)
-        value, grad = inference_loss(X, labels, inf, shape, 0.2, cfg)
-        assert value == train._loss_of_scores(smooth_robustness(X, inf, shape), labels, inf, 0.2, cfg)
+        value, grad = inference_loss(X, labels, inf, shape, 0.2)
+        assert value == train._loss_of_scores(smooth_robustness(X, inf, shape), labels, inf, 0.2)
         assert callable(grad)
 
     def test_gradient_matches_fd(self):
@@ -538,7 +535,7 @@ class TestTrainPolicy:
         rng = np.random.default_rng(23)
         pool = helpers.lead_profiles(env, rng, 2)[2:6]  # four leads that keep going
         policy0 = init_policy(PolicyShape(4, 6, 1), seed=3)
-        cfg = PolicyTrainConfig(batch_m=4, lr=0.05, steps=40, hidden=6)
+        cfg = PolicyTrainConfig(batch_m=4, steps=40, hidden=6)
         trained = train_policy(
             policy0, inf, env, pool, cfg, np.random.default_rng(29), shape=shape, norm=norm
         )
@@ -557,11 +554,23 @@ class TestTrainPolicy:
         norm = SignalNorm.identity(4)
         inf = helpers.encode_dnf([[("G", 0, 57, (0.0, 1.0, 0.0, 0.0), 0.0)]], shape, norm)
         policy0 = init_policy(PolicyShape(4, 4, 1), seed=5)
-        cfg = PolicyTrainConfig(batch_m=2, lr=0.05, steps=0, hidden=4)
+        cfg = PolicyTrainConfig(batch_m=2, steps=0, hidden=4)
         out = train_policy(
             policy0, inf, env, [], cfg, np.random.default_rng(0), shape=shape, norm=norm
         )
         assert np.array_equal(out.flatten(), policy0.flatten())
+
+    def test_adam_runs_at_the_fixed_rate_and_betas(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(train, "Adam", lambda *a, **kw: made.append(Adam(*a, **kw)) or made[-1])
+        env = DrivingEnv()
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=57, dim=4, tau=0.1)
+        inf = helpers.encode_dnf([[("G", 0, 57, (0.0, 1.0, 0.0, 0.0), 0.0)]], shape, SignalNorm.identity(4))
+        pool = helpers.lead_profiles(env, np.random.default_rng(3))[:1]
+        policy0 = init_policy(PolicyShape(4, 4, 1), seed=5)
+        cfg = PolicyTrainConfig(batch_m=2, steps=1, hidden=4)
+        train_policy(policy0, inf, env, pool, cfg, np.random.default_rng(0), shape=shape, norm=SignalNorm.identity(4))
+        assert [(opt.lr, opt.b1, opt.b2) for opt in made] == [(1e-3, 0.9, 0.999)]
 
     def test_same_seed_identical_and_inference_frozen(self):
         env = DrivingEnv()
@@ -572,7 +581,7 @@ class TestTrainPolicy:
         rng = np.random.default_rng(37)
         pool = helpers.lead_profiles(env, rng)[1:2]
         policy0 = init_policy(PolicyShape(4, 4, 1), seed=7)
-        cfg = PolicyTrainConfig(batch_m=2, lr=0.05, steps=10, hidden=4)
+        cfg = PolicyTrainConfig(batch_m=2, steps=10, hidden=4)
         outs = []
         for _ in range(2):
             out = train_policy(
@@ -583,10 +592,8 @@ class TestTrainPolicy:
         assert np.array_equal(inf.flatten(), frozen)
 
 
-TINY_INF = InferenceTrainConfig(
-    max_proposals=150, epoch_len=50, refine_steps=8, refine_lr=0.1, refine_batch=10
-)
-TINY_POL = PolicyTrainConfig(batch_m=4, lr=0.05, steps=25, hidden=6)
+TINY_INF = InferenceTrainConfig(max_proposals=150, epoch_len=50, refine_steps=8, refine_batch=10)
+TINY_POL = PolicyTrainConfig(batch_m=4, steps=25, hidden=6)
 TINY_GAN = GanConfig(n_generate=6, max_iterations=2, stop_mcr=1.0)
 
 
