@@ -11,17 +11,25 @@ each. Every option is a number and follows one rule,
 `dataio.checked_options`: it takes a finite number, an integer where the
 default is one, and never true or false, and is stored as its default's
 type. An unknown section or option is refused, and so is a value out of
-its option's range; the error names `section.option` and the command
-exits 2. A config that cannot be read, is not JSON or is not one object
-also exits 2, naming the file. A checkpoint's `shape` is checked by the
-same rule, and a bad one exits 3, as does a checkpoint whose config has a
-bad option.
+its option's range; the error names the config file and `section.option`,
+and the command exits 2. A config that cannot be read, is not JSON or is
+not one object also exits 2, naming the file. A checkpoint's `shape` is
+checked by the same rule, and a bad one exits 3, as does a checkpoint
+whose config has a bad option.
 
 The `env` section takes only `name`. Each environment's horizon, initial
 states, region geometry and scripted experts are fixed (see `envs`), and
 `gen-data` runs the experts at those values. The method's other fixed
 hyperparameters, such as the loss weights, the parameter bounds and the
 learning rates, are constants in `train`.
+
+A checkpoint's `env` holds only the environment's `name`. Each round-boundary
+snapshot `ckpt_iterK.json` stores the adopted classifier, the policy and the
+signal normalization in the fields the final checkpoint uses; before any
+round is adopted, its `inference_groups` is empty. `train` prints the final
+formula's exact MCR on its dataset and records it as `extra["mcr_exact"]`.
+Older checkpoints, with a full `env` record or an `extra["warm_start"]`,
+still load.
 
 Each dataset FILE a command reads is parsed once, and later reads take it
 from a sidecar `.FILE.npz` beside it, used only while FILE is byte for
@@ -180,7 +188,10 @@ def load_config(path: str) -> Run:
         raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
-    return Run(doc)
+    try:
+        return Run(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_metrics(rows, path: str, digest: str) -> None:
@@ -197,10 +208,16 @@ def _write_metrics(rows, path: str, digest: str) -> None:
             )
 
 
-def _checkpoint(run: Run, extra: dict, **fields) -> Checkpoint:
-    """A checkpoint of the run's environment, shape and config."""
+def _checkpoint(run: Run, state: train.LoopState, extra: dict, **fields) -> Checkpoint:
+    """A checkpoint of the run's environment name, shape and config, and of
+    the loop state's policy, signal normalization and adopted classifier
+    (empty, with margin 0, before any round is adopted)."""
+    adopted = state.adopted
     return Checkpoint(
-        env=run.env.config(), shape=dataclasses.asdict(run.shape), rule_text=None, config=run.doc,
+        env={"name": run.env.name}, shape=dataclasses.asdict(run.shape), rule_text=None, config=run.doc,
+        inference_groups={} if adopted is None else adopted.inference.to_jsonable(),
+        margin=0.0 if adopted is None else float(adopted.margin),
+        policy_groups=state.policy.to_jsonable(), norm=state.norm.to_jsonable(),
         extra={"config_digest": run.digest, **extra}, **fields,
     )
 
@@ -358,21 +375,18 @@ def cmd_train(args) -> int:
 
     def checkpoint_cb(state):
         digest = run_data.extend(state.dataset)
-        warm = state.warm_start
         extra = {
             "boundary": True,
-            "warm_start": None if warm is None else list(map(float, warm)),
             "metrics": list(state.metrics),
             "dataset_path": os.path.basename(run_data.path),
             "dataset_rows": len(run_data.lines),
         }
         ck = _checkpoint(
-            run, extra, inference_groups={}, margin=0.0, policy_groups=state.policy.to_jsonable(),
-            norm={}, gan_iteration=state.iteration, rng_state=state.rng_state, dataset_digest=digest,
+            run, state, extra, gan_iteration=state.iteration, rng_state=state.rng_state, dataset_digest=digest
         )
         dataio.save_checkpoint(ck, os.path.join(out_dir, f"ckpt_iter{state.iteration}.json"))
 
-    result = gan_loop(
+    state = gan_loop(
         ds,
         run.env,
         run.shape,
@@ -384,24 +398,24 @@ def cmd_train(args) -> int:
     )
 
     # the adopted round's dataset leads the full one, whose rows are all in run_data
-    full = result.full_dataset
+    full, adopted = state.dataset, state.adopted
     run_data.extend(full)
     aug_name = "dataset_augmented.jsonl"
-    aug_digest = dataio.write_lines(run_data.lines[: len(result.dataset)], os.path.join(out_dir, aug_name))
+    aug_digest = dataio.write_lines(run_data.lines[: len(adopted.dataset)], os.path.join(out_dir, aug_name))
     dataio.write_lines(compress(run_data.lines, generated_rows(full)), os.path.join(out_dir, "negatives.jsonl"))
-    _write_metrics(result.metrics, os.path.join(out_dir, "metrics.csv"), run.digest)
-    formula_text = stl.print_formula(result.formula)
+    _write_metrics(state.metrics, os.path.join(out_dir, "metrics.csv"), run.digest)
+    formula_text = stl.print_formula(adopted.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:
         fh.write(formula_text + "\n")
+    mcr_exact = float(state.metrics[-1]["mcr_exact"])  # the adopted round's row is the last
     ck = _checkpoint(
-        run, {"augmented_dataset": aug_name, "saturated": result.saturated},
-        inference_groups=result.inference.to_jsonable(), margin=float(result.margin),
-        policy_groups=result.policy.to_jsonable(), norm=result.norm.to_jsonable(),
-        gan_iteration=len(result.metrics), rng_state=None, dataset_digest=aug_digest,
+        run, state, {"augmented_dataset": aug_name, "saturated": state.saturated, "mcr_exact": mcr_exact},
+        gan_iteration=len(state.metrics), rng_state=None, dataset_digest=aug_digest,
     )
     dataio.save_checkpoint(ck, args.out)
     print(f"final formula: {formula_text}")
-    print(f"iterations: {len(result.metrics)}  saturated: {result.saturated}")
+    print(f"exact MCR: {mcr_exact!r}")
+    print(f"iterations: {len(state.metrics)}  saturated: {state.saturated}")
     print(f"checkpoint: {args.out}")
     return EXIT_OK
 

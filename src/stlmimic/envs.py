@@ -148,17 +148,6 @@ class UnicycleEnv:
     def regions(self):
         return (self.region_a, self.region_b, self.region_c, self.obstacle)
 
-    def config(self) -> dict:
-        return {
-            "name": self.name,
-            "T": self.T,
-            "regions": {
-                r.name: [r.cx, r.cy, r.radius] for r in self.regions
-            },
-            "control_box": [list(self.control_box.lo), list(self.control_box.hi)],
-            "init_box": [list(self.init_lo), list(self.init_hi)],
-        }
-
     def step(self, x, u):
         return unicycle_step(x, u)
 
@@ -291,18 +280,6 @@ class DrivingEnv:
     env_names = ("pot", "vot")
     inference_names = agent_names + env_names
     state_norm = SignalNorm(mid=(150.0, 5.5, 150.0, 5.5), halfrange=(150.0, 6.5, 150.0, 6.5))
-
-    def config(self) -> dict:
-        return {
-            "name": self.name,
-            "T": self.T,
-            "cruise": self.cruise,
-            "accel": self.accel,
-            "decel_onset": self.decel_onset,
-            "gap": list(self.gap),
-            "init_pos": list(self.init_pos),
-            "control_box": [list(self.control_box.lo), list(self.control_box.hi)],
-        }
 
     def step(self, x, u):
         return ego_step(x, u[..., 0])

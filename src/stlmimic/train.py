@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +68,9 @@ PRED_BOUND = 3.0  # bound on every predicate weight and offset
 GATE_BOUND = 6.0  # bound on every gate logit, and the polish's rails
 TAU_EVAL = 0.01  # the temperature at which a round's smooth MCR is read
 
-POLICY_LR = 1e-3  # Adam's step size in `train_policy`, with its default betas
+POLICY_LR = 1e-3  # Adam's step size in `train_policy`
+ADAM_BETAS = (0.9, 0.999)  # Adam's decay rates of its moment estimates
+ADAM_EPS = 1e-8  # Adam's guard on the second moment's root
 
 
 @dataclass
@@ -323,10 +325,9 @@ def _refine(fullvec, X, labels, template, shape, cfg, bounds, rng):
 
 
 class Adam:
-    def __init__(self, n: int, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, n: int, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
+        self.b1, self.b2 = ADAM_BETAS
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
@@ -337,7 +338,7 @@ class Adam:
         self.v = self.b2 * self.v + (1 - self.b2) * g * g
         mh = self.m / (1 - self.b1**self.t)
         vh = self.v / (1 - self.b2**self.t)
-        return x - self.lr * mh / (np.sqrt(vh) + self.eps)
+        return x - self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
 def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
@@ -411,22 +412,14 @@ class AdoptedRound:
 
 
 @dataclass(frozen=True)
-class GanResult(AdoptedRound):
-    """The last adopted round, and the loop's state when it stopped."""
-    policy: PolicyParams
-    full_dataset: Dataset  # including any rollouts appended afterwards
-    metrics: list[dict]
-    norm: SignalNorm
-    saturated: bool
-
-
-@dataclass(frozen=True)
 class LoopState:
-    """The adversarial loop at the top of round `iteration`: what a
-    boundary snapshot records (the RNG state, the policy, the dataset grown
-    so far, the metrics of the rounds run and the `warm_start`), plus the
-    adopted round's formula and dataset. `adopted` is None until a round
-    separates."""
+    """The adversarial loop at the top of round `iteration`. A boundary
+    snapshot records all of it but the adopted round's formula and dataset:
+    the RNG state, the policy, the dataset grown so far, the metrics of the
+    rounds run, the adopted round's classifier and margin, and the signal
+    normalization of the demonstrations. `adopted` is None until a round
+    separates. `saturated` is set on the state at the top of the round whose
+    classifier no longer separated, where the loop stopped."""
 
     iteration: int
     rng_state: dict
@@ -434,6 +427,8 @@ class LoopState:
     dataset: Dataset
     metrics: tuple[dict, ...]
     adopted: AdoptedRound | None
+    norm: SignalNorm
+    saturated: bool = False
 
     @property
     def warm_start(self) -> np.ndarray | None:
@@ -473,15 +468,16 @@ def _generate_negatives(env, policy, env_pool, n, rng, tag) -> Dataset:
 
 
 def initial_state(dataset0: Dataset, env, pol_cfg: PolicyTrainConfig, gan_cfg: GanConfig, rng) -> LoopState:
-    """The state at the top of round 1: a randomly initialized policy and,
-    if the dataset is positive-only, that policy's rollouts as negatives."""
+    """The state at the top of round 1: a randomly initialized policy, the
+    signal normalization of the demonstrations and, if the dataset is
+    positive-only, that policy's rollouts as negatives."""
     policy = init_policy(PolicyShape.for_env(env, pol_cfg.hidden), seed=int(rng.integers(2**31)))
     dataset = dataset0
     if dataset.count(-1) == 0:
         log.info("positive-only dataset: bootstrapping %d negatives from a random policy", gan_cfg.n_generate)
         boot = _generate_negatives(env, policy, original_env_pool(dataset, env), gan_cfg.n_generate, rng, "boot")
         dataset = dataset.extended(boot)
-    return LoopState(1, rng.bit_generator.state, policy, dataset, (), None)
+    return LoopState(1, rng.bit_generator.state, policy, dataset, (), None, SignalNorm.from_arrays(dataset0.X))
 
 
 def gan_loop(
@@ -494,15 +490,17 @@ def gan_loop(
     rng: np.random.Generator,
     checkpoint_cb=None,
     resume: LoopState | None = None,
-) -> GanResult:
+) -> LoopState:
     """Alternate classifier and policy training, appending policy rollouts
-    as fresh negatives after every round.
+    as fresh negatives after every round, and return the final state.
 
     Runs from `resume`, else from `initial_state`. Stops early once a
     classifier can no longer separate (smooth MCR above the threshold)
-    after an adopted round; the last separating round is what the result
-    reports. No environment interaction happens here beyond re-sampling
-    stored trajectories.
+    after an adopted round: the final state is then the one at the top of
+    that round, marked `saturated`, and its `adopted` is the last
+    separating round. Otherwise it is the state after the last round. No
+    environment interaction happens here beyond re-sampling stored
+    trajectories.
 
     `checkpoint_cb(state: LoopState)` is invoked at the top of every round;
     `resume` accepts such a state and continues exactly as the run that
@@ -513,11 +511,10 @@ def gan_loop(
     # Environment trajectories are drawn from the original dataset only, so
     # generated agent behavior never contaminates the environment model.
     env_pool = original_env_pool(dataset0, env)
-    norm = SignalNorm.from_arrays(dataset0.X)
     names = dataset0.dim_names
     state = resume or initial_state(dataset0, env, pol_cfg, gan_cfg, rng)
     rng.bit_generator.state = state.rng_state
-    saturated = False
+    norm = state.norm
 
     for it in range(state.iteration, gan_cfg.max_iterations + 1):
         t0 = time.perf_counter()
@@ -541,8 +538,7 @@ def gan_loop(
             # The policy's rollouts have become indistinguishable from the
             # demonstrations; keep the last round that still separated.
             log.info("stopping: classifier saturated (MCR %.3f)", mcr_smooth)
-            saturated = True
-            break
+            return replace(state, saturated=True)
 
         policy = train_policy(
             state.policy, inf_params, env, env_pool, pol_cfg, np.random.default_rng(seed_pol), shape=shape, norm=norm
@@ -562,14 +558,10 @@ def gan_loop(
             "wall_time_s": time.perf_counter() - t0,
             "dataset_size": len(dataset),
         }
-        state = LoopState(
-            iteration=it + 1, rng_state=rng.bit_generator.state, policy=policy,
+        state = replace(
+            state, iteration=it + 1, rng_state=rng.bit_generator.state, policy=policy,
             # these rollouts feed the next round's classifier
             dataset=dataset.extended(generated) if it < gan_cfg.max_iterations else dataset,
             metrics=state.metrics + (row,), adopted=AdoptedRound(inf_params, margin, formula, dataset),
         )
-
-    return GanResult(
-        **vars(state.adopted), policy=state.policy, full_dataset=state.dataset, metrics=list(state.metrics),
-        norm=norm, saturated=saturated,
-    )
+    return state

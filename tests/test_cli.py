@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
-import inspect
+import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 from itertools import compress
@@ -12,6 +14,7 @@ import pytest
 from stlmimic import cli, dataio, stl, train
 from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
 from stlmimic.envs import DrivingEnv, UnicycleEnv
+from stlmimic.inference import InferenceParams, NetworkShape, SignalNorm, exact_mcr
 from stlmimic.train import gan_loop, generated_rows
 
 import helpers
@@ -43,19 +46,32 @@ TINY_DRIVING = {
 
 @pytest.fixture(scope="module")
 def trained_with_result(tmp_path_factory):
-    """One tiny end-to-end training run shared by the command tests, and
-    the GanResult that its training loop returned."""
+    """One tiny end-to-end training run shared by the command tests, the
+    final LoopState that its training loop returned, and the LoopState of
+    each round boundary. What `train` printed is kept in `train.out` beside
+    the run directory."""
     root = tmp_path_factory.mktemp("clirun")
     data = root / "expert.jsonl"
     config = root / "config.json"
     ckpt = root / "run" / "ckpt.json"
     config.write_text(json.dumps(TINY))
     assert main(["gen-data", "--env", "unicycle", "--n", "10", "--seed", "1", "--out", str(data)]) == EXIT_OK
-    results = []
+    results, boundaries = [], []
+
+    def loop(*a, checkpoint_cb, **kw):
+        def cb(state):
+            boundaries.append(state)
+            checkpoint_cb(state)
+
+        results.append(gan_loop(*a, checkpoint_cb=cb, **kw))
+        return results[-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "gan_loop", lambda *a, **kw: results.append(gan_loop(*a, **kw)) or results[-1])
-        assert main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt)]) == EXIT_OK
-    return (root, data, config, ckpt), results[0]
+        mp.setattr(cli, "gan_loop", loop)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt)]) == EXIT_OK
+    (root / "train.out").write_text(out.getvalue())
+    return (root, data, config, ckpt), results[0], boundaries
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +246,9 @@ class TestTrainOutputs:
             (b'[{"seed": 1}]', "config must be a JSON object, got list"),
             (None, "cannot read config: No such file or directory"),
             (b"\xff\xfe{}", "config is not valid JSON: 'utf-8' codec can't decode"),
+            (b'{"policy": {"steps": -1}}', "policy.steps must be at least 0, got -1"),
         ],
-        ids=["not-json", "a-list", "missing", "not-utf8"],
+        ids=["not-json", "a-list", "missing", "not-utf8", "option-out-of-range"],
     )
     def test_unreadable_config_is_config_error_naming_the_file(self, trained, tmp_path, capsys, text, what):
         root, data, config, ckpt = trained
@@ -242,6 +259,19 @@ class TestTrainOutputs:
         assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {cfg}: {what}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else ["config.json"])
+
+    def test_prints_and_records_the_exact_mcr_of_its_formula(self, trained_with_result):
+        """`train` prints the adopted formula's exact MCR on its dataset with
+        the text of the last metrics.csv row, and the checkpoint records it."""
+        (root, data, config, ckpt), state, _ = trained_with_result
+        last = (ckpt.parent / "metrics.csv").read_text().splitlines()[-1].split(",")
+        text = last[cli.METRIC_COLUMNS.index("mcr_exact")]
+        formula = (ckpt.parent / "formula.txt").read_text().strip()
+        printed = (root / "train.out").read_text().splitlines()
+        assert printed[:2] == [f"final formula: {formula}", f"exact MCR: {text}"]
+        assert repr(dataio.load_checkpoint(str(ckpt)).extra["mcr_exact"]) == text
+        ds = state.adopted.dataset
+        assert exact_mcr(state.adopted.formula, ds.X, ds.dim_names, ds.labels) == float(text)
 
     def test_data_without_positives_fails_before_writing(self, trained_driving, tmp_path, capsys):
         # eval and extract read negative-only files such as negatives.jsonl; train needs demonstrations
@@ -292,9 +322,9 @@ class TestRunDataset:
     whose lines the boundary digests and the final files come."""
 
     def test_one_dataset_file_holds_every_row(self, trained_with_result):
-        (root, data, config, ckpt), result = trained_with_result
+        (root, data, config, ckpt), state, _ = trained_with_result
         lines = (ckpt.parent / "dataset.jsonl").read_bytes().splitlines()
-        assert len(lines) == len(result.full_dataset) == 10 + TINY["gan"]["n_generate"] * 2
+        assert len(lines) == len(state.dataset) == 10 + TINY["gan"]["n_generate"] * 2
         assert not list(ckpt.parent.glob("dataset_iter*.jsonl"))
 
     def test_boundary_digests_are_of_the_leading_rows(self, trained):
@@ -310,13 +340,13 @@ class TestRunDataset:
         assert rows == [10 + TINY["gan"]["n_generate"], len(lines)]
 
     def test_final_files_are_what_save_dataset_writes(self, trained_with_result, tmp_path):
-        (root, data, config, ckpt), result = trained_with_result
+        (root, data, config, ckpt), state, _ = trained_with_result
         digest = dataio.load_checkpoint(str(ckpt)).extra["config_digest"]
-        full = result.full_dataset
+        full = state.dataset
         negatives = dataio.load_dataset(str(ckpt.parent / "negatives.jsonl"))
         generated = generated_rows(full)
         assert negatives.ids == list(compress(full.ids, generated)) and np.array_equal(negatives.X, full.X[generated])
-        for name, ds in (("dataset_augmented.jsonl", result.dataset), ("negatives.jsonl", negatives)):
+        for name, ds in (("dataset_augmented.jsonl", state.adopted.dataset), ("negatives.jsonl", negatives)):
             dataio.save_dataset(ds, str(tmp_path / name), config_digest=digest)
             assert (ckpt.parent / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
@@ -450,7 +480,7 @@ CONSTANTS = {
     ("driving", "inference", "gate_bound"): train.GATE_BOUND,
     ("driving", "inference", "tau_eval"): train.TAU_EVAL,
     ("unicycle", "policy", "lr"): train.POLICY_LR,
-    ("driving", "policy", "betas"): inspect.signature(train.Adam).parameters["betas"].default,
+    ("driving", "policy", "betas"): train.ADAM_BETAS,
 }
 
 
@@ -476,7 +506,7 @@ class TestRetiredOptions:
             bad.write_text(json.dumps(doc))
             out = tmp_path / "run" / "ckpt.json"
             assert main(["train", "--data", str(data), "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
-            assert f"config error: {option} is unknown" in capsys.readouterr().err, option
+            assert f"config error: {bad}: {option} is unknown" in capsys.readouterr().err, option
             assert not out.parent.exists()
             ck = json.loads(ckpt.read_text())
             ck["config"] = doc
@@ -673,6 +703,26 @@ class TestAdjust:
 
 
 class TestCheckpointKinds:
+    def test_snapshot_stores_the_classifier_as_a_checkpoint_does(self, trained_with_result):
+        """Each snapshot, and the final checkpoint, names its environment
+        only, and loads the classifier and the signal normalization of its
+        state through the same code; the round-1 snapshot precedes any
+        adopted round and has no classifier."""
+        (root, data, config, ckpt), final, boundaries = trained_with_result
+        shape = NetworkShape(**dataio.load_checkpoint(str(ckpt)).shape)
+        assert [(s.iteration, s.adopted is None) for s in boundaries] == [(1, True), (2, False)]
+        snapshots = [ckpt.parent / f"ckpt_iter{s.iteration}.json" for s in boundaries]
+        for path, state in zip(snapshots + [ckpt], boundaries + [final]):
+            ck = dataio.load_checkpoint(str(path))
+            assert ck.env == {"name": "unicycle"} and "warm_start" not in ck.extra
+            assert SignalNorm.from_jsonable(ck.norm, shape.dim) == state.norm == final.norm
+            if state.adopted is None:
+                assert (ck.inference_groups, ck.margin) == ({}, 0.0)
+                continue
+            inf = InferenceParams.from_jsonable(ck.inference_groups, InferenceParams.group_shapes(shape))
+            assert np.array_equal(inf.flatten(), state.adopted.inference.flatten())
+            assert ck.margin == state.adopted.margin
+
     def test_boundary_snapshot_is_data_error_naming_the_file(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained
         snapshot = str(ckpt.parent / "ckpt_iter1.json")
@@ -1096,6 +1146,54 @@ class TestMovedRun:
         data = str(moved_run / "run" / "dataset_augmented.jsonl")
         assert main(argv + ["--data", data, "--out", str(tmp_path / "given.txt")]) == EXIT_OK
         assert (tmp_path / "own.txt").read_bytes() == (tmp_path / "given.txt").read_bytes()
+
+
+# the `env` record that older checkpoints hold: the environment's constants
+OLD_ENV_RECORDS = {
+    "unicycle": {
+        "name": "unicycle", "T": 20,
+        "regions": {"RegA": [1.0, 9.0, 1.0], "RegB": [7.0, 2.0, 0.86], "RegC": [9.0, 9.0, 0.7], "Obs": [5.0, 8.0, 1.0]},
+        "control_box": [[0.0, -0.7853981633974483], [1.0, 0.7853981633974483]],
+        "init_box": [[0.5, 0.5, 0.0], [2.0, 2.0, 1.5707963267948966]],
+    },
+    "driving": {
+        "name": "driving", "T": 57, "cruise": 5.0, "accel": 0.5, "decel_onset": 35, "gap": [6.0, 10.0],
+        "init_pos": [0.0, 5.0], "control_box": [[-3.0], [3.0]],
+    },
+}
+
+
+class TestOlderCheckpoints:
+    @pytest.mark.parametrize("env_name, rule", [("unicycle", "G[0,20](dO >= 1.0)"), ("driving", "G[0,57](veg <= 6)")])
+    def test_full_env_record_and_warm_start_run_to_the_same_bytes(
+        self, trained, trained_driving, tmp_path, env_name, rule
+    ):
+        """A checkpoint whose `env` lists the environment's constants and
+        whose extra holds a `warm_start` still loads: extract, rollout and
+        adjust --retrain write what they write from the checkpoint as it is."""
+        root, data, config, ckpt = {"unicycle": trained, "driving": trained_driving}[env_name]
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        doc = json.loads(ckpt.read_text())
+        doc["env"] = OLD_ENV_RECORDS[env_name]
+        doc["extra"]["warm_start"] = [0.25] * 5
+        (run / "old.json").write_text(json.dumps(doc))
+        new, old = tmp_path / "new", tmp_path / "old"
+        for out, name in ((new, "ckpt.json"), (old, "old.json")):
+            for argv in (
+                ["extract", "--ckpt", str(run / name), "--out", str(out / "f.txt")],
+                ["rollout", "--ckpt", str(run / name), "--n", "3", "--out", str(out / "r.csv")],
+                ["adjust", "--ckpt", str(run / name), "--conjoin", rule, "--retrain", "--rollouts", "2",
+                 "--out", str(out / "adj.json")],
+            ):
+                assert main(argv) == EXIT_OK, argv
+        for name in ("f.txt", "r.csv", "rollouts_adjusted.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        adjusted = [json.loads((d / "adj.json").read_text()) for d in (new, old)]
+        for ck in adjusted:
+            del ck["env"], ck["extra"]["adjusted_from"]
+        assert adjusted[1]["extra"].pop("warm_start") == [0.25] * 5
+        assert adjusted[0] == adjusted[1]
 
 
 def own_dataset_commands(ckpt, out):

@@ -571,6 +571,7 @@ class TestTrainPolicy:
         cfg = PolicyTrainConfig(batch_m=2, steps=1, hidden=4)
         train_policy(policy0, inf, env, pool, cfg, np.random.default_rng(0), shape=shape, norm=SignalNorm.identity(4))
         assert [(opt.lr, opt.b1, opt.b2) for opt in made] == [(1e-3, 0.9, 0.999)]
+        assert (train.POLICY_LR, train.ADAM_BETAS, train.ADAM_EPS) == (1e-3, (0.9, 0.999), 1e-8)
 
     def test_same_seed_identical_and_inference_frozen(self):
         env = DrivingEnv()
@@ -598,16 +599,18 @@ TINY_GAN = GanConfig(n_generate=6, max_iterations=2, stop_mcr=1.0)
 
 
 def assert_same_result(a, b):
-    """Two loop results agree in everything but their wall times."""
-    assert np.array_equal(a.inference.flatten(), b.inference.flatten())
-    assert a.margin == b.margin
+    """Two final loop states agree in everything but their wall times."""
+    assert np.array_equal(a.adopted.inference.flatten(), b.adopted.inference.flatten())
+    assert a.adopted.margin == b.adopted.margin
     assert np.array_equal(a.policy.flatten(), b.policy.flatten())
-    assert stl.print_formula(a.formula) == stl.print_formula(b.formula)
+    assert stl.print_formula(a.adopted.formula) == stl.print_formula(b.adopted.formula)
     assert a.saturated == b.saturated
     timeless = [[{k: v for k, v in row.items() if k != "wall_time_s"} for row in r.metrics] for r in (a, b)]
     assert timeless[0] == timeless[1]
+    assert a.adopted.dataset.ids == b.adopted.dataset.ids
     assert a.dataset.ids == b.dataset.ids
-    assert a.full_dataset.ids == b.full_dataset.ids
+    assert a.norm == b.norm
+    assert (a.iteration, a.rng_state) == (b.iteration, b.rng_state)
 
 
 class TestGanLoop:
@@ -615,17 +618,20 @@ class TestGanLoop:
         env = UnicycleEnv()
         ds0 = env.gen_expert(10, np.random.default_rng(43))
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=20, dim=4, tau=0.1)
-        result = gan_loop(
+        state = gan_loop(
             ds0, env, shape, TINY_INF, TINY_POL, TINY_GAN, np.random.default_rng(47)
         )
         # bootstrap adds n_generate negatives before the first round
-        assert result.metrics[0]["dataset_size"] == 10 + 6
+        assert state.metrics[0]["dataset_size"] == 10 + 6
         # each non-final round appends another n_generate
-        assert result.metrics[1]["dataset_size"] == 10 + 2 * 6
-        assert len(result.full_dataset) == 10 + 2 * 6
-        assert result.full_dataset.count(-1) == 12
-        assert len(result.metrics) == 2
-        assert isinstance(result.formula, stl.Formula)
+        assert state.metrics[1]["dataset_size"] == 10 + 2 * 6
+        assert len(state.dataset) == len(state.adopted.dataset) == 10 + 2 * 6
+        assert state.dataset.count(-1) == 12
+        assert len(state.metrics) == 2
+        assert isinstance(state.adopted.formula, stl.Formula)
+        # the state after the last round, the normalization of the demonstrations alone
+        assert (state.iteration, state.saturated) == (3, False)
+        assert state.norm == SignalNorm.from_arrays(ds0.X)
 
     def test_metrics_reproducible(self):
         env = UnicycleEnv()
@@ -641,7 +647,7 @@ class TestGanLoop:
         for ra, rb in zip(a.metrics, b.metrics):
             for key in ("mcr_smooth", "mcr_exact", "mean_policy_robustness", "loss"):
                 assert ra[key] == rb[key]
-        assert stl.print_formula(a.formula) == stl.print_formula(b.formula)
+        assert stl.print_formula(a.adopted.formula) == stl.print_formula(b.adopted.formula)
         assert np.array_equal(a.policy.flatten(), b.policy.flatten())
 
     def test_resume_matches_uninterrupted(self):
@@ -677,7 +683,9 @@ class TestGanLoop:
         assert full.saturated and resumed.saturated
         assert_same_result(resumed, full)
         # the snapshot warm-starts from the one adopted round
-        assert np.array_equal(snap.warm_start, np.append(full.inference.flatten(), full.margin))
+        assert np.array_equal(snap.warm_start, np.append(full.adopted.inference.flatten(), full.adopted.margin))
+        # the saturated state is the one at the top of the failed round
+        assert (full.iteration, full.rng_state, full.dataset.ids) == (2, snap.rng_state, snap.dataset.ids)
 
     def test_only_a_round_before_any_adoption_anneals_unreheated(self, monkeypatch):
         env = UnicycleEnv()
