@@ -27,7 +27,8 @@ A checkpoint's `env` holds only the environment's `name`. Each round-boundary
 snapshot `ckpt_iterK.json` stores the adopted classifier, the policy and the
 signal normalization in the fields the final checkpoint uses; before any
 round is adopted, its `inference_groups` is empty. `train` prints the final
-formula's exact MCR on its dataset and records it as `extra["mcr_exact"]`.
+formula's exact MCR on its dataset and records it as `extra["mcr_exact"]`;
+`adjust` drops that number, which scores the formula without the new rule.
 Older checkpoints, with a full `env` record or an `extra["warm_start"]`,
 still load.
 
@@ -339,7 +340,7 @@ def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, pat
     with the checkpoint's config digest."""
     rows = rollout(env, pol, *_draw_samples(env, env_pool, n, rng))
     dataio.export_rollouts(
-        rows, tuple(env.agent_names) + tuple(env.env_names), path, tags=[tag] * len(rows),
+        rows, tuple(env.agent_names) + tuple(env.env_names), path, tag,
         comment=f"config={ck.extra.get('config_digest', '')}",
     )
 
@@ -486,7 +487,9 @@ def cmd_adjust(args) -> int:
 
     if not np.array_equal(inf.flatten(), inf_before):
         raise RuntimeError("the classifier changed while the policy retrained")
+    # the source's exact MCR scores its formula before the rule was conjoined
     extra = {**ck.extra, "adjusted_from": os.path.relpath(args.ckpt, out_dir)}
+    extra.pop("mcr_exact", None)
     own = _own_dataset(ck, args.ckpt)
     if own is not None:
         extra["augmented_dataset"] = os.path.relpath(own, out_dir)

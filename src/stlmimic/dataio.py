@@ -578,24 +578,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(**values)
 
 
-def _row_end(tag) -> str:
-    """The comma, the tag cell and the CRLF with which csv.writer ends a
-    row whose last cell is tag, quoting included."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(["", tag])
-    return buf.getvalue()
-
-
-def export_rollouts(trajectories, dim_names, path: str, tags, comment: str) -> None:
-    """A `# comment` line, then CSV rows (traj_id, t, *dims, tag) for plotting.
-    Bytes are those of csv.writer with each value written as repr(float(v))."""
+def export_rollouts(trajectories, dim_names, path: str, tag: str, comment: str) -> None:
+    """A `# comment` line, then CSV rows (traj_id, t, *dims, tag) for plotting,
+    every row ending in the one `tag`. Bytes are those of csv.writer with each
+    value written as repr(float(v))."""
     if len(trajectories) == 0:
         raise IoError("no trajectories to export")
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", tag])
+    end = buf.getvalue()  # the comma, the tag cell and the CRLF that end each row
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n")
         csv.writer(fh).writerow(["traj_id", "t"] + list(dim_names) + ["tag"])
-        for i, (arr, tag) in enumerate(zip(trajectories, tags)):
-            end = _row_end(tag)
+        for i, arr in enumerate(trajectories):
             fh.writelines(
                 ",".join([str(i), str(t), *map(repr, row)]) + end
                 for t, row in enumerate(np.asarray(arr, dtype=float).tolist())

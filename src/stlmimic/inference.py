@@ -22,9 +22,9 @@ composes the three layers: the `predicate_traces`, their atoms through
 `windowed_extrema`, and the gated and/or layer `smooth_gates`. A caller
 that varies only the gates can reuse the atoms, and one that moves one
 predicate or its atoms' windows can recompute that predicate's atoms
-alone. Fixed formulas are scored by `stl.robustness_trace`: an injected
-rule smoothly in `combined_smooth`, extracted formulas exactly over
-(N, T+1, d) batches.
+alone. Every layer reads batches of exactly T+1 samples. Fixed formulas
+are scored by `stl`: an injected rule by `stl.smooth_trace` in
+`combined_smooth`, extracted formulas by `stl.robustness_trace`.
 """
 
 from __future__ import annotations
@@ -222,20 +222,14 @@ def normalize_formula(f: Formula, norm: SignalNorm) -> Formula:
         coeffs = c * hr
         bound = f.bound - float(c @ mid)
         return Pred(tuple(float(x) for x in coeffs), float(bound), f.names)
-    if isinstance(f, TrueFormula):
-        return f
-    if isinstance(f, Not):
-        return Not(normalize_formula(f.child, norm))
-    if isinstance(f, (Eventually, Always)):
-        return type(f)(f.interval, normalize_formula(f.child, norm))
-    return type(f)(tuple(normalize_formula(c, norm) for c in f.children))
+    return stl.with_operands(f, [normalize_formula(c, norm) for c in stl.operands(f)])
 
 
 # --- smooth robustness ----------------------------------------------------------
 
 
 def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
-    """Smooth classifier scores (N,) of a batch X (N, >=T+1, dim) of
+    """Smooth classifier scores (N,) of a batch X (N, T+1, dim) of
     normalized signals: the `smooth_gates` of the atoms, which are the
     `windowed_extrema` of the `predicate_traces`. With vjp, (scores, grad),
     where grad maps an adjoint of the scores to (an InferenceParams of
@@ -258,26 +252,23 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None,
 
 
 def predicate_traces(X, params: InferenceParams, shape: NetworkShape, vjp: bool = False):
-    """The linear traces (N, n_pred, T+1) of the predicates over the first
-    T+1 samples of a batch X (N, >=T+1, dim): one matrix product for all
-    predicates, read as a transposed view. With vjp, (traces, grad), where
-    grad maps an adjoint of the traces to (a dict of the `pred_w` and
-    `pred_b` gradients, the gradient with respect to X)."""
-    T = shape.horizon
+    """The linear traces (N, n_pred, T+1) of the predicates over a batch X
+    (N, T+1, dim): one matrix product for all predicates, read as a
+    transposed view. With vjp, (traces, grad), where grad maps an adjoint
+    of the traces to (a dict of the `pred_w` and `pred_b` gradients, the
+    gradient with respect to X)."""
     X = np.asarray(X, dtype=float)
-    if X.shape[1] < T + 1:
-        raise stl.HorizonExceeded(f"need {T + 1} samples, got {X.shape[1]}")
-    window = X[:, : T + 1, :]
-    traces = np.transpose(window @ params.pred_w.T - params.pred_b, (0, 2, 1))
+    if X.shape[1] != shape.horizon + 1:
+        raise stl.HorizonExceeded(f"need {shape.horizon + 1} samples, got {X.shape[1]}")
+    traces = np.transpose(X @ params.pred_w.T - params.pred_b, (0, 2, 1))
     if not vjp:
         return traces
 
     def grad(g):
         g_traces = np.transpose(g, (0, 2, 1))  # (N, T+1, n_pred)
-        gX = np.zeros(X.shape)
-        gX[:, : T + 1, :] = g_traces @ params.pred_w
         flat_g = g_traces.reshape(-1, shape.n_pred)
-        return {"pred_w": flat_g.T @ window.reshape(-1, window.shape[2]), "pred_b": -flat_g.sum(axis=0)}, gX
+        pred = {"pred_w": flat_g.T @ X.reshape(-1, X.shape[2]), "pred_b": -flat_g.sum(axis=0)}
+        return pred, g_traces @ params.pred_w
 
     return traces, grad
 
@@ -359,7 +350,7 @@ def combined_smooth(X, params, shape, rule: Formula | None):
     if rule is None:
         return smooth_robustness(X, params, shape, vjp=True)
     net, net_grad = smooth_robustness(X, params, shape, vjp=True)
-    trace, trace_grad = stl.robustness_trace(X, rule, shape.tau, vjp=True)
+    trace, trace_grad = stl.smooth_trace(X, rule, shape.tau)
     scores, scores_grad = smin(np.stack([net, trace[:, 0]]), shape.tau, 0, True)
 
     def grad(g):
@@ -459,21 +450,17 @@ def extract_formula(
 
 
 def _deletions(f: Formula):
-    """All formulas reachable by removing one conjunct/disjunct anywhere."""
+    """All formulas reachable by removing one conjunct/disjunct anywhere:
+    first each operand of f, if f is an and/or, then the deletions within
+    each operand in turn."""
+    ops = stl.operands(f)
     if isinstance(f, (And, Or)):
-        cls = type(f)
-        for i in range(len(f.children)):
-            rest = f.children[:i] + f.children[i + 1 :]
-            yield rest[0] if len(rest) == 1 else cls(rest)
-        for i, c in enumerate(f.children):
-            for sub in _deletions(c):
-                yield cls(f.children[:i] + (sub,) + f.children[i + 1 :])
-    elif isinstance(f, Not):
-        for sub in _deletions(f.child):
-            yield Not(sub)
-    elif isinstance(f, (Eventually, Always)):
-        for sub in _deletions(f.child):
-            yield type(f)(f.interval, sub)
+        for i in range(len(ops)):
+            rest = ops[:i] + ops[i + 1 :]
+            yield rest[0] if len(rest) == 1 else stl.with_operands(f, rest)
+    for i, c in enumerate(ops):
+        for sub in _deletions(c):
+            yield stl.with_operands(f, ops[:i] + (sub,) + ops[i + 1 :])
 
 
 def exact_satisfaction(f: Formula, X: np.ndarray, names, cache: dict | None = None) -> np.ndarray:

@@ -4,22 +4,22 @@ Formula trees cover {TRUE, linear predicate, not, and, or, eventually,
 always} with integer time windows. Quantitative semantics (robustness)
 follow the usual min/max recursion.
 
-One evaluator, `robustness_trace`, maps a batch (N, T+1, d) of signals to
-traces of robustness per start step: and/or and each F[a,b]/G[a,b] window
-reduce shifted slices of their children's traces, with the hard min/max
-(exact semantics) or with the soft extrema `smin`/`smax` at a temperature
-(smooth semantics), as in STLCG (arXiv 1910.10309). It is the package's
-only STL evaluator. Boolean satisfaction is the sign of exact robustness at
-t=0, with 0 counting as satisfied; `inference.exact_satisfaction` applies
-that rule to a batch. Exact traces can be kept in a cache the caller
-passes, so formulas that share subformulas, such as the deletion
-candidates of `inference.simplify`, compute those once.
+One evaluator maps a batch (N, T+1, d) of signals to traces of robustness
+per start step: and/or and each F[a,b]/G[a,b] window reduce shifted slices
+of their operands' traces. It is the package's only STL evaluator, with
+one entry per semantics. `robustness_trace` is exact, with the hard
+min/max; it can keep traces in a cache the caller passes, so formulas that
+share subformulas, such as the deletion candidates of `inference.simplify`,
+compute those once. Boolean satisfaction is the sign of exact robustness
+at t=0, with 0 counting as satisfied (`inference.exact_satisfaction`).
+`smooth_trace` is smooth, with the soft extrema `smin`/`smax` at a
+temperature, as in STLCG (arXiv 1910.10309), and differentiable: it
+returns the trace with its vector-Jacobian product (VJP), a closure from
+the same forward pass that maps an adjoint of the trace to the gradient of
+the signals. The classifier in `inference` is built on the same extrema.
 
-The smooth semantics are differentiable. Asked for a vector-Jacobian
-product (VJP), `smax`, `smin` and `robustness_trace` return their value
-together with a closure mapping an adjoint of the value to the gradient
-of its input, from the same forward pass; value-only calls keep nothing
-for it. The classifier in `inference` is built on the same soft extrema.
+`operands` and `with_operands` are the one place, besides the evaluator
+and the printer, that knows how each node holds its subformulas.
 
 Everything here is a pure function over immutable values and safe to use
 concurrently.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,8 @@ class EmptyInput(ValueError):
 
 
 class HorizonExceeded(ValueError):
-    """A temporal window runs past the end of the signal."""
+    """A temporal window runs past the end of the signal, or a signal is
+    not the T+1 samples a classifier of horizon T reads."""
 
 
 class DimensionMismatch(ValueError):
@@ -132,31 +133,34 @@ class Always:
 Formula = TrueFormula | Pred | Not | And | Or | Eventually | Always
 
 
+def operands(f: Formula) -> tuple[Formula, ...]:
+    """The subformulas f's operator applies to, in order; none for TRUE
+    and a predicate."""
+    if isinstance(f, (And, Or)):
+        return f.children
+    return (f.child,) if isinstance(f, (Not, Eventually, Always)) else ()
+
+
+def with_operands(f: Formula, ops) -> Formula:
+    """f with its operands replaced by `ops`, which are as many as
+    `operands(f)` gives; with_operands(f, operands(f)) == f."""
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(ops))
+    return replace(f, child=ops[0]) if ops else f
+
+
 def horizon(f: Formula) -> int:
     """Minimum signal length (in steps beyond t) needed to evaluate f."""
-    if isinstance(f, (TrueFormula, Pred)):
-        return 0
-    if isinstance(f, Not):
-        return horizon(f.child)
-    if isinstance(f, (And, Or)):
-        return max(horizon(c) for c in f.children)
-    if isinstance(f, (Eventually, Always)):
-        return f.interval.t2 + horizon(f.child)
-    raise TypeError(f"not a formula: {f!r}")
+    own = f.interval.t2 if isinstance(f, (Eventually, Always)) else 0
+    return own + max(map(horizon, operands(f)), default=0)
 
 
 def formula_names(f: Formula) -> tuple[str, ...] | None:
     """Dimension names used by f, or None if it contains no predicate."""
     if isinstance(f, Pred):
         return f.names
-    if isinstance(f, TrueFormula):
-        return None
-    if isinstance(f, Not):
-        return formula_names(f.child)
-    if isinstance(f, (Eventually, Always)):
-        return formula_names(f.child)
     names = None
-    for c in f.children:
+    for c in operands(f):
         n = formula_names(c)
         if n is None:
             continue
@@ -215,30 +219,28 @@ def smin(a, tau: float, axis: int, vjp: bool = False):
     return _soft_extremum(a, tau, axis, -1, "smin", vjp)
 
 
-def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False, cache: dict | None = None):
-    """Robustness of f at every start step where its windows fit.
+def robustness_trace(X, f: Formula, *, cache: dict | None = None):
+    """Exact robustness of f at every start step where its windows fit.
 
     X is a batch (N, T+1, d) of signals in f's coordinates; returns
-    (N, T+1-horizon(f)). With tau=None the semantics are exact; with a
-    temperature they are smooth, and with vjp the result is (trace, grad),
-    where grad maps an adjoint of the trace to the gradient with respect
-    to X.
+    (N, T+1-horizon(f)).
 
-    `cache`, a dict the caller makes for one X and exact semantics, keeps
-    the trace of f and of every operand of an and/or within f, except an
-    and/or, keyed by the subformula object (which it keeps alive). Formulas
-    that share those objects, such as the deletion candidates of
-    `inference.simplify`, compute each once; an and/or is recomputed from
-    its operands. Cached traces are the same bits as uncached ones; the
-    trace returned may be one of them, so it must not be modified.
+    `cache`, a dict the caller makes for one X, keeps the trace of f and of
+    every operand of an and/or within f, except an and/or, keyed by the
+    subformula object (which it keeps alive). Formulas that share those
+    objects, such as the deletion candidates of `inference.simplify`,
+    compute each once; an and/or is recomputed from its operands. Cached
+    traces are the same bits as uncached ones; the trace returned may be
+    one of them, so it must not be modified.
     """
-    if vjp and tau is None:
-        raise ValueError("exact robustness has no gradient; give a temperature")
-    if cache is not None and tau is not None:
-        raise ValueError("only exact traces are cached")
-    trace, back = _kept(X, f, tau, vjp, cache)
-    if not vjp:
-        return trace
+    return _kept(X, f, None, cache)[0]
+
+
+def smooth_trace(X, f: Formula, tau: float):
+    """Smooth robustness of f at temperature tau, shaped as
+    `robustness_trace`'s, as (trace, grad), where grad maps an adjoint of
+    the trace to the gradient with respect to X."""
+    trace, back = _trace(X, f, tau, None)
 
     def grad(g):
         gX = np.zeros(np.shape(X))
@@ -248,29 +250,31 @@ def robustness_trace(X, f: Formula, tau: float | None = None, vjp: bool = False,
     return trace, grad
 
 
-def _kept(X, f: Formula, tau, vjp: bool, cache):
+def _kept(X, f: Formula, tau, cache):
     """`_trace` of f, taken from the cache or stored in it when a cache is
-    given and f is not an and/or."""
+    given (exact traces only) and f is not an and/or."""
     if cache is None or isinstance(f, (And, Or)):
-        return _trace(X, f, tau, vjp, cache)
+        return _trace(X, f, tau, cache)
     if id(f) not in cache:
-        cache[id(f)] = (f, _trace(X, f, tau, vjp, cache)[0])
+        cache[id(f)] = (f, _trace(X, f, tau, cache)[0])
     return cache[id(f)][1], None
 
 
-def _trace(X, f: Formula, tau, vjp: bool, cache):
-    """`robustness_trace` and, with vjp, its backward step (else None):
+def _trace(X, f: Formula, tau, cache):
+    """The trace of f, exact when tau is None, else smooth at temperature
+    tau, and the backward step of a smooth trace (None for an exact one):
     back(g, gX) adds the gradient of the trace, weighted by g, into gX. A
     backward step keeps the shapes of the traces it reduced, not the traces.
     The cache is passed down to the operands of each and/or (`_kept`); every
-    other trace computed here is new, so it may be changed in place."""
+    other trace computed here is new, so an exact one may be changed in
+    place."""
     if isinstance(f, Pred):
         # -bound, then each nonzero c_i * x_i in order: exact results keep this order.
         acc = -f.bound
         for i, c in enumerate(f.coeffs):
             if c != 0.0:
                 acc = acc + c * X[:, :, i]
-        if not vjp:
+        if tau is None:
             return acc, None
 
         def back(g, gX):
@@ -280,17 +284,17 @@ def _trace(X, f: Formula, tau, vjp: bool, cache):
 
         return acc, back
     if isinstance(f, TrueFormula):
-        return np.full(X.shape[:2], TRUE_ROBUSTNESS), (lambda g, gX: None) if vjp else None
+        return np.full(X.shape[:2], TRUE_ROBUSTNESS), None if tau is None else (lambda g, gX: None)
     if isinstance(f, Not):
-        child, child_back = _trace(X, f.child, tau, vjp, cache)
-        if not vjp:  # nothing else reads the child's trace
+        child, child_back = _trace(X, f.child, tau, cache)
+        if tau is None:  # nothing else reads the child's trace
             return np.negative(child, out=child), None
         return -child, lambda g, gX: child_back(-g, gX)
     if isinstance(f, (And, Or)):
-        parts = [_kept(X, c, tau, vjp, cache) for c in f.children]
+        parts = [_kept(X, c, tau, cache) for c in f.children]
         n = min(p.shape[1] for p, _ in parts)
-        out, ext_back = _extremum([p[:, :n] for p, _ in parts], isinstance(f, Or), tau, vjp)
-        if not vjp:
+        out, ext_back = _extremum([p[:, :n] for p, _ in parts], isinstance(f, Or), tau)
+        if tau is None:
             return out, None
         children = [(p.shape, child_back) for p, child_back in parts]
 
@@ -302,15 +306,15 @@ def _trace(X, f: Formula, tau, vjp: bool, cache):
 
         return out, back
     if isinstance(f, (Eventually, Always)):
-        child, child_back = _trace(X, f.child, tau, vjp, cache)
+        child, child_back = _trace(X, f.child, tau, cache)
         n = child.shape[1] - f.interval.t2
         if n < 1:
             raise HorizonExceeded(
                 f"formula horizon {horizon(f)} exceeds signal horizon {X.shape[1] - 1}"
             )
         shifts = range(f.interval.t1, f.interval.t2 + 1)
-        out, ext_back = _extremum([child[:, u : u + n] for u in shifts], isinstance(f, Eventually), tau, vjp)
-        if not vjp:
+        out, ext_back = _extremum([child[:, u : u + n] for u in shifts], isinstance(f, Eventually), tau)
+        if tau is None:
             return out, None
         child_shape = child.shape
 
@@ -324,14 +328,13 @@ def _trace(X, f: Formula, tau, vjp: bool, cache):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _extremum(parts, is_max: bool, tau, vjp: bool):
+def _extremum(parts, is_max: bool, tau):
     """Elementwise max (or min) of equally shaped traces: a running hard
-    fold when exact, a smooth extremum over their stack when smooth; with
-    its VJP over the stack when vjp."""
+    fold when exact (no VJP), a smooth extremum over their stack, with its
+    VJP over the stack, when smooth."""
     if tau is None:
         return functools.reduce(np.maximum if is_max else np.minimum, parts), None
-    out = (smax if is_max else smin)(np.stack(parts), tau, 0, vjp)
-    return out if vjp else (out, None)
+    return (smax if is_max else smin)(np.stack(parts), tau, 0, True)
 
 
 def conjoin(f1: Formula, f2: Formula) -> Formula:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import stl
-from .dataio import Dataset, InconsistentHorizon, require, require_counts
+from .dataio import Dataset, require, require_counts
 from .envs import rollout, to_dataset
 from .inference import (
     InferenceParams,
@@ -110,15 +110,13 @@ class GanConfig:
 # --- misclassification rate ---------------------------------------------------
 
 
-def mcr(
-    params: InferenceParams, dataset: Dataset, *, shape: NetworkShape, norm: SignalNorm, tau=None
-) -> float:
+def mcr(params: InferenceParams, dataset: Dataset, *, shape: NetworkShape, norm: SignalNorm) -> float:
     """Fraction of the dataset on the wrong side of the classifier: the
-    sign of its smooth robustness at temperature `tau` (the shape's by
-    default). A formula's exact MCR is `inference.exact_mcr`."""
+    sign of its smooth robustness at `TAU_EVAL`. A formula's exact MCR is
+    `inference.exact_mcr`."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot score an empty dataset")
-    vals = smooth_robustness(norm.apply(dataset.X), params, shape, tau)
+    vals = smooth_robustness(norm.apply(dataset.X), params, shape, TAU_EVAL)
     return float(np.mean((vals >= 0.0) != (dataset.labels > 0)))
 
 
@@ -404,7 +402,9 @@ def train_policy(
 
 @dataclass(frozen=True)
 class AdoptedRound:
-    """A round whose classifier separated the dataset it was trained on."""
+    """A round whose classifier, formula and dataset the run keeps: round 1
+    whatever its MCR, then each later round whose classifier's smooth MCR
+    is at most `stop_mcr`."""
     inference: InferenceParams
     margin: float
     formula: stl.Formula
@@ -417,9 +417,10 @@ class LoopState:
     snapshot records all of it but the adopted round's formula and dataset:
     the RNG state, the policy, the dataset grown so far, the metrics of the
     rounds run, the adopted round's classifier and margin, and the signal
-    normalization of the demonstrations. `adopted` is None until a round
-    separates. `saturated` is set on the state at the top of the round whose
-    classifier no longer separated, where the loop stopped."""
+    normalization of the demonstrations. `adopted` is None until round 1
+    ends, which is adopted whatever its MCR. `saturated` is set on the state
+    at the top of the later round whose classifier's smooth MCR was above
+    `stop_mcr`, where the loop stopped."""
 
     iteration: int
     rng_state: dict
@@ -451,10 +452,6 @@ def original_env_pool(dataset: Dataset, env):
     policy rollouts), an EmptyDataset if there are none; [] for a static environment."""
     if env.n_env == 0:
         return []
-    if dataset.horizon != env.T:
-        raise InconsistentHorizon(
-            f"dataset horizon {dataset.horizon} != environment horizon {env.T}"
-        )
     pool = dataset.X[~generated_rows(dataset), :, len(dataset.agent_names) :]
     if len(pool) == 0:
         raise EmptyDataset("no demonstration rows to draw environment trajectories from")
@@ -494,11 +491,11 @@ def gan_loop(
     """Alternate classifier and policy training, appending policy rollouts
     as fresh negatives after every round, and return the final state.
 
-    Runs from `resume`, else from `initial_state`. Stops early once a
-    classifier can no longer separate (smooth MCR above the threshold)
-    after an adopted round: the final state is then the one at the top of
-    that round, marked `saturated`, and its `adopted` is the last
-    separating round. Otherwise it is the state after the last round. No
+    Runs from `resume`, else from `initial_state`. Every round's classifier
+    is adopted but one whose smooth MCR is above `stop_mcr` after round 1;
+    that round stops the loop early, and the final state is then the one at
+    the top of that round, marked `saturated`, whose `adopted` is the round
+    before. Otherwise it is the state after the last round. No
     environment interaction happens here beyond re-sampling stored
     trajectories.
 
@@ -528,7 +525,7 @@ def gan_loop(
         inf_params, margin, loss = train_inference(
             dataset, shape, inf_cfg, np.random.default_rng(seed_inf), norm=norm, warm_start=state.warm_start
         )
-        mcr_smooth = mcr(inf_params, dataset, shape=shape, norm=norm, tau=TAU_EVAL)
+        mcr_smooth = mcr(inf_params, dataset, shape=shape, norm=norm)
         formula = extract_formula(inf_params, shape, norm, names)
         formula = simplify(formula, dataset.X, names, dataset.labels)
         mcr_exact_val = exact_mcr(formula, dataset.X, names, dataset.labels)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -551,7 +552,11 @@ class TestEval:
 
     def test_bad_formula_is_data_error_naming_the_formula_file(self, trained_driving, tmp_path, capsys):
         root, data, config, ckpt = trained_driving
-        for text, what in (("F[0,80](veg >= 1)", "exceeds signal horizon 57"), ("F[0,5](dA >= 1)", "unknown variable")):
+        for text, what in (
+            ("F[0,80](veg >= 1)", "exceeds signal horizon 57"),
+            ("F[0,5](dA >= 1)", "unknown variable"),
+            ("F[0,5](veg >= 1", "expected ')', got 'end' (at position 15)"),
+        ):
             formula = tmp_path / "f.txt"
             formula.write_text(text + "\n")
             assert main(["eval", "--formula", str(formula), "--data", str(data)]) == EXIT_DATA
@@ -677,6 +682,24 @@ class TestAdjust:
         assert "dO >= 1" in after.rule_text
         assert after.inference_groups == before.inference_groups
         assert (tmp_path / "rollouts_adjusted.csv").exists()
+
+    def test_drops_the_exact_mcr_of_the_formula_without_the_rule(self, trained, tmp_path):
+        # extra.mcr_exact scores the learned formula alone, not its
+        # conjunction with the rule; the rest of extra describes the source
+        # run and is kept
+        root, data, config, ckpt = trained
+        first, second = tmp_path / "a" / "ckpt.json", tmp_path / "b" / "ckpt.json"
+        for src, out in ((ckpt, first), (first, second)):
+            argv = ["adjust", "--ckpt", str(src), "--conjoin", "G[0,20](dO >= 1.0)", "--out", str(out), "--rollouts", "2"]
+            assert main(argv) == EXIT_OK
+        before = dataio.load_checkpoint(str(ckpt)).extra
+        assert "mcr_exact" in before
+        for out, src in ((first, ckpt), (second, first)):
+            after = dataio.load_checkpoint(str(out)).extra
+            assert "mcr_exact" not in after
+            assert after["saturated"] == before["saturated"]
+            assert after["config_digest"] == before["config_digest"]
+            assert after["adjusted_from"] == os.path.relpath(src, out.parent)
 
     def test_bad_rule_syntax_exit_code(self, trained, tmp_path):
         root, data, config, ckpt = trained

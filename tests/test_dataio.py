@@ -622,18 +622,20 @@ class TestExport:
     def test_row_count_and_order(self, tmp_path):
         rollouts = [np.random.default_rng(i).uniform(size=(21, 3)) for i in range(3)]
         path = tmp_path / "r.csv"
-        export_rollouts(rollouts, ("x", "y", "z"), str(path), tags=["a", "b", "c"], comment="c")
+        export_rollouts(rollouts, ("x", "y", "z"), str(path), "a", comment="c")
         lines = path.read_text().strip().split("\n")[1:]
         assert lines[0] == "traj_id,t,x,y,z,tag"
         assert len(lines) == 1 + 3 * 21
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0" and first[-1] == "a"
+        assert [line.split(",")[0] for line in lines[1::21]] == ["0", "1", "2"]
+        assert all(line.endswith(",a") for line in lines[1:])
 
     def test_deterministic_bytes(self, tmp_path):
         rollouts = [np.linspace(0, 1, 12).reshape(4, 3)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_rollouts(rollouts, ("x", "y", "z"), str(p1), tags=["r"], comment="c")
-        export_rollouts(rollouts, ("x", "y", "z"), str(p2), tags=["r"], comment="c")
+        export_rollouts(rollouts, ("x", "y", "z"), str(p1), "r", comment="c")
+        export_rollouts(rollouts, ("x", "y", "z"), str(p2), "r", comment="c")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bytes_match_csv_writer(self, tmp_path):
@@ -642,28 +644,30 @@ class TestExport:
             np.array([[1.0, -2.5], [np.pi, 3.0], [0.0, 1e-300]]),
             [[7.0, 8.0]],
         ]
-        tags = ["plain", 'a,"quoted" tag', ""]
-        path = tmp_path / "r.csv"
-        export_rollouts(rollouts, ("x", "y"), str(path), tags=tags, comment="config=abc")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["traj_id", "t", "x", "y", "tag"])
-        for i, (arr, tag) in enumerate(zip(rollouts, tags)):
-            for t, row in enumerate(np.asarray(arr, dtype=float)):
-                writer.writerow([i, t] + [repr(float(v)) for v in row] + [tag])
-        data = path.read_bytes()
-        assert data == ("# config=abc\n" + buf.getvalue()).encode("utf-8")
-        assert data.count(b"\r\n") == 7
-        assert b"\r\n0,0,0.1,1e-05,plain\r\n0,1,1e+16,-0.0,plain\r\n" in data
-        assert b',"a,""quoted"" tag"\r\n' in data and data.endswith(b"2,0,7.0,8.0,\r\n")
+        written = {}
+        for tag in ("plain", 'a,"quoted" tag', ""):
+            path = tmp_path / "r.csv"
+            export_rollouts(rollouts, ("x", "y"), str(path), tag, comment="config=abc")
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["traj_id", "t", "x", "y", "tag"])
+            for i, arr in enumerate(rollouts):
+                for t, row in enumerate(np.asarray(arr, dtype=float)):
+                    writer.writerow([i, t] + [repr(float(v)) for v in row] + [tag])
+            written[tag] = data = path.read_bytes()
+            assert data == ("# config=abc\n" + buf.getvalue()).encode("utf-8")
+            assert data.count(b"\r\n") == 7
+        assert b"\r\n0,0,0.1,1e-05,plain\r\n0,1,1e+16,-0.0,plain\r\n" in written["plain"]
+        assert written['a,"quoted" tag'].endswith(b'2,0,7.0,8.0,"a,""quoted"" tag"\r\n')
+        assert written[""].endswith(b"2,0,7.0,8.0,\r\n")
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(IoError):
-            export_rollouts([], ("x",), str(tmp_path / "no.csv"), tags=[], comment="c")
+            export_rollouts([], ("x",), str(tmp_path / "no.csv"), "r", comment="c")
 
     def test_comment_line(self, tmp_path):
         path = tmp_path / "c.csv"
-        export_rollouts([np.zeros((2, 1))], ("x",), str(path), tags=["r"], comment="config=deadbeef")
+        export_rollouts([np.zeros((2, 1))], ("x",), str(path), "r", comment="config=deadbeef")
         assert path.read_text().startswith("# config=deadbeef\n")
 
 

@@ -9,6 +9,7 @@ from stlmimic.inference import (
     InferenceParams,
     NetworkShape,
     SignalNorm,
+    _deletions,
     _factor_shared,
     combined_smooth,
     exact_mcr,
@@ -163,15 +164,14 @@ class TestSmoothRobustness:
             tau=st.sampled_from([0.1, 0.3, 1.0]),
         ),
         n=st.integers(1, 4),
-        extra=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_vjp_matches_fd_on_random_shapes(self, shape, n, extra, seed):
+    def test_vjp_matches_fd_on_random_shapes(self, shape, n, seed):
         # the classifier's gradient with respect to its parameters and to
-        # signals longer than its horizon, for a weighted sum of the scores;
-        # the value returned with the VJP is the value-only score bit for bit
+        # the signals, for a weighted sum of the scores; the value returned
+        # with the VJP is the value-only score bit for bit
         rng = np.random.default_rng(seed)
-        X = rng.uniform(-1.5, 1.5, size=(n, shape.horizon + 1 + extra, shape.dim))
+        X = rng.uniform(-1.5, 1.5, size=(n, shape.horizon + 1, shape.dim))
         weights = rng.normal(size=n)
         pv = ParamVector(**vars(init_inference(shape, rng)), sig=X)
 
@@ -198,6 +198,15 @@ class TestSmoothRobustness:
         params = init_inference(shape, np.random.default_rng(0))
         with pytest.raises(stl.HorizonExceeded):
             smooth_robustness(np.zeros((1, 5, 1)), params, shape)
+
+    def test_reads_exactly_its_horizon(self):
+        # a signal longer than the horizon is refused, not cut to its first
+        # T+1 samples, with or without a VJP
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=4, dim=1, tau=0.1)
+        params = init_inference(shape, np.random.default_rng(0))
+        for vjp in (False, True):
+            with pytest.raises(stl.HorizonExceeded, match="need 5 samples, got 6"):
+                smooth_robustness(np.zeros((2, 6, 1)), params, shape, vjp=vjp)
 
 
 class TestClassify:
@@ -239,7 +248,7 @@ class TestInjectedRule:
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
             X = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)[None]
             exact = robustness_trace(X, f)[0, 0]
-            smooth = robustness_trace(X, f, 0.001)[0, 0]
+            smooth = stl.smooth_trace(X, f, 0.001)[0][0, 0]
             if abs(exact) < 1e8:  # skip TRUE-dominated sentinels
                 assert smooth == pytest.approx(exact, abs=0.02 + 0.02 * abs(exact))
 
@@ -387,6 +396,25 @@ class TestSimplify:
         arrays = [np.array([[1.0]]), np.array([[-1.0]])]
         g = simplify(f, np.stack(arrays), ("x0",), [1, -1])
         assert g == f
+
+    def test_deletion_candidates_come_in_a_fixed_order(self):
+        # simplify accepts the first candidate that does not raise the MCR, so
+        # this order is part of its result: an and/or's own operands first,
+        # then the deletions within each operand in turn, through !, F and G
+        names = ("x", "y")
+        f = parse("!(F[0,2](x >= 0) & G[1,3](y >= 1 | x >= 2)) | (x >= 3 & y >= 4 & x >= 5)", names)
+        expected = [
+            "x >= 3 & y >= 4 & x >= 5",
+            "!(F[0,2](x >= 0) & G[1,3](y >= 1 | x >= 2))",
+            "!G[1,3](y >= 1 | x >= 2) | x >= 3 & y >= 4 & x >= 5",
+            "!F[0,2](x >= 0) | x >= 3 & y >= 4 & x >= 5",
+            "!(F[0,2](x >= 0) & G[1,3](x >= 2)) | x >= 3 & y >= 4 & x >= 5",
+            "!(F[0,2](x >= 0) & G[1,3](y >= 1)) | x >= 3 & y >= 4 & x >= 5",
+            "!(F[0,2](x >= 0) & G[1,3](y >= 1 | x >= 2)) | y >= 4 & x >= 5",
+            "!(F[0,2](x >= 0) & G[1,3](y >= 1 | x >= 2)) | x >= 3 & x >= 5",
+            "!(F[0,2](x >= 0) & G[1,3](y >= 1 | x >= 2)) | x >= 3 & y >= 4",
+        ]
+        assert list(_deletions(f)) == [parse(text, names) for text in expected]
 
     def test_scores_each_atom_once(self, monkeypatch):
         # two conjunctions of two atoms, like a default extraction: each atom

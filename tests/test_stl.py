@@ -19,9 +19,12 @@ from stlmimic.stl import (
     UnknownVariable,
     conjoin,
     horizon,
+    operands,
     parse,
     print_formula,
     robustness_trace,
+    smooth_trace,
+    with_operands,
 )
 from stlmimic.inference import _deletions, exact_mcr, exact_satisfaction, simplify
 from stlmimic.params import ParamVector
@@ -205,6 +208,26 @@ class TestParse:
             parse("x0 >= ", ("x0",))
         assert err.value.pos == 6
 
+    @pytest.mark.parametrize(
+        "text, message, pos",
+        [
+            ("x0 >= 1 $", "unexpected character '$'", 8),
+            ("F[0 2](x0 >= 0)", "expected ',', got '2'", 4),
+            ("(x0 >= 0", "expected ')', got 'end'", 8),
+            ("x0 >= 0 )", "unexpected trailing input ')'", 8),
+            ("2*3 >= 0", "expected variable, got '3'", 2),
+            (">= 0", "expected term, got '>='", 0),
+            ("x0 0", "expected comparator, got '0'", 3),
+            ("x0 - x0 >= 1", "predicate has all-zero coefficients", 8),
+        ],
+        ids=["character", "expect", "expect-at-end", "trailing", "variable", "term", "comparator", "all-zero"],
+    )
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text, ("x0",))
+        assert str(err.value) == f"{message} (at position {pos})"
+        assert err.value.pos == pos
+
     def test_less_than_sugar(self):
         f = parse("x0 < 1.5", ("x0",))
         assert f == Not(Pred((1.0,), 1.5, ("x0",)))
@@ -351,7 +374,7 @@ class TestProperties:
         X = signals(f, seed)
         exact = robustness_trace(X, f)
         for tau in (1e-7, 1e-9):
-            smooth = robustness_trace(X, f, tau)
+            smooth, _ = smooth_trace(X, f, tau)
             assert smooth.shape == exact.shape
             assert np.allclose(smooth, exact, rtol=1e-12, atol=2e3 * tau)
 
@@ -391,15 +414,24 @@ class TestProperties:
         weights = np.random.default_rng(seed + 1).normal(size=robustness_trace(pv.X, f).shape)
 
         def value(p):
-            return np.sum(robustness_trace(p.X, f, tau) * weights)
+            return np.sum(smooth_trace(p.X, f, tau)[0] * weights)
 
         def grad(p):
-            trace, vjp = robustness_trace(p.X, f, tau, vjp=True)
-            assert np.array_equal(trace, robustness_trace(p.X, f, tau))
+            _, vjp = smooth_trace(p.X, f, tau)
             return ParamVector(X=vjp(weights))
 
         assert finite_diff_check(value, grad, pv, h=1e-6) < 1e-5
 
     def test_exact_semantics_have_no_vjp(self):
-        with pytest.raises(ValueError, match="temperature"):
-            robustness_trace(np.zeros((1, 2, 1)), pred1(1.0, 0.0), vjp=True)
+        # robustness_trace takes no temperature and no vjp flag: the smooth
+        # semantics, and their VJP, are smooth_trace's
+        X, f = np.zeros((1, 2, 1)), pred1(1.0, 0.0)
+        with pytest.raises(TypeError):
+            robustness_trace(X, f, vjp=True)
+        with pytest.raises(TypeError):
+            robustness_trace(X, f, 0.5)
+
+    @PROPERTY
+    @given(f=formulas(BOUNDED))
+    def test_with_operands_of_operands_is_the_identity(self, f):
+        assert with_operands(f, operands(f)) == f

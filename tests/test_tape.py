@@ -74,8 +74,8 @@ class TestPrimitives:
         assert grad(np.ones_like(value)).shape == a.shape
 
     def test_float_passthrough(self):
-        # Without vjp every layer returns plain arrays, and no closure that
-        # would keep its intermediates alive.
+        # Without vjp every layer, and the exact trace, returns plain
+        # arrays, and no closure that would keep its intermediates alive.
         rng = np.random.default_rng(2)
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=3, dim=2)
         X = rng.uniform(-1, 1, size=(4, 4, 2))
@@ -83,7 +83,7 @@ class TestPrimitives:
         outs = [
             smax(X, 0.5, axis=1),
             smin(X, 0.5, axis=1),
-            robustness_trace(X, f, 0.5),
+            robustness_trace(X, f),
             smooth_robustness(X, init_inference(shape, rng), shape),
         ]
         assert all(type(o) is np.ndarray for o in outs)
@@ -127,15 +127,17 @@ class TestPrimitives:
 
 class TestBackward:
     def test_unreachable_parameter_gets_zero(self):
-        # The classifier reads the first T+1 samples of each signal: the
-        # samples after them get a zero gradient, not a missing one.
+        # A signal dimension that no predicate weighs gets a zero gradient,
+        # not a missing one.
         rng = np.random.default_rng(6)
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=4, dim=3)
-        X = rng.uniform(-1, 1, size=(3, 9, 3))
-        _, grad = smooth_robustness(X, init_inference(shape, rng), shape, vjp=True)
+        X = rng.uniform(-1, 1, size=(3, 5, 3))
+        params = init_inference(shape, rng)
+        params.pred_w[:, 1] = 0.0
+        _, grad = smooth_robustness(X, params, shape, vjp=True)
         _, gX = grad(np.ones(3))
         assert gX.shape == X.shape
-        assert np.all(gX[:, 5:] == 0.0) and np.any(gX[:, :5] != 0.0)
+        assert np.all(gX[:, :, 1] == 0.0) and np.any(gX[:, :, [0, 2]] != 0.0)
 
     def test_deterministic_bit_identical(self):
         def build():

@@ -118,7 +118,17 @@ class TestMcr:
         norm = SignalNorm.identity(1)
         params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
         ds = toy_dataset()
-        assert mcr(params, ds, shape=shape, norm=norm, tau=0.01) == 0.0
+        assert mcr(params, ds, shape=shape, norm=norm) == 0.0
+
+    def test_reads_at_the_evaluation_temperature(self):
+        # the signal's exact robustness is -0.1; at the shape's temperature
+        # 1.0 it scores positive, at TAU_EVAL negative, as its label says
+        shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=1.0)
+        norm = SignalNorm.identity(1)
+        params = helpers.encode_dnf([[("G", 0, 3, (1.0,), 0.0)]], shape, norm)
+        ds = one_dim_dataset([[-0.1, 2.0, 2.0, 2.0]], [-1])
+        assert smooth_robustness(ds.X, params, shape)[0] > 0.0
+        assert mcr(params, ds, shape=shape, norm=norm) == 0.0
 
 
 class TestInferenceLoss:
@@ -166,7 +176,7 @@ class TestTrainInference:
         params, margin, loss = train_inference(
             ds, shape, self.CFG, np.random.default_rng(7), norm=norm
         )
-        assert mcr(params, ds, shape=shape, norm=norm, tau=0.01) == 0.0
+        assert mcr(params, ds, shape=shape, norm=norm) == 0.0
         assert train.MARGIN_LO <= margin <= train.MARGIN_HI
 
     def test_same_seed_identical(self):
@@ -446,7 +456,7 @@ class TestPolicyObjective:
             assert isinstance(plain, (np.ndarray, np.floating)) and callable(grad)
             assert np.array_equal(value, plain)
 
-        rule_scores = stl.robustness_trace(X, normalize_formula(rule, norm), shape.tau)[:, 0]
+        rule_scores = stl.smooth_trace(X, normalize_formula(rule, norm), shape.tau)[0][:, 0]
         scores = stl.smin(np.stack([smooth_robustness(X, inf, shape), rule_scores]), shape.tau, 0)
         value, grad = policy_objective(policy, inf, env, samples, shape, norm, rule)
         assert value == np.sum(scores) / scores.size and callable(grad)
