@@ -51,6 +51,12 @@ which older checkpoints hold, is read as it is.
 Every command that writes `--out` reads and checks its inputs, then refuses
 a directory as `--out` and makes the file's missing parent directories,
 and only then does its work.
+
+BLAS runs on one thread by default: before numpy is imported, the module
+sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1
+where the environment does not set them already, so a value the user sets
+wins. The policy's per-step matrix products are small, and a second
+thread makes them no faster; outputs are the same bits either way.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ import logging
 import os
 import sys
 from itertools import compress
+
+# BLAS on one thread unless the environment says otherwise (see above);
+# numpy reads these when it is imported, so they are set first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -9,9 +9,13 @@ batches. Asked for a vector-Jacobian product (VJP), `rollout` also returns
 a closure that backpropagates through time (BPTT) into the policy
 parameters, over the steps its forward kept, through each environment's
 `step_vjp`, the VJP of its `step`; its forward is the same array code
-that generates data, and without a VJP it keeps nothing for the backward
-pass. The inference maps (unicycle distances, the driving identity)
-return their VJP the same way.
+that generates data. Per time step the loop does only what the recurrence
+needs. The cell inputs are kept time-major in one buffer whose
+environment columns are normalized once, before the loop, so a step
+normalizes only the agent's state. With a VJP the forward also keeps each
+step's hidden state, head output and control, and the backward pass takes
+the cell's slope for all steps at once. The inference maps (unicycle
+distances, the driving identity) return their VJP the same way.
 
 The scripted experts draw their random values one trajectory at a time, in
 a fixed order, and then advance all of a batch's trajectories together: the
@@ -75,14 +79,22 @@ def unicycle_step(x, u):
     (..., 3) and u is (..., 2)."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     th, v = x[..., 2], u[..., 0]
-    return x + np.stack([v * np.cos(th), v * np.sin(th), u[..., 1]], axis=-1)
+    out = np.empty(x.shape)
+    np.multiply(v, np.cos(th), out=out[..., 0])
+    np.multiply(v, np.sin(th), out=out[..., 1])
+    out[..., 2] = u[..., 1]
+    out += x
+    return out
 
 
 def ego_step(x, a):
     """Double integrator: position += velocity; velocity += acceleration.
     x is (..., 2) and a broadcasts against x[..., 0]."""
     x = np.asarray(x, dtype=float)
-    return x + np.stack([x[..., 1], a], axis=-1)
+    out = x.copy()
+    out[..., 0] += x[..., 1]
+    out[..., 1] += a
+    return out
 
 
 def to_dataset(env, raw, labels, ids, metas) -> Dataset:
@@ -155,9 +167,12 @@ class UnicycleEnv:
         """The adjoints of x and u for an adjoint g of step(x, u)."""
         th, v = x[..., 2], u[..., 0]
         c, s = np.cos(th), np.sin(th)
-        g_th = g[..., 0] * (-v * s) + g[..., 1] * (v * c) + g[..., 2]
-        g_u = np.stack([g[..., 0] * c + g[..., 1] * s, g[..., 2]], axis=-1)
-        return np.stack([g[..., 0], g[..., 1], g_th], axis=-1), g_u
+        g_x = g.copy()
+        g_x[..., 2] += g[..., 0] * (-v * s) + g[..., 1] * (v * c)
+        g_u = np.empty_like(u)
+        g_u[..., 0] = g[..., 0] * c + g[..., 1] * s
+        g_u[..., 1] = g[..., 2]
+        return g_x, g_u
 
     def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         """One initial state (3,), or m of them (m, 3) from one draw: the
@@ -286,7 +301,9 @@ class DrivingEnv:
 
     def step_vjp(self, x, u, g):
         """The adjoints of x and u for an adjoint g of step(x, u)."""
-        return np.stack([g[..., 0], g[..., 0] + g[..., 1]], axis=-1), g[..., 1:]
+        g_x = g.copy()
+        g_x[..., 1] += g[..., 0]
+        return g_x, g[..., 1:]
 
     def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         """One initial state (2,) at rest, or m of them (m, 2) from one
@@ -381,10 +398,13 @@ def make_env(name: str):
 def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
     """Closed-loop raw trajectories (N, T+1, n_a + n_e) from N initial
     agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
-    one batched policy step per time step. With vjp, (trajectories, grad),
-    where grad maps an adjoint of the trajectories to a PolicyParams of
-    gradients by BPTT: one `env.step_vjp` per time step, whose control
-    adjoint goes through the squash's slope into the policy step."""
+    one batched policy step per time step. The cell inputs are kept
+    time-major (T, N, n_a + n_e): the environment columns are normalized
+    once, before the loop, and each step normalizes only the agent's
+    state. With vjp, (trajectories, grad), where grad maps an adjoint of
+    the trajectories to a PolicyParams of gradients by BPTT: one
+    `env.step_vjp` per time step, whose control adjoint goes through the
+    squash's slope into the policy step."""
     x = np.asarray(x0s, dtype=float)
     env_trajs = np.asarray(env_trajs, dtype=float)
     if env_trajs.shape[1] != env.T + 1:
@@ -395,37 +415,42 @@ def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
     out = np.empty((n, env.T + 1, n_a + env_trajs.shape[2]))
     out[:, :, n_a:] = env_trajs
     out[:, 0, :n_a] = x
+    mid, halfrange = np.asarray(env.state_norm.mid), np.asarray(env.state_norm.halfrange)
+    xins = np.empty((env.T, n, out.shape[2]))  # the cell inputs
+    xins[:, :, n_a:] = (env_trajs[:, :-1].swapaxes(0, 1) - mid[n_a:]) / halfrange[n_a:]
+    mid, halfrange = mid[:n_a], halfrange[:n_a]  # the agent's columns, normalized per step
     h = zero_hidden(params)
     if vjp:  # what the backward pass reads, time-major
-        xins = np.empty((env.T, n, out.shape[2]))
         hs = np.zeros((env.T + 1, n, params.hidden))
         ss = np.empty((env.T, n, env.control_box.dim))
         us = np.empty_like(ss)
-    for t in range(env.T):
-        xin = env.state_norm.apply(out[:, t])
+    for t, (xin, x_norm) in enumerate(zip(xins, xins[:, :, :n_a])):
+        np.subtract(x, mid, out=x_norm)
+        x_norm /= halfrange
         u, h, s = policy_step(params, xin, h, env.control_box)
         x = env.step(x, u)
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(x).all():
+            finite = np.isfinite(x).all(axis=1)
             raise NonFiniteState(f"state diverged at step {t + 1}: {x[np.argmin(finite)]}")
         out[:, t + 1, :n_a] = x
         if vjp:
-            xins[t], hs[t + 1], ss[t], us[t] = xin, h, s, u
+            hs[t + 1], ss[t], us[t] = h, s, u
     if not vjp:
         return out
 
     def grad(g):
         slopes = squash_slope(ss, env.control_box)
-        halfrange = np.asarray(env.state_norm.halfrange)[:n_a]
+        dtanhs = 1.0 - hs[1:] * hs[1:]
         gys = np.empty_like(ss)
-        gas = np.empty_like(hs[1:])
+        gas = np.empty_like(dtanhs)
         gx, gh = g[:, env.T, :n_a], np.zeros((n, params.hidden))
         for t in range(env.T - 1, -1, -1):
             gx, gu = env.step_vjp(out[:, t, :n_a], us[t], gx)
             gys[t] = gy = gu * slopes[t]  # through the squash
-            gxin, gh, gas[t] = cell_vjp(params, hs[t + 1], gy, gh)
+            gxin, gh, gas[t] = cell_vjp(params, dtanhs[t], gy, gh)
             # x_t reaches x_{t+1} through the step, and the cell through the normalisation
-            gx = gx + gxin[:, :n_a] / halfrange + g[:, t, :n_a]
+            gx += gxin[:, :n_a] / halfrange
+            gx += g[:, t, :n_a]
         return PolicyParams(**param_grads(xins, hs, gys, gas))
 
     return out, grad

@@ -17,7 +17,10 @@ The parameters are one `InferenceParams` (a `params.ParamVector`) whose
 Each layer is written once over batches of plain arrays. Called with
 vjp=True it also returns its vector-Jacobian product (VJP): a closure,
 built from the same forward pass, that maps an adjoint of the output to
-the gradients of the parameters and of the signal. `smooth_robustness`
+the gradients of the parameters and of the signal. Called with
+`with_params=False`, the closure skips the parameter gradients, for a
+caller that reads only the signal's, as the policy objective does; the
+signal's gradient is the same bits either way. `smooth_robustness`
 composes the three layers: the `predicate_traces`, their atoms through
 `windowed_extrema`, and the gated and/or layer `smooth_gates`. A caller
 that varies only the gates can reuse the atoms, and one that moves one
@@ -233,7 +236,8 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None,
     normalized signals: the `smooth_gates` of the atoms, which are the
     `windowed_extrema` of the `predicate_traces`. With vjp, (scores, grad),
     where grad maps an adjoint of the scores to (an InferenceParams of
-    parameter gradients, the gradient with respect to X)."""
+    parameter gradients, the gradient with respect to X); with
+    `with_params=False`, grad gives None for the former."""
     tau = shape.tau if tau is None else tau
     if not vjp:
         atoms = windowed_extrema(predicate_traces(X, params, shape), params.win_lo, params.win_hi, tau)
@@ -242,32 +246,35 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None,
     atoms, atoms_grad = windowed_extrema(traces, params.win_lo, params.win_hi, tau, vjp=True)
     scores, gates_grad = smooth_gates(atoms, params, shape, tau, vjp=True)
 
-    def grad(g):
-        g_atoms, g_gates = gates_grad(g)
-        g_traces, g_windows = atoms_grad(*g_atoms)
-        g_preds, gX = traces_grad(g_traces)
-        return InferenceParams(**g_preds, **g_windows, **g_gates), gX
+    def grad(g, with_params=True):
+        g_atoms, g_gates = gates_grad(g, with_params)
+        g_traces, g_windows = atoms_grad(*g_atoms, with_params)
+        g_preds, gX = traces_grad(g_traces, with_params)
+        return (InferenceParams(**g_preds, **g_windows, **g_gates) if with_params else None), gX
 
     return scores, grad
 
 
 def predicate_traces(X, params: InferenceParams, shape: NetworkShape, vjp: bool = False):
     """The linear traces (N, n_pred, T+1) of the predicates over a batch X
-    (N, T+1, dim): one matrix product for all predicates, read as a
-    transposed view. With vjp, (traces, grad), where grad maps an adjoint
-    of the traces to (a dict of the `pred_w` and `pred_b` gradients, the
-    gradient with respect to X)."""
+    (N, T+1, dim): one matrix product for all predicates. With vjp,
+    (traces, grad), where grad maps an adjoint of the traces to (a dict of
+    the `pred_w` and `pred_b` gradients, the gradient with respect to X);
+    the dict is None without `with_params`."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != shape.horizon + 1:
         raise stl.HorizonExceeded(f"need {shape.horizon + 1} samples, got {X.shape[1]}")
-    traces = np.transpose(X @ params.pred_w.T - params.pred_b, (0, 2, 1))
+    traces = params.pred_w @ X.transpose(0, 2, 1)
+    traces -= params.pred_b[:, None]
     if not vjp:
         return traces
 
-    def grad(g):
+    def grad(g, with_params=True):
         g_traces = np.transpose(g, (0, 2, 1))  # (N, T+1, n_pred)
-        flat_g = g_traces.reshape(-1, shape.n_pred)
-        pred = {"pred_w": flat_g.T @ X.reshape(-1, X.shape[2]), "pred_b": -flat_g.sum(axis=0)}
+        pred = None
+        if with_params:
+            flat_g = g_traces.reshape(-1, shape.n_pred)
+            pred = {"pred_w": flat_g.T @ X.reshape(-1, X.shape[2]), "pred_b": -flat_g.sum(axis=0)}
         return pred, g_traces @ params.pred_w
 
     return traces, grad
@@ -281,7 +288,8 @@ def windowed_extrema(traces, win_lo, win_hi, tau, vjp: bool = False):
     basic slice `traces[:, k:k+1]` and its two atoms' windows, the values
     are bit for bit column k of the whole layer's. With vjp, (atoms, grad),
     where grad maps adjoints of the two atom arrays to (the adjoint of the
-    traces, a dict of the `win_lo` and `win_hi` gradients)."""
+    traces, a dict of the `win_lo` and `win_hi` gradients, None without
+    `with_params`)."""
     L = GATE_L
     ts = np.arange(float(traces.shape[2]))
     m1 = sigmoid((ts - win_lo[:, None] + 0.5) / SIGMA_W)
@@ -294,12 +302,15 @@ def windowed_extrema(traces, win_lo, win_hi, tau, vjp: bool = False):
         return ev, al
     (ev, ev_grad), (al, al_grad) = ev, al
 
-    def grad(g_ev, g_al):
+    def grad(g_ev, g_al, with_params=True):
         g_ev, g_al = ev_grad(g_ev), al_grad(g_al)  # (N, P, T+1)
+        g_traces = g_ev * ev_m + g_al * al_m
+        if not with_params:
+            return g_traces, None
         g_masks = np.empty_like(masks)
         g_masks[0::2] = (g_ev * (traces + L)).sum(axis=0)
         g_masks[1::2] = (g_al * (traces - L)).sum(axis=0)
-        return g_ev * ev_m + g_al * al_m, {
+        return g_traces, {
             "win_lo": -(g_masks * m2 * m1 * (1.0 - m1)).sum(axis=1) / SIGMA_W,
             "win_hi": (g_masks * m1 * m2 * (1.0 - m2)).sum(axis=1) / SIGMA_W,
         }
@@ -311,7 +322,8 @@ def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, 
     """Gated and/or layer: (N,) scores from the `windowed_extrema` output.
     Reads only the gates (`gate`, `out_gate`). With vjp, (scores, grad),
     where grad maps an adjoint of the scores to (the adjoints of the two
-    atom arrays, a dict of the gate groups' gradients)."""
+    atom arrays, a dict of the gate groups' gradients, None without
+    `with_params`)."""
     tau = shape.tau if tau is None else tau
     ev, al = atoms
     s_gate = sigmoid(params.gate)
@@ -327,13 +339,15 @@ def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, 
     conjs, conjs_grad = conjs
     scores, scores_grad = smax(conjs - out_off, tau, 1, True)
 
-    def grad(g):
+    def grad(g, with_params=True):
         g_conjs = scores_grad(g)
         g_terms = conjs_grad(g_conjs)  # (N, n_conj, n_atoms), eventually-atoms first
         n_pred = ev.shape[1]
+        atoms_adjoint = (g_terms[:, :, :n_pred].sum(axis=1), g_terms[:, :, n_pred:].sum(axis=1))
+        if not with_params:
+            return atoms_adjoint, None
         g_off = np.empty_like(gate_off)
         g_off[:, 0::2], g_off[:, 1::2] = np.split(g_terms.sum(axis=0), 2, axis=1)
-        atoms_adjoint = (g_terms[:, :, :n_pred].sum(axis=1), g_terms[:, :, n_pred:].sum(axis=1))
         return atoms_adjoint, {
             "gate": -GATE_L * g_off * s_gate * (1.0 - s_gate),
             "out_gate": OUT_L * g_conjs.sum(axis=0) * s_out * (1.0 - s_out),
@@ -346,16 +360,16 @@ def combined_smooth(X, params, shape, rule: Formula | None):
     """Network scores at the shape's temperature, optionally conjoined with
     an injected rule (in normalized coordinates, smooth robustness at t=0)
     through a smooth minimum, as (scores, grad) with grad as for
-    `smooth_robustness`."""
+    `smooth_robustness`, `with_params` included."""
     if rule is None:
         return smooth_robustness(X, params, shape, vjp=True)
     net, net_grad = smooth_robustness(X, params, shape, vjp=True)
     trace, trace_grad = stl.smooth_trace(X, rule, shape.tau)
     scores, scores_grad = smin(np.stack([net, trace[:, 0]]), shape.tau, 0, True)
 
-    def grad(g):
+    def grad(g, with_params=True):
         g_net, g_rule = scores_grad(g)
-        g_params, gX = net_grad(g_net)
+        g_params, gX = net_grad(g_net, with_params)
         g_trace = np.zeros(trace.shape)
         g_trace[:, 0] = g_rule
         return g_params, gX + trace_grad(g_trace)

@@ -13,6 +13,7 @@ The weights are one `PolicyParams` (a `params.ParamVector`) whose
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,22 @@ class ControlBox:
     @property
     def dim(self) -> int:
         return len(self.lo)
+
+    # The squash's constants, computed once per box and shared by every
+    # step, so they are read-only.
+    @functools.cached_property
+    def half(self) -> np.ndarray:
+        """Half the box's width per control."""
+        return _read_only(0.5 * (np.asarray(self.hi) - np.asarray(self.lo)))
+
+    @functools.cached_property
+    def center(self) -> np.ndarray:
+        return _read_only(np.asarray(self.lo) + self.half)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -96,24 +113,22 @@ def policy_step(params: PolicyParams, x, h, box: ControlBox):
     s = tanh(y) is the head's output before it is scaled into the box."""
     h_new = np.tanh(x @ params.w_in.T + h @ params.w_rec.T + params.b_h)
     s = np.tanh(h_new @ params.w_out.T + params.b_out)
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
     # lo + (hi - lo) * (s + 1) / 2, strictly inside the box
-    half = 0.5 * (hi - lo)
-    return s * half + (lo + half), h_new, s
+    return s * box.half + box.center, h_new, s
 
 
 def squash_slope(s, box: ControlBox):
     """du/dy of the box squash at head outputs s = tanh(y)."""
-    return 0.5 * (np.asarray(box.hi) - np.asarray(box.lo)) * (1.0 - s * s)
+    return box.half * (1.0 - s * s)
 
 
-def cell_vjp(params: PolicyParams, h_new, gy, gh):
+def cell_vjp(params: PolicyParams, dtanh, gy, gh):
     """Backward of one step's cell and head, for batches: from the adjoints
     gy of the head's pre-activation y and gh of h' to (gx, gh_prev, ga),
     the adjoints of the step's input x, of its previous hidden state and
-    of the cell's pre-activation."""
-    ga = (gh + gy @ params.w_out) * (1.0 - h_new * h_new)
+    of the cell's pre-activation. dtanh is the cell's slope 1 - h'^2, which
+    a caller takes for all steps at once."""
+    ga = (gh + gy @ params.w_out) * dtanh
     return ga @ params.w_in, ga @ params.w_rec, ga
 
 

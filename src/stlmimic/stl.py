@@ -28,6 +28,7 @@ concurrently.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -186,25 +187,24 @@ def _soft_extremum(a, tau, axis, sign, what, vjp):
     a = np.asarray(a, dtype=float)
     if a.shape[axis] == 0:
         raise EmptyInput(f"{what} of no values")
-    m = a.max(axis=axis, keepdims=True) if sign > 0 else a.min(axis=axis, keepdims=True)
     # w in one buffer: each temporary of a large batch would be a fresh mmap
-    w = a - m
-    if sign < 0:
-        np.negative(w, out=w)
+    w = a - a.max(axis=axis, keepdims=True) if sign > 0 else a.min(axis=axis, keepdims=True) - a
     w /= tau
     np.exp(w, out=w)
-    z = w.sum(axis=axis)
     if not vjp:
+        z = w.sum(axis=axis)
         w *= a
         return w.sum(axis=axis) / z
-    s = (w * a).sum(axis=axis) / z
+    # z and s keep the reduced axis, so that they broadcast against a
+    z = w.sum(axis=axis, keepdims=True)
+    s = (w * a).sum(axis=axis, keepdims=True) / z
 
     def grad(g):
-        dev = (a - np.expand_dims(s, axis)) / tau
-        partial = (w / np.expand_dims(z, axis)) * (1.0 + dev if sign > 0 else 1.0 - dev)
-        return np.expand_dims(g, axis) * partial
+        dev = (a - s) / tau
+        partial = (w / z) * (1.0 + dev if sign > 0 else 1.0 - dev)
+        return np.reshape(g, s.shape) * partial
 
-    return s, grad
+    return s.squeeze(axis), grad
 
 
 def smax(a, tau: float, axis: int, vjp: bool = False):
@@ -467,7 +467,7 @@ class _Parser:
         kind, val, at = self.next()
         if kind != "num":
             raise FormulaSyntaxError(f"expected number, got {val or 'end'!r}", at)
-        return sign * float(val)
+        return sign * _finite(float(val), f"number {val!r}", at)
 
     def term(self) -> tuple[float, int]:
         """One linear term; returns (coefficient, dimension index)."""
@@ -482,7 +482,7 @@ class _Parser:
             ikind, ident, iat = self.next()
             if ikind != "ident":
                 raise FormulaSyntaxError(f"expected variable, got {ident!r}", iat)
-            return sign * float(val), self._dim(ident, iat)
+            return sign * _finite(float(val), f"number {val!r}", at), self._dim(ident, iat)
         if kind == "ident":
             self.next()
             return sign, self._dim(val, at)
@@ -500,8 +500,9 @@ class _Parser:
         coeffs[i] += c
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
+            at = self.peek()[2]
             c, i = self.term()
-            coeffs[i] += c if op == "+" else -c
+            coeffs[i] = _finite(coeffs[i] + (c if op == "+" else -c), f"the coefficient of {self.names[i]!r}", at)
         kind, cmp_op, at = self.next()
         if cmp_op not in (">=", ">", "<=", "<"):
             raise FormulaSyntaxError(f"expected comparator, got {cmp_op or 'end'!r}", at)
@@ -510,6 +511,13 @@ class _Parser:
             raise FormulaSyntaxError("predicate has all-zero coefficients", at)
         p = Pred(tuple(coeffs), bound, self.names)
         return p if cmp_op in (">=", ">") else Not(p)
+
+
+def _finite(x: float, what: str, at: int) -> float:
+    """x, unless it overflowed to infinity: then a FormulaSyntaxError at `at`."""
+    if not math.isfinite(x):
+        raise FormulaSyntaxError(f"{what} is not finite", at)
+    return x
 
 
 def parse(text: str, dim_names) -> Formula:

@@ -344,7 +344,7 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
     `samples` (initial states, environment trajectories), optionally
     conjoined with a rule in raw units, as (objective, grad), where grad(g)
     is a PolicyParams of the policy's gradients for an adjoint g; the
-    classifier's own gradient is dropped, so it cannot drift here."""
+    classifier's own gradient is not computed, so it cannot drift here."""
     x0s, env_trajs = samples
     rule_n = normalize_formula(rule, norm) if rule is not None else None
     raw, raw_grad = rollout(env, policy, x0s, env_trajs, vjp=True)
@@ -353,7 +353,7 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
     scores, scores_grad = combined_smooth(X, inf_params, shape, rule_n)
 
     def grad(g):
-        _, gX = scores_grad(np.full(scores.shape, g / scores.size))
+        _, gX = scores_grad(np.full(scores.shape, g / scores.size), with_params=False)
         return raw_grad(map_grad(norm_grad(gX)))
 
     return np.sum(scores) / scores.size, grad

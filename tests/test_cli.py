@@ -556,6 +556,7 @@ class TestEval:
             ("F[0,80](veg >= 1)", "exceeds signal horizon 57"),
             ("F[0,5](dA >= 1)", "unknown variable"),
             ("F[0,5](veg >= 1", "expected ')', got 'end' (at position 15)"),
+            ("F[0,5](veg >= 1e999)", "number '1e999' is not finite (at position 14)"),
         ):
             formula = tmp_path / "f.txt"
             formula.write_text(text + "\n")
@@ -722,6 +723,17 @@ class TestAdjust:
         out = tmp_path / "adjusted" / "ckpt.json"
         assert main(["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,5](dA<=1)", "--out", str(out)]) == EXIT_DATA
         assert "--conjoin 'G[0,5](dA<=1)': unknown variable 'dA'" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+    def test_non_finite_rule_is_a_syntax_error_not_a_divergence(self, trained, tmp_path, capsys):
+        # an infinite bound once reached the smooth semantics as NaN, and
+        # retraining ended in a false "training diverged" (exit 4)
+        root, data, config, ckpt = trained
+        out = tmp_path / "adjusted" / "ckpt.json"
+        argv = ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,20](dO <= 1e999)", "--retrain", "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert "--conjoin 'G[0,20](dO <= 1e999)': number '1e999' is not finite (at position 14)" in capsys.readouterr().err
         assert not out.parent.exists()
 
 
@@ -1228,6 +1240,28 @@ def own_dataset_commands(ckpt, out):
         ["adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--rollouts", "2",
          "--out", str(out / "adj.json")],
     )
+
+
+class TestBlasThreads:
+    """The command line puts BLAS on one thread before numpy is imported,
+    unless the environment sets the thread count itself."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    PROBE = "import os, sys, stlmimic.cli; print(' '.join(os.environ[v] for v in sys.argv[1:]))"
+
+    def _threads(self, preset: dict) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        res = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *self.VARS], env={**env, **preset}, capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stdout.split()
+
+    def test_one_thread_by_default(self):
+        assert self._threads({}) == ["1", "1", "1"]
+
+    def test_a_preset_value_wins(self):
+        assert self._threads({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}) == ["2", "1", "3"]
 
 
 class TestDefaults:

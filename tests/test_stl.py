@@ -219,8 +219,14 @@ class TestParse:
             (">= 0", "expected term, got '>='", 0),
             ("x0 0", "expected comparator, got '0'", 3),
             ("x0 - x0 >= 1", "predicate has all-zero coefficients", 8),
+            ("x0 >= -1e999", "number '1e999' is not finite", 7),
+            ("2*x0 - 1E400*x0 >= 0", "number '1E400' is not finite", 7),
+            ("1e308*x0 + 1e308*x0 >= 0", "the coefficient of 'x0' is not finite", 11),
         ],
-        ids=["character", "expect", "expect-at-end", "trailing", "variable", "term", "comparator", "all-zero"],
+        ids=[
+            "character", "expect", "expect-at-end", "trailing", "variable", "term", "comparator", "all-zero",
+            "infinite-bound", "infinite-coefficient", "coefficient-sum-overflows",
+        ],
     )
     def test_error_message_and_position(self, text, message, pos):
         with pytest.raises(FormulaSyntaxError) as err:
