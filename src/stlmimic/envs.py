@@ -5,17 +5,18 @@ the batched closed-loop rollout, and expert dataset generation.
 Every setting of an environment, its horizon `T` included, is a class
 attribute; instances are stateless, and stepping and sampling are pure
 given their inputs. The dynamics and the policy run on plain arrays over
-batches. Asked for a vector-Jacobian product (VJP), `rollout` also returns
-a closure that backpropagates through time (BPTT) into the policy
-parameters, over the steps its forward kept, through each environment's
-`step_vjp`, the VJP of its `step`; its forward is the same array code
-that generates data. Per time step the loop does only what the recurrence
-needs. The cell inputs are kept time-major in one buffer whose
-environment columns are normalized once, before the loop, so a step
-normalizes only the agent's state. With a VJP the forward also keeps each
-step's hidden state, head output and control, and the backward pass takes
-the cell's slope for all steps at once. The inference maps (unicycle
-distances, the driving identity) return their VJP the same way.
+batches. Asked for a vector-Jacobian product (VJP), `rollout` also
+returns a closure that backpropagates through time (BPTT) into the
+policy parameters, over the steps its forward kept, through the VJP that
+each environment's `step` returns when asked; its forward is the same
+array code that generates data. Per time step the loop does only what
+the recurrence needs. The cell inputs are kept time-major in one buffer
+whose environment columns are normalized once, before the loop, so a
+step normalizes only the agent's state. With a VJP the forward also
+keeps each step's hidden state, head output and step VJP, and the
+backward pass takes the cell's slope for all steps at once. The
+inference maps (unicycle distances, the driving identity) return their
+VJP the same way.
 
 The scripted experts draw their random values one trajectory at a time, in
 a fixed order, and then advance all of a batch's trajectories together: the
@@ -74,17 +75,30 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def unicycle_step(x, u):
+def unicycle_step(x, u, vjp: bool = False):
     """(px, py, heading) advanced by controls (speed, turn rate); x is
-    (..., 3) and u is (..., 2)."""
+    (..., 3) and u is (..., 2). With vjp, (next, grad), where grad maps an
+    adjoint g of the next state to the adjoints (g_x, g_u) of x and u; it
+    reads the cosine and sine of the heading that this forward took."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    th, v = x[..., 2], u[..., 0]
+    v, c, s = u[..., 0], np.cos(x[..., 2]), np.sin(x[..., 2])
     out = np.empty(x.shape)
-    np.multiply(v, np.cos(th), out=out[..., 0])
-    np.multiply(v, np.sin(th), out=out[..., 1])
+    np.multiply(v, c, out=out[..., 0])
+    np.multiply(v, s, out=out[..., 1])
     out[..., 2] = u[..., 1]
     out += x
-    return out
+    if not vjp:
+        return out
+
+    def grad(g):
+        g_x = g.copy()
+        g_x[..., 2] += g[..., 0] * (-v * s) + g[..., 1] * (v * c)
+        g_u = np.empty_like(u)
+        g_u[..., 0] = g[..., 0] * c + g[..., 1] * s
+        g_u[..., 1] = g[..., 2]
+        return g_x, g_u
+
+    return out, grad
 
 
 def ego_step(x, a):
@@ -160,19 +174,8 @@ class UnicycleEnv:
     def regions(self):
         return (self.region_a, self.region_b, self.region_c, self.obstacle)
 
-    def step(self, x, u):
-        return unicycle_step(x, u)
-
-    def step_vjp(self, x, u, g):
-        """The adjoints of x and u for an adjoint g of step(x, u)."""
-        th, v = x[..., 2], u[..., 0]
-        c, s = np.cos(th), np.sin(th)
-        g_x = g.copy()
-        g_x[..., 2] += g[..., 0] * (-v * s) + g[..., 1] * (v * c)
-        g_u = np.empty_like(u)
-        g_u[..., 0] = g[..., 0] * c + g[..., 1] * s
-        g_u[..., 1] = g[..., 2]
-        return g_x, g_u
+    def step(self, x, u, vjp: bool = False):
+        return unicycle_step(x, u, vjp)
 
     def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         """One initial state (3,), or m of them (m, 3) from one draw: the
@@ -296,14 +299,19 @@ class DrivingEnv:
     inference_names = agent_names + env_names
     state_norm = SignalNorm(mid=(150.0, 5.5, 150.0, 5.5), halfrange=(150.0, 6.5, 150.0, 6.5))
 
-    def step(self, x, u):
-        return ego_step(x, u[..., 0])
+    def step(self, x, u, vjp: bool = False):
+        """The ego vehicle advanced by accelerations u (..., 1); with vjp,
+        (next, grad) as for the unicycle's step."""
+        out = ego_step(x, u[..., 0])
+        if not vjp:
+            return out
 
-    def step_vjp(self, x, u, g):
-        """The adjoints of x and u for an adjoint g of step(x, u)."""
-        g_x = g.copy()
-        g_x[..., 1] += g[..., 0]
-        return g_x, g[..., 1:]
+        def grad(g):
+            g_x = g.copy()
+            g_x[..., 1] += g[..., 0]
+            return g_x, g[..., 1:]
+
+        return out, grad
 
     def sample_initial(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         """One initial state (2,) at rest, or m of them (m, 2) from one
@@ -402,9 +410,9 @@ def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
     time-major (T, N, n_a + n_e): the environment columns are normalized
     once, before the loop, and each step normalizes only the agent's
     state. With vjp, (trajectories, grad), where grad maps an adjoint of
-    the trajectories to a PolicyParams of gradients by BPTT: one
-    `env.step_vjp` per time step, whose control adjoint goes through the
-    squash's slope into the policy step."""
+    the trajectories to a PolicyParams of gradients by BPTT: per time step
+    the VJP that the forward's `env.step` returned, whose control adjoint
+    goes through the squash's slope into the policy step."""
     x = np.asarray(x0s, dtype=float)
     env_trajs = np.asarray(env_trajs, dtype=float)
     if env_trajs.shape[1] != env.T + 1:
@@ -423,18 +431,20 @@ def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
     if vjp:  # what the backward pass reads, time-major
         hs = np.zeros((env.T + 1, n, params.hidden))
         ss = np.empty((env.T, n, env.control_box.dim))
-        us = np.empty_like(ss)
+        step_vjps = [None] * env.T
     for t, (xin, x_norm) in enumerate(zip(xins, xins[:, :, :n_a])):
         np.subtract(x, mid, out=x_norm)
         x_norm /= halfrange
         u, h, s = policy_step(params, xin, h, env.control_box)
-        x = env.step(x, u)
+        if vjp:
+            x, step_vjps[t] = env.step(x, u, vjp=True)
+            hs[t + 1], ss[t] = h, s
+        else:
+            x = env.step(x, u)
         if not np.isfinite(x).all():
             finite = np.isfinite(x).all(axis=1)
             raise NonFiniteState(f"state diverged at step {t + 1}: {x[np.argmin(finite)]}")
         out[:, t + 1, :n_a] = x
-        if vjp:
-            hs[t + 1], ss[t], us[t] = h, s, u
     if not vjp:
         return out
 
@@ -445,7 +455,7 @@ def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
         gas = np.empty_like(dtanhs)
         gx, gh = g[:, env.T, :n_a], np.zeros((n, params.hidden))
         for t in range(env.T - 1, -1, -1):
-            gx, gu = env.step_vjp(out[:, t, :n_a], us[t], gx)
+            gx, gu = step_vjps[t](gx)
             gys[t] = gy = gu * slopes[t]  # through the squash
             gxin, gh, gas[t] = cell_vjp(params, dtanhs[t], gy, gh)
             # x_t reaches x_{t+1} through the step, and the cell through the normalisation

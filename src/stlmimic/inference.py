@@ -480,10 +480,11 @@ def _deletions(f: Formula):
 def exact_satisfaction(f: Formula, X: np.ndarray, names, cache: dict | None = None) -> np.ndarray:
     """Whether f holds at t=0 on each signal of the batch X (N, T+1, d),
     over dimensions `names`, under exact semantics (robustness exactly 0
-    counts as satisfied). The package's one Boolean reading of a formula.
+    counts as satisfied). The package's one Boolean reading of a formula:
+    it computes each subformula only at the start steps that t=0 reads.
     `cache` is `stl.robustness_trace`'s, for this X."""
     stl.check_names(f, names)
-    return stl.robustness_trace(X, f, cache=cache)[:, 0] >= 0.0
+    return stl.robustness_trace(X, f, steps=1, cache=cache)[:, 0] >= 0.0
 
 
 def exact_mcr(f: Formula, X: np.ndarray, names, labels, cache: dict | None = None) -> float:

@@ -8,15 +8,22 @@ One evaluator maps a batch (N, T+1, d) of signals to traces of robustness
 per start step: and/or and each F[a,b]/G[a,b] window reduce shifted slices
 of their operands' traces. It is the package's only STL evaluator, with
 one entry per semantics. `robustness_trace` is exact, with the hard
-min/max; it can keep traces in a cache the caller passes, so formulas that
-share subformulas, such as the deletion candidates of `inference.simplify`,
-compute those once. Boolean satisfaction is the sign of exact robustness
-at t=0, with 0 counting as satisfied (`inference.exact_satisfaction`).
-`smooth_trace` is smooth, with the soft extrema `smin`/`smax` at a
-temperature, as in STLCG (arXiv 1910.10309), and differentiable: it
-returns the trace with its vector-Jacobian product (VJP), a closure from
-the same forward pass that maps an adjoint of the trace to the gradient of
-the signals. The classifier in `inference` is built on the same extrema.
+min/max, and computes each subformula only over the start steps its reader
+needs: and, or and not pass their range on to every operand, and a window
+[a,b] read at start steps [lo, hi) asks its operand for [lo+a, hi+b), so a
+formula read at t=0 alone takes each window in one reduction. It can keep
+traces in a cache the caller passes, so formulas that share subformulas,
+such as the deletion candidates of `inference.simplify`, compute those
+once. Boolean satisfaction is the sign of exact robustness at t=0, with 0
+counting as satisfied (`inference.exact_satisfaction`). `smooth_trace` is
+smooth, with the soft extrema `smin`/`smax` at a temperature, as in STLCG
+(arXiv 1910.10309), and differentiable: it returns the trace with its
+vector-Jacobian product (VJP), a closure from the same forward pass that
+maps an adjoint of the trace to the gradient of the signals. It computes
+every subformula at every start step where its windows fit, so the shapes
+of its stacked reductions, and the order of the sums in them, do not
+depend on who reads it. The classifier in `inference` is built on the same
+extrema.
 
 `operands` and `with_operands` are the one place, besides the evaluator
 and the printer, that knows how each node holds its subformulas.
@@ -219,28 +226,41 @@ def smin(a, tau: float, axis: int, vjp: bool = False):
     return _soft_extremum(a, tau, axis, -1, "smin", vjp)
 
 
-def robustness_trace(X, f: Formula, *, cache: dict | None = None):
-    """Exact robustness of f at every start step where its windows fit.
+def robustness_trace(X, f: Formula, *, steps: int | None = None, cache: dict | None = None):
+    """Exact robustness of f at every start step where its windows fit, or
+    at the first `steps` of them.
 
     X is a batch (N, T+1, d) of signals in f's coordinates; returns
-    (N, T+1-horizon(f)).
+    (N, n), where n is T+1-horizon(f), or `steps` if that is smaller. Each
+    subformula is computed only over the start steps its reader needs, and
+    the values equal those columns of the whole trace.
 
     `cache`, a dict the caller makes for one X, keeps the trace of f and of
     every operand of an and/or within f, except an and/or, keyed by the
-    subformula object (which it keeps alive). Formulas that share those
-    objects, such as the deletion candidates of `inference.simplify`,
-    compute each once; an and/or is recomputed from its operands. Cached
-    traces are the same bits as uncached ones; the trace returned may be
-    one of them, so it must not be modified.
+    subformula object (which it keeps alive) and the range of start steps
+    computed. Formulas that share those objects, such as the deletion
+    candidates of `inference.simplify`, compute each once per range; an
+    and/or is recomputed from its operands. Cached traces are the same bits
+    as uncached ones; the trace returned may be one of them, so it must not
+    be modified.
     """
-    return _kept(X, f, None, cache)[0]
+    n = _start_steps(X, f) if steps is None else steps
+    try:
+        return _kept(X, f, None, cache, 0, n)[0]
+    except HorizonExceeded:  # fewer start steps fit than asked for, or none
+        return _kept(X, f, None, cache, 0, _start_steps(X, f))[0]
 
 
 def smooth_trace(X, f: Formula, tau: float):
-    """Smooth robustness of f at temperature tau, shaped as
-    `robustness_trace`'s, as (trace, grad), where grad maps an adjoint of
-    the trace to the gradient with respect to X."""
-    trace, back = _trace(X, f, tau, None)
+    """Smooth robustness of f at temperature tau at every start step where
+    its windows fit, shaped as `robustness_trace`'s, as (trace, grad),
+    where grad maps an adjoint of the trace to the gradient with respect
+    to X."""
+    try:
+        trace, back = _trace(X, f, tau, None, 0, None)
+    except HorizonExceeded:  # a window fits no start step
+        _start_steps(X, f)  # raises, naming it
+        raise
 
     def grad(g):
         gX = np.zeros(np.shape(X))
@@ -250,30 +270,51 @@ def smooth_trace(X, f: Formula, tau: float):
     return trace, grad
 
 
-def _kept(X, f: Formula, tau, cache):
-    """`_trace` of f, taken from the cache or stored in it when a cache is
-    given (exact traces only) and f is not an and/or."""
+def _start_steps(X, f: Formula) -> int:
+    """How many start steps of the signals X f's windows fit. If none, a
+    HorizonExceeded naming the window a bottom-up evaluation meets first:
+    the first subformula, in post-order, whose horizon exceeds T."""
+    T = np.shape(X)[1] - 1
+    if (h := horizon(f)) <= T:
+        return T + 1 - h
+    while over := [c for c in operands(f) if horizon(c) > T]:
+        f = over[0]
+    raise HorizonExceeded(f"formula horizon {horizon(f)} exceeds signal horizon {T}")
+
+
+def _kept(X, f: Formula, tau, cache, lo, hi):
+    """`_trace` of f over [lo, hi), taken from the cache or stored in it
+    when a cache is given (exact traces only) and f is not an and/or."""
     if cache is None or isinstance(f, (And, Or)):
-        return _trace(X, f, tau, cache)
-    if id(f) not in cache:
-        cache[id(f)] = (f, _trace(X, f, tau, cache)[0])
-    return cache[id(f)][1], None
+        return _trace(X, f, tau, cache, lo, hi)
+    key = (id(f), lo, hi)
+    if key not in cache:
+        cache[key] = (f, _trace(X, f, tau, cache, lo, hi)[0])
+    return cache[key][1], None
 
 
-def _trace(X, f: Formula, tau, cache):
-    """The trace of f, exact when tau is None, else smooth at temperature
-    tau, and the backward step of a smooth trace (None for an exact one):
-    back(g, gX) adds the gradient of the trace, weighted by g, into gX. A
-    backward step keeps the shapes of the traces it reduced, not the traces.
-    The cache is passed down to the operands of each and/or (`_kept`); every
-    other trace computed here is new, so an exact one may be changed in
-    place."""
+def _trace(X, f: Formula, tau, cache, lo, hi):
+    """The trace of f at start steps [lo, hi), exact when tau is None, else
+    smooth at temperature tau, and the backward step of a smooth trace
+    (None for an exact one): back(g, gX) adds the gradient of the trace,
+    weighted by g, into gX. A window that does not fit raises a bare
+    HorizonExceeded, which the entries name (`_start_steps`).
+
+    Not, and and or pass their range to every operand, and F/G[a,b] ask
+    theirs for [lo+a, hi+b). A smooth trace takes lo = 0 and hi = None,
+    every start step where f's windows fit, at every node, so and/or cut
+    their operands to the shortest. A backward step keeps the shapes of the
+    traces it reduced, not the traces. The cache is passed down to the
+    operands of each and/or (`_kept`); every other trace computed here is
+    new, so an exact one may be changed in place."""
+    if hi is not None and hi > X.shape[1]:
+        raise HorizonExceeded
     if isinstance(f, Pred):
         # -bound, then each nonzero c_i * x_i in order: exact results keep this order.
         acc = -f.bound
         for i, c in enumerate(f.coeffs):
             if c != 0.0:
-                acc = acc + c * X[:, :, i]
+                acc = acc + c * X[:, lo:hi, i]
         if tau is None:
             return acc, None
 
@@ -284,14 +325,14 @@ def _trace(X, f: Formula, tau, cache):
 
         return acc, back
     if isinstance(f, TrueFormula):
-        return np.full(X.shape[:2], TRUE_ROBUSTNESS), None if tau is None else (lambda g, gX: None)
+        return np.full(X[:, lo:hi].shape[:2], TRUE_ROBUSTNESS), None if tau is None else (lambda g, gX: None)
     if isinstance(f, Not):
-        child, child_back = _trace(X, f.child, tau, cache)
+        child, child_back = _trace(X, f.child, tau, cache, lo, hi)
         if tau is None:  # nothing else reads the child's trace
             return np.negative(child, out=child), None
         return -child, lambda g, gX: child_back(-g, gX)
     if isinstance(f, (And, Or)):
-        parts = [_kept(X, c, tau, cache) for c in f.children]
+        parts = [_kept(X, c, tau, cache, lo, hi) for c in f.children]
         n = min(p.shape[1] for p, _ in parts)
         out, ext_back = _extremum([p[:, :n] for p, _ in parts], isinstance(f, Or), tau)
         if tau is None:
@@ -306,16 +347,19 @@ def _trace(X, f: Formula, tau, cache):
 
         return out, back
     if isinstance(f, (Eventually, Always)):
-        child, child_back = _trace(X, f.child, tau, cache)
-        n = child.shape[1] - f.interval.t2
+        a, b = f.interval.t1, f.interval.t2
+        is_max = isinstance(f, Eventually)
+        if tau is None:  # start step lo+j reads the operand's columns j..j+b-a
+            child = _trace(X, f.child, None, cache, lo + a, hi + b)[0]
+            if hi - lo == 1:
+                return (np.maximum if is_max else np.minimum).reduce(child, axis=1, keepdims=True), None
+            return _extremum([child[:, u : u + hi - lo] for u in range(b - a + 1)], is_max, None)
+        child, child_back = _trace(X, f.child, tau, None, 0, None)
+        n = child.shape[1] - b
         if n < 1:
-            raise HorizonExceeded(
-                f"formula horizon {horizon(f)} exceeds signal horizon {X.shape[1] - 1}"
-            )
-        shifts = range(f.interval.t1, f.interval.t2 + 1)
-        out, ext_back = _extremum([child[:, u : u + n] for u in shifts], isinstance(f, Eventually), tau)
-        if tau is None:
-            return out, None
+            raise HorizonExceeded
+        shifts = range(a, b + 1)
+        out, ext_back = _extremum([child[:, u : u + n] for u in shifts], is_max, tau)
         child_shape = child.shape
 
         def back(g, gX):

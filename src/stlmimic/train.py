@@ -345,8 +345,13 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
     conjoined with a rule in raw units, as (objective, grad), where grad(g)
     is a PolicyParams of the policy's gradients for an adjoint g; the
     classifier's own gradient is not computed, so it cannot drift here."""
-    x0s, env_trajs = samples
     rule_n = normalize_formula(rule, norm) if rule is not None else None
+    return _objective(policy, inf_params, env, samples, shape, norm, rule_n)
+
+
+def _objective(policy, inf_params, env, samples, shape, norm, rule_n):
+    """`policy_objective` with its rule already in normalized units."""
+    x0s, env_trajs = samples
     raw, raw_grad = rollout(env, policy, x0s, env_trajs, vjp=True)
     mapped, map_grad = env.inference_map(raw, vjp=True)
     X, norm_grad = norm.apply(mapped, vjp=True)
@@ -387,12 +392,13 @@ def train_policy(
 
     `env_pool` holds the environment trajectories of the original dataset
     (N, T+1, n_e), as `original_env_pool` gives them; empty for static
-    environments."""
+    environments. The rule, if any, is normalized once for all steps."""
+    rule_n = normalize_formula(rule, norm) if rule is not None else None
     flat = policy0.flatten()
     opt = Adam(flat.size, POLICY_LR)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
-        _, objective_grad = policy_objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule)
+        _, objective_grad = _objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule_n)
         flat = opt.step(flat, -objective_grad(1.0).flatten())  # ascent
     return policy0.with_flat(flat)  # flat is this call's own array
 

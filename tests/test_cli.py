@@ -554,6 +554,8 @@ class TestEval:
         root, data, config, ckpt = trained_driving
         for text, what in (
             ("F[0,80](veg >= 1)", "exceeds signal horizon 57"),
+            # named by the first window, in post-order, that does not fit
+            ("G[0,58](veg >= 0) & F[0,70](vot >= 0)", "formula horizon 58 exceeds signal horizon 57"),
             ("F[0,5](dA >= 1)", "unknown variable"),
             ("F[0,5](veg >= 1", "expected ')', got 'end' (at position 15)"),
             ("F[0,5](veg >= 1e999)", "number '1e999' is not finite (at position 14)"),

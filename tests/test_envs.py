@@ -65,7 +65,7 @@ class TestDynamics:
         g = rng.normal(size=(batch, env.n_agent))
 
         def grad(p):
-            gx, gu = env.step_vjp(p.x, p.u, g)
+            gx, gu = env.step(p.x, p.u, vjp=True)[1](g)
             assert gx.shape == x.shape and gu.shape == u.shape
             return ParamVector(x=gx, u=gu)
 

@@ -97,6 +97,24 @@ class TestRobustness:
         with pytest.raises(HorizonExceeded):
             exact_satisfaction(f, sig1([1, 2])[None], ("x0",))
 
+    @pytest.mark.parametrize(
+        "text, h", [("G[0,58](x0 >= 0) & F[0,70](x1 >= 0)", 58), ("G[0,10](F[0,60](x0 >= 0))", 60)]
+    )
+    def test_horizon_exceeded_names_the_first_window_that_does_not_fit(self, text, h):
+        # the first temporal subformula, in post-order, whose horizon exceeds
+        # T: the one a bottom-up evaluation meets first, not the whole formula
+        X, names = np.zeros((2, 58, 2)), ("x0", "x1")
+        f = parse(text, names)
+        assert horizon(f) == 70
+        for call in (
+            lambda: robustness_trace(X, f),
+            lambda: robustness_trace(X, f, steps=1),
+            lambda: exact_satisfaction(f, X, names),
+            lambda: smooth_trace(X, f, 0.5),
+        ):
+            with pytest.raises(HorizonExceeded, match=f"^formula horizon {h} exceeds signal horizon 57$"):
+                call()
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             exact_satisfaction(pred1(1.0, 0.0), np.zeros((1, 3, 2)), ("a", "b"))
@@ -402,11 +420,32 @@ class TestProperties:
     @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1))
     def test_cached_trace_is_the_uncached_one_bit_for_bit(self, f, seed):
         # one cache over f and its deletion candidates, twice over, as
-        # simplify shares it: hits, and traces negated after they were cached
+        # simplify shares it: hits, and traces negated after they were cached;
+        # each read in full and at step 0 alone, as simplify reads it, so the
+        # cache holds one subformula over several ranges
         X = signals(f, seed)
         cache = {}
         for g in [f, *_deletions(f)] * 2:
-            assert robustness_trace(X, g, cache=cache).tobytes() == robustness_trace(X, g).tobytes()
+            for steps in (None, 1):
+                cached = robustness_trace(X, g, steps=steps, cache=cache)
+                assert cached.tobytes() == robustness_trace(X, g, steps=steps).tobytes()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), extra=st.integers(0, 4))
+    def test_the_first_start_steps_are_the_leading_columns_of_the_whole_trace(self, seed, n, extra):
+        # each subformula is computed only at the start steps its reader
+        # needs; the values are those of the whole trace (== counts -0.0 as
+        # 0.0, since a max or min of a tie may keep either zero)
+        rng = np.random.default_rng(seed)
+        names = ("x0", "x1", "x2")
+        f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
+        X = np.stack([oracle_stl.random_signal(rng, names, horizon(f) + 1 + extra) for _ in range(n)])
+        whole = robustness_trace(X, f)
+        assert whole.shape == (n, extra + 1)
+        for k in range(1, extra + 3):
+            assert np.array_equal(robustness_trace(X, f, steps=k), whole[:, :k])
+        want = [oracle_stl.bool_sat(vals, f, 0) for vals in X]
+        assert exact_satisfaction(f, X, names).tolist() == want
 
     @PROPERTY
     @given(
