@@ -27,7 +27,8 @@ that varies only the gates can reuse the atoms, and one that moves one
 predicate or its atoms' windows can recompute that predicate's atoms
 alone. Every layer reads batches of exactly T+1 samples. Fixed formulas
 are scored by `stl`: an injected rule by `stl.smooth_trace` in
-`combined_smooth`, extracted formulas by `stl.robustness_trace`.
+`combined_smooth`, at t=0 alone, and extracted formulas by
+`stl.robustness_trace`.
 """
 
 from __future__ import annotations
@@ -358,21 +359,20 @@ def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, 
 
 def combined_smooth(X, params, shape, rule: Formula | None):
     """Network scores at the shape's temperature, optionally conjoined with
-    an injected rule (in normalized coordinates, smooth robustness at t=0)
-    through a smooth minimum, as (scores, grad) with grad as for
-    `smooth_robustness`, `with_params` included."""
+    an injected rule (in normalized coordinates) through a smooth minimum,
+    as (scores, grad) with grad as for `smooth_robustness`, `with_params`
+    included. The rule's smooth robustness is computed and differentiated
+    at t=0 alone."""
     if rule is None:
         return smooth_robustness(X, params, shape, vjp=True)
     net, net_grad = smooth_robustness(X, params, shape, vjp=True)
-    trace, trace_grad = stl.smooth_trace(X, rule, shape.tau)
-    scores, scores_grad = smin(np.stack([net, trace[:, 0]]), shape.tau, 0, True)
+    at_0, rule_grad = stl.smooth_trace(X, rule, shape.tau, steps=1)
+    scores, scores_grad = smin(np.stack([net, at_0[:, 0]]), shape.tau, 0, True)
 
     def grad(g, with_params=True):
         g_net, g_rule = scores_grad(g)
         g_params, gX = net_grad(g_net, with_params)
-        g_trace = np.zeros(trace.shape)
-        g_trace[:, 0] = g_rule
-        return g_params, gX + trace_grad(g_trace)
+        return g_params, gX + rule_grad(g_rule[:, None])
 
     return scores, grad
 

@@ -7,23 +7,24 @@ follow the usual min/max recursion.
 One evaluator maps a batch (N, T+1, d) of signals to traces of robustness
 per start step: and/or and each F[a,b]/G[a,b] window reduce shifted slices
 of their operands' traces. It is the package's only STL evaluator, with
-one entry per semantics. `robustness_trace` is exact, with the hard
-min/max, and computes each subformula only over the start steps its reader
-needs: and, or and not pass their range on to every operand, and a window
-[a,b] read at start steps [lo, hi) asks its operand for [lo+a, hi+b), so a
-formula read at t=0 alone takes each window in one reduction. It can keep
-traces in a cache the caller passes, so formulas that share subformulas,
-such as the deletion candidates of `inference.simplify`, compute those
-once. Boolean satisfaction is the sign of exact robustness at t=0, with 0
-counting as satisfied (`inference.exact_satisfaction`). `smooth_trace` is
-smooth, with the soft extrema `smin`/`smax` at a temperature, as in STLCG
-(arXiv 1910.10309), and differentiable: it returns the trace with its
-vector-Jacobian product (VJP), a closure from the same forward pass that
-maps an adjoint of the trace to the gradient of the signals. It computes
-every subformula at every start step where its windows fit, so the shapes
-of its stacked reductions, and the order of the sums in them, do not
-depend on who reads it. The classifier in `inference` is built on the same
-extrema.
+one entry per semantics and one range rule for both: each subformula is
+computed only over the start steps its reader needs. And, or and not pass
+their range on to every operand, and a window [a,b] read at start steps
+[lo, hi) asks its operand for [lo+a, hi+b). `robustness_trace` is exact,
+with the hard min/max, and takes a window read at one start step in one
+reduction. It can keep traces in a cache the caller passes, so formulas
+that share subformulas, such as the deletion candidates of
+`inference.simplify`, compute those once. Boolean satisfaction is the sign
+of exact robustness at t=0, with 0 counting as satisfied
+(`inference.exact_satisfaction`). `smooth_trace` is smooth, with the soft
+extrema `smin`/`smax` at a temperature, as in STLCG (arXiv 1910.10309),
+and differentiable: it returns the trace with its vector-Jacobian product
+(VJP), a closure from the same forward pass that maps an adjoint of the
+trace to the gradient of the signals. On two or more signals its values
+and VJP at the first k start steps are the whole trace's, bit for bit; on
+one they may move in the last bits, as numpy sums an (s, 1, 1) stack
+pairwise and an (s, 1, m > 1) one in order. The classifier in `inference`
+is built on the same extrema.
 
 `operands` and `with_operands` are the one place, besides the evaluator
 and the printer, that knows how each node holds its subformulas.
@@ -244,23 +245,15 @@ def robustness_trace(X, f: Formula, *, steps: int | None = None, cache: dict | N
     as uncached ones; the trace returned may be one of them, so it must not
     be modified.
     """
-    n = _start_steps(X, f) if steps is None else steps
-    try:
-        return _kept(X, f, None, cache, 0, n)[0]
-    except HorizonExceeded:  # fewer start steps fit than asked for, or none
-        return _kept(X, f, None, cache, 0, _start_steps(X, f))[0]
+    return _over_start_steps(X, f, steps, lambda n: _kept(X, f, None, cache, 0, n)[0])
 
 
-def smooth_trace(X, f: Formula, tau: float):
-    """Smooth robustness of f at temperature tau at every start step where
-    its windows fit, shaped as `robustness_trace`'s, as (trace, grad),
-    where grad maps an adjoint of the trace to the gradient with respect
-    to X."""
-    try:
-        trace, back = _trace(X, f, tau, None, 0, None)
-    except HorizonExceeded:  # a window fits no start step
-        _start_steps(X, f)  # raises, naming it
-        raise
+def smooth_trace(X, f: Formula, tau: float, *, steps: int | None = None):
+    """Smooth robustness of f at temperature tau over the start steps
+    `robustness_trace` computes for the same `steps`, shaped as its trace,
+    as (trace, grad), where grad maps an adjoint of the trace to the
+    gradient with respect to X."""
+    trace, back = _over_start_steps(X, f, steps, lambda n: _trace(X, f, tau, None, 0, n))
 
     def grad(g):
         gX = np.zeros(np.shape(X))
@@ -270,13 +263,20 @@ def smooth_trace(X, f: Formula, tau: float):
     return trace, grad
 
 
-def _start_steps(X, f: Formula) -> int:
-    """How many start steps of the signals X f's windows fit. If none, a
-    HorizonExceeded naming the window a bottom-up evaluation meets first:
-    the first subformula, in post-order, whose horizon exceeds T."""
+def _over_start_steps(X, f: Formula, steps, compute):
+    """compute(n) for the first n start steps of the signals X: `steps` of
+    them, or every one where f's windows fit when steps is None or more
+    than fit. If none fits, a HorizonExceeded naming the window a bottom-up
+    evaluation meets first: the first subformula, in post-order, whose
+    horizon exceeds T."""
+    if steps is not None:
+        try:
+            return compute(steps)
+        except HorizonExceeded:  # fewer start steps fit than asked for, or none
+            pass
     T = np.shape(X)[1] - 1
     if (h := horizon(f)) <= T:
-        return T + 1 - h
+        return compute(T + 1 - h)
     while over := [c for c in operands(f) if horizon(c) > T]:
         f = over[0]
     raise HorizonExceeded(f"formula horizon {horizon(f)} exceeds signal horizon {T}")
@@ -297,17 +297,17 @@ def _trace(X, f: Formula, tau, cache, lo, hi):
     """The trace of f at start steps [lo, hi), exact when tau is None, else
     smooth at temperature tau, and the backward step of a smooth trace
     (None for an exact one): back(g, gX) adds the gradient of the trace,
-    weighted by g, into gX. A window that does not fit raises a bare
-    HorizonExceeded, which the entries name (`_start_steps`).
+    weighted by an adjoint g of its shape, into gX. A window that does not
+    fit raises a bare HorizonExceeded, which the entries name.
 
-    Not, and and or pass their range to every operand, and F/G[a,b] ask
-    theirs for [lo+a, hi+b). A smooth trace takes lo = 0 and hi = None,
-    every start step where f's windows fit, at every node, so and/or cut
-    their operands to the shortest. A backward step keeps the shapes of the
-    traces it reduced, not the traces. The cache is passed down to the
-    operands of each and/or (`_kept`); every other trace computed here is
-    new, so an exact one may be changed in place."""
-    if hi is not None and hi > X.shape[1]:
+    Under both semantics not, and and or pass their range to every operand,
+    and F/G[a,b] ask theirs for [lo+a, hi+b); so the operands of an and/or
+    have its shape, and a backward step hands each operand an adjoint of
+    that operand's shape. A backward step keeps the shapes of the traces it
+    reduced, not the traces. The cache is passed down to the operands of
+    each and/or (`_kept`); every other trace computed here is new, so an
+    exact one may be changed in place."""
+    if hi > X.shape[1]:
         raise HorizonExceeded
     if isinstance(f, Pred):
         # -bound, then each nonzero c_i * x_i in order: exact results keep this order.
@@ -321,7 +321,7 @@ def _trace(X, f: Formula, tau, cache, lo, hi):
         def back(g, gX):
             for i, c in enumerate(f.coeffs):
                 if c != 0.0:
-                    gX[:, :, i] += c * g
+                    gX[:, lo:hi, i] += c * g
 
         return acc, back
     if isinstance(f, TrueFormula):
@@ -332,34 +332,28 @@ def _trace(X, f: Formula, tau, cache, lo, hi):
             return np.negative(child, out=child), None
         return -child, lambda g, gX: child_back(-g, gX)
     if isinstance(f, (And, Or)):
-        parts = [_kept(X, c, tau, cache, lo, hi) for c in f.children]
-        n = min(p.shape[1] for p, _ in parts)
-        out, ext_back = _extremum([p[:, :n] for p, _ in parts], isinstance(f, Or), tau)
+        traces, backs = zip(*(_kept(X, c, tau, cache, lo, hi) for c in f.children))
+        out, ext_back = _extremum(traces, isinstance(f, Or), tau)
         if tau is None:
             return out, None
-        children = [(p.shape, child_back) for p, child_back in parts]
 
         def back(g, gX):
-            for (shape, child_back), gp in zip(children, ext_back(g)):
-                padded = np.zeros(shape)
-                padded[:, :n] = gp
-                child_back(padded, gX)
+            for child_back, gp in zip(backs, ext_back(g)):
+                child_back(gp, gX)
 
         return out, back
     if isinstance(f, (Eventually, Always)):
         a, b = f.interval.t1, f.interval.t2
         is_max = isinstance(f, Eventually)
-        if tau is None:  # start step lo+j reads the operand's columns j..j+b-a
-            child = _trace(X, f.child, None, cache, lo + a, hi + b)[0]
-            if hi - lo == 1:
-                return (np.maximum if is_max else np.minimum).reduce(child, axis=1, keepdims=True), None
-            return _extremum([child[:, u : u + hi - lo] for u in range(b - a + 1)], is_max, None)
-        child, child_back = _trace(X, f.child, tau, None, 0, None)
-        n = child.shape[1] - b
-        if n < 1:
-            raise HorizonExceeded
-        shifts = range(a, b + 1)
+        # start step lo+j reads the operand's columns j..j+b-a
+        child, child_back = _trace(X, f.child, tau, cache, lo + a, hi + b)
+        n = hi - lo
+        if tau is None and n == 1:
+            return (np.maximum if is_max else np.minimum).reduce(child, axis=1, keepdims=True), None
+        shifts = range(b - a + 1)
         out, ext_back = _extremum([child[:, u : u + n] for u in shifts], is_max, tau)
+        if tau is None:
+            return out, None
         child_shape = child.shape
 
         def back(g, gX):

@@ -339,18 +339,13 @@ class Adam:
         return x - self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
-def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
+def policy_objective(policy, inf_params, env, samples, shape, norm, rule_n=None):
     """Mean smooth robustness of closed-loop rollouts of the policy from
     `samples` (initial states, environment trajectories), optionally
-    conjoined with a rule in raw units, as (objective, grad), where grad(g)
-    is a PolicyParams of the policy's gradients for an adjoint g; the
-    classifier's own gradient is not computed, so it cannot drift here."""
-    rule_n = normalize_formula(rule, norm) if rule is not None else None
-    return _objective(policy, inf_params, env, samples, shape, norm, rule_n)
-
-
-def _objective(policy, inf_params, env, samples, shape, norm, rule_n):
-    """`policy_objective` with its rule already in normalized units."""
+    conjoined with a rule already in normalized units (`normalize_formula`),
+    as (objective, grad), where grad(g) is a PolicyParams of the policy's
+    gradients for an adjoint g; the classifier's own gradient is not
+    computed, so it cannot drift here."""
     x0s, env_trajs = samples
     raw, raw_grad = rollout(env, policy, x0s, env_trajs, vjp=True)
     mapped, map_grad = env.inference_map(raw, vjp=True)
@@ -398,7 +393,7 @@ def train_policy(
     opt = Adam(flat.size, POLICY_LR)
     for _ in range(cfg.steps):
         samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
-        _, objective_grad = _objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule_n)
+        _, objective_grad = policy_objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule_n)
         flat = opt.step(flat, -objective_grad(1.0).flatten())  # ascent
     return policy0.with_flat(flat)  # flat is this call's own array
 

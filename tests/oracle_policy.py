@@ -10,8 +10,12 @@ each of those functions: every step normalizes its whole state with
 classifier's VJP computes everything. Both forms do the same floating-point
 operations on the same values, so the package must match these functions
 bit for bit, not merely to a tolerance. `policy_objective` composes them as
-`train.policy_objective` composes the package's layers; an injected rule is
-scored by `stl.smooth_trace` with this module's soft extrema.
+`train.policy_objective` composes the package's layers. An injected rule is
+scored by `stl.smooth_trace` with this module's soft extrema, and
+`combined_smooth` is its whole-trace plain form: it computes the rule at
+every start step where its windows fit, reads column 0, and pads the
+adjoint of that column with zeros to the whole trace. The package reads
+the rule at t=0 alone and must match it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from stlmimic import stl
 from stlmimic.envs import NonFiniteState
-from stlmimic.inference import GATE_L, OUT_L, SIGMA_W, InferenceParams, normalize_formula, sigmoid
+from stlmimic.inference import GATE_L, OUT_L, SIGMA_W, InferenceParams, sigmoid
 from stlmimic.policy import PolicyParams, param_grads, zero_hidden
 
 # --- soft extrema ----------------------------------------------------------------
@@ -243,10 +247,9 @@ def rollout(env, params, x0s, env_trajs):
     return out, grad
 
 
-def policy_objective(policy, inf_params, env, samples, shape, norm, rule=None):
+def policy_objective(policy, inf_params, env, samples, shape, norm, rule_n=None):
     """`train.policy_objective`: (objective, grad)."""
     x0s, env_trajs = samples
-    rule_n = normalize_formula(rule, norm) if rule is not None else None
     raw, raw_grad = rollout(env, policy, x0s, env_trajs)
     mapped, map_grad = env.inference_map(raw, vjp=True)
     X, norm_grad = norm.apply(mapped, vjp=True)

@@ -8,20 +8,30 @@ import pytest
 
 from stlmimic import stl, train
 from stlmimic.envs import make_env, rollout
-from stlmimic.inference import NetworkShape, SignalNorm, init_inference, smooth_robustness
+from stlmimic.inference import NetworkShape, SignalNorm, init_inference, normalize_formula, smooth_robustness
 from stlmimic.policy import PolicyShape, init_policy
 
 import helpers
 import oracle_policy
 
+# Per environment, a rule with a window to T, which has one start step, and
+# one whose windows end at T // 2, which has several, of which the package
+# reads t=0 alone.
 RULES = {
-    "unicycle": "G[0,{T}](dO >= 1.5) | F[{t1},{t2}](dA - 0.5*dB <= 3)",
-    "driving": "G[0,{T}](veg <= 6) & F[{t1},{t2}](pot - peg >= 2)",
+    "unicycle": (
+        "G[0,{T}](dO >= 1.5) | F[{t1},{t2}](dA - 0.5*dB <= 3)",
+        "F[0,{h}](dA <= 1) & G[1,{h}](dO >= 1.5)",
+    ),
+    "driving": (
+        "G[0,{T}](veg <= 6) & F[{t1},{t2}](pot - peg >= 2)",
+        "G[0,{h}](veg <= 6) | F[1,{h}](pot - peg >= 2)",
+    ),
 }
 
 
 def _case(env_name: str, seed: int):
-    """A random horizon, batch, policy, classifier and signal normalization."""
+    """A random horizon, batch, policy, classifier and signal normalization,
+    and the environment's rules in raw units."""
     rng = np.random.default_rng(seed)
     env = make_env(env_name)
     env.T = T = int(rng.integers(2, type(env).T + 1))
@@ -38,8 +48,9 @@ def _case(env_name: str, seed: int):
     inf = init_inference(shape, rng)
     norm = SignalNorm.from_arrays(env.inference_map(rollout(env, policy, x0s, env_trajs)))
     t1 = int(rng.integers(0, T + 1))
-    rule = stl.parse(RULES[env_name].format(T=T, t1=t1, t2=int(rng.integers(t1, T + 1))), env.inference_names)
-    return rng, env, policy, (x0s, env_trajs), shape, inf, norm, rule
+    t2 = int(rng.integers(t1, T + 1))
+    rules = [stl.parse(text.format(T=T, t1=t1, t2=t2, h=T // 2), env.inference_names) for text in RULES[env_name]]
+    return rng, env, policy, (x0s, env_trajs), shape, inf, norm, rules
 
 
 def _same(a, b) -> bool:
@@ -73,12 +84,12 @@ def test_classifier_scores_and_gradients_match_the_oracle(env_name, seed):
     assert no_params is None and np.array_equal(signal_only, want_gX)
 
 
-@pytest.mark.parametrize("with_rule", [False, True], ids=["net", "rule"])
+@pytest.mark.parametrize("which_rule", [None, 0, 1], ids=["net", "rule", "early_rule"])
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("env_name", ["unicycle", "driving"])
-def test_policy_objective_and_its_gradient_match_the_oracle(env_name, seed, with_rule):
-    _, env, policy, samples, shape, inf, norm, rule = _case(env_name, seed)
-    rule = rule if with_rule else None
+def test_policy_objective_and_its_gradient_match_the_oracle(env_name, seed, which_rule):
+    _, env, policy, samples, shape, inf, norm, rules = _case(env_name, seed)
+    rule = None if which_rule is None else normalize_formula(rules[which_rule], norm)
     value, grad = train.policy_objective(policy, inf, env, samples, shape, norm, rule)
     want, want_grad = oracle_policy.policy_objective(policy, inf, env, samples, shape, norm, rule)
     assert value == want

@@ -111,6 +111,7 @@ class TestRobustness:
             lambda: robustness_trace(X, f, steps=1),
             lambda: exact_satisfaction(f, X, names),
             lambda: smooth_trace(X, f, 0.5),
+            lambda: smooth_trace(X, f, 0.5, steps=1),
         ):
             with pytest.raises(HorizonExceeded, match=f"^formula horizon {h} exceeds signal horizon 57$"):
                 call()
@@ -446,6 +447,34 @@ class TestProperties:
             assert np.array_equal(robustness_trace(X, f, steps=k), whole[:, :k])
         want = [oracle_stl.bool_sat(vals, f, 0) for vals in X]
         assert exact_satisfaction(f, X, names).tolist() == want
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        extra=st.integers(0, 4),
+        tau=st.sampled_from([0.05, 0.5]),
+    )
+    def test_the_smooth_trace_at_the_first_start_steps_is_the_whole_one_cut(self, seed, n, extra, tau):
+        # the smooth trace takes the exact one's range rule; at the first k
+        # start steps its values are the leading k columns of the whole trace,
+        # and its VJP of a k-column adjoint is the whole VJP of that adjoint
+        # padded with zeros, bit for bit. Batch 1 is left out: numpy sums a
+        # (k, 1, 1) stack pairwise but a (k, 1, m > 1) stack in order, so a
+        # window read at one start step of one signal may move in its last bits.
+        rng = np.random.default_rng(seed)
+        names = ("x0", "x1", "x2")
+        f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
+        X = np.stack([oracle_stl.random_signal(rng, names, horizon(f) + 1 + extra) for _ in range(n)])
+        whole, whole_grad = smooth_trace(X, f, tau)
+        assert whole.shape == (n, extra + 1)
+        g = rng.normal(size=whole.shape)
+        for k in range(1, extra + 3):
+            trace, grad = smooth_trace(X, f, tau, steps=k)
+            assert np.array_equal(trace, whole[:, :k])
+            padded = np.zeros(whole.shape)
+            padded[:, :k] = g[:, :k]
+            assert grad(g[:, :k]).tobytes() == whole_grad(padded).tobytes()
 
     @PROPERTY
     @given(

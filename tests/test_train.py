@@ -456,9 +456,10 @@ class TestPolicyObjective:
             assert isinstance(plain, (np.ndarray, np.floating)) and callable(grad)
             assert np.array_equal(value, plain)
 
-        rule_scores = stl.smooth_trace(X, normalize_formula(rule, norm), shape.tau)[0][:, 0]
+        rule_n = normalize_formula(rule, norm)
+        rule_scores = stl.smooth_trace(X, rule_n, shape.tau)[0][:, 0]
         scores = stl.smin(np.stack([smooth_robustness(X, inf, shape), rule_scores]), shape.tau, 0)
-        value, grad = policy_objective(policy, inf, env, samples, shape, norm, rule)
+        value, grad = policy_objective(policy, inf, env, samples, shape, norm, rule_n)
         assert value == np.sum(scores) / scores.size and callable(grad)
         value, grad = inference_loss(X, labels, inf, shape, 0.2)
         assert value == train._loss_of_scores(smooth_robustness(X, inf, shape), labels, inf, 0.2)
@@ -486,11 +487,13 @@ class TestPolicyObjective:
             uni, uni_shape, uni_norm, uni_inf, PolicyShape(3, 3, 2),
             (np.array([[1.0, 1.5, 0.3], [1.8, 0.7, 1.2]]), np.zeros((2, 21, 0))),
         )
+        drv_rule = stl.parse("G[0,57](veg <= 6) & F[20,40](peg - pot <= -3)", env.inference_names)
+        uni_rule = stl.parse("G[0,20](dO >= 1.5)", uni.inference_names)
         cases = [
             (*driving, None),
-            (*driving, stl.parse("G[0,57](veg <= 6) & F[20,40](peg - pot <= -3)", env.inference_names)),
+            (*driving, normalize_formula(drv_rule, norm)),
             (*unicycle, None),
-            (*unicycle, stl.parse("G[0,20](dO >= 1.5)", uni.inference_names)),
+            (*unicycle, normalize_formula(uni_rule, uni_norm)),
         ]
         for env_i, shape_i, norm_i, inf_i, pshape, samples, rule in cases:
 
