@@ -5,6 +5,13 @@ Every command is reproducible from its arguments plus the config file;
 outputs embed the config digest. Exit codes: 0 success, 2 config error,
 3 data error, 4 training divergence.
 
+One table, `COMMANDS`, gives each command its help line, handler and
+options. `main` builds the parser of the command that its first argument
+names, and no other. Any other first argument goes to `build_parser`, which
+nests every command as a subparser and prints the help or usage error; it
+also reports a command's leftover arguments, so every message reads as
+that one parser's would.
+
 A config is one JSON object with the sections `seed`, `env`, `shape`,
 `inference`, `policy` and `gan`; `default_config` gives the defaults of
 each. Every option is a number and follows one rule,
@@ -522,62 +529,84 @@ def cmd_adjust(args) -> int:
     return EXIT_OK
 
 
+# name -> (help line, handler, options); an option is (flag, add_argument keywords)
+COMMANDS = {
+    "gen-data": ("synthesize an expert dataset", cmd_gen_data, (
+        ("--env", {"choices": ("unicycle", "driving"), "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out", {"required": True}),
+    )),
+    "train": ("run the adversarial training loop", cmd_train, (
+        ("--data", {"required": True}),
+        ("--config", {"required": True}),
+        ("--out", {"required": True, "help": "final checkpoint path"}),
+    )),
+    "extract": ("read the formula out of a checkpoint", cmd_extract, (
+        ("--ckpt", {"required": True}),
+        ("--data", {"default": None, "help": "dataset for simplification"}),
+        ("--out", {"required": True}),
+    )),
+    "eval": ("exact-semantics MCR of a formula file on a dataset", cmd_eval, (
+        ("--formula", {"required": True}),
+        ("--data", {"required": True}),
+    )),
+    "rollout": ("roll out the trained policy", cmd_rollout, (
+        ("--ckpt", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": None}),
+        ("--data", {"default": None}),
+        ("--out", {"required": True}),
+    )),
+    "adjust": ("conjoin a rule and optionally retrain the policy", cmd_adjust, (
+        ("--ckpt", {"required": True}),
+        ("--conjoin", {"required": True, "metavar": "FORMULA"}),
+        ("--retrain", {"action": "store_true"}),
+        ("--data", {"default": None}),
+        ("--rollouts", {"type": int, "default": 20}),
+        ("--out", {"required": True}),
+    )),
+}
+
+
+def _with_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, kwargs in COMMANDS[name][2]:
+        p.add_argument(flag, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Every command nested as a subparser: the parser of help and of
+    errors outside any one command."""
     p = argparse.ArgumentParser(
         prog="stlmimic",
         description="STL task inference + policy synthesis from demonstrations",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    g = sub.add_parser("gen-data", help="synthesize an expert dataset")
-    g.add_argument("--env", choices=("unicycle", "driving"), required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen_data)
-
-    t = sub.add_parser("train", help="run the adversarial training loop")
-    t.add_argument("--data", required=True)
-    t.add_argument("--config", required=True)
-    t.add_argument("--out", required=True, help="final checkpoint path")
-    t.set_defaults(fn=cmd_train)
-
-    e = sub.add_parser("extract", help="read the formula out of a checkpoint")
-    e.add_argument("--ckpt", required=True)
-    e.add_argument("--data", default=None, help="dataset for simplification")
-    e.add_argument("--out", required=True)
-    e.set_defaults(fn=cmd_extract)
-
-    v = sub.add_parser("eval", help="exact-semantics MCR of a formula file on a dataset")
-    v.add_argument("--formula", required=True)
-    v.add_argument("--data", required=True)
-    v.set_defaults(fn=cmd_eval)
-
-    r = sub.add_parser("rollout", help="roll out the trained policy")
-    r.add_argument("--ckpt", required=True)
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--data", default=None)
-    r.add_argument("--out", required=True)
-    r.set_defaults(fn=cmd_rollout)
-
-    a = sub.add_parser("adjust", help="conjoin a rule and optionally retrain the policy")
-    a.add_argument("--ckpt", required=True)
-    a.add_argument("--conjoin", required=True, metavar="FORMULA")
-    a.add_argument("--retrain", action="store_true")
-    a.add_argument("--data", default=None)
-    a.add_argument("--rollouts", type=int, default=20)
-    a.add_argument("--out", required=True)
-    a.set_defaults(fn=cmd_adjust)
+    for name, (help_line, _fn, _options) in COMMANDS.items():
+        _with_options(sub.add_parser(name, help=help_line), name)
     return p
+
+
+def _parse(argv: list) -> tuple:
+    """The command argv names and its parsed options; argparse prints help
+    or a usage error and exits as `build_parser` would."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _with_options(argparse.ArgumentParser(prog=f"stlmimic {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        return name, args
+    args = build_parser().parse_args(argv)
+    return args.cmd, args
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    name, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.fn(args)
+        return COMMANDS[name][1](args)
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -477,13 +477,19 @@ def _deletions(f: Formula):
             yield stl.with_operands(f, ops[:i] + (sub,) + ops[i + 1 :])
 
 
+# the key, with a formula's id, of `simplify`'s marks in a trace cache
+_CHECKED = "names checked"
+
+
 def exact_satisfaction(f: Formula, X: np.ndarray, names, cache: dict | None = None) -> np.ndarray:
     """Whether f holds at t=0 on each signal of the batch X (N, T+1, d),
     over dimensions `names`, under exact semantics (robustness exactly 0
     counts as satisfied). The package's one Boolean reading of a formula:
     it computes each subformula only at the start steps that t=0 reads.
-    `cache` is `stl.robustness_trace`'s, for this X."""
-    stl.check_names(f, names)
+    `cache` is `stl.robustness_trace`'s, for this X; a formula that
+    `simplify` marked in it as checked is not checked against `names` again."""
+    if cache is None or cache.get((_CHECKED, id(f))) is not f:
+        stl.check_names(f, names)
     return stl.robustness_trace(X, f, steps=1, cache=cache)[:, 0] >= 0.0
 
 
@@ -499,13 +505,16 @@ def simplify(f: Formula, X: np.ndarray, names, labels) -> Formula:
     """Greedily delete conjuncts/disjuncts while the exact MCR over the
     batch X does not increase; repeats until no deletion is accepted. The
     candidates share their unchanged subformulas, so one trace cache scores
-    each of those once for the whole call."""
+    each of those once for the whole call. Only f's dimension names are
+    checked: a candidate drops operands of a checked formula, so its
+    predicates are some of f's."""
     cache = {}
     best = exact_mcr(f, X, names, labels, cache)
     improved = True
     while improved:
         improved = False
         for g in _deletions(f):
+            cache[_CHECKED, id(g)] = g
             m = exact_mcr(g, X, names, labels, cache)
             if m <= best:
                 f, best = g, m

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -130,7 +131,7 @@ class TestGenData:
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--env", "driving", "--n", "4", "--negatives", "--out", str(out)])
         assert exc.value.code == EXIT_CONFIG and not out.exists()
-        assert "--negatives" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == "stlmimic: error: unrecognized arguments: --negatives"
 
     def test_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "sp.jsonl"
@@ -142,6 +143,91 @@ class TestGenData:
         )
         assert res.returncode == 0, res.stderr
         assert out.exists()
+
+
+# a complete, valid argv of each command
+VALID_ARGV = {
+    "gen-data": ["--env", "unicycle", "--n", "3", "--out", "o"],
+    "train": ["--data", "d", "--config", "c", "--out", "o"],
+    "extract": ["--ckpt", "k", "--out", "o"],
+    "eval": ["--formula", "f", "--data", "d"],
+    "rollout": ["--ckpt", "k", "--n", "2", "--out", "o"],
+    "adjust": ["--ckpt", "k", "--conjoin", "G[0,1](x >= 0)", "--out", "o"],
+}
+
+
+def _dispatch_cases():
+    cases = [[], ["-h"], ["--help"], ["-h", "eval"], ["bogus"], ["--", "eval"] + VALID_ARGV["eval"]]
+    cases += [["--bogus", "eval"], ["--bogus", "eval"] + VALID_ARGV["eval"]]  # an unknown option before the command
+    for name, argv in VALID_ARGV.items():
+        joined = [f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2])]
+        cases += [
+            [name, "-h"],
+            [name] + argv[2:],  # a required option missing
+            [name, "--n", "x"] + argv,
+            [name] + argv + ["--bogus"],
+            [name] + [a.replace("--data", "--dat") for a in argv],
+            [name] + joined,
+        ]
+    return cases
+
+
+class TestDispatch:
+    """main parses with the named command's parser alone; what it prints and
+    its exit code are those of one parser nesting every command."""
+
+    @staticmethod
+    def reference_main(argv):
+        p = argparse.ArgumentParser(prog="stlmimic", description="STL task inference + policy synthesis from demonstrations")
+        sub = p.add_subparsers(dest="cmd", required=True)
+        for name, (help_line, _fn, options) in cli.COMMANDS.items():
+            s = sub.add_parser(name, help=help_line)
+            for flag, kwargs in options:
+                s.add_argument(flag, **kwargs)
+        args = p.parse_args(argv)
+        return cli.COMMANDS[args.cmd][1](args)
+
+    @pytest.fixture
+    def echoing(self, monkeypatch):
+        """Each command's handler replaced by one that prints its options."""
+        for name, (help_line, _fn, options) in list(cli.COMMANDS.items()):
+            def echo(args, name=name):
+                print(name, sorted((k, v) for k, v in vars(args).items() if k != "cmd"))
+                return EXIT_OK
+
+            monkeypatch.setitem(cli.COMMANDS, name, (help_line, echo, options))
+
+    @staticmethod
+    def outcome(fn, capsys):
+        try:
+            code = fn()
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", _dispatch_cases(), ids=" ".join)
+    def test_matches_one_nested_parser(self, echoing, capsys, argv):
+        got = self.outcome(lambda: main(list(argv)), capsys)
+        assert got == self.outcome(lambda: self.reference_main(list(argv)), capsys)
+
+    def test_reads_sys_argv(self, echoing, capsys, monkeypatch):
+        for argv in ([], ["eval"] + VALID_ARGV["eval"], ["eval", "--bogus"]):
+            monkeypatch.setattr(sys, "argv", ["stlmimic"] + argv)
+            got = self.outcome(main, capsys)
+            assert got == self.outcome(lambda: self.reference_main(list(argv)), capsys)
+
+    def test_builds_only_the_named_commands_options(self, echoing, capsys, monkeypatch):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(parser, *flags, **kwargs):
+            calls.append(flags)
+            return add_argument(parser, *flags, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main(["eval"] + VALID_ARGV["eval"]) == EXIT_OK
+        assert calls == [("-h", "--help"), ("--formula",), ("--data",)]
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +686,7 @@ class TestExtract:
         with pytest.raises(SystemExit) as exc:
             main(["extract", "--ckpt", str(ckpt), "--threshold", "0.5", "--out", str(out)])
         assert exc.value.code == EXIT_CONFIG and not out.exists()
-        assert "--threshold" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == "stlmimic: error: unrecognized arguments: --threshold 0.5"
 
     def test_other_environments_data_is_data_error(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained

@@ -431,6 +431,22 @@ class TestSimplify:
         scored = [id(g) for g in computed if not isinstance(g, (And, Or))]
         assert sorted(scored) == sorted({id(g) for g in atoms + [a.child for a in atoms]})
 
+    def test_checks_the_formulas_names_once(self, monkeypatch):
+        # a candidate drops operands of a checked formula, so only f is
+        # checked; a formula read with a cache that holds no mark for it is
+        names = ("x0", "x1")
+        f = parse("F[0,2](x0 >= 0) & G[0,1](x1 >= 1) | x0 >= 2", names)
+        rng = np.random.default_rng(5)
+        X, labels = rng.uniform(-2, 2, size=(20, 4, 2)), rng.choice([-1, 1], size=20)
+        for call in (lambda: simplify(f, X, ("a", "b"), labels), lambda: exact_satisfaction(f, X, ("a", "b"), {})):
+            with pytest.raises(stl.DimensionMismatch):
+                call()
+        checked = []
+        check_names = stl.check_names
+        monkeypatch.setattr(stl, "check_names", lambda g, dims: checked.append(g) or check_names(g, dims))
+        assert simplify(f, X, names, labels) != f
+        assert checked == [f]
+
     def test_never_increases_mcr(self):
         rng = np.random.default_rng(71)
         names = ("x0", "x1")
