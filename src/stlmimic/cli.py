@@ -85,7 +85,7 @@ import numpy as np
 
 from . import dataio, stl, train
 from .dataio import Checkpoint, config_digest
-from .envs import ExpertFailure, NonFiniteState, make_env, rollout
+from .envs import ExpertFailure, make_env
 from .inference import (
     InferenceParams,
     NetworkShape,
@@ -94,12 +94,12 @@ from .inference import (
     extract_formula,
     simplify,
 )
-from .policy import PolicyParams, PolicyShape
+from .policy import NonFiniteState, PolicyParams, PolicyShape, rollout
 from .train import (
     GanConfig,
     InferenceTrainConfig,
     PolicyTrainConfig,
-    _draw_samples,
+    draw_samples,
     gan_loop,
     generated_rows,
     original_env_pool,
@@ -356,7 +356,7 @@ def _out_dir(path: str) -> str:
 def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, path: str, tag: str) -> None:
     """Roll the policy out from n drawn samples and write the CSV, stamped
     with the checkpoint's config digest."""
-    rows = rollout(env, pol, *_draw_samples(env, env_pool, n, rng))
+    rows = rollout(env, pol, *draw_samples(env, env_pool, n, rng))
     dataio.export_rollouts(
         rows, tuple(env.agent_names) + tuple(env.env_names), path, tag,
         comment=f"config={ck.extra.get('config_digest', '')}",

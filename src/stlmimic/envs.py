@@ -1,22 +1,14 @@
 """Case-study environments: known agent dynamics, initial-state sampling,
 scripted behaviors standing in for the unknown environment distribution,
-the batched closed-loop rollout, and expert dataset generation.
+and expert dataset generation.
 
 Every setting of an environment, its horizon `T` included, is a class
 attribute; instances are stateless, and stepping and sampling are pure
-given their inputs. The dynamics and the policy run on plain arrays over
-batches. Asked for a vector-Jacobian product (VJP), `rollout` also
-returns a closure that backpropagates through time (BPTT) into the
-policy parameters, over the steps its forward kept, through the VJP that
-each environment's `step` returns when asked; its forward is the same
-array code that generates data. Per time step the loop does only what
-the recurrence needs. The cell inputs are kept time-major in one buffer
-whose environment columns are normalized once, before the loop, so a
-step normalizes only the agent's state. With a VJP the forward also
-keeps each step's hidden state, head output and step VJP, and the
-backward pass takes the cell's slope for all steps at once. The
-inference maps (unicycle distances, the driving identity) return their
-VJP the same way.
+given their inputs. The dynamics run on plain arrays over batches. Asked
+for a vector-Jacobian product (VJP), each environment's `step` and its
+inference map (unicycle distances, the driving identity) also return a
+map from an adjoint of their output to adjoints of their inputs;
+`policy.rollout` runs the closed loop and backpropagates through it.
 
 The scripted experts draw their random values one trajectory at a time, in
 a fixed order, and then advance all of a batch's trajectories together: the
@@ -35,25 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
-from .dataio import Dataset, InconsistentHorizon
+from .dataio import Dataset
 from .inference import SignalNorm, exact_satisfaction
-from .policy import (
-    ControlBox,
-    PolicyParams,
-    cell_vjp,
-    param_grads,
-    policy_step,
-    squash_slope,
-    zero_hidden,
-)
+from .policy import ControlBox
 
 
 class ExpertFailure(RuntimeError):
     """A scripted expert kept violating its own task; inputs are off."""
-
-
-class NonFiniteState(ArithmeticError):
-    """Rollout produced NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -398,69 +378,3 @@ def make_env(name: str):
     if name not in envs:
         raise ValueError(f"unknown environment {name!r}; choices: {sorted(envs)}")
     return envs[name]()
-
-
-# --- closed-loop rollouts ------------------------------------------------------
-
-
-def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
-    """Closed-loop raw trajectories (N, T+1, n_a + n_e) from N initial
-    agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
-    one batched policy step per time step. The cell inputs are kept
-    time-major (T, N, n_a + n_e): the environment columns are normalized
-    once, before the loop, and each step normalizes only the agent's
-    state. With vjp, (trajectories, grad), where grad maps an adjoint of
-    the trajectories to a PolicyParams of gradients by BPTT: per time step
-    the VJP that the forward's `env.step` returned, whose control adjoint
-    goes through the squash's slope into the policy step."""
-    x = np.asarray(x0s, dtype=float)
-    env_trajs = np.asarray(env_trajs, dtype=float)
-    if env_trajs.shape[1] != env.T + 1:
-        raise InconsistentHorizon(
-            f"environment trajectories have {env_trajs.shape[1]} rows, need {env.T + 1}"
-        )
-    n, n_a = x.shape
-    out = np.empty((n, env.T + 1, n_a + env_trajs.shape[2]))
-    out[:, :, n_a:] = env_trajs
-    out[:, 0, :n_a] = x
-    mid, halfrange = np.asarray(env.state_norm.mid), np.asarray(env.state_norm.halfrange)
-    xins = np.empty((env.T, n, out.shape[2]))  # the cell inputs
-    xins[:, :, n_a:] = (env_trajs[:, :-1].swapaxes(0, 1) - mid[n_a:]) / halfrange[n_a:]
-    mid, halfrange = mid[:n_a], halfrange[:n_a]  # the agent's columns, normalized per step
-    h = zero_hidden(params)
-    if vjp:  # what the backward pass reads, time-major
-        hs = np.zeros((env.T + 1, n, params.hidden))
-        ss = np.empty((env.T, n, env.control_box.dim))
-        step_vjps = [None] * env.T
-    for t, (xin, x_norm) in enumerate(zip(xins, xins[:, :, :n_a])):
-        np.subtract(x, mid, out=x_norm)
-        x_norm /= halfrange
-        u, h, s = policy_step(params, xin, h, env.control_box)
-        if vjp:
-            x, step_vjps[t] = env.step(x, u, vjp=True)
-            hs[t + 1], ss[t] = h, s
-        else:
-            x = env.step(x, u)
-        if not np.isfinite(x).all():
-            finite = np.isfinite(x).all(axis=1)
-            raise NonFiniteState(f"state diverged at step {t + 1}: {x[np.argmin(finite)]}")
-        out[:, t + 1, :n_a] = x
-    if not vjp:
-        return out
-
-    def grad(g):
-        slopes = squash_slope(ss, env.control_box)
-        dtanhs = 1.0 - hs[1:] * hs[1:]
-        gys = np.empty_like(ss)
-        gas = np.empty_like(dtanhs)
-        gx, gh = g[:, env.T, :n_a], np.zeros((n, params.hidden))
-        for t in range(env.T - 1, -1, -1):
-            gx, gu = step_vjps[t](gx)
-            gys[t] = gy = gu * slopes[t]  # through the squash
-            gxin, gh, gas[t] = cell_vjp(params, dtanhs[t], gy, gh)
-            # x_t reaches x_{t+1} through the step, and the cell through the normalisation
-            gx += gxin[:, :n_a] / halfrange
-            gx += g[:, t, :n_a]
-        return PolicyParams(**param_grads(xins, hs, gys, gas))
-
-    return out, grad

@@ -1,11 +1,21 @@
-"""Recurrent control policy with outputs squashed into the control box.
+"""Recurrent control policy with outputs squashed into the control box,
+and its batched closed loop with an environment.
 
 A single Elman-style cell: h' = tanh(W_in x + W_rec h + b); the output
 head maps h' through tanh onto the box interior, so control constraints
 hold for every parameter setting. The step runs on plain arrays.
-Training differentiates whole rollouts through `envs.rollout`, whose
-backward pass uses the step's partials below (`cell_vjp`,
-`squash_slope`, `param_grads`).
+
+`rollout` runs one batched policy step and one environment `step` per
+time step; its forward is the same array code that generates data. Asked
+for a vector-Jacobian product (VJP), it also returns a closure that
+backpropagates through time (BPTT) into the policy parameters, over the
+steps its forward kept, through the VJP that the environment's `step`
+returns when asked. Per time step the loop does only what the recurrence
+needs. The cell inputs are kept time-major in one buffer whose
+environment columns are normalized once, before the loop, so a step
+normalizes only the agent's state. With a VJP the forward also keeps
+each step's hidden state, head output and step VJP, and the backward
+pass takes the cell's and the squash's slopes for all steps at once.
 
 The weights are one `PolicyParams` (a `params.ParamVector`) whose
 `group_shapes` is the layout Adam steps and checkpoints store.
@@ -18,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import InconsistentHorizon
 from .params import ParamVector
+
+
+class NonFiniteState(ArithmeticError):
+    """Rollout produced NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +118,6 @@ def init_policy(shape: PolicyShape, seed) -> PolicyParams:
     )
 
 
-def zero_hidden(params: PolicyParams) -> np.ndarray:
-    return np.zeros(params.hidden)
-
-
 def policy_step(params: PolicyParams, x, h, box: ControlBox):
     """One control step for a state x of shape (n,) or a batch (N, n),
     with hidden state h of shape (H,) or (N, H); returns (u, h', s), where
@@ -117,33 +128,71 @@ def policy_step(params: PolicyParams, x, h, box: ControlBox):
     return s * box.half + box.center, h_new, s
 
 
-def squash_slope(s, box: ControlBox):
-    """du/dy of the box squash at head outputs s = tanh(y)."""
-    return box.half * (1.0 - s * s)
+def rollout(env, params: PolicyParams, x0s, env_trajs, vjp: bool = False):
+    """Closed-loop raw trajectories (N, T+1, n_a + n_e) from N initial
+    agent states (N, n_a) and N environment trajectories (N, T+1, n_e);
+    one batched policy step per time step. With vjp, (trajectories, grad),
+    where grad maps an adjoint of the trajectories to a PolicyParams of
+    gradients by BPTT: per time step the VJP that the forward's `env.step`
+    returned, whose control adjoint goes through the squash's slope into
+    the cell and the head."""
+    x = np.asarray(x0s, dtype=float)
+    env_trajs = np.asarray(env_trajs, dtype=float)
+    if env_trajs.shape[1] != env.T + 1:
+        raise InconsistentHorizon(
+            f"environment trajectories have {env_trajs.shape[1]} rows, need {env.T + 1}"
+        )
+    n, n_a = x.shape
+    out = np.empty((n, env.T + 1, n_a + env_trajs.shape[2]))
+    out[:, :, n_a:] = env_trajs
+    out[:, 0, :n_a] = x
+    mid, halfrange = np.asarray(env.state_norm.mid), np.asarray(env.state_norm.halfrange)
+    xins = np.empty((env.T, n, out.shape[2]))  # the cell inputs
+    xins[:, :, n_a:] = (env_trajs[:, :-1].swapaxes(0, 1) - mid[n_a:]) / halfrange[n_a:]
+    mid, halfrange = mid[:n_a], halfrange[:n_a]  # the agent's columns, normalized per step
+    h = np.zeros(params.hidden)
+    if vjp:  # what the backward pass reads, time-major
+        hs = np.zeros((env.T + 1, n, params.hidden))
+        ss = np.empty((env.T, n, env.control_box.dim))
+        step_vjps = [None] * env.T
+    for t, (xin, x_norm) in enumerate(zip(xins, xins[:, :, :n_a])):
+        np.subtract(x, mid, out=x_norm)
+        x_norm /= halfrange
+        u, h, s = policy_step(params, xin, h, env.control_box)
+        if vjp:
+            x, step_vjps[t] = env.step(x, u, vjp=True)
+            hs[t + 1], ss[t] = h, s
+        else:
+            x = env.step(x, u)
+        if not np.isfinite(x).all():
+            finite = np.isfinite(x).all(axis=1)
+            raise NonFiniteState(f"state diverged at step {t + 1}: {x[np.argmin(finite)]}")
+        out[:, t + 1, :n_a] = x
+    if not vjp:
+        return out
 
+    def grad(g):
+        slopes = env.control_box.half * (1.0 - ss * ss)  # du/dy of the squash
+        dtanhs = 1.0 - hs[1:] * hs[1:]  # the cell's slope
+        gys = np.empty_like(ss)  # adjoints of the head's pre-activations
+        gas = np.empty_like(dtanhs)  # and of the cell's
+        gx, gh = g[:, env.T, :n_a], np.zeros((n, params.hidden))
+        for t in range(env.T - 1, -1, -1):
+            gx, gu = step_vjps[t](gx)
+            gys[t] = gy = gu * slopes[t]
+            gas[t] = ga = (gh + gy @ params.w_out) * dtanhs[t]
+            gxin, gh = ga @ params.w_in, ga @ params.w_rec
+            # x_t reaches x_{t+1} through the step, and the cell through the normalisation
+            gx += gxin[:, :n_a] / halfrange
+            gx += g[:, t, :n_a]
+        # the parameters' gradients, summed over steps and batch rows
+        ga, gy = gas.reshape(-1, params.hidden), gys.reshape(-1, ss.shape[2])
+        return PolicyParams(
+            w_in=ga.T @ xins.reshape(-1, xins.shape[2]),
+            w_rec=ga.T @ hs[:-1].reshape(-1, params.hidden),
+            b_h=ga.sum(axis=0),
+            w_out=gy.T @ hs[1:].reshape(-1, params.hidden),
+            b_out=gy.sum(axis=0),
+        )
 
-def cell_vjp(params: PolicyParams, dtanh, gy, gh):
-    """Backward of one step's cell and head, for batches: from the adjoints
-    gy of the head's pre-activation y and gh of h' to (gx, gh_prev, ga),
-    the adjoints of the step's input x, of its previous hidden state and
-    of the cell's pre-activation. dtanh is the cell's slope 1 - h'^2, which
-    a caller takes for all steps at once."""
-    ga = (gh + gy @ params.w_out) * dtanh
-    return ga @ params.w_in, ga @ params.w_rec, ga
-
-
-def param_grads(xs, hs, gys, gas) -> dict:
-    """Gradients of the five parameter groups, summed over steps and batch
-    rows: xs (..., n) are the cell inputs, hs (T+1, ..., H) the hidden
-    states from h_0 on, gys (..., m) and gas (..., H) the per-step
-    adjoints of the head's and the cell's pre-activations."""
-    n, hidden, m = xs.shape[-1], hs.shape[-1], gys.shape[-1]
-    ga = gas.reshape(-1, hidden)
-    gy = gys.reshape(-1, m)
-    return {
-        "w_in": ga.T @ xs.reshape(-1, n),
-        "w_rec": ga.T @ hs[:-1].reshape(-1, hidden),
-        "b_h": ga.sum(axis=0),
-        "w_out": gy.T @ hs[1:].reshape(-1, hidden),
-        "b_out": gy.sum(axis=0),
-    }
+    return out, grad

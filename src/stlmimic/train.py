@@ -4,11 +4,11 @@ through unrolled dynamics, and the adversarial alternation that grows the
 dataset with policy-generated negatives.
 
 Both gradients are composed from the layers' vector-Jacobian products
-(the `vjp=True` form of each layer, see `inference` and `envs`), all on
-plain arrays: refinement takes the loss back through the classifier to
-its parameters and margin; a policy step takes the mean score back
-through the classifier, the signal normalization, the inference map and
-the closed-loop rollout to the policy weights.
+(the `vjp=True` form of each layer, see `inference`, `envs` and
+`policy`), all on plain arrays: refinement takes the loss back through
+the classifier to its parameters and margin; a policy step takes the
+mean score back through the classifier, the signal normalization, the
+inference map and the closed-loop rollout to the policy weights.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import stl
 from .dataio import Dataset, require, require_counts
-from .envs import rollout, to_dataset
+from .envs import to_dataset
 from .inference import (
     InferenceParams,
     NetworkShape,
@@ -41,7 +41,7 @@ from .inference import (
     windowed_extrema,
 )
 from .params import layout
-from .policy import PolicyParams, PolicyShape, init_policy
+from .policy import PolicyParams, PolicyShape, init_policy, rollout
 
 log = logging.getLogger(__name__)
 
@@ -359,7 +359,7 @@ def policy_objective(policy, inf_params, env, samples, shape, norm, rule_n=None)
     return np.sum(scores) / scores.size, grad
 
 
-def _draw_samples(env, env_pool, m, rng):
+def draw_samples(env, env_pool, m, rng):
     """m initial states (m, n_a) from one `sample_initial` draw, then m
     environment trajectories (m, T+1, n_e): empty for a static environment,
     else rows of the pool `original_env_pool` gives, at indices from one
@@ -392,7 +392,7 @@ def train_policy(
     flat = policy0.flatten()
     opt = Adam(flat.size, POLICY_LR)
     for _ in range(cfg.steps):
-        samples = _draw_samples(env, env_pool, cfg.batch_m, rng)
+        samples = draw_samples(env, env_pool, cfg.batch_m, rng)
         _, objective_grad = policy_objective(policy0.with_flat(flat), inf_params, env, samples, shape, norm, rule_n)
         flat = opt.step(flat, -objective_grad(1.0).flatten())  # ascent
     return policy0.with_flat(flat)  # flat is this call's own array
@@ -460,7 +460,7 @@ def original_env_pool(dataset: Dataset, env):
 
 
 def _generate_negatives(env, policy, env_pool, n, rng, tag) -> Dataset:
-    raws = rollout(env, policy, *_draw_samples(env, env_pool, n, rng))
+    raws = rollout(env, policy, *draw_samples(env, env_pool, n, rng))
     ids = [f"gen-{tag}-{i:05d}" for i in range(n)]
     return to_dataset(env, raws, [-1] * n, ids, [{"source": GENERATED_SOURCE, "round": tag}] * n)
 

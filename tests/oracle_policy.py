@@ -9,7 +9,9 @@ each of those functions: every step normalizes its whole state with
 `SignalNorm.apply`, builds the box's arrays, and stacks its results, and the
 classifier's VJP computes everything. Both forms do the same floating-point
 operations on the same values, so the package must match these functions
-bit for bit, not merely to a tolerance. `policy_objective` composes them as
+bit for bit, not merely to a tolerance. The oracle imports no gradient code
+from the package: its BPTT sums the parameters' gradients with its own
+`param_grads`. `policy_objective` composes them as
 `train.policy_objective` composes the package's layers. An injected rule is
 scored by `stl.smooth_trace` with this module's soft extrema, and
 `combined_smooth` is its whole-trace plain form: it computes the rule at
@@ -25,9 +27,8 @@ from unittest import mock
 import numpy as np
 
 from stlmimic import stl
-from stlmimic.envs import NonFiniteState
 from stlmimic.inference import GATE_L, OUT_L, SIGMA_W, InferenceParams, sigmoid
-from stlmimic.policy import PolicyParams, param_grads, zero_hidden
+from stlmimic.policy import NonFiniteState, PolicyParams
 
 # --- soft extrema ----------------------------------------------------------------
 
@@ -207,8 +208,23 @@ def cell_vjp(params, h_new, gy, gh):
     return ga @ params.w_in, ga @ params.w_rec, ga
 
 
+def param_grads(xins, hs, gys, gas):
+    """The five parameter groups' gradients, summed over steps and batch
+    rows, from the cell inputs, the hidden states from h_0 on, and the
+    adjoints of the head's and the cell's pre-activations."""
+    ga = gas.reshape(-1, hs.shape[-1])
+    gy = gys.reshape(-1, gys.shape[-1])
+    return PolicyParams(
+        w_in=ga.T @ xins.reshape(-1, xins.shape[-1]),
+        w_rec=ga.T @ hs[:-1].reshape(-1, hs.shape[-1]),
+        b_h=ga.sum(axis=0),
+        w_out=gy.T @ hs[1:].reshape(-1, hs.shape[-1]),
+        b_out=gy.sum(axis=0),
+    )
+
+
 def rollout(env, params, x0s, env_trajs):
-    """`envs.rollout(..., vjp=True)`: (trajectories, grad)."""
+    """`policy.rollout(..., vjp=True)`: (trajectories, grad)."""
     step, step_vjp = STEPS[env.name]
     x = np.asarray(x0s, dtype=float)
     env_trajs = np.asarray(env_trajs, dtype=float)
@@ -216,7 +232,7 @@ def rollout(env, params, x0s, env_trajs):
     out = np.empty((n, env.T + 1, n_a + env_trajs.shape[2]))
     out[:, :, n_a:] = env_trajs
     out[:, 0, :n_a] = x
-    h = zero_hidden(params)
+    h = np.zeros(params.hidden)
     xins = np.empty((env.T, n, out.shape[2]))
     hs = np.zeros((env.T + 1, n, params.hidden))
     ss = np.empty((env.T, n, env.control_box.dim))
@@ -242,7 +258,7 @@ def rollout(env, params, x0s, env_trajs):
             gys[t] = gy = gu * slopes[t]
             gxin, gh, gas[t] = cell_vjp(params, hs[t + 1], gy, gh)
             gx = gx + gxin[:, :n_a] / halfrange + g[:, t, :n_a]
-        return PolicyParams(**param_grads(xins, hs, gys, gas))
+        return param_grads(xins, hs, gys, gas)
 
     return out, grad
 

@@ -9,20 +9,18 @@ from stlmimic import stl
 from stlmimic.envs import (
     DrivingEnv,
     ExpertFailure,
-    NonFiniteState,
     Region,
     UnicycleEnv,
     _wrap_angle,
     ego_step,
     make_env,
     preprocess_distances,
-    rollout,
     to_dataset,
     unicycle_step,
 )
 from stlmimic.inference import exact_satisfaction
 from stlmimic.params import ParamVector
-from stlmimic.policy import PolicyParams, PolicyShape, init_policy
+from stlmimic.policy import NonFiniteState, PolicyParams, PolicyShape, init_policy, rollout
 
 import helpers
 from helpers import finite_diff_check

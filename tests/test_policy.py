@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from stlmimic.envs import UnicycleEnv, rollout
+from stlmimic.envs import UnicycleEnv
 from stlmimic.policy import (
     ControlBox,
     PolicyParams,
     PolicyShape,
     init_policy,
     policy_step,
-    zero_hidden,
+    rollout,
 )
 
 from helpers import finite_diff_check
@@ -32,13 +32,13 @@ BOX = ControlBox((-1.0, 0.0), (1.0, 2.0))
 class TestStep:
     def test_zero_weights_give_box_midpoint(self):
         params = zero_params()
-        u, h, _ = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
+        u, h, _ = policy_step(params, np.zeros(3), np.zeros(params.hidden), BOX)
         assert np.allclose(u, [0.0, 1.0])
 
     def test_saturation_approaches_bounds(self):
         params = zero_params()
         params.b_out = np.array([50.0, -50.0])
-        u, _, _ = policy_step(params, np.zeros(3), zero_hidden(params), BOX)
+        u, _, _ = policy_step(params, np.zeros(3), np.zeros(params.hidden), BOX)
         assert u[0] == pytest.approx(1.0, abs=1e-9)
         assert u[1] == pytest.approx(0.0, abs=1e-9)
         assert BOX.lo[0] < u[0] <= BOX.hi[0] and BOX.lo[1] <= u[1] < BOX.hi[1]
@@ -54,7 +54,7 @@ class TestStep:
     def test_control_always_interior(self):
         rng = np.random.default_rng(7)
         params = init_policy(PolicyShape(3, 8, 2), seed=1)
-        h = zero_hidden(params)
+        h = np.zeros(params.hidden)
         for _ in range(200):
             u, h, _ = policy_step(params, rng.uniform(-5, 5, 3), h, BOX)
             assert np.all(u > BOX.lo) and np.all(u < BOX.hi)

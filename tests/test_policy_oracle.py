@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from stlmimic import stl, train
-from stlmimic.envs import make_env, rollout
+from stlmimic.envs import make_env
 from stlmimic.inference import NetworkShape, SignalNorm, init_inference, normalize_formula, smooth_robustness
-from stlmimic.policy import PolicyShape, init_policy
+from stlmimic.policy import PolicyShape, init_policy, rollout
 
 import helpers
 import oracle_policy

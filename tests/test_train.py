@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stlmimic import stl, train
 from stlmimic.dataio import Dataset
-from stlmimic.envs import DrivingEnv, UnicycleEnv, rollout
+from stlmimic.envs import DrivingEnv, UnicycleEnv
 from stlmimic.inference import (
     InferenceParams,
     NetworkShape,
@@ -20,7 +20,7 @@ from stlmimic.inference import (
     smooth_robustness,
 )
 from stlmimic.params import layout
-from stlmimic.policy import PolicyShape, init_policy
+from stlmimic.policy import PolicyShape, init_policy, rollout
 from stlmimic.train import (
     Adam,
     EmptyDataset,
@@ -518,7 +518,7 @@ class TestDrawSamples:
         assert len(pool) == (8 if env.n_env else 0)
         for m, seed in itertools.product((1, 2, 32, 50), range(3)):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            x0s, env_trajs = train._draw_samples(env, pool, m, rng_a)
+            x0s, env_trajs = train.draw_samples(env, pool, m, rng_a)
             rows = env.sample_initial(rng_b, m)
             trajs = pool[rng_b.integers(len(pool), size=m)] if env.n_env else np.zeros((m, env.T + 1, 0))
             assert np.array_equal(x0s, rows) and x0s.shape == (m, env.n_agent)
