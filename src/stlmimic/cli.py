@@ -55,9 +55,11 @@ as a whole; `adjust` names it, and the checkpoint it adjusted
 (`extra["adjusted_from"]`), relative to its `--out`. An absolute name,
 which older checkpoints hold, is read as it is.
 
-Every command that writes `--out` reads and checks its inputs, then refuses
-a directory as `--out` and makes the file's missing parent directories,
-and only then does its work.
+`--out` must name a file. Every command that writes `--out` reads and
+checks its inputs, then refuses a directory as `--out`, and a path that
+names no file: one that is empty or ends in a separator, `.` or `..`. Then
+it makes the file's missing parent directories, and only then does its
+work.
 
 BLAS runs on one thread by default: before numpy is imported, the module
 sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1
@@ -285,8 +287,8 @@ def _parse_rule(text: str, env, where: str) -> stl.Formula:
     parse or runs past the horizon is a ParseError led by `where`."""
     try:
         rule = stl.parse(text, env.inference_names)
-        if stl.horizon(rule) > env.T:
-            raise stl.HorizonExceeded(f"horizon {stl.horizon(rule)} is past the environment horizon {env.T}")
+        if (h := stl.horizon(rule)) > env.T:
+            raise stl.HorizonExceeded(f"horizon {h} is past the environment horizon {env.T}")
     except ValueError as exc:
         raise dataio.ParseError(f"{where} {text!r}: {exc}") from exc
     return rule
@@ -345,9 +347,12 @@ def _env_pool(ck: Checkpoint, env, data_path, ckpt_path: str):
 
 
 def _out_dir(path: str) -> str:
-    """The directory of the output file `path`, made if missing; refuses a directory as --out."""
+    """The directory of the output file `path`, made if missing; refuses a
+    directory as --out, and a path whose last component names no file."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"--out {path} is a directory")
+    if os.path.basename(path) in ("", ".", ".."):
+        raise dataio.ParseError(f"--out {path!r} names no file")
     out_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(out_dir, exist_ok=True)
     return out_dir

@@ -29,6 +29,13 @@ is built on the same extrema.
 `operands` and `with_operands` are the one place, besides the evaluator
 and the printer, that knows how each node holds its subformulas.
 
+`parse` reads formula text and `print_formula` writes it, so that
+parse(print_formula(f)) == f. One regex scan makes every token, and the
+parser builds `|` and `&` with one n-ary rule, `&` binding tighter; the
+printer writes both through one branch. Malformed text raises a
+FormulaSyntaxError (an UnknownVariable for a name outside the dimensions),
+whose `pos` is where in the text the fault is.
+
 Everything here is a pure function over immutable values and safe to use
 concurrently.
 """
@@ -385,49 +392,42 @@ def conjoin(f1: Formula, f2: Formula) -> Formula:
 
 # --- parsing ----------------------------------------------------------------
 #
-# formula := disj ; disj := conj ('|' conj)* ; conj := unary ('&' unary)*
-# unary   := ('G'|'F') '[' INT ',' INT ']' unary | '!' unary | atom
-# atom    := '(' formula ')' | pred | 'TRUE'
-# pred    := linexpr CMP NUMBER ; CMP := '>=' | '>' | '<=' | '<'
-# linexpr := term (('+'|'-') term)* ; term := NUMBER '*' IDENT | IDENT
+# One regex scan makes every token. Whitespace separates tokens, and the
+# first character that starts no token is an error, whatever follows it.
+#
+# formula := nary('|') ; nary(op) := operand (op operand)*, where an operand
+#            of '|' is nary('&') and one of '&' is unary
+# unary   := ('G'|'F') '[' INT ',' INT ']' unary | '!' unary
+#          | '(' formula ')' | 'TRUE' | pred
+# pred    := linexpr CMP number ; CMP := '>=' | '>' | '<=' | '<'
+# linexpr := term (('+'|'-') term)* ; term := ['-'] NUMBER '*' IDENT | ['-'] IDENT
+# number  := ['-'] NUMBER
 #
 # All four comparators canonicalize onto two forms: `>=`/`>` build a Pred,
 # `<=`/`<` build Not(Pred); strictness distinctions collapse under the
 # quantitative semantics.
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|[()\[\],&|!<>*+\-])"
+    r"|(?P<bad>\S)(?s:.*))"  # a stray character takes the rest: it is the last token
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        toks.append((kind, m.group(), i))
-        i = m.end()
-    toks.append(("eof", "", n))
-    return toks
+    """The (kind, value, position) of each token of text, then ("eof", "", len(text))."""
+    toks = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN_RE.finditer(text)]
+    if toks and toks[-1][0] == "bad":
+        raise FormulaSyntaxError(f"unexpected character {toks[-1][1]!r}", toks[-1][2])
+    return toks + [("eof", "", len(text))]
 
 
 class _Parser:
-    def __init__(self, text: str, dim_names: tuple[str, ...]):
+    def __init__(self, text: str, names: tuple[str, ...]):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.names = tuple(dim_names)
-
-    def peek(self):
-        return self.toks[self.pos]
+        self.names = names
 
     def next(self):
         tok = self.toks[self.pos]
@@ -440,91 +440,71 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {value!r}, got {val or 'end'!r}", at)
 
     def formula(self) -> Formula:
-        f = self.disj()
-        kind, val, at = self.peek()
+        f = self.nary("|")
+        kind, val, at = self.toks[self.pos]
         if kind != "eof":
             raise FormulaSyntaxError(f"unexpected trailing input {val!r}", at)
         return f
 
-    def disj(self) -> Formula:
-        children = [self.conj()]
-        while self.peek()[1] == "|":
-            self.next()
-            children.append(self.conj())
-        return children[0] if len(children) == 1 else Or(tuple(children))
-
-    def conj(self) -> Formula:
-        children = [self.unary()]
-        while self.peek()[1] == "&":
-            self.next()
-            children.append(self.unary())
-        return children[0] if len(children) == 1 else And(tuple(children))
+    def nary(self, op: str) -> Formula:
+        """Operands joined by `op`: `|` joins `&` formulas, `&` joins unary ones."""
+        children = [self.nary("&") if op == "|" else self.unary()]
+        while self.toks[self.pos][1] == op:
+            self.pos += 1
+            children.append(self.nary("&") if op == "|" else self.unary())
+        return children[0] if len(children) == 1 else (Or if op == "|" else And)(tuple(children))
 
     def unary(self) -> Formula:
-        kind, val, at = self.peek()
-        if kind == "ident" and val in ("G", "F") and self.toks[self.pos + 1][1] == "[":
-            self.next()
-            self.expect("[")
+        kind, val, at = self.toks[self.pos]
+        if val in ("G", "F") and self.toks[self.pos + 1][1] == "[":
+            self.pos += 2
             t1 = self.integer()
             self.expect(",")
             t2 = self.integer()
             self.expect("]")
             if t2 < t1:
                 raise FormulaSyntaxError(f"window [{t1},{t2}] has t1 > t2", at)
-            child = self.unary()
-            iv = TimeInterval(t1, t2)
-            return Always(iv, child) if val == "G" else Eventually(iv, child)
+            return (Always if val == "G" else Eventually)(TimeInterval(t1, t2), self.unary())
+        if val not in ("!", "(", "TRUE"):
+            return self.pred()
+        self.pos += 1
         if val == "!":
-            self.next()
             return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, val, at = self.peek()
-        if val == "(":
-            self.next()
-            f = self.disj()
-            self.expect(")")
-            return f
-        if kind == "ident" and val == "TRUE":
-            self.next()
+        if val == "TRUE":
             return TrueFormula()
-        return self.pred()
+        f = self.nary("|")
+        self.expect(")")
+        return f
 
     def integer(self) -> int:
         kind, val, at = self.next()
-        if kind != "num" or any(c in val for c in ".eE"):
+        if not val.isdecimal():
             raise FormulaSyntaxError(f"expected integer, got {val or 'end'!r}", at)
         return int(val)
 
-    def number(self) -> float:
-        sign = 1.0
-        if self.peek()[1] == "-":
-            self.next()
-            sign = -1.0
-        kind, val, at = self.next()
+    def signed(self) -> tuple[float, str, str, int]:
+        """The next token after an optional '-', led by the sign: (sign, kind, value, position)."""
+        tok = self.next()
+        return (-1.0, *self.next()) if tok[1] == "-" else (1.0, *tok)
+
+    def number(self, sign: float, kind: str, val: str, at: int) -> float:
+        """sign times the NUMBER token val, which must be finite."""
         if kind != "num":
             raise FormulaSyntaxError(f"expected number, got {val or 'end'!r}", at)
         return sign * _finite(float(val), f"number {val!r}", at)
 
     def term(self) -> tuple[float, int]:
         """One linear term; returns (coefficient, dimension index)."""
-        sign = 1.0
-        if self.peek()[1] == "-":
-            self.next()
-            sign = -1.0
-        kind, val, at = self.peek()
-        if kind == "num":
-            self.next()
-            self.expect("*")
-            ikind, ident, iat = self.next()
-            if ikind != "ident":
-                raise FormulaSyntaxError(f"expected variable, got {ident!r}", iat)
-            return sign * _finite(float(val), f"number {val!r}", at), self._dim(ident, iat)
+        sign, kind, val, at = self.signed()
         if kind == "ident":
-            self.next()
             return sign, self._dim(val, at)
-        raise FormulaSyntaxError(f"expected term, got {val or 'end'!r}", at)
+        if kind != "num":
+            raise FormulaSyntaxError(f"expected term, got {val or 'end'!r}", at)
+        self.expect("*")
+        ikind, ident, iat = self.next()
+        if ikind != "ident":
+            raise FormulaSyntaxError(f"expected variable, got {ident!r}", iat)
+        return self.number(sign, kind, val, at), self._dim(ident, iat)
 
     def _dim(self, ident: str, at: int) -> int:
         try:
@@ -534,21 +514,19 @@ class _Parser:
 
     def pred(self) -> Formula:
         coeffs = [0.0] * len(self.names)
-        c, i = self.term()
-        coeffs[i] += c
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            at = self.peek()[2]
+        op = "+"
+        while op in ("+", "-"):
+            at = self.toks[self.pos][2]
             c, i = self.term()
             coeffs[i] = _finite(coeffs[i] + (c if op == "+" else -c), f"the coefficient of {self.names[i]!r}", at)
-        kind, cmp_op, at = self.next()
-        if cmp_op not in (">=", ">", "<=", "<"):
-            raise FormulaSyntaxError(f"expected comparator, got {cmp_op or 'end'!r}", at)
-        bound = self.number()
-        if not any(c != 0.0 for c in coeffs):
+            kind, op, at = self.next()
+        if op not in (">=", ">", "<=", "<"):
+            raise FormulaSyntaxError(f"expected comparator, got {op or 'end'!r}", at)
+        bound = self.number(*self.signed())
+        if not any(coeffs):
             raise FormulaSyntaxError("predicate has all-zero coefficients", at)
         p = Pred(tuple(coeffs), bound, self.names)
-        return p if cmp_op in (">=", ">") else Not(p)
+        return p if op in (">=", ">") else Not(p)
 
 
 def _finite(x: float, what: str, at: int) -> float:
@@ -601,19 +579,12 @@ def _pf(f: Formula, level: int) -> str:
     if isinstance(f, (Eventually, Always)):
         op = "F" if isinstance(f, Eventually) else "G"
         return f"{op}[{f.interval.t1},{f.interval.t2}]({_pf(f.child, _PREC_OR)})"
-    if isinstance(f, And):
-        # Same-operator children keep parentheses so structure round-trips.
-        body = " & ".join(
-            f"({_pf(c, _PREC_OR)})" if isinstance(c, (And, Or)) else _pf(c, _PREC_AND)
-            for c in f.children
-        )
-        return f"({body})" if level > _PREC_AND else body
-    if isinstance(f, Or):
-        body = " | ".join(
-            f"({_pf(c, _PREC_OR)})" if isinstance(c, Or) else _pf(c, _PREC_AND + 0)
-            for c in f.children
-        )
-        return f"({body})" if level > _PREC_OR else body
+    if isinstance(f, (And, Or)):
+        # Children print one level above f's own, so a same-operator child
+        # keeps its parentheses and structure round-trips.
+        sep, prec = (" & ", _PREC_AND) if isinstance(f, And) else (" | ", _PREC_OR)
+        body = sep.join(_pf(c, prec + 1) for c in f.children)
+        return f"({body})" if level > prec else body
     raise TypeError(f"not a formula: {f!r}")
 
 

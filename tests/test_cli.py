@@ -891,6 +891,25 @@ class TestOutputPaths:
         assert str(out) in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"] and not any(out.iterdir())
 
+    @pytest.mark.parametrize("cmd", ["gen-data", "train"])
+    @pytest.mark.parametrize("out", ["", "newdir/", "newdir/.."], ids=["empty", "separator", "dotdot"])
+    def test_out_naming_no_file_is_data_error(self, trained, tmp_path, capsys, monkeypatch, cmd, out):
+        """Refused before the work: nothing is written in the working directory
+        or its parent, where the run's files would have gone."""
+        root, data, config, ckpt = trained
+        for owner, name in [(cli, "train_policy"), (UnicycleEnv, "gen_expert")]:
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, **kw: pytest.fail(f"{_name} ran before --out was checked"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = {
+            "gen-data": ["gen-data", "--env", "unicycle", "--n", "2"],
+            "train": ["train", "--data", str(data), "--config", str(config)],
+        }[cmd]
+        assert main(argv + ["--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: --out {out!r} names no file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["work"] and not any(work.iterdir())
+
 
 def _trim_w_in(doc):
     doc["policy_groups"]["w_in"] = [row[:-1] for row in doc["policy_groups"]["w_in"]]

@@ -241,10 +241,16 @@ class TestParse:
             ("x0 >= -1e999", "number '1e999' is not finite", 7),
             ("2*x0 - 1E400*x0 >= 0", "number '1E400' is not finite", 7),
             ("1e308*x0 + 1e308*x0 >= 0", "the coefficient of 'x0' is not finite", 11),
+            ("F[0,1.5](x0 >= 0)", "expected integer, got '1.5'", 4),
+            ("x0 >= y", "expected number, got 'y'", 6),
+            ("x0 >= -", "expected number, got 'end'", 7),
+            ("F[2,1](x0 >= 0)", "window [2,1] has t1 > t2", 0),
+            ("y >= 0", "unknown variable 'y'", 0),
         ],
         ids=[
             "character", "expect", "expect-at-end", "trailing", "variable", "term", "comparator", "all-zero",
-            "infinite-bound", "infinite-coefficient", "coefficient-sum-overflows",
+            "infinite-bound", "infinite-coefficient", "coefficient-sum-overflows", "integer", "number",
+            "number-at-end", "window-order", "unknown-variable",
         ],
     )
     def test_error_message_and_position(self, text, message, pos):
@@ -252,6 +258,7 @@ class TestParse:
             parse(text, ("x0",))
         assert str(err.value) == f"{message} (at position {pos})"
         assert err.value.pos == pos
+        assert isinstance(err.value, UnknownVariable) == message.startswith("unknown variable")
 
     def test_less_than_sugar(self):
         f = parse("x0 < 1.5", ("x0",))
@@ -378,6 +385,26 @@ def signals(f, seed: int, n: int = 3, extra: int = 2) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, horizon(f) + 1 + extra, 2))
 
 
+# pieces of formula text, and characters no token starts with: texts joined
+# from them are mostly malformed, some valid
+TEXT_FRAGMENTS = (
+    "G", "F", "[", ",", "]", "(", ")", "&", "|", "!", ">=", ">", "<=", "<", "*", "+", "-",
+    "0", "1", "2.5", ".5", "3e2", "1e999", "x", "y", "z", "TRUE", " ", "$", "?", "\u00e9",
+)
+
+
+@st.composite
+def formula_texts(draw):
+    """Formula text over NAMES2, mostly malformed: fragments joined at random,
+    or a printed formula with up to 3 characters cut at a random place and a
+    fragment, or nothing, put in their place."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(TEXT_FRAGMENTS), max_size=24)))
+    text = print_formula(draw(formulas(BOUNDED)))
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(st.sampled_from(("",) + TEXT_FRAGMENTS)) + text[i + draw(st.integers(0, 3)) :]
+
+
 def uncached_simplify(f, X, names, labels):
     """simplify's greedy deletion loop, each candidate scored without a cache."""
     best = exact_mcr(f, X, names, labels)
@@ -407,6 +434,17 @@ class TestProperties:
     @given(f=formulas(st.floats(allow_nan=False, allow_infinity=False)))
     def test_parse_of_print_is_the_identity(self, f):
         assert parse(print_formula(f), NAMES2) == f
+
+    @settings(PROPERTY, max_examples=200)
+    @given(text=formula_texts())
+    def test_text_parses_to_a_printable_formula_or_names_its_position(self, text):
+        try:
+            f = parse(text, NAMES2)
+        except FormulaSyntaxError as err:
+            assert 0 <= err.pos <= len(text)
+            assert str(err).endswith(f"(at position {err.pos})")
+        else:
+            assert parse(print_formula(f), NAMES2) == f
 
     @PROPERTY
     @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
