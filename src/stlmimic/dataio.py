@@ -56,6 +56,13 @@ changed in between. A sidecar that cannot be written is skipped without
 changing the result. A pipe or other non-regular input is always parsed
 and gets no sidecar. Deleting a sidecar is always safe.
 
+A rollout CSV (`export_rollouts`) is a `# comment` line, a header, then a
+row (traj_id, t, *values, tag) per step. Its bytes are those of
+`csv.writer` with each value written as `repr(float(v))`, but no row is
+built in Python: one `%` format writes all of a trajectory's rows from a
+template of `%d` ids, literal steps, `%r` values and the tag's row end, so
+writing costs little more than the reprs.
+
 `checked_options` is the one checker of option values read from outside
 the program: each config section and a checkpoint's classifier shape."""
 
@@ -581,17 +588,33 @@ def load_checkpoint(path: str) -> Checkpoint:
 def export_rollouts(trajectories, dim_names, path: str, tag: str, comment: str) -> None:
     """A `# comment` line, then CSV rows (traj_id, t, *dims, tag) for plotting,
     every row ending in the one `tag`. Bytes are those of csv.writer with each
-    value written as repr(float(v))."""
+    value written as repr(float(v)).
+
+    One `%` format writes all of a trajectory's rows. Its template, built once
+    per (rows, width), holds each row's traj_id as `%d`, its step as text, each
+    value as `%r` (the repr of a float) and the row end csv.writer gives the
+    tag, with `%` doubled. The arguments are the trajectory's values with the
+    float i in front of each row, which `%d` prints as the id i."""
     if len(trajectories) == 0:
         raise IoError("no trajectories to export")
     buf = io.StringIO()
     csv.writer(buf).writerow(["", tag])
-    end = buf.getvalue()  # the comma, the tag cell and the CRLF that end each row
+    # the comma, the tag cell and the CRLF that end each row, as template text
+    end = buf.getvalue().replace("%", "%%")
+    templates = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n")
         csv.writer(fh).writerow(["traj_id", "t"] + list(dim_names) + ["tag"])
         for i, arr in enumerate(trajectories):
-            fh.writelines(
-                ",".join([str(i), str(t), *map(repr, row)]) + end
-                for t, row in enumerate(np.asarray(arr, dtype=float).tolist())
-            )
+            arr = np.asarray(arr, dtype=float)
+            if len(arr) == 0:
+                continue  # no rows to write, and a plain [] has no width
+            rows, width = arr.shape
+            if (rows, width) not in templates:
+                templates[rows, width] = "".join(
+                    ",".join(["%d", str(t)] + ["%r"] * width) + end for t in range(rows)
+                )
+            args = np.empty((rows, width + 1))
+            args[:, 0] = i
+            args[:, 1:] = arr
+            fh.write(templates[rows, width] % tuple(args.ravel().tolist()))

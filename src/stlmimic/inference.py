@@ -149,7 +149,7 @@ def init_inference(shape: NetworkShape, rng: np.random.Generator) -> InferencePa
     pred_w = rng.uniform(-1, 1, size=(shape.n_pred, shape.dim))
     for k in range(shape.n_pred // 2):
         row = np.zeros(shape.dim)
-        row[int(rng.integers(shape.dim))] = rng.choice([-1.0, 1.0])
+        row[int(rng.integers(shape.dim))] = (-1.0, 1.0)[int(rng.integers(2))]
         pred_w[k] = row + rng.normal(0, 0.05, size=shape.dim)
     return InferenceParams(
         pred_w=pred_w,

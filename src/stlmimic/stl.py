@@ -394,6 +394,8 @@ def conjoin(f1: Formula, f2: Formula) -> Formula:
 #
 # One regex scan makes every token. Whitespace separates tokens, and the
 # first character that starts no token is an error, whatever follows it.
+# Numbers take the ASCII digits 0-9 alone, so any other digit is such a
+# character.
 #
 # formula := nary('|') ; nary(op) := operand (op operand)*, where an operand
 #            of '|' is nary('&') and one of '&' is unary
@@ -408,7 +410,7 @@ def conjoin(f1: Formula, f2: Formula) -> Formula:
 # quantitative semantics.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|[()\[\],&|!<>*+\-])"
     r"|(?P<bad>\S)(?s:.*))"  # a stray character takes the rest: it is the last token

@@ -661,6 +661,36 @@ class TestExport:
         assert written['a,"quoted" tag'].endswith(b'2,0,7.0,8.0,"a,""quoted"" tag"\r\n')
         assert written[""].endswith(b"2,0,7.0,8.0,\r\n")
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        width=st.integers(0, 3),
+        shapes=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=4),
+        data=st.data(),
+        tag=st.sampled_from(["%", "{}", ",", '"', "", "%d {0} %%r", 'a,"b"{x}%s', "line\r\nend"])
+        | st.text(alphabet='%{},"\r\n ab', max_size=8),
+    )
+    def test_bytes_match_csv_writer_property(self, width, shapes, data, tag):
+        # ragged trajectories, as arrays or plain lists, of values whose repr
+        # is not plain: signed zeros, subnormals, large and small exponents,
+        # nan and inf; tags a `%` format or a str.format would misread
+        special = [0.0, -0.0, 5e-324, -2.2e-308, 1e16, 1e-05, 1e22, np.nan, np.inf, -np.inf, 0.1, -2.5]
+        value = st.sampled_from(special) | st.floats(allow_nan=True, allow_infinity=True)
+        rollouts = []
+        for rows, as_list in shapes:
+            grid = [[data.draw(value) for _ in range(width)] for _ in range(rows)]
+            rollouts.append(grid if as_list else np.array(grid, dtype=float).reshape(rows, width))
+        names = tuple(f"x{k}" for k in range(width))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["traj_id", "t", *names, "tag"])
+        for i, arr in enumerate(rollouts):
+            for t, row in enumerate(np.asarray(arr, dtype=float).reshape(len(arr), width)):
+                writer.writerow([i, t] + [repr(float(v)) for v in row] + [tag])
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "r.csv"
+            export_rollouts(rollouts, names, str(path), tag, comment="config=abc")
+            assert path.read_bytes() == ("# config=abc\n" + buf.getvalue()).encode("utf-8")
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(IoError):
             export_rollouts([], ("x",), str(tmp_path / "no.csv"), "r", comment="c")

@@ -59,6 +59,41 @@ def random_walk_signals(rng, n, T, d, lo=0.0, hi=10.0):
     return out
 
 
+class TestInitInference:
+    @staticmethod
+    def reference(shape, rng):
+        """init_inference with its signed one-hot drawn by rng.choice."""
+        T, n_atoms = shape.horizon, shape.n_atoms
+        lo = rng.uniform(0, 0.6 * T, size=n_atoms)
+        hi = np.minimum(lo + rng.uniform(0.25 * T, T, size=n_atoms), T)
+        pred_w = rng.uniform(-1, 1, size=(shape.n_pred, shape.dim))
+        for k in range(shape.n_pred // 2):
+            row = np.zeros(shape.dim)
+            row[int(rng.integers(shape.dim))] = rng.choice([-1.0, 1.0])
+            pred_w[k] = row + rng.normal(0, 0.05, size=shape.dim)
+        return InferenceParams(
+            pred_w=pred_w,
+            pred_b=rng.uniform(-0.5, 0.5, size=shape.n_pred),
+            win_lo=lo,
+            win_hi=hi,
+            gate=rng.uniform(-2.0, 1.0, size=(shape.n_conj, n_atoms)),
+            out_gate=rng.uniform(0.0, 1.5, size=shape.n_conj),
+        )
+
+    @pytest.mark.parametrize(
+        "n_pred, n_conj, horizon, dim", [(1, 1, 3, 1), (2, 1, 10, 2), (5, 2, 7, 3), (6, 2, 20, 4), (8, 3, 57, 4)]
+    )
+    def test_draws_as_rng_choice_did(self, n_pred, n_conj, horizon, dim):
+        # the same parameters, and the generator left in the same state
+        shape = NetworkShape(n_pred=n_pred, n_conj=n_conj, horizon=horizon, dim=dim)
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = init_inference(shape, rng), self.reference(shape, ref_rng)
+            for name, value in vars(want).items():
+                assert np.array_equal(getattr(got, name), value), (seed, name)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+
 class TestSmoothRobustness:
     def test_degenerate_single_always_atom_tracks_constant(self):
         # One conjunction with a single always-atom over [0, T] on the

@@ -214,19 +214,6 @@ class TestParse:
         assert isinstance(le, Not) and le.child.bound == 10.0
         assert isinstance(gt, Pred) and gt.bound == -1.0
 
-    def test_interval_order_rejected(self):
-        with pytest.raises(FormulaSyntaxError):
-            parse("F[2,1](x0 >= 0)", ("x0",))
-
-    def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
-            parse("y >= 0", ("x0",))
-
-    def test_syntax_error_position(self):
-        with pytest.raises(FormulaSyntaxError) as err:
-            parse("x0 >= ", ("x0",))
-        assert err.value.pos == 6
-
     @pytest.mark.parametrize(
         "text, message, pos",
         [
@@ -246,11 +233,15 @@ class TestParse:
             ("x0 >= -", "expected number, got 'end'", 7),
             ("F[2,1](x0 >= 0)", "window [2,1] has t1 > t2", 0),
             ("y >= 0", "unknown variable 'y'", 0),
+            ("x0 >= ", "expected number, got 'end'", 6),
+            ("G[\u0660,\u0665](x0 >= 1)", "unexpected character '\u0660'", 2),
+            ("x0 >= \u0661.\u0665", "unexpected character '\u0661'", 6),
         ],
         ids=[
             "character", "expect", "expect-at-end", "trailing", "variable", "term", "comparator", "all-zero",
             "infinite-bound", "infinite-coefficient", "coefficient-sum-overflows", "integer", "number",
-            "number-at-end", "window-order", "unknown-variable",
+            "number-at-end", "window-order", "unknown-variable", "bound-missing", "non-ascii-digit-window",
+            "non-ascii-digit-bound",
         ],
     )
     def test_error_message_and_position(self, text, message, pos):
