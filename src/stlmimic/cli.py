@@ -45,21 +45,32 @@ byte what was parsed (see `dataio`). A sidecar takes about FILE's size
 plus 8 bytes per state value on disk; outputs are the same either way, and
 deleting a sidecar is always safe.
 
-Without `--data`, `extract`, `rollout` and `adjust` read the checkpoint's
-own dataset, `extra["augmented_dataset"]`, and check the digest of that
-read against the checkpoint's `dataset_digest`: a file whose digest
-differs is a data error (exit 3) naming it and both digests. A `--data`
-FILE is taken as given, without that check. A checkpoint names its
-dataset relative to its own directory, so a run directory can be moved
-as a whole; `adjust` names it, and the checkpoint it adjusted
-(`extra["adjusted_from"]`), relative to its `--out`. An absolute name,
-which older checkpoints hold, is read as it is.
+`train` writes each row of its growing dataset once, to `dataset.jsonl`
+beside `--out`; the rows whose meta has a `round` are the policy's
+rollouts. Each checkpoint it writes names that file, `extra["dataset_path"]`,
+and the number of its leading rows that the checkpoint was trained on,
+`extra["dataset_rows"]`: a round-boundary snapshot those at the top of its
+round, and the final checkpoint those of the adopted round, with the
+digest that round's snapshot recorded. Without `--data`, `extract`,
+`rollout` and `adjust` read those rows of the checkpoint's own dataset and
+check the digest of that read against the checkpoint's `dataset_digest`:
+a file whose rows differ is a data error (exit 3) naming it and both
+digests, and a file of fewer rows one naming both counts; rows appended
+after them are not read. An older final checkpoint names a file of its
+own, `extra["augmented_dataset"]`, and no row count, and that file is
+read whole. A `--data` FILE is taken as given, without that check. A
+checkpoint names its dataset relative to its own directory, so a run
+directory can be moved as a whole; `adjust` names it as `dataset_path`,
+and the checkpoint it adjusted (`extra["adjusted_from"]`), relative to its
+`--out`. An absolute name, which older checkpoints hold, is read as it is.
 
 `--out` must name a file. Every command that writes `--out` reads and
 checks its inputs, then refuses a directory as `--out`, and a path that
-names no file: one that is empty or ends in a separator, `.` or `..`. Then
-it makes the file's missing parent directories, and only then does its
-work.
+names no file: one that is empty or ends in a separator, `.` or `..`.
+`train` also refuses an `--out` named as a file it writes beside it:
+`dataset.jsonl`, `metrics.csv`, `formula.txt` or `ckpt_iterK.json`. Then
+the command makes the file's missing parent directories, and only then
+does its work.
 
 BLAS runs on one thread by default: before numpy is imported, the module
 sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1
@@ -75,8 +86,8 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
-from itertools import compress
 
 # BLAS on one thread unless the environment says otherwise (see above);
 # numpy reads these when it is imported, so they are set first.
@@ -103,7 +114,6 @@ from .train import (
     PolicyTrainConfig,
     draw_samples,
     gan_loop,
-    generated_rows,
     original_env_pool,
     train_policy,
 )
@@ -229,25 +239,29 @@ def _write_metrics(rows, path: str, digest: str) -> None:
             )
 
 
-def _checkpoint(run: Run, state: train.LoopState, extra: dict, **fields) -> Checkpoint:
-    """A checkpoint of the run's environment name, shape and config, and of
-    the loop state's policy, signal normalization and adopted classifier
-    (empty, with margin 0, before any round is adopted)."""
+def _checkpoint(run: Run, state: train.LoopState, data: dataio.RunDataset, rows: int, extra: dict, **fields):
+    """A checkpoint of the run's environment name, shape and config, of the
+    loop state's policy, signal normalization and adopted classifier (empty,
+    with margin 0, before any round is adopted), and of the first `rows`
+    rows of the run dataset `data`, named with their digest."""
     adopted = state.adopted
     return Checkpoint(
         env={"name": run.env.name}, shape=dataclasses.asdict(run.shape), rule_text=None, config=run.doc,
         inference_groups={} if adopted is None else adopted.inference.to_jsonable(),
         margin=0.0 if adopted is None else float(adopted.margin),
-        policy_groups=state.policy.to_jsonable(), norm=state.norm.to_jsonable(),
-        extra={"config_digest": run.digest, **extra}, **fields,
+        policy_groups=state.policy.to_jsonable(), norm=state.norm.to_jsonable(), dataset_digest=data.digests[rows],
+        extra={"config_digest": run.digest, "dataset_path": os.path.basename(data.path), "dataset_rows": rows,
+               **extra}, **fields,
     )
 
 
 def _load_ckpt_parts(path: str):
     ck = dataio.load_checkpoint(path)
-    own = ck.extra.get("augmented_dataset")
-    if own is not None and not isinstance(own, str):
-        raise dataio.ParseError(f"{path}: extra.augmented_dataset must be a file name, got {own!r}")
+    for key in ("dataset_path", "augmented_dataset"):
+        if (own := ck.extra.get(key)) is not None and not isinstance(own, str):
+            raise dataio.ParseError(f"{path}: extra.{key} must be a file name, got {own!r}")
+    if (rows := ck.extra.get("dataset_rows")) is not None and not (type(rows) is int and rows >= 0):
+        raise dataio.ParseError(f"{path}: extra.dataset_rows must be a non-negative integer, got {rows!r}")
     if ck.extra.get("boundary"):
         raise dataio.ParseError(f"{path}: a round-boundary snapshot for resuming, not a trained model")
     if not ck.inference_groups or not ck.norm:
@@ -302,24 +316,26 @@ def _read_data(path: str, env=None) -> dataio.Dataset:
 
 
 def _own_dataset(ck: Checkpoint, ckpt_path: str):
-    """The path of the checkpoint's own dataset, whose name is relative to
-    the checkpoint's directory (an absolute name stays as it is); None if
-    it names none."""
-    name = ck.extra.get("augmented_dataset")
+    """The path of the checkpoint's own dataset, `dataset_path` or, in an
+    older checkpoint, `augmented_dataset`, whose name is relative to the
+    checkpoint's directory (an absolute name stays as it is); None if it
+    names none."""
+    name = ck.extra.get("dataset_path", ck.extra.get("augmented_dataset"))
     return os.path.join(os.path.dirname(ckpt_path), name) if name else None
 
 
 def _ckpt_data(ck: Checkpoint, env, data_path, ckpt_path: str):
     """The dataset file a checkpoint command reads and its dataset: `data_path`
-    as given, else the checkpoint's own, whose read must give its dataset_digest
-    (a ParseError naming the file and both digests otherwise). The dataset is
-    None, and the path too if none is named, when there is no such file."""
+    as given, else the first `dataset_rows` rows of the checkpoint's own,
+    whose read must give its dataset_digest (a ParseError naming the file and
+    both digests otherwise). The dataset is None, and the path too if none is
+    named, when there is no such file."""
     if data_path is not None:
         return data_path, _read_data(data_path, env)
     path = _own_dataset(ck, ckpt_path)
     if path is None or not os.path.exists(path):
         return path, None
-    ds = dataio.load_dataset(path)
+    ds = dataio.load_dataset(path, ck.extra.get("dataset_rows"))  # no row count: the whole file
     if ds.digest != ck.dataset_digest:
         raise dataio.ParseError(
             f"{path}: digest {ds.digest} is not the dataset_digest {ck.dataset_digest} of {ckpt_path};"
@@ -393,21 +409,18 @@ def cmd_train(args) -> int:
     ds = _read_data(args.data, run.env)
     if ds.count(1) == 0:
         raise dataio.ParseError(f"{args.data}: no positive rows; train learns from demonstrations")
+    name = os.path.basename(args.out)
+    if re.fullmatch(r"dataset\.jsonl|metrics\.csv|formula\.txt|ckpt_iter[1-9][0-9]*\.json", name):  # the run's files
+        raise dataio.ParseError(f"--out {args.out} names a file that train writes beside it")
     out_dir = _out_dir(args.out)
 
     run_data = dataio.RunDataset(os.path.join(out_dir, "dataset.jsonl"), config_digest=run.digest)
 
     def checkpoint_cb(state):
-        digest = run_data.extend(state.dataset)
-        extra = {
-            "boundary": True,
-            "metrics": list(state.metrics),
-            "dataset_path": os.path.basename(run_data.path),
-            "dataset_rows": len(run_data.lines),
-        }
-        ck = _checkpoint(
-            run, state, extra, gan_iteration=state.iteration, rng_state=state.rng_state, dataset_digest=digest
-        )
+        run_data.extend(state.dataset)
+        extra = {"boundary": True, "metrics": list(state.metrics)}
+        ck = _checkpoint(run, state, run_data, len(state.dataset), extra, gan_iteration=state.iteration,
+                         rng_state=state.rng_state)
         dataio.save_checkpoint(ck, os.path.join(out_dir, f"ckpt_iter{state.iteration}.json"))
 
     state = gan_loop(
@@ -421,21 +434,15 @@ def cmd_train(args) -> int:
         checkpoint_cb=checkpoint_cb,
     )
 
-    # the adopted round's dataset leads the full one, whose rows are all in run_data
-    full, adopted = state.dataset, state.adopted
-    run_data.extend(full)
-    aug_name = "dataset_augmented.jsonl"
-    aug_digest = dataio.write_lines(run_data.lines[: len(adopted.dataset)], os.path.join(out_dir, aug_name))
-    dataio.write_lines(compress(run_data.lines, generated_rows(full)), os.path.join(out_dir, "negatives.jsonl"))
     _write_metrics(state.metrics, os.path.join(out_dir, "metrics.csv"), run.digest)
-    formula_text = stl.print_formula(adopted.formula)
+    formula_text = stl.print_formula(state.adopted.formula)
     with open(os.path.join(out_dir, "formula.txt"), "w", encoding="utf-8") as fh:
         fh.write(formula_text + "\n")
     mcr_exact = float(state.metrics[-1]["mcr_exact"])  # the adopted round's row is the last
-    ck = _checkpoint(
-        run, state, {"augmented_dataset": aug_name, "saturated": state.saturated, "mcr_exact": mcr_exact},
-        gan_iteration=len(state.metrics), rng_state=None, dataset_digest=aug_digest,
-    )
+    # the adopted round's dataset is the run dataset's first rows, as that round's snapshot named them
+    extra = {"saturated": state.saturated, "mcr_exact": mcr_exact}
+    ck = _checkpoint(run, state, run_data, len(state.adopted.dataset), extra, gan_iteration=len(state.metrics),
+                     rng_state=None)
     dataio.save_checkpoint(ck, args.out)
     print(f"final formula: {formula_text}")
     print(f"exact MCR: {mcr_exact!r}")
@@ -510,12 +517,14 @@ def cmd_adjust(args) -> int:
 
     if not np.array_equal(inf.flatten(), inf_before):
         raise RuntimeError("the classifier changed while the policy retrained")
-    # the source's exact MCR scores its formula before the rule was conjoined
+    # the source's exact MCR scores its formula before the rule was conjoined; its
+    # dataset is named as dataset_path, relative to --out, even where it was not
     extra = {**ck.extra, "adjusted_from": os.path.relpath(args.ckpt, out_dir)}
     extra.pop("mcr_exact", None)
+    extra.pop("augmented_dataset", None)
     own = _own_dataset(ck, args.ckpt)
     if own is not None:
-        extra["augmented_dataset"] = os.path.relpath(own, out_dir)
+        extra["dataset_path"] = os.path.relpath(own, out_dir)
     ck2 = dataclasses.replace(
         ck,
         policy_groups=pol.to_jsonable(),

@@ -1,14 +1,18 @@
 """Persistence: labeled trajectory datasets (JSON-Lines), training
 checkpoints (single JSON documents) and rollout CSV exports.
 
-A checkpoint names the dataset it was trained on and records its digest:
-the first 16 hex digits of the sha256 of the dataset file's bytes, as
-`save_dataset` returns them, so `sha256sum FILE | cut -c1-16` checks the
-pairing. A training run appends its rows to one file as its dataset grows
-(`RunDataset`), so a round-boundary snapshot names that file and the
-number of its leading lines it was taken at, `dataset_rows`, and records
-the digest of those lines: `head -n ROWS FILE | sha256sum | cut -c1-16`.
-Config digests are FNV-1a over the canonical JSON.
+One writer, `RunDataset`, writes every dataset file: a training run
+appends its rows to one file as its dataset grows, and `save_dataset`
+writes a whole dataset as a new file. A checkpoint names the dataset it
+was trained on and records its digest, the first 16 hex digits of a
+sha256. A round-boundary snapshot and the final checkpoint both name the
+run's file and the number of its leading lines they were trained on,
+`dataset_rows`, and record the digest of those lines:
+`head -n ROWS FILE | sha256sum | cut -c1-16`. `load_dataset(FILE, ROWS)`
+reads those rows back with that digest. An older final checkpoint names a
+file of its own and no row count, and records the digest of the whole
+file, as `save_dataset` returns it: `sha256sum FILE | cut -c1-16`. Config
+digests are FNV-1a over the canonical JSON.
 
 In memory a dataset is one `Dataset`: a single float block `X` of shape
 (N, T+1, n_agent + n_env) with the agent columns first, a +-1 label array,
@@ -72,6 +76,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -208,54 +213,43 @@ def encoded_rows(ds: Dataset, start: int = 0, config_digest: str | None = None):
         yield (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
 
 
-def write_lines(lines, path: str) -> str:
-    """Write encoded lines to a new file. Returns the dataset digest: the
-    first 16 hex digits of the sha256 of the bytes written."""
-    h = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for line in lines:
-            fh.write(line)
-            h.update(line)
-    return h.hexdigest()[:16]
-
-
 def save_dataset(ds: Dataset, path: str, config_digest: str | None = None) -> str:
-    """One JSON object per line (`encoded_rows`), written one line at a
-    time. Returns the dataset digest."""
-    return write_lines(encoded_rows(ds, config_digest=config_digest), path)
+    """One JSON object per line (`encoded_rows`), written by a new
+    `RunDataset`. Returns the dataset digest."""
+    return RunDataset(path, config_digest).extend(ds)
 
 
 class RunDataset:
-    """A training run's growing dataset as one append-only JSON-Lines file.
+    """A training run's growing dataset as one append-only JSON-Lines file,
+    the one writer of dataset files.
 
-    `extend` encodes and appends only the rows it has not seen, so each row
-    is encoded once per run; the digest of the file so far is kept running.
-    `lines` holds every encoded row, from which files of chosen rows are
-    written without encoding them again."""
+    `extend` encodes and appends only the rows it has not seen, one line at
+    a time, so each row is encoded and written once per run; the digest of
+    the file so far is kept running, and `digests` holds it for each row
+    count the file has had."""
 
     def __init__(self, path: str, config_digest: str | None = None):
         self.path = path
         self.config_digest = config_digest
-        self.lines: list[bytes] = []
         self.ids: list[str] = []
+        self.digests: dict[int, str] = {}
         self._sha = hashlib.sha256()
         open(path, "wb").close()
 
     def extend(self, ds: Dataset) -> str:
         """Append the rows of `ds` past those already written, which must be
         its leading rows. Returns the digest of the file so far, that is of
-        its first len(self.lines) lines."""
-        n = len(self.lines)
+        its first len(self.ids) lines."""
+        n = len(self.ids)
         if ds.ids[:n] != self.ids:
             raise ValueError(f"{self.path}: the dataset does not begin with the {n} rows already written")
-        new = list(encoded_rows(ds, n, self.config_digest))
         with open(self.path, "ab") as fh:
-            fh.writelines(new)
-        for line in new:
-            self._sha.update(line)
-        self.lines += new
+            for line in encoded_rows(ds, n, self.config_digest):
+                fh.write(line)
+                self._sha.update(line)
         self.ids += ds.ids[n:]
-        return self._sha.hexdigest()[:16]
+        digest = self.digests[len(self.ids)] = self._sha.hexdigest()[:16]
+        return digest
 
 
 def open_input(path: str, what: str):
@@ -278,7 +272,7 @@ def read_text(path: str, what: str) -> str:
         raise ParseError(f"{path}: cannot read {what}: not UTF-8 text ({exc})") from exc
 
 
-def load_dataset(path: str) -> Dataset:
+def load_dataset(path: str, rows: int | None = None) -> Dataset:
     """The dataset in the JSON-Lines file at `path`, read through its
     sidecar (see the module docstring), with the digest of the bytes read.
     A regular file whose sidecar is whole, of this version and holds a copy
@@ -286,27 +280,47 @@ def load_dataset(path: str) -> Dataset:
     parsed (`_parse_lines`), and a regular file's parse is stored as its
     sidecar. A bad line, including one that is not UTF-8 or whose horizon
     or dimension names differ from the first line's, raises a ParseError or
-    InconsistentHorizon naming the file and the line."""
+    InconsistentHorizon naming the file and the line.
+
+    Given `rows`, the dataset of the file's first `rows` rows, with the
+    digest of its first `rows` lines (a `RunDataset` file holds one row per
+    line): the whole read's digest when those are all its rows, else that
+    of one sha256 pass over them, which a parse takes as it reads them and
+    a sidecar hit takes from the file again. A file of fewer rows raises a
+    ParseError naming it and both counts."""
+    prefix = []  # the sha256 of the first `rows` lines, once they have been read
     with open_input(path, "dataset") as fh:
-        side = None
+        ds = side = None
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             head, name = os.path.split(path)
             side = os.path.join(head, f".{name}.npz")
             ds = _read_sidecar(side, fh)
-            if ds is not None:
-                return ds
             fh.seek(0)
-        sha = hashlib.sha256()
-        ds = _parse_lines(path, _hashed(fh, sha))
-        ds.digest = sha.hexdigest()[:16]
-        if side is not None:
-            _write_sidecar(ds, side, fh, sha.digest())
-    return ds
+        if ds is None:
+            sha = hashlib.sha256()
+            ds = _parse_lines(path, _hashed(fh, sha, rows, prefix))
+            ds.digest = sha.hexdigest()[:16]
+            if side is not None:
+                _write_sidecar(ds, side, fh, sha.digest())
+        if rows is None or rows == len(ds):
+            return ds
+        if rows > len(ds):
+            raise ParseError(f"{path}: {rows} rows asked for, but the file holds {len(ds)}")
+        if not prefix:  # a sidecar hit, so a regular file: hash its first lines again, to line rows + 1
+            for _ in _hashed(itertools.islice(fh, rows + 1), hashlib.sha256(), rows, prefix):
+                pass
+            if not prefix:
+                raise ParseError(f"{path}: the file lost lines while it was read")
+    return Dataset(ds.X[:rows], ds.labels[:rows], ds.ids[:rows], ds.metas[:rows], ds.agent_names, ds.env_names,
+                   prefix[0].hexdigest()[:16])
 
 
-def _hashed(lines, sha):
-    """The lines, each added to `sha` as it is passed on."""
-    for line in lines:
+def _hashed(lines, sha, rows=None, prefix=None):
+    """The lines, each added to `sha` as it is passed on; a copy of `sha`
+    as it stands after the first `rows` lines is appended to `prefix`."""
+    for n, line in enumerate(lines):
+        if n == rows:
+            prefix.append(sha.copy())
         sha.update(line)
         yield line
 
@@ -527,8 +541,8 @@ class Checkpoint:
     rule_text: str | None
     gan_iteration: int
     rng_state: dict | None
-    # the digest of the dataset file named in extra; of a round-boundary
-    # snapshot, the digest of the first extra["dataset_rows"] lines of it
+    # the digest of the first extra["dataset_rows"] lines of the dataset
+    # file named in extra, or of the whole file where there is no row count
     dataset_digest: str
     config: dict
     extra: dict = field(default_factory=dict)

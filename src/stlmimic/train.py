@@ -443,17 +443,13 @@ class LoopState:
 GENERATED_SOURCE = "policy_rollout"
 
 
-def generated_rows(dataset: Dataset) -> np.ndarray:
-    """Boolean mask of the rows that are policy rollouts."""
-    return np.array([m.get("source") == GENERATED_SOURCE for m in dataset.metas], dtype=bool)
-
-
 def original_env_pool(dataset: Dataset, env):
     """Environment trajectories (N, T+1, n_e) of the demonstration rows (not
     policy rollouts), an EmptyDataset if there are none; [] for a static environment."""
     if env.n_env == 0:
         return []
-    pool = dataset.X[~generated_rows(dataset), :, len(dataset.agent_names) :]
+    demonstrations = np.array([m.get("source") != GENERATED_SOURCE for m in dataset.metas], dtype=bool)
+    pool = dataset.X[demonstrations, :, len(dataset.agent_names) :]
     if len(pool) == 0:
         raise EmptyDataset("no demonstration rows to draw environment trajectories from")
     return pool

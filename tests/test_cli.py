@@ -8,7 +8,6 @@ import os
 import shutil
 import subprocess
 import sys
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from stlmimic import cli, dataio, stl, train
 from stlmimic.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError, Run, default_config, main
 from stlmimic.envs import DrivingEnv, UnicycleEnv
 from stlmimic.inference import InferenceParams, NetworkShape, SignalNorm, exact_mcr
-from stlmimic.train import gan_loop, generated_rows
+from stlmimic.train import GENERATED_SOURCE, gan_loop
 
 import helpers
 
@@ -249,9 +248,11 @@ class TestTrainOutputs:
         assert ckpt.exists()
         assert (run_dir / "metrics.csv").exists()
         assert (run_dir / "formula.txt").exists()
-        assert (run_dir / "negatives.jsonl").exists()
-        assert (run_dir / "dataset_augmented.jsonl").exists()
+        assert (run_dir / "dataset.jsonl").exists()
         assert (run_dir / "ckpt_iter1.json").exists()
+        # the run writes each row once, to dataset.jsonl
+        assert not (run_dir / "negatives.jsonl").exists()
+        assert not (run_dir / "dataset_augmented.jsonl").exists()
 
     def test_metrics_rows_per_iteration(self, trained):
         root, data, config, ckpt = trained
@@ -261,10 +262,12 @@ class TestTrainOutputs:
         assert len(lines) >= 3  # at least one completed iteration
 
     def test_bootstrap_recorded(self, trained):
+        """The negatives are the rows of dataset.jsonl whose meta has a
+        `round`: the bootstrapped ones first."""
         root, data, config, ckpt = trained
-        negs = dataio.load_dataset(str(ckpt.parent / "negatives.jsonl"))
-        assert len(negs) >= TINY["gan"]["n_generate"]
-        assert {m["source"] for m in negs.metas} == {"policy_rollout"}
+        metas = [m for m in dataio.load_dataset(str(ckpt.parent / "dataset.jsonl")).metas if "round" in m]
+        assert [m["round"] for m in metas[: TINY["gan"]["n_generate"]]] == ["boot"] * TINY["gan"]["n_generate"]
+        assert {m["source"] for m in metas} == {"policy_rollout"}
 
     def test_formula_parses(self, trained):
         root, data, config, ckpt = trained
@@ -273,19 +276,16 @@ class TestTrainOutputs:
         assert stl.horizon(f) <= 20
 
     def test_dataset_digest_is_sha256_of_the_named_file(self, trained):
-        """The final checkpoint's digest is of its whole dataset file; a
-        boundary snapshot's is of the leading `dataset_rows` lines of the
-        run dataset that it names."""
+        """The final checkpoint's digest, as a boundary snapshot's, is of the
+        leading `dataset_rows` lines of the run dataset that it names."""
         root, data, config, ckpt = trained
         ckpts = [ckpt] + sorted(ckpt.parent.glob("ckpt_iter*.json"))
         assert len(ckpts) == 1 + TINY["gan"]["max_iterations"]
         for path in ckpts:
             ck = dataio.load_checkpoint(str(path))
-            named = ck.extra.get("augmented_dataset") or ck.extra["dataset_path"]
-            with open(path.parent / named, "rb") as fh:
-                lines = fh.readlines()
-            if "dataset_rows" in ck.extra:
-                lines = lines[: ck.extra["dataset_rows"]]
+            assert ck.extra["dataset_path"] == "dataset.jsonl", path.name
+            with open(path.parent / ck.extra["dataset_path"], "rb") as fh:
+                lines = fh.readlines()[: ck.extra["dataset_rows"]]
             assert ck.dataset_digest == hashlib.sha256(b"".join(lines)).hexdigest()[:16], path.name
 
     def test_env_mismatch_is_data_error(self, trained, tmp_path):
@@ -427,15 +427,23 @@ class TestRunDataset:
         assert rows == [10 + TINY["gan"]["n_generate"], len(lines)]
 
     def test_final_files_are_what_save_dataset_writes(self, trained_with_result, tmp_path):
+        """The run dataset ends as `save_dataset` writes the final dataset.
+        The final checkpoint names its first rows, the adopted round's
+        dataset, with the row count and digest of that round's snapshot; the
+        rows whose meta has a `round` are the policy rollouts."""
         (root, data, config, ckpt), state, _ = trained_with_result
-        digest = dataio.load_checkpoint(str(ckpt)).extra["config_digest"]
-        full = state.dataset
-        negatives = dataio.load_dataset(str(ckpt.parent / "negatives.jsonl"))
-        generated = generated_rows(full)
-        assert negatives.ids == list(compress(full.ids, generated)) and np.array_equal(negatives.X, full.X[generated])
-        for name, ds in (("dataset_augmented.jsonl", state.adopted.dataset), ("negatives.jsonl", negatives)):
+        final = dataio.load_checkpoint(str(ckpt))
+        digest = final.extra["config_digest"]
+        lines = (ckpt.parent / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        for name, ds in (("full.jsonl", state.dataset), ("adopted.jsonl", state.adopted.dataset)):
             dataio.save_dataset(ds, str(tmp_path / name), config_digest=digest)
-            assert (ckpt.parent / name).read_bytes() == (tmp_path / name).read_bytes(), name
+            assert b"".join(lines[: len(ds)]) == (tmp_path / name).read_bytes(), name
+        assert len(lines) == len(state.dataset)
+        snapshot = dataio.load_checkpoint(str(ckpt.parent / f"ckpt_iter{final.gan_iteration}.json"))
+        assert final.extra["dataset_rows"] == snapshot.extra["dataset_rows"] == len(state.adopted.dataset)
+        assert final.dataset_digest == snapshot.dataset_digest
+        rounds = ["round" in json.loads(line)["meta"] for line in lines]
+        assert rounds == [m.get("source") == GENERATED_SOURCE for m in state.dataset.metas] and any(rounds)
 
 
 class TestConfigErrors:
@@ -607,7 +615,7 @@ class TestRetiredOptions:
 class TestEval:
     def test_true_formula_on_balanced_data(self, trained, tmp_path):
         root, data, config, ckpt = trained
-        aug = ckpt.parent / "dataset_augmented.jsonl"
+        aug = ckpt.parent / "dataset.jsonl"
         ds = dataio.load_dataset(str(aug))
         formula = tmp_path / "true.txt"
         formula.write_text("TRUE\n")
@@ -618,12 +626,16 @@ class TestEval:
 
         assert exact_mcr(stl.TrueFormula(), ds.X, ds.dim_names, ds.labels) == ds.count(-1) / len(ds)
 
-    def test_extracted_formula_matches_final_exact_mcr(self, trained, capsys):
+    def test_extracted_formula_matches_final_exact_mcr(self, trained, tmp_path, capsys):
         root, data, config, ckpt = trained
         run_dir = ckpt.parent
         rows = (run_dir / "metrics.csv").read_text().strip().split("\n")[2:]
         final_exact = float(rows[-1].split(",")[2])
-        code = main(["eval", "--formula", str(run_dir / "formula.txt"), "--data", str(run_dir / "dataset_augmented.jsonl")])
+        # the adopted round's dataset: the run dataset's first dataset_rows lines
+        adopted = tmp_path / "adopted.jsonl"
+        n = dataio.load_checkpoint(str(ckpt)).extra["dataset_rows"]
+        adopted.write_bytes(b"".join((run_dir / "dataset.jsonl").read_bytes().splitlines(keepends=True)[:n]))
+        code = main(["eval", "--formula", str(run_dir / "formula.txt"), "--data", str(adopted)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         reported = float([l for l in out.splitlines() if l.startswith("MCR")][0].split()[1])
@@ -910,6 +922,22 @@ class TestOutputPaths:
         assert capsys.readouterr().err == f"data error: --out {out!r} names no file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["work"] and not any(work.iterdir())
 
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "metrics.csv", "formula.txt", "ckpt_iter1.json", "ckpt_iter12.json"])
+    def test_out_naming_a_run_file_is_data_error(self, trained, tmp_path, capsys, monkeypatch, name):
+        """train writes its run files beside --out, so an --out of one of their
+        names is refused before the work: a run directory's files are left as
+        they were, and a missing directory is not made."""
+        root, data, config, ckpt = trained
+        monkeypatch.setattr(cli, "train_policy", lambda *a, **kw: pytest.fail("train_policy ran before --out was checked"))
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        for out in (run / name, tmp_path / "fresh" / name):
+            assert main(["train", "--data", str(data), "--config", str(config), "--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == f"data error: --out {out} names a file that train writes beside it\n"
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
 
 def _trim_w_in(doc):
     doc["policy_groups"]["w_in"] = [row[:-1] for row in doc["policy_groups"]["w_in"]]
@@ -1143,8 +1171,10 @@ class TestEnvironmentPool:
         """Policy rollouts hold no demonstration to draw a lead car from, so
         a driving rollout or retrain given only them writes nothing."""
         root, data, config, ckpt = trained_driving
-        negatives = ckpt.parent / "negatives.jsonl"
-        assert not any(dataio.load_dataset(str(negatives)).labels > 0)
+        negatives = tmp_path / "negatives.jsonl"
+        lines = (ckpt.parent / "dataset.jsonl").read_text().splitlines(keepends=True)
+        negatives.write_text("".join(line for line in lines if json.loads(line)["meta"].get("source") == "policy_rollout"))
+        assert len(dataio.load_dataset(str(negatives))) and not any(dataio.load_dataset(str(negatives)).labels > 0)
         out = tmp_path / "out"
         for argv in (
             ["rollout", "--ckpt", str(ckpt), "--n", "2", "--out", str(out / "r.csv")],
@@ -1158,14 +1188,14 @@ class TestEnvironmentPool:
         root, data, config, ckpt = trained_driving
         reads = []
         load = dataio.load_dataset
-        monkeypatch.setattr(dataio, "load_dataset", lambda path: reads.append(path) or load(path))
+        monkeypatch.setattr(dataio, "load_dataset", lambda path, *a: reads.append(path) or load(path, *a))
         out = tmp_path / "adj.json"
         code = main([
             "adjust", "--ckpt", str(ckpt), "--conjoin", "G[0,57](veg <= 6)", "--retrain",
             "--rollouts", "2", "--out", str(out),
         ])
         assert code == EXIT_OK
-        assert reads == [str(ckpt.parent / "dataset_augmented.jsonl")]
+        assert reads == [str(ckpt.parent / "dataset.jsonl")]
         assert len((tmp_path / "rollouts_adjusted.csv").read_text().strip().split("\n")) == 2 + 2 * 58
 
 
@@ -1174,14 +1204,14 @@ class TestOwnDatasetDigest:
         """Without --data, extract, rollout and adjust check the checkpoint's
         own dataset against its dataset_digest; a --data file is taken as given."""
         doc = json.loads(trained_driving[3].read_text())
-        text = bytearray((trained_driving[3].parent / doc["extra"]["augmented_dataset"]).read_bytes())
+        text = bytearray((trained_driving[3].parent / doc["extra"]["dataset_path"]).read_bytes())
         # one digit of a lead-car value, so the file keeps its length
         at = text.index(b'"env_states": [[') + len(b'"env_states": [[')
         at += 1 if text[at : at + 1] == b"-" else 0
         text[at : at + 1] = b"1" if text[at : at + 1] != b"1" else b"2"
-        data = tmp_path / "dataset_augmented.jsonl"
+        data = tmp_path / "dataset.jsonl"
         data.write_bytes(bytes(text))
-        doc["extra"]["augmented_dataset"] = str(data)
+        doc["extra"]["dataset_path"] = str(data)
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(json.dumps(doc))
         digest = hashlib.sha256(bytes(text)).hexdigest()[:16]
@@ -1204,7 +1234,7 @@ class TestOwnDatasetDigest:
         """The digest checked is that of the one read of the dataset, which a
         sidecar hit gives without hashing the file."""
         ckpt = trained_driving[3]
-        data = str(ckpt.parent / json.loads(ckpt.read_text())["extra"]["augmented_dataset"])
+        data = str(ckpt.parent / json.loads(ckpt.read_text())["extra"]["dataset_path"])
         dataio.load_dataset(data)  # leaves its sidecar
         opened, hashed = [], []
         real_open, real_sha256 = open, hashlib.sha256
@@ -1217,10 +1247,10 @@ class TestOwnDatasetDigest:
 
     def test_malformed_dataset_is_data_error_naming_its_line(self, trained_driving, tmp_path, capsys):
         doc = json.loads(trained_driving[3].read_text())
-        lines = (trained_driving[3].parent / doc["extra"]["augmented_dataset"]).read_bytes().splitlines(keepends=True)
-        data = tmp_path / "dataset_augmented.jsonl"
+        lines = (trained_driving[3].parent / doc["extra"]["dataset_path"]).read_bytes().splitlines(keepends=True)
+        data = tmp_path / "dataset.jsonl"
         data.write_bytes(lines[0] + b"{not json\n" + b"".join(lines[2:]))
-        doc["extra"]["augmented_dataset"] = str(data)
+        doc["extra"]["dataset_path"] = str(data)
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -1229,17 +1259,44 @@ class TestOwnDatasetDigest:
             assert f"{data}:2: " in capsys.readouterr().err, argv[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [True, 2])
-    def test_dataset_name_that_is_not_a_string_is_data_error(self, trained_driving, tmp_path, capsys, value):
-        """A number or true is not read as a file descriptor."""
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("augmented_dataset", True, id="True"),
+            pytest.param("augmented_dataset", 2, id="2"),
+            pytest.param("dataset_path", True, id="path-True"),
+            pytest.param("dataset_path", 2, id="path-2"),
+            pytest.param("dataset_rows", True, id="rows-True"),
+            pytest.param("dataset_rows", -1, id="rows-negative"),
+            pytest.param("dataset_rows", 2.0, id="rows-float"),
+            pytest.param("dataset_rows", "2", id="rows-string"),
+        ],
+    )
+    def test_dataset_name_that_is_not_a_string_is_data_error(self, trained_driving, tmp_path, capsys, key, value):
+        """A number or true is not read as a file descriptor, and a row count
+        is a non-negative integer, not true."""
         doc = json.loads(trained_driving[3].read_text())
-        doc["extra"]["augmented_dataset"] = value
+        doc["extra"][key] = value
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        what = "a non-negative integer" if key == "dataset_rows" else "a file name"
+        out = tmp_path / "out"
+        for argv in own_dataset_commands(ckpt, out):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert f"{ckpt}: extra.{key} must be {what}, got {value!r}" in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
+    def test_rows_past_the_file_are_data_error_naming_both_counts(self, trained_driving, tmp_path, capsys):
+        doc = json.loads(trained_driving[3].read_text())
+        data = trained_driving[3].parent / doc["extra"]["dataset_path"]
+        doc["extra"]["dataset_path"] = str(data)
+        doc["extra"]["dataset_rows"] = n = len(data.read_bytes().splitlines()) + 1
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(json.dumps(doc))
         out = tmp_path / "out"
         for argv in own_dataset_commands(ckpt, out):
             assert main(argv) == EXIT_DATA, argv[0]
-            assert f"{ckpt}: extra.augmented_dataset must be a file name" in capsys.readouterr().err, argv[0]
+            assert f"{data}: {n} rows asked for, but the file holds {n - 1}" in capsys.readouterr().err, argv[0]
         assert not out.exists()
 
 
@@ -1285,9 +1342,78 @@ class TestMovedRun:
         argv = ["extract", "--ckpt", str(moved_run / ckpt / "ckpt.json")]
         assert main(argv + ["--out", str(tmp_path / "own.txt")]) == EXIT_OK
         assert "no dataset available" not in caplog.text
-        data = str(moved_run / "run" / "dataset_augmented.jsonl")
+        data = str(moved_run / "run" / "dataset.jsonl")
         assert main(argv + ["--data", data, "--out", str(tmp_path / "given.txt")]) == EXIT_OK
         assert (tmp_path / "own.txt").read_bytes() == (tmp_path / "given.txt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saturated_driving(tmp_path_factory):
+    """A tiny driving run whose second round saturates, so its final
+    checkpoint names the first rows of its run dataset, and the file of
+    just those rows."""
+    root = tmp_path_factory.mktemp("clisaturated")
+    data, config, ckpt = root / "expert.jsonl", root / "config.json", root / "run" / "ckpt.json"
+    config.write_text(json.dumps({**TINY_DRIVING, "gan": {**TINY_DRIVING["gan"], "max_iterations": 3, "stop_mcr": -1.0}}))
+    assert main(["gen-data", "--env", "driving", "--n", "8", "--seed", "2", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--config", str(config), "--out", str(ckpt)]) == EXIT_OK
+    rows = dataio.load_checkpoint(str(ckpt)).extra["dataset_rows"]
+    head = root / "head.jsonl"
+    head.write_bytes(b"".join((ckpt.parent / "dataset.jsonl").read_bytes().splitlines(keepends=True)[:rows]))
+    return ckpt, head
+
+
+class TestSaturatedRun:
+    """A saturated run adopts a round before its last snapshot: the final
+    checkpoint names the run dataset's first rows, and reads them alone."""
+
+    def test_final_checkpoint_names_the_adopted_rounds_rows(self, saturated_driving):
+        ckpt, head = saturated_driving
+        final = dataio.load_checkpoint(str(ckpt))
+        assert final.extra["saturated"] and final.gan_iteration == 1
+        snapshot = dataio.load_checkpoint(str(ckpt.parent / "ckpt_iter1.json"))
+        assert final.extra["dataset_rows"] == snapshot.extra["dataset_rows"] == 8
+        assert final.dataset_digest == snapshot.dataset_digest == hashlib.sha256(head.read_bytes()).hexdigest()[:16]
+        assert len((ckpt.parent / "dataset.jsonl").read_bytes().splitlines()) == 12
+
+    def test_commands_read_the_rows_as_given_them(self, saturated_driving, tmp_path, caplog):
+        """extract, rollout and adjust write what they write given those
+        rows as --data, from a parse of the run dataset, from its sidecar,
+        and after a valid row is appended to it."""
+        ckpt, head = saturated_driving
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        (run / ".dataset.jsonl.npz").unlink(missing_ok=True)
+        outs = [tmp_path / name for name in ("given", "parsed", "sidecar", "appended")]
+        for out in outs:
+            if out.name == "appended":
+                with open(run / "dataset.jsonl", "ab") as fh:
+                    fh.write((run / "dataset.jsonl").read_bytes().splitlines(keepends=True)[-1])
+            given = ["--data", str(head)] if out.name == "given" else []
+            with pytest.MonkeyPatch.context() as mp:
+                if out.name == "sidecar":
+                    mp.setattr(dataio, "_parse_lines", lambda *a: pytest.fail("parsed where the sidecar was due"))
+                for argv in own_dataset_commands(run / "ckpt.json", out):
+                    assert main(argv + given) == EXIT_OK, (out.name, argv[0])
+            assert (run / ".dataset.jsonl.npz").exists() == (out.name != "given")
+        assert "no dataset available" not in caplog.text
+        for name in ("f.txt", "r.csv", "rollouts_adjusted.csv"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+    def test_edited_leading_row_is_data_error_naming_both_digests(self, saturated_driving, tmp_path, capsys):
+        ckpt, head = saturated_driving
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        lines = (run / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0].replace(b'"id": "', b'"id": "x', 1)
+        (run / "dataset.jsonl").write_bytes(b"".join(lines))
+        digest = hashlib.sha256(b"".join(lines[:8])).hexdigest()[:16]
+        want = dataio.load_checkpoint(str(ckpt)).dataset_digest
+        out = tmp_path / "out"
+        for argv in own_dataset_commands(run / "ckpt.json", out):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert f"{run / 'dataset.jsonl'}: digest {digest} is not the dataset_digest {want}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # the `env` record that older checkpoints hold: the environment's constants
@@ -1336,6 +1462,57 @@ class TestOlderCheckpoints:
             del ck["env"], ck["extra"]["adjusted_from"]
         assert adjusted[1]["extra"].pop("warm_start") == [0.25] * 5
         assert adjusted[0] == adjusted[1]
+
+
+    @pytest.mark.parametrize("env_name, rule", [("unicycle", "G[0,20](dO >= 1.0)"), ("driving", "G[0,57](veg <= 6)")])
+    def test_augmented_dataset_is_read_as_before(
+        self, trained, trained_driving, tmp_path, env_name, rule, capsys, caplog
+    ):
+        """A final checkpoint of the older form names a file of its own,
+        `augmented_dataset`, and no row count, with the digest of the whole
+        file: extract, rollout and adjust write what they write from the new
+        form, an edited copy is a data error naming both digests, and adjust
+        writes the new form."""
+        root, data, config, ckpt = {"unicycle": trained, "driving": trained_driving}[env_name]
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        doc = json.loads(ckpt.read_text())
+        rows = doc["extra"].pop("dataset_rows")
+        doc["extra"]["augmented_dataset"] = doc["extra"].pop("dataset_path").replace("dataset", "dataset_augmented")
+        old_data = run / "dataset_augmented.jsonl"
+        old_data.write_bytes(b"".join((run / "dataset.jsonl").read_bytes().splitlines(keepends=True)[:rows]))
+        (run / "old.json").write_text(json.dumps(doc))
+        new, old = tmp_path / "new", tmp_path / "old"
+        for out, name in ((new, "ckpt.json"), (old, "old.json")):
+            for argv in (
+                ["extract", "--ckpt", str(run / name), "--out", str(out / "f.txt")],
+                ["rollout", "--ckpt", str(run / name), "--n", "3", "--out", str(out / "r.csv")],
+                ["adjust", "--ckpt", str(run / name), "--conjoin", rule, "--retrain", "--rollouts", "2",
+                 "--out", str(out / "adj.json")],
+            ):
+                assert main(argv) == EXIT_OK, argv
+        for name in ("f.txt", "r.csv", "rollouts_adjusted.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        # adjust names the dataset file in the new form, and its row count where the source had one
+        adjusted = [dataio.load_checkpoint(str(d / "adj.json")).extra for d in (new, old)]
+        named = [(d / a["dataset_path"]).resolve() for d, a in zip((new, old), adjusted)]
+        assert named == [(run / "dataset.jsonl").resolve(), old_data.resolve()]
+        assert adjusted[0]["dataset_rows"] == rows and "dataset_rows" not in adjusted[1]
+        assert not any("augmented_dataset" in a for a in adjusted)
+        for d in (new, old):
+            assert main(["extract", "--ckpt", str(d / "adj.json"), "--out", str(d / "adj_f.txt")]) == EXIT_OK
+        assert (new / "adj_f.txt").read_bytes() == (old / "adj_f.txt").read_bytes()
+        assert "no dataset available" not in caplog.text
+        # one digit of the first state value, so the file keeps its length
+        text = bytearray(old_data.read_bytes())
+        at = text.index(b'"agent_states": [[') + len(b'"agent_states": [[')
+        at += 1 if text[at : at + 1] == b"-" else 0
+        text[at : at + 1] = b"1" if text[at : at + 1] != b"1" else b"2"
+        old_data.write_bytes(bytes(text))
+        digest = hashlib.sha256(bytes(text)).hexdigest()[:16]
+        assert main(["extract", "--ckpt", str(run / "old.json"), "--out", str(tmp_path / "edited.txt")]) == EXIT_DATA
+        assert f"{old_data}: digest {digest} is not the dataset_digest {doc['dataset_digest']}" in capsys.readouterr().err
+        assert not (tmp_path / "edited.txt").exists()
 
 
 def own_dataset_commands(ckpt, out):

@@ -540,18 +540,94 @@ class TestRunDataset:
         digests = [run.extend(head), run.extend(ds), run.extend(ds)]
         whole = (tmp_path / "run.jsonl").read_bytes()
         assert save_dataset(ds, str(tmp_path / "saved.jsonl"), config_digest="stamped") == digests[-1]
-        assert (tmp_path / "saved.jsonl").read_bytes() == whole == b"".join(run.lines)
+        assert (tmp_path / "saved.jsonl").read_bytes() == whole
         lines = whole.splitlines(keepends=True)
         assert digests[:2] == [hashlib.sha256(b"".join(lines[:n])).hexdigest()[:16] for n in (2, 6)]
+        assert run.digests == {2: digests[0], 6: digests[1]} and run.ids == ds.ids
         assert [json.loads(line)["meta"]["config_digest"] for line in lines] == ["kept"] + ["stamped"] * 5
         assert [m.get("config_digest") for m in ds.metas] == ["kept"] + [None] * 5  # the metas are unchanged
 
     def test_refuses_rows_that_do_not_extend_it(self, tmp_path):
         run = RunDataset(str(tmp_path / "run.jsonl"))
         run.extend(small_dataset(n=3))
+        whole = (tmp_path / "run.jsonl").read_bytes()
         with pytest.raises(ValueError, match="does not begin with the 3 rows"):
             run.extend(small_dataset(n=2))
-        assert len(run.lines) == 3
+        assert len(run.ids) == 3 and (tmp_path / "run.jsonl").read_bytes() == whole
+
+
+class TestPrefixRead:
+    """`load_dataset(path, rows)` gives what a read of a file holding just
+    the first `rows` lines gives, digest included, whether it parses the
+    file, reads its sidecar or reads a pipe."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    def test_equals_a_read_of_the_leading_lines(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "run.jsonl"
+            RunDataset(str(path), config_digest="stamped").extend(ds)
+            lines = path.read_bytes().splitlines(keepends=True)
+            for k in range(len(ds) + 1):
+                head = Path(d) / "head" / f"{k}.jsonl"
+                head.parent.mkdir(exist_ok=True)
+                head.write_bytes(b"".join(lines[:k]))
+                want = load_dataset(str(head))
+                sidecar(path).unlink(missing_ok=True)
+                assert_same_rows(load_dataset(str(path), k), want)  # a miss, which leaves the sidecar
+                # a hit hashes the file only for a strict prefix
+                with mock.patch.object(dataio, "_parse_lines", parse_fails), \
+                        mock.patch("hashlib.sha256", hash_fails if k == len(ds) else hashlib.sha256):
+                    assert_same_rows(load_dataset(str(path), k), want)
+
+    def test_past_the_last_row_is_a_parse_error_naming_both_counts(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(small_dataset(n=3), str(path))
+        for _ in range(2):  # a parse, then a sidecar hit
+            with pytest.raises(ParseError, match=re.escape(f"{path}: 4 rows asked for, but the file holds 3")):
+                load_dataset(str(path), 4)
+
+    def test_file_cut_after_its_sidecar_hit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(small_dataset(n=3), str(path))
+        load_dataset(str(path))
+        read = dataio._read_sidecar
+
+        def read_then_cut(*args):
+            ds = read(*args)
+            path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:1]))
+            return ds
+
+        with mock.patch.object(dataio, "_read_sidecar", read_then_cut):
+            with pytest.raises(ParseError, match=re.escape(f"{path}: the file lost lines while it was read")):
+                load_dataset(str(path), 2)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_prefix_is_read_in_one_pass(self, tmp_path):
+        """A pipe cannot seek: its prefix digest is taken as it is parsed."""
+        data = b"".join(encoded_rows(small_dataset()))
+        head = tmp_path / "head.jsonl"
+        head.write_bytes(b"".join(data.splitlines(keepends=True)[:4]))
+        fifo = tmp_path / "ds.jsonl"
+        os.mkfifo(fifo)
+        # a daemon: a read that fails before opening the pipe leaves it blocked
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            assert_same_rows(load_dataset(str(fifo), 4), load_dataset(str(head)))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert sorted(os.listdir(tmp_path)) == [".head.jsonl.npz", "ds.jsonl", "head.jsonl"]
+
+
+def assert_same_rows(got, want):
+    """The same rows and digest; a read of no rows has no dimensions to compare."""
+    assert got.digest == want.digest and len(got) == len(want)
+    if len(want):
+        assert_same(got, want)
+    else:
+        assert got.ids == [] and got.metas == [] and got.labels.size == 0
 
 
 class TestCheckpoint:
