@@ -68,9 +68,11 @@ and the checkpoint it adjusted (`extra["adjusted_from"]`), relative to its
 checks its inputs, then refuses a directory as `--out`, and a path that
 names no file: one that is empty or ends in a separator, `.` or `..`.
 `train` also refuses an `--out` named as a file it writes beside it:
-`dataset.jsonl`, `metrics.csv`, `formula.txt` or `ckpt_iterK.json`. Then
-the command makes the file's missing parent directories, and only then
-does its work.
+`dataset.jsonl`, `metrics.csv`, `formula.txt` or `ckpt_iterK.json`.
+`adjust` refuses those names too, so that it never overwrites a run's
+files, and `rollouts_adjusted.csv`, which it writes beside its `--out`.
+Then the command makes the file's missing parent directories, and only
+then does its work.
 
 BLAS runs on one thread by default: before numpy is imported, the module
 sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1
@@ -374,6 +376,17 @@ def _out_dir(path: str) -> str:
     return out_dir
 
 
+def _out_beside(path: str, cmd: str) -> str:
+    """`_out_dir` of the --out `path` of train or adjust, which write files
+    beside it; refuses first, as a ParseError, a path named as a file of a
+    training run or, for adjust, as its rollouts."""
+    names = r"dataset\.jsonl|metrics\.csv|formula\.txt|ckpt_iter[1-9][0-9]*\.json"
+    if re.fullmatch(names + (r"|rollouts_adjusted\.csv" if cmd == "adjust" else ""), os.path.basename(path)):
+        raise dataio.ParseError(f"--out {path} names a file that {'train' if cmd == 'train' else 'train or adjust'}"
+                                " writes beside it")
+    return _out_dir(path)
+
+
 def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, path: str, tag: str) -> None:
     """Roll the policy out from n drawn samples and write the CSV, stamped
     with the checkpoint's config digest."""
@@ -409,10 +422,7 @@ def cmd_train(args) -> int:
     ds = _read_data(args.data, run.env)
     if ds.count(1) == 0:
         raise dataio.ParseError(f"{args.data}: no positive rows; train learns from demonstrations")
-    name = os.path.basename(args.out)
-    if re.fullmatch(r"dataset\.jsonl|metrics\.csv|formula\.txt|ckpt_iter[1-9][0-9]*\.json", name):  # the run's files
-        raise dataio.ParseError(f"--out {args.out} names a file that train writes beside it")
-    out_dir = _out_dir(args.out)
+    out_dir = _out_beside(args.out, "train")
 
     run_data = dataio.RunDataset(os.path.join(out_dir, "dataset.jsonl"), config_digest=run.digest)
 
@@ -509,7 +519,7 @@ def cmd_adjust(args) -> int:
     rule_text = stl.print_formula(rule)
     inf_before = inf.flatten()
     env_pool = _env_pool(ck, env, args.data, args.ckpt)
-    out_dir = _out_dir(args.out)
+    out_dir = _out_beside(args.out, "adjust")
 
     if args.retrain:
         rng = np.random.default_rng([run.seed, 777])

@@ -9,10 +9,12 @@ sha256. A round-boundary snapshot and the final checkpoint both name the
 run's file and the number of its leading lines they were trained on,
 `dataset_rows`, and record the digest of those lines:
 `head -n ROWS FILE | sha256sum | cut -c1-16`. `load_dataset(FILE, ROWS)`
-reads those rows back with that digest. An older final checkpoint names a
-file of its own and no row count, and records the digest of the whole
-file, as `save_dataset` returns it: `sha256sum FILE | cut -c1-16`. Config
-digests are FNV-1a over the canonical JSON.
+reads those rows back with that digest, which is the whole file's only
+when FILE holds exactly ROWS lines: rows or blank lines appended after
+them are not read. An older final checkpoint names a file of its own and
+no row count, and records the digest of the whole file, as `save_dataset`
+returns it: `sha256sum FILE | cut -c1-16`. Config digests are FNV-1a over
+the canonical JSON.
 
 In memory a dataset is one `Dataset`: a single float block `X` of shape
 (N, T+1, n_agent + n_env) with the agent columns first, a +-1 label array,
@@ -32,8 +34,8 @@ replaces an old sidecar instead of leaving it behind):
 - the copy: the dataset file's bytes that were parsed, verbatim;
 - the header, one UTF-8 JSON object: the shape of `X`, the labels, the
   ids, each distinct meta once (a meta holding a list or an object once per
-  row), the index of each row's meta among those, the dimension names and
-  the dataset digest of the copy;
+  row), the index of each row's meta among those, the dimension names, and
+  the dataset digest and the number of lines of the copy;
 - `X` as little-endian float64 in C order;
 - the CRC32 of the lead (the magic and the two lengths), the header and
   `X`, as 4 bytes little-endian.
@@ -89,7 +91,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 CHECKPOINT_VERSION = 1
-SIDECAR_VERSION = 5
+SIDECAR_VERSION = 6
 _SIDECAR_MAGIC = b"STLDSv%02d" % SIDECAR_VERSION
 _LEAD_SIZE = 24  # the magic and two lengths
 # the bytes a sidecar read or write moves at a time; the allocator maps a
@@ -121,7 +123,8 @@ class Dataset:
     """Labelled trajectories as one block: `X` is (N, T+1, n_agent + n_env)
     with the agent columns first, `labels` the N labels (+1 expert-like,
     -1 incorrect behavior), `ids` and `metas` one entry per row, and
-    `digest` the dataset digest of the file read, None for one built here."""
+    `digest` and `lines` the dataset digest and the number of lines of the
+    file read, None for one built here."""
 
     X: np.ndarray
     labels: np.ndarray
@@ -130,6 +133,7 @@ class Dataset:
     agent_names: tuple[str, ...]
     env_names: tuple[str, ...] = ()
     digest: str | None = None
+    lines: int | None = None
 
     def __post_init__(self):
         self.X, labels = np.asarray(self.X, dtype=float), np.asarray(self.labels).reshape(-1)
@@ -284,10 +288,11 @@ def load_dataset(path: str, rows: int | None = None) -> Dataset:
 
     Given `rows`, the dataset of the file's first `rows` rows, with the
     digest of its first `rows` lines (a `RunDataset` file holds one row per
-    line): the whole read's digest when those are all its rows, else that
-    of one sha256 pass over them, which a parse takes as it reads them and
-    a sidecar hit takes from the file again. A file of fewer rows raises a
-    ParseError naming it and both counts."""
+    line): the whole read's digest when the file holds exactly `rows`
+    lines, else that of one sha256 pass over them, which a parse takes as
+    it reads them and a sidecar hit takes from the file again. So a blank
+    line after them is not read, and one among them changes the digest. A
+    file of fewer rows raises a ParseError naming it and both counts."""
     prefix = []  # the sha256 of the first `rows` lines, once they have been read
     with open_input(path, "dataset") as fh:
         ds = side = None
@@ -302,7 +307,7 @@ def load_dataset(path: str, rows: int | None = None) -> Dataset:
             ds.digest = sha.hexdigest()[:16]
             if side is not None:
                 _write_sidecar(ds, side, fh, sha.digest())
-        if rows is None or rows == len(ds):
+        if rows is None or rows == len(ds) == ds.lines:
             return ds
         if rows > len(ds):
             raise ParseError(f"{path}: {rows} rows asked for, but the file holds {len(ds)}")
@@ -312,7 +317,7 @@ def load_dataset(path: str, rows: int | None = None) -> Dataset:
             if not prefix:
                 raise ParseError(f"{path}: the file lost lines while it was read")
     return Dataset(ds.X[:rows], ds.labels[:rows], ds.ids[:rows], ds.metas[:rows], ds.agent_names, ds.env_names,
-                   prefix[0].hexdigest()[:16])
+                   prefix[0].hexdigest()[:16], rows)
 
 
 def _hashed(lines, sha, rows=None, prefix=None):
@@ -354,7 +359,7 @@ def _read_sidecar(path: str, src) -> Dataset | None:
             if fh.read(4) != crc.to_bytes(4, "little") or not np.isfinite(X).all():
                 return None
             metas = [dict(head["metas"][i]) for i in head["meta_index"]]
-            return Dataset(X, head["labels"], head["ids"], metas, *head["names"], head["digest"])
+            return Dataset(X, head["labels"], head["ids"], metas, *head["names"], head["digest"], head["lines"])
     except (OSError, KeyError, IndexError, TypeError, ValueError):
         return None
 
@@ -391,7 +396,7 @@ def _write_sidecar(ds: Dataset, path: str, src, sha: bytes) -> None:
     head = json.dumps({
         "shape": ds.X.shape, "labels": ds.labels.tolist(), "ids": ds.ids,
         "metas": [json.loads(text) for text, _ in distinct], "meta_index": index,
-        "names": [ds.agent_names, ds.env_names], "digest": ds.digest,
+        "names": [ds.agent_names, ds.env_names], "digest": ds.digest, "lines": ds.lines,
     }).encode("utf-8")
     lead = _SIDECAR_MAGIC + n_copy.to_bytes(8, "little") + len(head).to_bytes(8, "little")
     X = np.ascontiguousarray(ds.X, dtype="<f8")
@@ -431,8 +436,9 @@ def _parse_lines(path: str, lines) -> Dataset:
     text and parsed lists are held at a time: each line becomes one
     (T+1, D) array, and the arrays are stacked once at the end. Only a
     missing or null `env_states`, `env_dims` or `meta` is read as empty,
-    and `[]` as no environment columns. Errors name `path` and the line."""
-    rows, labels, ids, metas, names = [], [], [], [], ((), ())
+    and `[]` as no environment columns. A blank line is skipped, but
+    counted in the dataset's `lines`. Errors name `path` and the line."""
+    rows, labels, ids, metas, names, lineno = [], [], [], [], ((), ()), 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -475,7 +481,7 @@ def _parse_lines(path: str, lines) -> Dataset:
         rows.append(x)
         labels.append(int(label))
         metas.append(meta)
-    return Dataset(np.stack(rows) if rows else np.zeros((0, 0, 0)), labels, ids, metas, *names)
+    return Dataset(np.stack(rows) if rows else np.zeros((0, 0, 0)), labels, ids, metas, *names, lines=lineno)
 
 
 def fnv1a_hex(data: bytes) -> str:

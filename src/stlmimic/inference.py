@@ -26,9 +26,8 @@ composes the three layers: the `predicate_traces`, their atoms through
 that varies only the gates can reuse the atoms, and one that moves one
 predicate or its atoms' windows can recompute that predicate's atoms
 alone. Every layer reads batches of exactly T+1 samples. Fixed formulas
-are scored by `stl`: an injected rule by `stl.smooth_trace` in
-`combined_smooth`, at t=0 alone, and extracted formulas by
-`stl.robustness_trace`.
+are scored by `stl` at t=0: an injected rule by `stl.smooth_robustness`
+in `combined_smooth`, and extracted formulas by `stl.robustness`.
 """
 
 from __future__ import annotations
@@ -361,18 +360,17 @@ def combined_smooth(X, params, shape, rule: Formula | None):
     """Network scores at the shape's temperature, optionally conjoined with
     an injected rule (in normalized coordinates) through a smooth minimum,
     as (scores, grad) with grad as for `smooth_robustness`, `with_params`
-    included. The rule's smooth robustness is computed and differentiated
-    at t=0 alone."""
+    included. The rule's smooth robustness is that at t=0."""
     if rule is None:
         return smooth_robustness(X, params, shape, vjp=True)
     net, net_grad = smooth_robustness(X, params, shape, vjp=True)
-    at_0, rule_grad = stl.smooth_trace(X, rule, shape.tau, steps=1)
-    scores, scores_grad = smin(np.stack([net, at_0[:, 0]]), shape.tau, 0, True)
+    at_0, rule_grad = stl.smooth_robustness(X, rule, shape.tau)
+    scores, scores_grad = smin(np.stack([net, at_0]), shape.tau, 0, True)
 
     def grad(g, with_params=True):
         g_net, g_rule = scores_grad(g)
         g_params, gX = net_grad(g_net, with_params)
-        return g_params, gX + rule_grad(g_rule[:, None])
+        return g_params, gX + rule_grad(g_rule)
 
     return scores, grad
 
@@ -486,11 +484,11 @@ def exact_satisfaction(f: Formula, X: np.ndarray, names, cache: dict | None = No
     over dimensions `names`, under exact semantics (robustness exactly 0
     counts as satisfied). The package's one Boolean reading of a formula:
     it computes each subformula only at the start steps that t=0 reads.
-    `cache` is `stl.robustness_trace`'s, for this X; a formula that
+    `cache` is `stl.robustness`'s, for this X; a formula that
     `simplify` marked in it as checked is not checked against `names` again."""
     if cache is None or cache.get((_CHECKED, id(f))) is not f:
         stl.check_names(f, names)
-    return stl.robustness_trace(X, f, steps=1, cache=cache)[:, 0] >= 0.0
+    return stl.robustness(X, f, cache=cache) >= 0.0
 
 
 def exact_mcr(f: Formula, X: np.ndarray, names, labels, cache: dict | None = None) -> float:

@@ -4,27 +4,24 @@ Formula trees cover {TRUE, linear predicate, not, and, or, eventually,
 always} with integer time windows. Quantitative semantics (robustness)
 follow the usual min/max recursion.
 
-One evaluator maps a batch (N, T+1, d) of signals to traces of robustness
-per start step: and/or and each F[a,b]/G[a,b] window reduce shifted slices
-of their operands' traces. It is the package's only STL evaluator, with
-one entry per semantics and one range rule for both: each subformula is
-computed only over the start steps its reader needs. And, or and not pass
-their range on to every operand, and a window [a,b] read at start steps
-[lo, hi) asks its operand for [lo+a, hi+b). `robustness_trace` is exact,
-with the hard min/max, and takes a window read at one start step in one
+One evaluator reads a formula at t=0, the start step the paper judges a
+trajectory by, over a batch (N, T+1, d) of signals. Within it each
+subformula is a trace of robustness per start step, computed only over
+the start steps its reader needs: and, or and not pass their range on to
+every operand, a window [a,b] read at start steps [lo, hi) asks its
+operand for [lo+a, hi+b), and and/or and each F[a,b]/G[a,b] window reduce
+shifted slices of their operands' traces. It is the package's only STL
+evaluator, with one entry per semantics. `robustness` is exact, with the
+hard min/max, and takes a window read at one start step in one
 reduction. It can keep traces in a cache the caller passes, so formulas
 that share subformulas, such as the deletion candidates of
-`inference.simplify`, compute those once. Boolean satisfaction is the sign
-of exact robustness at t=0, with 0 counting as satisfied
-(`inference.exact_satisfaction`). `smooth_trace` is smooth, with the soft
-extrema `smin`/`smax` at a temperature, as in STLCG (arXiv 1910.10309),
-and differentiable: it returns the trace with its vector-Jacobian product
-(VJP), a closure from the same forward pass that maps an adjoint of the
-trace to the gradient of the signals. On two or more signals its values
-and VJP at the first k start steps are the whole trace's, bit for bit; on
-one they may move in the last bits, as numpy sums an (s, 1, 1) stack
-pairwise and an (s, 1, m > 1) one in order. The classifier in `inference`
-is built on the same extrema.
+`inference.simplify`, compute those once. Boolean satisfaction is its
+sign, with 0 counting as satisfied (`inference.exact_satisfaction`).
+`smooth_robustness` is smooth, with the soft extrema `smin`/`smax` at a
+temperature, as in STLCG (arXiv 1910.10309), and differentiable: it
+returns the robustness with its vector-Jacobian product (VJP), a closure
+from the same forward pass that maps an adjoint of it to the gradient of
+the signals. The classifier in `inference` is built on the same extrema.
 
 `operands` and `with_operands` are the one place, besides the evaluator
 and the printer, that knows how each node holds its subformulas.
@@ -234,14 +231,9 @@ def smin(a, tau: float, axis: int, vjp: bool = False):
     return _soft_extremum(a, tau, axis, -1, "smin", vjp)
 
 
-def robustness_trace(X, f: Formula, *, steps: int | None = None, cache: dict | None = None):
-    """Exact robustness of f at every start step where its windows fit, or
-    at the first `steps` of them.
-
-    X is a batch (N, T+1, d) of signals in f's coordinates; returns
-    (N, n), where n is T+1-horizon(f), or `steps` if that is smaller. Each
-    subformula is computed only over the start steps its reader needs, and
-    the values equal those columns of the whole trace.
+def robustness(X, f: Formula, *, cache: dict | None = None):
+    """Exact robustness of f at t=0 of each signal of the batch X (N, T+1, d)
+    in f's coordinates, as an (N,) array.
 
     `cache`, a dict the caller makes for one X, keeps the trace of f and of
     every operand of an and/or within f, except an and/or, keyed by the
@@ -249,41 +241,35 @@ def robustness_trace(X, f: Formula, *, steps: int | None = None, cache: dict | N
     computed. Formulas that share those objects, such as the deletion
     candidates of `inference.simplify`, compute each once per range; an
     and/or is recomputed from its operands. Cached traces are the same bits
-    as uncached ones; the trace returned may be one of them, so it must not
-    be modified.
+    as uncached ones; the values returned may be a view of one, so they
+    must not be modified.
     """
-    return _over_start_steps(X, f, steps, lambda n: _kept(X, f, None, cache, 0, n)[0])
+    return _at_start(X, f, None, cache)[0][:, 0]
 
 
-def smooth_trace(X, f: Formula, tau: float, *, steps: int | None = None):
-    """Smooth robustness of f at temperature tau over the start steps
-    `robustness_trace` computes for the same `steps`, shaped as its trace,
-    as (trace, grad), where grad maps an adjoint of the trace to the
-    gradient with respect to X."""
-    trace, back = _over_start_steps(X, f, steps, lambda n: _trace(X, f, tau, None, 0, n))
+def smooth_robustness(X, f: Formula, tau: float):
+    """Smooth robustness of f at temperature tau at t=0 of each signal of X,
+    as ((N,) values, grad), where grad maps an (N,) adjoint of the values to
+    the gradient with respect to X."""
+    at_0, back = _at_start(X, f, tau, None)
 
     def grad(g):
         gX = np.zeros(np.shape(X))
-        back(g, gX)
+        back(g[:, None], gX)
         return gX
 
-    return trace, grad
+    return at_0[:, 0], grad
 
 
-def _over_start_steps(X, f: Formula, steps, compute):
-    """compute(n) for the first n start steps of the signals X: `steps` of
-    them, or every one where f's windows fit when steps is None or more
-    than fit. If none fits, a HorizonExceeded naming the window a bottom-up
-    evaluation meets first: the first subformula, in post-order, whose
-    horizon exceeds T."""
-    if steps is not None:
-        try:
-            return compute(steps)
-        except HorizonExceeded:  # fewer start steps fit than asked for, or none
-            pass
+def _at_start(X, f: Formula, tau, cache):
+    """`_kept` of f at start step 0 of the signals X. If f's windows do not
+    fit, a HorizonExceeded naming the window a bottom-up evaluation meets
+    first: the first subformula, in post-order, whose horizon exceeds T."""
+    try:
+        return _kept(X, f, tau, cache, 0, 1)
+    except HorizonExceeded:
+        pass
     T = np.shape(X)[1] - 1
-    if (h := horizon(f)) <= T:
-        return compute(T + 1 - h)
     while over := [c for c in operands(f) if horizon(c) > T]:
         f = over[0]
     raise HorizonExceeded(f"formula horizon {horizon(f)} exceeds signal horizon {T}")

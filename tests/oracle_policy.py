@@ -13,11 +13,9 @@ bit for bit, not merely to a tolerance. The oracle imports no gradient code
 from the package: its BPTT sums the parameters' gradients with its own
 `param_grads`. `policy_objective` composes them as
 `train.policy_objective` composes the package's layers. An injected rule is
-scored by `stl.smooth_trace` with this module's soft extrema, and
-`combined_smooth` is its whole-trace plain form: it computes the rule at
-every start step where its windows fit, reads column 0, and pads the
-adjoint of that column with zeros to the whole trace. The package reads
-the rule at t=0 alone and must match it.
+scored at t=0 by `stl.smooth_robustness` with this module's soft extrema,
+and `combined_smooth` conjoins it with the network's scores through this
+module's smooth minimum.
 """
 
 from __future__ import annotations
@@ -150,15 +148,13 @@ def combined_smooth(X, params, shape, rule):
         return smooth_robustness(X, params, shape)
     net, net_grad = smooth_robustness(X, params, shape)
     with mock.patch.object(stl, "smax", smax), mock.patch.object(stl, "smin", smin):
-        trace, trace_grad = stl.smooth_trace(X, rule, shape.tau)
-    scores, scores_grad = smin(np.stack([net, trace[:, 0]]), shape.tau, 0, True)
+        at_0, rule_grad = stl.smooth_robustness(X, rule, shape.tau)
+    scores, scores_grad = smin(np.stack([net, at_0]), shape.tau, 0, True)
 
     def grad(g):
         g_net, g_rule = scores_grad(g)
         g_params, gX = net_grad(g_net)
-        g_trace = np.zeros(trace.shape)
-        g_trace[:, 0] = g_rule
-        return g_params, gX + trace_grad(g_trace)
+        return g_params, gX + rule_grad(g_rule)
 
     return scores, grad
 

@@ -1,18 +1,19 @@
 """Independent semantics oracles and random generators for the test suite.
 
 Kept deliberately separate from the package, so agreement is a meaningful
-check. The package has one exact evaluator, `stl.robustness_trace`, and
-`robustness_trace` here checks it. Both compute robustness bottom-up as a
-trace, but differently: here one signal (T+1, d) at a time, every
-subformula at every start step where it fits, predicates as a matrix
-product, and each window reduced by a Python loop over its start steps;
-the package computes each subformula only over the start steps its
-reader needs (a window [a,b] read at [lo, hi) asks its operand for
-[lo+a, hi+b)), reduces shifted slices of the operand traces across a
-whole batch (N, T+1, d), or an operand's whole row when one start step is
-read, and sums each predicate term by term. `bool_sat` stays top-down
-Boolean semantics with no robustness involved. Random signals are plain
-(length, d) arrays.
+check. The package has one exact evaluator, `stl.robustness`, which reads
+a formula at t=0, and `robustness_trace` here checks it: at start step t
+of a signal it must give the package's robustness at t=0 of the signal
+from step t on. Both compute robustness bottom-up, but differently: here
+one signal (T+1, d) at a time, every subformula at every start step where
+it fits, predicates as a matrix product, and each window reduced by a
+Python loop over its start steps; the package computes each subformula
+only over the start steps t=0 needs (a window [a,b] read at [lo, hi) asks
+its operand for [lo+a, hi+b)), reduces shifted slices of the operand
+traces across a whole batch (N, T+1, d), or an operand's whole row when
+one start step is read, and sums each predicate term by term. `bool_sat`
+stays top-down Boolean semantics with no robustness involved. Random
+signals are plain (length, d) arrays.
 """
 
 from __future__ import annotations

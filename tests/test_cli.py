@@ -938,6 +938,26 @@ class TestOutputPaths:
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
+    @pytest.mark.parametrize(
+        "name", ["dataset.jsonl", "metrics.csv", "formula.txt", "ckpt_iter1.json", "rollouts_adjusted.csv"]
+    )
+    def test_adjust_out_naming_a_run_file_or_its_rollouts_is_data_error(self, trained, tmp_path, capsys, monkeypatch,
+                                                                          name):
+        """adjust neither overwrites a file of the run it adjusts nor writes
+        its rollouts over its own checkpoint: such an --out is refused after
+        the inputs are read and before the retrain, and nothing is written."""
+        root, data, config, ckpt = trained
+        monkeypatch.setattr(cli, "train_policy", lambda *a, **kw: pytest.fail("train_policy ran before --out was checked"))
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        argv = ["adjust", "--ckpt", str(run / "ckpt.json"), "--conjoin", "G[0,20](dO >= 1.5)", "--retrain"]
+        for out in (run / name, tmp_path / "fresh" / name):
+            assert main(argv + ["--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == f"data error: --out {out} names a file that train or adjust writes beside it\n"
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
 
 def _trim_w_in(doc):
     doc["policy_groups"]["w_in"] = [row[:-1] for row in doc["policy_groups"]["w_in"]]
@@ -1244,6 +1264,44 @@ class TestOwnDatasetDigest:
             opened.clear()
             assert main(argv) == EXIT_OK, argv[0]
             assert opened.count(data) == 1 and not hashed, argv[0]
+
+    @pytest.mark.parametrize("blanks", [1, 2])
+    def test_blank_lines_after_the_rows_are_not_read(self, trained_driving, tmp_path, blanks):
+        """Blank lines appended to the checkpoint's own dataset change no
+        output, whether the dataset is parsed or read from its sidecar."""
+        run = tmp_path / "run"
+        shutil.copytree(trained_driving[3].parent, run)
+        (run / ".dataset.jsonl.npz").unlink(missing_ok=True)
+        outs = [tmp_path / name for name in ("before", "parsed", "sidecar")]
+        for out in outs:
+            if out.name == "parsed":
+                with open(run / "dataset.jsonl", "ab") as fh:
+                    fh.write(b"\n" * blanks)
+                (run / ".dataset.jsonl.npz").unlink()
+            with pytest.MonkeyPatch.context() as mp:
+                if out.name == "sidecar":
+                    mp.setattr(dataio, "_parse_lines", lambda *a: pytest.fail("parsed where the sidecar was due"))
+                for argv in own_dataset_commands(run / "ckpt.json", out):
+                    assert main(argv) == EXIT_OK, (out.name, argv[0])
+            assert (run / ".dataset.jsonl.npz").exists()
+        for name in ("f.txt", "r.csv", "rollouts_adjusted.csv"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+    def test_blank_line_among_the_rows_is_data_error_naming_both_digests(self, trained_driving, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_driving[3].parent, run)
+        lines = (run / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        lines.insert(1, b"\n")
+        (run / "dataset.jsonl").write_bytes(b"".join(lines))
+        ck = dataio.load_checkpoint(str(run / "ckpt.json"))
+        digest = hashlib.sha256(b"".join(lines[: ck.extra["dataset_rows"]])).hexdigest()[:16]
+        out = tmp_path / "out"
+        for _ in range(2):  # a parse, then a sidecar hit
+            for argv in own_dataset_commands(run / "ckpt.json", out):
+                assert main(argv) == EXIT_DATA, argv[0]
+                want = f"{run / 'dataset.jsonl'}: digest {digest} is not the dataset_digest {ck.dataset_digest}"
+                assert want in capsys.readouterr().err, argv[0]
+        assert not out.exists()
 
     def test_malformed_dataset_is_data_error_naming_its_line(self, trained_driving, tmp_path, capsys):
         doc = json.loads(trained_driving[3].read_text())

@@ -587,6 +587,21 @@ class TestPrefixRead:
             with pytest.raises(ParseError, match=re.escape(f"{path}: 4 rows asked for, but the file holds 3")):
                 load_dataset(str(path), 4)
 
+    def test_blank_lines_after_the_rows_are_not_read(self, tmp_path):
+        """The whole read's digest is taken only for a file of exactly `rows`
+        lines: after blank lines are appended, the rows read back have the
+        digest of the file as it was, from a parse and from the sidecar."""
+        path = tmp_path / "ds.jsonl"
+        save_dataset(small_dataset(n=3), str(path))
+        want = load_dataset(str(path))
+        with open(path, "ab") as fh:
+            fh.write(b"\n\n")
+        sidecar(path).unlink()
+        assert_same_rows(load_dataset(str(path), 3), want)
+        with mock.patch.object(dataio, "_parse_lines", parse_fails):
+            assert_same_rows(load_dataset(str(path), 3), want)
+            assert len(load_dataset(str(path))) == 3 and load_dataset(str(path)).digest != want.digest
+
     def test_file_cut_after_its_sidecar_hit_is_a_parse_error(self, tmp_path):
         path = tmp_path / "ds.jsonl"
         save_dataset(small_dataset(n=3), str(path))

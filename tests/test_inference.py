@@ -29,7 +29,7 @@ from stlmimic.stl import (
     TimeInterval,
     parse,
     print_formula,
-    robustness_trace,
+    robustness,
 )
 from stlmimic.params import ParamVector
 from stlmimic.train import inference_loss
@@ -114,7 +114,7 @@ class TestSmoothRobustness:
         rng = np.random.default_rng(31)
         checked = 0
         for vals in random_walk_signals(rng, 100, 20, 4):
-            r = robustness_trace(vals[None], f)[0, 0]
+            r = robustness(vals[None], f)[0]
             smooth = smooth_robustness(vals[None], params, shape)[0]
             assert abs(smooth - r) <= 0.05 * abs(r) + 0.01
             if abs(r) > 0.1:
@@ -282,8 +282,8 @@ class TestInjectedRule:
         for _ in range(40):
             f = oracle_stl.random_formula(rng, names, depth=2, max_t=3)
             X = oracle_stl.random_signal(rng, names, stl.horizon(f) + 1)[None]
-            exact = robustness_trace(X, f)[0, 0]
-            smooth = stl.smooth_trace(X, f, 0.001)[0][0, 0]
+            exact = robustness(X, f)[0]
+            smooth = stl.smooth_robustness(X, f, 0.001)[0][0]
             if abs(exact) < 1e8:  # skip TRUE-dominated sentinels
                 assert smooth == pytest.approx(exact, abs=0.02 + 0.02 * abs(exact))
 
@@ -312,9 +312,10 @@ class TestNormalization:
             if stl.horizon(f) >= raw.shape[0]:
                 continue
             f_n = normalize_formula(f, norm)
-            r_raw = robustness_trace(raw[None], f)
-            r_norm = robustness_trace(norm.apply(raw)[None], f_n)
-            assert r_norm == pytest.approx(r_raw, rel=1e-9, abs=1e-9)
+            for t in range(raw.shape[0] - stl.horizon(f)):  # at every start step
+                r_raw = robustness(raw[None, t:], f)
+                r_norm = robustness(norm.apply(raw)[None, t:], f_n)
+                assert r_norm == pytest.approx(r_raw, rel=1e-9, abs=1e-9)
 
 
 class TestExtraction:
@@ -367,7 +368,7 @@ class TestExtraction:
         )
         f = extract_formula(params, shape, norm, ("a", "b"))
         for raw in arrays:
-            exact = robustness_trace(raw[None], f)[0, 0]
+            exact = robustness(raw[None], f)[0]
             smooth = smooth_robustness(norm.apply(raw)[None], params, shape)[0]
             if abs(exact) > 0.1:
                 assert (smooth >= 0) == (exact >= 0)

@@ -14,9 +14,8 @@ from stlmimic.policy import PolicyShape, init_policy, rollout
 import helpers
 import oracle_policy
 
-# Per environment, a rule with a window to T, which has one start step, and
-# one whose windows end at T // 2, which has several, of which the package
-# reads t=0 alone.
+# Per environment, a rule with a window to T, and one whose windows end at
+# T // 2, so that t=0 reads its predicates over fewer steps than X holds.
 RULES = {
     "unicycle": (
         "G[0,{T}](dO >= 1.5) | F[{t1},{t2}](dA - 0.5*dB <= 3)",

@@ -22,8 +22,8 @@ from stlmimic.stl import (
     operands,
     parse,
     print_formula,
-    robustness_trace,
-    smooth_trace,
+    robustness,
+    smooth_robustness,
     with_operands,
 )
 from stlmimic.inference import _deletions, exact_mcr, exact_satisfaction, simplify
@@ -49,8 +49,9 @@ def sig1(xs):
 
 
 def rob(vals, f, t=0):
-    """Exact robustness of f at step t of one signal (T+1, d)."""
-    return robustness_trace(vals[None], f)[0, t]
+    """Exact robustness of f at step t of one signal (T+1, d): at t=0 of
+    the signal from step t on, since the semantics are time invariant."""
+    return robustness(vals[None, t:], f)[0]
 
 
 def pred1(c, b):
@@ -93,7 +94,9 @@ class TestRobustness:
     def test_horizon_exceeded(self):
         f = Eventually(TimeInterval(0, 3), pred1(1.0, 0.0))
         with pytest.raises(HorizonExceeded):
-            robustness_trace(sig1([1, 2])[None], f)
+            robustness(sig1([1, 2])[None], f)
+        with pytest.raises(HorizonExceeded):
+            smooth_robustness(sig1([1, 2])[None], f, 0.5)
         with pytest.raises(HorizonExceeded):
             exact_satisfaction(f, sig1([1, 2])[None], ("x0",))
 
@@ -107,11 +110,10 @@ class TestRobustness:
         f = parse(text, names)
         assert horizon(f) == 70
         for call in (
-            lambda: robustness_trace(X, f),
-            lambda: robustness_trace(X, f, steps=1),
+            lambda: robustness(X, f),
+            lambda: robustness(X, f, cache={}),
             lambda: exact_satisfaction(f, X, names),
-            lambda: smooth_trace(X, f, 0.5),
-            lambda: smooth_trace(X, f, 0.5, steps=1),
+            lambda: smooth_robustness(X, f, 0.5),
         ):
             with pytest.raises(HorizonExceeded, match=f"^formula horizon {h} exceeds signal horizon 57$"):
                 call()
@@ -127,19 +129,22 @@ class TestRobustness:
         assert sat.tolist() == [True, True, False]
 
     def test_matches_trace_oracle_randomized(self):
-        # A batch of signals of one length, checked at every valid start step.
+        # A batch of signals of one length, checked at every valid start
+        # step t as the signals from step t on, and past the last one.
         rng = np.random.default_rng(7)
         names = ("x0", "x1", "x2")
         for _ in range(150):
             f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
             length = horizon(f) + int(rng.integers(1, 4))
             batch = np.stack([oracle_stl.random_signal(rng, names, length) for _ in range(3)])
-            traces = robustness_trace(batch, f)
-            assert traces.shape == (3, length - horizon(f))
-            sat = exact_satisfaction(f, batch, names)
-            for vals, trace, s in zip(batch, traces, sat):
-                assert trace == pytest.approx(oracle_stl.robustness_trace(vals, f), abs=1e-12)
-                assert s == (trace[0] >= 0)
+            traces = [oracle_stl.robustness_trace(vals, f) for vals in batch]
+            for t in range(length - horizon(f)):
+                r = robustness(batch[:, t:], f)
+                assert r.shape == (3,)
+                assert r == pytest.approx([trace[t] for trace in traces], abs=1e-12)
+                assert exact_satisfaction(f, batch[:, t:], names).tolist() == (r >= 0).tolist()
+            with pytest.raises(HorizonExceeded):
+                robustness(batch[:, length - horizon(f) :], f)
 
     def test_soundness_against_boolean_semantics(self):
         # Ties to the Boolean oracle; exact-zero robustness counts as sat.
@@ -162,7 +167,8 @@ class TestRobustness:
         for _ in range(60):
             f = oracle_stl.random_formula(rng, names, depth=3, max_t=3)
             X = oracle_stl.random_signal(rng, names, horizon(f) + 2)[None]
-            assert np.array_equal(robustness_trace(X, Not(f)), -robustness_trace(X, f))
+            for t in range(2):
+                assert np.array_equal(robustness(X[:, t:], Not(f)), -robustness(X[:, t:], f))
 
     def test_de_morgan_exact(self):
         rng = np.random.default_rng(17)
@@ -343,6 +349,8 @@ class TestInvariants:
 
 NAMES2 = ("x", "y")
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# windows inside [0, 3]
+WINDOWS = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda w: TimeInterval(min(w), max(w)))
 
 
 def formulas(coeff, true_leaves: bool = True):
@@ -353,7 +361,6 @@ def formulas(coeff, true_leaves: bool = True):
         st.tuples(coeff, coeff).filter(lambda c: any(v != 0.0 for v in c)),
         coeff,
     )
-    windows = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda w: TimeInterval(min(w), max(w)))
     children = st.lists  # n-ary and/or of 2 or 3 children
     return st.recursive(
         st.one_of(preds, st.just(TrueFormula())) if true_leaves else preds,
@@ -361,8 +368,8 @@ def formulas(coeff, true_leaves: bool = True):
             st.builds(Not, sub),
             st.builds(And, children(sub, min_size=2, max_size=3).map(tuple)),
             st.builds(Or, children(sub, min_size=2, max_size=3).map(tuple)),
-            st.builds(Eventually, windows, sub),
-            st.builds(Always, windows, sub),
+            st.builds(Eventually, WINDOWS, sub),
+            st.builds(Always, WINDOWS, sub),
         ),
         max_leaves=5,
     )
@@ -415,9 +422,9 @@ class TestProperties:
     @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1))
     def test_smooth_tends_to_exact_as_tau_shrinks(self, f, seed):
         X = signals(f, seed)
-        exact = robustness_trace(X, f)
+        exact = robustness(X, f)
         for tau in (1e-7, 1e-9):
-            smooth, _ = smooth_trace(X, f, tau)
+            smooth, _ = smooth_robustness(X, f, tau)
             assert smooth.shape == exact.shape
             assert np.allclose(smooth, exact, rtol=1e-12, atol=2e3 * tau)
 
@@ -447,63 +454,35 @@ class TestProperties:
         assert simpler == uncached_simplify(f, X, NAMES2, labels)
 
     @PROPERTY
-    @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1))
-    def test_cached_trace_is_the_uncached_one_bit_for_bit(self, f, seed):
+    @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1), windows=st.tuples(WINDOWS, WINDOWS))
+    def test_cached_trace_is_the_uncached_one_bit_for_bit(self, f, seed, windows):
         # one cache over f and its deletion candidates, twice over, as
-        # simplify shares it: hits, and traces negated after they were cached;
-        # each read in full and at step 0 alone, as simplify reads it, so the
-        # cache holds one subformula over several ranges
-        X = signals(f, seed)
+        # simplify shares it: hits, and traces negated after they were
+        # cached; and one predicate object, an operand of an or under one
+        # window and of an and under another, so the cache holds it over two
+        # ranges of start steps when the windows differ
+        p, q = Pred((1.0, -0.5), 0.25, NAMES2), Pred((0.0, 1.0), -0.5, NAMES2)
+        g = And((f, Eventually(windows[0], Or((p, q))), Always(windows[1], And((p, q)))))
+        X = signals(g, seed)
         cache = {}
-        for g in [f, *_deletions(f)] * 2:
-            for steps in (None, 1):
-                cached = robustness_trace(X, g, steps=steps, cache=cache)
-                assert cached.tobytes() == robustness_trace(X, g, steps=steps).tobytes()
+        for h in [g, *_deletions(g)] * 2:
+            assert robustness(X, h, cache=cache).tobytes() == robustness(X, h).tobytes()
+        if windows[0] != windows[1]:
+            assert len({key[1:] for key in cache if key[0] == id(p)}) == 2
 
     @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), extra=st.integers(0, 4))
-    def test_the_first_start_steps_are_the_leading_columns_of_the_whole_trace(self, seed, n, extra):
-        # each subformula is computed only at the start steps its reader
-        # needs; the values are those of the whole trace (== counts -0.0 as
-        # 0.0, since a max or min of a tie may keep either zero)
-        rng = np.random.default_rng(seed)
-        names = ("x0", "x1", "x2")
-        f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
-        X = np.stack([oracle_stl.random_signal(rng, names, horizon(f) + 1 + extra) for _ in range(n)])
-        whole = robustness_trace(X, f)
-        assert whole.shape == (n, extra + 1)
-        for k in range(1, extra + 3):
-            assert np.array_equal(robustness_trace(X, f, steps=k), whole[:, :k])
-        want = [oracle_stl.bool_sat(vals, f, 0) for vals in X]
-        assert exact_satisfaction(f, X, names).tolist() == want
-
-    @PROPERTY
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 4),
-        extra=st.integers(0, 4),
-        tau=st.sampled_from([0.05, 0.5]),
-    )
-    def test_the_smooth_trace_at_the_first_start_steps_is_the_whole_one_cut(self, seed, n, extra, tau):
-        # the smooth trace takes the exact one's range rule; at the first k
-        # start steps its values are the leading k columns of the whole trace,
-        # and its VJP of a k-column adjoint is the whole VJP of that adjoint
-        # padded with zeros, bit for bit. Batch 1 is left out: numpy sums a
-        # (k, 1, 1) stack pairwise but a (k, 1, m > 1) stack in order, so a
-        # window read at one start step of one signal may move in its last bits.
-        rng = np.random.default_rng(seed)
-        names = ("x0", "x1", "x2")
-        f = oracle_stl.random_formula(rng, names, depth=3, max_t=4)
-        X = np.stack([oracle_stl.random_signal(rng, names, horizon(f) + 1 + extra) for _ in range(n)])
-        whole, whole_grad = smooth_trace(X, f, tau)
-        assert whole.shape == (n, extra + 1)
-        g = rng.normal(size=whole.shape)
-        for k in range(1, extra + 3):
-            trace, grad = smooth_trace(X, f, tau, steps=k)
-            assert np.array_equal(trace, whole[:, :k])
-            padded = np.zeros(whole.shape)
-            padded[:, :k] = g[:, :k]
-            assert grad(g[:, :k]).tobytes() == whole_grad(padded).tobytes()
+    @given(f=formulas(BOUNDED), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), extra=st.integers(0, 4))
+    def test_matches_the_oracle_at_every_start_step(self, f, seed, n, extra):
+        # time invariance: f at step t of a signal is f at t=0 of the signal
+        # from step t on; and satisfaction is the Boolean semantics there
+        X = signals(f, seed, n, extra)
+        for t in range(extra + 1):
+            r = robustness(X[:, t:], f)
+            assert r.shape == (n,)
+            want = [oracle_stl.robustness_trace(vals, f)[t] for vals in X]
+            assert r == pytest.approx(want, abs=1e-12)
+            sat = [oracle_stl.bool_sat(vals, f, t) for vals in X]
+            assert exact_satisfaction(f, X[:, t:], NAMES2).tolist() == sat
 
     @PROPERTY
     @given(
@@ -514,25 +493,25 @@ class TestProperties:
     def test_smooth_vjp_matches_fd(self, f, tau, seed):
         # TRUE is left out: its robustness, 1e9, would swamp the differences
         pv = ParamVector(X=signals(f, seed))
-        weights = np.random.default_rng(seed + 1).normal(size=robustness_trace(pv.X, f).shape)
+        weights = np.random.default_rng(seed + 1).normal(size=len(pv.X))
 
         def value(p):
-            return np.sum(smooth_trace(p.X, f, tau)[0] * weights)
+            return np.sum(smooth_robustness(p.X, f, tau)[0] * weights)
 
         def grad(p):
-            _, vjp = smooth_trace(p.X, f, tau)
+            _, vjp = smooth_robustness(p.X, f, tau)
             return ParamVector(X=vjp(weights))
 
         assert finite_diff_check(value, grad, pv, h=1e-6) < 1e-5
 
     def test_exact_semantics_have_no_vjp(self):
-        # robustness_trace takes no temperature and no vjp flag: the smooth
-        # semantics, and their VJP, are smooth_trace's
+        # robustness takes no temperature and no vjp flag: the smooth
+        # semantics, and their VJP, are smooth_robustness's
         X, f = np.zeros((1, 2, 1)), pred1(1.0, 0.0)
         with pytest.raises(TypeError):
-            robustness_trace(X, f, vjp=True)
+            robustness(X, f, vjp=True)
         with pytest.raises(TypeError):
-            robustness_trace(X, f, 0.5)
+            robustness(X, f, 0.5)
 
     @PROPERTY
     @given(f=formulas(BOUNDED))

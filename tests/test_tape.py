@@ -22,7 +22,7 @@ from stlmimic.inference import (
 )
 from stlmimic.params import ParamVector, layout
 from stlmimic.policy import PolicyParams, PolicyShape
-from stlmimic.stl import EmptyInput, Eventually, Pred, TimeInterval, robustness_trace, smax, smin
+from stlmimic.stl import EmptyInput, Eventually, Pred, TimeInterval, robustness, smax, smin
 
 from helpers import NonFiniteValue, finite_diff_check
 
@@ -74,7 +74,7 @@ class TestPrimitives:
         assert grad(np.ones_like(value)).shape == a.shape
 
     def test_float_passthrough(self):
-        # Without vjp every layer, and the exact trace, returns plain
+        # Without vjp every layer, and exact robustness, returns plain
         # arrays, and no closure that would keep its intermediates alive.
         rng = np.random.default_rng(2)
         shape = NetworkShape(n_pred=2, n_conj=1, horizon=3, dim=2)
@@ -83,7 +83,7 @@ class TestPrimitives:
         outs = [
             smax(X, 0.5, axis=1),
             smin(X, 0.5, axis=1),
-            robustness_trace(X, f),
+            robustness(X, f),
             smooth_robustness(X, init_inference(shape, rng), shape),
         ]
         assert all(type(o) is np.ndarray for o in outs)

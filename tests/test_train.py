@@ -457,7 +457,7 @@ class TestPolicyObjective:
             assert np.array_equal(value, plain)
 
         rule_n = normalize_formula(rule, norm)
-        rule_scores = stl.smooth_trace(X, rule_n, shape.tau)[0][:, 0]
+        rule_scores = stl.smooth_robustness(X, rule_n, shape.tau)[0]
         scores = stl.smin(np.stack([smooth_robustness(X, inf, shape), rule_scores]), shape.tau, 0)
         value, grad = policy_objective(policy, inf, env, samples, shape, norm, rule_n)
         assert value == np.sum(scores) / scores.size and callable(grad)
