@@ -71,8 +71,12 @@ names no file: one that is empty or ends in a separator, `.` or `..`.
 `dataset.jsonl`, `metrics.csv`, `formula.txt` or `ckpt_iterK.json`.
 `adjust` refuses those names too, so that it never overwrites a run's
 files, and `rollouts_adjusted.csv`, which it writes beside its `--out`.
-Then the command makes the file's missing parent directories, and only
-then does its work.
+No command writes `--out` over one of its own inputs: an `--out` that is
+the same file (`os.path.samefile`) as `train`'s `--data` or `--config`, or
+as the `--ckpt`, the `--data` or the checkpoint's own dataset of
+`extract`, `rollout` or `adjust`, is a data error (exit 3). Then the
+command makes the file's missing parent directories, and only then does
+its work.
 
 BLAS runs on one thread by default: before numpy is imported, the module
 sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1
@@ -364,19 +368,25 @@ def _env_pool(ck: Checkpoint, env, data_path, ckpt_path: str):
         raise dataio.ParseError(f"{path}: {exc}") from exc
 
 
-def _out_dir(path: str) -> str:
+def _out_dir(path: str, inputs: dict | None = None) -> str:
     """The directory of the output file `path`, made if missing; refuses a
-    directory as --out, and a path whose last component names no file."""
+    directory as --out, a path whose last component names no file, and the
+    same file as one of the command's `inputs` (what names it -> its path,
+    None where there is none)."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"--out {path} is a directory")
     if os.path.basename(path) in ("", ".", ".."):
         raise dataio.ParseError(f"--out {path!r} names no file")
+    if os.path.exists(path):
+        for name, given in (inputs or {}).items():
+            if given is not None and os.path.exists(given) and os.path.samefile(path, given):
+                raise dataio.ParseError(f"--out {path} is the same file as {name} {given}")
     out_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
 
 
-def _out_beside(path: str, cmd: str) -> str:
+def _out_beside(path: str, cmd: str, inputs: dict) -> str:
     """`_out_dir` of the --out `path` of train or adjust, which write files
     beside it; refuses first, as a ParseError, a path named as a file of a
     training run or, for adjust, as its rollouts."""
@@ -384,7 +394,13 @@ def _out_beside(path: str, cmd: str) -> str:
     if re.fullmatch(names + (r"|rollouts_adjusted\.csv" if cmd == "adjust" else ""), os.path.basename(path)):
         raise dataio.ParseError(f"--out {path} names a file that {'train' if cmd == 'train' else 'train or adjust'}"
                                 " writes beside it")
-    return _out_dir(path)
+    return _out_dir(path, inputs)
+
+
+def _ckpt_inputs(ck: Checkpoint, args) -> dict:
+    """The inputs of a command that reads a checkpoint, for `_out_dir`: its
+    --ckpt, its --data and the checkpoint's own dataset."""
+    return {"--ckpt": args.ckpt, "--data": args.data, "the checkpoint's dataset": _own_dataset(ck, args.ckpt)}
 
 
 def _export_policy_rollouts(ck: Checkpoint, env, pol, env_pool, n: int, rng, path: str, tag: str) -> None:
@@ -422,7 +438,7 @@ def cmd_train(args) -> int:
     ds = _read_data(args.data, run.env)
     if ds.count(1) == 0:
         raise dataio.ParseError(f"{args.data}: no positive rows; train learns from demonstrations")
-    out_dir = _out_beside(args.out, "train")
+    out_dir = _out_beside(args.out, "train", {"--data": args.data, "--config": args.config})
 
     run_data = dataio.RunDataset(os.path.join(out_dir, "dataset.jsonl"), config_digest=run.digest)
 
@@ -464,7 +480,7 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     ck, _run, env, shape, inf, _pol, norm, rule = _load_ckpt_parts(args.ckpt)
     _path, ds = _ckpt_data(ck, env, args.data, args.ckpt)
-    _out_dir(args.out)
+    _out_dir(args.out, _ckpt_inputs(ck, args))
     formula = extract_formula(inf, shape, norm, env.inference_names)
     if ds is None:
         log.warning("no dataset available; writing unsimplified extraction")
@@ -504,7 +520,7 @@ def cmd_rollout(args) -> int:
     ck, run, env, _shape, _inf, pol, _norm, _rule = _load_ckpt_parts(args.ckpt)
     seed = args.seed if args.seed is not None else run.seed + 10_000
     env_pool = _env_pool(ck, env, args.data, args.ckpt)
-    _out_dir(args.out)
+    _out_dir(args.out, _ckpt_inputs(ck, args))
     _export_policy_rollouts(ck, env, pol, env_pool, args.n, np.random.default_rng(seed), args.out, "policy")
     print(f"wrote {args.n} rollouts to {args.out}")
     return EXIT_OK
@@ -519,7 +535,7 @@ def cmd_adjust(args) -> int:
     rule_text = stl.print_formula(rule)
     inf_before = inf.flatten()
     env_pool = _env_pool(ck, env, args.data, args.ckpt)
-    out_dir = _out_beside(args.out, "adjust")
+    out_dir = _out_beside(args.out, "adjust", _ckpt_inputs(ck, args))
 
     if args.retrain:
         rng = np.random.default_rng([run.seed, 777])

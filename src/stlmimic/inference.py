@@ -25,7 +25,18 @@ composes the three layers: the `predicate_traces`, their atoms through
 `windowed_extrema`, and the gated and/or layer `smooth_gates`. A caller
 that varies only the gates can reuse the atoms, and one that moves one
 predicate or its atoms' windows can recompute that predicate's atoms
-alone. Every layer reads batches of exactly T+1 samples. Fixed formulas
+alone. Every layer reads batches of exactly T+1 samples.
+
+Without vjp, `predicate_traces`, `windowed_extrema` and `smooth_gates`
+also score a stack of K classifiers at once: parameter groups with a
+leading axis K give results with a leading axis K, each row bit for bit
+the layer's value at that row's parameters alone, and `smooth_gates`
+takes atoms with a leading axis 1 as shared by every row. Two layout
+rules keep those bits. An array that is reduced is C-contiguous along the
+reduced axis, as it is at one classifier: a broadcast add that numpy laid
+out otherwise sums in another order, and moved `smin` by 1 ulp. And
+`pred_w @ X` keeps the transposed view of X as its operand: a contiguous
+copy of X changes the product's bits at n_pred 1. Fixed formulas
 are scored by `stl` at t=0: an injected rule by `stl.smooth_robustness`
 in `combined_smooth`, and extracted formulas by `stl.robustness`.
 """
@@ -257,15 +268,16 @@ def smooth_robustness(X, params: InferenceParams, shape: NetworkShape, tau=None,
 
 def predicate_traces(X, params: InferenceParams, shape: NetworkShape, vjp: bool = False):
     """The linear traces (N, n_pred, T+1) of the predicates over a batch X
-    (N, T+1, dim): one matrix product for all predicates. With vjp,
-    (traces, grad), where grad maps an adjoint of the traces to (a dict of
-    the `pred_w` and `pred_b` gradients, the gradient with respect to X);
-    the dict is None without `with_params`."""
+    (N, T+1, dim): one matrix product for all predicates; (K, N, n_pred,
+    T+1) for a stack of K predicate groups. With vjp, (traces, grad),
+    where grad maps an adjoint of the traces to (a dict of the `pred_w`
+    and `pred_b` gradients, the gradient with respect to X); the dict is
+    None without `with_params`."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != shape.horizon + 1:
         raise stl.HorizonExceeded(f"need {shape.horizon + 1} samples, got {X.shape[1]}")
-    traces = params.pred_w @ X.transpose(0, 2, 1)
-    traces -= params.pred_b[:, None]
+    traces = params.pred_w[..., None, :, :] @ X.transpose(0, 2, 1)
+    traces -= params.pred_b[..., None, :, None]
     if not vjp:
         return traces
 
@@ -286,18 +298,19 @@ def windowed_extrema(traces, win_lo, win_hi, tau, vjp: bool = False):
     entry 2k of `win_lo` and `win_hi` is the eventually-atom of predicate
     k, entry 2k+1 its always-atom. Given one predicate's traces as the
     basic slice `traces[:, k:k+1]` and its two atoms' windows, the values
-    are bit for bit column k of the whole layer's. With vjp, (atoms, grad),
-    where grad maps adjoints of the two atom arrays to (the adjoint of the
-    traces, a dict of the `win_lo` and `win_hi` gradients, None without
-    `with_params`)."""
+    are bit for bit column k of the whole layer's. Traces (K, N, P, T+1)
+    and windows (K, 2P) of a stack give atoms (K, N, P). With vjp,
+    (atoms, grad), where grad maps adjoints of the two atom arrays to (the
+    adjoint of the traces, a dict of the `win_lo` and `win_hi` gradients,
+    None without `with_params`)."""
     L = GATE_L
-    ts = np.arange(float(traces.shape[2]))
-    m1 = sigmoid((ts - win_lo[:, None] + 0.5) / SIGMA_W)
-    m2 = sigmoid((win_hi[:, None] - ts + 0.5) / SIGMA_W)
-    masks = m1 * m2  # (2P, T+1)
-    ev_m, al_m = masks[0::2], masks[1::2]
-    ev = smax(traces * ev_m + (ev_m - 1.0) * L, tau, 2, vjp)
-    al = smin(traces * al_m + (1.0 - al_m) * L, tau, 2, vjp)
+    ts = np.arange(float(traces.shape[-1]))
+    m1 = sigmoid((ts - win_lo[..., None] + 0.5) / SIGMA_W)
+    m2 = sigmoid((win_hi[..., None] - ts + 0.5) / SIGMA_W)
+    masks = m1 * m2  # ([K,] 2P, T+1)
+    ev_m, al_m = masks[..., None, 0::2, :], masks[..., None, 1::2, :]
+    ev = smax(traces * ev_m + (ev_m - 1.0) * L, tau, -1, vjp)
+    al = smin(traces * al_m + (1.0 - al_m) * L, tau, -1, vjp)
     if not vjp:
         return ev, al
     (ev, ev_grad), (al, al_grad) = ev, al
@@ -318,24 +331,25 @@ def windowed_extrema(traces, win_lo, win_hi, tau, vjp: bool = False):
     return (ev, al), grad
 
 
-def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False):
+def smooth_gates(atoms, params: InferenceParams, shape: NetworkShape, tau=None, vjp: bool = False, sigmoids=None):
     """Gated and/or layer: (N,) scores from the `windowed_extrema` output.
-    Reads only the gates (`gate`, `out_gate`). With vjp, (scores, grad),
-    where grad maps an adjoint of the scores to (the adjoints of the two
-    atom arrays, a dict of the gate groups' gradients, None without
-    `with_params`)."""
+    Reads only the gates (`gate`, `out_gate`), or their sigmoids where the
+    caller gives them as `sigmoids`. Gates of a stack of K give (K, N)
+    scores, from atoms (K, N, P), or (1, N, P) shared by all K. With vjp,
+    (scores, grad), where grad maps an adjoint of the scores to (the
+    adjoints of the two atom arrays, a dict of the gate groups' gradients,
+    None without `with_params`)."""
     tau = shape.tau if tau is None else tau
     ev, al = atoms
-    s_gate = sigmoid(params.gate)
-    gate_off = (1.0 - s_gate) * GATE_L  # (n_conj, n_atoms)
+    s_gate, s_out = sigmoids or (sigmoid(params.gate), sigmoid(params.out_gate))
+    gate_off = (1.0 - s_gate) * GATE_L  # ([K,] n_conj, n_atoms)
     conj_terms = np.concatenate(
-        [ev[:, None, :] + gate_off[:, 0::2], al[:, None, :] + gate_off[:, 1::2]], axis=2
+        [ev[..., None, :] + gate_off[..., None, :, 0::2], al[..., None, :] + gate_off[..., None, :, 1::2]], axis=-1
     )
-    conjs = smin(conj_terms, tau, 2, vjp)  # (N, n_conj)
-    s_out = sigmoid(params.out_gate)
-    out_off = (1.0 - s_out) * OUT_L  # (n_conj,)
+    conjs = smin(conj_terms, tau, -1, vjp)  # ([K,] N, n_conj)
+    out_off = (1.0 - s_out) * OUT_L  # ([K,] n_conj)
     if not vjp:
-        return smax(conjs - out_off, tau, 1)
+        return smax(conjs - out_off[..., None, :], tau, -1)
     conjs, conjs_grad = conjs
     scores, scores_grad = smax(conjs - out_off, tau, 1, True)
 

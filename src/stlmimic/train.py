@@ -9,6 +9,12 @@ Both gradients are composed from the layers' vector-Jacobian products
 the classifier to its parameters and margin; a policy step takes the
 mean score back through the classifier, the signal normalization, the
 inference map and the closed-loop rollout to the policy weights.
+
+The annealing objective scores one vector, or a stack of them through the
+layers' stacked forward form (see `inference`) with the same bits per
+row. `train_inference` scores its starts as stacks whose traces take at
+most `START_CHUNK_BYTES`, and each polish gate's two rails as one stack;
+it accepts them one by one in the sequential order.
 """
 
 from __future__ import annotations
@@ -67,6 +73,11 @@ REFINE_LR = 0.05  # step size of the minibatch refinement
 PRED_BOUND = 3.0  # bound on every predicate weight and offset
 GATE_BOUND = 6.0  # bound on every gate logit, and the polish's rails
 TAU_EVAL = 0.01  # the temperature at which a round's smooth MCR is read
+# the most bytes of predicate traces, 8 * rows * N * n_pred * (T+1), that
+# one stack of starts holds: past it, the stack's temporaries cost more than
+# its fewer calls save. It stacks 6 to 8 default unicycle starts at N = 30
+# to 40, and scores default driving starts at N = 40 one at a time.
+START_CHUNK_BYTES = 2**18
 
 POLICY_LR = 1e-3  # Adam's step size in `train_policy`
 ADAM_BETAS = (0.9, 0.999)  # Adam's decay rates of its moment estimates
@@ -141,14 +152,19 @@ def inference_loss(X_norm, labels, params: InferenceParams, shape: NetworkShape,
     return loss, grad
 
 
-def _loss_of_scores(vals, labels, params: InferenceParams, margin, vjp=False):
-    """`inference_loss` given the classifier scores `vals`. With vjp,
+def _loss_of_scores(vals, labels, params: InferenceParams, margin, vjp=False, sigmoids=None):
+    """`inference_loss` given the classifier scores `vals`; `sigmoids`, if
+    given, are the gates' (`sigmoid(gate)`, `sigmoid(out_gate)`). With vjp,
     (loss, grad), where grad(g) is (the adjoint of `vals`, a dict of the
-    regularizer's gate gradients, the margin's gradient)."""
-    slack = margin - labels * vals
-    hinge = np.sum(np.maximum(slack, 0.0)) / slack.size
-    s_gate, s_out = sigmoid(params.gate), sigmoid(params.out_gate)
-    loss = hinge + BETA1 * (np.sum(s_gate) + np.sum(s_out)) - BETA2 * margin
+    regularizer's gate gradients, the margin's gradient). Without it, a
+    stack of K classifiers (the groups, `vals` and `margin` with a leading
+    axis K) gives K losses."""
+    stack = np.shape(vals)[:-1]
+    slack = np.reshape(margin, stack + (1,)) - labels * vals
+    hinge = np.maximum(slack, 0.0).sum(axis=-1) / slack.shape[-1]
+    s_gate, s_out = sigmoids or (sigmoid(params.gate), sigmoid(params.out_gate))
+    reg = s_gate.reshape(stack + (-1,)).sum(axis=-1) + s_out.sum(axis=-1)
+    loss = hinge + BETA1 * reg - BETA2 * margin
     if not vjp:
         return loss
 
@@ -163,9 +179,10 @@ def _loss_of_scores(vals, labels, params: InferenceParams, margin, vjp=False):
 
 
 def annealing_objective(X_norm, labels, template: InferenceParams, shape: NetworkShape):
-    """The value of `inference_loss` at flat (classifier, margin) vectors laid
-    out like `template` plus a trailing margin; the parameters are views of
-    the vector.
+    """The value of `inference_loss` at a flat (classifier, margin) vector laid
+    out like `template` plus a trailing margin, as a float; at a (K, n) stack
+    of such vectors, the K values as an array. The parameters are views of
+    the vectors.
 
     The atom layer reads only the leading predicate and window entries. A
     one-entry memo keeps the previous vector's predicate traces and atoms.
@@ -174,20 +191,35 @@ def annealing_objective(X_norm, labels, template: InferenceParams, shape: Networ
     entries differ from the memo's only in predicate k's entries and its
     two atoms' windows recomputes only predicate k's two atoms (and the
     traces, if the predicate moved). Any other vector recomputes every
-    atom. Values are bit-identical to `inference_loss`.
+    atom. A stack whose rows all have the same atom entries, byte for byte,
+    is scored as its first row is, through the memo, and its rows share
+    those atoms; any other stack computes every row's atoms at once and
+    leaves its last row's in the memo. Each value is bit-identical to
+    `inference_loss`.
     """
     n_atom_params = shape.n_atom_params
     n_pred_params = shape.n_pred * (shape.dim + 1)
+    shapes = InferenceParams.group_shapes(shape)
+    spans = layout(shapes)
     # the predicate each atom entry belongs to: pred_w rows, pred_b, then
     # win_lo and win_hi, where atoms 2k and 2k+1 are predicate k's
     preds = np.arange(shape.n_pred)
     owner = np.concatenate([np.repeat(preds, shape.dim), preds, np.tile(np.repeat(preds, 2), 2)])
-    memo_key = traces = ev = al = None
+    memo_key = memo_bytes = traces = ev = al = None
 
-    def objective(fullvec) -> float:
-        nonlocal memo_key, traces, ev, al
-        params = template.with_flat(fullvec[:-1])
-        key = fullvec[:n_atom_params]
+    def params_of(vecs) -> InferenceParams:
+        # as `template.with_flat`, for one vector or a stack of them
+        lead = vecs.shape[:-1]
+        return InferenceParams(**{k: vecs[..., span].reshape(lead + shapes[k]) for k, span in spans.items()})
+
+    def memo_atoms(vec, params=None):
+        # one vector's atoms through the memo; `params` are its own, if the
+        # caller has them
+        nonlocal memo_key, memo_bytes, traces, ev, al
+        key = vec[:n_atom_params]
+        if key.tobytes() == memo_bytes:
+            return ev, al
+        params = params_of(vec[:-1]) if params is None else params
         diff = None if memo_key is None else key != memo_key
         moved = None if diff is None else set(owner[diff].tolist())
         if moved is None or len(moved) > 1:
@@ -201,8 +233,27 @@ def annealing_objective(X_norm, labels, template: InferenceParams, shape: Networ
             ev_k, al_k = windowed_extrema(traces[:, k : k + 1], params.win_lo[pair], params.win_hi[pair], shape.tau)
             ev[:, k], al[:, k] = ev_k[:, 0], al_k[:, 0]
         memo_key = key.copy()
-        vals = smooth_gates((ev, al), params, shape)
-        return float(_loss_of_scores(vals, labels, params, float(fullvec[-1])))
+        memo_bytes = memo_key.tobytes()
+        return ev, al
+
+    def objective(fullvec):
+        nonlocal memo_key, memo_bytes, traces, ev, al
+        params = params_of(fullvec[..., :-1])
+        if fullvec.ndim == 1:
+            atoms = memo_atoms(fullvec, params)
+        elif fullvec[:, :n_atom_params].tobytes() == fullvec[0, :n_atom_params].tobytes() * len(fullvec):
+            atoms = tuple(a[None] for a in memo_atoms(fullvec[0]))
+        else:
+            stacked = predicate_traces(X_norm, params, shape)
+            atoms = windowed_extrema(stacked, params.win_lo, params.win_hi, shape.tau)
+            memo_key, traces = fullvec[-1, :n_atom_params].copy(), stacked[-1]
+            memo_bytes = memo_key.tobytes()
+            ev, al = (a[-1] for a in atoms)
+        # the gates' sigmoids, read by both the gated layer and the regularizer
+        sigmoids = sigmoid(params.gate), sigmoid(params.out_gate)
+        vals = smooth_gates(atoms, params, shape, sigmoids=sigmoids)
+        loss = _loss_of_scores(vals, labels, params, fullvec[..., -1], sigmoids=sigmoids)
+        return float(loss) if fullvec.ndim == 1 else loss
 
     return objective
 
@@ -244,18 +295,16 @@ def train_inference(
 
     # multi-start: keep the best of several random initializations; a warm
     # start competes against them rather than replacing them, so stale
-    # incumbents cannot pin the search after the dataset shifts
-    current = None
-    for start in [template] + [init_inference(shape, rng) for _ in range(cfg.n_starts - 1)]:
-        cand = np.clip(np.append(start.flatten(), 0.1), lo, hi)
-        cand_loss = objective(cand)
-        if current is None or cand_loss < cur_loss:
-            current, cur_loss = cand, cand_loss
+    # incumbents cannot pin the search after the dataset shifts. They are
+    # scored as stacks whose traces stay within START_CHUNK_BYTES.
+    starts = [template] + [init_inference(shape, rng) for _ in range(cfg.n_starts - 1)]
+    cands = np.clip([np.append(start.flatten(), 0.1) for start in starts], lo, hi)
     if warm_start is not None:
-        warm = np.clip(np.asarray(warm_start, dtype=float), lo, hi)
-        warm_loss = objective(warm)
-        if warm_loss < cur_loss:
-            current, cur_loss = warm, warm_loss
+        cands = np.vstack([cands, np.clip(np.asarray(warm_start, dtype=float), lo, hi)])
+    rows = max(1, START_CHUNK_BYTES // (X.itemsize * len(X) * shape.n_pred * (shape.horizon + 1)))
+    losses = np.concatenate([objective(cands[i : i + rows]) for i in range(0, len(cands), rows)])
+    first = int(np.argmin(losses))  # the first of least loss: a later one must be strictly less
+    current, cur_loss = cands[first], float(losses[first])
     best, best_loss = current.copy(), cur_loss
 
     span = hi - lo
@@ -289,17 +338,22 @@ def train_inference(
     # thresholded extraction cannot see; railed gates keep the smooth and
     # extracted semantics aligned. A gate already on a rail is not tried
     # there again: that trial is the incumbent, whose loss is best_loss.
+    # The rails are scored as one stack and accepted in turn; a gate that
+    # moves from the upper rail to the lower has the incumbent scored again.
     spans = layout(InferenceParams.group_shapes(shape))
     for _ in range(2):
         for i in range(spans["gate"].start, spans["out_gate"].stop):
-            trial = best.copy()
-            for cand in (-GATE_BOUND, GATE_BOUND):
-                if best[i] == cand:
-                    continue
-                trial[i] = cand
-                trial_loss = objective(trial)
+            incumbent = best
+            rails = [rail for rail in (-GATE_BOUND, GATE_BOUND) if best[i] != rail]
+            trials = np.repeat(best[None], len(rails), axis=0)
+            trials[:, i] = rails
+            for trial, trial_loss in zip(trials, objective(trials)):
                 if trial_loss <= best_loss:
-                    best, best_loss = trial.copy(), trial_loss
+                    best, best_loss = trial, float(trial_loss)
+            if rails == [-GATE_BOUND] and best is not incumbent:
+                trial_loss = objective(incumbent)
+                if trial_loss <= best_loss:
+                    best, best_loss = incumbent, trial_loss
 
     return template.with_flat(best[:-1]), float(best[-1]), best_loss
 

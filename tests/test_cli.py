@@ -959,6 +959,50 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
+    @pytest.mark.parametrize(
+        "cmd, given",
+        [("train", "--data"), ("train", "--config")]
+        + [(cmd, given) for cmd in ("extract", "rollout", "adjust") for given in ("--ckpt", "--data", "dataset_path")],
+    )
+    def test_out_that_is_an_input_is_data_error(self, trained, tmp_path, capsys, monkeypatch, cmd, given):
+        """An --out that is one of the command's own inputs, named by another
+        path to the same file, is refused (exit 3) before the work, naming
+        both; the input stays byte for byte, and no file or directory is made."""
+        root, data, config, ckpt = trained
+        for owner, name in [(cli, "train_policy"), (cli, "gan_loop"), (cli, "simplify"), (cli, "rollout")]:
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, **kw: pytest.fail(f"{_name} ran before --out was checked"))
+        run = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run)
+        # the run dataset under a name that no command refuses as --out, as an
+        # older checkpoint's augmented_dataset may name it
+        (run / "dataset.jsonl").rename(run / "rows.jsonl")
+        doc = json.loads((run / "ckpt.json").read_text())
+        doc["extra"]["dataset_path"] = "rows.jsonl"
+        (run / "ckpt.json").write_text(json.dumps(doc))
+        shutil.copy(data, tmp_path / "given.jsonl")
+        shutil.copy(config, tmp_path / "given.json")
+        paths = {"--ckpt": "run/ckpt.json", "--data": "given.jsonl", "--config": "given.json", "dataset_path": "run/rows.jsonl"}
+        argv = {
+            "train": ["train", "--data", "given.jsonl", "--config", "given.json"],
+            "extract": ["extract", "--ckpt", "run/ckpt.json"],
+            "rollout": ["rollout", "--ckpt", "run/ckpt.json", "--n", "2"],
+            "adjust": ["adjust", "--ckpt", "run/ckpt.json", "--conjoin", "G[0,20](dO >= 1.5)", "--retrain"],
+        }[cmd]
+        if given == "--data" and cmd != "train":
+            argv += ["--data", "given.jsonl"]
+        monkeypatch.chdir(tmp_path)
+        def files():
+            # the inputs and what else is there, but the sidecars that reading them leaves
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".npz"}
+
+        before = files()
+        out = os.path.join(".", "run", "..", paths[given])
+        assert main(argv + ["--out", out]) == EXIT_DATA
+        name = {"dataset_path": "the checkpoint's dataset"}.get(given, given)
+        assert capsys.readouterr().err == f"data error: --out {out} is the same file as {name} {paths[given]}\n"
+        assert files() == before
+
+
 def _trim_w_in(doc):
     doc["policy_groups"]["w_in"] = [row[:-1] for row in doc["policy_groups"]["w_in"]]
 

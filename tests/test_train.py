@@ -74,6 +74,57 @@ def atom_layer_widths(monkeypatch):
     return widths
 
 
+def scored_rows(monkeypatch):
+    """The (vector, loss) of each row that `train_inference`'s objective
+    scores, one per vector whether it came alone or in a stack, in order,
+    and the number of rows scored before each refine."""
+    calls, refines = [], []
+    make_objective, refine = train.annealing_objective, train._refine
+
+    def recording(*args):
+        objective = make_objective(*args)
+
+        def scored(vecs):
+            losses = objective(vecs)
+            calls.extend(zip(np.atleast_2d(vecs).copy(), np.atleast_1d(losses)))
+            return losses
+
+        return scored
+
+    monkeypatch.setattr(train, "annealing_objective", recording)
+    monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
+    return calls, refines
+
+
+def replay_polish(calls, first, shape):
+    """Replay the polish over the rows scored from index `first` on against
+    the sequential loop, whose incumbent is the first row of least loss
+    before it: each row must be the incumbent with one gate on a rail it
+    does not hold, taken when its loss is at most the incumbent's, and a
+    gate taken from +GATE_BOUND to -GATE_BOUND has the old incumbent scored
+    next. Returns (best, best_loss, rows scored, old incumbents scored)."""
+    annealed, polish = calls[:first], iter(calls[first:])
+    best, best_loss = annealed[int(np.argmin([loss for _, loss in annealed]))]
+    spans = layout(InferenceParams.group_shapes(shape))
+    scored = rescored = 0
+    for _ in range(2):
+        for i in range(spans["gate"].start, spans["out_gate"].stop):
+            incumbent = best
+            for rail in (-train.GATE_BOUND, train.GATE_BOUND):
+                if best[i] == rail:
+                    continue
+                vec, loss = next(polish)
+                want = best.copy()
+                want[i] = rail
+                assert np.array_equal(vec, want)
+                scored += 1
+                rescored += np.array_equal(vec, incumbent)
+                if loss <= best_loss:
+                    best, best_loss = vec, loss
+    assert next(polish, None) is None
+    return best, best_loss, scored, rescored
+
+
 def formula_mcr(f, ds):
     return exact_mcr(f, ds.X, ds.dim_names, ds.labels)
 
@@ -297,44 +348,13 @@ class TestTrainInference:
         ds = toy_dataset()
         shape = NetworkShape(n_pred=2, n_conj=2, horizon=3, dim=1, tau=0.1)
         norm = SignalNorm.from_arrays(ds.X)
-        calls, refines = [], []
-        make_objective, refine = train.annealing_objective, train._refine
-
-        def recording(*args):
-            objective = make_objective(*args)
-
-            def scored(vec):
-                loss = objective(vec)
-                calls.append((vec.copy(), loss))
-                return loss
-
-            return scored
-
-        monkeypatch.setattr(train, "annealing_objective", recording)
-        monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
+        calls, refines = scored_rows(monkeypatch)
         params, margin, fit_loss = train_inference(ds, shape, self.CFG, np.random.default_rng(7), norm=norm)
 
         # the last refined vector is scored right after its refine; the polish follows
-        annealed, polish = calls[: refines[-1] + 1], iter(calls[refines[-1] + 1 :])
-        best, best_loss = annealed[int(np.argmin([loss for _, loss in annealed]))]
-        spans = layout(InferenceParams.group_shapes(shape))
-        gates = range(spans["gate"].start, spans["out_gate"].stop)
-        scored = 0
-        for _ in range(2):
-            for i in gates:
-                for rail in (-train.GATE_BOUND, train.GATE_BOUND):
-                    if best[i] == rail:
-                        continue
-                    vec, loss = next(polish)
-                    want = best.copy()
-                    want[i] = rail
-                    assert np.array_equal(vec, want)
-                    scored += 1
-                    if loss <= best_loss:
-                        best, best_loss = vec, loss
-        assert next(polish, None) is None
+        best, best_loss, scored, _ = replay_polish(calls, refines[-1] + 1, shape)
         assert np.array_equal(np.append(params.flatten(), margin), best) and fit_loss == best_loss
-        assert scored < 2 * 2 * len(gates)
+        assert scored < 2 * 2 * shape.n_conj * (shape.n_atoms + 1)  # two rails of each gate, twice
 
     @pytest.mark.parametrize("max_proposals", [0, 240, 250])
     def test_each_epoch_draws_epoch_len_proposals_then_refines(self, monkeypatch, max_proposals):
@@ -342,15 +362,7 @@ class TestTrainInference:
         proposals, max_proposals in all, then refines and scores the result."""
         ds = toy_dataset()
         shape = NetworkShape(n_pred=1, n_conj=1, horizon=3, dim=1, tau=0.1)
-        calls, refines = [], []
-        make_objective, refine = train.annealing_objective, train._refine
-
-        def counting(*args):
-            objective = make_objective(*args)
-            return lambda vec: calls.append(1) or objective(vec)
-
-        monkeypatch.setattr(train, "annealing_objective", counting)
-        monkeypatch.setattr(train, "_refine", lambda *a: refines.append(len(calls)) or refine(*a))
+        calls, refines = scored_rows(monkeypatch)
         cfg = dataclasses.replace(self.CFG, max_proposals=max_proposals)
         train_inference(ds, shape, cfg, np.random.default_rng(7), norm=SignalNorm.from_arrays(ds.X))
         epochs = [min(cfg.epoch_len, max_proposals - s) for s in range(0, max_proposals, cfg.epoch_len)]
